@@ -13,7 +13,7 @@ means become the sample weights of the adversarial loss.
 import numpy as np
 
 from uman import SyntheticSpec, UmdaMatrix, generate, partition_from_matrix, train
-from uman.core import Hyperparams, batch_margins, extract_features, margin_of, predict_classes, softmax
+from uman.core import Hyperparams, batch_margins, extract_features, predict_classes, softmax
 
 # A small world is enough to watch the mechanism work: 4 shared classes,
 # 2 private per source, 2 target-only classes.
@@ -57,13 +57,12 @@ probs = softmax(
     extract_features(result.feature_net, target.features[show])
     @ result.classifier.layers[0].w + result.classifier.layers[0].b
 )
-for i, row in zip(show, probs):
-    mr = margin_of(row)
+for i, pseudo, margin in zip(show, *batch_margins(probs)):
     true = target.eval_labels[i]
     kind = "shared" if true in common else "target-only"
     print(
-        f"target sample of class {true} ({kind:<11}): pseudo label {mr.pseudo_label}, "
-        f"margin {mr.margin:.3f}, weight {mr.margin * values[mr.pseudo_label]:.3f}"
+        f"target sample of class {true} ({kind:<11}): pseudo label {pseudo}, "
+        f"margin {margin:.3f}, weight {margin * values[pseudo]:.3f}"
     )
 print()
 

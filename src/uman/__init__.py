@@ -5,15 +5,16 @@ source domains with differing label sets to an unlabeled target that may
 contain classes no source has. Submodules:
 
 * :mod:`uman.labelspace` -- label-set size matrices, concrete class
-  layouts, Jaccard similarities, membership masks;
+  layouts, Jaccard similarities;
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
   controllable domain gaps;
 * :mod:`uman.nn` -- dense MLP numerics with tape-based reverse-mode
   differentiation;
 * :mod:`uman.core` -- prediction margins, the running per-class margin
-  register, weighted adversarial training, rejecting inference;
+  register, sample weights, adversarial training under one of three
+  methods, rejecting inference;
 * :mod:`uman.evaluate` -- the per-class + unknown evaluation protocol,
-  reference baselines, and feature-alignment probes;
+  train-and-score per method, and feature-alignment probes;
 * :mod:`uman.config` / :mod:`uman.cli` -- JSON experiment configs and the
   ``uman`` command-line runner.
 """
@@ -21,21 +22,18 @@ contain classes no source has. Submodules:
 from .labelspace import (
     LabelConfigError,
     LabelPartition,
-    MembershipMasks,
     UmdaMatrix,
     jaccard_source_source,
     jaccard_source_target,
-    matrix_from_partition,
-    membership_masks,
     partition_from_matrix,
 )
-from .synth import DomainDataset, SyntheticSpec, batch_iterator, export_csv, generate, import_csv
+from .synth import DomainDataset, SyntheticSpec, batch_iterator, generate
 from .nn import Mlp, NonFiniteGradientError, Tape, Value
 from .core import (
+    METHODS,
     UNKNOWN,
     Hyperparams,
     LossReport,
-    MarginResult,
     TargetMarginRegister,
     TrainResult,
     TrainingDiverged,
@@ -44,23 +42,17 @@ from .core import (
     domain_loss,
     extract_features,
     grl_lambda,
-    infer,
-    margin_of,
     margin_vector,
     normalize_weights,
     predict_classes,
-    source_weight,
-    target_weight,
+    sample_weights,
     train,
 )
 from .evaluate import (
-    METHODS,
     PROBE_KINDS,
     EvalReport,
     ProbeReport,
     alignment_probe,
-    baseline_source_only,
-    baseline_unweighted_adversarial,
     evaluate,
     run_method,
     score_predictions,
@@ -68,7 +60,6 @@ from .evaluate import (
 )
 from .config import (
     ExperimentConfig,
-    KNOWN_METHODS,
     SWEEP_AXES,
     config_hash,
     derive_sweep_cell,

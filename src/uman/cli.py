@@ -157,13 +157,13 @@ def _write_trace(path, trace):
         writer.writerow(
             ["step", "class_loss", "domain_loss"]
             + [f"err_source_{i + 1}" for i in range(n_src)]
-            + ["mean_weight_common", "mean_weight_private", "mean_weight_target"]
+            + ["mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated"]
         )
         for r in trace:
             writer.writerow(
                 [r.step, r.class_loss, r.domain_loss]
                 + list(r.source_errors)
-                + [r.mean_weight_common, r.mean_weight_private, r.mean_weight_target]
+                + [r.mean_weight_common, r.mean_weight_private, r.mean_weight_target, int(r.tmr_updated)]
             )
 
 
@@ -200,7 +200,8 @@ def _cell_worker(args):
     """Top-level so process pools can pickle it."""
     cell_json, offset = args
     config, problems = parse_config(json.loads(cell_json))
-    assert not problems, problems
+    if problems:
+        raise ValueError("invalid sweep cell: " + "; ".join(problems))
     partition = partition_from_matrix(config.matrix)
     rows = execute_run(config, offset, quiet=True)
     _write_csv(
@@ -215,7 +216,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/
     and the aggregate (with per-seed accuracies, their mean, and the
     transfer gain over source_only where available) is returned for a
-    single final write. Infeasible values become marked rows.
+    single final write. Infeasible values become marked rows. At most
+    ``jobs`` cells run at once, and never more than there are cells or CPUs.
     """
     base = Path(config.output_dir)
     cells, agg_rows = [], {}
@@ -253,9 +255,10 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
             row.append(gain)
         agg_rows[value] = out
 
-    if jobs > 1 and len(cells) > 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         payload = [(json.dumps(canonical_dict(cell)), offset) for _, cell in cells]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for (value, cell), rows in zip(cells, pool.map(_cell_worker, payload)):
                 finish(value, cell, rows)
     else:
@@ -317,6 +320,9 @@ def main(argv=None) -> int:
         return 2
     if not values:
         print("invalid: --values is empty")
+        return 2
+    if args.jobs < 1:
+        print(f"invalid: --jobs must be >= 1, got {args.jobs}")
         return 2
     return cmd_sweep(args.config, args.axis, values, args.jobs)
 

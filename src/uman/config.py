@@ -15,13 +15,12 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 
-from .core import Hyperparams
+from .core import METHODS, Hyperparams
 from .labelspace import LabelConfigError, UmdaMatrix, partition_from_matrix
 from .synth import SyntheticSpec
 
 __all__ = [
     "ExperimentConfig",
-    "KNOWN_METHODS",
     "SWEEP_AXES",
     "parse_config",
     "load_config",
@@ -30,7 +29,6 @@ __all__ = [
     "derive_sweep_cell",
 ]
 
-KNOWN_METHODS = ("uman", "source_only", "unweighted_adv")
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
 
 _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", "seeds", "output_dir"}
@@ -170,10 +168,10 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     if (
         not isinstance(methods, list)
         or not methods
-        or any(m not in KNOWN_METHODS for m in methods)
+        or any(m not in METHODS for m in methods)
         or len(set(methods)) != len(methods)
     ):
-        problems.append(f"methods must be a nonempty list of distinct names from {KNOWN_METHODS}")
+        problems.append(f"methods must be a nonempty list of distinct names from {METHODS}")
         methods = []
 
     seeds = obj.get("seeds", [0])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labelspace import LabelPartition, membership_masks
+from .labelspace import LabelPartition
 from .nn import (
     Mlp,
     Tape,
@@ -47,13 +47,11 @@ from .synth import batch_iterator
 
 __all__ = [
     "UNKNOWN",
-    "MarginResult",
-    "margin_of",
+    "METHODS",
     "batch_margins",
     "margin_vector",
     "TargetMarginRegister",
-    "source_weight",
-    "target_weight",
+    "sample_weights",
     "normalize_weights",
     "classification_loss",
     "domain_loss",
@@ -65,36 +63,21 @@ __all__ = [
     "train",
     "extract_features",
     "predict_classes",
-    "infer",
 ]
 
 UNKNOWN = -1
 
-
-@dataclass(frozen=True)
-class MarginResult:
-    """Pseudo-label and margin of one probability vector."""
-
-    pseudo_label: int
-    margin: float
-
-
-def margin_of(probs) -> MarginResult:
-    """Margin of a single probability vector: top entry minus runner-up.
-
-    The argmax breaks ties toward the lowest index. Probabilities live in
-    the simplex, so the margin is always inside [0, 1].
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.shape[0] < 2:
-        raise ValueError("margin needs a 1-d probability vector of length >= 2")
-    top = int(np.argmax(probs))
-    rest = np.delete(probs, top)
-    return MarginResult(top, float(probs[top] - rest.max()))
+# the full method and its two ablations: classification only, and
+# adversarial alignment with every domain-loss weight forced to 1
+METHODS = ("uman", "source_only", "unweighted_adv")
 
 
 def batch_margins(probs: np.ndarray):
-    """Vectorized pseudo-labels and margins for a batch of probability rows."""
+    """Pseudo-labels and margins (top probability minus runner-up) per row.
+
+    The argmax breaks ties toward the lowest index. Probabilities live in
+    the simplex, so every margin is inside [0, 1].
+    """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 2:
         raise ValueError("expected a (n, k>=2) probability matrix")
@@ -154,16 +137,15 @@ class TargetMarginRegister:
         return [(c, float(v)) for c, v in enumerate(self.values)]
 
 
-def source_weight(register: TargetMarginRegister, label: int) -> float:
-    """Class weight of a labeled source sample: the register value of its class."""
-    if not 0 <= label < register.n_classes:
-        raise ValueError(f"label {label} outside [0, {register.n_classes})")
-    return float(register.values[label])
+def sample_weights(register: TargetMarginRegister, source_labels, pseudo, margins):
+    """Raw domain-loss weights before normalization.
 
-
-def target_weight(register: TargetMarginRegister, result: MarginResult) -> float:
-    """Sample weight of a target sample: margin times its pseudo-class register value."""
-    return result.margin * source_weight(register, result.pseudo_label)
+    A source sample weighs the register value of its class; a target sample
+    its margin times the register value of its pseudo-label. Returns one
+    array per source label array and one array for the target.
+    """
+    values = register.values
+    return [values[labels] for labels in source_labels], margins * values[pseudo]
 
 
 def normalize_weights(raw) -> np.ndarray:
@@ -363,31 +345,31 @@ def train(
     partition: LabelPartition,
     hp: Hyperparams,
     *,
-    adversarial: bool = True,
-    weight_mode: str = "margin",
+    method: str = "uman",
 ) -> TrainResult:
     """Run the per-batch training loop for ``hp.max_steps`` steps.
 
-    ``adversarial=False`` drops the domain loss entirely (classification
-    only; the register is never touched). ``weight_mode`` selects how the
-    domain loss weighs samples: ``"margin"`` is the register-based scheme
-    described in the module docstring, ``"ones"`` forces every weight to 1,
+    ``method`` is one of :data:`METHODS`. ``"uman"`` is the register-based
+    scheme described in the module docstring. ``"source_only"`` drops the
+    domain loss entirely (classification only; the register is never
+    touched). ``"unweighted_adv"`` forces every domain-loss weight to 1,
     which turns the run into plain unweighted adversarial adaptation while
     leaving every other code path identical.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     problems = hp.violations()
     if problems:
         raise ValueError("; ".join(problems))
-    if weight_mode not in ("margin", "ones"):
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
     _check_datasets(datasets, partition)
+    adversarial = method != "source_only"
 
     n_classes = partition.n_source_classes
     in_dim = datasets[0].features.shape[1]
     feature_net, classifier, discriminator = _build_nets(hp, in_dim, n_classes)
     register = TargetMarginRegister(n_classes)
-    masks = membership_masks(partition)
-    common_mask = masks.common[:n_classes]
+    common_mask = np.zeros(n_classes, dtype=bool)
+    common_mask[list(partition.common_union)] = True
 
     batch_seed = int(np.random.SeedSequence(hp.seed, spawn_key=(200,)).generate_state(1)[0])
     batches = batch_iterator(datasets, hp.batch_size, batch_seed)
@@ -422,9 +404,8 @@ def train(
         e_g = classification_loss(logits_s, [b.labels for b in src], tape)
 
         if adversarial:
-            if weight_mode == "margin":
-                raw_ws = [register.values[b.labels] for b in src]
-                raw_wt = margins * register.values[pseudo]
+            if method == "uman":
+                raw_ws, raw_wt = sample_weights(register, [b.labels for b in src], pseudo, margins)
             else:
                 raw_ws = [np.ones(len(b.features)) for b in src]
                 raw_wt = np.ones(len(tgt.features))
@@ -484,11 +465,3 @@ def predict_classes(feature_net: Mlp, classifier: Mlp, x: np.ndarray, w0: float)
     probs = softmax(mlp_apply(classifier, extract_features(feature_net, x)))
     pseudo, margins = batch_margins(probs)
     return np.where(margins >= w0, pseudo, UNKNOWN)
-
-
-def infer(feature_net: Mlp, classifier: Mlp, x, w0: float) -> int:
-    """Single-sample inference; the boundary margin == w0 counts as known."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("infer expects a single feature vector")
-    return int(predict_classes(feature_net, classifier, x[None, :], w0)[0])

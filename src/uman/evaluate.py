@@ -6,7 +6,7 @@ model rejects it, a shared-class sample only when the model names its exact
 class. The headline number is the unweighted mean over those entries, so
 rejection quality carries the same weight as each shared class.
 
-Baselines reuse the exact training loop with one knob changed each:
+Baselines reuse the exact training loop under another ``method`` name:
 ``source_only`` drops the domain loss, ``unweighted_adv`` forces every
 domain-loss weight to 1. Comparing against them isolates, respectively, the
 value of adversarial alignment and the value of the margin-register
@@ -40,22 +40,13 @@ from .synth import DomainDataset
 __all__ = [
     "EvalReport",
     "ProbeReport",
-    "METHODS",
     "PROBE_KINDS",
     "score_predictions",
     "evaluate",
     "run_method",
-    "baseline_source_only",
-    "baseline_unweighted_adversarial",
     "transfer_gain",
     "alignment_probe",
 ]
-
-METHODS = {
-    "uman": dict(adversarial=True, weight_mode="margin"),
-    "source_only": dict(adversarial=False, weight_mode="margin"),
-    "unweighted_adv": dict(adversarial=True, weight_mode="ones"),
-}
 
 PROBE_KINDS = (
     "source-vs-target-common",
@@ -160,25 +151,14 @@ def run_method(
     config_hash: str = "",
     seed: int | None = None,
 ):
-    """Train one method and score it; returns (TrainResult, EvalReport)."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
-    result = train(datasets, partition, hp, **METHODS[method])
+    """Train one method of :data:`uman.core.METHODS` and score it; returns
+    (TrainResult, EvalReport)."""
+    result = train(datasets, partition, hp, method=method)
     report = evaluate(
         result.feature_net, result.classifier, test, partition, hp.w0,
         method=method, config_hash=config_hash, seed=seed,
     )
     return result, report
-
-
-def baseline_source_only(datasets, test, partition, hp, **kw) -> EvalReport:
-    """Classification-only training on the sources; no adaptation at all."""
-    return run_method("source_only", datasets, test, partition, hp, **kw)[1]
-
-
-def baseline_unweighted_adversarial(datasets, test, partition, hp, **kw) -> EvalReport:
-    """Adversarial alignment with every sample weight forced to 1."""
-    return run_method("unweighted_adv", datasets, test, partition, hp, **kw)[1]
 
 
 def transfer_gain(report: EvalReport, source_only_report: EvalReport) -> float:

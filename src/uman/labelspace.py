@@ -5,7 +5,7 @@ sizes: for each source, how many of its classes are shared with the target
 and how many are private to it, plus the size of the overall shared set and
 the number of target-only classes. This module turns such a size matrix
 into concrete class index sets and computes the derived quantities used
-elsewhere (set unions, Jaccard similarities, membership masks).
+elsewhere (set unions, Jaccard similarities).
 
 Index layout convention: classes shared with the target occupy the range
 [0, n_common), source-private classes the next range, and target-private
@@ -16,20 +16,16 @@ relies on when sizing the classifier head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "LabelConfigError",
     "UmdaMatrix",
     "LabelPartition",
-    "MembershipMasks",
     "partition_from_matrix",
-    "matrix_from_partition",
     "jaccard_source_target",
     "jaccard_source_source",
-    "membership_masks",
 ]
 
 
@@ -200,29 +196,22 @@ def _sorted(values) -> tuple[int, ...]:
 class LabelPartition:
     """Concrete class index sets realizing an :class:`UmdaMatrix`.
 
-    The primary fields are the per-source label sets and the target label
-    set; everything else is derived set algebra, stored for convenience and
-    re-checked against the primaries on construction.
+    The fields are the per-source label sets and the target label set;
+    everything else is derived set algebra, computed on first access.
     """
 
     total_classes: int
     source_labels: tuple[tuple[int, ...], ...]
     target_labels: tuple[int, ...]
-    common_per_source: tuple[tuple[int, ...], ...] = field(default=())
-    private_per_source: tuple[tuple[int, ...], ...] = field(default=())
-    common_union: tuple[int, ...] = field(default=())
-    source_union: tuple[int, ...] = field(default=())
-    source_private_union: tuple[int, ...] = field(default=())
-    target_private: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        derived = _derive(self.total_classes, self.source_labels, self.target_labels)
-        for name, value in derived.items():
-            stored = getattr(self, name)
-            if stored == () and value != ():
-                object.__setattr__(self, name, value)
-            elif stored != value:
-                raise LabelConfigError(f"stored {name} disagrees with the primary sets")
+        total = self.total_classes
+        for k, s in enumerate(self.source_labels):
+            bad = [c for c in s if not 0 <= c < total]
+            if bad:
+                raise LabelConfigError(f"source {k + 1} labels {bad} outside [0, {total})")
+        if any(not 0 <= c < total for c in self.target_labels):
+            raise LabelConfigError(f"target labels outside [0, {total})")
 
     @classmethod
     def from_primaries(cls, source_labels, target_labels, total_classes):
@@ -240,30 +229,29 @@ class LabelPartition:
     def n_source_classes(self) -> int:
         return len(self.source_union)
 
+    @cached_property
+    def common_per_source(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_sorted(set(s) & set(self.target_labels)) for s in self.source_labels)
 
-def _derive(total, source_labels, target_labels):
-    sources = [set(s) for s in source_labels]
-    target = set(target_labels)
-    for k, s in enumerate(sources):
-        bad = [c for c in s if not 0 <= c < total]
-        if bad:
-            raise LabelConfigError(f"source {k + 1} labels {bad} outside [0, {total})")
-    if any(not 0 <= c < total for c in target):
-        raise LabelConfigError(f"target labels outside [0, {total})")
-    common_per_source = tuple(_sorted(s & target) for s in sources)
-    private_per_source = tuple(_sorted(s - target) for s in sources)
-    common_union = _sorted(set().union(*(set(c) for c in common_per_source)) if sources else set())
-    source_union = _sorted(set().union(*sources) if sources else set())
-    private_union = _sorted(set().union(*(set(p) for p in private_per_source)) if sources else set())
-    target_private = _sorted(target - set(source_union))
-    return {
-        "common_per_source": common_per_source,
-        "private_per_source": private_per_source,
-        "common_union": common_union,
-        "source_union": source_union,
-        "source_private_union": private_union,
-        "target_private": target_private,
-    }
+    @cached_property
+    def private_per_source(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_sorted(set(s) - set(self.target_labels)) for s in self.source_labels)
+
+    @cached_property
+    def common_union(self) -> tuple[int, ...]:
+        return _sorted(set().union(*self.common_per_source))
+
+    @cached_property
+    def source_union(self) -> tuple[int, ...]:
+        return _sorted(set().union(*self.source_labels))
+
+    @cached_property
+    def source_private_union(self) -> tuple[int, ...]:
+        return _sorted(set().union(*self.private_per_source))
+
+    @cached_property
+    def target_private(self) -> tuple[int, ...]:
+        return _sorted(set(self.target_labels) - set(self.source_union))
 
 
 def partition_from_matrix(matrix: UmdaMatrix) -> LabelPartition:
@@ -310,16 +298,6 @@ def partition_from_matrix(matrix: UmdaMatrix) -> LabelPartition:
     return LabelPartition.from_primaries(source_labels, target_labels, total)
 
 
-def matrix_from_partition(partition: LabelPartition) -> UmdaMatrix:
-    """Measure block sizes of a partition (overrides are not reconstructed)."""
-    return UmdaMatrix(
-        common_sizes=tuple(len(c) for c in partition.common_per_source),
-        private_sizes=tuple(len(p) for p in partition.private_per_source),
-        target_common=len(partition.common_union),
-        target_private=len(partition.target_private),
-    )
-
-
 def _jaccard(a: set, b: set, what: str) -> float:
     union = a | b
     if not union:
@@ -345,31 +323,4 @@ def jaccard_source_source(partition: LabelPartition, i: int, j: int) -> float:
         set(partition.source_labels[i - 1]),
         set(partition.source_labels[j - 1]),
         f"source {i} vs source {j}",
-    )
-
-
-@dataclass(frozen=True)
-class MembershipMasks:
-    """Boolean per-class membership flags, indexed by global class id."""
-
-    common: np.ndarray
-    source_private: np.ndarray
-    target_private: np.ndarray
-    per_source: np.ndarray  # shape (M, total_classes), True where class in C_si
-
-
-def membership_masks(partition: LabelPartition) -> MembershipMasks:
-    n = partition.total_classes
-
-    def mask(classes):
-        out = np.zeros(n, dtype=bool)
-        out[list(classes)] = True
-        return out
-
-    per_source = np.stack([mask(s) for s in partition.source_labels]) if partition.n_sources else np.zeros((0, n), dtype=bool)
-    return MembershipMasks(
-        common=mask(partition.common_union),
-        source_private=mask(partition.source_private_union),
-        target_private=mask(partition.target_private),
-        per_source=per_source,
     )

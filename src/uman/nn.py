@@ -134,9 +134,6 @@ class Mlp:
             out.append((l.b, l.gb))
         return out
 
-    def copy_params(self):
-        return [p.copy() for p, _ in self.param_arrays()]
-
 
 def forward_mlp(net: Mlp, x, tape: Tape | None = None) -> Value:
     """Run ``x`` through the net, recording backward closures on ``tape``."""
@@ -290,19 +287,22 @@ def run_backward(tape: Tape, root: Value):
 def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):
     """Plain gradient step; zeroes the gradients afterwards.
 
-    ``weight_decay`` adds an L2 pull toward zero on the weight matrices
-    (biases are exempt), which bounds the logit scale a linear head can
-    reach and keeps softmax confidence meaningful off the training
-    clusters."""
+    Every gradient is checked before any parameter moves, so a non-finite
+    entry anywhere leaves the whole net untouched. ``weight_decay`` adds an
+    L2 pull toward zero on the weight matrices (biases are exempt), which
+    bounds the logit scale a linear head can reach and keeps softmax
+    confidence meaningful off the training clusters."""
     for idx, layer in enumerate(net.layers):
-        for name, p, g in (("w", layer.w, layer.gw), ("b", layer.b, layer.gb)):
+        for name, g in (("w", layer.gw), ("b", layer.gb)):
             if not np.isfinite(g).all():
                 bad = int((~np.isfinite(g)).sum())
                 raise NonFiniteGradientError(
                     f"layer {idx} parameter {name}: {bad} non-finite gradient entries"
                 )
-            if weight_decay and name == "w":
-                p -= lr * (g + weight_decay * p)
-            else:
-                p -= lr * g
+    for layer in net.layers:
+        if weight_decay:
+            layer.w -= lr * (layer.gw + weight_decay * layer.w)
+        else:
+            layer.w -= lr * layer.gw
+        layer.b -= lr * layer.gb
     net.zero_grads()

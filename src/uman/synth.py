@@ -19,7 +19,6 @@ held-out target test sets are produced.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "DomainDataset",
     "generate",
     "batch_iterator",
-    "export_csv",
-    "import_csv",
 ]
 
 # spawn_key purpose tags for the per-stream seed derivation
@@ -75,10 +72,6 @@ class DomainDataset:
 
     def __len__(self):
         return self.features.shape[0]
-
-    @property
-    def is_target(self) -> bool:
-        return self.labels is None
 
 
 def _rng(spec: SyntheticSpec, *key) -> np.random.Generator:
@@ -165,37 +158,3 @@ def batch_iterator(datasets, batch_size: int, seed: int):
             labels = None if ds.labels is None else ds.labels[idx]
             batch.append(DomainDataset(ds.domain_id, ds.features[idx], labels, None))
         yield batch
-
-
-def export_csv(dataset: DomainDataset, path):
-    """Write one domain to CSV. Target datasets omit the label column."""
-    d = dataset.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = ["domain_id"] + (["label"] if not dataset.is_target else []) + [
-            f"f{j}" for j in range(d)
-        ]
-        writer.writerow(cols)
-        for i in range(len(dataset)):
-            row = [dataset.domain_id]
-            if not dataset.is_target:
-                row.append(int(dataset.labels[i]))
-            row.extend(repr(float(v)) for v in dataset.features[i])
-            writer.writerow(row)
-
-
-def import_csv(path) -> DomainDataset:
-    """Read a domain back; a file without a label column becomes a target
-    dataset with unknown evaluation labels."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_label = "label" in header
-        first_feature = header.index("f0")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path} holds no samples")
-    domain_id = int(rows[0][0])
-    labels = np.array([int(r[1]) for r in rows], dtype=np.int64) if has_label else None
-    features = np.array([[float(v) for v in r[first_feature:]] for r in rows])
-    return DomainDataset(domain_id, features, labels, labels)

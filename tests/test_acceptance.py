@@ -32,14 +32,12 @@ from uman.core import (
     classification_loss,
     domain_loss,
     extract_features,
-    margin_of,
     margin_vector,
     predict_classes,
-    source_weight,
-    target_weight,
+    sample_weights,
     normalize_weights,
 )
-from uman.evaluate import METHODS, alignment_probe, evaluate
+from uman.evaluate import alignment_probe, evaluate
 from uman.labelspace import (
     LabelConfigError,
     jaccard_source_source,
@@ -96,7 +94,7 @@ def standard_runs():
         methods = {}
         for method in ("uman", "source_only", "unweighted_adv"):
             t1 = time.perf_counter()
-            result = train(data, partition, hp, **METHODS[method])
+            result = train(data, partition, hp, method=method)
             seconds = time.perf_counter() - t1
             report = evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
             methods[method] = SimpleNamespace(result=result, report=report, seconds=seconds)
@@ -120,7 +118,7 @@ def unknown_count_runs():
             hp = standard_hp(seed=seed)
             acc = {}
             for method in ("uman", "source_only"):
-                result = train(data, partition, hp, **METHODS[method])
+                result = train(data, partition, hp, method=method)
                 acc[method] = evaluate(
                     result.feature_net, result.classifier, test, partition, hp.w0
                 ).mean_per_class_accuracy
@@ -264,9 +262,8 @@ def test_formula_oracles():
         pseudo, margins = batch_margins(probs)
         for i, row in enumerate(probs):
             bp, bm = _brute_margin(row)
-            single = margin_of(row)
-            assert single.pseudo_label == bp == pseudo[i]
-            worst = max(worst, abs(single.margin - bm), abs(margins[i] - bm))
+            assert bp == pseudo[i]
+            worst = max(worst, abs(margins[i] - bm))
 
     # per-class mean margins grouped by pseudo-label
     for _ in range(N_INSTANCES):
@@ -290,18 +287,28 @@ def test_formula_oracles():
             expect = sums / np.maximum(counts, 1)
             worst = max(worst, float(np.max(np.abs(register.values - expect))))
 
-    # weights: class weight is the register value, target weight also
-    # carries the sample margin; normalization divides by the group mean
+    # weights, as training computes them: class weight is the register
+    # value, target weight also carries the sample margin; normalization
+    # divides by the group mean
     for _ in range(N_INSTANCES):
         k = int(rng.integers(2, 7))
         register = TargetMarginRegister(k)
+        sums, counts = np.zeros(k), np.zeros(k)
         for _ in range(3):
-            register.update(*margin_vector(random_simplex(rng, 8, k)))
-        label = int(rng.integers(0, k))
-        worst = max(worst, abs(source_weight(register, label) - register.values[label]))
-        mr = margin_of(random_simplex(rng, 1, k)[0])
-        expect = mr.margin * register.values[mr.pseudo_label]
-        worst = max(worst, abs(target_weight(register, mr) - expect))
+            probs = random_simplex(rng, 8, k)
+            values, present = _brute_margin_vector(probs)
+            register.update(*margin_vector(probs))
+            sums[present] += values[present]
+            counts[present] += 1
+        value = [s / n if n else 0.0 for s, n in zip(sums, counts)]
+        labels = [rng.integers(0, k, size=int(rng.integers(1, 6))) for _ in range(int(rng.integers(1, 4)))]
+        rows = random_simplex(rng, int(rng.integers(1, 6)), k)
+        ws, wt = sample_weights(register, labels, *batch_margins(rows))
+        for y, w in zip(labels, ws):
+            worst = max(worst, max(abs(wi - value[c]) for wi, c in zip(w, y)))
+        for wi, row in zip(wt, rows):
+            bp, bm = _brute_margin(row)
+            worst = max(worst, abs(wi - bm * value[bp]))
         raw = rng.uniform(0, 2, size=int(rng.integers(1, 9)))
         if rng.uniform() < 0.1:
             raw[:] = 0.0

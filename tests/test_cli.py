@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from uman.cli import main, seed_offset
+import uman.cli
+from uman.cli import _cell_worker, main, seed_offset
 
 
 def tiny_config(tmp_path, **kw):
@@ -95,12 +96,17 @@ class TestRun:
         assert report["config_hash"] == row[0]
 
     def test_trace_has_one_row_per_step(self, tmp_path):
-        path = tiny_config(tmp_path)
+        path = tiny_config(tmp_path, methods=["uman", "source_only"])
         main(["run", str(path)])
         rows = read_rows(tmp_path / "out" / "runs" / "uman_0" / "trace.csv")
         assert rows[0][:3] == ["step", "class_loss", "domain_loss"]
         assert "err_source_1" in rows[0] and "err_source_2" in rows[0]
+        assert rows[0][-1] == "tmr_updated"
+        assert {r[-1] for r in rows[1:]} <= {"0", "1"}
         assert len(rows) == 1 + 6
+        baseline = read_rows(tmp_path / "out" / "runs" / "source_only_0" / "trace.csv")
+        assert baseline[0][-1] == "tmr_updated"
+        assert [r[-1] for r in baseline[1:]] == ["0"] * 6
         tmr = read_rows(tmp_path / "out" / "runs" / "uman_0" / "tmr.csv")
         assert tmr[0] == ["class_index", "value"]
         assert len(tmr) == 1 + 5  # one row per source class
@@ -239,6 +245,51 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", "common_overlap", "--values", "a,b"]) == 2
         assert "integers" in capsys.readouterr().out
         assert main(["sweep", str(path), "--axis", "common_overlap", "--values", ","]) == 2
+
+    def test_bad_jobs_rejected(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path)
+        argv = ["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"]
+        assert main(argv + ["--jobs", "0"]) == 2
+        assert "invalid: --jobs" in capsys.readouterr().out
+        assert main(argv + ["--jobs", "-3"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch):
+        pools = []
+
+        class FakePool:
+            """Records the requested size and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", FakePool)
+        path = self.sweep_config(tmp_path)
+        argv = ["sweep", str(path), "--axis", "target_private_size", "--jobs", "64"]
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 3)
+        assert main(argv + ["--values", "0,1,2,3"]) == 0
+        assert main(argv + ["--values", "0,2"]) == 0
+        assert pools == [3, 2]
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 1)
+        assert main(argv + ["--values", "0,1,2,3"]) == 0
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: None)
+        assert main(argv + ["--values", "0,1,2,3"]) == 0
+        assert pools == [3, 2]  # one usable CPU runs the cells serially
+
+    def test_invalid_cell_raises(self, tmp_path):
+        bad = json.loads(self.sweep_config(tmp_path).read_text())
+        bad["seeds"] = []
+        with pytest.raises(ValueError, match="seeds"):
+            _cell_worker((json.dumps(bad), 0))
 
     def test_unknown_axis_rejected_by_argparse(self, tmp_path):
         path = self.sweep_config(tmp_path)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from uman.config import (
-    KNOWN_METHODS,
     SWEEP_AXES,
     canonical_dict,
     config_hash,
@@ -13,6 +12,7 @@ from uman.config import (
     load_config,
     parse_config,
 )
+from uman.core import METHODS
 from uman.labelspace import partition_from_matrix
 
 
@@ -101,7 +101,7 @@ class TestParseConfig:
 
     def test_methods_must_be_known(self):
         _, problems = parse_config(minimal(methods=["dann"]))
-        assert any(str(KNOWN_METHODS) in p for p in problems)
+        assert any(str(METHODS) in p for p in problems)
 
     def test_overrides_parse_and_validate(self):
         config, problems = parse_config(

@@ -10,7 +10,6 @@ from helpers import max_rel_err, numeric_gradient, random_simplex, standard_hp
 from uman.core import (
     UNKNOWN,
     Hyperparams,
-    MarginResult,
     TargetMarginRegister,
     TrainingDiverged,
     batch_margins,
@@ -18,13 +17,10 @@ from uman.core import (
     domain_loss,
     extract_features,
     grl_lambda,
-    infer,
-    margin_of,
     margin_vector,
     normalize_weights,
     predict_classes,
-    source_weight,
-    target_weight,
+    sample_weights,
     train,
 )
 from uman.labelspace import LabelPartition, UmdaMatrix, partition_from_matrix
@@ -47,34 +43,35 @@ class TestMargin:
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
         probs = random_simplex(rng, 100, 5)
-        for row in probs:
-            got = margin_of(row)
+        pseudo, margins = batch_margins(probs)
+        for i, row in enumerate(probs):
             top2 = np.sort(row)[::-1][:2]
-            assert got.pseudo_label == int(np.argmax(row))
-            assert got.margin == pytest.approx(top2[0] - top2[1], abs=1e-12)
-            assert 0.0 <= got.margin <= 1.0
+            assert pseudo[i] == int(np.argmax(row))
+            assert margins[i] == pytest.approx(top2[0] - top2[1], abs=1e-12)
+            assert 0.0 <= margins[i] <= 1.0
 
     def test_tie_breaks_toward_lowest_index(self):
-        got = margin_of([0.4, 0.4, 0.2])
-        assert got == MarginResult(0, pytest.approx(0.0, abs=1e-12))
+        pseudo, margins = batch_margins(np.array([[0.4, 0.4, 0.2]]))
+        assert pseudo[0] == 0
+        assert margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_extremes(self):
-        assert margin_of([1.0, 0.0, 0.0]).margin == 1.0
-        assert margin_of([0.25, 0.25, 0.25, 0.25]).margin == 0.0
+        assert batch_margins(np.array([[1.0, 0.0, 0.0]]))[1][0] == 1.0
+        assert batch_margins(np.array([[0.25, 0.25, 0.25, 0.25]]))[1][0] == 0.0
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            margin_of([1.0])
+            batch_margins(np.array([[1.0]]))
         with pytest.raises(ValueError):
-            margin_of(np.ones((2, 2)))
+            batch_margins(np.ones(3))
 
     def test_batch_margins_equal_per_row_loop(self):
         probs = random_simplex(np.random.default_rng(1), 50, 4)
         pseudo, margins = batch_margins(probs)
         for i, row in enumerate(probs):
-            single = margin_of(row)
-            assert pseudo[i] == single.pseudo_label
-            assert margins[i] == pytest.approx(single.margin, abs=1e-12)
+            single_pseudo, single_margin = batch_margins(row[None, :])
+            assert pseudo[i] == single_pseudo[0]
+            assert margins[i] == single_margin[0]
 
 
 class TestMarginVector:
@@ -154,17 +151,15 @@ class TestWeights:
     def test_source_weight_reads_the_register(self):
         reg = TargetMarginRegister(3)
         reg.update([0.2, 0.9, 0.0], [True, True, False])
-        assert source_weight(reg, 0) == pytest.approx(0.2)
-        assert source_weight(reg, 1) == pytest.approx(0.9)
-        assert source_weight(reg, 2) == 0.0
-        with pytest.raises(ValueError):
-            source_weight(reg, 3)
+        ws, _ = sample_weights(reg, [np.array([0, 1]), np.array([2])], np.array([0]), np.array([1.0]))
+        np.testing.assert_allclose(ws[0], [0.2, 0.9])
+        np.testing.assert_array_equal(ws[1], [0.0])
 
     def test_target_weight_is_margin_times_register(self):
         reg = TargetMarginRegister(2)
         reg.update([0.6, 0.1], [True, True])
-        got = target_weight(reg, MarginResult(pseudo_label=0, margin=0.5))
-        assert got == pytest.approx(0.5 * 0.6)
+        _, wt = sample_weights(reg, [], np.array([0, 1]), np.array([0.5, 0.25]))
+        np.testing.assert_allclose(wt, [0.5 * 0.6, 0.25 * 0.1])
 
     def test_weights_stay_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -173,11 +168,10 @@ class TestWeights:
             probs = random_simplex(rng, 25, 4)
             vec, present = margin_vector(probs)
             reg.update(vec, present)
-        for label in range(4):
-            assert 0.0 <= source_weight(reg, label) <= 1.0
         pseudo, margins = batch_margins(random_simplex(rng, 25, 4))
-        for p, m in zip(pseudo, margins):
-            assert 0.0 <= target_weight(reg, MarginResult(int(p), float(m))) <= 1.0
+        (ws,), wt = sample_weights(reg, [np.arange(4)], pseudo, margins)
+        assert ((ws >= 0.0) & (ws <= 1.0)).all()
+        assert ((wt >= 0.0) & (wt <= 1.0)).all()
 
     def test_normalize_weights_mean_one(self):
         rng = np.random.default_rng(6)
@@ -396,7 +390,7 @@ class TestTrainerMechanics:
 
     def test_source_only_never_touches_register_or_discriminator(self):
         datasets, partition, hp = tiny_setup(epsilon=1.0)
-        result = train(datasets, partition, hp, adversarial=False)
+        result = train(datasets, partition, hp, method="source_only")
         assert result.register.step == 0
         assert all(r.domain_loss == 0.0 for r in result.trace)
         fresh = train(datasets, partition, replace(hp, max_steps=0))
@@ -409,7 +403,7 @@ class TestTrainerMechanics:
         datasets, partition, hp = tiny_setup(
             max_steps=150, batch_size=1000, lr_features=0.2, lr_classifier=0.2
         )
-        result = train(datasets, partition, hp, adversarial=False)
+        result = train(datasets, partition, hp, method="source_only")
         first, last = result.trace[0].class_loss, result.trace[-1].class_loss
         assert last < first * 0.5
 
@@ -443,8 +437,8 @@ class TestTrainerMechanics:
 
     def test_rejects_bad_inputs(self):
         datasets, partition, hp = tiny_setup()
-        with pytest.raises(ValueError, match="weight_mode"):
-            train(datasets, partition, hp, weight_mode="squares")
+        with pytest.raises(ValueError, match="unknown method"):
+            train(datasets, partition, hp, method="squares")
         with pytest.raises(ValueError, match="source datasets"):
             train(datasets[:-1], partition, hp)
         with pytest.raises(ValueError, match="w0"):
@@ -487,21 +481,9 @@ class TestGradientReversalDirection:
 
 
 class TestMethodContainment:
-    def test_weight_mode_ones_is_bit_identical_to_unweighted_baseline(self):
-        from uman.evaluate import METHODS
-
-        datasets, partition, hp = tiny_setup()
-        direct = train(datasets, partition, hp, **METHODS["unweighted_adv"])
-        again = train(datasets, partition, hp, weight_mode="ones")
-        assert direct.trace == again.trace
-        for (p, _), (q, _) in zip(
-            direct.feature_net.param_arrays(), again.feature_net.param_arrays()
-        ):
-            np.testing.assert_array_equal(p, q)
-
     def test_unweighted_run_reports_unit_weights(self):
         datasets, partition, hp = tiny_setup()
-        result = train(datasets, partition, hp, weight_mode="ones")
+        result = train(datasets, partition, hp, method="unweighted_adv")
         for r in result.trace:
             assert r.mean_weight_common == 1.0
             assert r.mean_weight_private == 1.0
@@ -519,33 +501,25 @@ class TestInference:
         for w0 in (0.0, 0.3, 0.9):
             preds = predict_classes(result.feature_net, result.classifier, x, w0)
             probs = softmax(mlp_apply(result.classifier, extract_features(result.feature_net, x)))
-            for i, row in enumerate(probs):
-                mr = margin_of(row)
-                want = mr.pseudo_label if mr.margin >= w0 else UNKNOWN
+            pseudo, margins = batch_margins(probs)
+            for i in range(len(probs)):
+                want = pseudo[i] if margins[i] >= w0 else UNKNOWN
                 assert preds[i] == want
 
     def test_threshold_boundary_is_inclusive(self):
         result, x, _ = self._trained_pair()
         probs = softmax(mlp_apply(result.classifier, extract_features(result.feature_net, x)))
-        mr = margin_of(probs[0])
+        pseudo, margins = batch_margins(probs[:1])
         # thresholds come from the same batch forward pass so the boundary
         # comparison is exact, not one BLAS reduction order apart
-        at = predict_classes(result.feature_net, result.classifier, x, mr.margin)[0]
+        at = predict_classes(result.feature_net, result.classifier, x, margins[0])[0]
         above = predict_classes(
-            result.feature_net, result.classifier, x, min(mr.margin + 1e-9, 1.0)
+            result.feature_net, result.classifier, x, min(margins[0] + 1e-9, 1.0)
         )[0]
-        assert at == mr.pseudo_label
+        assert at == pseudo[0]
         assert above == UNKNOWN
 
     def test_w0_zero_never_rejects_and_w0_one_rarely_accepts(self):
         result, x, _ = self._trained_pair()
         always = predict_classes(result.feature_net, result.classifier, x, 0.0)
         assert (always != UNKNOWN).all()
-
-    def test_infer_single_vector(self):
-        result, x, _ = self._trained_pair()
-        assert infer(result.feature_net, result.classifier, x[0], 0.0) == int(
-            predict_classes(result.feature_net, result.classifier, x[:1], 0.0)[0]
-        )
-        with pytest.raises(ValueError, match="single"):
-            infer(result.feature_net, result.classifier, x[:2], 0.5)

@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 from helpers import standard_hp
 
-from uman.core import UNKNOWN, train
+from uman.core import METHODS, UNKNOWN, train
 from uman.evaluate import (
-    METHODS,
     PROBE_KINDS,
     EvalReport,
     alignment_probe,
-    baseline_source_only,
-    baseline_unweighted_adversarial,
     evaluate,
     run_method,
     score_predictions,
@@ -169,17 +166,10 @@ class TestRunMethodAndBaselines:
         assert report.seed == 7
         assert report.w0 == hp.w0
 
-    def test_baseline_wrappers_tag_their_reports(self):
-        datasets, test, partition, hp = small_setup()
-        a = baseline_source_only(datasets, test, partition, hp)
-        b = baseline_unweighted_adversarial(datasets, test, partition, hp)
-        assert a.method == "source_only"
-        assert b.method == "unweighted_adv"
-
     def test_same_seed_same_report(self):
         datasets, test, partition, hp = small_setup()
-        a = baseline_source_only(datasets, test, partition, hp)
-        b = baseline_source_only(datasets, test, partition, hp)
+        _, a = run_method("source_only", datasets, test, partition, hp)
+        _, b = run_method("source_only", datasets, test, partition, hp)
         assert a == b
 
     def test_methods_table_covers_all_method_names(self):

@@ -1,5 +1,7 @@
 """Label-set algebra: frozen layouts, set-algebra oracles, round trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,24 @@ from uman.labelspace import (
     UmdaMatrix,
     jaccard_source_source,
     jaccard_source_target,
-    matrix_from_partition,
-    membership_masks,
     partition_from_matrix,
 )
+
+
+def measured_sizes(p):
+    """Block sizes of a partition by set arithmetic on its label sets."""
+    target = set(p.target_labels)
+    sources = [set(s) for s in p.source_labels]
+    return (
+        tuple(len(s & target) for s in sources),
+        tuple(len(s - target) for s in sources),
+        len(set().union(*sources) & target),
+        len(target - set().union(*sources)),
+    )
+
+
+def matrix_sizes(m):
+    return m.common_sizes, m.private_sizes, m.target_common, m.target_private
 
 
 class TestMatrixValidation:
@@ -123,14 +139,13 @@ class TestPartition:
         assert p.source_private_union == (5, 6)
         assert p.target_private == (3,)
 
-    def test_inconsistent_stored_fields_rejected(self):
-        with pytest.raises(LabelConfigError, match="disagrees"):
-            LabelPartition(
-                total_classes=4,
-                source_labels=((0, 1),),
-                target_labels=(1, 2),
-                common_union=(0, 1),
-            )
+    def test_derived_sets_leave_equality_hash_and_pickling_alone(self):
+        fresh = partition_from_matrix(UmdaMatrix((4, 4), (3, 3), 6, 3))
+        used = partition_from_matrix(UmdaMatrix((4, 4), (3, 3), 6, 3))
+        assert used.target_private == (12, 13, 14)
+        assert used == fresh and hash(used) == hash(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == fresh and back.common_union == used.common_union
 
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(LabelConfigError, match="outside"):
@@ -143,11 +158,7 @@ class TestPartition:
             UmdaMatrix((7, 7), (5, 5), 10, 11),
             UmdaMatrix((2, 2, 2), (1, 1, 1), 3, 0),
         ):
-            measured = matrix_from_partition(partition_from_matrix(matrix))
-            assert measured.common_sizes == matrix.common_sizes
-            assert measured.private_sizes == matrix.private_sizes
-            assert measured.target_common == matrix.target_common
-            assert measured.target_private == matrix.target_private
+            assert measured_sizes(partition_from_matrix(matrix)) == matrix_sizes(matrix)
 
 
 @st.composite
@@ -174,14 +185,22 @@ class TestMatrixProperties:
             p = partition_from_matrix(matrix)
         except LabelConfigError:
             return  # sizes that no deterministic layout realizes are rejected, not mangled
-        measured = matrix_from_partition(p)
-        assert measured.common_sizes == matrix.common_sizes
-        assert measured.private_sizes == matrix.private_sizes
-        assert measured.target_common == matrix.target_common
-        assert measured.target_private == matrix.target_private
+        assert measured_sizes(p) == matrix_sizes(matrix)
         # every class index is used exactly once across the three ranges
         used = set(p.common_union) | set(p.source_private_union) | set(p.target_private)
         assert used == set(range(p.total_classes))
+        assert len(p.common_union) + len(p.source_private_union) + len(p.target_private) == p.total_classes
+
+
+class TestMembershipMasks:
+    def test_three_ranges_partition_all_classes(self):
+        p = partition_from_matrix(UmdaMatrix((7, 7), (5, 5), 10, 11))
+        stacked = np.zeros(p.total_classes, dtype=int)
+        for labels in (p.common_union, p.source_private_union, p.target_private):
+            mask = np.zeros(p.total_classes, dtype=bool)
+            mask[list(labels)] = True
+            stacked += mask.astype(int)
+        assert (stacked == 1).all()
 
 
 class TestJaccard:
@@ -210,25 +229,3 @@ class TestJaccard:
             jaccard_source_target(p, 0)
         with pytest.raises(LabelConfigError, match="outside"):
             jaccard_source_source(p, 1, 2)
-
-
-class TestMembershipMasks:
-    def test_masks_mirror_the_sets(self):
-        p = partition_from_matrix(UmdaMatrix((4, 4), (3, 3), 6, 3))
-        masks = membership_masks(p)
-        n = p.total_classes
-        assert masks.common.shape == (n,)
-        assert set(np.flatnonzero(masks.common)) == set(p.common_union)
-        assert set(np.flatnonzero(masks.source_private)) == set(p.source_private_union)
-        assert set(np.flatnonzero(masks.target_private)) == set(p.target_private)
-        assert masks.per_source.shape == (2, n)
-        for k in range(2):
-            assert set(np.flatnonzero(masks.per_source[k])) == set(p.source_labels[k])
-
-    def test_three_ranges_partition_all_classes(self):
-        p = partition_from_matrix(UmdaMatrix((7, 7), (5, 5), 10, 11))
-        masks = membership_masks(p)
-        stacked = (
-            masks.common.astype(int) + masks.source_private.astype(int) + masks.target_private.astype(int)
-        )
-        assert (stacked == 1).all()

@@ -329,6 +329,19 @@ class TestSgdStep:
         with pytest.raises(NonFiniteGradientError, match="parameter b"):
             sgd_step(net, 0.1)
 
+    def test_nonfinite_last_layer_leaves_earlier_layers_untouched(self):
+        net = Mlp([2, 3, 2], ["relu", "linear"], np.random.default_rng(0))
+        for layer in net.layers:
+            layer.gw[...] = 0.5
+            layer.gb[...] = 0.5
+        net.layers[-1].gb[0] = np.nan
+        before = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        with pytest.raises(NonFiniteGradientError, match="layer 1 parameter b"):
+            sgd_step(net, 0.1, weight_decay=0.01)
+        for layer, (w, b) in zip(net.layers, before):
+            np.testing.assert_array_equal(layer.w, w)
+            np.testing.assert_array_equal(layer.b, b)
+
 
 def _net_grad_check(net, f, tol=GRAD_TOL):
     """FD-check every parameter of a net against its accumulated grads.

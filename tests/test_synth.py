@@ -8,9 +8,7 @@ from uman.synth import (
     DomainDataset,
     SyntheticSpec,
     batch_iterator,
-    export_csv,
     generate,
-    import_csv,
 )
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
@@ -47,11 +45,10 @@ class TestGenerate:
             assert ds.domain_id == k
         s1, s2, tgt = datasets
         for ds, classes in zip((s1, s2), partition.source_labels):
-            assert not ds.is_target
+            assert ds.labels is not None
             assert ds.features.shape == (40 * len(classes), 8)
             assert set(np.unique(ds.labels)) == set(classes)
             assert (np.bincount(ds.labels, minlength=partition.total_classes)[list(classes)] == 40).all()
-        assert tgt.is_target
         assert tgt.labels is None
         assert set(np.unique(tgt.eval_labels)) == set(partition.target_labels)
         assert len(tgt) == 40 * len(partition.target_labels)
@@ -216,31 +213,3 @@ class TestBatchIterator:
             next(batch_iterator([empty], 4, seed=0))
         with pytest.raises(ValueError, match="batch_size"):
             next(batch_iterator([self._tagged_dataset(5)], 0, seed=0))
-
-
-class TestCsvRoundTrip:
-    def test_source_round_trips_exactly(self, tmp_path, partition):
-        ds = generate(spec(), partition)[0]
-        path = tmp_path / "source.csv"
-        export_csv(ds, path)
-        back = import_csv(path)
-        assert back.domain_id == ds.domain_id
-        np.testing.assert_array_equal(back.features, ds.features)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-
-    def test_target_file_has_no_label_column(self, tmp_path, partition):
-        tgt = generate(spec(), partition)[-1]
-        path = tmp_path / "target.csv"
-        export_csv(tgt, path)
-        header = path.read_text().splitlines()[0]
-        assert "label" not in header.split(",")
-        back = import_csv(path)
-        assert back.is_target
-        assert back.labels is None
-        np.testing.assert_array_equal(back.features, tgt.features)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("domain_id,label,f0,f1\n")
-        with pytest.raises(ValueError, match="no samples"):
-            import_csv(path)
