@@ -114,8 +114,9 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
 
     Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
     training trace, the final margin-register values, and the evaluation
-    report. A run that diverges is recorded as a failed row and the
-    remaining runs still execute.
+    report. A run that diverges is recorded as a failed row, its directory
+    gets a report.json with status "failed", the error and the step, and
+    the remaining runs still execute.
     """
     partition = partition_from_matrix(config.matrix)
     chash = config_hash(config)
@@ -135,19 +136,31 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
                     config_hash=chash, seed=seed,
                 )
             except (TrainingDiverged, NonFiniteGradientError) as exc:
+                _write_json(run_dir / "report.json", {
+                    "config_hash": chash,
+                    "error": str(exc),
+                    "method": method,
+                    "seed": seed,
+                    "status": "failed",
+                    "step": getattr(exc, "step", None),
+                })
                 rows.append(_summary_row(partition, chash, method, seed))
                 if not quiet:
                     print(f"{method} seed {seed}: FAILED ({exc})")
                 continue
             _write_trace(run_dir / "trace.csv", result.trace)
             _write_register(run_dir / "tmr.csv", result.register)
-            with open(run_dir / "report.json", "w") as fh:
-                json.dump(asdict(report), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write_json(run_dir / "report.json", asdict(report))
             rows.append(_summary_row(partition, chash, method, seed, report))
             if not quiet:
                 print(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
     return rows
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_trace(path, trace):
@@ -219,6 +232,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     single final write. Infeasible values become marked rows. At most
     ``jobs`` cells run at once, and never more than there are cells or CPUs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     base = Path(config.output_dir)
     cells, agg_rows = [], {}
     for value in values:

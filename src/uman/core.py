@@ -33,15 +33,16 @@ from .nn import (
     Mlp,
     Tape,
     Value,
+    block_sums,
     forward_mlp,
     grad_reverse,
     l2_normalize,
+    log_softmax,
     mlp_apply,
     run_backward,
     scalar_sum,
     sgd_step,
     softmax,
-    softmax_cross_entropy,
 )
 from .synth import batch_iterator
 
@@ -141,11 +142,12 @@ def sample_weights(register: TargetMarginRegister, source_labels, pseudo, margin
     """Raw domain-loss weights before normalization.
 
     A source sample weighs the register value of its class; a target sample
-    its margin times the register value of its pseudo-label. Returns one
-    array per source label array and one array for the target.
+    its margin times the register value of its pseudo-label. Returns the
+    weights of the source rows, in the order of ``source_labels``, and those
+    of the target rows.
     """
     values = register.values
-    return [values[labels] for labels in source_labels], margins * values[pseudo]
+    return values[source_labels], margins * values[pseudo]
 
 
 def normalize_weights(raw) -> np.ndarray:
@@ -159,64 +161,84 @@ def normalize_weights(raw) -> np.ndarray:
     return raw / mean
 
 
-def _normalize_jointly(parts):
-    """Normalize several weight groups by their joint mean, keeping the split."""
-    flat = normalize_weights(np.concatenate(parts))
-    out, k = [], 0
-    for p in parts:
-        out.append(flat[k : k + len(p)])
-        k += len(p)
+def classification_loss(logits: Value, labels, sizes, tape: Tape | None = None) -> Value:
+    """Average of the per-source mean cross entropies.
+
+    ``logits`` stacks the sources' rows, ``sizes[i]`` of them for source i,
+    and ``labels`` has one entry per source row. Rows past the sources (the
+    target's, in a training step) are not classified and get no gradient.
+    A row of source i weighs 1/(M * sizes[i]) for M sources.
+    """
+    sizes = [int(n) for n in sizes]
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = sum(sizes), logits.data.shape[1]
+    m = len(sizes)
+    if m == 0 or min(sizes) < 1 or labels.shape != (n,) or logits.data.shape[0] < n:
+        raise ValueError("need nonempty source blocks with one label per source row")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels outside [0, {k})")
+    rows = np.arange(n)
+    logp = log_softmax(logits.data[:n])
+    nll = -logp[rows, labels]
+    # each source's mean on its own, then summed term by term: the same
+    # arithmetic as one cross-entropy node per source
+    out = Value([[sum((1.0 / m) * v for v in block_sums(nll, sizes) / sizes)]])
+    if tape is not None:
+        inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
+
+        def op():
+            coef = out.grad[0, 0] * (1.0 / m)
+            if coef == 0.0:
+                return
+            p = np.exp(logp)
+            p[rows, labels] -= 1.0
+            logits.grad[:n] += coef * p * inv_size[:, None]
+
+        tape.record(op)
     return out
-
-
-def classification_loss(per_source_logits, per_source_labels, tape: Tape | None = None) -> Value:
-    """Average of the per-source mean cross entropies."""
-    m = len(per_source_logits)
-    if m == 0 or m != len(per_source_labels):
-        raise ValueError("need matching, nonempty logits and label lists")
-    parts = [
-        softmax_cross_entropy(lg, y, np.ones(lg.data.shape[0]), tape)
-        for lg, y in zip(per_source_logits, per_source_labels)
-    ]
-    return scalar_sum(parts, [1.0 / m] * m, tape)
 
 
 _CLIP = 1e-7
 
 
-def domain_loss(source_outs, source_weights, target_out, target_weights, tape: Tape | None = None) -> Value:
+def domain_loss(out: Value, weights, sizes, tape: Tape | None = None) -> Value:
     """Weighted domain discrimination loss.
 
-    Sources should be scored 1 and the target 0:
-    mean over sources of E[-w log D] plus E[-w log(1 - D)] on the target.
-    Discriminator outputs are clipped away from {0, 1} before the log.
-    Weights are taken as constants; no gradient flows through them.
+    ``out`` stacks the discriminator outputs of the sources' rows,
+    ``sizes[i]`` of them for source i, and then the ``sizes[-1]`` target
+    rows; ``weights`` has one entry per row. Sources should be scored 1 and
+    the target 0: mean over sources of E[-w log D] plus E[-w log(1 - D)] on
+    the target. Discriminator outputs are clipped away from {0, 1} before
+    the log. Weights are taken as constants; no gradient flows through them.
     """
-    m = len(source_outs)
-    if m == 0 or m != len(source_weights):
-        raise ValueError("need matching, nonempty output and weight lists")
+    sizes = [int(n) for n in sizes]
+    m = len(sizes) - 1
+    n = sum(sizes)
+    w = np.asarray(weights, dtype=np.float64)
+    if m < 1 or min(sizes) < 1 or out.data.shape != (n, 1) or w.shape != (n,):
+        raise ValueError("need source and target blocks with one output and weight per row")
+    n_src = n - sizes[-1]
+    raw = out.data[:, 0]
+    d = np.clip(raw, _CLIP, 1 - _CLIP)
+    # probability given to each row's own domain
+    q = np.concatenate([d[:n_src], 1.0 - d[n_src:]])
+    means = block_sums(-w * np.log(q), sizes) / sizes
     total = 0.0
-    clipped_s = []
-    for out, w in zip(source_outs, source_weights):
-        d = np.clip(out.data[:, 0], _CLIP, 1 - _CLIP)
-        clipped_s.append(d)
-        total += float((-np.asarray(w) * np.log(d)).mean() / m)
-    dt = np.clip(target_out.data[:, 0], _CLIP, 1 - _CLIP)
-    wt = np.asarray(target_weights, dtype=np.float64)
-    total += float((-wt * np.log(1.0 - dt)).mean())
+    for v in means[:-1]:
+        total += float(v / m)
+    total += float(means[-1])
     node = Value([[total]])
     if tape is not None:
+        inside = (raw > _CLIP) & (raw < 1 - _CLIP)
+        signed_w = np.concatenate([-w[:n_src], w[n_src:]])
+        per_block = [m * s for s in sizes[:-1]] + [sizes[-1]]
+        counts = np.repeat(np.array(per_block, dtype=np.float64), sizes)
+
         def op():
             g = node.grad[0, 0]
             if g == 0.0:
                 return
-            for out, w, d in zip(source_outs, source_weights, clipped_s):
-                inside = (out.data[:, 0] > _CLIP) & (out.data[:, 0] < 1 - _CLIP)
-                n = d.shape[0]
-                out.grad[:, 0] += g * inside * (-np.asarray(w) / (m * n * d))
-            inside_t = (target_out.data[:, 0] > _CLIP) & (target_out.data[:, 0] < 1 - _CLIP)
-            nt = dt.shape[0]
-            target_out.grad[:, 0] += g * inside_t * (wt / (nt * (1.0 - dt)))
+            out.grad[:, 0] += g * inside * (signed_w / (counts * q))
 
         tape.record(op)
     return node
@@ -377,23 +399,22 @@ def train(
     trace: list[LossReport] = []
     for step in range(hp.max_steps):
         batch = next(batches)
-        src, tgt = batch[:-1], batch[-1]
+        # the source sub-batches and the target rows go through each net as
+        # one stack of blocks; the classifier records only the source blocks
+        sizes = [len(b.features) for b in batch]
+        n_src = sum(sizes[:-1])
+        labels = np.concatenate([b.labels for b in batch[:-1]])
         tape = Tape()
 
-        feats_s, logits_s = [], []
-        for b in src:
-            f = l2_normalize(forward_mlp(feature_net, b.features, tape), tape)
-            feats_s.append(f)
-            logits_s.append(forward_mlp(classifier, f, tape))
-        feat_t = l2_normalize(forward_mlp(feature_net, tgt.features, tape), tape)
+        x = np.concatenate([b.features for b in batch])
+        feats = l2_normalize(forward_mlp(feature_net, x, tape, sizes), tape)
+        logits = forward_mlp(classifier, feats, tape, sizes[:-1])
 
         # detached predictions drive margins, the gate, and all weights
-        probs_t = softmax(mlp_apply(classifier, feat_t.data))
+        probs_t = softmax(logits.data[n_src:])
         pseudo, margins = batch_margins(probs_t)
-        errors = tuple(
-            float((lg.data.argmax(axis=1) != b.labels).mean())
-            for lg, b in zip(logits_s, src)
-        )
+        wrong = logits.data[:n_src].argmax(axis=1) != labels
+        errors = tuple((block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist())
 
         updated = False
         if adversarial and max(errors) < hp.epsilon:
@@ -401,26 +422,19 @@ def train(
             register.update(vec, present)
             updated = True
 
-        e_g = classification_loss(logits_s, [b.labels for b in src], tape)
+        e_g = classification_loss(logits, labels, sizes[:-1], tape)
 
         if adversarial:
             if method == "uman":
-                raw_ws, raw_wt = sample_weights(register, [b.labels for b in src], pseudo, margins)
+                raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
             else:
-                raw_ws = [np.ones(len(b.features)) for b in src]
-                raw_wt = np.ones(len(tgt.features))
-            ws = _normalize_jointly(raw_ws)
-            wt = normalize_weights(raw_wt)
+                raw_ws, raw_wt = np.ones(n_src), np.ones(sizes[-1])
+            weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)])
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-            d_src = [
-                forward_mlp(discriminator, grad_reverse(f, lam, tape), tape)
-                for f in feats_s
-            ]
-            d_tgt = forward_mlp(discriminator, grad_reverse(feat_t, lam, tape), tape)
-            e_d = domain_loss(d_src, ws, d_tgt, wt, tape)
+            d_out = forward_mlp(discriminator, grad_reverse(feats, lam, tape), tape, sizes)
+            e_d = domain_loss(d_out, weights, sizes, tape)
         else:
-            raw_ws = [np.zeros(len(b.features)) for b in src]
-            raw_wt = np.zeros(len(tgt.features))
+            raw_ws, raw_wt = np.zeros(n_src), np.zeros(sizes[-1])
             e_d = Value(np.zeros((1, 1)))
 
         eg_val, ed_val = float(e_g.data[0, 0]), float(e_d.data[0, 0])
@@ -436,18 +450,16 @@ def train(
             # there would still apply weight decay
             sgd_step(discriminator, hp.lr_discriminator, hp.weight_decay)
 
-        all_ws = np.concatenate(raw_ws)
-        all_labels = np.concatenate([b.labels for b in src])
-        in_common = common_mask[all_labels]
+        in_common = common_mask[labels]
         trace.append(
             LossReport(
                 step=step,
                 class_loss=eg_val,
                 domain_loss=ed_val,
                 source_errors=errors,
-                mean_weight_common=float(all_ws[in_common].mean()) if in_common.any() else 0.0,
-                mean_weight_private=float(all_ws[~in_common].mean()) if (~in_common).any() else 0.0,
-                mean_weight_target=float(np.asarray(raw_wt).mean()),
+                mean_weight_common=float(raw_ws[in_common].mean()) if in_common.any() else 0.0,
+                mean_weight_private=float(raw_ws[~in_common].mean()) if (~in_common).any() else 0.0,
+                mean_weight_target=float(raw_wt.mean()),
                 tmr_updated=updated,
             )
         )

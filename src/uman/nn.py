@@ -28,6 +28,7 @@ __all__ = [
     "log_softmax",
     "softmax_cross_entropy",
     "grad_reverse",
+    "block_sums",
     "scalar_sum",
     "run_backward",
     "sgd_step",
@@ -135,15 +136,71 @@ class Mlp:
         return out
 
 
-def forward_mlp(net: Mlp, x, tape: Tape | None = None) -> Value:
-    """Run ``x`` through the net, recording backward closures on ``tape``."""
-    v = x if isinstance(x, Value) else Value(x)
-    if v.data.shape[1] != net.in_dim:
-        raise ValueError(
-            f"input has {v.data.shape[1]} columns but the net expects {net.in_dim}"
-        )
+def _runs(sizes):
+    """Group consecutive blocks of equal size: (first row, count, rows each)."""
+    runs, start = [], 0
+    for n in sizes:
+        if runs and runs[-1][2] == n:
+            runs[-1][1] += 1
+        else:
+            runs.append([start, 1, n])
+        start += n
+    return runs
+
+
+def block_sums(x: np.ndarray, sizes) -> np.ndarray:
+    """Sum over the rows of each consecutive block of ``x``, ``sizes[i]`` rows
+    for block i, one result row per block.
+
+    Each block sums exactly as ``x[block].sum(axis=0)`` would on its own (a
+    segmented ``np.add.reduceat`` associates differently), with one numpy
+    call per run of equal-size blocks.
+    """
+    out = np.empty((len(sizes), *x.shape[1:]))
+    i = 0
+    for start, count, rows in _runs(sizes):
+        block = x[start : start + count * rows].reshape(count, rows, *x.shape[1:])
+        np.sum(block, axis=1, out=out[i : i + count])
+        i += count
+    return out
+
+
+def forward_mlp(net: Mlp, x, tape: Tape | None = None, blocks=None) -> Value:
+    """Run ``x`` through the net, recording backward closures on ``tape``.
+
+    ``blocks`` lists row counts: the rows of ``x`` stack that many separate
+    passes, in that order. Rows past the last block form one more pass that
+    is not recorded and gets no gradient. Every output and every gradient is
+    bit-identical to running the passes one by one, because BLAS rounds a
+    row differently depending on where it sits in a call: each product is
+    a batched matmul over runs of equal-size blocks, one BLAS call per block
+    of the block's own shape, and the backward pass adds the blocks'
+    parameter gradients in reverse order. By default all rows form one
+    block. A raw array input gets no gradient, since no caller could read it.
+    """
+    wants_grad = isinstance(x, Value)
+    v = x if wants_grad else Value(x)
+    n, width = v.data.shape
+    if width != net.in_dim:
+        raise ValueError(f"input has {width} columns but the net expects {net.in_dim}")
+    if blocks is None:
+        blocks = [n] if n else []
+    blocks = [int(b) for b in blocks]
+    recorded = sum(blocks)
+    if recorded > n or min(blocks, default=1) < 1:
+        raise ValueError(f"blocks {blocks} do not fit in {n} rows")
+    runs = _runs(blocks + [n - recorded] if recorded < n else blocks)
+    replay = _runs(blocks)[::-1]
     for layer in net.layers:
-        z = v.data @ layer.w + layer.b
+        z = np.empty((n, layer.w.shape[1]))
+        for start, count, rows in runs:
+            stop = start + count * rows
+            np.matmul(
+                v.data[start:stop].reshape(count, rows, -1),
+                layer.w,
+                out=z[start:stop].reshape(count, rows, -1),
+            )
+        z += layer.b
         if layer.activation == "relu":
             a = np.maximum(z, 0.0)
         elif layer.activation == "sigmoid":
@@ -152,12 +209,13 @@ def forward_mlp(net: Mlp, x, tape: Tape | None = None) -> Value:
             a = z
         out = Value(a)
         if tape is not None:
-            tape.record(_layer_backward(layer, v, out))
+            tape.record(_layer_backward(layer, v, out, replay, wants_grad))
         v = out
+        wants_grad = True
     return v
 
 
-def _layer_backward(layer, inp, out):
+def _layer_backward(layer, inp, out, replay, wants_grad):
     def op():
         if layer.activation == "relu":
             dz = out.grad * (out.data > 0.0)
@@ -166,9 +224,17 @@ def _layer_backward(layer, inp, out):
             dz = out.grad * s * (1.0 - s)
         else:
             dz = out.grad
-        layer.gw += inp.data.T @ dz
-        layer.gb += dz.sum(axis=0)
-        inp.grad += dz @ layer.w.T
+        w_t = layer.w.T
+        for start, count, rows in replay:
+            stop = start + count * rows
+            d = dz[start:stop].reshape(count, rows, -1)
+            x = inp.data[start:stop].reshape(count, rows, -1)
+            for g in np.matmul(x.transpose(0, 2, 1), d)[::-1]:
+                layer.gw += g
+            for g in d.sum(axis=1)[::-1]:
+                layer.gb += g
+            if wants_grad:
+                inp.grad[start:stop] += np.matmul(d, w_t).reshape(stop - start, -1)
 
     return op
 

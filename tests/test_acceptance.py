@@ -184,24 +184,25 @@ def test_gradient_checks():
 
     worst = max(worst, _fd_max_err(lambda: float(norm_loss().data[0, 0]), [net], norm_loss))
 
-    # end-to-end classification objective through features and classifier
+    # end-to-end classification objective through features and classifier,
+    # the sources stacked into one pass per net as training runs them
+    sizes = [len(x) for x in xs]
+
     def eg(tape=None):
-        logits = [
-            forward_mlp(clf, l2_normalize(forward_mlp(fnet, x, tape), tape), tape) for x in xs
-        ]
-        return classification_loss(logits, ys, tape)
+        feats = l2_normalize(forward_mlp(fnet, np.vstack(xs), tape, sizes), tape)
+        return classification_loss(forward_mlp(clf, feats, tape, sizes), np.concatenate(ys), sizes, tape)
 
     worst = max(worst, _fd_max_err(lambda: float(eg().data[0, 0]), [fnet, clf], eg))
 
     # end-to-end domain objective: the reversal layer flips and scales the
     # feature-side gradients, so those compare against -lam times the
     # numeric gradient while the discriminator side compares directly
+    blocks = sizes + [len(xt)]
+
     def ed(tape=None):
-        fs = [l2_normalize(forward_mlp(fnet, x, tape), tape) for x in xs]
-        ft = l2_normalize(forward_mlp(fnet, xt, tape), tape)
-        d_s = [forward_mlp(disc, grad_reverse(f, lam, tape), tape) for f in fs]
-        d_t = forward_mlp(disc, grad_reverse(ft, lam, tape), tape)
-        return domain_loss(d_s, ws, d_t, wt, tape)
+        f = l2_normalize(forward_mlp(fnet, np.vstack(xs + [xt]), tape, blocks), tape)
+        d = forward_mlp(disc, grad_reverse(f, lam, tape), tape, blocks)
+        return domain_loss(d, np.concatenate(ws + [wt]), blocks, tape)
 
     worst = max(
         worst,
@@ -303,9 +304,8 @@ def test_formula_oracles():
         value = [s / n if n else 0.0 for s, n in zip(sums, counts)]
         labels = [rng.integers(0, k, size=int(rng.integers(1, 6))) for _ in range(int(rng.integers(1, 4)))]
         rows = random_simplex(rng, int(rng.integers(1, 6)), k)
-        ws, wt = sample_weights(register, labels, *batch_margins(rows))
-        for y, w in zip(labels, ws):
-            worst = max(worst, max(abs(wi - value[c]) for wi, c in zip(w, y)))
+        ws, wt = sample_weights(register, np.concatenate(labels), *batch_margins(rows))
+        worst = max(worst, max(abs(wi - value[c]) for wi, c in zip(ws, np.concatenate(labels))))
         for wi, row in zip(wt, rows):
             bp, bm = _brute_margin(row)
             worst = max(worst, abs(wi - bm * value[bp]))
@@ -329,7 +329,9 @@ def test_formula_oracles():
                 z = lg.data[i]
                 rows.append(math.log(np.exp(z - z.max()).sum()) + z.max() - z[y[i]])
             total += sum(rows) / len(rows) / m
-        got = float(classification_loss(logits, labels, None).data[0, 0])
+        stacked = Value(np.vstack([lg.data for lg in logits]))
+        sizes = [lg.data.shape[0] for lg in logits]
+        got = float(classification_loss(stacked, np.concatenate(labels), sizes, None).data[0, 0])
         worst_loss = max(worst_loss, abs(got - total))
 
         outs = [Value(rng.uniform(0, 1, size=(int(rng.integers(2, 8)), 1))) for _ in range(m)]
@@ -342,7 +344,9 @@ def test_formula_oracles():
         expect = sum(
             float(np.mean(-w * np.log(clip(o.data[:, 0])))) / m for o, w in zip(outs, ws)
         ) + float(np.mean(-w_t * np.log(1 - clip(out_t.data[:, 0]))))
-        got = float(domain_loss(outs, ws, out_t, w_t, None).data[0, 0])
+        stacked = Value(np.vstack([o.data for o in outs] + [out_t.data]))
+        sizes = [o.data.shape[0] for o in outs] + [out_t.data.shape[0]]
+        got = float(domain_loss(stacked, np.concatenate(ws + [w_t]), sizes, None).data[0, 0])
         worst_loss = max(worst_loss, abs(got - expect))
 
     # inference rule: accept the pseudo-label when its margin clears the

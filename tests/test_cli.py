@@ -6,7 +6,8 @@ import json
 import pytest
 
 import uman.cli
-from uman.cli import _cell_worker, main, seed_offset
+from uman.cli import _cell_worker, execute_sweep, main, seed_offset
+from uman.config import load_config
 
 
 def tiny_config(tmp_path, **kw):
@@ -149,6 +150,34 @@ class TestRun:
         # both methods produce a row either way
         assert {r[1] for r in rows[1:]} == {"uman", "source_only"}
 
+    def test_failed_run_writes_its_report(self, tmp_path):
+        path = tiny_config(
+            tmp_path,
+            hyperparams={
+                "max_steps": 4,
+                "batch_size": 8,
+                "feature_hidden": [8],
+                "feature_dim": 4,
+                "disc_hidden": [4],
+                "lr_features": 1e300,
+                "lr_classifier": 1e300,
+                "lr_discriminator": 1e300,
+            },
+            methods=["uman", "source_only"],
+        )
+        assert main(["run", str(path)]) == 0
+        rows = read_rows(tmp_path / "out" / "summary.csv")
+        assert [r[3] for r in rows[1:]] == ["failed", "failed"]
+        for r in rows[1:]:
+            run_dir = tmp_path / "out" / "runs" / f"{r[1]}_{r[2]}"
+            assert sorted(p.name for p in run_dir.iterdir()) == ["report.json"]
+            report = json.loads((run_dir / "report.json").read_text())
+            assert report["status"] == "failed"
+            assert report["method"] == r[1] and report["seed"] == int(r[2])
+            assert report["config_hash"] == r[0]
+            assert report["error"].startswith("non-finite loss at step ")
+            assert report["error"].endswith(str(report["step"]))
+
 
 class TestSeedOffset:
     def test_default_zero(self, monkeypatch):
@@ -252,6 +281,14 @@ class TestSweep:
         assert main(argv + ["--jobs", "0"]) == 2
         assert "invalid: --jobs" in capsys.readouterr().out
         assert main(argv + ["--jobs", "-3"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_execute_sweep_rejects_jobs_below_one(self, tmp_path):
+        config, problems = load_config(self.sweep_config(tmp_path))
+        assert not problems
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                execute_sweep(config, "target_private_size", [0, 1], jobs=jobs)
         assert not (tmp_path / "out").exists()
 
     def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch):

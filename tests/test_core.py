@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import max_rel_err, numeric_gradient, random_simplex, standard_hp
+from helpers import (
+    max_rel_err,
+    numeric_gradient,
+    per_source_train,
+    random_simplex,
+    standard_hp,
+    standard_matrix,
+)
 
 from uman.core import (
     UNKNOWN,
@@ -36,7 +43,7 @@ from uman.nn import (
     run_backward,
     softmax,
 )
-from uman.synth import SyntheticSpec, generate
+from uman.synth import DomainDataset, SyntheticSpec, generate
 
 
 class TestMargin:
@@ -151,14 +158,14 @@ class TestWeights:
     def test_source_weight_reads_the_register(self):
         reg = TargetMarginRegister(3)
         reg.update([0.2, 0.9, 0.0], [True, True, False])
-        ws, _ = sample_weights(reg, [np.array([0, 1]), np.array([2])], np.array([0]), np.array([1.0]))
-        np.testing.assert_allclose(ws[0], [0.2, 0.9])
-        np.testing.assert_array_equal(ws[1], [0.0])
+        ws, _ = sample_weights(reg, np.array([0, 1, 2]), np.array([0]), np.array([1.0]))
+        np.testing.assert_allclose(ws[:2], [0.2, 0.9])
+        np.testing.assert_array_equal(ws[2:], [0.0])
 
     def test_target_weight_is_margin_times_register(self):
         reg = TargetMarginRegister(2)
         reg.update([0.6, 0.1], [True, True])
-        _, wt = sample_weights(reg, [], np.array([0, 1]), np.array([0.5, 0.25]))
+        _, wt = sample_weights(reg, np.array([], dtype=int), np.array([0, 1]), np.array([0.5, 0.25]))
         np.testing.assert_allclose(wt, [0.5 * 0.6, 0.25 * 0.1])
 
     def test_weights_stay_in_unit_interval(self):
@@ -169,7 +176,7 @@ class TestWeights:
             vec, present = margin_vector(probs)
             reg.update(vec, present)
         pseudo, margins = batch_margins(random_simplex(rng, 25, 4))
-        (ws,), wt = sample_weights(reg, [np.arange(4)], pseudo, margins)
+        ws, wt = sample_weights(reg, np.arange(4), pseudo, margins)
         assert ((ws >= 0.0) & (ws <= 1.0)).all()
         assert ((wt >= 0.0) & (wt <= 1.0)).all()
 
@@ -205,37 +212,51 @@ class TestClassificationLoss:
     def test_is_mean_of_per_source_cross_entropies(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            m = int(rng.integers(1, 4))
-            logits, labels, want = [], [], 0.0
+            m, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            logits, labels, sizes, want = [], [], [], 0.0
             for _ in range(m):
-                n, k = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+                n = int(rng.integers(2, 9))
                 lg = rng.standard_normal((n, k))
                 y = rng.integers(0, k, size=n)
-                logits.append(Value(lg))
+                logits.append(lg)
                 labels.append(y)
+                sizes.append(n)
                 want += _ce_oracle(lg, y) / m
-            got = classification_loss(logits, labels).data[0, 0]
+            got = classification_loss(Value(np.vstack(logits)), np.concatenate(labels), sizes).data[0, 0]
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_rejects_mismatched_lists(self):
         with pytest.raises(ValueError):
-            classification_loss([], [])
+            classification_loss(Value(np.zeros((1, 2))), [], [])
         with pytest.raises(ValueError):
-            classification_loss([Value(np.zeros((1, 2)))], [])
+            classification_loss(Value(np.zeros((1, 2))), [0, 1], [1])
+        with pytest.raises(ValueError):
+            classification_loss(Value(np.zeros((2, 2))), [0, 1, 0], [3])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        lgs = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
-        ys = [rng.integers(0, 3, size=4), rng.integers(0, 3, size=5)]
+        lg = rng.standard_normal((9, 3))
+        ys = np.concatenate([rng.integers(0, 3, size=4), rng.integers(0, 3, size=5)])
 
         def f():
-            return classification_loss([Value(lg) for lg in lgs], ys).data[0, 0]
+            return classification_loss(Value(lg), ys, [4, 5]).data[0, 0]
 
         tape = Tape()
-        nodes = [Value(lg) for lg in lgs]
-        run_backward(tape, classification_loss(nodes, ys, tape))
-        for node, lg in zip(nodes, lgs):
-            assert max_rel_err(node.grad, numeric_gradient(f, lg)) < 1e-4
+        node = Value(lg)
+        run_backward(tape, classification_loss(node, ys, [4, 5], tape))
+        assert max_rel_err(node.grad, numeric_gradient(f, lg)) < 1e-4
+
+    def test_rows_past_the_sources_are_ignored(self):
+        rng = np.random.default_rng(12)
+        lg = rng.standard_normal((7, 3))
+        ys = rng.integers(0, 3, size=4)
+        tape = Tape()
+        node = Value(lg)
+        loss = classification_loss(node, ys, [1, 3], tape)
+        assert loss.data[0, 0] == classification_loss(Value(lg[:4]), ys, [1, 3]).data[0, 0]
+        run_backward(tape, loss)
+        np.testing.assert_array_equal(node.grad[4:], 0.0)
+        assert (node.grad[:4] != 0.0).any()
 
 
 def _domain_loss_oracle(source_ds, source_ws, target_d, target_w):
@@ -250,71 +271,68 @@ def _domain_loss_oracle(source_ds, source_ws, target_d, target_w):
 class TestDomainLoss:
     def test_frozen_coin_flip_value(self):
         # one source, all outputs 0.5, unit weights: ln 2 on each side
-        src = Value(np.full((4, 1), 0.5))
-        tgt = Value(np.full((6, 1), 0.5))
-        got = domain_loss([src], [np.ones(4)], tgt, np.ones(6)).data[0, 0]
+        out = Value(np.full((10, 1), 0.5))
+        got = domain_loss(out, np.ones(10), [4, 6]).data[0, 0]
         assert got == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = int(rng.integers(1, 4))
-            outs, ws, d_raw, w_raw = [], [], [], []
+            d_raw, w_raw = [], []
             for _ in range(m):
                 n = int(rng.integers(1, 8))
-                d = rng.uniform(0.05, 0.95, size=n)
-                w = rng.uniform(0, 2, size=n)
-                outs.append(Value(d[:, None]))
-                ws.append(w)
-                d_raw.append(d)
-                w_raw.append(w)
+                d_raw.append(rng.uniform(0.05, 0.95, size=n))
+                w_raw.append(rng.uniform(0, 2, size=n))
             nt = int(rng.integers(1, 8))
             dt = rng.uniform(0.05, 0.95, size=nt)
             wt = rng.uniform(0, 2, size=nt)
-            got = domain_loss(outs, ws, Value(dt[:, None]), wt).data[0, 0]
+            out = Value(np.concatenate(d_raw + [dt])[:, None])
+            sizes = [len(d) for d in d_raw] + [nt]
+            got = domain_loss(out, np.concatenate(w_raw + [wt]), sizes).data[0, 0]
             want = _domain_loss_oracle(d_raw, w_raw, dt, wt)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_weights_zero_loss_and_gradient(self):
-        src = Value(np.random.default_rng(0).uniform(0.2, 0.8, size=(3, 1)))
-        tgt = Value(np.random.default_rng(1).uniform(0.2, 0.8, size=(3, 1)))
+        out = Value(np.random.default_rng(0).uniform(0.2, 0.8, size=(6, 1)))
         tape = Tape()
-        loss = domain_loss([src], [np.zeros(3)], tgt, np.zeros(3), tape)
+        loss = domain_loss(out, np.zeros(6), [3, 3], tape)
         assert loss.data[0, 0] == 0.0
         run_backward(tape, loss)
-        np.testing.assert_array_equal(src.grad, 0.0)
-        np.testing.assert_array_equal(tgt.grad, 0.0)
+        np.testing.assert_array_equal(out.grad, 0.0)
 
     def test_saturated_outputs_stay_finite(self):
-        src = Value(np.array([[0.0], [1.0]]))
-        tgt = Value(np.array([[1.0], [0.0]]))
+        # source rows first, then the target rows
+        out = Value(np.array([[0.0], [1.0], [1.0], [0.0]]))
         tape = Tape()
-        loss = domain_loss([src], [np.ones(2)], tgt, np.ones(2), tape)
+        loss = domain_loss(out, np.ones(4), [2, 2], tape)
         assert math.isfinite(loss.data[0, 0])
         run_backward(tape, loss)
-        assert np.isfinite(src.grad).all() and np.isfinite(tgt.grad).all()
+        assert np.isfinite(out.grad).all()
         # fully clamped rows contribute no gradient
-        np.testing.assert_array_equal(src.grad, 0.0)
+        np.testing.assert_array_equal(out.grad, 0.0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            domain_loss(Value(np.full((3, 1), 0.5)), np.ones(3), [3])
+        with pytest.raises(ValueError):
+            domain_loss(Value(np.full((3, 1), 0.5)), np.ones(3), [1, 1])
+        with pytest.raises(ValueError):
+            domain_loss(Value(np.full((3, 1), 0.5)), np.ones(2), [1, 2])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        d1 = rng.uniform(0.1, 0.9, size=(4, 1))
-        d2 = rng.uniform(0.1, 0.9, size=(3, 1))
-        dt = rng.uniform(0.1, 0.9, size=(5, 1))
-        w1, w2 = rng.uniform(0, 1, size=4), rng.uniform(0, 1, size=3)
-        wt = rng.uniform(0, 1, size=5)
+        d = rng.uniform(0.1, 0.9, size=(12, 1))
+        w = rng.uniform(0, 1, size=12)
+        sizes = [4, 3, 5]
 
         def f():
-            return domain_loss(
-                [Value(d1), Value(d2)], [w1, w2], Value(dt), wt
-            ).data[0, 0]
+            return domain_loss(Value(d), w, sizes).data[0, 0]
 
         tape = Tape()
-        n1, n2, nt = Value(d1), Value(d2), Value(dt)
-        run_backward(tape, domain_loss([n1, n2], [w1, w2], nt, wt, tape))
-        assert max_rel_err(n1.grad, numeric_gradient(f, d1)) < 1e-4
-        assert max_rel_err(n2.grad, numeric_gradient(f, d2)) < 1e-4
-        assert max_rel_err(nt.grad, numeric_gradient(f, dt)) < 1e-4
+        node = Value(d)
+        run_backward(tape, domain_loss(node, w, sizes, tape))
+        assert max_rel_err(node.grad, numeric_gradient(f, d)) < 1e-4
 
 
 class TestGrlRamp:
@@ -456,20 +474,69 @@ class TestTrainerMechanics:
             train(datasets, partition, hp)
 
 
+def _oracle_setup(matrix, short_source=None):
+    """A 100-step run of the standard widths; optionally one source keeps 19
+    rows, fewer than ``batch_size``, so its sub-batch is smaller than the rest
+    and the blocks after it start at rows no BLAS kernel width divides."""
+    partition = partition_from_matrix(matrix)
+    datasets = generate(SyntheticSpec(feature_dim=16, samples_per_class=40, seed=3), partition)
+    if short_source is not None:
+        ds = datasets[short_source]
+        keep = np.random.default_rng(5).choice(len(ds), size=19, replace=False)
+        datasets[short_source] = DomainDataset(ds.domain_id, ds.features[keep], ds.labels[keep], None)
+    return datasets, partition, standard_hp(seed=3, max_steps=100, epsilon=0.6)
+
+
+class TestStackedStepMatchesPerSourceLoop:
+    """One stacked pass per net must train exactly like the per-source loop."""
+
+    @pytest.mark.parametrize("method", ["uman", "source_only", "unweighted_adv"])
+    @pytest.mark.parametrize(
+        "matrix, short_source",
+        [
+            (standard_matrix(), None),
+            (UmdaMatrix((5,) * 5, (3,) * 5, 6, 3), None),
+            (standard_matrix(), 0),
+        ],
+        ids=["two_sources", "five_sources", "ragged"],
+    )
+    def test_bit_identical(self, matrix, short_source, method):
+        datasets, partition, hp = _oracle_setup(matrix, short_source)
+        got = train(datasets, partition, hp, method=method)
+        want = per_source_train(datasets, partition, hp, method=method)
+        if short_source is not None:
+            assert len(datasets[short_source]) < hp.batch_size
+        if method == "uman":
+            # the gate opened, so register-derived weights were exercised
+            assert 0 < got.register.step < hp.max_steps
+        for net_got, net_want in (
+            (got.feature_net, want.feature_net),
+            (got.classifier, want.classifier),
+            (got.discriminator, want.discriminator),
+        ):
+            for (p, _), (q, _) in zip(net_got.param_arrays(), net_want.param_arrays()):
+                assert p.tobytes() == q.tobytes()
+        assert got.register.values.tobytes() == want.register.values.tobytes()
+        assert got.register.step == want.register.step
+        # repr keeps every bit of a float, the sign of zero included
+        assert repr(got.trace) == repr(want.trace)
+
+
 class TestGradientReversalDirection:
     def test_feature_gradients_flip_sign_with_lambda(self):
         rng = np.random.default_rng(11)
         fnet = Mlp([4, 5, 3], ["relu", "linear"], np.random.default_rng(1))
         dnet = Mlp([3, 4, 1], ["relu", "sigmoid"], np.random.default_rng(2))
-        x = rng.standard_normal((6, 4))
+        x = rng.standard_normal((8, 4))
 
         def run(lam):
             fnet.zero_grads()
             dnet.zero_grads()
             tape = Tape()
             f = l2_normalize(forward_mlp(fnet, x, tape), tape)
-            d = forward_mlp(dnet, grad_reverse(f, lam, tape), tape)
-            loss = domain_loss([d], [np.ones(6)], Value(np.full((2, 1), 0.5)), np.zeros(2), tape)
+            d = forward_mlp(dnet, grad_reverse(f, lam, tape), tape, [6, 2])
+            # six source rows and two target rows that weigh nothing
+            loss = domain_loss(d, np.r_[np.ones(6), np.zeros(2)], [6, 2], tape)
             run_backward(tape, loss)
             return [g.copy() for _, g in fnet.param_arrays()]
 

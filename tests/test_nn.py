@@ -11,6 +11,7 @@ from uman.nn import (
     NonFiniteGradientError,
     Tape,
     Value,
+    block_sums,
     forward_mlp,
     grad_reverse,
     l2_normalize,
@@ -390,3 +391,91 @@ class TestMlpGradients:
         v = Value(x)
         run_backward(tape, softmax_cross_entropy(forward_mlp(net, v, tape), labels, np.ones(5), tape))
         assert max_rel_err(v.grad, numeric_gradient(f, x)) < GRAD_TOL
+
+
+def _params(net):
+    return [p.tobytes() for p, _ in net.param_arrays()] + [g.tobytes() for _, g in net.param_arrays()]
+
+
+class TestStackedBlocks:
+    """One forward pass over stacked blocks against one pass per block."""
+
+    @pytest.mark.parametrize("sizes", [[4, 4, 4], [5, 1, 7], [9]])
+    def test_matches_separate_passes_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(31)
+        tail = 3  # rows past the blocks: forwarded, never recorded
+        x = rng.standard_normal((sum(sizes) + tail, 16))
+        stacked = Mlp([16, 64, 16, 1], ["relu", "relu", "sigmoid"], np.random.default_rng(32))
+        separate = Mlp([16, 64, 16, 1], ["relu", "relu", "sigmoid"], np.random.default_rng(32))
+        g_out = rng.standard_normal((x.shape[0], 1))
+
+        tape = Tape()
+        v = Value(x)
+        out = forward_mlp(stacked, v, tape, sizes)
+        out.grad[...] = g_out
+        tape.backward()
+
+        bounds = np.cumsum([0, *sizes, tail])
+        tape = Tape()
+        parts, outs = [], []
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            parts.append(Value(x[a:b]))
+            recorded = i < len(sizes)
+            outs.append(forward_mlp(separate, parts[-1], tape if recorded else None))
+            if recorded:
+                outs[-1].grad[...] = g_out[a:b]
+        tape.backward()
+
+        assert out.data.tobytes() == np.concatenate([o.data for o in outs]).tobytes()
+        assert _params(stacked) == _params(separate)
+        want_grad = np.concatenate([p.grad for p in parts])
+        assert v.grad.tobytes() == want_grad.tobytes()
+        np.testing.assert_array_equal(v.grad[sum(sizes):], 0.0)
+
+    def test_blocks_must_fit(self):
+        net = Mlp([2, 3], ["linear"], np.random.default_rng(0))
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="do not fit"):
+            forward_mlp(net, x, Tape(), [3, 2])
+        with pytest.raises(ValueError, match="do not fit"):
+            forward_mlp(net, x, Tape(), [0, 4])
+
+    def test_empty_input_gives_empty_output(self):
+        net = Mlp([3, 4, 2], ["relu", "linear"], np.random.default_rng(0))
+        tape = Tape()
+        out = forward_mlp(net, np.zeros((0, 3)), tape)
+        assert out.data.shape == (0, 2)
+        tape.backward()
+        assert all((g == 0.0).all() for _, g in net.param_arrays())
+
+    def test_raw_input_skips_its_gradient_product(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        net = Mlp([3, 4], ["linear"], rng)
+        x = rng.standard_normal((5, 3))
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        for inp in (x, Value(x)):
+            tape = Tape()
+            out = forward_mlp(net, inp, tape)
+            calls.clear()
+            out.grad[...] = 1.0
+            tape.backward()
+            # the weight gradient always; the input gradient only for a Value
+            assert len(calls) == (2 if isinstance(inp, Value) else 1)
+            net.zero_grads()
+
+    def test_block_sums_match_per_block_sums(self):
+        rng = np.random.default_rng(34)
+        for shape in [(), (1,), (5,)]:
+            sizes = [3, 3, 1, 8, 8, 2]
+            x = rng.standard_normal((sum(sizes), *shape))
+            got = block_sums(x, sizes)
+            bounds = np.cumsum([0, *sizes])
+            want = np.stack([x[a:b].sum(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+            assert got.tobytes() == want.tobytes()
