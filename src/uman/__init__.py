@@ -8,8 +8,8 @@ contain classes no source has. Submodules:
   layouts, Jaccard similarities;
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
   controllable domain gaps;
-* :mod:`uman.nn` -- dense MLP numerics with tape-based reverse-mode
-  differentiation;
+* :mod:`uman.nn` -- dense MLP numerics: forward passes over stacked
+  blocks, their explicit backward pass, row normalization, SGD;
 * :mod:`uman.core` -- prediction margins, the running per-class margin
   register, sample weights, adversarial training under one of three
   methods, rejecting inference;
@@ -28,7 +28,7 @@ from .labelspace import (
     partition_from_matrix,
 )
 from .synth import DomainDataset, SyntheticSpec, batch_iterator, generate
-from .nn import Mlp, NonFiniteGradientError, Tape, Value
+from .nn import Mlp, NonFiniteGradientError
 from .core import (
     METHODS,
     UNKNOWN,

@@ -83,6 +83,9 @@ def _parse_matrix(obj, problems):
         block = obj.get("overrides", {}).get(section)
         if block is None:
             return None
+        if not isinstance(block, dict):
+            problems.append(f"overrides.{section} must be an object of 'i-j' keys, got {block!r}")
+            return None
         out = {}
         for key, v in block.items():
             try:
@@ -108,8 +111,11 @@ def _parse_matrix(obj, problems):
         common_overlap=overlap("common"),
         private_overlap=overlap("source_private"),
     )
-    problems.extend(matrix.violations())
-    return matrix
+    violations = matrix.violations()
+    problems.extend(violations)
+    # a matrix with violations is not laid out: the layout would only
+    # report the same violations again
+    return None if violations else matrix
 
 
 def _parse_section(obj, key, cls, problems):

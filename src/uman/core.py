@@ -31,16 +31,13 @@ import numpy as np
 from .labelspace import LabelPartition
 from .nn import (
     Mlp,
-    Tape,
-    Value,
+    backward_mlp,
     block_sums,
     forward_mlp,
-    grad_reverse,
     l2_normalize,
+    l2_normalize_backward,
     log_softmax,
     mlp_apply,
-    run_backward,
-    scalar_sum,
     sgd_step,
     softmax,
 )
@@ -88,16 +85,15 @@ def batch_margins(probs: np.ndarray):
     return pseudo, margins
 
 
-def margin_vector(probs: np.ndarray):
+def margin_vector(pseudo, margins, n_classes: int):
     """Per-class mean margin over a batch, grouped by pseudo-label.
 
-    Returns ``(values, present)`` where ``present[c]`` says whether any
-    sample was pseudo-labeled c; absent classes get value 0.
+    Takes the pseudo-labels and margins of :func:`batch_margins`. Returns
+    ``(values, present)`` where ``present[c]`` says whether any sample was
+    pseudo-labeled c; absent classes get value 0.
     """
-    pseudo, margins = batch_margins(probs)
-    k = probs.shape[1]
-    sums = np.bincount(pseudo, weights=margins, minlength=k)
-    counts = np.bincount(pseudo, minlength=k)
+    sums = np.bincount(pseudo, weights=margins, minlength=n_classes)
+    counts = np.bincount(pseudo, minlength=n_classes)
     present = counts > 0
     return sums / np.maximum(counts, 1), present
 
@@ -161,64 +157,57 @@ def normalize_weights(raw) -> np.ndarray:
     return raw / mean
 
 
-def classification_loss(logits: Value, labels, sizes, tape: Tape | None = None) -> Value:
-    """Average of the per-source mean cross entropies.
+def classification_loss(logits: np.ndarray, labels, sizes):
+    """Average of the per-source mean cross entropies and its gradient.
 
     ``logits`` stacks the sources' rows, ``sizes[i]`` of them for source i,
     and ``labels`` has one entry per source row. Rows past the sources (the
-    target's, in a training step) are not classified and get no gradient.
-    A row of source i weighs 1/(M * sizes[i]) for M sources.
+    target's, in a training step) are not classified. A row of source i
+    weighs 1/(M * sizes[i]) for M sources. Returns ``(value, grad)``, where
+    ``grad`` is the gradient of the value with respect to the source rows.
     """
     sizes = [int(n) for n in sizes]
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = sum(sizes), logits.data.shape[1]
+    n, k = sum(sizes), logits.shape[1]
     m = len(sizes)
-    if m == 0 or min(sizes) < 1 or labels.shape != (n,) or logits.data.shape[0] < n:
+    if m == 0 or min(sizes) < 1 or labels.shape != (n,) or logits.shape[0] < n:
         raise ValueError("need nonempty source blocks with one label per source row")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels outside [0, {k})")
     rows = np.arange(n)
-    logp = log_softmax(logits.data[:n])
+    logp = log_softmax(logits[:n])
     nll = -logp[rows, labels]
     # each source's mean on its own, then summed term by term: the same
-    # arithmetic as one cross-entropy node per source
-    out = Value([[sum((1.0 / m) * v for v in block_sums(nll, sizes) / sizes)]])
-    if tape is not None:
-        inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
-
-        def op():
-            coef = out.grad[0, 0] * (1.0 / m)
-            if coef == 0.0:
-                return
-            p = np.exp(logp)
-            p[rows, labels] -= 1.0
-            logits.grad[:n] += coef * p * inv_size[:, None]
-
-        tape.record(op)
-    return out
+    # arithmetic as one cross-entropy term per source
+    value = float(sum((1.0 / m) * v for v in block_sums(nll, sizes) / sizes))
+    inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
+    p = np.exp(logp)
+    p[rows, labels] -= 1.0
+    return value, (1.0 / m) * p * inv_size[:, None]
 
 
 _CLIP = 1e-7
 
 
-def domain_loss(out: Value, weights, sizes, tape: Tape | None = None) -> Value:
-    """Weighted domain discrimination loss.
+def domain_loss(out: np.ndarray, weights, sizes):
+    """Weighted domain discrimination loss and its gradient.
 
     ``out`` stacks the discriminator outputs of the sources' rows,
     ``sizes[i]`` of them for source i, and then the ``sizes[-1]`` target
     rows; ``weights`` has one entry per row. Sources should be scored 1 and
     the target 0: mean over sources of E[-w log D] plus E[-w log(1 - D)] on
     the target. Discriminator outputs are clipped away from {0, 1} before
-    the log. Weights are taken as constants; no gradient flows through them.
+    the log, and a clipped row gets no gradient. Weights are taken as
+    constants. Returns ``(value, grad)`` with ``grad`` shaped like ``out``.
     """
     sizes = [int(n) for n in sizes]
     m = len(sizes) - 1
     n = sum(sizes)
     w = np.asarray(weights, dtype=np.float64)
-    if m < 1 or min(sizes) < 1 or out.data.shape != (n, 1) or w.shape != (n,):
+    if m < 1 or min(sizes) < 1 or out.shape != (n, 1) or w.shape != (n,):
         raise ValueError("need source and target blocks with one output and weight per row")
     n_src = n - sizes[-1]
-    raw = out.data[:, 0]
+    raw = out[:, 0]
     d = np.clip(raw, _CLIP, 1 - _CLIP)
     # probability given to each row's own domain
     q = np.concatenate([d[:n_src], 1.0 - d[n_src:]])
@@ -227,21 +216,11 @@ def domain_loss(out: Value, weights, sizes, tape: Tape | None = None) -> Value:
     for v in means[:-1]:
         total += float(v / m)
     total += float(means[-1])
-    node = Value([[total]])
-    if tape is not None:
-        inside = (raw > _CLIP) & (raw < 1 - _CLIP)
-        signed_w = np.concatenate([-w[:n_src], w[n_src:]])
-        per_block = [m * s for s in sizes[:-1]] + [sizes[-1]]
-        counts = np.repeat(np.array(per_block, dtype=np.float64), sizes)
-
-        def op():
-            g = node.grad[0, 0]
-            if g == 0.0:
-                return
-            out.grad[:, 0] += g * inside * (signed_w / (counts * q))
-
-        tape.record(op)
-    return node
+    inside = (raw > _CLIP) & (raw < 1 - _CLIP)
+    signed_w = np.concatenate([-w[:n_src], w[n_src:]])
+    per_block = [m * s for s in sizes[:-1]] + [sizes[-1]]
+    counts = np.repeat(np.array(per_block, dtype=np.float64), sizes)
+    return total, (inside * (signed_w / (counts * q)))[:, None]
 
 
 def grl_lambda(step: int, total_steps: int, max_lambda: float = 1.0, gamma: float = 10.0) -> float:
@@ -398,31 +377,28 @@ def train(
 
     trace: list[LossReport] = []
     for step in range(hp.max_steps):
-        batch = next(batches)
         # the source sub-batches and the target rows go through each net as
-        # one stack of blocks; the classifier records only the source blocks
-        sizes = [len(b.features) for b in batch]
-        n_src = sum(sizes[:-1])
-        labels = np.concatenate([b.labels for b in batch[:-1]])
-        tape = Tape()
-
-        x = np.concatenate([b.features for b in batch])
-        feats = l2_normalize(forward_mlp(feature_net, x, tape, sizes), tape)
-        logits = forward_mlp(classifier, feats, tape, sizes[:-1])
+        # one stack of blocks; the classifier's gradient covers only the
+        # source blocks
+        x, labels, sizes = next(batches)
+        n_src = len(labels)
+        f_acts = forward_mlp(feature_net, x, sizes)
+        feats = l2_normalize(f_acts[-1])
+        g_acts = forward_mlp(classifier, feats, sizes[:-1])
+        logits = g_acts[-1]
 
         # detached predictions drive margins, the gate, and all weights
-        probs_t = softmax(logits.data[n_src:])
+        probs_t = softmax(logits[n_src:])
         pseudo, margins = batch_margins(probs_t)
-        wrong = logits.data[:n_src].argmax(axis=1) != labels
+        wrong = logits[:n_src].argmax(axis=1) != labels
         errors = tuple((block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist())
 
         updated = False
         if adversarial and max(errors) < hp.epsilon:
-            vec, present = margin_vector(probs_t)
-            register.update(vec, present)
+            register.update(*margin_vector(pseudo, margins, n_classes))
             updated = True
 
-        e_g = classification_loss(logits, labels, sizes[:-1], tape)
+        eg_val, g_logits = classification_loss(logits, labels, sizes[:-1])
 
         if adversarial:
             if method == "uman":
@@ -431,18 +407,24 @@ def train(
                 raw_ws, raw_wt = np.ones(n_src), np.ones(sizes[-1])
             weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)])
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-            d_out = forward_mlp(discriminator, grad_reverse(feats, lam, tape), tape, sizes)
-            e_d = domain_loss(d_out, weights, sizes, tape)
+            d_acts = forward_mlp(discriminator, feats, sizes)
+            ed_val, g_d = domain_loss(d_acts[-1], weights, sizes)
         else:
             raw_ws, raw_wt = np.zeros(n_src), np.zeros(sizes[-1])
-            e_d = Value(np.zeros((1, 1)))
+            ed_val = 0.0
 
-        eg_val, ed_val = float(e_g.data[0, 0]), float(e_d.data[0, 0])
         if not (math.isfinite(eg_val) and math.isfinite(ed_val)):
             raise TrainingDiverged(step, trace[-1] if trace else None)
 
-        total = scalar_sum([e_g, e_d], tape=tape)
-        run_backward(tape, total)
+        # one backward pass realizes the min-max: D descends the domain
+        # loss, and the gradient-reversal layer hands the features D's input
+        # gradient times -lam, to which G's input gradient is added
+        if adversarial:
+            g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
+        else:
+            g_feats = np.zeros_like(feats)
+        g_feats[:n_src] += backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
+        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), sizes)
         sgd_step(feature_net, hp.lr_features, hp.weight_decay)
         sgd_step(classifier, hp.lr_classifier, hp.weight_decay)
         if adversarial:
@@ -469,7 +451,7 @@ def train(
 
 def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:
     """Unit-norm features as consumed by the classifier and discriminator."""
-    return l2_normalize(forward_mlp(feature_net, np.asarray(x, dtype=np.float64))).data
+    return l2_normalize(mlp_apply(feature_net, x))
 
 
 def predict_classes(feature_net: Mlp, classifier: Mlp, x: np.ndarray, w0: float) -> np.ndarray:

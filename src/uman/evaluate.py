@@ -29,12 +29,13 @@ from .core import (
     UNKNOWN,
     Hyperparams,
     TrainResult,
+    classification_loss,
     extract_features,
     predict_classes,
     train,
 )
 from .labelspace import LabelPartition
-from .nn import Mlp, Tape, forward_mlp, mlp_apply, run_backward, sgd_step, softmax_cross_entropy
+from .nn import Mlp, backward_mlp, forward_mlp, mlp_apply, sgd_step
 from .synth import DomainDataset
 
 __all__ = [
@@ -240,9 +241,9 @@ def alignment_probe(
     The default probe is linear (softmax regression), the usual two-sample
     statistic for distribution alignment; pass ``hidden`` > 0 for a
     one-hidden-layer variant when a stronger detector is wanted. Each
-    population gets a seeded 80/20 split; the probe trains full-batch with
-    population-balanced sample weights and reports balanced accuracy (mean
-    per-population recall) on the held-out fifths.
+    population gets a seeded 80/20 split; the probe trains full-batch on
+    the mean of the two populations' mean cross entropies and reports
+    balanced accuracy (mean per-population recall) on the held-out fifths.
     """
     fa, fb = _probe_populations(feature_net, datasets, partition, kind, pair)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
@@ -257,18 +258,18 @@ def alignment_probe(
     b_train, b_test = split(fb)
     x = np.concatenate([a_train, b_train])
     y = np.concatenate([np.zeros(len(a_train), dtype=np.int64), np.ones(len(b_train), dtype=np.int64)])
-    # class-balanced weights so the probe optimizes what we score
-    w = np.where(y == 0, 1.0 / len(a_train), 1.0 / len(b_train))
+    # one loss block per population, so both weigh the same whatever their
+    # sizes: the probe optimizes the balanced accuracy we score
+    sizes = [len(a_train), len(b_train)]
 
     if hidden:
         probe = Mlp([x.shape[1], hidden, 2], ["relu", "linear"], rng)
     else:
         probe = Mlp([x.shape[1], 2], ["linear"], rng)
     for _ in range(steps):
-        tape = Tape()
-        logits = forward_mlp(probe, x, tape)
-        loss = softmax_cross_entropy(logits, y, w, tape)
-        run_backward(tape, loss)
+        acts = forward_mlp(probe, x)
+        _, grad = classification_loss(acts[-1], y, sizes)
+        backward_mlp(probe, acts, grad)
         sgd_step(probe, lr)
 
     recall_a = float((mlp_apply(probe, a_test).argmax(axis=1) == 0).mean())

@@ -1,15 +1,13 @@
-"""Dense MLP numerics with tape-based reverse-mode differentiation.
+"""Dense MLP numerics with an explicit backward pass.
 
-Everything runs on 2-d float64 numpy arrays. A forward pass builds
-:class:`Value` nodes (activation matrix plus gradient buffer) and appends
-one backward closure per operation to a :class:`Tape`; replaying the tape
-in reverse accumulates exact gradients into every upstream ``Value`` and
-into the parameter buffers of each :class:`Mlp`. The graph topology here is
-fixed and small (feature net, classifier head, domain discriminator), so
-closures over explicit buffers are all the machinery that is needed.
-
-Passing ``tape=None`` to any forward function runs it in inference mode
-without recording.
+Everything runs on 2-d float64 numpy arrays. :func:`forward_mlp` returns
+the activations of every layer, and :func:`backward_mlp` takes them back
+with the loss gradient of the output, adding exact gradients into the
+parameter buffers of the :class:`Mlp` and returning the gradient of the
+input when the caller reads it. The package differentiates only two fixed
+graphs, the training step and the alignment probe, and each spells out its
+own chain of these calls; :func:`l2_normalize_backward` is the one other
+link either needs.
 """
 
 from __future__ import annotations
@@ -17,66 +15,24 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tape",
-    "Value",
     "Mlp",
     "NonFiniteGradientError",
     "forward_mlp",
+    "backward_mlp",
     "mlp_apply",
     "l2_normalize",
+    "l2_normalize_backward",
     "softmax",
     "log_softmax",
-    "softmax_cross_entropy",
-    "grad_reverse",
     "block_sums",
-    "scalar_sum",
-    "run_backward",
     "sgd_step",
 ]
 
 _NORM_EPS = 1e-12
-_PROB_CLIP = 1e-7
 
 
 class NonFiniteGradientError(RuntimeError):
     """A NaN or infinity showed up in a gradient buffer."""
-
-
-class Tape:
-    """Ordered log of backward closures, replayed in exact reverse order."""
-
-    __slots__ = ("_ops",)
-
-    def __init__(self):
-        self._ops = []
-
-    def record(self, op):
-        self._ops.append(op)
-
-    def __len__(self):
-        return len(self._ops)
-
-    def backward(self):
-        for op in reversed(self._ops):
-            op()
-        self._ops = []
-
-
-class Value:
-    """A 2-d float64 activation matrix together with its gradient buffer."""
-
-    __slots__ = ("data", "grad")
-
-    def __init__(self, data):
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(f"Value expects a 2-d matrix, got shape {data.shape}")
-        self.data = data
-        self.grad = np.zeros_like(data)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 _ACTIVATIONS = ("linear", "relu", "sigmoid")
@@ -165,104 +121,117 @@ def block_sums(x: np.ndarray, sizes) -> np.ndarray:
     return out
 
 
-def forward_mlp(net: Mlp, x, tape: Tape | None = None, blocks=None) -> Value:
-    """Run ``x`` through the net, recording backward closures on ``tape``.
+def _check_blocks(blocks, n):
+    if blocks is None:
+        return [n] if n else []
+    blocks = [int(b) for b in blocks]
+    if sum(blocks) > n or min(blocks, default=1) < 1:
+        raise ValueError(f"blocks {blocks} do not fit in {n} rows")
+    return blocks
+
+
+def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
+    """Run ``x`` through the net; returns the input and every layer's output.
 
     ``blocks`` lists row counts: the rows of ``x`` stack that many separate
-    passes, in that order. Rows past the last block form one more pass that
-    is not recorded and gets no gradient. Every output and every gradient is
-    bit-identical to running the passes one by one, because BLAS rounds a
-    row differently depending on where it sits in a call: each product is
-    a batched matmul over runs of equal-size blocks, one BLAS call per block
-    of the block's own shape, and the backward pass adds the blocks'
-    parameter gradients in reverse order. By default all rows form one
-    block. A raw array input gets no gradient, since no caller could read it.
+    passes, in that order. Rows past the last block form one more pass, which
+    :func:`backward_mlp` leaves out. Every output is bit-identical to running
+    the passes one by one, because BLAS rounds a row differently depending
+    on where it sits in a call: each product is a batched matmul over runs
+    of equal-size blocks, one BLAS call per block of the block's own shape.
+    By default all rows form one block.
     """
-    wants_grad = isinstance(x, Value)
-    v = x if wants_grad else Value(x)
-    n, width = v.data.shape
+    x = np.asarray(x, dtype=np.float64)
+    n, width = x.shape
     if width != net.in_dim:
         raise ValueError(f"input has {width} columns but the net expects {net.in_dim}")
-    if blocks is None:
-        blocks = [n] if n else []
-    blocks = [int(b) for b in blocks]
-    recorded = sum(blocks)
-    if recorded > n or min(blocks, default=1) < 1:
-        raise ValueError(f"blocks {blocks} do not fit in {n} rows")
-    runs = _runs(blocks + [n - recorded] if recorded < n else blocks)
-    replay = _runs(blocks)[::-1]
+    blocks = _check_blocks(blocks, n)
+    in_blocks = sum(blocks)
+    runs = _runs(blocks + [n - in_blocks] if in_blocks < n else blocks)
+    acts = [x]
     for layer in net.layers:
         z = np.empty((n, layer.w.shape[1]))
         for start, count, rows in runs:
             stop = start + count * rows
             np.matmul(
-                v.data[start:stop].reshape(count, rows, -1),
+                acts[-1][start:stop].reshape(count, rows, -1),
                 layer.w,
                 out=z[start:stop].reshape(count, rows, -1),
             )
         z += layer.b
         if layer.activation == "relu":
-            a = np.maximum(z, 0.0)
+            acts.append(np.maximum(z, 0.0))
         elif layer.activation == "sigmoid":
-            a = 1.0 / (1.0 + np.exp(-z))
+            acts.append(1.0 / (1.0 + np.exp(-z)))
         else:
-            a = z
-        out = Value(a)
-        if tape is not None:
-            tape.record(_layer_backward(layer, v, out, replay, wants_grad))
-        v = out
-        wants_grad = True
-    return v
+            acts.append(z)
+    return acts
 
 
-def _layer_backward(layer, inp, out, replay, wants_grad):
-    def op():
+def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
+    """Add the parameter gradients of one forward pass to the net's buffers.
+
+    ``acts`` is what :func:`forward_mlp` returned for the same ``blocks``,
+    and ``grad`` is the loss gradient of the output rows of the blocks,
+    ``sum(blocks)`` of them. Each block's gradients are added on their own,
+    last block first, so the buffers hold exactly what one backward pass per
+    block, in reverse order, would leave. With ``input_grad`` the gradient of
+    the input rows of the blocks is returned; otherwise its products are
+    skipped and None is returned.
+    """
+    blocks = _check_blocks(blocks, acts[0].shape[0])
+    n = sum(blocks)
+    replay = _runs(blocks)[::-1]
+    for i in reversed(range(len(net.layers))):
+        layer, inp, out = net.layers[i], acts[i][:n], acts[i + 1][:n]
         if layer.activation == "relu":
-            dz = out.grad * (out.data > 0.0)
+            dz = grad * (out > 0.0)
         elif layer.activation == "sigmoid":
-            s = out.data
-            dz = out.grad * s * (1.0 - s)
+            dz = grad * out * (1.0 - out)
         else:
-            dz = out.grad
+            dz = grad
+        grad = np.empty_like(inp) if i or input_grad else None
         w_t = layer.w.T
         for start, count, rows in replay:
             stop = start + count * rows
             d = dz[start:stop].reshape(count, rows, -1)
-            x = inp.data[start:stop].reshape(count, rows, -1)
+            x = inp[start:stop].reshape(count, rows, -1)
             for g in np.matmul(x.transpose(0, 2, 1), d)[::-1]:
                 layer.gw += g
             for g in d.sum(axis=1)[::-1]:
                 layer.gb += g
-            if wants_grad:
-                inp.grad[start:stop] += np.matmul(d, w_t).reshape(stop - start, -1)
-
-    return op
+            if grad is not None:
+                grad[start:stop] = np.matmul(d, w_t).reshape(stop - start, -1)
+    return grad
 
 
 def mlp_apply(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Inference-only forward pass on a raw array."""
-    return forward_mlp(net, x, tape=None).data
+    return forward_mlp(net, x)[-1]
 
 
-def l2_normalize(x, tape: Tape | None = None) -> Value:
+def _row_norms(x):
+    norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    return norm, np.where(norm < _NORM_EPS, norm + _NORM_EPS, norm)
+
+
+def l2_normalize(x) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
     Rows with norm below 1e-12 get the epsilon added to the denominator
     instead of dividing by ~0; such rows stay near zero and their gradient
     term through the norm is suppressed.
     """
-    v = x if isinstance(x, Value) else Value(x)
-    norm = np.sqrt((v.data * v.data).sum(axis=1, keepdims=True))
-    safe = np.where(norm < _NORM_EPS, norm + _NORM_EPS, norm)
-    out = Value(v.data / safe)
-    if tape is not None:
-        def op():
-            g = out.grad
-            dot = (g * v.data).sum(axis=1, keepdims=True)
-            v.grad += g / safe - v.data * (dot / (safe * safe * np.maximum(norm, _NORM_EPS)))
+    x = np.asarray(x, dtype=np.float64)
+    return x / _row_norms(x)[1]
 
-        tape.record(op)
-    return out
+
+def l2_normalize_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to ``x`` of a loss whose gradient with respect
+    to ``l2_normalize(x)`` is ``grad``."""
+    norm, safe = _row_norms(x)
+    dot = (grad * x).sum(axis=1, keepdims=True)
+    return grad / safe - x * (dot / (safe * safe * np.maximum(norm, _NORM_EPS)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -274,80 +243,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def softmax_cross_entropy(logits: Value, labels, weights, tape: Tape | None = None) -> Value:
-    """Weighted cross entropy: sum_i w_i * nll_i / sum_i w_i.
-
-    Returns a 1x1 scalar node. With all-equal weights this is the plain
-    batch mean. An all-zero weight vector yields a zero loss with zero
-    gradient (nothing to average).
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    n, k = logits.data.shape
-    if n == 0:
-        raise ValueError("empty batch")
-    if labels.shape != (n,) or weights.shape != (n,):
-        raise ValueError("labels and weights must each have one entry per row")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels outside [0, {k})")
-    if (weights < 0).any():
-        raise ValueError("negative weights")
-
-    wsum = weights.sum()
-    if wsum == 0.0:
-        return Value(np.zeros((1, 1)))
-    logp = log_softmax(logits.data)
-    nll = -logp[np.arange(n), labels]
-    out = Value([[float((weights * nll).sum() / wsum)]])
-    if tape is not None:
-        def op():
-            coef = out.grad[0, 0]
-            if coef == 0.0:
-                return
-            p = np.exp(logp)
-            p[np.arange(n), labels] -= 1.0
-            logits.grad += coef * p * (weights / wsum)[:, None]
-
-        tape.record(op)
-    return out
-
-
-def grad_reverse(x: Value, lam: float, tape: Tape | None = None) -> Value:
-    """Identity forward; backward multiplies the incoming gradient by -lam."""
-    out = Value(x.data)
-    if tape is not None:
-        def op():
-            x.grad += (-lam) * out.grad
-
-        tape.record(op)
-    return out
-
-
-def scalar_sum(parts, coeffs=None, tape: Tape | None = None) -> Value:
-    """Weighted sum of 1x1 scalar nodes as a new scalar node."""
-    if coeffs is None:
-        coeffs = [1.0] * len(parts)
-    if len(coeffs) != len(parts):
-        raise ValueError("one coefficient per part required")
-    total = sum(c * p.data[0, 0] for c, p in zip(coeffs, parts))
-    out = Value([[total]])
-    if tape is not None:
-        def op():
-            for c, p in zip(coeffs, parts):
-                p.grad += c * out.grad
-
-        tape.record(op)
-    return out
-
-
-def run_backward(tape: Tape, root: Value):
-    """Seed the root scalar with gradient 1 and replay the tape."""
-    if root.data.shape != (1, 1):
-        raise ValueError("backward root must be a 1x1 scalar node")
-    root.grad[...] = 1.0
-    tape.backward()
 
 
 def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):

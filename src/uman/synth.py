@@ -125,36 +125,41 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
 
 
 def batch_iterator(datasets, batch_size: int, seed: int):
-    """Endless stream of aligned per-domain batches.
+    """Endless stream of stacked batches, one sub-batch per dataset.
 
-    Every step yields one sub-batch per dataset, in dataset order. Each
-    domain shuffles its own index permutation per epoch from its own seeded
-    stream and drops the ragged tail, so a batch always has exactly
-    min(batch_size, len(dataset)) rows.
+    Every step yields ``(features, labels, sizes)``: the sub-batches' rows
+    stacked in dataset order, the labels of the rows of every dataset but
+    the last (the sources; the last dataset is the unlabeled target), and
+    the row count of each sub-batch. Each domain shuffles its own index
+    permutation per epoch from its own seeded stream and drops the ragged
+    tail, so a sub-batch always has exactly min(batch_size, len(dataset))
+    rows.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for ds in datasets:
         if len(ds) == 0:
             raise ValueError(f"domain {ds.domain_id} is empty")
+    for ds in datasets[:-1]:
+        if ds.labels is None:
+            raise ValueError(f"domain {ds.domain_id} has no labels but is used as a source")
 
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
-        for ds in datasets
-    ]
+    # every domain's rows are stacked once; a step takes one index into them
+    features = np.concatenate([ds.features for ds in datasets])
+    labels = np.concatenate([ds.labels for ds in datasets[:-1]] + [np.zeros(0, np.int64)])
+    offsets = np.cumsum([0] + [len(ds) for ds in datasets[:-1]])
+    sizes = tuple(min(batch_size, len(ds)) for ds in datasets)
+    n_src = sum(sizes[:-1])
 
-    def index_stream(n, rng):
-        size = min(batch_size, n)
+    def index_stream(ds, offset, size):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
+        n = len(ds)
         while True:
-            order = rng.permutation(n)
+            order = offset + rng.permutation(n)
             for start in range(0, n - size + 1, size):
                 yield order[start : start + size]
 
-    streams = [index_stream(len(ds), rng) for ds, rng in zip(datasets, rngs)]
+    streams = [index_stream(ds, off, size) for ds, off, size in zip(datasets, offsets, sizes)]
     while True:
-        batch = []
-        for ds, stream in zip(datasets, streams):
-            idx = next(stream)
-            labels = None if ds.labels is None else ds.labels[idx]
-            batch.append(DomainDataset(ds.domain_id, ds.features[idx], labels, None))
-        yield batch
+        idx = np.concatenate([next(stream) for stream in streams])
+        yield features[idx], labels[idx[:n_src]], sizes

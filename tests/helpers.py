@@ -83,53 +83,47 @@ def standard_hp(seed=0, **kw) -> Hyperparams:
 # ---------------------------------------------------------------------------
 # Per-source training loop: the reference the stacked step in ``core.train``
 # must reproduce bit for bit. F, G and D run once per source sub-batch and
-# once on the target, each source gets its own cross-entropy node, and the
+# once on the target, each source gets its own cross-entropy term, and the
 # domain loss walks the sources one by one. Only the nn primitives, the
 # register and the net builder are shared with the package.
 
 _CLIP = 1e-7
 
 
-def _per_source_classification_loss(per_source_logits, per_source_labels, tape):
-    from uman.nn import scalar_sum, softmax_cross_entropy
+def _per_source_classification_loss(per_source_logits, per_source_labels):
+    """Mean over sources of each source's mean cross entropy; returns the
+    value and one gradient per source."""
+    from uman.nn import log_softmax
 
     m = len(per_source_logits)
-    parts = [
-        softmax_cross_entropy(lg, y, np.ones(lg.data.shape[0]), tape)
-        for lg, y in zip(per_source_logits, per_source_labels)
-    ]
-    return scalar_sum(parts, [1.0 / m] * m, tape)
+    total, grads = 0, []
+    for lg, y in zip(per_source_logits, per_source_labels):
+        n = lg.shape[0]
+        logp = log_softmax(lg)
+        total += (1.0 / m) * ((-logp[np.arange(n), y]).sum() / n)
+        p = np.exp(logp)
+        p[np.arange(n), y] -= 1.0
+        grads.append((1.0 / m) * p * (1.0 / n))
+    return float(total), grads
 
 
-def _per_source_domain_loss(source_outs, source_weights, target_out, target_weights, tape):
-    from uman.nn import Value
-
+def _per_source_domain_loss(source_outs, source_weights, target_out, target_weights):
+    """Weighted domain loss; returns the value, one gradient per source and
+    the target's gradient."""
     m = len(source_outs)
     total = 0.0
-    clipped_s = []
+    grads = []
     for out, w in zip(source_outs, source_weights):
-        d = np.clip(out.data[:, 0], _CLIP, 1 - _CLIP)
-        clipped_s.append(d)
+        d = np.clip(out[:, 0], _CLIP, 1 - _CLIP)
         total += float((-np.asarray(w) * np.log(d)).mean() / m)
-    dt = np.clip(target_out.data[:, 0], _CLIP, 1 - _CLIP)
+        inside = (out[:, 0] > _CLIP) & (out[:, 0] < 1 - _CLIP)
+        grads.append((inside * (-np.asarray(w) / (m * d.shape[0] * d)))[:, None])
+    dt = np.clip(target_out[:, 0], _CLIP, 1 - _CLIP)
     wt = np.asarray(target_weights, dtype=np.float64)
     total += float((-wt * np.log(1.0 - dt)).mean())
-    node = Value([[total]])
-
-    def op():
-        g = node.grad[0, 0]
-        if g == 0.0:
-            return
-        for out, w, d in zip(source_outs, source_weights, clipped_s):
-            inside = (out.data[:, 0] > _CLIP) & (out.data[:, 0] < 1 - _CLIP)
-            n = d.shape[0]
-            out.grad[:, 0] += g * inside * (-np.asarray(w) / (m * n * d))
-        inside_t = (target_out.data[:, 0] > _CLIP) & (target_out.data[:, 0] < 1 - _CLIP)
-        nt = dt.shape[0]
-        target_out.grad[:, 0] += g * inside_t * (wt / (nt * (1.0 - dt)))
-
-    tape.record(op)
-    return node
+    inside_t = (target_out[:, 0] > _CLIP) & (target_out[:, 0] < 1 - _CLIP)
+    grad_t = (inside_t * (wt / (dt.shape[0] * (1.0 - dt))))[:, None]
+    return total, grads, grad_t
 
 
 def _normalize_jointly(parts):
@@ -159,14 +153,11 @@ def per_source_train(datasets, partition, hp, method="uman"):
         normalize_weights,
     )
     from uman.nn import (
-        Tape,
-        Value,
+        backward_mlp,
         forward_mlp,
-        grad_reverse,
         l2_normalize,
+        l2_normalize_backward,
         mlp_apply,
-        run_backward,
-        scalar_sum,
         sgd_step,
         softmax,
     )
@@ -185,68 +176,73 @@ def per_source_train(datasets, partition, hp, method="uman"):
 
     trace = []
     for step in range(hp.max_steps):
-        batch = next(batches)
-        src, tgt = batch[:-1], batch[-1]
-        tape = Tape()
+        x, labels, sizes = next(batches)
+        bounds = np.cumsum([0, *sizes])
+        xs = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        ys = [labels[a:b] for a, b in zip(bounds[:-2], bounds[1:-1])]
 
-        feats_s, logits_s = [], []
-        for b in src:
-            f = l2_normalize(forward_mlp(feature_net, b.features, tape), tape)
-            feats_s.append(f)
-            logits_s.append(forward_mlp(classifier, f, tape))
-        feat_t = l2_normalize(forward_mlp(feature_net, tgt.features, tape), tape)
+        # one forward pass per domain through F and the row normalization,
+        # one per source through G
+        f_acts = [forward_mlp(feature_net, xb) for xb in xs]
+        feats = [l2_normalize(acts[-1]) for acts in f_acts]
+        g_acts = [forward_mlp(classifier, f) for f in feats[:-1]]
 
-        probs_t = softmax(mlp_apply(classifier, feat_t.data))
+        probs_t = softmax(mlp_apply(classifier, feats[-1]))
         pseudo, margins = batch_margins(probs_t)
         errors = tuple(
-            float((lg.data.argmax(axis=1) != b.labels).mean())
-            for lg, b in zip(logits_s, src)
+            float((acts[-1].argmax(axis=1) != y).mean()) for acts, y in zip(g_acts, ys)
         )
 
         updated = False
         if adversarial and max(errors) < hp.epsilon:
-            vec, present = margin_vector(probs_t)
-            register.update(vec, present)
+            register.update(*margin_vector(pseudo, margins, n_classes))
             updated = True
 
-        e_g = _per_source_classification_loss(logits_s, [b.labels for b in src], tape)
+        eg_val, g_logits = _per_source_classification_loss([acts[-1] for acts in g_acts], ys)
 
         if adversarial:
             if method == "uman":
                 values = register.values
-                raw_ws = [values[b.labels] for b in src]
+                raw_ws = [values[y] for y in ys]
                 raw_wt = margins * values[pseudo]
             else:
-                raw_ws = [np.ones(len(b.features)) for b in src]
-                raw_wt = np.ones(len(tgt.features))
+                raw_ws = [np.ones(len(y)) for y in ys]
+                raw_wt = np.ones(sizes[-1])
             ws = _normalize_jointly(raw_ws)
             wt = normalize_weights(raw_wt)
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-            d_src = [
-                forward_mlp(discriminator, grad_reverse(f, lam, tape), tape)
-                for f in feats_s
-            ]
-            d_tgt = forward_mlp(discriminator, grad_reverse(feat_t, lam, tape), tape)
-            e_d = _per_source_domain_loss(d_src, ws, d_tgt, wt, tape)
+            d_acts = [forward_mlp(discriminator, f) for f in feats]
+            ed_val, g_src, g_tgt = _per_source_domain_loss(
+                [acts[-1] for acts in d_acts[:-1]], ws, d_acts[-1][-1], wt
+            )
         else:
-            raw_ws = [np.zeros(len(b.features)) for b in src]
-            raw_wt = np.zeros(len(tgt.features))
-            e_d = Value(np.zeros((1, 1)))
+            raw_ws = [np.zeros(len(y)) for y in ys]
+            raw_wt = np.zeros(sizes[-1])
+            ed_val = 0.0
 
-        eg_val, ed_val = float(e_g.data[0, 0]), float(e_d.data[0, 0])
         if not (math.isfinite(eg_val) and math.isfinite(ed_val)):
             raise TrainingDiverged(step, trace[-1] if trace else None)
 
-        total = scalar_sum([e_g, e_d], tape=tape)
-        run_backward(tape, total)
+        # backward, one pass per block in reverse order of the forward
+        # passes: the target, then the sources last to first
+        if adversarial:
+            g_feats = [
+                -lam * backward_mlp(discriminator, acts, g, input_grad=True)
+                for acts, g in zip(d_acts[::-1], [g_tgt] + g_src[::-1])
+            ][::-1]
+        else:
+            g_feats = [np.zeros_like(f) for f in feats]
+        for i in reversed(range(len(g_acts))):
+            g_feats[i] += backward_mlp(classifier, g_acts[i], g_logits[i], input_grad=True)
+        for acts, g in zip(f_acts[::-1], g_feats[::-1]):
+            backward_mlp(feature_net, acts, l2_normalize_backward(acts[-1], g))
         sgd_step(feature_net, hp.lr_features, hp.weight_decay)
         sgd_step(classifier, hp.lr_classifier, hp.weight_decay)
         if adversarial:
             sgd_step(discriminator, hp.lr_discriminator, hp.weight_decay)
 
         all_ws = np.concatenate(raw_ws)
-        all_labels = np.concatenate([b.labels for b in src])
-        in_common = common_mask[all_labels]
+        in_common = common_mask[labels]
         trace.append(
             LossReport(
                 step=step,

@@ -45,12 +45,10 @@ from uman.labelspace import (
 )
 from uman.nn import (
     Mlp,
-    Tape,
-    Value,
+    backward_mlp,
     forward_mlp,
-    grad_reverse,
     l2_normalize,
-    run_backward,
+    l2_normalize_backward,
     softmax,
 )
 
@@ -131,16 +129,18 @@ def unknown_count_runs():
 # 1. finite-difference gradient checks, ops and both end-to-end graphs
 
 
-def _fd_max_err(scalar_fn, nets, taped_builder, transform=None):
-    """Worst relative error between taped gradients and central differences."""
+def _fd_max_err(loss, nets):
+    """Worst relative error between backward-pass gradients and central
+    differences. ``loss(backward)`` returns the loss and, with ``backward``
+    true, also runs the backward pass; ``nets`` maps each net to the factor
+    its numeric gradient is scaled by before the comparison."""
     for net in nets:
         net.zero_grads()
-    tape = Tape()
-    run_backward(tape, taped_builder(tape))
+    loss(True)
     worst = 0.0
-    for net, scale in nets.items() if isinstance(nets, dict) else ((n, 1.0) for n in nets):
+    for net, scale in nets.items():
         for param, grad in net.param_arrays():
-            numeric = numeric_gradient(scalar_fn, param)
+            numeric = numeric_gradient(lambda: loss(False), param)
             worst = max(worst, max_rel_err(grad, scale * numeric))
     return worst
 
@@ -160,54 +160,65 @@ def test_gradient_checks():
     lam = 0.37
     worst = 0.0
 
-    # single-op graphs: one layer of each activation into a weighted CE
+    # single-op graphs: one layer of each activation into the cross entropy
+    # of two blocks, whose rows weigh 1/4 and 1/8
     y1 = rng.integers(0, 3, size=6)
-    w1 = rng.uniform(0.5, 1.5, size=6)
     x1 = rng.normal(size=(6, 3))
+    b1 = [2, 4]
     for act in ("linear", "relu", "sigmoid"):
         net = Mlp([3, 3], [act], rng)
 
-        def op_loss(tape=None, net=net):
-            from uman.nn import softmax_cross_entropy
+        def op_loss(backward, net=net):
+            layers = forward_mlp(net, x1, b1)
+            value, grad = classification_loss(layers[-1], y1, b1)
+            if backward:
+                backward_mlp(net, layers, grad, b1)
+            return value
 
-            return softmax_cross_entropy(forward_mlp(net, x1, tape), y1, w1, tape)
-
-        worst = max(worst, _fd_max_err(lambda: float(op_loss().data[0, 0]), [net], op_loss))
+        worst = max(worst, _fd_max_err(op_loss, {net: 1.0}))
 
     # row normalization inside a graph
     net = Mlp([3, 3], ["linear"], rng)
 
-    def norm_loss(tape=None):
-        from uman.nn import softmax_cross_entropy
+    def norm_loss(backward):
+        layers = forward_mlp(net, x1, b1)
+        value, grad = classification_loss(l2_normalize(layers[-1]), y1, b1)
+        if backward:
+            backward_mlp(net, layers, l2_normalize_backward(layers[-1], grad), b1)
+        return value
 
-        return softmax_cross_entropy(l2_normalize(forward_mlp(net, x1, tape), tape), y1, w1, tape)
-
-    worst = max(worst, _fd_max_err(lambda: float(norm_loss().data[0, 0]), [net], norm_loss))
+    worst = max(worst, _fd_max_err(norm_loss, {net: 1.0}))
 
     # end-to-end classification objective through features and classifier,
     # the sources stacked into one pass per net as training runs them
     sizes = [len(x) for x in xs]
 
-    def eg(tape=None):
-        feats = l2_normalize(forward_mlp(fnet, np.vstack(xs), tape, sizes), tape)
-        return classification_loss(forward_mlp(clf, feats, tape, sizes), np.concatenate(ys), sizes, tape)
+    def eg(backward):
+        f_layers = forward_mlp(fnet, np.vstack(xs), sizes)
+        g_layers = forward_mlp(clf, l2_normalize(f_layers[-1]), sizes)
+        value, grad = classification_loss(g_layers[-1], np.concatenate(ys), sizes)
+        if backward:
+            g_feats = backward_mlp(clf, g_layers, grad, sizes, input_grad=True)
+            backward_mlp(fnet, f_layers, l2_normalize_backward(f_layers[-1], g_feats), sizes)
+        return value
 
-    worst = max(worst, _fd_max_err(lambda: float(eg().data[0, 0]), [fnet, clf], eg))
+    worst = max(worst, _fd_max_err(eg, {fnet: 1.0, clf: 1.0}))
 
     # end-to-end domain objective: the reversal layer flips and scales the
     # feature-side gradients, so those compare against -lam times the
     # numeric gradient while the discriminator side compares directly
     blocks = sizes + [len(xt)]
 
-    def ed(tape=None):
-        f = l2_normalize(forward_mlp(fnet, np.vstack(xs + [xt]), tape, blocks), tape)
-        d = forward_mlp(disc, grad_reverse(f, lam, tape), tape, blocks)
-        return domain_loss(d, np.concatenate(ws + [wt]), blocks, tape)
+    def ed(backward):
+        f_layers = forward_mlp(fnet, np.vstack(xs + [xt]), blocks)
+        d_layers = forward_mlp(disc, l2_normalize(f_layers[-1]), blocks)
+        value, grad = domain_loss(d_layers[-1], np.concatenate(ws + [wt]), blocks)
+        if backward:
+            g_feats = -lam * backward_mlp(disc, d_layers, grad, blocks, input_grad=True)
+            backward_mlp(fnet, f_layers, l2_normalize_backward(f_layers[-1], g_feats), blocks)
+        return value
 
-    worst = max(
-        worst,
-        _fd_max_err(lambda: float(ed().data[0, 0]), {disc: 1.0, fnet: -lam}, ed),
-    )
+    worst = max(worst, _fd_max_err(ed, {disc: 1.0, fnet: -lam}))
 
     elapsed = time.perf_counter() - t0
     record(
@@ -269,7 +280,7 @@ def test_formula_oracles():
     # per-class mean margins grouped by pseudo-label
     for _ in range(N_INSTANCES):
         probs = random_simplex(rng, int(rng.integers(2, 12)), int(rng.integers(2, 7)))
-        values, present = margin_vector(probs)
+        values, present = margin_vector(*batch_margins(probs), probs.shape[1])
         bv, bp = _brute_margin_vector(probs)
         assert (present == bp).all()
         worst = max(worst, float(np.max(np.abs(values - bv))))
@@ -282,7 +293,7 @@ def test_formula_oracles():
         for _ in range(int(rng.integers(3, 12))):
             probs = random_simplex(rng, int(rng.integers(2, 10)), k)
             values, present = _brute_margin_vector(probs)
-            register.update(*margin_vector(probs))
+            register.update(*margin_vector(*batch_margins(probs), k))
             sums[present] += values[present]
             counts[present] += 1
             expect = sums / np.maximum(counts, 1)
@@ -298,7 +309,7 @@ def test_formula_oracles():
         for _ in range(3):
             probs = random_simplex(rng, 8, k)
             values, present = _brute_margin_vector(probs)
-            register.update(*margin_vector(probs))
+            register.update(*margin_vector(*batch_margins(probs), k))
             sums[present] += values[present]
             counts[present] += 1
         value = [s / n if n else 0.0 for s, n in zip(sums, counts)]
@@ -320,33 +331,31 @@ def test_formula_oracles():
     # two-sided domain discrimination loss with clipped outputs
     for _ in range(N_INSTANCES):
         m = int(rng.integers(1, 4))
-        logits = [Value(rng.normal(size=(int(rng.integers(2, 8)), int(k)))) for k in [rng.integers(2, 6)] * m]
-        labels = [rng.integers(0, lg.data.shape[1], size=lg.data.shape[0]) for lg in logits]
+        logits = [rng.normal(size=(int(rng.integers(2, 8)), int(k))) for k in [rng.integers(2, 6)] * m]
+        labels = [rng.integers(0, lg.shape[1], size=lg.shape[0]) for lg in logits]
         total = 0.0
         for lg, y in zip(logits, labels):
             rows = []
-            for i in range(lg.data.shape[0]):
-                z = lg.data[i]
+            for i in range(lg.shape[0]):
+                z = lg[i]
                 rows.append(math.log(np.exp(z - z.max()).sum()) + z.max() - z[y[i]])
             total += sum(rows) / len(rows) / m
-        stacked = Value(np.vstack([lg.data for lg in logits]))
-        sizes = [lg.data.shape[0] for lg in logits]
-        got = float(classification_loss(stacked, np.concatenate(labels), sizes, None).data[0, 0])
+        sizes = [lg.shape[0] for lg in logits]
+        got, _ = classification_loss(np.vstack(logits), np.concatenate(labels), sizes)
         worst_loss = max(worst_loss, abs(got - total))
 
-        outs = [Value(rng.uniform(0, 1, size=(int(rng.integers(2, 8)), 1))) for _ in range(m)]
-        ws = [rng.uniform(0, 2, size=o.data.shape[0]) for o in outs]
-        out_t = Value(rng.uniform(0, 1, size=(int(rng.integers(2, 8)), 1)))
-        w_t = rng.uniform(0, 2, size=out_t.data.shape[0])
+        outs = [rng.uniform(0, 1, size=(int(rng.integers(2, 8)), 1)) for _ in range(m)]
+        ws = [rng.uniform(0, 2, size=o.shape[0]) for o in outs]
+        out_t = rng.uniform(0, 1, size=(int(rng.integers(2, 8)), 1))
+        w_t = rng.uniform(0, 2, size=out_t.shape[0])
         if rng.uniform() < 0.2:
-            outs[0].data[0, 0] = 1.0   # exercises the clip
+            outs[0][0, 0] = 1.0   # exercises the clip
         clip = lambda d: np.minimum(np.maximum(d, 1e-7), 1 - 1e-7)
         expect = sum(
-            float(np.mean(-w * np.log(clip(o.data[:, 0])))) / m for o, w in zip(outs, ws)
-        ) + float(np.mean(-w_t * np.log(1 - clip(out_t.data[:, 0]))))
-        stacked = Value(np.vstack([o.data for o in outs] + [out_t.data]))
-        sizes = [o.data.shape[0] for o in outs] + [out_t.data.shape[0]]
-        got = float(domain_loss(stacked, np.concatenate(ws + [w_t]), sizes, None).data[0, 0])
+            float(np.mean(-w * np.log(clip(o[:, 0])))) / m for o, w in zip(outs, ws)
+        ) + float(np.mean(-w_t * np.log(1 - clip(out_t[:, 0]))))
+        sizes = [o.shape[0] for o in outs] + [out_t.shape[0]]
+        got, _ = domain_loss(np.vstack(outs + [out_t]), np.concatenate(ws + [w_t]), sizes)
         worst_loss = max(worst_loss, abs(got - expect))
 
     # inference rule: accept the pseudo-label when its margin clears the

@@ -49,11 +49,12 @@ class TestValidate:
         assert "xi_1 = " in out and "xi_12 = " in out
 
     def test_invalid_config_lists_every_problem(self, tmp_path, capsys):
-        path = tiny_config(tmp_path, methods=["dann"], seeds=[1, 1])
+        path = tiny_config(tmp_path, methods=["dann"], seeds=[1, 1], overrides={"common": 5})
         rc = main(["validate", str(path)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert out.count("invalid:") >= 2
+        assert out.count("invalid:") >= 3
+        assert "invalid: overrides.common must be an object" in out
 
     def test_jaccard_values_are_fractions(self, tmp_path, capsys):
         main(["validate", str(tiny_config(tmp_path))])
@@ -118,6 +119,23 @@ class TestRun:
         first = (tmp_path / "out" / "summary.csv").read_bytes()
         main(["run", str(path)])
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
+
+    def test_failed_summary_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tiny_config(tmp_path)
+        main(["run", str(path)])
+        out_dir = tmp_path / "out"
+        before = (out_dir / "summary.csv").read_bytes()
+
+        def rows_then_error(*args, **kwargs):
+            yield ["partial"]
+            raise OSError("disk full")
+
+        # the summary writer fails after its first row
+        monkeypatch.setattr(uman.cli, "execute_run", rows_then_error)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", str(path)])
+        assert (out_dir / "summary.csv").read_bytes() == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["runs", "summary.csv"]
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         path = tiny_config(tmp_path, umda_matrix=[[9, 9, 3], [1, 1, 1]])

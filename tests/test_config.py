@@ -117,9 +117,19 @@ class TestParseConfig:
         _, problems = parse_config(minimal(overrides={"bogus": {}}))
         assert any("overrides" in p for p in problems)
 
+    def test_non_object_overrides_are_problems(self):
+        for section in ("common", "source_private"):
+            for bad in (5, [1, 2], "1-2"):
+                _, problems = parse_config(minimal(overrides={section: bad}))
+                assert any(f"overrides.{section} must be an object" in p for p in problems)
+
     def test_infeasible_layout_is_a_problem(self):
         _, problems = parse_config(minimal(umda_matrix=[[2, 2, 6], [0, 0, 0]]))
         assert any("cover" in p for p in problems)
+
+    def test_matrix_violations_are_reported_once(self):
+        _, problems = parse_config(minimal(umda_matrix=[[9, 4, 6], [3, 3, 3]]))
+        assert problems == ["common_sizes[0]=9 exceeds target_common=6"]
 
     def test_non_object_config(self):
         _, problems = parse_config([1, 2, 3])

@@ -6,54 +6,22 @@ import numpy as np
 import pytest
 from helpers import max_rel_err, numeric_gradient
 
+from uman.core import classification_loss
 from uman.nn import (
     Mlp,
     NonFiniteGradientError,
-    Tape,
-    Value,
+    backward_mlp,
     block_sums,
     forward_mlp,
-    grad_reverse,
     l2_normalize,
+    l2_normalize_backward,
     log_softmax,
     mlp_apply,
-    run_backward,
-    scalar_sum,
     sgd_step,
     softmax,
-    softmax_cross_entropy,
 )
 
 GRAD_TOL = 1e-4
-
-
-class TestTape:
-    def test_backward_replays_in_reverse_and_clears(self):
-        tape = Tape()
-        seen = []
-        tape.record(lambda: seen.append("first"))
-        tape.record(lambda: seen.append("second"))
-        assert len(tape) == 2
-        tape.backward()
-        assert seen == ["second", "first"]
-        assert len(tape) == 0
-        tape.backward()  # empty replay is a no-op
-        assert seen == ["second", "first"]
-
-
-class TestValue:
-    def test_requires_two_dims(self):
-        with pytest.raises(ValueError):
-            Value(np.zeros(3))
-        with pytest.raises(ValueError):
-            Value(np.zeros((2, 2, 2)))
-
-    def test_casts_and_zeroes_grad(self):
-        v = Value([[1, 2]])
-        assert v.data.dtype == np.float64
-        assert v.grad.shape == (1, 2)
-        assert (v.grad == 0).all()
-        assert v.shape == (1, 2)
 
 
 class TestMlpInit:
@@ -111,22 +79,16 @@ class TestForward:
         with pytest.raises(ValueError, match="expects 3"):
             mlp_apply(net, np.zeros((1, 4)))
 
-    def test_taped_forward_equals_inference(self):
-        rng = np.random.default_rng(3)
-        net = Mlp([3, 4, 2], ["relu", "linear"], rng)
-        x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(forward_mlp(net, x, Tape()).data, mlp_apply(net, x))
-
 
 class TestL2Normalize:
     def test_rows_have_unit_norm(self):
         x = np.random.default_rng(0).standard_normal((100, 8))
-        norms = np.linalg.norm(l2_normalize(x).data, axis=1)
+        norms = np.linalg.norm(l2_normalize(x), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_zero_row_stays_zero_and_finite(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        out = l2_normalize(x).data
+        out = l2_normalize(x)
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-15)
@@ -137,14 +99,10 @@ class TestL2Normalize:
         coeff = rng.standard_normal((4, 6))
 
         def f():
-            return float((coeff * l2_normalize(x).data).sum())
+            return float((coeff * l2_normalize(x)).sum())
 
-        tape = Tape()
-        v = Value(x)
-        out = l2_normalize(v, tape)
-        out.grad[...] = coeff
-        tape.backward()
-        assert max_rel_err(v.grad, numeric_gradient(f, x)) < GRAD_TOL
+        grad = l2_normalize_backward(x, coeff)
+        assert max_rel_err(grad, numeric_gradient(f, x)) < GRAD_TOL
 
 
 class TestSoftmax:
@@ -172,117 +130,53 @@ def _nll_oracle(logits, label):
 
 
 class TestCrossEntropy:
+    """The package's cross entropy, ``core.classification_loss``: the mean
+    over blocks of each block's mean negative log softmax probability."""
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            n, k = int(rng.integers(1, 8)), int(rng.integers(2, 6))
-            logits = rng.standard_normal((n, k)) * rng.uniform(0.5, 30)
-            labels = rng.integers(0, k, size=n)
-            weights = rng.uniform(0.0, 2.0, size=n)
-            if weights.sum() == 0:
-                continue
-            want = sum(
-                w * _nll_oracle(list(lg), int(y)) for lg, y, w in zip(logits, labels, weights)
-            ) / weights.sum()
-            got = softmax_cross_entropy(Value(logits), labels, weights).data[0, 0]
+            sizes = [int(n) for n in rng.integers(1, 8, size=int(rng.integers(1, 4)))]
+            k = int(rng.integers(2, 6))
+            logits = rng.standard_normal((sum(sizes), k)) * rng.uniform(0.5, 30)
+            labels = rng.integers(0, k, size=sum(sizes))
+            bounds = np.cumsum([0, *sizes])
+            want = np.mean([
+                np.mean([_nll_oracle(list(logits[i]), int(labels[i])) for i in range(a, b)])
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ])
+            got, _ = classification_loss(logits, labels, sizes)
             assert abs(got - want) < 1e-9
 
     def test_frozen_values(self):
-        assert softmax_cross_entropy(
-            Value([[0.0, 0.0]]), [0], [1.0]
-        ).data[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
-        confident = softmax_cross_entropy(Value([[1000.0, 0.0]]), [0], [1.0]).data[0, 0]
+        assert classification_loss(
+            np.array([[0.0, 0.0]]), [0], [1]
+        )[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        confident, _ = classification_loss(np.array([[1000.0, 0.0]]), [0], [1])
         assert confident == pytest.approx(0.0, abs=1e-12)
-        wrong = softmax_cross_entropy(Value([[1000.0, 0.0]]), [1], [1.0]).data[0, 0]
+        wrong, _ = classification_loss(np.array([[1000.0, 0.0]]), [1], [1])
         assert wrong == pytest.approx(1000.0, rel=1e-12)
 
-    def test_unit_weights_equal_plain_mean(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((6, 4))
-        labels = rng.integers(0, 4, size=6)
-        per_sample = [_nll_oracle(list(lg), int(y)) for lg, y in zip(logits, labels)]
-        got = softmax_cross_entropy(Value(logits), labels, np.ones(6)).data[0, 0]
-        assert got == pytest.approx(np.mean(per_sample), abs=1e-12)
-
-    def test_weight_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        logits = rng.standard_normal((5, 3))
-        labels = rng.integers(0, 3, size=5)
-        w = rng.uniform(0.1, 1.0, size=5)
-        a = softmax_cross_entropy(Value(logits), labels, w).data[0, 0]
-        b = softmax_cross_entropy(Value(logits), labels, 3.0 * w).data[0, 0]
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_all_zero_weights_yield_zero_loss_and_grad(self):
-        tape = Tape()
-        v = Value(np.random.default_rng(0).standard_normal((4, 3)))
-        loss = softmax_cross_entropy(v, [0, 1, 2, 0], np.zeros(4), tape)
-        assert loss.data[0, 0] == 0.0
-        run_backward(tape, loss)
-        np.testing.assert_array_equal(v.grad, 0.0)
-
     def test_input_validation(self):
-        v = Value(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="empty"):
-            softmax_cross_entropy(Value(np.zeros((0, 3))), [], [])
-        with pytest.raises(ValueError, match="one entry per row"):
-            softmax_cross_entropy(v, [0], [1.0, 1.0])
+        logits = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="nonempty"):
+            classification_loss(np.zeros((0, 3)), [], [])
+        with pytest.raises(ValueError, match="one label per source row"):
+            classification_loss(logits, [0], [2])
         with pytest.raises(ValueError, match="outside"):
-            softmax_cross_entropy(v, [0, 3], [1.0, 1.0])
-        with pytest.raises(ValueError, match="negative"):
-            softmax_cross_entropy(v, [0, 1], [1.0, -1.0])
+            classification_loss(logits, [0, 3], [2])
+        with pytest.raises(ValueError, match="nonempty"):
+            classification_loss(logits, [0, 1], [2, 0])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        logits = rng.standard_normal((5, 4))
-        labels = rng.integers(0, 4, size=5)
-        weights = rng.uniform(0.0, 2.0, size=5)
+        logits = rng.standard_normal((6, 4))
+        labels = rng.integers(0, 4, size=6)
+        sizes = [1, 3, 2]
 
-        def f():
-            return softmax_cross_entropy(Value(logits), labels, weights).data[0, 0]
-
-        tape = Tape()
-        v = Value(logits)
-        run_backward(tape, softmax_cross_entropy(v, labels, weights, tape))
-        assert max_rel_err(v.grad, numeric_gradient(f, logits)) < GRAD_TOL
-
-
-class TestGradReverse:
-    def test_forward_is_identity(self):
-        x = Value(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(grad_reverse(x, 0.3, Tape()).data, x.data)
-
-    @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
-    def test_backward_negates_and_scales(self, lam):
-        tape = Tape()
-        x = Value(np.ones((2, 2)))
-        out = grad_reverse(x, lam, tape)
-        upstream = np.array([[1.0, -2.0], [0.5, 3.0]])
-        out.grad[...] = upstream
-        tape.backward()
-        np.testing.assert_array_equal(x.grad, -lam * upstream)
-
-
-class TestScalarSum:
-    def test_value_and_backward(self):
-        tape = Tape()
-        parts = [Value([[2.0]]), Value([[-1.0]]), Value([[0.5]])]
-        total = scalar_sum(parts, [1.0, 2.0, 4.0], tape)
-        assert total.data[0, 0] == pytest.approx(2.0 - 2.0 + 2.0)
-        run_backward(tape, total)
-        assert [p.grad[0, 0] for p in parts] == [1.0, 2.0, 4.0]
-
-    def test_default_coefficients_are_ones(self):
-        parts = [Value([[1.5]]), Value([[2.5]])]
-        assert scalar_sum(parts).data[0, 0] == pytest.approx(4.0)
-
-    def test_coefficient_count_must_match(self):
-        with pytest.raises(ValueError):
-            scalar_sum([Value([[1.0]])], [1.0, 2.0])
-
-    def test_backward_root_must_be_scalar(self):
-        with pytest.raises(ValueError, match="1x1"):
-            run_backward(Tape(), Value(np.zeros((2, 1))))
+        _, grad = classification_loss(logits, labels, sizes)
+        numeric = numeric_gradient(lambda: classification_loss(logits, labels, sizes)[0], logits)
+        assert max_rel_err(grad, numeric) < GRAD_TOL
 
 
 class TestSgdStep:
@@ -344,18 +238,17 @@ class TestSgdStep:
             np.testing.assert_array_equal(layer.b, b)
 
 
-def _net_grad_check(net, f, tol=GRAD_TOL):
+def _net_grad_check(net, f):
     """FD-check every parameter of a net against its accumulated grads.
 
-    ``f(tape)`` runs the forward pass and returns the scalar loss node;
-    called with ``tape=None`` it must return the plain float loss.
+    ``f(backward)`` runs the forward pass and returns the loss; with
+    ``backward`` true it also runs the backward pass into the net's buffers.
     """
     net.zero_grads()
-    tape = Tape()
-    run_backward(tape, f(tape))
+    f(True)
     worst = 0.0
     for p, g in net.param_arrays():
-        fd = numeric_gradient(lambda: f(None), p)
+        fd = numeric_gradient(lambda: f(False), p)
         worst = max(worst, max_rel_err(g, fd))
     net.zero_grads()
     return worst
@@ -370,11 +263,14 @@ class TestMlpGradients:
         assert net.n_params <= 64
         x = rng.standard_normal((6, 3))
         labels = rng.integers(0, 2, size=6)
-        weights = rng.uniform(0.2, 1.5, size=6)
+        blocks = [2, 4]  # rows of the two blocks weigh 1/4 and 1/8
 
-        def f(tape):
-            loss = softmax_cross_entropy(forward_mlp(net, x, tape), labels, weights, tape)
-            return loss if tape is not None else loss.data[0, 0]
+        def f(backward):
+            layers = forward_mlp(net, x, blocks)
+            loss, grad = classification_loss(layers[-1], labels, blocks)
+            if backward:
+                backward_mlp(net, layers, grad, blocks)
+            return loss
 
         assert _net_grad_check(net, f) < GRAD_TOL
 
@@ -385,12 +281,11 @@ class TestMlpGradients:
         labels = rng.integers(0, 3, size=5)
 
         def f():
-            return softmax_cross_entropy(forward_mlp(net, x), labels, np.ones(5)).data[0, 0]
+            return classification_loss(mlp_apply(net, x), labels, [5])[0]
 
-        tape = Tape()
-        v = Value(x)
-        run_backward(tape, softmax_cross_entropy(forward_mlp(net, v, tape), labels, np.ones(5), tape))
-        assert max_rel_err(v.grad, numeric_gradient(f, x)) < GRAD_TOL
+        layers = forward_mlp(net, x)
+        grad = backward_mlp(net, layers, classification_loss(layers[-1], labels, [5])[1], input_grad=True)
+        assert max_rel_err(grad, numeric_gradient(f, x)) < GRAD_TOL
 
 
 def _params(net):
@@ -398,60 +293,53 @@ def _params(net):
 
 
 class TestStackedBlocks:
-    """One forward pass over stacked blocks against one pass per block."""
+    """One pass over stacked blocks against one pass per block."""
 
     @pytest.mark.parametrize("sizes", [[4, 4, 4], [5, 1, 7], [9]])
     def test_matches_separate_passes_bit_for_bit(self, sizes):
         rng = np.random.default_rng(31)
-        tail = 3  # rows past the blocks: forwarded, never recorded
+        tail = 3  # rows past the blocks: forwarded, never differentiated
         x = rng.standard_normal((sum(sizes) + tail, 16))
         stacked = Mlp([16, 64, 16, 1], ["relu", "relu", "sigmoid"], np.random.default_rng(32))
         separate = Mlp([16, 64, 16, 1], ["relu", "relu", "sigmoid"], np.random.default_rng(32))
-        g_out = rng.standard_normal((x.shape[0], 1))
+        g_out = rng.standard_normal((sum(sizes), 1))
 
-        tape = Tape()
-        v = Value(x)
-        out = forward_mlp(stacked, v, tape, sizes)
-        out.grad[...] = g_out
-        tape.backward()
+        layers = forward_mlp(stacked, x, sizes)
+        grad = backward_mlp(stacked, layers, g_out, sizes, input_grad=True)
 
         bounds = np.cumsum([0, *sizes, tail])
-        tape = Tape()
-        parts, outs = [], []
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            parts.append(Value(x[a:b]))
-            recorded = i < len(sizes)
-            outs.append(forward_mlp(separate, parts[-1], tape if recorded else None))
-            if recorded:
-                outs[-1].grad[...] = g_out[a:b]
-        tape.backward()
+        parts = [forward_mlp(separate, x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        want_grad = [
+            backward_mlp(separate, parts[i], g_out[bounds[i] : bounds[i + 1]], input_grad=True)
+            for i in reversed(range(len(sizes)))
+        ][::-1]
 
-        assert out.data.tobytes() == np.concatenate([o.data for o in outs]).tobytes()
+        assert layers[-1].tobytes() == np.concatenate([p[-1] for p in parts]).tobytes()
         assert _params(stacked) == _params(separate)
-        want_grad = np.concatenate([p.grad for p in parts])
-        assert v.grad.tobytes() == want_grad.tobytes()
-        np.testing.assert_array_equal(v.grad[sum(sizes):], 0.0)
+        assert grad.tobytes() == np.concatenate(want_grad).tobytes()
 
     def test_blocks_must_fit(self):
         net = Mlp([2, 3], ["linear"], np.random.default_rng(0))
         x = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="do not fit"):
-            forward_mlp(net, x, Tape(), [3, 2])
-        with pytest.raises(ValueError, match="do not fit"):
-            forward_mlp(net, x, Tape(), [0, 4])
+        layers = forward_mlp(net, x)
+        for blocks in ([3, 2], [0, 4]):
+            with pytest.raises(ValueError, match="do not fit"):
+                forward_mlp(net, x, blocks)
+            with pytest.raises(ValueError, match="do not fit"):
+                backward_mlp(net, layers, np.zeros((5, 3)), blocks)
 
     def test_empty_input_gives_empty_output(self):
         net = Mlp([3, 4, 2], ["relu", "linear"], np.random.default_rng(0))
-        tape = Tape()
-        out = forward_mlp(net, np.zeros((0, 3)), tape)
-        assert out.data.shape == (0, 2)
-        tape.backward()
+        layers = forward_mlp(net, np.zeros((0, 3)))
+        assert layers[-1].shape == (0, 2)
+        backward_mlp(net, layers, np.zeros((0, 2)))
         assert all((g == 0.0).all() for _, g in net.param_arrays())
 
     def test_raw_input_skips_its_gradient_product(self, monkeypatch):
         rng = np.random.default_rng(33)
         net = Mlp([3, 4], ["linear"], rng)
         x = rng.standard_normal((5, 3))
+        layers = forward_mlp(net, x)
         calls = []
         matmul = np.matmul
 
@@ -460,14 +348,13 @@ class TestStackedBlocks:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
-        for inp in (x, Value(x)):
-            tape = Tape()
-            out = forward_mlp(net, inp, tape)
+        for input_grad in (False, True):
             calls.clear()
-            out.grad[...] = 1.0
-            tape.backward()
-            # the weight gradient always; the input gradient only for a Value
-            assert len(calls) == (2 if isinstance(inp, Value) else 1)
+            grad = backward_mlp(net, layers, np.ones((5, 4)), input_grad=input_grad)
+            # the weight gradient always; the input gradient only on request,
+            # which the feature net's raw input never makes
+            assert len(calls) == (2 if input_grad else 1)
+            assert (grad is None) == (not input_grad)
             net.zero_grads()
 
     def test_block_sums_match_per_block_sums(self):

@@ -173,39 +173,48 @@ class TestBatchIterator:
         return DomainDataset(domain_id, features, labels.astype(np.int64), None)
 
     def test_batches_keep_feature_label_alignment(self):
-        ds = self._tagged_dataset(30)
-        it = batch_iterator([ds], 7, seed=0)
+        source = self._tagged_dataset(30, domain_id=0)
+        target = self._tagged_dataset(20, domain_id=1)
+        it = batch_iterator([source, target], 7, seed=0)
         for _ in range(10):
-            b = next(it)[0]
-            assert len(b) == 7
-            np.testing.assert_array_equal(b.features[:, 0], b.labels)
+            features, labels, sizes = next(it)
+            assert sizes == (7, 7)
+            assert features.shape == (14, 2)
+            np.testing.assert_array_equal(features[:7, 0], labels)
 
     def test_epoch_has_no_repeats_and_drops_tail(self):
         ds = self._tagged_dataset(10)
         it = batch_iterator([ds], 4, seed=3)
-        seen = np.concatenate([next(it)[0].features[:, 1] for _ in range(2)])
+        seen = np.concatenate([next(it)[0][:, 1] for _ in range(2)])
         assert len(set(seen.tolist())) == 8  # 2 batches of 4 from one epoch of 10
 
     def test_small_domain_caps_batch_size(self):
         small = self._tagged_dataset(5, domain_id=0)
         large = self._tagged_dataset(50, domain_id=1)
-        batch = next(batch_iterator([small, large], 32, seed=0))
-        assert len(batch[0]) == 5
-        assert len(batch[1]) == 32
+        it = batch_iterator([small, large], 32, seed=0)
+        alone = batch_iterator([large], 32, seed=0)
+        for _ in range(3):
+            features, labels, sizes = next(it)
+            assert sizes == (5, 32)
+            assert len(labels) == 5
+            # each domain draws from its own seeded stream, stacked or not
+            np.testing.assert_array_equal(features[5:], next(alone)[0])
 
     def test_deterministic_per_seed(self):
         ds = self._tagged_dataset(20)
-        a = [next(batch_iterator([ds], 8, seed=5))[0].features for _ in range(1)]
-        b = [next(batch_iterator([ds], 8, seed=5))[0].features for _ in range(1)]
-        np.testing.assert_array_equal(a[0], b[0])
-        c = next(batch_iterator([ds], 8, seed=6))[0].features
-        assert not np.array_equal(a[0], c)
+        a = next(batch_iterator([ds], 8, seed=5))[0]
+        b = next(batch_iterator([ds], 8, seed=5))[0]
+        np.testing.assert_array_equal(a, b)
+        c = next(batch_iterator([ds], 8, seed=6))[0]
+        assert not np.array_equal(a, c)
 
     def test_target_batches_stay_unlabeled(self, partition):
         datasets = generate(spec(), partition)
-        batch = next(batch_iterator(datasets, 16, seed=0))
-        assert batch[-1].labels is None
-        assert all(b.labels is not None for b in batch[:-1])
+        features, labels, sizes = next(batch_iterator(datasets, 16, seed=0))
+        assert sizes == (16, 16, 16)
+        assert features.shape == (48, 8)
+        # labels cover the source rows only
+        assert labels.shape == (32,)
 
     def test_rejects_empty_domains_and_bad_sizes(self):
         empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), None)
@@ -213,3 +222,6 @@ class TestBatchIterator:
             next(batch_iterator([empty], 4, seed=0))
         with pytest.raises(ValueError, match="batch_size"):
             next(batch_iterator([self._tagged_dataset(5)], 0, seed=0))
+        unlabeled = DomainDataset(0, np.zeros((5, 2)), None, None)
+        with pytest.raises(ValueError, match="no labels"):
+            next(batch_iterator([unlabeled, self._tagged_dataset(5, domain_id=1)], 4, seed=0))
