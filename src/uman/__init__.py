@@ -9,10 +9,11 @@ contain classes no source has. Submodules:
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
   controllable domain gaps;
 * :mod:`uman.nn` -- dense MLP numerics: forward passes over stacked
-  blocks, their explicit backward pass, row normalization, SGD;
+  blocks, their explicit backward pass, row normalization, SGD, each with
+  an optional leading run axis;
 * :mod:`uman.core` -- prediction margins, the running per-class margin
   register, sample weights, adversarial training under one of three
-  methods, rejecting inference;
+  methods (several seeds of one method as one batch), rejecting inference;
 * :mod:`uman.evaluate` -- the per-class + unknown evaluation protocol,
   train-and-score per method, and feature-alignment probes;
 * :mod:`uman.config` / :mod:`uman.cli` -- JSON experiment configs and the
@@ -27,7 +28,7 @@ from .labelspace import (
     jaccard_source_target,
     partition_from_matrix,
 )
-from .synth import DomainDataset, SyntheticSpec, batch_iterator, generate
+from .synth import DomainDataset, SyntheticSpec, batch_iterator, generate, run_batches
 from .nn import Mlp, NonFiniteGradientError
 from .core import (
     METHODS,
@@ -47,6 +48,7 @@ from .core import (
     predict_classes,
     sample_weights,
     train,
+    train_runs,
 )
 from .evaluate import (
     PROBE_KINDS,

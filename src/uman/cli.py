@@ -4,8 +4,9 @@ Three verbs operate on a JSON config file:
 
 * ``uman validate <config>`` checks the file and prints the realized class
   layout and Jaccard table;
-* ``uman run <config>`` trains every configured (method, seed) pair and
-  writes per-run artifacts plus a summary CSV;
+* ``uman run <config>`` trains every configured (method, seed) pair, the
+  seeds of one method as one batch, and writes per-run artifacts plus a
+  summary CSV;
 * ``uman sweep <config> --axis <name> --values a,b,c [--jobs N]`` repeats
   the run along one axis and aggregates the results.
 
@@ -35,14 +36,13 @@ from .config import (
     parse_config,
     canonical_dict,
 )
-from .core import TrainingDiverged
-from .evaluate import run_method
+from .core import train_runs
+from .evaluate import evaluate
 from .labelspace import (
     jaccard_source_source,
     jaccard_source_target,
     partition_from_matrix,
 )
-from .nn import NonFiniteGradientError
 from .synth import generate
 
 __all__ = ["main", "execute_run", "execute_sweep", "seed_offset"]
@@ -112,48 +112,60 @@ def _summary_row(partition, chash, method, seed, report=None) -> list:
 def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     """Run every (method, seed) pair of a config; returns the summary rows.
 
-    Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
-    training trace, the final margin-register values, and the evaluation
-    report. A run that diverges is recorded as a failed row, its directory
-    gets a report.json with status "failed", the error and the step, and
-    the remaining runs still execute.
+    The seeds of one method train as one batch (:func:`uman.core.train_runs`),
+    each run exactly as it would alone. Per-run artifacts land in
+    <output_dir>/runs/<method>_<seed>/: the training trace, the final
+    margin-register values, and the evaluation report. A run that diverges
+    is recorded as a failed row, its directory gets a report.json with
+    status "failed", the error and the step, and the remaining runs still
+    execute.
     """
     partition = partition_from_matrix(config.matrix)
     chash = config_hash(config)
-    base = Path(config.output_dir)
     rows = []
     for method in config.methods:
-        for seed in config.seeds:
-            spec = replace(config.synthetic, seed=config.synthetic.seed + offset + seed)
-            hp = replace(config.hyperparams, seed=config.hyperparams.seed + offset + seed)
-            train_sets = generate(spec, partition)
-            test_target = generate(spec, partition, draw=1)[-1]
-            run_dir = base / "runs" / f"{method}_{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                result, report = run_method(
-                    method, train_sets, test_target, partition, hp,
-                    config_hash=chash, seed=seed,
-                )
-            except (TrainingDiverged, NonFiniteGradientError) as exc:
-                _write_json(run_dir / "report.json", {
-                    "config_hash": chash,
-                    "error": str(exc),
-                    "method": method,
-                    "seed": seed,
-                    "status": "failed",
-                    "step": getattr(exc, "step", None),
-                })
-                rows.append(_summary_row(partition, chash, method, seed))
-                if not quiet:
-                    print(f"{method} seed {seed}: FAILED ({exc})")
-                continue
-            _write_trace(run_dir / "trace.csv", result.trace)
-            _write_register(run_dir / "tmr.csv", result.register)
-            _write_json(run_dir / "report.json", asdict(report))
-            rows.append(_summary_row(partition, chash, method, seed, report))
+        rows += _run_method_batch(config, partition, chash, method, offset, quiet)
+    return rows
+
+
+def _run_method_batch(config, partition, chash, method, offset, quiet):
+    """Train every seed of one method as one batch, then score, write and
+    print each run in seed order. The batch and its traces are freed on
+    return, before the next method starts."""
+    runs, tests = [], []
+    for seed in config.seeds:
+        spec = replace(config.synthetic, seed=config.synthetic.seed + offset + seed)
+        hp = replace(config.hyperparams, seed=config.hyperparams.seed + offset + seed)
+        runs.append((generate(spec, partition), hp))
+        tests.append(generate(spec, partition, draw=1)[-1])
+    rows = []
+    outcomes = train_runs(runs, partition, method=method)
+    for seed, (_, hp), test_target, result in zip(config.seeds, runs, tests, outcomes):
+        run_dir = Path(config.output_dir) / "runs" / f"{method}_{seed}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        if isinstance(result, Exception):
+            _write_json(run_dir / "report.json", {
+                "config_hash": chash,
+                "error": str(result),
+                "method": method,
+                "seed": seed,
+                "status": "failed",
+                "step": getattr(result, "step", None),
+            })
+            rows.append(_summary_row(partition, chash, method, seed))
             if not quiet:
-                print(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
+                print(f"{method} seed {seed}: FAILED ({result})")
+            continue
+        report = evaluate(
+            result.feature_net, result.classifier, test_target, partition, hp.w0,
+            method=method, config_hash=chash, seed=seed,
+        )
+        _write_trace(run_dir / "trace.csv", result.trace)
+        _write_register(run_dir / "tmr.csv", result.register)
+        _write_json(run_dir / "report.json", asdict(report))
+        rows.append(_summary_row(partition, chash, method, seed, report))
+        if not quiet:
+            print(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
     return rows
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .core import METHODS, Hyperparams
@@ -146,6 +147,10 @@ def _parse_section(obj, key, cls, problems):
             v = tuple(v) if ok else v
         if not ok:
             problems.append(f"{key}.{name} has the wrong type: {raw[name]!r}")
+            continue
+        # json reads NaN and Infinity, which pass every range check
+        if isinstance(v, float) and not math.isfinite(v):
+            problems.append(f"{key}.{name} must be a finite number, got {v!r}")
             continue
         kwargs[name] = v
     section = cls(**kwargs)

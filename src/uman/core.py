@@ -24,24 +24,26 @@ the rejection threshold w0 and is marked UNKNOWN otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .labelspace import LabelPartition
 from .nn import (
     Mlp,
+    NonFiniteGradientError,
     backward_mlp,
     block_sums,
     forward_mlp,
+    gradient_faults,
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
     mlp_apply,
-    sgd_step,
+    sgd_update,
     softmax,
 )
-from .synth import batch_iterator
+from .synth import run_batches
 
 __all__ = [
     "UNKNOWN",
@@ -59,6 +61,7 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "train",
+    "train_runs",
     "extract_features",
     "predict_classes",
 ]
@@ -73,15 +76,17 @@ METHODS = ("uman", "source_only", "unweighted_adv")
 def batch_margins(probs: np.ndarray):
     """Pseudo-labels and margins (top probability minus runner-up) per row.
 
-    The argmax breaks ties toward the lowest index. Probabilities live in
-    the simplex, so every margin is inside [0, 1].
+    ``probs`` is ``(n, k)``, or ``(R, n, k)`` with a leading run axis. The
+    argmax breaks ties toward the lowest index. Probabilities live in the
+    simplex, so every margin is inside [0, 1].
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
+    if probs.ndim < 2 or probs.shape[-1] < 2:
         raise ValueError("expected a (n, k>=2) probability matrix")
-    pseudo = probs.argmax(axis=1)
-    part = np.partition(probs, -2, axis=1)
-    margins = part[:, -1] - part[:, -2]
+    pseudo = probs.argmax(axis=-1)
+    part = probs.copy()
+    part.partition(-2, axis=-1)
+    margins = part[..., -1] - part[..., -2]
     return pseudo, margins
 
 
@@ -90,12 +95,20 @@ def margin_vector(pseudo, margins, n_classes: int):
 
     Takes the pseudo-labels and margins of :func:`batch_margins`. Returns
     ``(values, present)`` where ``present[c]`` says whether any sample was
-    pseudo-labeled c; absent classes get value 0.
+    pseudo-labeled c; absent classes get value 0. With a leading run axis
+    every run is grouped on its own.
     """
-    sums = np.bincount(pseudo, weights=margins, minlength=n_classes)
-    counts = np.bincount(pseudo, minlength=n_classes)
+    pseudo = np.asarray(pseudo)
+    lead = pseudo.shape[:-1]
+    runs = math.prod(lead)
+    # one bincount for every run: run r counts into bins r*C .. r*C + C-1,
+    # in the order of its own samples, as a bincount of that run alone
+    bins = (pseudo + np.arange(0, runs * n_classes, n_classes).reshape(*lead, 1)).ravel()
+    sums = np.bincount(bins, weights=np.ravel(margins), minlength=runs * n_classes)
+    counts = np.bincount(bins, minlength=runs * n_classes)
     present = counts > 0
-    return sums / np.maximum(counts, 1), present
+    values = sums / np.maximum(counts, 1)
+    return values.reshape(*lead, n_classes), present.reshape(*lead, n_classes)
 
 
 class TargetMarginRegister:
@@ -104,31 +117,46 @@ class TargetMarginRegister:
     Classes absent from a batch contribute nothing to their component, so
     after any update history each component equals the plain mean of the
     contributions that class actually received; never-seen classes stay 0.
-    ``step`` counts update calls.
+    ``step`` counts update calls. With ``runs``, the register holds that
+    many independent registers along a leading run axis, and ``step``
+    holds one count per run.
     """
 
-    def __init__(self, n_classes: int):
+    def __init__(self, n_classes: int, runs: int | None = None):
         if n_classes < 1:
             raise ValueError("need at least one class")
+        shape = (n_classes,) if runs is None else (runs, n_classes)
         self.n_classes = n_classes
-        self.step = 0
-        self._sums = np.zeros(n_classes)
-        self._counts = np.zeros(n_classes, dtype=np.int64)
+        self.step = 0 if runs is None else np.zeros(runs, dtype=np.int64)
+        self._sums = np.zeros(shape)
+        self._counts = np.zeros(shape, dtype=np.int64)
 
     @property
     def values(self) -> np.ndarray:
         return self._sums / np.maximum(self._counts, 1)
 
-    def update(self, vector, present):
+    def update(self, vector, present, gate=True):
+        """Add one margin vector per run; ``gate`` (one flag per run) picks
+        the runs that take theirs."""
         vector = np.asarray(vector, dtype=np.float64)
         present = np.asarray(present, dtype=bool)
-        if vector.shape != (self.n_classes,) or present.shape != (self.n_classes,):
+        if vector.shape != self._sums.shape or present.shape != self._sums.shape:
             raise ValueError(f"expected vectors of length {self.n_classes}")
-        if (vector < -1e-12).any() or (vector > 1 + 1e-12).any():
+        if np.minimum.reduce(vector, axis=None) < -1e-12 or np.maximum.reduce(vector, axis=None) > 1 + 1e-12:
             raise ValueError("margin contributions must lie in [0, 1]")
-        self._sums[present] += vector[present]
-        self._counts[present] += 1
-        self.step += 1
+        if gate is not True:
+            present = present & np.asarray(gate)[..., None]
+        np.add(self._sums, vector, out=self._sums, where=present)
+        self._counts += present
+        self.step += gate
+
+    def take(self, runs):
+        """Copy of the given runs: a list keeps the run axis, an integer
+        gives that run's own register."""
+        out = TargetMarginRegister(self.n_classes)
+        out._sums, out._counts = self._sums[runs].copy(), self._counts[runs].copy()
+        out.step = self.step[runs].copy() if isinstance(runs, list) else int(self.step[runs])
+        return out
 
     def as_rows(self):
         return [(c, float(v)) for c, v in enumerate(self.values)]
@@ -140,21 +168,40 @@ def sample_weights(register: TargetMarginRegister, source_labels, pseudo, margin
     A source sample weighs the register value of its class; a target sample
     its margin times the register value of its pseudo-label. Returns the
     weights of the source rows, in the order of ``source_labels``, and those
-    of the target rows.
+    of the target rows. A register with a run axis reads run r's values for
+    row r of the labels, pseudo-labels and margins.
     """
     values = register.values
-    return values[source_labels], margins * values[pseudo]
+    if values.ndim == 1:
+        return values[source_labels], margins * values[pseudo]
+    runs = np.arange(len(values))[:, None]
+    return values[runs, source_labels], margins * values[runs, pseudo]
 
 
 def normalize_weights(raw) -> np.ndarray:
-    """Divide by the group mean so the output averages to 1; all-zero stays zero."""
+    """Divide by the group mean so the output averages to 1; all-zero stays
+    zero. The group is the last axis: one per run with a run axis."""
     raw = np.asarray(raw, dtype=np.float64)
-    if (raw < 0).any():
+    if raw.size and np.minimum.reduce(raw, axis=None) < 0:
         raise ValueError("weights must be nonnegative")
-    mean = raw.mean() if raw.size else 0.0
-    if mean == 0.0:
+    if raw.shape[-1] == 0:
         return np.zeros_like(raw)
-    return raw / mean
+    mean = _mean(raw, keepdims=True)
+    # a zero mean means an all-zero group, which divides by 1 and stays zero
+    return raw / np.where(mean == 0.0, 1.0, mean)
+
+
+def _sum_terms(terms):
+    """Sum over the last axis strictly term by term, as a Python ``sum``
+    starting at 0.0 adds them: a running sum, then + 0.0, which turns the
+    -0.0 of an all-(-0.0) run into the 0.0 such a ``sum`` gives."""
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
+def _mean(x, keepdims=False):
+    """``x.mean(axis=-1)`` bit for bit (the sum divided by the count),
+    without its Python-level overhead."""
+    return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
 
 
 def classification_loss(logits: np.ndarray, labels, sizes):
@@ -165,25 +212,27 @@ def classification_loss(logits: np.ndarray, labels, sizes):
     target's, in a training step) are not classified. A row of source i
     weighs 1/(M * sizes[i]) for M sources. Returns ``(value, grad)``, where
     ``grad`` is the gradient of the value with respect to the source rows.
+    With a leading run axis on ``logits`` and ``labels``, ``value`` holds
+    one loss per run.
     """
     sizes = [int(n) for n in sizes]
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = sum(sizes), logits.shape[1]
-    m = len(sizes)
-    if m == 0 or min(sizes) < 1 or labels.shape != (n,) or logits.shape[0] < n:
+    *lead, n_rows, k = logits.shape
+    n, m = sum(sizes), len(sizes)
+    if m == 0 or min(sizes) < 1 or labels.shape != (*lead, n) or n_rows < n:
         raise ValueError("need nonempty source blocks with one label per source row")
-    if labels.min() < 0 or labels.max() >= k:
+    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= k:
         raise ValueError(f"labels outside [0, {k})")
-    rows = np.arange(n)
-    logp = log_softmax(logits[:n])
-    nll = -logp[rows, labels]
+    at_labels = (*(np.arange(r)[:, None] for r in lead), np.arange(n), labels)
+    logp = log_softmax(logits[..., :n, :])
+    nll = -logp[at_labels]
     # each source's mean on its own, then summed term by term: the same
     # arithmetic as one cross-entropy term per source
-    value = float(sum((1.0 / m) * v for v in block_sums(nll, sizes) / sizes))
+    value = _sum_terms((1.0 / m) * (block_sums(nll, sizes, axis=-1) / sizes))
     inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
     p = np.exp(logp)
-    p[rows, labels] -= 1.0
-    return value, (1.0 / m) * p * inv_size[:, None]
+    p[at_labels] -= 1.0
+    return value if lead else float(value), (1.0 / m) * p * inv_size[:, None]
 
 
 _CLIP = 1e-7
@@ -199,28 +248,29 @@ def domain_loss(out: np.ndarray, weights, sizes):
     the target. Discriminator outputs are clipped away from {0, 1} before
     the log, and a clipped row gets no gradient. Weights are taken as
     constants. Returns ``(value, grad)`` with ``grad`` shaped like ``out``.
+    With a leading run axis on ``out`` and ``weights``, ``value`` holds one
+    loss per run.
     """
     sizes = [int(n) for n in sizes]
     m = len(sizes) - 1
     n = sum(sizes)
     w = np.asarray(weights, dtype=np.float64)
-    if m < 1 or min(sizes) < 1 or out.shape != (n, 1) or w.shape != (n,):
+    lead = out.shape[:-2]
+    if m < 1 or min(sizes) < 1 or out.shape[-2:] != (n, 1) or w.shape != (*lead, n):
         raise ValueError("need source and target blocks with one output and weight per row")
     n_src = n - sizes[-1]
-    raw = out[:, 0]
+    raw = out[..., 0]
     d = np.clip(raw, _CLIP, 1 - _CLIP)
     # probability given to each row's own domain
-    q = np.concatenate([d[:n_src], 1.0 - d[n_src:]])
-    means = block_sums(-w * np.log(q), sizes) / sizes
-    total = 0.0
-    for v in means[:-1]:
-        total += float(v / m)
-    total += float(means[-1])
+    q = np.concatenate([d[..., :n_src], 1.0 - d[..., n_src:]], axis=-1)
+    means = block_sums(-w * np.log(q), sizes, axis=-1) / sizes
+    means[..., :-1] /= m
+    total = _sum_terms(means)
     inside = (raw > _CLIP) & (raw < 1 - _CLIP)
-    signed_w = np.concatenate([-w[:n_src], w[n_src:]])
-    per_block = [m * s for s in sizes[:-1]] + [sizes[-1]]
+    # the sources' rows descend: a negative count flips the sign exactly
+    per_block = [-m * s for s in sizes[:-1]] + [sizes[-1]]
     counts = np.repeat(np.array(per_block, dtype=np.float64), sizes)
-    return total, (inside * (signed_w / (counts * q)))[:, None]
+    return total if lead else float(total), (inside * (w / (counts * q)))[..., None]
 
 
 def grl_lambda(step: int, total_steps: int, max_lambda: float = 1.0, gamma: float = 10.0) -> float:
@@ -355,48 +405,83 @@ def train(
     domain loss entirely (classification only; the register is never
     touched). ``"unweighted_adv"`` forces every domain-loss weight to 1,
     which turns the run into plain unweighted adversarial adaptation while
-    leaving every other code path identical.
+    leaving every other code path identical. This is :func:`train_runs`
+    for one run, raising the error that ends a diverging run.
+    """
+    [result] = train_runs([(datasets, hp)], partition, method=method)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list:
+    """Train several runs of one method as one batch along a leading run axis.
+
+    ``runs`` lists ``(datasets, hp)`` pairs whose hyperparameters differ at
+    most in the seed and whose datasets have the same lengths. Each step
+    runs each net forward once, each loss once, one backward pass and one
+    SGD update per net for all runs together, and every run's result is
+    bit for bit the one :func:`train` gives it alone. Returns one entry per
+    run, in order: its :class:`TrainResult`, or the
+    :class:`TrainingDiverged` or :class:`~uman.nn.NonFiniteGradientError` it
+    ended with. A run that diverges leaves the batch at that step, before
+    any of its parameters move, and the other runs go on.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    problems = hp.violations()
-    if problems:
-        raise ValueError("; ".join(problems))
-    _check_datasets(datasets, partition)
+    if not runs:
+        raise ValueError("need at least one run")
+    hp = runs[0][1]
+    for datasets, run_hp in runs:
+        problems = run_hp.violations()
+        if problems:
+            raise ValueError("; ".join(problems))
+        if replace(run_hp, seed=hp.seed) != hp:
+            raise ValueError("the runs of one batch may differ only in the seed")
+        _check_datasets(datasets, partition)
     adversarial = method != "source_only"
+    n_stepped = 3 if adversarial else 2  # F, G and, when adversarial, D
 
     n_classes = partition.n_source_classes
-    in_dim = datasets[0].features.shape[1]
-    feature_net, classifier, discriminator = _build_nets(hp, in_dim, n_classes)
-    register = TargetMarginRegister(n_classes)
+    in_dim = runs[0][0][0].features.shape[1]
+    feature_net, classifier, discriminator = (
+        Mlp.stack(nets) for nets in zip(*(_build_nets(run_hp, in_dim, n_classes) for _, run_hp in runs))
+    )
+    register = TargetMarginRegister(n_classes, runs=len(runs))
     common_mask = np.zeros(n_classes, dtype=bool)
     common_mask[list(partition.common_union)] = True
 
-    batch_seed = int(np.random.SeedSequence(hp.seed, spawn_key=(200,)).generate_state(1)[0])
-    batches = batch_iterator(datasets, hp.batch_size, batch_seed)
+    batch_seeds = [
+        int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0])
+        for _, run_hp in runs
+    ]
+    batches = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, batch_seeds)], hp.batch_size)
 
-    trace: list[LossReport] = []
+    outcomes: list = [None] * len(runs)
+    ids = list(range(len(runs)))  # the entry of ``runs`` each row of the stacks trains
+    traces: list[list[LossReport]] = [[] for _ in runs]
     for step in range(hp.max_steps):
-        # the source sub-batches and the target rows go through each net as
-        # one stack of blocks; the classifier's gradient covers only the
-        # source blocks
+        # the source sub-batches and the target rows of every run go through
+        # each net as one stack of blocks; the classifier's gradient covers
+        # only the source blocks
         x, labels, sizes = next(batches)
-        n_src = len(labels)
+        if len(ids) < len(runs):  # runs that failed draw on, unused
+            x, labels = x[ids], labels[ids]
+        n_src = labels.shape[-1]
         f_acts = forward_mlp(feature_net, x, sizes)
         feats = l2_normalize(f_acts[-1])
         g_acts = forward_mlp(classifier, feats, sizes[:-1])
         logits = g_acts[-1]
 
         # detached predictions drive margins, the gate, and all weights
-        probs_t = softmax(logits[n_src:])
+        probs_t = softmax(logits[:, n_src:])
         pseudo, margins = batch_margins(probs_t)
-        wrong = logits[:n_src].argmax(axis=1) != labels
-        errors = tuple((block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist())
+        wrong = logits[:, :n_src].argmax(axis=-1) != labels
+        errors = (block_sums(wrong, sizes[:-1], axis=-1) / sizes[:-1]).tolist()
 
-        updated = False
-        if adversarial and max(errors) < hp.epsilon:
-            register.update(*margin_vector(pseudo, margins, n_classes))
-            updated = True
+        gate = [adversarial and max(err) < hp.epsilon for err in errors]
+        if any(gate):
+            register.update(*margin_vector(pseudo, margins, n_classes), True if all(gate) else gate)
 
         eg_val, g_logits = classification_loss(logits, labels, sizes[:-1])
 
@@ -404,49 +489,85 @@ def train(
             if method == "uman":
                 raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
             else:
-                raw_ws, raw_wt = np.ones(n_src), np.ones(sizes[-1])
-            weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)])
+                raw_ws, raw_wt = np.ones((len(ids), n_src)), np.ones((len(ids), sizes[-1]))
+            weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
             d_acts = forward_mlp(discriminator, feats, sizes)
             ed_val, g_d = domain_loss(d_acts[-1], weights, sizes)
         else:
-            raw_ws, raw_wt = np.zeros(n_src), np.zeros(sizes[-1])
-            ed_val = 0.0
+            raw_ws, raw_wt = np.zeros((len(ids), n_src)), np.zeros((len(ids), sizes[-1]))
+            ed_val = np.zeros(len(ids))
 
-        if not (math.isfinite(eg_val) and math.isfinite(ed_val)):
-            raise TrainingDiverged(step, trace[-1] if trace else None)
+        # a run whose loss is not finite stops here, as it would alone; its
+        # NaNs stay in its own slices while the step runs on
+        eg_list, ed_list = eg_val.tolist(), ed_val.tolist()
+        failed = {
+            r: TrainingDiverged(step, traces[r][-1] if traces[r] else None)
+            for r, (eg, ed) in enumerate(zip(eg_list, ed_list))
+            if not (math.isfinite(eg) and math.isfinite(ed))
+        }
 
         # one backward pass realizes the min-max: D descends the domain
         # loss, and the gradient-reversal layer hands the features D's input
-        # gradient times -lam, to which G's input gradient is added
+        # gradient times -lam, to which G's input gradient is added; without
+        # D only the source rows have a gradient
+        g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
         if adversarial:
             g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
+            g_feats[:, :n_src] += g_src
+            f_blocks = sizes
         else:
-            g_feats = np.zeros_like(feats)
-        g_feats[:n_src] += backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
-        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), sizes)
-        sgd_step(feature_net, hp.lr_features, hp.weight_decay)
-        sgd_step(classifier, hp.lr_classifier, hp.weight_decay)
-        if adversarial:
-            # outside the graph in classification-only runs; stepping it
-            # there would still apply weight decay
-            sgd_step(discriminator, hp.lr_discriminator, hp.weight_decay)
+            g_feats, f_blocks = g_src, sizes[:-1]
+        f_out = f_acts[-1][:, : g_feats.shape[1]]
+        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_out, g_feats), f_blocks)
+
+        # one check of every gradient of every run before any parameter
+        # moves; D is outside the graph in classification-only runs, and
+        # stepping it there would still apply weight decay
+        stepped = (feature_net, classifier, discriminator)[:n_stepped]
+        for r, message in gradient_faults(*stepped).items():
+            failed.setdefault(r, NonFiniteGradientError(message))
 
         in_common = common_mask[labels]
-        trace.append(
+        rows = [
             LossReport(
                 step=step,
-                class_loss=eg_val,
-                domain_loss=ed_val,
-                source_errors=errors,
-                mean_weight_common=float(raw_ws[in_common].mean()) if in_common.any() else 0.0,
-                mean_weight_private=float(raw_ws[~in_common].mean()) if (~in_common).any() else 0.0,
-                mean_weight_target=float(raw_wt.mean()),
+                class_loss=eg,
+                domain_loss=ed,
+                source_errors=tuple(err),
+                mean_weight_common=float(_mean(ws[common])) if n_common else 0.0,
+                mean_weight_private=float(_mean(ws[~common])) if n_common < n_src else 0.0,
+                mean_weight_target=wt,
                 tmr_updated=updated,
             )
-        )
+            for eg, ed, err, ws, common, n_common, wt, updated in zip(
+                eg_list, ed_list, errors, raw_ws, in_common,
+                np.count_nonzero(in_common, axis=-1).tolist(), _mean(raw_wt).tolist(), gate,
+            )
+        ]
 
-    return TrainResult(feature_net, classifier, discriminator, register, trace)
+        if failed:
+            for r, error in failed.items():
+                outcomes[ids[r]] = error
+            keep = [r for r in range(len(ids)) if r not in failed]
+            if not keep:
+                return outcomes
+            feature_net, classifier, discriminator = (
+                net.take(keep) for net in (feature_net, classifier, discriminator)
+            )
+            stepped = (feature_net, classifier, discriminator)[:n_stepped]
+            register = register.take(keep)
+            ids, traces, rows = ([seq[r] for r in keep] for seq in (ids, traces, rows))
+        for net, lr in zip(stepped, (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)):
+            sgd_update(net, lr, hp.weight_decay)
+        for trace, row in zip(traces, rows):
+            trace.append(row)
+
+    for r, i in enumerate(ids):
+        outcomes[i] = TrainResult(
+            feature_net.take(r), classifier.take(r), discriminator.take(r), register.take(r), traces[r]
+        )
+    return outcomes
 
 
 def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:

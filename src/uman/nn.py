@@ -1,16 +1,21 @@
 """Dense MLP numerics with an explicit backward pass.
 
-Everything runs on 2-d float64 numpy arrays. :func:`forward_mlp` returns
-the activations of every layer, and :func:`backward_mlp` takes them back
-with the loss gradient of the output, adding exact gradients into the
-parameter buffers of the :class:`Mlp` and returning the gradient of the
-input when the caller reads it. The package differentiates only two fixed
-graphs, the training step and the alignment probe, and each spells out its
-own chain of these calls; :func:`l2_normalize_backward` is the one other
-link either needs.
+Everything runs on float64 numpy arrays of rows, ``(n, width)``, with an
+optional leading run axis, ``(R, n, width)``: :meth:`Mlp.stack` holds R
+nets of one shape as one net whose parameters carry that axis, and every
+function here then computes each run exactly as it would alone.
+:func:`forward_mlp` returns the activations of every layer, and
+:func:`backward_mlp` takes them back with the loss gradient of the output,
+adding exact gradients into the parameter buffers of the :class:`Mlp` and
+returning the gradient of the input when the caller reads it. The package
+differentiates only two fixed graphs, the training step and the alignment
+probe, and each spells out its own chain of these calls;
+:func:`l2_normalize_backward` is the one other link either needs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,6 +30,8 @@ __all__ = [
     "softmax",
     "log_softmax",
     "block_sums",
+    "gradient_faults",
+    "sgd_update",
     "sgd_step",
 ]
 
@@ -41,13 +48,13 @@ _ACTIVATIONS = ("linear", "relu", "sigmoid")
 class _Layer:
     __slots__ = ("w", "b", "gw", "gb", "activation")
 
-    def __init__(self, w, b, activation):
+    def __init__(self, w, b, activation, gw=None, gb=None):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.w = w
         self.b = b
-        self.gw = np.zeros_like(w)
-        self.gb = np.zeros_like(b)
+        self.gw = np.zeros_like(w) if gw is None else gw
+        self.gb = np.zeros_like(b) if gb is None else gb
         self.activation = activation
 
 
@@ -66,13 +73,39 @@ class Mlp:
             b = rng.uniform(-bound, bound, size=fan_out)
             self.layers.append(_Layer(w, b, act))
 
+    @classmethod
+    def _of(cls, layers):
+        net = cls.__new__(cls)
+        net.layers = layers
+        return net
+
+    @classmethod
+    def stack(cls, nets):
+        """One net whose parameters stack those of ``nets``, which share
+        their shape, along a leading run axis."""
+        return cls._of([
+            _Layer(np.stack([n.layers[i].w for n in nets]),
+                   np.stack([n.layers[i].b for n in nets]), layer.activation)
+            for i, layer in enumerate(nets[0].layers)
+        ])
+
+    def take(self, runs):
+        """Copy of the given runs of a stacked net, gradient buffers
+        included: a list keeps the run axis, an integer gives that run's own
+        net without it."""
+        return Mlp._of([
+            _Layer(l.w[runs].copy(), l.b[runs].copy(), l.activation,
+                   l.gw[runs].copy(), l.gb[runs].copy())
+            for l in self.layers
+        ])
+
     @property
     def in_dim(self) -> int:
-        return self.layers[0].w.shape[0]
+        return self.layers[0].w.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
+        return self.layers[-1].w.shape[-1]
 
     @property
     def n_params(self) -> int:
@@ -92,8 +125,10 @@ class Mlp:
         return out
 
 
-def _runs(sizes):
-    """Group consecutive blocks of equal size: (first row, count, rows each)."""
+@functools.lru_cache(maxsize=256)
+def _runs(sizes: tuple):
+    """Group consecutive blocks of equal size: (first row, count, rows each).
+    Cached: a training loop asks for the same few layouts every step."""
     runs, start = [], 0
     for n in sizes:
         if runs and runs[-1][2] == n:
@@ -101,32 +136,44 @@ def _runs(sizes):
         else:
             runs.append([start, 1, n])
         start += n
-    return runs
+    return tuple(map(tuple, runs))
 
 
-def block_sums(x: np.ndarray, sizes) -> np.ndarray:
-    """Sum over the rows of each consecutive block of ``x``, ``sizes[i]`` rows
-    for block i, one result row per block.
+def block_sums(x: np.ndarray, sizes, axis: int = 0) -> np.ndarray:
+    """Sum over each consecutive block of ``x`` along ``axis``, ``sizes[i]``
+    entries for block i, one result entry per block along that axis.
 
-    Each block sums exactly as ``x[block].sum(axis=0)`` would on its own (a
+    Each block sums exactly as ``x[block].sum(axis)`` would on its own (a
     segmented ``np.add.reduceat`` associates differently), with one numpy
     call per run of equal-size blocks.
     """
-    out = np.empty((len(sizes), *x.shape[1:]))
+    axis %= x.ndim
+    lead, tail = x.shape[:axis], x.shape[axis + 1 :]
+    before = (slice(None),) * axis
+    out = np.empty((*lead, len(sizes), *tail))
     i = 0
-    for start, count, rows in _runs(sizes):
-        block = x[start : start + count * rows].reshape(count, rows, *x.shape[1:])
-        np.sum(block, axis=1, out=out[i : i + count])
+    for start, count, rows in _runs(tuple(sizes)):
+        block = x[before + (slice(start, start + count * rows),)]
+        np.add.reduce(
+            block.reshape(*lead, count, rows, *tail),
+            axis=axis + 1,
+            out=out[before + (slice(i, i + count),)],
+        )
         i += count
     return out
 
 
 def _check_blocks(blocks, n):
+    return _checked_blocks(None if blocks is None else tuple(blocks), n)
+
+
+@functools.lru_cache(maxsize=256)
+def _checked_blocks(blocks, n):
     if blocks is None:
-        return [n] if n else []
-    blocks = [int(b) for b in blocks]
+        return (n,) if n else ()
+    blocks = tuple(int(b) for b in blocks)
     if sum(blocks) > n or min(blocks, default=1) < 1:
-        raise ValueError(f"blocks {blocks} do not fit in {n} rows")
+        raise ValueError(f"blocks {list(blocks)} do not fit in {n} rows")
     return blocks
 
 
@@ -139,26 +186,29 @@ def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
     the passes one by one, because BLAS rounds a row differently depending
     on where it sits in a call: each product is a batched matmul over runs
     of equal-size blocks, one BLAS call per block of the block's own shape.
-    By default all rows form one block.
+    By default all rows form one block. With a leading run axis on ``x`` and
+    the net, run r's rows go through run r's parameters, and every block of
+    every run is its own BLAS call as before.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, width = x.shape
+    *lead, n, width = x.shape
     if width != net.in_dim:
         raise ValueError(f"input has {width} columns but the net expects {net.in_dim}")
     blocks = _check_blocks(blocks, n)
     in_blocks = sum(blocks)
-    runs = _runs(blocks + [n - in_blocks] if in_blocks < n else blocks)
+    runs = _runs(blocks + (n - in_blocks,) if in_blocks < n else blocks)
     acts = [x]
     for layer in net.layers:
-        z = np.empty((n, layer.w.shape[1]))
+        z = np.empty((*lead, n, layer.w.shape[-1]))
+        w = layer.w[..., None, :, :]  # one weight matrix per block of a run
         for start, count, rows in runs:
             stop = start + count * rows
             np.matmul(
-                acts[-1][start:stop].reshape(count, rows, -1),
-                layer.w,
-                out=z[start:stop].reshape(count, rows, -1),
+                acts[-1][..., start:stop, :].reshape(*lead, count, rows, -1),
+                w,
+                out=z[..., start:stop, :].reshape(*lead, count, rows, -1),
             )
-        z += layer.b
+        z += layer.b[..., None, :]
         if layer.activation == "relu":
             acts.append(np.maximum(z, 0.0))
         elif layer.activation == "sigmoid":
@@ -168,22 +218,40 @@ def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
     return acts
 
 
+def _sum_in_order(stack, axis, width):
+    """Sum ``stack`` over ``axis`` (-3 or -2) strictly from first entry to
+    last; ``width`` is the size of each entry.
+
+    ``np.add.reduce`` adds in order while a wider axis stays inside the
+    summed one. When that leaves the summed axis innermost (width 1, as for
+    the bias of a 1-wide output) it pairs terms up from 8 entries on, and
+    the running sum of ``np.add.accumulate``, slow on wide entries, keeps
+    the order instead.
+    """
+    if width > 1 or stack.shape[axis] < 8:
+        return np.add.reduce(stack, axis=axis)
+    return np.add.accumulate(stack, axis=axis)[(..., -1) + (slice(None),) * (-1 - axis)]
+
+
 def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
     """Add the parameter gradients of one forward pass to the net's buffers.
 
     ``acts`` is what :func:`forward_mlp` returned for the same ``blocks``,
     and ``grad`` is the loss gradient of the output rows of the blocks,
-    ``sum(blocks)`` of them. Each block's gradients are added on their own,
-    last block first, so the buffers hold exactly what one backward pass per
-    block, in reverse order, would leave. With ``input_grad`` the gradient of
-    the input rows of the blocks is returned; otherwise its products are
-    skipped and None is returned.
+    ``sum(blocks)`` of them. The blocks' gradients are summed one after the
+    other, last block first, and the sum is added to the buffers, which
+    must be zero: they then hold exactly what one backward pass per block,
+    in reverse order, would leave. With ``input_grad`` the gradient of the
+    input rows of the blocks is returned; otherwise its products are
+    skipped and None is returned. A leading run axis works as in
+    :func:`forward_mlp`.
     """
-    blocks = _check_blocks(blocks, acts[0].shape[0])
+    *lead, n_rows, _ = acts[0].shape
+    blocks = _check_blocks(blocks, n_rows)
     n = sum(blocks)
-    replay = _runs(blocks)[::-1]
+    runs = _runs(blocks)
     for i in reversed(range(len(net.layers))):
-        layer, inp, out = net.layers[i], acts[i][:n], acts[i + 1][:n]
+        layer, inp, out = net.layers[i], acts[i][..., :n, :], acts[i + 1][..., :n, :]
         if layer.activation == "relu":
             dz = grad * (out > 0.0)
         elif layer.activation == "sigmoid":
@@ -191,17 +259,27 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
         else:
             dz = grad
         grad = np.empty_like(inp) if i or input_grad else None
-        w_t = layer.w.T
-        for start, count, rows in replay:
+        # the transposed view, not a contiguous copy: BLAS rounds the two
+        # layouts differently
+        w_t = layer.w.swapaxes(-1, -2)[..., None, :, :]
+        gw, gb = [], []
+        for start, count, rows in runs:
             stop = start + count * rows
-            d = dz[start:stop].reshape(count, rows, -1)
-            x = inp[start:stop].reshape(count, rows, -1)
-            for g in np.matmul(x.transpose(0, 2, 1), d)[::-1]:
-                layer.gw += g
-            for g in d.sum(axis=1)[::-1]:
-                layer.gb += g
+            d = dz[..., start:stop, :].reshape(*lead, count, rows, -1)
+            x = inp[..., start:stop, :].reshape(*lead, count, rows, -1)
+            gw.append(np.matmul(x.swapaxes(-1, -2), d))
+            gb.append(np.add.reduce(d, axis=-2))
             if grad is not None:
-                grad[start:stop] = np.matmul(d, w_t).reshape(stop - start, -1)
+                grad[..., start:stop, :] = np.matmul(d, w_t).reshape(*lead, stop - start, -1)
+        # One sum over the blocks, last first, adds what one backward per
+        # block in reverse order would. It is exact only because the buffers
+        # are zero here: a net runs one backward per step, and sgd_step
+        # zeroes its buffers.
+        if runs:
+            gw = gw[0] if len(gw) == 1 else np.concatenate(gw, axis=-3)
+            gb = gb[0] if len(gb) == 1 else np.concatenate(gb, axis=-2)
+            layer.gw += _sum_in_order(gw[..., ::-1, :, :], -3, gw.shape[-1] * gw.shape[-2])
+            layer.gb += _sum_in_order(gb[..., ::-1, :], -2, gb.shape[-1])
     return grad
 
 
@@ -211,7 +289,7 @@ def mlp_apply(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(x):
-    norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     return norm, np.where(norm < _NORM_EPS, norm + _NORM_EPS, norm)
 
 
@@ -230,19 +308,43 @@ def l2_normalize_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Gradient with respect to ``x`` of a loss whose gradient with respect
     to ``l2_normalize(x)`` is ``grad``."""
     norm, safe = _row_norms(x)
-    dot = (grad * x).sum(axis=1, keepdims=True)
+    dot = np.add.reduce(grad * x, axis=-1, keepdims=True)
     return grad / safe - x * (dot / (safe * safe * np.maximum(norm, _NORM_EPS)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+
+
+def gradient_faults(*nets) -> dict[int, str]:
+    """Runs with a NaN or infinity in a gradient buffer of ``nets``.
+
+    Maps each such run (0 for a net without a run axis) to the message of
+    :class:`NonFiniteGradientError` for its first faulty buffer: nets in
+    the given order, then layers, then ``w`` before ``b``. One check covers
+    every run of every net, so a caller can drop the faulty runs before any
+    parameter moves.
+    """
+    faults = {}
+    for net in nets:
+        for idx, layer in enumerate(net.layers):
+            runs = layer.w.shape[0] if layer.w.ndim == 3 else 1
+            for name, g in (("w", layer.gw), ("b", layer.gb)):
+                finite = np.isfinite(g)
+                if np.logical_and.reduce(finite, axis=None):
+                    continue
+                for r, run_finite in enumerate(finite.reshape(runs, -1)):
+                    if r not in faults and not run_finite.all():
+                        bad = int((~run_finite).sum())
+                        faults[r] = f"layer {idx} parameter {name}: {bad} non-finite gradient entries"
+    return faults
 
 
 def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):
@@ -253,13 +355,15 @@ def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):
     L2 pull toward zero on the weight matrices (biases are exempt), which
     bounds the logit scale a linear head can reach and keeps softmax
     confidence meaningful off the training clusters."""
-    for idx, layer in enumerate(net.layers):
-        for name, g in (("w", layer.gw), ("b", layer.gb)):
-            if not np.isfinite(g).all():
-                bad = int((~np.isfinite(g)).sum())
-                raise NonFiniteGradientError(
-                    f"layer {idx} parameter {name}: {bad} non-finite gradient entries"
-                )
+    faults = gradient_faults(net)
+    if faults:
+        raise NonFiniteGradientError(faults[min(faults)])
+    sgd_update(net, lr, weight_decay)
+
+
+def sgd_update(net: Mlp, lr: float, weight_decay: float = 0.0):
+    """:func:`sgd_step` without its check, for gradients already checked
+    by :func:`gradient_faults`."""
     for layer in net.layers:
         if weight_decay:
             layer.w -= lr * (layer.gw + weight_decay * layer.w)

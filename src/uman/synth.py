@@ -30,6 +30,7 @@ __all__ = [
     "DomainDataset",
     "generate",
     "batch_iterator",
+    "run_batches",
 ]
 
 # spawn_key purpose tags for the per-stream seed derivation
@@ -135,23 +136,44 @@ def batch_iterator(datasets, batch_size: int, seed: int):
     tail, so a sub-batch always has exactly min(batch_size, len(dataset))
     rows.
     """
+    for features, labels, sizes in run_batches([(datasets, seed)], batch_size):
+        yield features[0], labels[0], sizes
+
+
+def run_batches(runs, batch_size: int):
+    """The batches of several runs at once, stacked along a leading run axis.
+
+    ``runs`` lists ``(datasets, seed)`` pairs whose datasets have the same
+    lengths. Every step yields ``(features, labels, sizes)`` whose row r
+    holds exactly what ``batch_iterator(datasets_r, batch_size, seed_r)``
+    yields at that step, all of it taken with one index.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    for ds in datasets:
-        if len(ds) == 0:
-            raise ValueError(f"domain {ds.domain_id} is empty")
-    for ds in datasets[:-1]:
-        if ds.labels is None:
-            raise ValueError(f"domain {ds.domain_id} has no labels but is used as a source")
+    lengths = [len(ds) for ds in runs[0][0]]
+    for datasets, _ in runs:
+        if [len(ds) for ds in datasets] != lengths:
+            raise ValueError("the runs of one batch need datasets of the same lengths")
+        for ds in datasets:
+            if len(ds) == 0:
+                raise ValueError(f"domain {ds.domain_id} is empty")
+        for ds in datasets[:-1]:
+            if ds.labels is None:
+                raise ValueError(f"domain {ds.domain_id} has no labels but is used as a source")
 
-    # every domain's rows are stacked once; a step takes one index into them
-    features = np.concatenate([ds.features for ds in datasets])
-    labels = np.concatenate([ds.labels for ds in datasets[:-1]] + [np.zeros(0, np.int64)])
-    offsets = np.cumsum([0] + [len(ds) for ds in datasets[:-1]])
-    sizes = tuple(min(batch_size, len(ds)) for ds in datasets)
+    # every domain's rows of every run are stacked once, the target's rows
+    # with placeholder labels so both stacks share one row numbering; a step
+    # takes one index into them
+    features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
+    labels = np.concatenate([
+        y
+        for datasets, _ in runs
+        for y in [ds.labels for ds in datasets[:-1]] + [np.zeros(lengths[-1], np.int64)]
+    ])
+    sizes = tuple(min(batch_size, n) for n in lengths)
     n_src = sum(sizes[:-1])
 
-    def index_stream(ds, offset, size):
+    def index_stream(ds, seed, offset, size):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
         n = len(ds)
         while True:
@@ -159,7 +181,10 @@ def batch_iterator(datasets, batch_size: int, seed: int):
             for start in range(0, n - size + 1, size):
                 yield order[start : start + size]
 
-    streams = [index_stream(ds, off, size) for ds, off, size in zip(datasets, offsets, sizes)]
+    streams = []
+    for r, (datasets, seed) in enumerate(runs):
+        offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
+        streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
     while True:
-        idx = np.concatenate([next(stream) for stream in streams])
-        yield features[idx], labels[idx[:n_src]], sizes
+        idx = np.concatenate([next(stream) for stream in streams]).reshape(len(runs), -1)
+        yield features[idx], labels[idx[:, :n_src]], sizes

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from helpers import max_rel_err, numeric_gradient, random_simplex, standard_hp, standard_matrix, standard_spec
-from uman import UmdaMatrix, generate, partition_from_matrix, train
+from uman import UmdaMatrix, generate, partition_from_matrix, train, train_runs
 from uman.core import (
     UNKNOWN,
     TargetMarginRegister,
@@ -78,50 +78,57 @@ def record(name, ok, detail):
 # shared trained networks for the behavioural checks
 
 
-@pytest.fixture(scope="module")
-def standard_runs():
-    """All three methods trained on the standard config for three seeds."""
-    partition = partition_from_matrix(standard_matrix())
-    t0 = time.perf_counter()
+def _seed_setups(partition):
+    """Training data, test target and hyperparameters of every seed."""
     runs = {}
     for seed in SEEDS:
         spec = standard_spec(seed=seed)
-        data = generate(spec, partition)
-        test = generate(spec, partition, draw=1)[-1]
-        hp = standard_hp(seed=seed)
-        methods = {}
-        for method in ("uman", "source_only", "unweighted_adv"):
-            t1 = time.perf_counter()
-            result = train(data, partition, hp, method=method)
-            seconds = time.perf_counter() - t1
-            report = evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
-            methods[method] = SimpleNamespace(result=result, report=report, seconds=seconds)
-        runs[seed] = SimpleNamespace(data=data, test=test, hp=hp, methods=methods)
+        runs[seed] = SimpleNamespace(
+            data=generate(spec, partition),
+            test=generate(spec, partition, draw=1)[-1],
+            hp=standard_hp(seed=seed),
+            methods={},
+        )
+    return runs
+
+
+@pytest.fixture(scope="module")
+def standard_runs():
+    """All three methods trained on the standard config for three seeds,
+    the seeds of each method as one batch; a run's ``seconds`` is its share
+    of the batch."""
+    partition = partition_from_matrix(standard_matrix())
+    t0 = time.perf_counter()
+    runs = _seed_setups(partition)
+    for method in ("uman", "source_only", "unweighted_adv"):
+        t1 = time.perf_counter()
+        results = train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method=method)
+        seconds = (time.perf_counter() - t1) / len(SEEDS)
+        for seed, result in zip(SEEDS, results):
+            run = runs[seed]
+            report = evaluate(result.feature_net, result.classifier, run.test, partition, run.hp.w0)
+            run.methods[method] = SimpleNamespace(result=result, report=report, seconds=seconds)
     return SimpleNamespace(partition=partition, runs=runs, wall=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="module")
 def unknown_count_runs():
-    """uman and source_only trained with 0 and 6 target-only classes."""
+    """uman and source_only trained with 0 and 6 target-only classes, the
+    seeds of each method as one batch."""
     base = standard_matrix()
     out = {}
     for k in (0, 6):
         matrix = UmdaMatrix(base.common_sizes, base.private_sizes, base.target_common, k)
         partition = partition_from_matrix(matrix)
-        gains = []
-        for seed in SEEDS:
-            spec = standard_spec(seed=seed)
-            data = generate(spec, partition)
-            test = generate(spec, partition, draw=1)[-1]
-            hp = standard_hp(seed=seed)
-            acc = {}
-            for method in ("uman", "source_only"):
-                result = train(data, partition, hp, method=method)
-                acc[method] = evaluate(
-                    result.feature_net, result.classifier, test, partition, hp.w0
-                ).mean_per_class_accuracy
-            gains.append(acc["uman"] - acc["source_only"])
-        out[k] = gains
+        runs = _seed_setups(partition)
+        acc = {}
+        for method in ("uman", "source_only"):
+            results = train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method=method)
+            acc[method] = [
+                evaluate(r.feature_net, r.classifier, runs[s].test, partition, runs[s].hp.w0).mean_per_class_accuracy
+                for s, r in zip(SEEDS, results)
+            ]
+        out[k] = [u - so for u, so in zip(acc["uman"], acc["source_only"])]
     return out
 
 

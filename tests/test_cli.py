@@ -2,12 +2,18 @@
 
 import csv
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
 import uman.cli
 from uman.cli import _cell_worker, execute_sweep, main, seed_offset
-from uman.config import load_config
+from uman.config import config_hash, load_config
+from uman.core import TrainingDiverged
+from uman.evaluate import run_method
+from uman.labelspace import partition_from_matrix
+from uman.nn import NonFiniteGradientError
+from uman.synth import generate
 
 
 def tiny_config(tmp_path, **kw):
@@ -55,6 +61,23 @@ class TestValidate:
         assert rc == 1
         assert out.count("invalid:") >= 3
         assert "invalid: overrides.common must be an object" in out
+
+    def test_non_finite_values_exit_one(self, tmp_path, capsys):
+        path = tiny_config(
+            tmp_path,
+            synthetic={"feature_dim": 4, "noise_sigma": float("nan")},
+            hyperparams={
+                "lr_features": float("nan"),
+                "grl_max_lambda": float("inf"),
+                "weight_decay": float("-inf"),
+            },
+        )
+        assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        for field in ("synthetic.noise_sigma", "hyperparams.lr_features",
+                      "hyperparams.grl_max_lambda", "hyperparams.weight_decay"):
+            assert f"invalid: {field} must be a finite number" in out
 
     def test_jaccard_values_are_fractions(self, tmp_path, capsys):
         main(["validate", str(tiny_config(tmp_path))])
@@ -195,6 +218,83 @@ class TestRun:
             assert report["config_hash"] == r[0]
             assert report["error"].startswith("non-finite loss at step ")
             assert report["error"].endswith(str(report["step"]))
+
+
+def one_run_at_a_time(config, out_dir):
+    """What ``execute_run`` writes, from one training call per (method,
+    seed) in turn; returns the summary rows."""
+    partition = partition_from_matrix(config.matrix)
+    chash = config_hash(config)
+    rows = []
+    for method in config.methods:
+        for seed in config.seeds:
+            spec = replace(config.synthetic, seed=config.synthetic.seed + seed)
+            hp = replace(config.hyperparams, seed=config.hyperparams.seed + seed)
+            train_sets = generate(spec, partition)
+            test = generate(spec, partition, draw=1)[-1]
+            run_dir = out_dir / "runs" / f"{method}_{seed}"
+            run_dir.mkdir(parents=True)
+            try:
+                result, report = run_method(
+                    method, train_sets, test, partition, hp, config_hash=chash, seed=seed
+                )
+            except (TrainingDiverged, NonFiniteGradientError) as exc:
+                uman.cli._write_json(run_dir / "report.json", {
+                    "config_hash": chash,
+                    "error": str(exc),
+                    "method": method,
+                    "seed": seed,
+                    "status": "failed",
+                    "step": getattr(exc, "step", None),
+                })
+                rows.append(uman.cli._summary_row(partition, chash, method, seed))
+                continue
+            uman.cli._write_trace(run_dir / "trace.csv", result.trace)
+            uman.cli._write_register(run_dir / "tmr.csv", result.register)
+            uman.cli._write_json(run_dir / "report.json", asdict(report))
+            rows.append(uman.cli._summary_row(partition, chash, method, seed, report))
+    return rows
+
+
+class TestBatchedRunMatchesRunByRun:
+    """``execute_run`` trains a method's seeds as one batch; every row and
+    file must be what training one run at a time writes."""
+
+    @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
+    def test_same_rows_and_files(self, tmp_path, lr):
+        hyperparams = {
+            "max_steps": 8,
+            "batch_size": 8,
+            "feature_hidden": [8],
+            "feature_dim": 4,
+            "disc_hidden": [4],
+            "lr_features": lr,
+            "lr_classifier": lr,
+            "lr_discriminator": lr,
+        }
+        path = tiny_config(
+            tmp_path,
+            methods=["uman", "source_only", "unweighted_adv"],
+            seeds=[0, 1, 2],
+            hyperparams=hyperparams,
+        )
+        assert main(["run", str(path)]) == 0
+        config, _ = load_config(path)
+        batched, alone = tmp_path / "out", tmp_path / "alone"
+        want = one_run_at_a_time(config, alone)
+        rows = read_rows(batched / "summary.csv")[1:]
+        assert rows == [[str(v) for v in row] for row in want]
+        # at this rate seed 0 converges and the others diverge, in one batch
+        statuses = {r[3] for r in rows}
+        assert statuses == ({"ok"} if lr == 0.1 else {"ok", "failed"})
+
+        files = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
+        assert len(files) > 9
+        assert files == sorted(
+            p.relative_to(batched) for p in (batched / "runs").rglob("*") if p.is_file()
+        )
+        for name in files:
+            assert (batched / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 class TestSeedOffset:

@@ -135,6 +135,23 @@ class TestParseConfig:
         _, problems = parse_config([1, 2, 3])
         assert problems == ["the config must be a JSON object"]
 
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("hyperparams", "lr_features", float("nan")),
+            ("hyperparams", "grl_max_lambda", float("inf")),
+            ("hyperparams", "weight_decay", float("nan")),
+            ("hyperparams", "w0", float("-inf")),
+            ("synthetic", "noise_sigma", float("nan")),
+        ],
+    )
+    def test_non_finite_numbers_are_problems(self, section, name, value):
+        # json.loads reads the NaN and Infinity literals into these floats
+        obj = json.loads(json.dumps(minimal(**{section: {name: value}})))
+        config, problems = parse_config(obj)
+        assert config is None
+        assert problems == [f"{section}.{name} must be a finite number, got {value!r}"]
+
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):

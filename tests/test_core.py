@@ -14,7 +14,9 @@ from helpers import (
     standard_matrix,
 )
 
+import uman.core
 from uman.core import (
+    METHODS,
     UNKNOWN,
     Hyperparams,
     TargetMarginRegister,
@@ -29,9 +31,10 @@ from uman.core import (
     predict_classes,
     sample_weights,
     train,
+    train_runs,
 )
 from uman.labelspace import LabelPartition, UmdaMatrix, partition_from_matrix
-from uman.nn import mlp_apply, softmax
+from uman.nn import NonFiniteGradientError, mlp_apply, softmax
 from uman.synth import DomainDataset, SyntheticSpec, generate
 
 
@@ -447,32 +450,51 @@ class TestTrainerMechanics:
             train(datasets, partition, hp)
 
 
-def _oracle_setup(matrix, short_source=None):
+def _oracle_setup(matrix, short_source=None, seed=3):
     """A 100-step run of the standard widths; optionally one source keeps 19
     rows, fewer than ``batch_size``, so its sub-batch is smaller than the rest
     and the blocks after it start at rows no BLAS kernel width divides."""
     partition = partition_from_matrix(matrix)
-    datasets = generate(SyntheticSpec(feature_dim=16, samples_per_class=40, seed=3), partition)
+    datasets = generate(SyntheticSpec(feature_dim=16, samples_per_class=40, seed=seed), partition)
     if short_source is not None:
         ds = datasets[short_source]
         keep = np.random.default_rng(5).choice(len(ds), size=19, replace=False)
         datasets[short_source] = DomainDataset(ds.domain_id, ds.features[keep], ds.labels[keep], None)
-    return datasets, partition, standard_hp(seed=3, max_steps=100, epsilon=0.6)
+    return datasets, partition, standard_hp(seed=seed, max_steps=100, epsilon=0.6)
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "matrix, short_source",
+    [
+        (standard_matrix(), None),
+        (UmdaMatrix((5,) * 5, (3,) * 5, 6, 3), None),
+        (standard_matrix(), 0),
+    ],
+    ids=["two_sources", "five_sources", "ragged"],
+)
+
+
+def assert_same_training(got, want):
+    """Every parameter, the register and the trace agree bit for bit."""
+    for net_got, net_want in (
+        (got.feature_net, want.feature_net),
+        (got.classifier, want.classifier),
+        (got.discriminator, want.discriminator),
+    ):
+        for (p, _), (q, _) in zip(net_got.param_arrays(), net_want.param_arrays()):
+            assert p.shape == q.shape
+            assert p.tobytes() == q.tobytes()
+    assert got.register.values.tobytes() == want.register.values.tobytes()
+    assert got.register.step == want.register.step
+    # repr keeps every bit of a float, the sign of zero included
+    assert repr(got.trace) == repr(want.trace)
 
 
 class TestStackedStepMatchesPerSourceLoop:
     """One stacked pass per net must train exactly like the per-source loop."""
 
     @pytest.mark.parametrize("method", ["uman", "source_only", "unweighted_adv"])
-    @pytest.mark.parametrize(
-        "matrix, short_source",
-        [
-            (standard_matrix(), None),
-            (UmdaMatrix((5,) * 5, (3,) * 5, 6, 3), None),
-            (standard_matrix(), 0),
-        ],
-        ids=["two_sources", "five_sources", "ragged"],
-    )
+    @LAYOUTS
     def test_bit_identical(self, matrix, short_source, method):
         datasets, partition, hp = _oracle_setup(matrix, short_source)
         got = train(datasets, partition, hp, method=method)
@@ -482,17 +504,90 @@ class TestStackedStepMatchesPerSourceLoop:
         if method == "uman":
             # the gate opened, so register-derived weights were exercised
             assert 0 < got.register.step < hp.max_steps
-        for net_got, net_want in (
-            (got.feature_net, want.feature_net),
-            (got.classifier, want.classifier),
-            (got.discriminator, want.discriminator),
-        ):
-            for (p, _), (q, _) in zip(net_got.param_arrays(), net_want.param_arrays()):
-                assert p.tobytes() == q.tobytes()
-        assert got.register.values.tobytes() == want.register.values.tobytes()
-        assert got.register.step == want.register.step
-        # repr keeps every bit of a float, the sign of zero included
-        assert repr(got.trace) == repr(want.trace)
+        assert_same_training(got, want)
+
+
+class TestRunAxisMatchesTrainingAlone:
+    """Runs trained as one batch along the run axis train exactly as alone."""
+
+    SEEDS = (3, 4, 5)
+
+    def setups(self, matrix=None, short_source=None):
+        return [_oracle_setup(matrix or standard_matrix(), short_source, seed) for seed in self.SEEDS]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @LAYOUTS
+    def test_bit_identical(self, matrix, short_source, method):
+        setups = self.setups(matrix, short_source)
+        partition = setups[0][1]
+        got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition, method=method)
+        assert len(got) == len(setups)
+        for (datasets, _, hp), result in zip(setups, got):
+            assert_same_training(result, train(datasets, partition, hp, method=method))
+
+    def test_diverging_run_leaves_the_batch(self):
+        setups = self.setups()
+        partition = setups[0][1]
+        setups[1][0][0].features[71] = np.nan  # a source row the middle run draws at step 6
+        datasets, _, hp = setups[1]
+        with pytest.raises(TrainingDiverged) as alone:
+            train(datasets, partition, hp)
+        assert alone.value.step > 0 and alone.value.last_report is not None
+
+        got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
+        assert type(got[1]) is TrainingDiverged
+        assert str(got[1]) == str(alone.value)
+        assert got[1].step == alone.value.step
+        assert repr(got[1].last_report) == repr(alone.value.last_report)
+        for i in (0, 2):
+            datasets, _, hp = setups[i]
+            assert_same_training(got[i], train(datasets, partition, hp))
+
+    def test_non_finite_gradient_leaves_the_batch(self, monkeypatch):
+        """An infinity planted in one run's feature gradient at step 40 ends
+        that run with the error it raises alone, before any parameter moves."""
+        setups = self.setups()
+        partition = setups[0][1]
+        backward = uman.core.l2_normalize_backward
+
+        def plant(run):
+            calls = []
+
+            def planted(x, grad):
+                out = backward(x, grad)
+                calls.append(None)
+                if len(calls) == 41:
+                    out[run, 0, 0] = np.inf
+                return out
+
+            monkeypatch.setattr(uman.core, "l2_normalize_backward", planted)
+
+        datasets, _, hp = setups[1]
+        plant(0)
+        with pytest.raises(NonFiniteGradientError) as alone:
+            train(datasets, partition, hp, method="unweighted_adv")
+        plant(1)
+        got = train_runs(
+            [(datasets, hp) for datasets, _, hp in setups], partition, method="unweighted_adv"
+        )
+        monkeypatch.undo()
+        assert type(got[1]) is NonFiniteGradientError
+        assert str(got[1]) == str(alone.value)
+        assert str(alone.value).startswith("layer 0 parameter w: ")
+        for i in (0, 2):
+            datasets, _, hp = setups[i]
+            assert_same_training(got[i], train(datasets, partition, hp, method="unweighted_adv"))
+
+    def test_runs_must_differ_only_in_the_seed(self):
+        setups = self.setups()
+        partition = setups[0][1]
+        runs = [(datasets, hp) for datasets, _, hp in setups]
+        with pytest.raises(ValueError, match="only in the seed"):
+            train_runs(runs[:2] + [(runs[2][0], replace(runs[2][1], lr_features=0.2))], partition)
+        short = list(runs[2][0])
+        short[0] = DomainDataset(0, short[0].features[:50], short[0].labels[:50], None)
+        with pytest.raises(ValueError, match="same lengths"):
+            train_runs(runs[:2] + [(short, runs[2][1])], partition)
 
 
 class TestMethodContainment:

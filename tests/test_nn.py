@@ -13,6 +13,7 @@ from uman.nn import (
     backward_mlp,
     block_sums,
     forward_mlp,
+    gradient_faults,
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
@@ -224,6 +225,26 @@ class TestSgdStep:
         with pytest.raises(NonFiniteGradientError, match="parameter b"):
             sgd_step(net, 0.1)
 
+    def test_gradient_faults_name_each_run_like_sgd_step(self):
+        nets = [Mlp([2, 3, 2], ["relu", "linear"], np.random.default_rng(r)) for r in range(3)]
+        stacked = Mlp.stack(nets)
+        assert gradient_faults(stacked) == {}
+        stacked.layers[1].gb[0, 1] = np.nan
+        stacked.layers[0].gw[2, :, 0] = np.inf
+        nets[0].layers[1].gb[1] = np.nan
+        nets[2].layers[0].gw[:, 0] = np.inf
+        faults = gradient_faults(stacked)
+        assert sorted(faults) == [0, 2]
+        for r in (0, 2):
+            with pytest.raises(NonFiniteGradientError) as alone:
+                sgd_step(nets[r], 0.1)
+            assert faults[r] == str(alone.value)
+        assert faults[2] == "layer 0 parameter w: 2 non-finite gradient entries"
+        # the first net given names a run's first fault
+        other = Mlp.stack(nets)
+        other.layers[0].gb[0, 0] = np.inf
+        assert gradient_faults(other, stacked)[0] == "layer 0 parameter b: 1 non-finite gradient entries"
+
     def test_nonfinite_last_layer_leaves_earlier_layers_untouched(self):
         net = Mlp([2, 3, 2], ["relu", "linear"], np.random.default_rng(0))
         for layer in net.layers:
@@ -317,6 +338,40 @@ class TestStackedBlocks:
         assert layers[-1].tobytes() == np.concatenate([p[-1] for p in parts]).tobytes()
         assert _params(stacked) == _params(separate)
         assert grad.tobytes() == np.concatenate(want_grad).tobytes()
+
+    @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
+    @pytest.mark.parametrize(
+        "sizes", [[32] * 6, [19, 32, 32], [8] * 11], ids=["six_equal", "ragged", "eleven_blocks"]
+    )
+    def test_block_sum_equals_adding_block_by_block(self, sizes, runs):
+        """One sum over a layer's blocks leaves, in zeroed buffers, what
+        adding one block after the other, last first, does; the 1-wide
+        output's bias sums 11 blocks, where a pairwise sum would differ.
+        With a run axis, every run also computes what it computes alone."""
+        rng = np.random.default_rng(35)
+        shape = ([16, 64, 16, 1], ["relu", "relu", "sigmoid"])
+        alone = [Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs or 1)]
+        xs = [rng.standard_normal((sum(sizes), 16)) for _ in alone]
+        g_outs = [rng.standard_normal((sum(sizes), 1)) for _ in alone]
+        if runs:
+            net, x, g_out = Mlp.stack([Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs)]), np.stack(xs), np.stack(g_outs)
+        else:
+            net, x, g_out = Mlp(*shape, np.random.default_rng(40)), xs[0], g_outs[0]
+        layers = forward_mlp(net, x, sizes)
+        grad = backward_mlp(net, layers, g_out, sizes, input_grad=True)
+
+        bounds = np.cumsum([0, *sizes])
+        for r, (one, x_r, g_r) in enumerate(zip(alone, xs, g_outs)):
+            parts = [forward_mlp(one, x_r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            want_grad = [
+                backward_mlp(one, parts[i], g_r[bounds[i] : bounds[i + 1]], input_grad=True)
+                for i in reversed(range(len(sizes)))
+            ][::-1]
+            got = net.take(r) if runs else net
+            assert _params(got) == _params(one)
+            got_out, got_grad = (layers[-1][r], grad[r]) if runs else (layers[-1], grad)
+            assert got_out.tobytes() == np.concatenate([p[-1] for p in parts]).tobytes()
+            assert got_grad.tobytes() == np.concatenate(want_grad).tobytes()
 
     def test_blocks_must_fit(self):
         net = Mlp([2, 3], ["linear"], np.random.default_rng(0))
