@@ -12,8 +12,8 @@ each point. The CLI runs the same experiment from a config file:
 """
 
 from uman import SyntheticSpec, UmdaMatrix, generate, partition_from_matrix
-from uman.core import Hyperparams
-from uman.evaluate import run_method, transfer_gain
+from uman.core import Hyperparams, train
+from uman.evaluate import evaluate, transfer_gain
 
 spec = SyntheticSpec(feature_dim=12, samples_per_class=100, class_center_scale=0.8,
                      noise_sigma=0.35, seed=0)
@@ -21,13 +21,19 @@ hp = Hyperparams(max_steps=1500, batch_size=32, feature_hidden=(48,), feature_di
                  disc_hidden=(48,), grl_max_lambda=0.15, lr_classifier=0.15,
                  lr_discriminator=0.7, weight_decay=0.003, seed=0)
 
+
+def train_and_score(method, data, test, partition):
+    result = train(data, partition, hp, method=method)
+    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0, method=method)
+
+
 print("target-only classes | source-only | uman  | transfer gain")
 for k in (0, 3, 6):
     partition = partition_from_matrix(UmdaMatrix((5, 5), (3, 3), 6, k))
     data = generate(spec, partition)
     test = generate(spec, partition, draw=1)[-1]
-    _, base = run_method("source_only", data, test, partition, hp)
-    _, full = run_method("uman", data, test, partition, hp)
+    base = train_and_score("source_only", data, test, partition)
+    full = train_and_score("uman", data, test, partition)
     print(
         f"{k:>19} | {base.mean_per_class_accuracy:>11.3f} "
         f"| {full.mean_per_class_accuracy:.3f} | {transfer_gain(full, base):+.3f}"

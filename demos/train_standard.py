@@ -11,9 +11,9 @@ every (method, seed) pair.
 
 from pathlib import Path
 
-from uman import generate, partition_from_matrix
+from uman import generate, partition_from_matrix, train
 from uman.config import config_hash, load_config
-from uman.evaluate import alignment_probe, run_method
+from uman.evaluate import alignment_probe, evaluate
 
 here = Path(__file__).parent
 config, problems = load_config(here / "configs" / "standard.json")
@@ -32,7 +32,9 @@ test = generate(config.synthetic, partition, draw=1)[-1]
 results, reports = {}, {}
 print("method          mean per-class accuracy")
 for method in config.methods:
-    results[method], reports[method] = run_method(method, data, test, partition, config.hyperparams)
+    results[method] = result = train(data, partition, config.hyperparams, method=method)
+    reports[method] = evaluate(result.feature_net, result.classifier, test, partition,
+                               config.hyperparams.w0, method=method)
     print(f"{method:<15} {reports[method].mean_per_class_accuracy:.3f}")
 print()
 

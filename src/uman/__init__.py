@@ -14,8 +14,9 @@ contain classes no source has. Submodules:
 * :mod:`uman.core` -- prediction margins, the running per-class margin
   register, sample weights, adversarial training under one of three
   methods (several seeds of one method as one batch), rejecting inference;
-* :mod:`uman.evaluate` -- the per-class + unknown evaluation protocol,
-  train-and-score per method, and feature-alignment probes;
+* :mod:`uman.evaluate` -- the per-class + unknown evaluation protocol for
+  nets trained by :func:`uman.core.train`, the transfer gain over the
+  source-only baseline, and linear feature-alignment probes;
 * :mod:`uman.config` / :mod:`uman.cli` -- JSON experiment configs and the
   ``uman`` command-line runner.
 """
@@ -56,7 +57,6 @@ from .evaluate import (
     ProbeReport,
     alignment_probe,
     evaluate,
-    run_method,
     score_predictions,
     transfer_gain,
 )

@@ -19,7 +19,9 @@ the same config, seeds, and offset produce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -150,7 +152,7 @@ def _run_method_batch(config, partition, chash, method, offset, quiet):
                 "method": method,
                 "seed": seed,
                 "status": "failed",
-                "step": getattr(result, "step", None),
+                "step": result.step,
             })
             rows.append(_summary_row(partition, chash, method, seed))
             if not quiet:
@@ -169,50 +171,46 @@ def _run_method_batch(config, partition, chash, method, offset, quiet):
     return rows
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_trace(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_src = len(trace[0].source_errors) if trace else 0
-        writer.writerow(
-            ["step", "class_loss", "domain_loss"]
-            + [f"err_source_{i + 1}" for i in range(n_src)]
-            + ["mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated"]
-        )
-        for r in trace:
-            writer.writerow(
-                [r.step, r.class_loss, r.domain_loss]
-                + list(r.source_errors)
-                + [r.mean_weight_common, r.mean_weight_private, r.mean_weight_target, int(r.tmr_updated)]
-            )
-
-
-def _write_register(path, register):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_index", "value"])
-        writer.writerows(register.as_rows())
-
-
-def _write_csv(path, header, rows):
-    """Write a whole CSV beside ``path`` and move it into place, so a write
-    that fails leaves the previous file intact and no partial one behind."""
+def _write_atomic(path, write):
+    """Stream a file through ``write(fh)`` into ``<name>.tmp`` beside
+    ``path`` and move it into place, so a write that fails leaves the
+    previous file intact and no partial one behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            write(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, obj):
+    _write_atomic(path, lambda fh: fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
+
+
+def _write_csv(path, header, rows):
+    _write_atomic(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
+
+
+def _write_trace(path, trace):
+    n_src = len(trace[0].source_errors) if trace else 0
+    header = (
+        ["step", "class_loss", "domain_loss"]
+        + [f"err_source_{i + 1}" for i in range(n_src)]
+        + ["mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated"]
+    )
+    _write_csv(path, header, (
+        [r.step, r.class_loss, r.domain_loss]
+        + list(r.source_errors)
+        + [r.mean_weight_common, r.mean_weight_private, r.mean_weight_target, int(r.tmr_updated)]
+        for r in trace
+    ))
+
+
+def _write_register(path, register):
+    _write_csv(path, ["class_index", "value"], enumerate(register.values.tolist()))
 
 
 def cmd_run(path) -> int:
@@ -291,14 +289,11 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
         agg_rows[value] = out
 
     workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        payload = [(json.dumps(canonical_dict(cell)), offset) for _, cell in cells]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (value, cell), rows in zip(cells, pool.map(_cell_worker, payload)):
-                finish(value, cell, rows)
-    else:
-        for value, cell in cells:
-            finish(value, cell, _cell_worker((json.dumps(canonical_dict(cell)), offset)))
+    payload = [(json.dumps(canonical_dict(cell)), offset) for _, cell in cells]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = (map if pool is None else pool.map)(_cell_worker, payload)
+        for (value, cell), rows in zip(cells, results):
+            finish(value, cell, rows)
 
     ordered = []
     for value in values:

@@ -45,19 +45,6 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _take_int(obj, key, problems, where, default=None, minimum=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        problems.append(f"{where}.{key} must be an integer, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        problems.append(f"{where}.{key} must be >= {minimum}, got {v}")
-        return default
-    return v
-
-
 def _parse_matrix(obj, problems):
     raw = obj.get("umda_matrix")
     if raw is None:

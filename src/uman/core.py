@@ -158,9 +158,6 @@ class TargetMarginRegister:
         out.step = self.step[runs].copy() if isinstance(runs, list) else int(self.step[runs])
         return out
 
-    def as_rows(self):
-        return [(c, float(v)) for c, v in enumerate(self.values)]
-
 
 def sample_weights(register: TargetMarginRegister, source_labels, pseudo, margins):
     """Raw domain-loss weights before normalization.
@@ -228,7 +225,7 @@ def classification_loss(logits: np.ndarray, labels, sizes):
     nll = -logp[at_labels]
     # each source's mean on its own, then summed term by term: the same
     # arithmetic as one cross-entropy term per source
-    value = _sum_terms((1.0 / m) * (block_sums(nll, sizes, axis=-1) / sizes))
+    value = _sum_terms((1.0 / m) * (block_sums(nll, sizes) / sizes))
     inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
     p = np.exp(logp)
     p[at_labels] -= 1.0
@@ -263,7 +260,7 @@ def domain_loss(out: np.ndarray, weights, sizes):
     d = np.clip(raw, _CLIP, 1 - _CLIP)
     # probability given to each row's own domain
     q = np.concatenate([d[..., :n_src], 1.0 - d[..., n_src:]], axis=-1)
-    means = block_sums(-w * np.log(q), sizes, axis=-1) / sizes
+    means = block_sums(-w * np.log(q), sizes) / sizes
     means[..., :-1] /= m
     total = _sum_terms(means)
     inside = (raw > _CLIP) & (raw < 1 - _CLIP)
@@ -424,8 +421,9 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     bit for bit the one :func:`train` gives it alone. Returns one entry per
     run, in order: its :class:`TrainResult`, or the
     :class:`TrainingDiverged` or :class:`~uman.nn.NonFiniteGradientError` it
-    ended with. A run that diverges leaves the batch at that step, before
-    any of its parameters move, and the other runs go on.
+    ended with, either carrying the step in ``step``. A run that diverges
+    leaves the batch at that step, before any of its parameters move, and
+    the other runs go on.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -473,19 +471,16 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         g_acts = forward_mlp(classifier, feats, sizes[:-1])
         logits = g_acts[-1]
 
-        # detached predictions drive margins, the gate, and all weights
-        probs_t = softmax(logits[:, n_src:])
-        pseudo, margins = batch_margins(probs_t)
         wrong = logits[:, :n_src].argmax(axis=-1) != labels
-        errors = (block_sums(wrong, sizes[:-1], axis=-1) / sizes[:-1]).tolist()
-
-        gate = [adversarial and max(err) < hp.epsilon for err in errors]
-        if any(gate):
-            register.update(*margin_vector(pseudo, margins, n_classes), True if all(gate) else gate)
-
+        errors = (block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist()
         eg_val, g_logits = classification_loss(logits, labels, sizes[:-1])
 
         if adversarial:
+            # detached predictions drive margins, the gate, and all weights
+            pseudo, margins = batch_margins(softmax(logits[:, n_src:]))
+            gate = [max(err) < hp.epsilon for err in errors]
+            if any(gate):
+                register.update(*margin_vector(pseudo, margins, n_classes), True if all(gate) else gate)
             if method == "uman":
                 raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
             else:
@@ -495,6 +490,7 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
             d_acts = forward_mlp(discriminator, feats, sizes)
             ed_val, g_d = domain_loss(d_acts[-1], weights, sizes)
         else:
+            gate = [False] * len(ids)
             raw_ws, raw_wt = np.zeros((len(ids), n_src)), np.zeros((len(ids), sizes[-1]))
             ed_val = np.zeros(len(ids))
 
@@ -526,7 +522,9 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         # stepping it there would still apply weight decay
         stepped = (feature_net, classifier, discriminator)[:n_stepped]
         for r, message in gradient_faults(*stepped).items():
-            failed.setdefault(r, NonFiniteGradientError(message))
+            if r not in failed:
+                failed[r] = error = NonFiniteGradientError(message)
+                error.step = step
 
         in_common = common_mask[labels]
         rows = [

@@ -39,7 +39,10 @@ _NORM_EPS = 1e-12
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A NaN or infinity showed up in a gradient buffer."""
+    """A NaN or infinity showed up in a gradient buffer. Training sets
+    ``step`` to the step whose gradient it was."""
+
+    step: int | None = None
 
 
 _ACTIVATIONS = ("linear", "relu", "sigmoid")
@@ -139,26 +142,20 @@ def _runs(sizes: tuple):
     return tuple(map(tuple, runs))
 
 
-def block_sums(x: np.ndarray, sizes, axis: int = 0) -> np.ndarray:
-    """Sum over each consecutive block of ``x`` along ``axis``, ``sizes[i]``
-    entries for block i, one result entry per block along that axis.
+def block_sums(x: np.ndarray, sizes) -> np.ndarray:
+    """Sum over each consecutive block of ``x`` along the last axis,
+    ``sizes[i]`` entries for block i, one result entry per block.
 
-    Each block sums exactly as ``x[block].sum(axis)`` would on its own (a
+    Each block sums exactly as ``x[..., block].sum(-1)`` would on its own (a
     segmented ``np.add.reduceat`` associates differently), with one numpy
     call per run of equal-size blocks.
     """
-    axis %= x.ndim
-    lead, tail = x.shape[:axis], x.shape[axis + 1 :]
-    before = (slice(None),) * axis
-    out = np.empty((*lead, len(sizes), *tail))
+    lead = x.shape[:-1]
+    out = np.empty((*lead, len(sizes)))
     i = 0
     for start, count, rows in _runs(tuple(sizes)):
-        block = x[before + (slice(start, start + count * rows),)]
-        np.add.reduce(
-            block.reshape(*lead, count, rows, *tail),
-            axis=axis + 1,
-            out=out[before + (slice(i, i + count),)],
-        )
+        block = x[..., start : start + count * rows]
+        np.add.reduce(block.reshape(*lead, count, rows), axis=-1, out=out[..., i : i + count])
         i += count
     return out
 

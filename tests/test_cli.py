@@ -4,13 +4,15 @@ import csv
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import uman.cli
+import uman.core
 from uman.cli import _cell_worker, execute_sweep, main, seed_offset
 from uman.config import config_hash, load_config
-from uman.core import TrainingDiverged
-from uman.evaluate import run_method
+from uman.core import TrainingDiverged, train
+from uman.evaluate import evaluate
 from uman.labelspace import partition_from_matrix
 from uman.nn import NonFiniteGradientError
 from uman.synth import generate
@@ -160,6 +162,64 @@ class TestRun:
         assert (out_dir / "summary.csv").read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["runs", "summary.csv"]
 
+    def test_failed_trace_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tiny_config(tmp_path)
+        main(["run", str(path)])
+        run_dir = tmp_path / "out" / "runs" / "uman_0"
+        before = (run_dir / "trace.csv").read_bytes()
+        train_runs = uman.cli.train_runs
+
+        class RowThenError(list):
+            def __iter__(self):
+                yield self[0]
+                raise OSError("disk full")
+
+        def failing_traces(*args, **kwargs):
+            outcomes = train_runs(*args, **kwargs)
+            for result in outcomes:
+                result.trace = RowThenError(result.trace)
+            return outcomes
+
+        # the trace writer fails after its first row
+        monkeypatch.setattr(uman.cli, "train_runs", failing_traces)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", str(path)])
+        assert (run_dir / "trace.csv").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == ["report.json", "tmr.csv", "trace.csv"]
+        assert not list((tmp_path / "out").rglob("*.tmp"))
+
+    def test_gradient_failure_report_holds_the_step(self, tmp_path, monkeypatch):
+        """An infinity planted in the middle run's feature gradient at step
+        40 ends that run there; its outcome and its report say so."""
+        config, _ = load_config(tiny_config(
+            tmp_path, methods=["unweighted_adv"], seeds=[0, 1, 2],
+            hyperparams={"max_steps": 50, "batch_size": 8, "feature_hidden": [8],
+                         "feature_dim": 4, "disc_hidden": [4]},
+        ))
+        backward, train_runs = uman.core.l2_normalize_backward, uman.cli.train_runs
+        calls, outcomes = [], []
+
+        def planted(x, grad):
+            out = backward(x, grad)
+            calls.append(None)
+            if len(calls) == 41:
+                out[1, 0, 0] = np.inf
+            return out
+
+        def recording(*args, **kwargs):
+            got = train_runs(*args, **kwargs)
+            outcomes.extend(got)
+            return got
+
+        monkeypatch.setattr(uman.core, "l2_normalize_backward", planted)
+        monkeypatch.setattr(uman.cli, "train_runs", recording)
+        rows = uman.cli.execute_run(config, quiet=True)
+        assert [r[3] for r in rows] == ["ok", "failed", "ok"]
+        assert type(outcomes[1]) is NonFiniteGradientError and outcomes[1].step == 40
+        report = json.loads((tmp_path / "out" / "runs" / "unweighted_adv_1" / "report.json").read_text())
+        assert report["status"] == "failed" and report["step"] == 40
+        assert report["error"] == str(outcomes[1])
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         path = tiny_config(tmp_path, umda_matrix=[[9, 9, 3], [1, 1, 1]])
         assert main(["run", str(path)]) == 2
@@ -235,9 +295,7 @@ def one_run_at_a_time(config, out_dir):
             run_dir = out_dir / "runs" / f"{method}_{seed}"
             run_dir.mkdir(parents=True)
             try:
-                result, report = run_method(
-                    method, train_sets, test, partition, hp, config_hash=chash, seed=seed
-                )
+                result = train(train_sets, partition, hp, method=method)
             except (TrainingDiverged, NonFiniteGradientError) as exc:
                 uman.cli._write_json(run_dir / "report.json", {
                     "config_hash": chash,
@@ -245,10 +303,14 @@ def one_run_at_a_time(config, out_dir):
                     "method": method,
                     "seed": seed,
                     "status": "failed",
-                    "step": getattr(exc, "step", None),
+                    "step": exc.step,
                 })
                 rows.append(uman.cli._summary_row(partition, chash, method, seed))
                 continue
+            report = evaluate(
+                result.feature_net, result.classifier, test, partition, hp.w0,
+                method=method, config_hash=chash, seed=seed,
+            )
             uman.cli._write_trace(run_dir / "trace.csv", result.trace)
             uman.cli._write_register(run_dir / "tmr.csv", result.register)
             uman.cli._write_json(run_dir / "report.json", asdict(report))

@@ -13,7 +13,6 @@ from uman.evaluate import (
     EvalReport,
     alignment_probe,
     evaluate,
-    run_method,
     score_predictions,
     transfer_gain,
 )
@@ -150,15 +149,20 @@ class TestEvaluate:
             evaluate(result.feature_net, result.classifier, empty, partition, 0.5)
 
 
+def train_and_score(method, datasets, test, partition, hp, **meta):
+    result = train(datasets, partition, hp, method=method)
+    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0, method=method, **meta)
+
+
 class TestRunMethodAndBaselines:
     def test_unknown_method_rejected(self):
         datasets, test, partition, hp = small_setup()
         with pytest.raises(ValueError, match="unknown method"):
-            run_method("dann", datasets, test, partition, hp)
+            train_and_score("dann", datasets, test, partition, hp)
 
     def test_method_tag_and_metadata_propagate(self):
         datasets, test, partition, hp = small_setup()
-        _, report = run_method(
+        report = train_and_score(
             "uman", datasets, test, partition, hp, config_hash="abc123", seed=7
         )
         assert report.method == "uman"
@@ -168,8 +172,8 @@ class TestRunMethodAndBaselines:
 
     def test_same_seed_same_report(self):
         datasets, test, partition, hp = small_setup()
-        _, a = run_method("source_only", datasets, test, partition, hp)
-        _, b = run_method("source_only", datasets, test, partition, hp)
+        a = train_and_score("source_only", datasets, test, partition, hp)
+        b = train_and_score("source_only", datasets, test, partition, hp)
         assert a == b
 
     def test_methods_table_covers_all_method_names(self):

@@ -416,8 +416,8 @@ class TestStackedBlocks:
         rng = np.random.default_rng(34)
         for shape in [(), (1,), (5,)]:
             sizes = [3, 3, 1, 8, 8, 2]
-            x = rng.standard_normal((sum(sizes), *shape))
+            x = rng.standard_normal((*shape, sum(sizes)))
             got = block_sums(x, sizes)
             bounds = np.cumsum([0, *sizes])
-            want = np.stack([x[a:b].sum(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+            want = np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
             assert got.tobytes() == want.tobytes()

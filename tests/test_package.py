@@ -1,0 +1,42 @@
+"""Package hygiene: no module-level function or class goes unused."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uman"
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def names_in(node) -> Counter:
+    """Every identifier ``node`` reads, looks up as an attribute or imports."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name] += 1
+    return names
+
+
+def exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_definition_is_named_elsewhere_or_exported():
+    named = sum((names_in(tree) for tree in MODULES.values()), Counter())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        # a definition's mentions of itself, recursion included, do not count
+        and named[node.name] == names_in(node)[node.name]
+        and node.name not in exported(tree)
+    ]
+    assert unused == []
