@@ -5,10 +5,13 @@ Three verbs operate on a JSON config file:
 * ``uman validate <config>`` checks the file and prints the realized class
   layout and Jaccard table;
 * ``uman run <config>`` trains every configured (method, seed) pair, the
-  seeds of one method as one batch, and writes per-run artifacts plus a
-  summary CSV;
+  seeds of one method as one batch and the method batches in parallel
+  worker processes (at most one per method and per CPU), and writes
+  per-run artifacts plus a summary CSV;
 * ``uman sweep <config> --axis <name> --values a,b,c [--jobs N]`` repeats
-  the run along one axis and aggregates the results.
+  the run along one axis, up to N cells in parallel worker processes, and
+  aggregates the results. A cell trains its method batches one after
+  another in its own process, so pools never nest.
 
 The environment variable UMAN_SEED_OFFSET (integer, default 0) is added to
 every seed, which relocates an entire experiment to a fresh seed
@@ -111,41 +114,60 @@ def _summary_row(partition, chash, method, seed, report=None) -> list:
     return [chash, method, seed, "ok", report.mean_per_class_accuracy] + cells
 
 
-def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
+def execute_run(
+    config: ExperimentConfig, offset: int = 0, quiet: bool = False, parallel: bool = True
+):
     """Run every (method, seed) pair of a config; returns the summary rows.
 
     The seeds of one method train as one batch (:func:`uman.core.train_runs`),
-    each run exactly as it would alone. Per-run artifacts land in
-    <output_dir>/runs/<method>_<seed>/: the training trace, the final
-    margin-register values, and the evaluation report. A run that diverges
-    is recorded as a failed row, its directory gets a report.json with
-    status "failed", the error and the step, and the remaining runs still
-    execute.
+    each run exactly as it would alone. With ``parallel`` the method
+    batches run in worker processes, at most one per method and per CPU;
+    a single worker, or ``parallel=False``, runs them in this process.
+    Each batch generates its own data and writes its own artifacts, and
+    returns only its summary rows and the lines it reports; rows come back
+    and lines are printed in config order, so neither the output nor any
+    artifact depends on the number of workers.
+
+    Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
+    training trace, the final margin-register values, and the evaluation
+    report. A run that diverges is recorded as a failed row, its directory
+    gets only a report.json with status "failed", the error and the step,
+    and the remaining runs still execute.
     """
-    partition = partition_from_matrix(config.matrix)
-    chash = config_hash(config)
+    tasks = [(config, method, offset) for method in config.methods]
     rows = []
-    for method in config.methods:
-        rows += _run_method_batch(config, partition, chash, method, offset, quiet)
+    for batch_rows, lines in _map_in_pool(_run_method_batch, tasks, len(tasks) if parallel else 1):
+        rows += batch_rows
+        if not quiet:
+            for line in lines:
+                print(line)
     return rows
 
 
-def _run_method_batch(config, partition, chash, method, offset, quiet):
-    """Train every seed of one method as one batch, then score, write and
-    print each run in seed order. The batch and its traces are freed on
-    return, before the next method starts."""
+def _run_method_batch(task):
+    """Train every seed of one method as one batch, then score and write
+    each run in seed order; returns the summary rows and the report lines.
+    Top-level so process pools can pickle it. The batch and its traces are
+    freed on return."""
+    config, method, offset = task
+    partition = partition_from_matrix(config.matrix)
+    chash = config_hash(config)
     runs, tests = [], []
     for seed in config.seeds:
         spec = replace(config.synthetic, seed=config.synthetic.seed + offset + seed)
         hp = replace(config.hyperparams, seed=config.hyperparams.seed + offset + seed)
         runs.append((generate(spec, partition), hp))
         tests.append(generate(spec, partition, draw=1)[-1])
-    rows = []
+    rows, lines = [], []
     outcomes = train_runs(runs, partition, method=method)
     for seed, (_, hp), test_target, result in zip(config.seeds, runs, tests, outcomes):
         run_dir = Path(config.output_dir) / "runs" / f"{method}_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         if isinstance(result, Exception):
+            # a failed run's directory holds its report only, not the
+            # artifacts an earlier run into the same directory left
+            for stale in ("trace.csv", "tmr.csv"):
+                (run_dir / stale).unlink(missing_ok=True)
             _write_json(run_dir / "report.json", {
                 "config_hash": chash,
                 "error": str(result),
@@ -155,8 +177,7 @@ def _run_method_batch(config, partition, chash, method, offset, quiet):
                 "step": result.step,
             })
             rows.append(_summary_row(partition, chash, method, seed))
-            if not quiet:
-                print(f"{method} seed {seed}: FAILED ({result})")
+            lines.append(f"{method} seed {seed}: FAILED ({result})")
             continue
         report = evaluate(
             result.feature_net, result.classifier, test_target, partition, hp.w0,
@@ -166,9 +187,17 @@ def _run_method_batch(config, partition, chash, method, offset, quiet):
         _write_register(run_dir / "tmr.csv", result.register)
         _write_json(run_dir / "report.json", asdict(report))
         rows.append(_summary_row(partition, chash, method, seed, report))
-        if not quiet:
-            print(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
-    return rows
+        lines.append(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
+    return rows, lines
+
+
+def _map_in_pool(fn, tasks, jobs):
+    """Yield ``fn(task)`` for every task, in order, from at most ``jobs``
+    worker processes and never more than there are tasks or CPUs. A single
+    worker maps in this process, so nothing is pickled."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield from (map if pool is None else pool.map)(fn, tasks)
 
 
 def _write_atomic(path, write):
@@ -234,7 +263,8 @@ def _cell_worker(args):
     if problems:
         raise ValueError("invalid sweep cell: " + "; ".join(problems))
     partition = partition_from_matrix(config.matrix)
-    rows = execute_run(config, offset, quiet=True)
+    # a cell that may itself run in a pool starts none of its own
+    rows = execute_run(config, offset, quiet=True, parallel=False)
     _write_csv(
         Path(config.output_dir) / "summary.csv", _summary_header(partition), rows
     )
@@ -248,7 +278,9 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     and the aggregate (with per-seed accuracies, their mean, and the
     transfer gain over source_only where available) is returned for a
     single final write. Infeasible values become marked rows. At most
-    ``jobs`` cells run at once, and never more than there are cells or CPUs.
+    ``jobs`` cells run at once, and never more than there are cells or CPUs;
+    each cell trains its method batches one after another in its own
+    process, so a pool never starts another.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -288,12 +320,9 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
             row.append(gain)
         agg_rows[value] = out
 
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
     payload = [(json.dumps(canonical_dict(cell)), offset) for _, cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = (map if pool is None else pool.map)(_cell_worker, payload)
-        for (value, cell), rows in zip(cells, results):
-            finish(value, cell, rows)
+    for rows, (value, cell) in zip(_map_in_pool(_cell_worker, payload, jobs), cells):
+        finish(value, cell, rows)
 
     ordered = []
     for value in values:

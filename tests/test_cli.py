@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -42,6 +44,63 @@ def tiny_config(tmp_path, **kw):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def three_by_three(tmp_path, lr):
+    """All three methods over seeds 0-2 for 8 steps at learning rate ``lr``:
+    at 0.1 every run converges, at 5e103 seed 0 converges and the others
+    diverge."""
+    return tiny_config(
+        tmp_path,
+        methods=["uman", "source_only", "unweighted_adv"],
+        seeds=[0, 1, 2],
+        hyperparams={
+            "max_steps": 8,
+            "batch_size": 8,
+            "feature_hidden": [8],
+            "feature_dim": 4,
+            "disc_hidden": [4],
+            "lr_features": lr,
+            "lr_classifier": lr,
+            "lr_discriminator": lr,
+        },
+    )
+
+
+def files_under(root):
+    """Every file below ``root`` by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace ``cli``'s process pool by one that maps in this process;
+    returns the size of every pool requested."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run the method batches in this process. A test that patches code
+    reached by training needs it: a worker process started by ``forkserver``
+    or ``spawn`` imports the package afresh, without the patch."""
+    monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 1)
 
 
 class TestValidate:
@@ -162,7 +221,7 @@ class TestRun:
         assert (out_dir / "summary.csv").read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["runs", "summary.csv"]
 
-    def test_failed_trace_write_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_trace_write_keeps_previous_file(self, tmp_path, monkeypatch, one_worker):
         path = tiny_config(tmp_path)
         main(["run", str(path)])
         run_dir = tmp_path / "out" / "runs" / "uman_0"
@@ -188,7 +247,7 @@ class TestRun:
         assert sorted(p.name for p in run_dir.iterdir()) == ["report.json", "tmr.csv", "trace.csv"]
         assert not list((tmp_path / "out").rglob("*.tmp"))
 
-    def test_gradient_failure_report_holds_the_step(self, tmp_path, monkeypatch):
+    def test_gradient_failure_report_holds_the_step(self, tmp_path, monkeypatch, one_worker):
         """An infinity planted in the middle run's feature gradient at step
         40 ends that run there; its outcome and its report say so."""
         config, _ = load_config(tiny_config(
@@ -219,6 +278,25 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "runs" / "unweighted_adv_1" / "report.json").read_text())
         assert report["status"] == "failed" and report["step"] == 40
         assert report["error"] == str(outcomes[1])
+
+    def test_failed_rerun_removes_stale_artifacts(self, tmp_path):
+        """A run that fails where an earlier run succeeded leaves only its
+        own report, not the earlier run's trace and register."""
+        path = tiny_config(tmp_path, hyperparams={
+            "max_steps": 4, "batch_size": 8, "feature_hidden": [8],
+            "feature_dim": 4, "disc_hidden": [4],
+        })
+        assert main(["run", str(path)]) == 0
+        run_dir = tmp_path / "out" / "runs" / "uman_0"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["report.json", "tmr.csv", "trace.csv"]
+        path = tiny_config(tmp_path, hyperparams={
+            "max_steps": 4, "batch_size": 8, "feature_hidden": [8],
+            "feature_dim": 4, "disc_hidden": [4],
+            "lr_features": 1e300, "lr_classifier": 1e300, "lr_discriminator": 1e300,
+        })
+        assert main(["run", str(path)]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == ["report.json"]
+        assert json.loads((run_dir / "report.json").read_text())["status"] == "failed"
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         path = tiny_config(tmp_path, umda_matrix=[[9, 9, 3], [1, 1, 1]])
@@ -324,22 +402,7 @@ class TestBatchedRunMatchesRunByRun:
 
     @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
     def test_same_rows_and_files(self, tmp_path, lr):
-        hyperparams = {
-            "max_steps": 8,
-            "batch_size": 8,
-            "feature_hidden": [8],
-            "feature_dim": 4,
-            "disc_hidden": [4],
-            "lr_features": lr,
-            "lr_classifier": lr,
-            "lr_discriminator": lr,
-        }
-        path = tiny_config(
-            tmp_path,
-            methods=["uman", "source_only", "unweighted_adv"],
-            seeds=[0, 1, 2],
-            hyperparams=hyperparams,
-        )
+        path = three_by_three(tmp_path, lr)
         assert main(["run", str(path)]) == 0
         config, _ = load_config(path)
         batched, alone = tmp_path / "out", tmp_path / "alone"
@@ -357,6 +420,78 @@ class TestBatchedRunMatchesRunByRun:
         )
         for name in files:
             assert (batched / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+class TestMethodPool:
+    """``execute_run`` trains its method batches in a process pool, one
+    worker per method and CPU; rows, files and printed lines must be those
+    of one worker, whatever the machine's CPU count."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The size of every real process pool ``cli`` starts."""
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    def run_on(self, cpus, path, monkeypatch, capsys):
+        """``uman run`` into a fresh output directory with ``cpus`` CPUs;
+        returns the exit code, every file written and the printed text."""
+        out_dir = path.parent / "out"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+        rc = main(["run", str(path)])
+        return rc, files_under(out_dir), capsys.readouterr().out
+
+    @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
+    def test_two_workers_match_one(self, tmp_path, monkeypatch, capsys, pools, lr):
+        path = three_by_three(tmp_path, lr)
+        rc, serial, printed = self.run_on(1, path, monkeypatch, capsys)
+        assert rc == 0 and pools == []
+        assert len(serial) == 1 + 9 + (18 if lr == 0.1 else 6)
+        assert printed.count("\n") == 9 + 1
+        assert self.run_on(2, path, monkeypatch, capsys) == (0, serial, printed)
+        assert pools == [2]
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys, pools):
+        path = three_by_three(tmp_path, 0.1)
+        blocked = tmp_path / "out" / "runs" / "source_only_0"
+
+        def blocked_run(cpus):
+            # a plain file where source_only's first run directory belongs
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            blocked.parent.mkdir(parents=True)
+            blocked.write_text("")
+            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            with pytest.raises(FileExistsError) as info:
+                main(["run", str(path)])
+            assert not (tmp_path / "out" / "summary.csv").exists()
+            return str(info.value)
+
+        serial = blocked_run(1)
+        assert str(blocked) in serial
+        assert blocked_run(2) == serial
+        assert pools == [2]
+
+    def test_pool_size_capped_by_methods_and_cpus(self, tmp_path, monkeypatch, fake_pools):
+        sizes = fake_pools
+        three, _ = load_config(three_by_three(tmp_path, 0.1))
+        for cpus, want in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            uman.cli.execute_run(three, quiet=True)
+            assert sizes == want, cpus
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 64)
+        sizes.clear()
+        uman.cli.execute_run(replace(three, methods=("uman",)), quiet=True)
+        uman.cli.execute_run(three, quiet=True, parallel=False)
+        assert sizes == []  # one method, or parallel=False, runs in this process
 
 
 class TestSeedOffset:
@@ -471,25 +606,8 @@ class TestSweep:
                 execute_sweep(config, "target_private_size", [0, 1], jobs=jobs)
         assert not (tmp_path / "out").exists()
 
-    def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch):
-        pools = []
-
-        class FakePool:
-            """Records the requested size and runs the cells in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", FakePool)
+    def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, fake_pools):
+        pools = fake_pools
         path = self.sweep_config(tmp_path)
         argv = ["sweep", str(path), "--axis", "target_private_size", "--jobs", "64"]
         monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 3)
@@ -500,7 +618,9 @@ class TestSweep:
         assert main(argv + ["--values", "0,1,2,3"]) == 0
         monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: None)
         assert main(argv + ["--values", "0,1,2,3"]) == 0
-        assert pools == [3, 2]  # one usable CPU runs the cells serially
+        # one usable CPU runs the cells serially, and no cell starts a pool
+        # for its two methods
+        assert pools == [3, 2]
 
     def test_invalid_cell_raises(self, tmp_path):
         bad = json.loads(self.sweep_config(tmp_path).read_text())
