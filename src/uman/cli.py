@@ -9,9 +9,9 @@ Three verbs operate on a JSON config file:
   worker processes (at most one per method and per CPU), and writes
   per-run artifacts plus a summary CSV;
 * ``uman sweep <config> --axis <name> --values a,b,c [--jobs N]`` repeats
-  the run along one axis, up to N cells in parallel worker processes, and
-  aggregates the results. A cell trains its method batches one after
-  another in its own process, so pools never nest.
+  the run along one axis and aggregates the results. Every cell's method
+  batches go to one pool of at most N worker processes (and at most one
+  per batch and per CPU); a batch never starts a pool of its own.
 
 The environment variable UMAN_SEED_OFFSET (integer, default 0) is added to
 every seed, which relocates an entire experiment to a fresh seed
@@ -38,8 +38,6 @@ from .config import (
     config_hash,
     derive_sweep_cell,
     load_config,
-    parse_config,
-    canonical_dict,
 )
 from .core import train_runs
 from .evaluate import evaluate
@@ -98,14 +96,6 @@ def cmd_validate(path) -> int:
     return 0
 
 
-def _summary_header(partition) -> list[str]:
-    return (
-        ["config_hash", "method", "seed", "status", "mean_per_class_accuracy"]
-        + [f"acc_{c}" for c in partition.common_union]
-        + ["acc_unknown"]
-    )
-
-
 def _summary_row(partition, chash, method, seed, report=None) -> list:
     if report is None:
         return [chash, method, seed, "failed", ""] + [""] * (len(partition.common_union) + 1)
@@ -114,19 +104,16 @@ def _summary_row(partition, chash, method, seed, report=None) -> list:
     return [chash, method, seed, "ok", report.mean_per_class_accuracy] + cells
 
 
-def execute_run(
-    config: ExperimentConfig, offset: int = 0, quiet: bool = False, parallel: bool = True
-):
+def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     """Run every (method, seed) pair of a config; returns the summary rows.
 
     The seeds of one method train as one batch (:func:`uman.core.train_runs`),
-    each run exactly as it would alone. With ``parallel`` the method
-    batches run in worker processes, at most one per method and per CPU;
-    a single worker, or ``parallel=False``, runs them in this process.
-    Each batch generates its own data and writes its own artifacts, and
-    returns only its summary rows and the lines it reports; rows come back
-    and lines are printed in config order, so neither the output nor any
-    artifact depends on the number of workers.
+    each run exactly as it would alone. The method batches run in worker
+    processes, at most one per method and per CPU; a single worker runs
+    them in this process. Each batch generates its own data, writes its own
+    artifacts and returns only its summary rows and the lines it reports;
+    rows come back and lines are printed in config order, so neither the
+    output nor any artifact depends on the number of workers.
 
     Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
     training trace, the final margin-register values, and the evaluation
@@ -136,7 +123,7 @@ def execute_run(
     """
     tasks = [(config, method, offset) for method in config.methods]
     rows = []
-    for batch_rows, lines in _map_in_pool(_run_method_batch, tasks, len(tasks) if parallel else 1):
+    for batch_rows, lines in _map_in_pool(_run_method_batch, tasks, len(tasks)):
         rows += batch_rows
         if not quiet:
             for line in lines:
@@ -242,33 +229,29 @@ def _write_register(path, register):
     _write_csv(path, ["class_index", "value"], enumerate(register.values.tolist()))
 
 
+def _write_summary(config: ExperimentConfig, rows) -> Path:
+    """Write a run's summary rows to <output_dir>/summary.csv; returns the path."""
+    common = partition_from_matrix(config.matrix).common_union
+    header = ["config_hash", "method", "seed", "status", "mean_per_class_accuracy"]
+    out = Path(config.output_dir) / "summary.csv"
+    _write_csv(out, header + [f"acc_{c}" for c in common] + ["acc_unknown"], rows)
+    return out
+
+
 def cmd_run(path) -> int:
     config, problems = load_config(path)
     if problems:
         for p in problems:
             print(f"invalid: {p}")
         return 2
-    partition = partition_from_matrix(config.matrix)
     rows = execute_run(config, seed_offset())
-    out = Path(config.output_dir) / "summary.csv"
-    _write_csv(out, _summary_header(partition), rows)
-    print(f"wrote {out}")
+    print(f"wrote {_write_summary(config, rows)}")
     return 0
 
 
-def _cell_worker(args):
-    """Top-level so process pools can pickle it."""
-    cell_json, offset = args
-    config, problems = parse_config(json.loads(cell_json))
-    if problems:
-        raise ValueError("invalid sweep cell: " + "; ".join(problems))
-    partition = partition_from_matrix(config.matrix)
-    # a cell that may itself run in a pool starts none of its own
-    rows = execute_run(config, offset, quiet=True, parallel=False)
-    _write_csv(
-        Path(config.output_dir) / "summary.csv", _summary_header(partition), rows
-    )
-    return rows
+def _repeat(values):
+    """The first value that occurs twice in ``values``, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
@@ -277,57 +260,43 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/
     and the aggregate (with per-seed accuracies, their mean, and the
     transfer gain over source_only where available) is returned for a
-    single final write. Infeasible values become marked rows. At most
-    ``jobs`` cells run at once, and never more than there are cells or CPUs;
-    each cell trains its method batches one after another in its own
-    process, so a pool never starts another.
+    single final write. Infeasible values become marked rows; a repeated
+    value is rejected before any work starts. Every cell's method batches
+    go to one pool of at most ``jobs`` workers, and never more than there
+    are batches or CPUs; a cell's summary.csv is written here.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if (repeat := _repeat(values)) is not None:
+        raise ValueError(f"sweep value {repeat} repeats")
     base = Path(config.output_dir)
-    cells, agg_rows = [], {}
+    cells = {}
     for value in values:
-        cell, problems = derive_sweep_cell(config, axis, value)
-        if cell is None:
-            agg_rows[value] = [
-                [axis, value, method, "infeasible"] + [""] * (len(config.seeds) + 2)
-                for method in config.methods
-            ]
+        cell, _ = derive_sweep_cell(config, axis, value)
+        if cell is not None:
+            cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
+    tasks = [(cell, method, offset) for cell in cells.values() for method in cell.methods]
+    batches = _map_in_pool(_run_method_batch, tasks, jobs)
+    agg_rows = []
+    for value in values:
+        if value not in cells:
+            blank = [""] * (len(config.seeds) + 2)
+            agg_rows += [[axis, value, method, "infeasible"] + blank for method in config.methods]
             continue
-        cell = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
-        cells.append((value, cell))
-
-    def finish(value, cell, rows):
-        by_method = {}
-        for row in rows:
-            by_method.setdefault(row[1], []).append(row)
-        means = {}
-        out = []
-        for method in cell.methods:
-            per_seed = []
-            for row in by_method.get(method, []):
-                per_seed.append(row[4] if row[3] == "ok" else "")
-            ok = [v for v in per_seed if v != ""]
-            mean = sum(ok) / len(ok) if ok else ""
-            means[method] = mean
-            status = "ok" if len(ok) == len(cell.seeds) else "partial"
-            out.append([axis, value, method, status] + per_seed + [mean])
-        for row in out:
-            method, mean = row[2], row[-1]
-            gain = ""
-            if method != "source_only" and mean != "" and means.get("source_only", "") != "":
-                gain = mean - means["source_only"]
-            row.append(gain)
-        agg_rows[value] = out
-
-    payload = [(json.dumps(canonical_dict(cell)), offset) for _, cell in cells]
-    for rows, (value, cell) in zip(_map_in_pool(_cell_worker, payload, jobs), cells):
-        finish(value, cell, rows)
-
-    ordered = []
-    for value in values:
-        ordered.extend(agg_rows[value])
-    return ordered
+        cell_rows, per_seed, means = [], {}, {}
+        for method in cells[value].methods:
+            rows, _ = next(batches)
+            cell_rows += rows
+            per_seed[method] = [row[4] if row[3] == "ok" else "" for row in rows]
+            ok = [v for v in per_seed[method] if v != ""]
+            means[method] = sum(ok) / len(ok) if ok else ""
+        _write_summary(cells[value], cell_rows)
+        baseline = means.get("source_only", "")
+        for method, accs in per_seed.items():
+            mean, status = means[method], "ok" if "" not in accs else "partial"
+            gain = mean - baseline if method != "source_only" and "" not in (mean, baseline) else ""
+            agg_rows.append([axis, value, method, status] + accs + [mean, gain])
+    return agg_rows
 
 
 def cmd_sweep(path, axis, values, jobs) -> int:
@@ -337,11 +306,8 @@ def cmd_sweep(path, axis, values, jobs) -> int:
             print(f"invalid: {p}")
         return 2
     rows = execute_sweep(config, axis, values, jobs=jobs, offset=seed_offset())
-    header = (
-        ["axis", "value", "method", "status"]
-        + [f"acc_seed_{s}" for s in config.seeds]
-        + ["acc_mean", "transfer_gain"]
-    )
+    seeds = [f"acc_seed_{s}" for s in config.seeds]
+    header = ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"]
     out = Path(config.output_dir) / f"sweep_{axis}.csv"
     _write_csv(out, header, rows)
     print(f"wrote {out}")
@@ -365,7 +331,7 @@ def main(argv=None) -> int:
         "--values", required=True,
         help="comma-separated integer axis values, e.g. 0,3,6",
     )
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel method batches")
     args = parser.parse_args(argv)
 
     if args.command == "validate":
@@ -379,6 +345,9 @@ def main(argv=None) -> int:
         return 2
     if not values:
         print("invalid: --values is empty")
+        return 2
+    if (repeat := _repeat(values)) is not None:
+        print(f"invalid: --values repeats {repeat}")
         return 2
     if args.jobs < 1:
         print(f"invalid: --jobs must be >= 1, got {args.jobs}")

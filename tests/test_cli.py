@@ -11,7 +11,7 @@ import pytest
 
 import uman.cli
 import uman.core
-from uman.cli import _cell_worker, execute_sweep, main, seed_offset
+from uman.cli import execute_sweep, main, seed_offset
 from uman.config import config_hash, load_config
 from uman.core import TrainingDiverged, train
 from uman.evaluate import evaluate
@@ -490,8 +490,7 @@ class TestMethodPool:
         monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 64)
         sizes.clear()
         uman.cli.execute_run(replace(three, methods=("uman",)), quiet=True)
-        uman.cli.execute_run(three, quiet=True, parallel=False)
-        assert sizes == []  # one method, or parallel=False, runs in this process
+        assert sizes == []  # one method runs in this process
 
 
 class TestSeedOffset:
@@ -574,15 +573,25 @@ class TestSweep:
         assert status[("1", "uman")] in ("ok", "partial")
         assert not (tmp_path / "out" / "sweep" / "common_overlap_5").exists()
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch, capsys):
         path = self.sweep_config(tmp_path)
-        main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"])
-        serial = (tmp_path / "out" / "sweep_target_private_size.csv").read_bytes()
-        main([
-            "sweep", str(path), "--axis", "target_private_size",
-            "--values", "0,2", "--jobs", "2",
-        ])
-        assert (tmp_path / "out" / "sweep_target_private_size.csv").read_bytes() == serial
+        out_dir = tmp_path / "out"
+        # 5 is infeasible: its rows come first, and it gets no cell directory
+        argv = ["sweep", str(path), "--axis", "common_overlap", "--values", "5,1,0"]
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+
+        def sweep(jobs):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            rc = main(argv + ["--jobs", jobs])
+            return rc, files_under(out_dir), capsys.readouterr().out
+
+        serial = sweep("1")
+        assert serial[0] == 0
+        names = {str(name) for name in serial[1]}
+        # the aggregate, and per feasible cell a summary and 4 runs of 3 files
+        assert len(names) == 1 + 2 * (1 + 2 * 2 * 3)
+        assert not any(name.startswith("sweep/common_overlap_5/") for name in names)
+        assert sweep("2") == serial
 
     def test_bad_values_rejected(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
@@ -607,26 +616,49 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, fake_pools):
+        # one pool over every cell's method batches (cells x 2 methods),
+        # capped by --jobs and by the CPUs
         pools = fake_pools
         path = self.sweep_config(tmp_path)
-        argv = ["sweep", str(path), "--axis", "target_private_size", "--jobs", "64"]
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 3)
-        assert main(argv + ["--values", "0,1,2,3"]) == 0
-        assert main(argv + ["--values", "0,2"]) == 0
-        assert pools == [3, 2]
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 1)
-        assert main(argv + ["--values", "0,1,2,3"]) == 0
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: None)
-        assert main(argv + ["--values", "0,1,2,3"]) == 0
-        # one usable CPU runs the cells serially, and no cell starts a pool
-        # for its two methods
-        assert pools == [3, 2]
+        argv = ["sweep", str(path), "--axis", "target_private_size"]
+        for cpus, values, jobs, want in (
+            (3, "0,1,2,3", "64", 3),
+            (3, "0", "64", 2),
+            (64, "0,1,2,3", "5", 5),
+            (2, "0", "64", 2),
+        ):
+            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            pools.clear()
+            assert main(argv + ["--values", values, "--jobs", jobs]) == 0
+            assert pools == [want], (cpus, values, jobs)
+        # an infeasible cell has no batches: 5 is, 1 is not
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 64)
+        pools.clear()
+        assert main(["sweep", str(path), "--axis", "common_overlap", "--values", "1,5",
+                     "--jobs", "64"]) == 0
+        assert pools == [2]
+        # one usable CPU, or none reported, runs every batch in this process
+        pools.clear()
+        for cpus in (1, None):
+            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            assert main(argv + ["--values", "0,1,2,3", "--jobs", "64"]) == 0
+        assert pools == []
 
-    def test_invalid_cell_raises(self, tmp_path):
-        bad = json.loads(self.sweep_config(tmp_path).read_text())
-        bad["seeds"] = []
-        with pytest.raises(ValueError, match="seeds"):
-            _cell_worker((json.dumps(bad), 0))
+    def test_repeated_values_rejected(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path)
+        argv = ["sweep", str(path), "--axis", "target_private_size", "--jobs", "2"]
+        assert main(argv + ["--values", "2,2"]) == 2
+        assert capsys.readouterr().out == "invalid: --values repeats 2\n"
+        assert main(argv + ["--values", "0,3,1,3,0"]) == 2
+        assert capsys.readouterr().out == "invalid: --values repeats 3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_execute_sweep_rejects_repeated_values(self, tmp_path):
+        config, problems = load_config(self.sweep_config(tmp_path))
+        assert not problems
+        with pytest.raises(ValueError, match="sweep value 2 repeats"):
+            execute_sweep(config, "target_private_size", [0, 2, 2], jobs=2)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_axis_rejected_by_argparse(self, tmp_path):
         path = self.sweep_config(tmp_path)
