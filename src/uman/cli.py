@@ -22,13 +22,12 @@ the same config, seeds, and offset produce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -181,10 +180,32 @@ def _run_method_batch(task):
 def _map_in_pool(fn, tasks, jobs):
     """Yield ``fn(task)`` for every task, in order, from at most ``jobs``
     worker processes and never more than there are tasks or CPUs. A single
-    worker maps in this process, so nothing is pickled."""
+    worker maps in this process, so nothing is pickled.
+
+    A worker gets the next task as soon as it finishes one, whatever the
+    order in which results are due, so a long task at the head never
+    leaves another worker idle. After a task raises no further task is
+    handed out, as none would be in this process; its error reaches the
+    caller when its result is due, once the tasks still running finish.
+    """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        yield from (map if pool is None else pool.map)(fn, tasks)
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures, running, failed = [], set(), False
+        for head in range(len(tasks)):
+            while True:
+                finished = {f for f in running if f.done()}
+                running -= finished
+                failed = failed or any(f.exception() is not None for f in finished)
+                while not failed and len(running) < workers and len(futures) < len(tasks):
+                    futures.append(pool.submit(fn, tasks[len(futures)]))
+                    running.add(futures[-1])
+                if futures[head].done():
+                    break
+                wait(running, return_when=FIRST_COMPLETED)
+            yield futures[head].result()
 
 
 def _write_atomic(path, write):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .core import METHODS, Hyperparams
-from .labelspace import LabelConfigError, UmdaMatrix, partition_from_matrix
+from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix
 from .synth import SyntheticSpec
 
 __all__ = [
@@ -124,7 +124,10 @@ def _parse_section(obj, key, cls, problems):
             ok = isinstance(v, int) and not isinstance(v, bool)
         elif want in ("float", float):
             ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-            v = float(v) if ok else v
+            try:
+                v = float(v) if ok else v
+            except OverflowError:  # an integer beyond every float
+                v = math.inf if v > 0 else -math.inf
         elif want in ("bool", bool):
             ok = isinstance(v, bool)
         else:  # integer tuples (layer widths)
@@ -268,6 +271,10 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
         return None, [f"unknown axis {axis!r}; expected one of {SWEEP_AXES}"]
     if value < 0:
         return None, [f"{axis} value must be >= 0, got {value}"]
+    if value > MAX_CLASSES:
+        # every axis value counts classes or sources, and the cell's blocks
+        # and label sets are built from it before any other bound applies
+        return None, [f"{axis} value must be <= {MAX_CLASSES}, got {value}"]
 
     if axis == "num_sources":
         if value < 1:

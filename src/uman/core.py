@@ -23,6 +23,7 @@ the rejection threshold w0 and is marked UNKNOWN otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -201,6 +202,27 @@ def _mean(x, keepdims=False):
     return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _source_layout(sizes: tuple):
+    """:func:`classification_loss`'s arrays that depend on the source
+    block sizes alone: the sizes and each row's 1/size. Cached, read-only."""
+    sizes_f = np.array(sizes, dtype=np.float64)
+    return _frozen(sizes_f), _frozen(np.repeat(1.0 / sizes_f, sizes)[:, None])
+
+
+@functools.lru_cache(maxsize=64)
+def _label_base(lead: tuple, n: int, k: int):
+    """Flat index of the first logit of every row of an ``(*lead, n, k)``
+    array; adding a row's label gives the flat index of its label's logit.
+    Cached, read-only."""
+    return _frozen(np.arange(math.prod(lead) * n).reshape(*lead, n) * k)
+
+
 def classification_loss(logits: np.ndarray, labels, sizes):
     """Average of the per-source mean cross entropies and its gradient.
 
@@ -212,7 +234,7 @@ def classification_loss(logits: np.ndarray, labels, sizes):
     With a leading run axis on ``logits`` and ``labels``, ``value`` holds
     one loss per run.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = tuple(int(n) for n in sizes)
     labels = np.asarray(labels, dtype=np.int64)
     *lead, n_rows, k = logits.shape
     n, m = sum(sizes), len(sizes)
@@ -220,19 +242,35 @@ def classification_loss(logits: np.ndarray, labels, sizes):
         raise ValueError("need nonempty source blocks with one label per source row")
     if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= k:
         raise ValueError(f"labels outside [0, {k})")
-    at_labels = (*(np.arange(r)[:, None] for r in lead), np.arange(n), labels)
+    sizes_f, inv_size = _source_layout(sizes)
+    # logp and p below are fresh C-contiguous arrays, so reshape(-1) is a
+    # view: one flat index reads, and writes, each row's label entry
+    at_labels = _label_base(tuple(lead), n, k) + labels
     logp = log_softmax(logits[..., :n, :])
-    nll = -logp[at_labels]
+    nll = -logp.reshape(-1)[at_labels]
     # each source's mean on its own, then summed term by term: the same
     # arithmetic as one cross-entropy term per source
-    value = _sum_terms((1.0 / m) * (block_sums(nll, sizes) / sizes))
-    inv_size = np.repeat(1.0 / np.array(sizes, dtype=np.float64), sizes)
+    value = _sum_terms((1.0 / m) * (block_sums(nll, sizes) / sizes_f))
     p = np.exp(logp)
-    p[at_labels] -= 1.0
-    return value if lead else float(value), (1.0 / m) * p * inv_size[:, None]
+    p.reshape(-1)[at_labels] -= 1.0
+    return value if lead else float(value), (1.0 / m) * p * inv_size
 
 
 _CLIP = 1e-7
+
+
+@functools.lru_cache(maxsize=64)
+def _domain_layout(sizes: tuple):
+    """:func:`domain_loss`'s arrays that depend on the block sizes alone:
+    the sizes, and each row's block count signed by its domain. The
+    sources' rows descend, and a negative count flips their sign exactly.
+    Cached, read-only."""
+    m = len(sizes) - 1
+    per_block = [-m * s for s in sizes[:-1]] + [sizes[-1]]
+    return (
+        _frozen(np.array(sizes, dtype=np.float64)),
+        _frozen(np.repeat(np.array(per_block, dtype=np.float64), sizes)),
+    )
 
 
 def domain_loss(out: np.ndarray, weights, sizes):
@@ -248,25 +286,24 @@ def domain_loss(out: np.ndarray, weights, sizes):
     With a leading run axis on ``out`` and ``weights``, ``value`` holds one
     loss per run.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = tuple(int(n) for n in sizes)
     m = len(sizes) - 1
     n = sum(sizes)
     w = np.asarray(weights, dtype=np.float64)
     lead = out.shape[:-2]
     if m < 1 or min(sizes) < 1 or out.shape[-2:] != (n, 1) or w.shape != (*lead, n):
         raise ValueError("need source and target blocks with one output and weight per row")
+    sizes_f, counts = _domain_layout(sizes)
     n_src = n - sizes[-1]
     raw = out[..., 0]
-    d = np.clip(raw, _CLIP, 1 - _CLIP)
+    # np.clip's arithmetic without its Python-level wrapper
+    d = np.minimum(np.maximum(raw, _CLIP), 1 - _CLIP)
     # probability given to each row's own domain
     q = np.concatenate([d[..., :n_src], 1.0 - d[..., n_src:]], axis=-1)
-    means = block_sums(-w * np.log(q), sizes) / sizes
+    means = block_sums(-w * np.log(q), sizes) / sizes_f
     means[..., :-1] /= m
     total = _sum_terms(means)
     inside = (raw > _CLIP) & (raw < 1 - _CLIP)
-    # the sources' rows descend: a negative count flips the sign exactly
-    per_block = [-m * s for s in sizes[:-1]] + [sizes[-1]]
-    counts = np.repeat(np.array(per_block, dtype=np.float64), sizes)
     return total if lead else float(total), (inside * (w / (counts * q)))[..., None]
 
 
@@ -423,7 +460,8 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     :class:`TrainingDiverged` or :class:`~uman.nn.NonFiniteGradientError` it
     ended with, either carrying the step in ``step``. A run that diverges
     leaves the batch at that step, before any of its parameters move, and
-    the other runs go on.
+    the other runs go on; a run whose loss is not finite leaves before the
+    step's backward pass, as it does alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -439,12 +477,13 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         _check_datasets(datasets, partition)
     adversarial = method != "source_only"
     n_stepped = 3 if adversarial else 2  # F, G and, when adversarial, D
+    lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
 
     n_classes = partition.n_source_classes
     in_dim = runs[0][0][0].features.shape[1]
-    feature_net, classifier, discriminator = (
-        Mlp.stack(nets) for nets in zip(*(_build_nets(run_hp, in_dim, n_classes) for _, run_hp in runs))
-    )
+    nets = [
+        Mlp.stack(role) for role in zip(*(_build_nets(run_hp, in_dim, n_classes) for _, run_hp in runs))
+    ]
     register = TargetMarginRegister(n_classes, runs=len(runs))
     common_mask = np.zeros(n_classes, dtype=bool)
     common_mask[list(partition.common_union)] = True
@@ -458,15 +497,34 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     outcomes: list = [None] * len(runs)
     ids = list(range(len(runs)))  # the entry of ``runs`` each row of the stacks trains
     traces: list[list[LossReport]] = [[] for _ in runs]
+
+    def leave(failed):
+        """Record the errors of the runs at the ``failed`` positions of the
+        stacks and take those runs out of the batch; returns the positions
+        that stay, empty when none does."""
+        nonlocal nets, register, ids, traces
+        for r, error in failed.items():
+            outcomes[ids[r]] = error
+        keep = [r for r in range(len(ids)) if r not in failed]
+        if keep:
+            nets = [net.take(keep) for net in nets]
+            register = register.take(keep)
+            ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
+        return keep
+
+    unweighted = None  # unweighted_adv's all-ones weights, while the batch keeps its runs
     for step in range(hp.max_steps):
-        # the source sub-batches and the target rows of every run go through
-        # each net as one stack of blocks; the classifier's gradient covers
-        # only the source blocks
+        # the source sub-batches and, when D takes part, the target rows of
+        # every run go through each net as one stack of blocks; without D
+        # nothing reads the target's features, and the classifier's
+        # gradient covers only the source blocks either way
         x, labels, sizes = next(batches)
         if len(ids) < len(runs):  # runs that failed draw on, unused
             x, labels = x[ids], labels[ids]
         n_src = labels.shape[-1]
-        f_acts = forward_mlp(feature_net, x, sizes)
+        feature_net, classifier, discriminator = nets
+        f_blocks = sizes if adversarial else sizes[:-1]
+        f_acts = forward_mlp(feature_net, x if adversarial else x[:, :n_src], f_blocks)
         feats = l2_normalize(f_acts[-1])
         g_acts = forward_mlp(classifier, feats, sizes[:-1])
         logits = g_acts[-1]
@@ -474,34 +532,76 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         wrong = logits[:, :n_src].argmax(axis=-1) != labels
         errors = (block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist()
         eg_val, g_logits = classification_loss(logits, labels, sizes[:-1])
+        eg_list = eg_val.tolist()
 
+        # each run's trace weights: the mean raw weight of its common-class
+        # and of its private-class source rows (0 for an empty group) and of
+        # its target rows; every weight is 1 in unweighted_adv, 0 without D
         if adversarial:
             # detached predictions drive margins, the gate, and all weights
             pseudo, margins = batch_margins(softmax(logits[:, n_src:]))
             gate = [max(err) < hp.epsilon for err in errors]
             if any(gate):
                 register.update(*margin_vector(pseudo, margins, n_classes), True if all(gate) else gate)
+            in_common = common_mask[labels]
+            n_commons = np.add.reduce(in_common, axis=-1).tolist()
             if method == "uman":
                 raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
+                weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
+                weight_means = [
+                    (
+                        float(_mean(ws[common])) if n_common else 0.0,
+                        float(_mean(ws[~common])) if n_common < n_src else 0.0,
+                        wt,
+                    )
+                    for ws, common, n_common, wt in zip(raw_ws, in_common, n_commons, _mean(raw_wt).tolist())
+                ]
             else:
-                raw_ws, raw_wt = np.ones((len(ids), n_src)), np.ones((len(ids), sizes[-1]))
-            weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
+                if unweighted is None or len(unweighted) != len(ids):
+                    unweighted = np.concatenate([
+                        normalize_weights(np.ones((len(ids), n_src))),
+                        normalize_weights(np.ones((len(ids), sizes[-1]))),
+                    ], axis=-1)
+                weights = unweighted
+                weight_means = [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in n_commons]
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
             d_acts = forward_mlp(discriminator, feats, sizes)
             ed_val, g_d = domain_loss(d_acts[-1], weights, sizes)
+            ed_list = ed_val.tolist()
         else:
             gate = [False] * len(ids)
-            raw_ws, raw_wt = np.zeros((len(ids), n_src)), np.zeros((len(ids), sizes[-1]))
-            ed_val = np.zeros(len(ids))
+            ed_list = [0.0] * len(ids)
+            weight_means = [(0.0, 0.0, 0.0)] * len(ids)
+        rows = [
+            LossReport(
+                step=step,
+                class_loss=eg,
+                domain_loss=ed,
+                source_errors=tuple(err),
+                mean_weight_common=common,
+                mean_weight_private=private,
+                mean_weight_target=target,
+                tmr_updated=updated,
+            )
+            for eg, ed, err, (common, private, target), updated in zip(eg_list, ed_list, errors, weight_means, gate)
+        ]
 
-        # a run whose loss is not finite stops here, as it would alone; its
-        # NaNs stay in its own slices while the step runs on
-        eg_list, ed_list = eg_val.tolist(), ed_val.tolist()
+        # a run whose loss is not finite stops here, before its backward, as
+        # it would alone
         failed = {
             r: TrainingDiverged(step, traces[r][-1] if traces[r] else None)
             for r, (eg, ed) in enumerate(zip(eg_list, ed_list))
             if not (math.isfinite(eg) and math.isfinite(ed))
         }
+        if failed:
+            keep = leave(failed)
+            if not keep:
+                return outcomes
+            feature_net, classifier, discriminator = nets
+            rows, g_logits = [rows[r] for r in keep], g_logits[keep]
+            f_acts, g_acts = [a[keep] for a in f_acts], [a[keep] for a in g_acts]
+            if adversarial:
+                d_acts, g_d = [a[keep] for a in d_acts], g_d[keep]
 
         # one backward pass realizes the min-max: D descends the domain
         # loss, and the gradient-reversal layer hands the features D's input
@@ -511,60 +611,28 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         if adversarial:
             g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
             g_feats[:, :n_src] += g_src
-            f_blocks = sizes
         else:
-            g_feats, f_blocks = g_src, sizes[:-1]
-        f_out = f_acts[-1][:, : g_feats.shape[1]]
-        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_out, g_feats), f_blocks)
+            g_feats = g_src
+        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), f_blocks)
 
         # one check of every gradient of every run before any parameter
         # moves; D is outside the graph in classification-only runs, and
         # stepping it there would still apply weight decay
-        stepped = (feature_net, classifier, discriminator)[:n_stepped]
-        for r, message in gradient_faults(*stepped).items():
-            if r not in failed:
-                failed[r] = error = NonFiniteGradientError(message)
-                error.step = step
-
-        in_common = common_mask[labels]
-        rows = [
-            LossReport(
-                step=step,
-                class_loss=eg,
-                domain_loss=ed,
-                source_errors=tuple(err),
-                mean_weight_common=float(_mean(ws[common])) if n_common else 0.0,
-                mean_weight_private=float(_mean(ws[~common])) if n_common < n_src else 0.0,
-                mean_weight_target=wt,
-                tmr_updated=updated,
-            )
-            for eg, ed, err, ws, common, n_common, wt, updated in zip(
-                eg_list, ed_list, errors, raw_ws, in_common,
-                np.count_nonzero(in_common, axis=-1).tolist(), _mean(raw_wt).tolist(), gate,
-            )
-        ]
-
+        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*nets[:n_stepped]).items()}
         if failed:
-            for r, error in failed.items():
-                outcomes[ids[r]] = error
-            keep = [r for r in range(len(ids)) if r not in failed]
+            for error in failed.values():
+                error.step = step
+            keep = leave(failed)
             if not keep:
                 return outcomes
-            feature_net, classifier, discriminator = (
-                net.take(keep) for net in (feature_net, classifier, discriminator)
-            )
-            stepped = (feature_net, classifier, discriminator)[:n_stepped]
-            register = register.take(keep)
-            ids, traces, rows = ([seq[r] for r in keep] for seq in (ids, traces, rows))
-        for net, lr in zip(stepped, (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)):
+            rows = [rows[r] for r in keep]
+        for net, lr in zip(nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
         for trace, row in zip(traces, rows):
             trace.append(row)
 
     for r, i in enumerate(ids):
-        outcomes[i] = TrainResult(
-            feature_net.take(r), classifier.take(r), discriminator.take(r), register.take(r), traces[r]
-        )
+        outcomes[i] = TrainResult(*(net.take(r) for net in nets), register.take(r), traces[r])
     return outcomes
 
 

@@ -26,7 +26,12 @@ __all__ = [
     "partition_from_matrix",
     "jaccard_source_target",
     "jaccard_source_source",
+    "MAX_CLASSES",
 ]
+
+# the label sets are built as Python sets, so the matrix bounds the memory
+# a config can claim; no experiment here comes near this many classes
+MAX_CLASSES = 10_000
 
 
 class LabelConfigError(ValueError):
@@ -84,6 +89,9 @@ class UmdaMatrix:
         m = self.n_sources
         if m < 1:
             out.append("at least one source domain is required")
+        entries = sum(self.common_sizes) + sum(self.private_sizes) + self.target_common + self.target_private
+        if entries > MAX_CLASSES:
+            out.append(f"block sizes sum to {entries}, above the limit of {MAX_CLASSES} classes")
         if len(self.private_sizes) != m:
             out.append(
                 f"common_sizes has {m} entries but private_sizes has {len(self.private_sizes)}"

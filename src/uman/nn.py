@@ -3,8 +3,11 @@
 Everything runs on float64 numpy arrays of rows, ``(n, width)``, with an
 optional leading run axis, ``(R, n, width)``: :meth:`Mlp.stack` holds R
 nets of one shape as one net whose parameters carry that axis, and every
-function here then computes each run exactly as it would alone.
-:func:`forward_mlp` returns the activations of every layer, and
+function here then computes each run exactly as it would alone. A net's
+parameters, and its gradients, live in one flat buffer each, of which
+every layer's arrays are views, so zeroing, checking and stepping a
+net's gradients take one numpy call per buffer region, not one per
+layer. :func:`forward_mlp` returns the activations of every layer, and
 :func:`backward_mlp` takes them back with the loss gradient of the output,
 adding exact gradients into the parameter buffers of the :class:`Mlp` and
 returning the gradient of the input when the caller reads it. The package
@@ -16,6 +19,7 @@ probe, and each spells out its own chain of these calls;
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -49,58 +53,83 @@ _ACTIVATIONS = ("linear", "relu", "sigmoid")
 
 
 class _Layer:
+    """Views of one layer into its net's flat buffers."""
+
     __slots__ = ("w", "b", "gw", "gb", "activation")
 
-    def __init__(self, w, b, activation, gw=None, gb=None):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.w = w
-        self.b = b
-        self.gw = np.zeros_like(w) if gw is None else gw
-        self.gb = np.zeros_like(b) if gb is None else gb
-        self.activation = activation
+    def __init__(self, w, b, gw, gb, activation):
+        self.w, self.b, self.gw, self.gb, self.activation = w, b, gw, gb, activation
 
 
 class Mlp:
-    """Fully connected net; weights drawn uniformly from +-1/sqrt(fan_in)."""
+    """Fully connected net; weights drawn uniformly from +-1/sqrt(fan_in).
+
+    Parameters live in one flat buffer, ``params``, and their gradients in
+    another of the same layout, ``grads``: every layer's weights, then every
+    layer's biases, layer by layer. A run axis sits inside each layer's
+    segment, so every layer's ``w``, ``b``, ``gw`` and ``gb`` is a
+    C-contiguous view into the buffers, and zeroing, checking or stepping
+    all of a net's gradients takes one call per region.
+    """
 
     def __init__(self, sizes, activations, rng):
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output width")
         if len(activations) != len(sizes) - 1:
             raise ValueError("one activation per layer required")
+        self._allocate(list(zip(sizes[:-1], sizes[1:])), activations, ())
+        for layer in self.layers:
+            bound = 1.0 / np.sqrt(layer.w.shape[0])
+            layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
+            layer.b[...] = rng.uniform(-bound, bound, size=layer.b.shape)
+
+    def _allocate(self, shapes, activations, lead):
+        """Lay out zeroed buffers for layers of the given (fan_in, fan_out)
+        shapes, each with the leading run axis ``lead`` (or none)."""
+        for act in activations:
+            if act not in _ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+        runs = math.prod(lead)
+        n_weights = runs * sum(i * o for i, o in shapes)
+        size = n_weights + runs * sum(o for _, o in shapes)
+        self.params, self.grads = np.zeros(size), np.zeros(size)
+        self._split = n_weights
         self.layers = []
-        for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            b = rng.uniform(-bound, bound, size=fan_out)
-            self.layers.append(_Layer(w, b, act))
+        w_at, b_at = 0, n_weights
+        for (fan_in, fan_out), act in zip(shapes, activations):
+            w_end, b_end = w_at + runs * fan_in * fan_out, b_at + runs * fan_out
+            w, gw = (buf[w_at:w_end].reshape(*lead, fan_in, fan_out) for buf in (self.params, self.grads))
+            b, gb = (buf[b_at:b_end].reshape(*lead, fan_out) for buf in (self.params, self.grads))
+            self.layers.append(_Layer(w, b, gw, gb, act))
+            w_at, b_at = w_end, b_end
 
     @classmethod
-    def _of(cls, layers):
-        net = cls.__new__(cls)
-        net.layers = layers
-        return net
+    def _like(cls, net, lead):
+        out = cls.__new__(cls)
+        out._allocate(
+            [layer.w.shape[-2:] for layer in net.layers], [layer.activation for layer in net.layers], lead
+        )
+        return out
 
     @classmethod
     def stack(cls, nets):
         """One net whose parameters stack those of ``nets``, which share
-        their shape, along a leading run axis."""
-        return cls._of([
-            _Layer(np.stack([n.layers[i].w for n in nets]),
-                   np.stack([n.layers[i].b for n in nets]), layer.activation)
-            for i, layer in enumerate(nets[0].layers)
-        ])
+        their shape, along a leading run axis; its gradients are zero."""
+        net = cls._like(nets[0], (len(nets),))
+        for i, layer in enumerate(net.layers):
+            for r, one in enumerate(nets):
+                layer.w[r], layer.b[r] = one.layers[i].w, one.layers[i].b
+        return net
 
     def take(self, runs):
         """Copy of the given runs of a stacked net, gradient buffers
         included: a list keeps the run axis, an integer gives that run's own
         net without it."""
-        return Mlp._of([
-            _Layer(l.w[runs].copy(), l.b[runs].copy(), l.activation,
-                   l.gw[runs].copy(), l.gb[runs].copy())
-            for l in self.layers
-        ])
+        net = Mlp._like(self, self.layers[0].b[runs].shape[:-1])
+        for new, old in zip(net.layers, self.layers):
+            for name in ("w", "b", "gw", "gb"):
+                getattr(new, name)[...] = getattr(old, name)[runs]
+        return net
 
     @property
     def in_dim(self) -> int:
@@ -112,12 +141,10 @@ class Mlp:
 
     @property
     def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
+        return self.params.size
 
     def zero_grads(self):
-        for l in self.layers:
-            l.gw[...] = 0.0
-            l.gb[...] = 0.0
+        self.grads[...] = 0.0
 
     def param_arrays(self):
         """Flat list of (param, grad) pairs, in a fixed order."""
@@ -258,7 +285,15 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
         grad = np.empty_like(inp) if i or input_grad else None
         # the transposed view, not a contiguous copy: BLAS rounds the two
         # layouts differently
-        w_t = layer.w.swapaxes(-1, -2)[..., None, :, :]
+        w_t = layer.w.swapaxes(-1, -2)
+        by_block = grad is not None and w_t.shape[-2] > 1
+        if grad is not None and not by_block:
+            # a 1-wide output's input gradient is an outer product: a k=1
+            # matrix product adds each entry's one product to a zero
+            # accumulator, and so does adding 0.0, which turns a -0.0
+            # product into +0.0 and leaves every other value as it is
+            np.add(np.multiply(dz, w_t, out=grad), 0.0, out=grad)
+        w_t = w_t[..., None, :, :]  # one weight matrix per block of a run
         gw, gb = [], []
         for start, count, rows in runs:
             stop = start + count * rows
@@ -266,8 +301,8 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
             x = inp[..., start:stop, :].reshape(*lead, count, rows, -1)
             gw.append(np.matmul(x.swapaxes(-1, -2), d))
             gb.append(np.add.reduce(d, axis=-2))
-            if grad is not None:
-                grad[..., start:stop, :] = np.matmul(d, w_t).reshape(*lead, stop - start, -1)
+            if by_block:
+                np.matmul(d, w_t, out=grad[..., start:stop, :].reshape(*lead, count, rows, -1))
         # One sum over the blocks, last first, adds what one backward per
         # block in reverse order would. It is exact only because the buffers
         # are zero here: a net runs one backward per step, and sgd_step
@@ -327,10 +362,12 @@ def gradient_faults(*nets) -> dict[int, str]:
     :class:`NonFiniteGradientError` for its first faulty buffer: nets in
     the given order, then layers, then ``w`` before ``b``. One check covers
     every run of every net, so a caller can drop the faulty runs before any
-    parameter moves.
+    parameter moves; only a net that fails it is scanned layer by layer.
     """
     faults = {}
     for net in nets:
+        if np.logical_and.reduce(np.isfinite(net.grads)):
+            continue
         for idx, layer in enumerate(net.layers):
             runs = layer.w.shape[0] if layer.w.ndim == 3 else 1
             for name, g in (("w", layer.gw), ("b", layer.gb)):
@@ -360,11 +397,13 @@ def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):
 
 def sgd_update(net: Mlp, lr: float, weight_decay: float = 0.0):
     """:func:`sgd_step` without its check, for gradients already checked
-    by :func:`gradient_faults`."""
-    for layer in net.layers:
-        if weight_decay:
-            layer.w -= lr * (layer.gw + weight_decay * layer.w)
-        else:
-            layer.w -= lr * layer.gw
-        layer.b -= lr * layer.gb
+    by :func:`gradient_faults`. One update covers every weight of the net
+    and one every bias, entry by entry as a step per layer would."""
+    split = net._split
+    w, gw = net.params[:split], net.grads[:split]
+    if weight_decay:
+        w -= lr * (gw + weight_decay * w)
+    else:
+        w -= lr * gw
+    net.params[split:] -= lr * net.grads[split:]
     net.zero_grads()

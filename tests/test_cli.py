@@ -3,7 +3,9 @@
 import csv
 import json
 import shutil
-from concurrent.futures import ProcessPoolExecutor
+import time
+import warnings
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -46,16 +48,16 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def three_by_three(tmp_path, lr):
-    """All three methods over seeds 0-2 for 8 steps at learning rate ``lr``:
-    at 0.1 every run converges, at 5e103 seed 0 converges and the others
-    diverge."""
+def three_by_three(tmp_path, lr, steps=8):
+    """All three methods over seeds 0-2 for ``steps`` steps at learning
+    rate ``lr``: in 8 steps at 0.1 every run converges, at 5e103 seed 0
+    converges and the others diverge."""
     return tiny_config(
         tmp_path,
         methods=["uman", "source_only", "unweighted_adv"],
         seeds=[0, 1, 2],
         hyperparams={
-            "max_steps": 8,
+            "max_steps": steps,
             "batch_size": 8,
             "feature_hidden": [8],
             "feature_dim": 4,
@@ -72,10 +74,23 @@ def files_under(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def sleep_then_log(task):
+    """Pool task of the scheduling tests: sleep, then raise if named
+    "fail", else log its start and end time into a file of its name."""
+    name, seconds, log_dir = task
+    start = time.time()
+    time.sleep(seconds)
+    if name == "fail":
+        raise ValueError(name)
+    (log_dir / name).write_text(f"{start} {time.time()}")
+    return name
+
+
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """Replace ``cli``'s process pool by one that maps in this process;
-    returns the size of every pool requested."""
+    """Replace ``cli``'s process pool by one that runs each task in this
+    process when it is submitted; returns the size of every pool
+    requested."""
     sizes = []
 
     class FakePool:
@@ -88,8 +103,13 @@ def fake_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", FakePool)
     return sizes
@@ -421,6 +441,21 @@ class TestBatchedRunMatchesRunByRun:
         for name in files:
             assert (batched / name).read_bytes() == (alone / name).read_bytes(), name
 
+    def test_same_warnings(self, tmp_path, one_worker):
+        """A batch in which runs diverge prints the numpy warnings those
+        runs print alone: the same distinct warnings from the same lines."""
+        config, _ = load_config(three_by_three(tmp_path, 5e103))
+
+        def warned(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fn()
+            return {(w.category, str(w.message), w.filename, w.lineno) for w in caught}
+
+        batched = warned(lambda: uman.cli.execute_run(config, quiet=True))
+        assert batched  # the diverging runs do overflow
+        assert batched == warned(lambda: one_run_at_a_time(config, tmp_path / "alone"))
+
 
 class TestMethodPool:
     """``execute_run`` trains its method batches in a process pool, one
@@ -460,7 +495,9 @@ class TestMethodPool:
         assert pools == [2]
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys, pools):
-        path = three_by_three(tmp_path, 0.1)
+        # 300 steps: source_only, blocked at its first write, fails well
+        # before uman, which trains longer and then writes
+        path = three_by_three(tmp_path, 0.1, steps=300)
         blocked = tmp_path / "out" / "runs" / "source_only_0"
 
         def blocked_run(cpus):
@@ -472,12 +509,31 @@ class TestMethodPool:
             with pytest.raises(FileExistsError) as info:
                 main(["run", str(path)])
             assert not (tmp_path / "out" / "summary.csv").exists()
-            return str(info.value)
+            return str(info.value), sorted(p.name for p in blocked.parent.iterdir())
 
         serial = blocked_run(1)
-        assert str(blocked) in serial
+        assert str(blocked) in serial[0]
+        # no batch is handed out after one raises: unweighted_adv never runs
+        assert serial[1] == ["source_only_0", "uman_0", "uman_1", "uman_2"]
         assert blocked_run(2) == serial
         assert pools == [2]
+
+    def test_free_worker_takes_the_next_task(self, tmp_path, monkeypatch):
+        """The third task starts while the first, due earlier, still runs."""
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        tasks = [("slow", 0.6, tmp_path), ("fast", 0.0, tmp_path), ("next", 0.0, tmp_path)]
+        assert list(uman.cli._map_in_pool(sleep_then_log, tasks, 2)) == ["slow", "fast", "next"]
+        times = {t.name: [float(v) for v in t.read_text().split()] for t in tmp_path.iterdir()}
+        assert times["next"][0] < times["slow"][1]
+
+    def test_no_task_after_one_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        tasks = [("slow", 0.6, tmp_path), ("fail", 0.0, tmp_path), ("after", 0.0, tmp_path)]
+        results = uman.cli._map_in_pool(sleep_then_log, tasks, 2)
+        assert next(results) == "slow"
+        with pytest.raises(ValueError, match="fail"):
+            next(results)
+        assert sorted(t.name for t in tmp_path.iterdir()) == ["slow"]
 
     def test_pool_size_capped_by_methods_and_cpus(self, tmp_path, monkeypatch, fake_pools):
         sizes = fake_pools

@@ -1,8 +1,11 @@
 """Config parsing, canonical hashing, and sweep-cell derivation."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uman.config import (
     SWEEP_AXES,
@@ -12,8 +15,9 @@ from uman.config import (
     load_config,
     parse_config,
 )
-from uman.core import METHODS
-from uman.labelspace import partition_from_matrix
+from uman.core import METHODS, Hyperparams
+from uman.labelspace import MAX_CLASSES, partition_from_matrix
+from uman.synth import SyntheticSpec
 
 
 def minimal(**kw):
@@ -152,6 +156,23 @@ class TestParseConfig:
         assert config is None
         assert problems == [f"{section}.{name} must be a finite number, got {value!r}"]
 
+    def test_integer_beyond_every_float_is_a_problem(self):
+        # json.loads reads an integer literal of any length exactly
+        for value, shown in ((2**1100, "inf"), (-(2**1100), "-inf")):
+            config, problems = parse_config(minimal(hyperparams={"lr_features": value}))
+            assert config is None
+            assert problems == [f"hyperparams.lr_features must be a finite number, got {shown}"]
+
+    def test_class_count_is_capped(self):
+        # the label sets are built in memory: a matrix naming 10**30
+        # classes is a problem, not an allocation
+        _, problems = parse_config(minimal(umda_matrix=[[4, 4, 6], [10**30, 3, 3]]))
+        assert problems == [f"block sizes sum to {10**30 + 20}, above the limit of {MAX_CLASSES} classes"]
+        config, problems = parse_config(minimal(umda_matrix=[[4, 4, 6], [MAX_CLASSES - 20, 3, 3]]))
+        assert problems == []
+        for axis in SWEEP_AXES:
+            assert derive_sweep_cell(config, axis, 10**30)[1] == [f"{axis} value must be <= {MAX_CLASSES}, got {10**30}"]
+
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
@@ -260,3 +281,116 @@ class TestSweepCells:
         assert problems == []
         _, problems = derive_sweep_cell(three, "common_overlap", 1)
         assert any("2-source" in p for p in problems)
+
+
+# ---- property tests: values the schema does not expect never break the parser
+
+# beyond int64, beyond every float, beyond MAX_CLASSES
+_HUGE = st.sampled_from([2**63, -(2**63) - 1, 10**30, -(10**30), MAX_CLASSES + 1, 2**1100, -(2**1100)])
+# anything JSON can hold, non-finite floats and huge integers included
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | _HUGE | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_VALID = {
+    "int": st.integers(1, 40),
+    "float": st.floats(0.01, 1.0),
+    "bool": st.booleans(),
+    "tuple[int, ...]": st.lists(st.integers(1, 16), max_size=2),
+}
+
+
+def _section(cls, junk):
+    """An object of some of ``cls``'s fields, each a value of the field's
+    type or, with ``junk``, possibly anything, a field the schema does not
+    know included."""
+    values = {f.name: _VALID[f.type] | _HUGE | _JUNK if junk else _VALID[f.type] for f in fields(cls)}
+    if junk:
+        values["bogus"] = _JUNK
+    return st.fixed_dictionaries({}, optional=values)
+
+
+def _configs(junk):
+    """Config objects near the schema; with ``junk`` any part, or the whole
+    object, may be anything instead."""
+    entry = st.integers(0, 6) | (_HUGE | st.integers(-3, -1) | _JUNK if junk else st.nothing())
+    pair = st.dictionaries(st.sampled_from(["1-2", "2-1", "1-3", "x"] if junk else ["1-2"]), entry, max_size=1)
+
+    def part(valid):
+        return valid | _JUNK if junk else valid
+
+    if junk:
+        matrices = st.integers(1, 3).flatmap(
+            lambda m: st.lists(st.lists(entry, min_size=m + 1, max_size=m + 1), min_size=2, max_size=2)
+        )
+    else:  # mostly feasible: every shared block fits the target's
+        matrices = st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(lambda mw: st.tuples(
+            st.lists(st.integers(1, mw[1]), min_size=mw[0], max_size=mw[0]).map(lambda c: c + [mw[1]]),
+            st.lists(st.integers(0, 3), min_size=mw[0] + 1, max_size=mw[0] + 1),
+        ).map(list))
+    configs = st.fixed_dictionaries(
+        {"umda_matrix": part(matrices), "output_dir": part(st.just("out"))},
+        optional={
+            "overrides": part(st.fixed_dictionaries({}, optional={"common": part(pair), "source_private": part(pair)})),
+            "synthetic": part(_section(SyntheticSpec, junk)),
+            "hyperparams": part(_section(Hyperparams, junk)),
+            "methods": part(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True)),
+            "seeds": part(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)),
+            **({"extra": _JUNK} if junk else {}),
+        },
+    )
+    return configs | _JUNK if junk else configs
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _parsed(obj):
+    config, problems = parse_config(obj)
+    assert (config is None) == bool(problems)
+    assert all(isinstance(p, str) for p in problems)
+    return config
+
+
+class TestParserProperties:
+    """Seeded: every run draws the same examples."""
+
+    @given(_configs(junk=True))
+    @_PROPERTY
+    def test_parse_config_returns_config_or_problems(self, obj):
+        _parsed(obj)
+
+    @given(
+        st.sampled_from(
+            [("synthetic", f.name) for f in fields(SyntheticSpec)]
+            + [("hyperparams", f.name) for f in fields(Hyperparams)]
+        ),
+        _HUGE | _JUNK,
+    )
+    @_PROPERTY
+    def test_any_field_value_gives_config_or_problems(self, field, value):
+        section, name = field
+        _parsed(minimal(**{section: {name: value}}))
+
+    @given(_configs(junk=False))
+    @_PROPERTY
+    def test_valid_config_round_trips_with_its_hash(self, obj):
+        config = _parsed(obj)
+        assume(config is not None)
+        again, problems = parse_config(json.loads(json.dumps(canonical_dict(config), allow_nan=False)))
+        assert problems == []
+        assert again == config
+        assert config_hash(again) == config_hash(config)
+
+    @given(_configs(junk=False), st.sampled_from(SWEEP_AXES), st.integers(-2, 12) | _HUGE)
+    @_PROPERTY
+    def test_sweep_cell_is_valid_or_rejected(self, obj, axis, value):
+        config = _parsed(obj)
+        assume(config is not None)
+        cell, problems = derive_sweep_cell(config, axis, value)
+        assert (cell is None) == bool(problems)
+        if cell is not None:
+            again, problems = parse_config(json.loads(json.dumps(canonical_dict(cell), allow_nan=False)))
+            assert problems == []
+            assert config_hash(again) == config_hash(cell)

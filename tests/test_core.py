@@ -450,6 +450,33 @@ class TestTrainerMechanics:
             train(datasets, partition, hp)
 
 
+class TestSourceOnlyForward:
+    def test_feature_net_sees_only_source_rows(self, monkeypatch):
+        """Without D nothing reads the target's features, so F and G run
+        over the source rows only; the adversarial methods forward all."""
+        calls = []
+        forward = uman.core.forward_mlp
+
+        def recording(net, x, blocks=None):
+            calls.append((net.in_dim, net.out_dim, x.shape[-2], tuple(blocks)))
+            return forward(net, x, blocks)
+
+        monkeypatch.setattr(uman.core, "forward_mlp", recording)
+        datasets, partition, hp = tiny_setup(max_steps=3)
+        sizes = (16,) * len(datasets)
+        n_src, n_all = sum(sizes[:-1]), sum(sizes)
+        f_shape = (datasets[0].features.shape[1], hp.feature_dim)
+        g_shape = (hp.feature_dim, partition.n_source_classes)
+        d_shape = (hp.feature_dim, 1)
+        for method, want in (
+            ("source_only", [(*f_shape, n_src, sizes[:-1]), (*g_shape, n_src, sizes[:-1])]),
+            ("uman", [(*f_shape, n_all, sizes), (*g_shape, n_all, sizes[:-1]), (*d_shape, n_all, sizes)]),
+        ):
+            calls.clear()
+            train(datasets, partition, hp, method=method)
+            assert calls == want * 3, method
+
+
 def _oracle_setup(matrix, short_source=None, seed=3):
     """A 100-step run of the standard widths; optionally one source keeps 19
     rows, fewer than ``batch_size``, so its sub-batch is smaller than the rest
@@ -542,6 +569,30 @@ class TestRunAxisMatchesTrainingAlone:
         for i in (0, 2):
             datasets, _, hp = setups[i]
             assert_same_training(got[i], train(datasets, partition, hp))
+
+    def test_diverged_run_skips_its_backward(self, monkeypatch):
+        """A run whose loss is not finite leaves before that step's
+        backward, alone and in a batch, so none of its NaNs or overflows
+        reach a gradient."""
+        setups = self.setups()
+        partition = setups[0][1]
+        setups[1][0][0].features[71] = np.nan  # as in the test above
+        datasets, _, hp = setups[1]
+        runs_seen = []
+        backward = uman.core.l2_normalize_backward
+
+        def recording(x, grad):
+            runs_seen.append(len(x))
+            return backward(x, grad)
+
+        monkeypatch.setattr(uman.core, "l2_normalize_backward", recording)
+        with pytest.raises(TrainingDiverged) as alone:
+            train(datasets, partition, hp)
+        step = alone.value.step
+        assert runs_seen == [1] * step
+        runs_seen.clear()
+        train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
+        assert runs_seen == [3] * step + [2] * (hp.max_steps - step)
 
     def test_non_finite_gradient_leaves_the_batch(self, monkeypatch):
         """An infinity planted in one run's feature gradient at step 40 ends

@@ -1,5 +1,6 @@
 """Numerics layer: forward oracles, exact backward rules, finite differences."""
 
+import copy
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from uman.nn import (
     log_softmax,
     mlp_apply,
     sgd_step,
+    sgd_update,
     softmax,
 )
 
@@ -421,3 +423,105 @@ class TestStackedBlocks:
             bounds = np.cumsum([0, *sizes])
             want = np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
             assert got.tobytes() == want.tobytes()
+
+
+def _stacked(n_runs, shape=([5, 7, 3], ["relu", "linear"])):
+    return [Mlp(*shape, np.random.default_rng(50 + r)) for r in range(n_runs)]
+
+
+class TestFlatBuffers:
+    """Every layer's parameters and gradients are views into one flat
+    buffer per net: weights of every layer, then biases of every layer."""
+
+    @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
+    def test_layer_views_alias_the_buffers(self, runs):
+        net = Mlp.stack(_stacked(runs)) if runs else _stacked(1)[0]
+        views = [(l.w, l.gw) for l in net.layers] + [(l.b, l.gb) for l in net.layers]
+        at = 0
+        for param, grad in views:
+            for view, buf in ((param, net.params), (grad, net.grads)):
+                assert view.flags.c_contiguous
+                assert view.base is buf
+                assert np.shares_memory(view, buf[at : at + view.size])
+            at += param.size
+        assert at == net.params.size == net.grads.size == net.n_params
+        # a write through the flat buffers shows in every layer
+        net.params[...] = 2.0
+        net.grads[...] = -1.0
+        assert all((p == 2.0).all() and (g == -1.0).all() for p, g in net.param_arrays())
+        net.zero_grads()
+        assert all((g == 0.0).all() for _, g in net.param_arrays())
+
+    def test_stack_and_take_round_trip(self):
+        nets = _stacked(3)
+        stacked = Mlp.stack(nets)
+        assert (stacked.grads == 0.0).all()
+        for r, one in enumerate(nets):
+            assert _params(stacked.take(r)) == _params(one)
+            assert stacked.take(r).layers[0].w.shape == one.layers[0].w.shape
+        for layer in stacked.layers:
+            layer.gw[...] = np.arange(layer.gw.size).reshape(layer.gw.shape)
+            layer.gb[...] = -np.arange(layer.gb.size).reshape(layer.gb.shape)
+        pair = stacked.take([2, 0])
+        assert pair.layers[0].w.shape == (2, 5, 7)
+        for new, old in zip(pair.layers, stacked.layers):
+            for name in ("w", "b", "gw", "gb"):
+                assert getattr(new, name).tobytes() == getattr(old, name)[[2, 0]].tobytes()
+        # a copy: stepping the taken net leaves the stack alone
+        before = stacked.params.copy()
+        pair.params += 1.0
+        assert stacked.params.tobytes() == before.tobytes()
+        assert _params(Mlp.stack([stacked.take(r) for r in range(3)]))[:4] == _params(stacked)[:4]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.003])
+    @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
+    def test_sgd_update_matches_the_per_layer_step(self, weight_decay, runs):
+        """One update per region is, entry for entry, the step each layer
+        took on its own."""
+        rng = np.random.default_rng(36)
+        net = Mlp.stack(_stacked(runs)) if runs else _stacked(1)[0]
+        net.grads[...] = rng.standard_normal(net.grads.size) * 10.0 ** rng.integers(-8, 3, net.grads.size)
+        want = copy.deepcopy(net)
+        for layer in want.layers:
+            if weight_decay:
+                layer.w -= 0.15 * (layer.gw + weight_decay * layer.w)
+            else:
+                layer.w -= 0.15 * layer.gw
+            layer.b -= 0.15 * layer.gb
+            layer.gw[...], layer.gb[...] = 0.0, 0.0
+        sgd_update(net, 0.15, weight_decay)
+        assert _params(net) == _params(want)
+
+
+class TestWidthOneBackward:
+    """A 1-wide output layer's input gradient is one broadcast multiply;
+    it must give the bits of the per-block matrix product it replaces."""
+
+    @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
+    @pytest.mark.parametrize("sizes", [[32, 32, 32], [19, 32, 5]], ids=["equal", "ragged"])
+    def test_matches_per_block_matmul(self, sizes, runs):
+        rng = np.random.default_rng(37)
+        shape = ([16, 1], ["sigmoid"])
+        nets = [Mlp(*shape, np.random.default_rng(60 + r)) for r in range(runs or 1)]
+        for one in nets:
+            one.layers[0].w[:3] = [[0.0], [-0.0], [1e-300]]  # zero and underflowing products
+        net = Mlp.stack(nets) if runs else nets[0]
+        lead = (runs,) if runs else ()
+        x = rng.standard_normal((*lead, sum(sizes), 16))
+        g_out = rng.standard_normal((*lead, sum(sizes), 1))
+        g_out[..., :4, 0] = [0.0, -0.0, 1e-300, -1e-300]
+        acts = forward_mlp(net, x, sizes)
+        grad = backward_mlp(net, acts, g_out, sizes, input_grad=True)
+
+        out = acts[-1]
+        dz = g_out * out * (1.0 - out)
+        w_t = net.layers[0].w.swapaxes(-1, -2)
+        bounds = np.cumsum([0, *sizes])
+        want = np.concatenate(
+            [np.matmul(dz[..., a:b, :], w_t) for a, b in zip(bounds[:-1], bounds[1:])], axis=-2
+        )
+        assert grad.tobytes() == want.tobytes()
+        # the fixture does hold products whose sign of zero the matrix
+        # product and a bare multiply disagree on
+        assert (np.signbit(dz * w_t) != np.signbit(want)).any()
+
