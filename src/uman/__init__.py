@@ -7,10 +7,10 @@ contain classes no source has. Submodules:
 * :mod:`uman.labelspace` -- label-set size matrices, concrete class
   layouts, Jaccard similarities;
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
-  controllable domain gaps;
+  controllable domain gaps, and the training batches of several runs;
 * :mod:`uman.nn` -- dense MLP numerics: forward passes over stacked
-  blocks, their explicit backward pass, row normalization, SGD, each with
-  an optional leading run axis;
+  blocks, their explicit backward pass, row normalization, gradient checks
+  and SGD, each with an optional leading run axis;
 * :mod:`uman.core` -- prediction margins, the running per-class margin
   register, sample weights, adversarial training under one of three
   methods (several seeds of one method as one batch), rejecting inference;
@@ -29,7 +29,7 @@ from .labelspace import (
     jaccard_source_target,
     partition_from_matrix,
 )
-from .synth import DomainDataset, SyntheticSpec, batch_iterator, generate, run_batches
+from .synth import DomainDataset, SyntheticSpec, generate, run_batches
 from .nn import Mlp, NonFiniteGradientError
 from .core import (
     METHODS,

@@ -58,6 +58,13 @@ def seed_offset() -> int:
         raise SystemExit(f"UMAN_SEED_OFFSET must be an integer, got {raw!r}")
 
 
+def _seed_problems(config: ExperimentConfig, offset: int) -> list[str]:
+    """Why a config cannot run at ``offset``, if its lowest effective seed
+    (a config seed plus the offset) is negative."""
+    low = min(config.synthetic.seed, config.hyperparams.seed) + min(config.seeds) + offset
+    return [f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0"] if low < 0 else []
+
+
 def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
@@ -120,6 +127,8 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     gets only a report.json with status "failed", the error and the step,
     and the remaining runs still execute.
     """
+    if problems := _seed_problems(config, offset):
+        raise ValueError(problems[0])
     tasks = [(config, method, offset) for method in config.methods]
     rows = []
     for batch_rows, lines in _map_in_pool(_run_method_batch, tasks, len(tasks)):
@@ -259,13 +268,23 @@ def _write_summary(config: ExperimentConfig, rows) -> Path:
     return out
 
 
-def cmd_run(path) -> int:
+def _runnable(path):
+    """The config at ``path`` and the seed offset to run it with, or None
+    after printing every problem that keeps it from running."""
     config, problems = load_config(path)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}")
+    if not problems:
+        offset = seed_offset()
+        problems = _seed_problems(config, offset)
+    for p in problems:
+        print(f"invalid: {p}")
+    return None if problems else (config, offset)
+
+
+def cmd_run(path) -> int:
+    if (loaded := _runnable(path)) is None:
         return 2
-    rows = execute_run(config, seed_offset())
+    config, offset = loaded
+    rows = execute_run(config, offset)
     print(f"wrote {_write_summary(config, rows)}")
     return 0
 
@@ -290,6 +309,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (repeat := _repeat(values)) is not None:
         raise ValueError(f"sweep value {repeat} repeats")
+    if problems := _seed_problems(config, offset):
+        raise ValueError(problems[0])
     base = Path(config.output_dir)
     cells = {}
     for value in values:
@@ -321,12 +342,10 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
 
 
 def cmd_sweep(path, axis, values, jobs) -> int:
-    config, problems = load_config(path)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}")
+    if (loaded := _runnable(path)) is None:
         return 2
-    rows = execute_sweep(config, axis, values, jobs=jobs, offset=seed_offset())
+    config, offset = loaded
+    rows = execute_sweep(config, axis, values, jobs=jobs, offset=offset)
     seeds = [f"acc_seed_{s}" for s in config.seeds]
     header = ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"]
     out = Path(config.output_dir) / f"sweep_{axis}.csv"

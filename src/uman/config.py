@@ -184,6 +184,9 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     ):
         problems.append("seeds must be a nonempty list of distinct integers")
         seeds = []
+    elif min(seeds) < 0:
+        # a seed starts numpy's SeedSequence, which takes no negative integer
+        problems.append(f"seeds must be >= 0, got {[s for s in seeds if s < 0]}")
 
     output_dir = obj.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:

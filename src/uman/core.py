@@ -40,7 +40,6 @@ from .nn import (
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
-    mlp_apply,
     sgd_update,
     softmax,
 )
@@ -346,10 +345,9 @@ class Hyperparams:
         for name in ("lr_features", "lr_classifier", "lr_discriminator"):
             if getattr(self, name) <= 0:
                 out.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.grl_max_lambda < 0:
-            out.append(f"grl_max_lambda must be >= 0, got {self.grl_max_lambda}")
-        if self.weight_decay < 0:
-            out.append(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("grl_max_lambda", "weight_decay", "seed"):
+            if getattr(self, name) < 0:
+                out.append(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.feature_dim < 1:
             out.append(f"feature_dim must be >= 1, got {self.feature_dim}")
         for name in ("feature_hidden", "disc_hidden"):
@@ -403,26 +401,39 @@ def _build_nets(hp: Hyperparams, in_dim: int, n_classes: int):
     return feature_net, classifier, discriminator
 
 
-def _check_datasets(datasets, partition: LabelPartition):
-    if len(datasets) != partition.n_sources + 1:
-        raise ValueError(
-            f"expected {partition.n_sources} source datasets plus one target, got {len(datasets)}"
-        )
-    if partition.source_union != tuple(range(partition.n_source_classes)):
-        raise ValueError("source classes must form a contiguous range starting at 0")
-    for i, ds in enumerate(datasets[:-1]):
-        if ds.labels is None:
-            raise ValueError(f"dataset {i} has no labels but is used as a source")
-        extra = set(np.unique(ds.labels)) - set(partition.source_labels[i])
-        if extra:
-            raise ValueError(f"source {i + 1} carries labels {sorted(extra)} outside its label set")
-    target = datasets[-1]
-    if target.labels is not None:
-        raise ValueError("the last dataset must be the unlabeled target")
-    if target.eval_labels is not None:
-        extra = set(np.unique(target.eval_labels)) - set(partition.target_labels)
-        if extra:
-            raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
+def _check_runs(runs, partition: LabelPartition, method: str) -> Hyperparams:
+    """Validate a batch of runs; returns the hyperparameters they share."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not runs:
+        raise ValueError("need at least one run")
+    hp = runs[0][1]
+    for datasets, run_hp in runs:
+        problems = run_hp.violations()
+        if problems:
+            raise ValueError("; ".join(problems))
+        if replace(run_hp, seed=hp.seed) != hp:
+            raise ValueError("the runs of one batch may differ only in the seed")
+        if len(datasets) != partition.n_sources + 1:
+            raise ValueError(
+                f"expected {partition.n_sources} source datasets plus one target, got {len(datasets)}"
+            )
+        if partition.source_union != tuple(range(partition.n_source_classes)):
+            raise ValueError("source classes must form a contiguous range starting at 0")
+        for i, ds in enumerate(datasets[:-1]):
+            if ds.labels is None:
+                raise ValueError(f"dataset {i} has no labels but is used as a source")
+            extra = set(np.unique(ds.labels)) - set(partition.source_labels[i])
+            if extra:
+                raise ValueError(f"source {i + 1} carries labels {sorted(extra)} outside its label set")
+        target = datasets[-1]
+        if target.labels is not None:
+            raise ValueError("the last dataset must be the unlabeled target")
+        if target.eval_labels is not None:
+            extra = set(np.unique(target.eval_labels)) - set(partition.target_labels)
+            if extra:
+                raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
+    return hp
 
 
 def train(
@@ -463,18 +474,7 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     the other runs go on; a run whose loss is not finite leaves before the
     step's backward pass, as it does alone.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not runs:
-        raise ValueError("need at least one run")
-    hp = runs[0][1]
-    for datasets, run_hp in runs:
-        problems = run_hp.violations()
-        if problems:
-            raise ValueError("; ".join(problems))
-        if replace(run_hp, seed=hp.seed) != hp:
-            raise ValueError("the runs of one batch may differ only in the seed")
-        _check_datasets(datasets, partition)
+    hp = _check_runs(runs, partition, method)
     adversarial = method != "source_only"
     n_stepped = 3 if adversarial else 2  # F, G and, when adversarial, D
     lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
@@ -496,124 +496,29 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
 
     outcomes: list = [None] * len(runs)
     ids = list(range(len(runs)))  # the entry of ``runs`` each row of the stacks trains
-    traces: list[list[LossReport]] = [[] for _ in runs]
-
-    def leave(failed):
-        """Record the errors of the runs at the ``failed`` positions of the
-        stacks and take those runs out of the batch; returns the positions
-        that stay, empty when none does."""
-        nonlocal nets, register, ids, traces
-        for r, error in failed.items():
-            outcomes[ids[r]] = error
-        keep = [r for r in range(len(ids)) if r not in failed]
-        if keep:
-            nets = [net.take(keep) for net in nets]
-            register = register.take(keep)
-            ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
-        return keep
-
-    unweighted = None  # unweighted_adv's all-ones weights, while the batch keeps its runs
+    traces: list[list[LossReport]] = [[] for _ in runs]  # by entry of ``runs``
     for step in range(hp.max_steps):
-        # the source sub-batches and, when D takes part, the target rows of
-        # every run go through each net as one stack of blocks; without D
-        # nothing reads the target's features, and the classifier's
-        # gradient covers only the source blocks either way
         x, labels, sizes = next(batches)
         if len(ids) < len(runs):  # runs that failed draw on, unused
             x, labels = x[ids], labels[ids]
-        n_src = labels.shape[-1]
-        feature_net, classifier, discriminator = nets
-        f_blocks = sizes if adversarial else sizes[:-1]
-        f_acts = forward_mlp(feature_net, x if adversarial else x[:, :n_src], f_blocks)
-        feats = l2_normalize(f_acts[-1])
-        g_acts = forward_mlp(classifier, feats, sizes[:-1])
-        logits = g_acts[-1]
-
-        wrong = logits[:, :n_src].argmax(axis=-1) != labels
-        errors = (block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist()
-        eg_val, g_logits = classification_loss(logits, labels, sizes[:-1])
-        eg_list = eg_val.tolist()
-
-        # each run's trace weights: the mean raw weight of its common-class
-        # and of its private-class source rows (0 for an empty group) and of
-        # its target rows; every weight is 1 in unweighted_adv, 0 without D
-        if adversarial:
-            # detached predictions drive margins, the gate, and all weights
-            pseudo, margins = batch_margins(softmax(logits[:, n_src:]))
-            gate = [max(err) < hp.epsilon for err in errors]
-            if any(gate):
-                register.update(*margin_vector(pseudo, margins, n_classes), True if all(gate) else gate)
-            in_common = common_mask[labels]
-            n_commons = np.add.reduce(in_common, axis=-1).tolist()
-            if method == "uman":
-                raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
-                weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
-                weight_means = [
-                    (
-                        float(_mean(ws[common])) if n_common else 0.0,
-                        float(_mean(ws[~common])) if n_common < n_src else 0.0,
-                        wt,
-                    )
-                    for ws, common, n_common, wt in zip(raw_ws, in_common, n_commons, _mean(raw_wt).tolist())
-                ]
-            else:
-                if unweighted is None or len(unweighted) != len(ids):
-                    unweighted = np.concatenate([
-                        normalize_weights(np.ones((len(ids), n_src))),
-                        normalize_weights(np.ones((len(ids), sizes[-1]))),
-                    ], axis=-1)
-                weights = unweighted
-                weight_means = [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in n_commons]
-            lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-            d_acts = forward_mlp(discriminator, feats, sizes)
-            ed_val, g_d = domain_loss(d_acts[-1], weights, sizes)
-            ed_list = ed_val.tolist()
-        else:
-            gate = [False] * len(ids)
-            ed_list = [0.0] * len(ids)
-            weight_means = [(0.0, 0.0, 0.0)] * len(ids)
-        rows = [
-            LossReport(
-                step=step,
-                class_loss=eg,
-                domain_loss=ed,
-                source_errors=tuple(err),
-                mean_weight_common=common,
-                mean_weight_private=private,
-                mean_weight_target=target,
-                tmr_updated=updated,
-            )
-            for eg, ed, err, (common, private, target), updated in zip(eg_list, ed_list, errors, weight_means, gate)
-        ]
+        acts = _forward(nets, x, sizes, adversarial)
+        errors, gate, weights, means = _weigh(method, acts[1][-1], labels, sizes, register, common_mask, hp.epsilon)
+        eg, ed, g_logits, g_d = _losses(acts, labels, weights, sizes)
+        rows = _trace_rows(step, eg, ed, errors, gate, means)
 
         # a run whose loss is not finite stops here, before its backward, as
         # it would alone
         failed = {
-            r: TrainingDiverged(step, traces[r][-1] if traces[r] else None)
-            for r, (eg, ed) in enumerate(zip(eg_list, ed_list))
-            if not (math.isfinite(eg) and math.isfinite(ed))
+            r: TrainingDiverged(step, traces[ids[r]][-1] if traces[ids[r]] else None)
+            for r, (c_loss, d_loss) in enumerate(zip(eg, ed))
+            if not (math.isfinite(c_loss) and math.isfinite(d_loss))
         }
         if failed:
-            keep = leave(failed)
-            if not keep:
+            if (left := _drop(failed, outcomes, ids, nets, register, rows, (acts, g_logits, g_d))) is None:
                 return outcomes
-            feature_net, classifier, discriminator = nets
-            rows, g_logits = [rows[r] for r in keep], g_logits[keep]
-            f_acts, g_acts = [a[keep] for a in f_acts], [a[keep] for a in g_acts]
-            if adversarial:
-                d_acts, g_d = [a[keep] for a in d_acts], g_d[keep]
+            ids, nets, register, rows, (acts, g_logits, g_d) = left
 
-        # one backward pass realizes the min-max: D descends the domain
-        # loss, and the gradient-reversal layer hands the features D's input
-        # gradient times -lam, to which G's input gradient is added; without
-        # D only the source rows have a gradient
-        g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
-        if adversarial:
-            g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
-            g_feats[:, :n_src] += g_src
-        else:
-            g_feats = g_src
-        backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), f_blocks)
+        _backward(nets, acts, g_logits, g_d, sizes, step, hp)
 
         # one check of every gradient of every run before any parameter
         # moves; D is outside the graph in classification-only runs, and
@@ -622,27 +527,133 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         if failed:
             for error in failed.values():
                 error.step = step
-            keep = leave(failed)
-            if not keep:
+            if (left := _drop(failed, outcomes, ids, nets, register, rows, ())) is None:
                 return outcomes
-            rows = [rows[r] for r in keep]
+            ids, nets, register, rows, _ = left
         for net, lr in zip(nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
-        for trace, row in zip(traces, rows):
-            trace.append(row)
+        for i, row in zip(ids, rows):
+            traces[i].append(row)
 
     for r, i in enumerate(ids):
-        outcomes[i] = TrainResult(*(net.take(r) for net in nets), register.take(r), traces[r])
+        outcomes[i] = TrainResult(*(net.take(r) for net in nets), register.take(r), traces[i])
     return outcomes
+
+
+def _drop(failed: dict, outcomes: list, ids: list, nets, register: TargetMarginRegister, rows: list, step_arrays):
+    """Record the errors of the runs at the ``failed`` positions of the
+    stacks in ``outcomes``; returns the ids, nets, register, trace rows and
+    step arrays (nested in tuples and lists) of the runs that stay, or None."""
+    for r, error in failed.items():
+        outcomes[ids[r]] = error
+    keep = [r for r in range(len(ids)) if r not in failed]
+    if not keep:
+        return None
+    nets, register = [net.take(keep) for net in nets], register.take(keep)
+    return [ids[r] for r in keep], nets, register, [rows[r] for r in keep], _take(step_arrays, keep)
+
+
+def _take(arrays, keep):
+    if isinstance(arrays, (list, tuple)):
+        return type(arrays)(_take(a, keep) for a in arrays)
+    return None if arrays is None else arrays[keep]
+
+
+def _forward(nets, x, sizes, adversarial: bool):
+    """The activations of F, G and, when adversarial, D (else None). The
+    source sub-batches and, when D takes part, the target rows go through
+    each net as one stack of blocks; without D nothing reads the target's
+    features, and G's gradient covers only the source blocks either way."""
+    feature_net, classifier, discriminator = nets
+    n_src = sum(sizes[:-1])
+    f_acts = forward_mlp(feature_net, x if adversarial else x[:, :n_src], sizes if adversarial else sizes[:-1])
+    feats = l2_normalize(f_acts[-1])
+    g_acts = forward_mlp(classifier, feats, sizes[:-1])
+    d_acts = forward_mlp(discriminator, feats, sizes) if adversarial else None
+    return [f_acts, g_acts, d_acts]
+
+
+def _weigh(method: str, logits, labels, sizes, register: TargetMarginRegister, common_mask, epsilon: float):
+    """Each run's source error rates, its gate (whether its register takes
+    the step's margins), the domain-loss weights (None without D) and the
+    trace weights: the mean raw weight of its common-class and of its
+    private-class source rows (0 for an empty group) and of its target
+    rows. Every weight is 1 in unweighted_adv and 0 without D."""
+    n_src = labels.shape[-1]
+    wrong = logits[:, :n_src].argmax(axis=-1) != labels
+    errors = (block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist()
+    if method == "source_only":
+        return errors, [False] * len(errors), None, [(0.0, 0.0, 0.0)] * len(errors)
+
+    # detached predictions drive margins, the gate, and all weights
+    pseudo, margins = batch_margins(softmax(logits[:, n_src:]))
+    gate = [max(err) < epsilon for err in errors]
+    if any(gate):
+        register.update(*margin_vector(pseudo, margins, register.n_classes), True if all(gate) else gate)
+    in_common = common_mask[labels]
+    n_commons = np.add.reduce(in_common, axis=-1).tolist()
+    if method == "uman":
+        raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
+        weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
+        means = [
+            (
+                float(_mean(ws[common])) if n_common else 0.0,
+                float(_mean(ws[~common])) if n_common < n_src else 0.0,
+                wt,
+            )
+            for ws, common, n_common, wt in zip(raw_ws, in_common, n_commons, _mean(raw_wt).tolist())
+        ]
+    else:
+        # a group of ones has a mean of exactly 1, so normalizing changes none
+        weights = np.ones((len(labels), n_src + sizes[-1]))
+        means = [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in n_commons]
+    return errors, gate, weights, means
+
+
+def _losses(acts, labels, weights, sizes):
+    """Each run's classification and domain loss (0 without D), and their
+    gradients of G's and of D's outputs (None without D)."""
+    g_acts, d_acts = acts[1:]
+    eg, g_logits = classification_loss(g_acts[-1], labels, sizes[:-1])
+    if d_acts is None:
+        return eg.tolist(), [0.0] * len(eg), g_logits, None
+    ed, g_d = domain_loss(d_acts[-1], weights, sizes)
+    return eg.tolist(), ed.tolist(), g_logits, g_d
+
+
+def _backward(nets, acts, g_logits, g_d, sizes, step: int, hp: Hyperparams):
+    """One backward pass realizes the min-max: D descends the domain loss,
+    and the gradient-reversal layer hands the features D's input gradient
+    times -lambda, to which G's input gradient is added; without D only the
+    source rows have a gradient."""
+    feature_net, classifier, discriminator = nets
+    f_acts, g_acts, d_acts = acts
+    g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
+    if d_acts is None:
+        g_feats, f_blocks = g_src, sizes[:-1]
+    else:
+        lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
+        g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
+        g_feats[:, : sum(sizes[:-1])] += g_src
+        f_blocks = sizes
+    backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), f_blocks)
+
+
+def _trace_rows(step: int, eg, ed, errors, gate, means) -> list[LossReport]:
+    """One trace row per run from the step's per-run lists."""
+    return [
+        LossReport(step, c_loss, d_loss, tuple(err), *weight_means, tmr_updated=updated)
+        for c_loss, d_loss, err, updated, weight_means in zip(eg, ed, errors, gate, means)
+    ]
 
 
 def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:
     """Unit-norm features as consumed by the classifier and discriminator."""
-    return l2_normalize(mlp_apply(feature_net, x))
+    return l2_normalize(forward_mlp(feature_net, x)[-1])
 
 
 def predict_classes(feature_net: Mlp, classifier: Mlp, x: np.ndarray, w0: float) -> np.ndarray:
     """Batch inference: argmax class where the margin clears w0, else UNKNOWN."""
-    probs = softmax(mlp_apply(classifier, extract_features(feature_net, x)))
+    probs = softmax(forward_mlp(classifier, extract_features(feature_net, x))[-1])
     pseudo, margins = batch_margins(probs)
     return np.where(margins >= w0, pseudo, UNKNOWN)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import UNKNOWN, classification_loss, extract_features, predict_classes
 from .labelspace import LabelPartition
-from .nn import Mlp, backward_mlp, forward_mlp, mlp_apply, sgd_step
+from .nn import Mlp, NonFiniteGradientError, backward_mlp, forward_mlp, gradient_faults, sgd_update
 from .synth import DomainDataset
 
 __all__ = [
@@ -236,10 +236,13 @@ def alignment_probe(
         acts = forward_mlp(probe, x)
         _, grad = classification_loss(acts[-1], y, sizes)
         backward_mlp(probe, acts, grad)
-        sgd_step(probe, 0.5)
+        faults = gradient_faults(probe)
+        if faults:
+            raise NonFiniteGradientError(faults[0])
+        sgd_update(probe, 0.5)
 
-    recall_a = float((mlp_apply(probe, a_test).argmax(axis=1) == 0).mean())
-    recall_b = float((mlp_apply(probe, b_test).argmax(axis=1) == 1).mean())
+    recall_a = float((forward_mlp(probe, a_test)[-1].argmax(axis=1) == 0).mean())
+    recall_b = float((forward_mlp(probe, b_test)[-1].argmax(axis=1) == 1).mean())
     return ProbeReport(
         kind=kind,
         balanced_accuracy=(recall_a + recall_b) / 2.0,

@@ -140,16 +140,11 @@ def _layout_blocks(sizes, window, what):
     spreads pairwise overlaps as evenly as possible. When unequal sizes make
     that rule leave part of the window uncovered, fall back to a sequential
     layout that distributes the total required overlap evenly between
-    neighbours. Raises when no rule can realize the sizes.
+    neighbours. Raises when no rule can realize the sizes. Every block fits
+    the window and together they can cover it, as
+    :meth:`UmdaMatrix.violations` checks first; so a single block fills it.
     """
     m = len(sizes)
-    for s in sizes:
-        if s > window:
-            raise LabelConfigError(f"{what}: block of size {s} exceeds window {window}")
-    if sum(sizes) < window:
-        raise LabelConfigError(
-            f"{what}: blocks sum to {sum(sizes)} and cannot cover window {window}"
-        )
     if window == 0:
         return [frozenset() for _ in sizes]
 
@@ -160,8 +155,6 @@ def _layout_blocks(sizes, window, what):
     if len(frozenset().union(*blocks)) == window:
         return blocks
 
-    if m == 1:
-        raise LabelConfigError(f"{what}: single block of size {sizes[0]} cannot cover window {window}")
     budget = sum(sizes) - window
     prefix = 0
     starts, ok = [], True
@@ -183,14 +176,10 @@ def _layout_blocks(sizes, window, what):
     )
 
 
-def _layout_pair(n1, n2, overlap, window, what):
-    """Two blocks with a pinned intersection size inside [0, window)."""
-    if not 0 <= overlap <= min(n1, n2):
-        raise LabelConfigError(f"{what}: overlap {overlap} is outside [0, {min(n1, n2)}]")
-    if n1 + n2 - overlap != window:
-        raise LabelConfigError(
-            f"{what}: {n1}+{n2}-{overlap} != window {window}"
-        )
+def _layout_pair(n1, n2, overlap):
+    """Two blocks of n1 and n2 classes from 0 up that share ``overlap``;
+    :meth:`UmdaMatrix.violations` checks first that the overlap fits both
+    blocks and, for shared blocks, that they span target_common."""
     a = frozenset(range(n1))
     b = frozenset(range(n1 - overlap, n1 - overlap + n2))
     return [a, b]
@@ -277,20 +266,14 @@ def partition_from_matrix(matrix: UmdaMatrix) -> LabelPartition:
     n_common = matrix.target_common
     common_over = _as_pair_dict(matrix.common_overlap)
     if common_over:
-        common_blocks = _layout_pair(
-            matrix.common_sizes[0], matrix.common_sizes[1], common_over[(1, 2)],
-            n_common, "common blocks",
-        )
+        common_blocks = _layout_pair(matrix.common_sizes[0], matrix.common_sizes[1], common_over[(1, 2)])
     else:
         common_blocks = _layout_blocks(matrix.common_sizes, n_common, "common blocks")
 
     private_over = _as_pair_dict(matrix.private_overlap)
     if private_over:
         window = sum(matrix.private_sizes) - private_over[(1, 2)]
-        private_blocks = _layout_pair(
-            matrix.private_sizes[0], matrix.private_sizes[1], private_over[(1, 2)],
-            window, "private blocks",
-        )
+        private_blocks = _layout_pair(matrix.private_sizes[0], matrix.private_sizes[1], private_over[(1, 2)])
     else:
         window = sum(matrix.private_sizes)
         private_blocks = _layout_blocks(matrix.private_sizes, window, "private blocks")

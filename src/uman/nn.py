@@ -13,7 +13,9 @@ adding exact gradients into the parameter buffers of the :class:`Mlp` and
 returning the gradient of the input when the caller reads it. The package
 differentiates only two fixed graphs, the training step and the alignment
 probe, and each spells out its own chain of these calls;
-:func:`l2_normalize_backward` is the one other link either needs.
+:func:`l2_normalize_backward` is the one other link either needs. Each
+checks its gradients with :func:`gradient_faults` before
+:func:`sgd_update` moves a parameter.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "NonFiniteGradientError",
     "forward_mlp",
     "backward_mlp",
-    "mlp_apply",
     "l2_normalize",
     "l2_normalize_backward",
     "softmax",
@@ -36,7 +37,6 @@ __all__ = [
     "block_sums",
     "gradient_faults",
     "sgd_update",
-    "sgd_step",
 ]
 
 _NORM_EPS = 1e-12
@@ -305,7 +305,7 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
                 np.matmul(d, w_t, out=grad[..., start:stop, :].reshape(*lead, count, rows, -1))
         # One sum over the blocks, last first, adds what one backward per
         # block in reverse order would. It is exact only because the buffers
-        # are zero here: a net runs one backward per step, and sgd_step
+        # are zero here: a net runs one backward per step, and sgd_update
         # zeroes its buffers.
         if runs:
             gw = gw[0] if len(gw) == 1 else np.concatenate(gw, axis=-3)
@@ -313,11 +313,6 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
             layer.gw += _sum_in_order(gw[..., ::-1, :, :], -3, gw.shape[-1] * gw.shape[-2])
             layer.gb += _sum_in_order(gb[..., ::-1, :], -2, gb.shape[-1])
     return grad
-
-
-def mlp_apply(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Inference-only forward pass on a raw array."""
-    return forward_mlp(net, x)[-1]
 
 
 def _row_norms(x):
@@ -381,23 +376,15 @@ def gradient_faults(*nets) -> dict[int, str]:
     return faults
 
 
-def sgd_step(net: Mlp, lr: float, weight_decay: float = 0.0):
+def sgd_update(net: Mlp, lr: float, weight_decay: float = 0.0):
     """Plain gradient step; zeroes the gradients afterwards.
 
-    Every gradient is checked before any parameter moves, so a non-finite
-    entry anywhere leaves the whole net untouched. ``weight_decay`` adds an
-    L2 pull toward zero on the weight matrices (biases are exempt), which
-    bounds the logit scale a linear head can reach and keeps softmax
-    confidence meaningful off the training clusters."""
-    faults = gradient_faults(net)
-    if faults:
-        raise NonFiniteGradientError(faults[min(faults)])
-    sgd_update(net, lr, weight_decay)
-
-
-def sgd_update(net: Mlp, lr: float, weight_decay: float = 0.0):
-    """:func:`sgd_step` without its check, for gradients already checked
-    by :func:`gradient_faults`. One update covers every weight of the net
+    It does not check the gradients: a caller checks them with
+    :func:`gradient_faults` first, so a non-finite entry anywhere leaves
+    the whole net untouched. ``weight_decay`` adds an L2 pull toward zero
+    on the weight matrices (biases are exempt), which bounds the logit
+    scale a linear head can reach and keeps softmax confidence meaningful
+    off the training clusters. One update covers every weight of the net
     and one every bias, entry by entry as a step per layer would."""
     split = net._split
     w, gw = net.params[:split], net.grads[:split]

@@ -29,7 +29,6 @@ __all__ = [
     "SyntheticSpec",
     "DomainDataset",
     "generate",
-    "batch_iterator",
     "run_batches",
 ]
 
@@ -55,7 +54,7 @@ class SyntheticSpec:
             out.append(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.samples_per_class < 1:
             out.append(f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        for name in ("class_center_scale", "noise_sigma", "domain_shift_scale"):
+        for name in ("class_center_scale", "noise_sigma", "domain_shift_scale", "seed"):
             if getattr(self, name) < 0:
                 out.append(f"{name} must be >= 0, got {getattr(self, name)}")
         return out
@@ -125,28 +124,21 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
     return datasets
 
 
-def batch_iterator(datasets, batch_size: int, seed: int):
-    """Endless stream of stacked batches, one sub-batch per dataset.
-
-    Every step yields ``(features, labels, sizes)``: the sub-batches' rows
-    stacked in dataset order, the labels of the rows of every dataset but
-    the last (the sources; the last dataset is the unlabeled target), and
-    the row count of each sub-batch. Each domain shuffles its own index
-    permutation per epoch from its own seeded stream and drops the ragged
-    tail, so a sub-batch always has exactly min(batch_size, len(dataset))
-    rows.
-    """
-    for features, labels, sizes in run_batches([(datasets, seed)], batch_size):
-        yield features[0], labels[0], sizes
-
-
 def run_batches(runs, batch_size: int):
-    """The batches of several runs at once, stacked along a leading run axis.
+    """Endless stream of the batches of several runs at once, stacked along
+    a leading run axis.
 
     ``runs`` lists ``(datasets, seed)`` pairs whose datasets have the same
-    lengths. Every step yields ``(features, labels, sizes)`` whose row r
-    holds exactly what ``batch_iterator(datasets_r, batch_size, seed_r)``
-    yields at that step, all of it taken with one index.
+    lengths. Every step yields ``(features, labels, sizes)``: row r of
+    ``features`` stacks run r's sub-batches, one per dataset in dataset
+    order; row r of ``labels`` holds the labels of the rows of every
+    dataset but the last (the sources; the last dataset is the unlabeled
+    target); ``sizes`` holds the row count of each sub-batch. Each domain
+    of each run shuffles its own index permutation per epoch from its own
+    stream, seeded by the run's seed and the domain's id, and drops the
+    ragged tail, so a sub-batch always has exactly
+    ``min(batch_size, len(dataset))`` rows. A run's rows are what it draws
+    alone, and one index takes all of them.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

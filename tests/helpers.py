@@ -137,6 +137,17 @@ def _normalize_jointly(parts):
     return out
 
 
+def checked_sgd_update(net, lr, weight_decay=0.0):
+    """Check a net's gradients as training does, raising the error of its
+    first fault before any parameter moves, then step it."""
+    from uman.nn import NonFiniteGradientError, gradient_faults, sgd_update
+
+    faults = gradient_faults(net)
+    if faults:
+        raise NonFiniteGradientError(faults[0])
+    sgd_update(net, lr, weight_decay)
+
+
 def per_source_train(datasets, partition, hp, method="uman"):
     """Train exactly as the per-source step loop does; returns a TrainResult."""
     import math
@@ -157,11 +168,9 @@ def per_source_train(datasets, partition, hp, method="uman"):
         forward_mlp,
         l2_normalize,
         l2_normalize_backward,
-        mlp_apply,
-        sgd_step,
         softmax,
     )
-    from uman.synth import batch_iterator
+    from uman.synth import run_batches
 
     adversarial = method != "source_only"
     n_classes = partition.n_source_classes
@@ -172,11 +181,12 @@ def per_source_train(datasets, partition, hp, method="uman"):
     common_mask[list(partition.common_union)] = True
 
     batch_seed = int(np.random.SeedSequence(hp.seed, spawn_key=(200,)).generate_state(1)[0])
-    batches = batch_iterator(datasets, hp.batch_size, batch_seed)
+    batches = run_batches([(datasets, batch_seed)], hp.batch_size)
 
     trace = []
     for step in range(hp.max_steps):
         x, labels, sizes = next(batches)
+        x, labels = x[0], labels[0]  # the one run's rows
         bounds = np.cumsum([0, *sizes])
         xs = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         ys = [labels[a:b] for a, b in zip(bounds[:-2], bounds[1:-1])]
@@ -187,7 +197,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
         feats = [l2_normalize(acts[-1]) for acts in f_acts]
         g_acts = [forward_mlp(classifier, f) for f in feats[:-1]]
 
-        probs_t = softmax(mlp_apply(classifier, feats[-1]))
+        probs_t = softmax(forward_mlp(classifier, feats[-1])[-1])
         pseudo, margins = batch_margins(probs_t)
         errors = tuple(
             float((acts[-1].argmax(axis=1) != y).mean()) for acts, y in zip(g_acts, ys)
@@ -236,10 +246,10 @@ def per_source_train(datasets, partition, hp, method="uman"):
             g_feats[i] += backward_mlp(classifier, g_acts[i], g_logits[i], input_grad=True)
         for acts, g in zip(f_acts[::-1], g_feats[::-1]):
             backward_mlp(feature_net, acts, l2_normalize_backward(acts[-1], g))
-        sgd_step(feature_net, hp.lr_features, hp.weight_decay)
-        sgd_step(classifier, hp.lr_classifier, hp.weight_decay)
+        checked_sgd_update(feature_net, hp.lr_features, hp.weight_decay)
+        checked_sgd_update(classifier, hp.lr_classifier, hp.weight_decay)
         if adversarial:
-            sgd_step(discriminator, hp.lr_discriminator, hp.weight_decay)
+            checked_sgd_update(discriminator, hp.lr_discriminator, hp.weight_decay)
 
         all_ws = np.concatenate(raw_ws)
         in_common = common_mask[labels]

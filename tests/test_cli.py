@@ -160,6 +160,14 @@ class TestValidate:
                       "hyperparams.grl_max_lambda", "hyperparams.weight_decay"):
             assert f"invalid: {field} must be a finite number" in out
 
+    def test_negative_seeds_exit_one(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, seeds=[-1], synthetic={"seed": -2}, hyperparams={"seed": -3})
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "invalid: seeds must be >= 0, got [-1]" in out
+        assert "invalid: synthetic: seed must be >= 0, got -2" in out
+        assert "invalid: hyperparams: seed must be >= 0, got -3" in out
+
     def test_jaccard_values_are_fractions(self, tmp_path, capsys):
         main(["validate", str(tiny_config(tmp_path))])
         out = capsys.readouterr().out
@@ -566,6 +574,24 @@ class TestSeedOffset:
         monkeypatch.setenv("UMAN_SEED_OFFSET", "seven")
         with pytest.raises(SystemExit, match="UMAN_SEED_OFFSET"):
             seed_offset()
+
+    def test_negative_effective_seed_is_rejected_before_any_write(self, tmp_path, monkeypatch, capsys):
+        # seeds 1 and 2 with offset -2 give the effective seeds -1 and 0
+        path = tiny_config(tmp_path, seeds=[2, 1], synthetic={"seed": 0}, hyperparams={"seed": 3})
+        monkeypatch.setenv("UMAN_SEED_OFFSET", "-2")
+        want = "seed offset -2 makes the effective seed -1; every seed must be >= 0"
+        for argv in (["run", str(path)], ["sweep", str(path), "--axis", "target_private_size", "--values", "0"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().out == f"invalid: {want}\n"
+        config, _ = load_config(path)
+        with pytest.raises(ValueError, match=want):
+            uman.cli.execute_run(config, offset=-2)
+        with pytest.raises(ValueError, match=want):
+            execute_sweep(config, "target_private_size", [0], offset=-2)
+        assert not (tmp_path / "out").exists()
+        # the lowest effective seed at 0 runs
+        monkeypatch.setenv("UMAN_SEED_OFFSET", "-1")
+        assert main(["run", str(path)]) == 0
 
     def test_offset_relocates_results(self, tmp_path, monkeypatch):
         # the trace is the sensitive artifact: a shifted seed changes the

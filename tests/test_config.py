@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,21 @@ class TestParseConfig:
         assert problems == []
         for axis in SWEEP_AXES:
             assert derive_sweep_cell(config, axis, 10**30)[1] == [f"{axis} value must be <= {MAX_CLASSES}, got {10**30}"]
+
+
+    def test_negative_seeds_are_problems(self):
+        # numpy seeds its streams from non-negative integers only, so each
+        # of these would end a run before it wrote anything
+        for obj, problem in (
+            (minimal(seeds=[2, -1, -3]), "seeds must be >= 0, got [-1, -3]"),
+            (minimal(synthetic={"seed": -1}), "synthetic: seed must be >= 0, got -1"),
+            (minimal(hyperparams={"seed": -2}), "hyperparams: seed must be >= 0, got -2"),
+        ):
+            config, problems = parse_config(obj)
+            assert config is None
+            assert problems == [problem]
+        config, problems = parse_config(minimal(seeds=[0], synthetic={"seed": 0}, hyperparams={"seed": 0}))
+        assert problems == []
 
 
 class TestLoadConfig:
@@ -350,6 +366,11 @@ def _parsed(obj):
     config, problems = parse_config(obj)
     assert (config is None) == bool(problems)
     assert all(isinstance(p, str) for p in problems)
+    if config is not None:
+        # every effective seed of an accepted config can seed numpy
+        for seed in config.seeds:
+            np.random.SeedSequence(config.synthetic.seed + seed)
+            np.random.SeedSequence(config.hyperparams.seed + seed)
     return config
 
 
@@ -372,6 +393,15 @@ class TestParserProperties:
     def test_any_field_value_gives_config_or_problems(self, field, value):
         section, name = field
         _parsed(minimal(**{section: {name: value}}))
+
+    @given(_configs(junk=False), st.sampled_from(["seeds", "synthetic", "hyperparams"]), st.integers(-3, 3))
+    @_PROPERTY
+    def test_any_seed_gives_config_or_problems(self, obj, where, seed):
+        if where == "seeds":
+            obj = dict(obj, seeds=[seed])
+        else:
+            obj = dict(obj, **{where: dict(obj.get(where, {}), seed=seed)})
+        _parsed(obj)
 
     @given(_configs(junk=False))
     @_PROPERTY

@@ -34,7 +34,7 @@ from uman.core import (
     train_runs,
 )
 from uman.labelspace import LabelPartition, UmdaMatrix, partition_from_matrix
-from uman.nn import NonFiniteGradientError, mlp_apply, softmax
+from uman.nn import NonFiniteGradientError, forward_mlp, softmax
 from uman.synth import DomainDataset, SyntheticSpec, generate
 
 
@@ -630,6 +630,48 @@ class TestRunAxisMatchesTrainingAlone:
             datasets, _, hp = setups[i]
             assert_same_training(got[i], train(datasets, partition, hp, method="unweighted_adv"))
 
+    @pytest.mark.parametrize("same_step", [False, True], ids=["later_step", "same_step"])
+    def test_loss_and_gradient_failures_leave_by_one_path(self, monkeypatch, same_step):
+        """The middle run's loss diverges (the NaN row above); the last
+        run's feature gradient gets an infinity at step 40, or at the step
+        the middle run leaves, when it trains at stack position 1, no longer
+        2. Each failed run ends with the error it raises alone, and the
+        first run trains as alone."""
+        setups = self.setups()
+        partition = setups[0][1]
+        setups[1][0][0].features[71] = np.nan
+        with pytest.raises(TrainingDiverged) as diverged:
+            train(setups[1][0], partition, setups[1][2])
+        step = diverged.value.step if same_step else 40
+        assert step > 0
+        backward = uman.core.l2_normalize_backward
+
+        def plant(position):
+            calls = []
+
+            def planted(x, grad):
+                out = backward(x, grad)
+                calls.append(None)
+                if len(calls) == step + 1:
+                    out[position, 0, 0] = np.inf
+                return out
+
+            monkeypatch.setattr(uman.core, "l2_normalize_backward", planted)
+
+        plant(0)
+        with pytest.raises(NonFiniteGradientError) as infinite:
+            train(setups[2][0], partition, setups[2][2])
+        plant(1)
+        got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
+        monkeypatch.undo()
+        assert infinite.value.step == step
+        for error, alone in ((got[1], diverged.value), (got[2], infinite.value)):
+            assert type(error) is type(alone)
+            assert str(error) == str(alone)
+            assert error.step == alone.step
+        assert repr(got[1].last_report) == repr(diverged.value.last_report)
+        assert_same_training(got[0], train(setups[0][0], partition, setups[0][2]))
+
     def test_runs_must_differ_only_in_the_seed(self):
         setups = self.setups()
         partition = setups[0][1]
@@ -662,7 +704,7 @@ class TestInference:
         result, x, partition = self._trained_pair()
         for w0 in (0.0, 0.3, 0.9):
             preds = predict_classes(result.feature_net, result.classifier, x, w0)
-            probs = softmax(mlp_apply(result.classifier, extract_features(result.feature_net, x)))
+            probs = softmax(forward_mlp(result.classifier, extract_features(result.feature_net, x))[-1])
             pseudo, margins = batch_margins(probs)
             for i in range(len(probs)):
                 want = pseudo[i] if margins[i] >= w0 else UNKNOWN
@@ -670,7 +712,7 @@ class TestInference:
 
     def test_threshold_boundary_is_inclusive(self):
         result, x, _ = self._trained_pair()
-        probs = softmax(mlp_apply(result.classifier, extract_features(result.feature_net, x)))
+        probs = softmax(forward_mlp(result.classifier, extract_features(result.feature_net, x))[-1])
         pseudo, margins = batch_margins(probs[:1])
         # thresholds come from the same batch forward pass so the boundary
         # comparison is exact, not one BLAS reduction order apart

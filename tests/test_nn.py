@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import max_rel_err, numeric_gradient
+from helpers import checked_sgd_update, max_rel_err, numeric_gradient
 
 from uman.core import classification_loss
 from uman.nn import (
@@ -18,8 +18,6 @@ from uman.nn import (
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
-    mlp_apply,
-    sgd_step,
     sgd_update,
     softmax,
 )
@@ -62,7 +60,7 @@ class TestForward:
         rng = np.random.default_rng(42)
         net = Mlp([3, 4, 2], ["relu", "linear"], rng)
         x = rng.standard_normal((5, 3))
-        got = mlp_apply(net, x)
+        got = forward_mlp(net, x)[-1]
         h = np.maximum(x @ net.layers[0].w + net.layers[0].b, 0.0)
         want = h @ net.layers[1].w + net.layers[1].b
         np.testing.assert_array_equal(got, want)
@@ -71,7 +69,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         net = Mlp([4, 3, 1], ["relu", "sigmoid"], rng)
         x = rng.standard_normal((6, 4))
-        got = mlp_apply(net, x)
+        got = forward_mlp(net, x)[-1]
         h = np.maximum(x @ net.layers[0].w + net.layers[0].b, 0.0)
         z = h @ net.layers[1].w + net.layers[1].b
         np.testing.assert_array_equal(got, 1.0 / (1.0 + np.exp(-z)))
@@ -80,7 +78,7 @@ class TestForward:
     def test_width_mismatch_raises(self):
         net = Mlp([3, 2], ["linear"], np.random.default_rng(0))
         with pytest.raises(ValueError, match="expects 3"):
-            mlp_apply(net, np.zeros((1, 4)))
+            forward_mlp(net, np.zeros((1, 4)))
 
 
 class TestL2Normalize:
@@ -183,6 +181,9 @@ class TestCrossEntropy:
 
 
 class TestSgdStep:
+    """:func:`sgd_update` steps; :func:`gradient_faults` is the check every
+    caller makes before it."""
+
     def test_applies_update_and_zeroes_grads(self):
         net = Mlp([2, 2], ["linear"], np.random.default_rng(0))
         layer = net.layers[0]
@@ -190,7 +191,7 @@ class TestSgdStep:
         layer.gw[...] = 1.5
         layer.gb[...] = -2.0
         b_before = layer.b.copy()
-        sgd_step(net, 0.1)
+        sgd_update(net, 0.1)
         np.testing.assert_allclose(layer.w, w_before - 0.15, atol=1e-15)
         np.testing.assert_allclose(layer.b, b_before + 0.2, atol=1e-15)
         assert (layer.gw == 0).all() and (layer.gb == 0).all()
@@ -202,7 +203,7 @@ class TestSgdStep:
         layer.gb[...] = -2.0
         w_before = layer.w.copy()
         b_before = layer.b.copy()
-        sgd_step(net, 0.1, weight_decay=0.01)
+        sgd_update(net, 0.1, weight_decay=0.01)
         np.testing.assert_allclose(layer.w, w_before - 0.1 * (1.5 + 0.01 * w_before), atol=1e-15)
         np.testing.assert_allclose(layer.b, b_before + 0.2, atol=1e-15)
 
@@ -213,21 +214,21 @@ class TestSgdStep:
         g = rng.normal(size=a.layers[0].gw.shape)
         a.layers[0].gw[...] = g
         b.layers[0].gw[...] = g
-        sgd_step(a, 0.2)
-        sgd_step(b, 0.2, weight_decay=0.0)
+        sgd_update(a, 0.2)
+        sgd_update(b, 0.2, weight_decay=0.0)
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
 
     def test_nonfinite_gradient_aborts(self):
         net = Mlp([2, 2], ["linear"], np.random.default_rng(0))
         net.layers[0].gw[0, 0] = np.nan
         with pytest.raises(NonFiniteGradientError, match="layer 0 parameter w"):
-            sgd_step(net, 0.1)
+            checked_sgd_update(net, 0.1)
         net.zero_grads()
         net.layers[0].gb[1] = np.inf
         with pytest.raises(NonFiniteGradientError, match="parameter b"):
-            sgd_step(net, 0.1)
+            checked_sgd_update(net, 0.1)
 
-    def test_gradient_faults_name_each_run_like_sgd_step(self):
+    def test_gradient_faults_name_each_run_as_alone(self):
         nets = [Mlp([2, 3, 2], ["relu", "linear"], np.random.default_rng(r)) for r in range(3)]
         stacked = Mlp.stack(nets)
         assert gradient_faults(stacked) == {}
@@ -239,7 +240,7 @@ class TestSgdStep:
         assert sorted(faults) == [0, 2]
         for r in (0, 2):
             with pytest.raises(NonFiniteGradientError) as alone:
-                sgd_step(nets[r], 0.1)
+                checked_sgd_update(nets[r], 0.1)
             assert faults[r] == str(alone.value)
         assert faults[2] == "layer 0 parameter w: 2 non-finite gradient entries"
         # the first net given names a run's first fault
@@ -255,7 +256,7 @@ class TestSgdStep:
         net.layers[-1].gb[0] = np.nan
         before = [(l.w.copy(), l.b.copy()) for l in net.layers]
         with pytest.raises(NonFiniteGradientError, match="layer 1 parameter b"):
-            sgd_step(net, 0.1, weight_decay=0.01)
+            checked_sgd_update(net, 0.1, weight_decay=0.01)
         for layer, (w, b) in zip(net.layers, before):
             np.testing.assert_array_equal(layer.w, w)
             np.testing.assert_array_equal(layer.b, b)
@@ -304,7 +305,7 @@ class TestMlpGradients:
         labels = rng.integers(0, 3, size=5)
 
         def f():
-            return classification_loss(mlp_apply(net, x), labels, [5])[0]
+            return classification_loss(forward_mlp(net, x)[-1], labels, [5])[0]
 
         layers = forward_mlp(net, x)
         grad = backward_mlp(net, layers, classification_loss(layers[-1], labels, [5])[1], input_grad=True)

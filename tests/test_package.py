@@ -1,4 +1,5 @@
-"""Package hygiene: no module-level function or class goes unused."""
+"""Package hygiene: no module-level function or class goes unused, and no
+function grows past a screenful."""
 
 import ast
 from collections import Counter
@@ -40,3 +41,18 @@ def test_every_definition_is_named_elsewhere_or_exported():
         and node.name not in exported(tree)
     ]
     assert unused == []
+
+
+# a function longer than this is split into named steps
+MAX_FUNCTION_LINES = 80
+
+
+def test_no_function_exceeds_the_line_budget():
+    long = [
+        f"{module}.{node.name}: {node.end_lineno - node.lineno} lines"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.end_lineno - node.lineno > MAX_FUNCTION_LINES
+    ]
+    assert long == []

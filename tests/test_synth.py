@@ -7,8 +7,8 @@ from uman.labelspace import UmdaMatrix, partition_from_matrix
 from uman.synth import (
     DomainDataset,
     SyntheticSpec,
-    batch_iterator,
     generate,
+    run_batches,
 )
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
@@ -164,6 +164,8 @@ class TestDomainGapStatistics:
 
 
 class TestBatchIterator:
+    """:func:`run_batches` for one run, the stream a run draws alone."""
+
     def _tagged_dataset(self, n, domain_id=0):
         # feature column 0 encodes the row's label so batch alignment is visible
         labels = np.arange(n) % 3
@@ -175,53 +177,53 @@ class TestBatchIterator:
     def test_batches_keep_feature_label_alignment(self):
         source = self._tagged_dataset(30, domain_id=0)
         target = self._tagged_dataset(20, domain_id=1)
-        it = batch_iterator([source, target], 7, seed=0)
+        it = run_batches([([source, target], 0)], 7)
         for _ in range(10):
             features, labels, sizes = next(it)
             assert sizes == (7, 7)
-            assert features.shape == (14, 2)
-            np.testing.assert_array_equal(features[:7, 0], labels)
+            assert features.shape == (1, 14, 2)
+            np.testing.assert_array_equal(features[0, :7, 0], labels[0])
 
     def test_epoch_has_no_repeats_and_drops_tail(self):
         ds = self._tagged_dataset(10)
-        it = batch_iterator([ds], 4, seed=3)
-        seen = np.concatenate([next(it)[0][:, 1] for _ in range(2)])
+        it = run_batches([([ds], 3)], 4)
+        seen = np.concatenate([next(it)[0][0, :, 1] for _ in range(2)])
         assert len(set(seen.tolist())) == 8  # 2 batches of 4 from one epoch of 10
 
     def test_small_domain_caps_batch_size(self):
         small = self._tagged_dataset(5, domain_id=0)
         large = self._tagged_dataset(50, domain_id=1)
-        it = batch_iterator([small, large], 32, seed=0)
-        alone = batch_iterator([large], 32, seed=0)
+        it = run_batches([([small, large], 0)], 32)
+        alone = run_batches([([large], 0)], 32)
         for _ in range(3):
             features, labels, sizes = next(it)
             assert sizes == (5, 32)
-            assert len(labels) == 5
+            assert labels.shape == (1, 5)
             # each domain draws from its own seeded stream, stacked or not
-            np.testing.assert_array_equal(features[5:], next(alone)[0])
+            np.testing.assert_array_equal(features[:, 5:], next(alone)[0])
 
     def test_deterministic_per_seed(self):
         ds = self._tagged_dataset(20)
-        a = next(batch_iterator([ds], 8, seed=5))[0]
-        b = next(batch_iterator([ds], 8, seed=5))[0]
+        a = next(run_batches([([ds], 5)], 8))[0]
+        b = next(run_batches([([ds], 5)], 8))[0]
         np.testing.assert_array_equal(a, b)
-        c = next(batch_iterator([ds], 8, seed=6))[0]
+        c = next(run_batches([([ds], 6)], 8))[0]
         assert not np.array_equal(a, c)
 
     def test_target_batches_stay_unlabeled(self, partition):
         datasets = generate(spec(), partition)
-        features, labels, sizes = next(batch_iterator(datasets, 16, seed=0))
+        features, labels, sizes = next(run_batches([(datasets, 0)], 16))
         assert sizes == (16, 16, 16)
-        assert features.shape == (48, 8)
+        assert features.shape == (1, 48, 8)
         # labels cover the source rows only
-        assert labels.shape == (32,)
+        assert labels.shape == (1, 32)
 
     def test_rejects_empty_domains_and_bad_sizes(self):
         empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), None)
         with pytest.raises(ValueError, match="empty"):
-            next(batch_iterator([empty], 4, seed=0))
+            next(run_batches([([empty], 0)], 4))
         with pytest.raises(ValueError, match="batch_size"):
-            next(batch_iterator([self._tagged_dataset(5)], 0, seed=0))
+            next(run_batches([([self._tagged_dataset(5)], 0)], 0))
         unlabeled = DomainDataset(0, np.zeros((5, 2)), None, None)
         with pytest.raises(ValueError, match="no labels"):
-            next(batch_iterator([unlabeled, self._tagged_dataset(5, domain_id=1)], 4, seed=0))
+            next(run_batches([([unlabeled, self._tagged_dataset(5, domain_id=1)], 0)], 4))
