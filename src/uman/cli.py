@@ -35,6 +35,7 @@ from .config import (
     SWEEP_AXES,
     ExperimentConfig,
     config_hash,
+    cost_problems,
     derive_sweep_cell,
     load_config,
 )
@@ -178,7 +179,7 @@ def _run_method_batch(task):
             result.feature_net, result.classifier, test_target, partition, hp.w0,
             method=method, config_hash=chash, seed=seed,
         )
-        _write_trace(run_dir / "trace.csv", result.trace)
+        _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
         _write_register(run_dir / "tmr.csv", result.register)
         _write_json(run_dir / "report.json", asdict(report))
         rows.append(_summary_row(partition, chash, method, seed, report))
@@ -240,11 +241,10 @@ def _write_csv(path, header, rows):
     _write_atomic(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
 
-def _write_trace(path, trace):
-    n_src = len(trace[0].source_errors) if trace else 0
+def _write_trace(path, trace, n_sources: int):
     header = (
         ["step", "class_loss", "domain_loss"]
-        + [f"err_source_{i + 1}" for i in range(n_src)]
+        + [f"err_source_{i + 1}" for i in range(n_sources)]
         + ["mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated"]
     )
     _write_csv(path, header, (
@@ -294,6 +294,19 @@ def _repeat(values):
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
+def _sweep_cells(config: ExperimentConfig, axis: str, values):
+    """The config of every feasible cell of a sweep, by value, writing under
+    <output_dir>/sweep/<axis>_<value>/; and the problems of the cells whose
+    runs would not fit in memory (:func:`~uman.config.cost_problems`)."""
+    base = Path(config.output_dir)
+    cells = {}
+    for value in values:
+        cell, _ = derive_sweep_cell(config, axis, value)
+        if cell is not None:
+            cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
+    return cells, [f"{axis} {value}: {p}" for value, cell in cells.items() for p in cost_problems(cell)]
+
+
 def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
     """Run the config once per axis value; returns the aggregated rows.
 
@@ -301,7 +314,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     and the aggregate (with per-seed accuracies, their mean, and the
     transfer gain over source_only where available) is returned for a
     single final write. Infeasible values become marked rows; a repeated
-    value is rejected before any work starts. Every cell's method batches
+    value, or a cell over the cost bound, is rejected before any work
+    starts. Every cell's method batches
     go to one pool of at most ``jobs`` workers, and never more than there
     are batches or CPUs; a cell's summary.csv is written here.
     """
@@ -309,14 +323,14 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (repeat := _repeat(values)) is not None:
         raise ValueError(f"sweep value {repeat} repeats")
-    if problems := _seed_problems(config, offset):
+    cells, problems = _sweep_cells(config, axis, values)
+    if problems := _seed_problems(config, offset) or problems:
         raise ValueError(problems[0])
-    base = Path(config.output_dir)
-    cells = {}
-    for value in values:
-        cell, _ = derive_sweep_cell(config, axis, value)
-        if cell is not None:
-            cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
+    return _run_sweep(config, axis, values, cells, jobs, offset)
+
+
+def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, jobs: int, offset: int):
+    """:func:`execute_sweep` over the checked cells of :func:`_sweep_cells`."""
     tasks = [(cell, method, offset) for cell in cells.values() for method in cell.methods]
     batches = _map_in_pool(_run_method_batch, tasks, jobs)
     agg_rows = []
@@ -345,7 +359,12 @@ def cmd_sweep(path, axis, values, jobs) -> int:
     if (loaded := _runnable(path)) is None:
         return 2
     config, offset = loaded
-    rows = execute_sweep(config, axis, values, jobs=jobs, offset=offset)
+    cells, problems = _sweep_cells(config, axis, values)
+    for p in problems:
+        print(f"invalid: {p}")
+    if problems:
+        return 2
+    rows = _run_sweep(config, axis, values, cells, jobs, offset)
     seeds = [f"acc_seed_{s}" for s in config.seeds]
     header = ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"]
     out = Path(config.output_dir) / f"sweep_{axis}.csv"

@@ -28,9 +28,15 @@ __all__ = [
     "config_hash",
     "canonical_dict",
     "derive_sweep_cell",
+    "cost_problems",
+    "MAX_RUN_FLOATS",
 ]
 
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
+
+# the most float64 values the runs of one method batch may hold in their
+# datasets and parameters: 800 MB
+MAX_RUN_FLOATS = 10**8
 
 _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", "seeds", "output_dir"}
 
@@ -200,17 +206,39 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
 
     if problems:
         return None, problems
-    return (
-        ExperimentConfig(
-            matrix=matrix,
-            synthetic=synthetic,
-            hyperparams=hyperparams,
-            methods=tuple(methods),
-            seeds=tuple(seeds),
-            output_dir=output_dir,
-        ),
-        [],
+    config = ExperimentConfig(
+        matrix=matrix,
+        synthetic=synthetic,
+        hyperparams=hyperparams,
+        methods=tuple(methods),
+        seeds=tuple(seeds),
+        output_dir=output_dir,
     )
+    problems = cost_problems(config)
+    return (None, problems) if problems else (config, [])
+
+
+def cost_problems(config: ExperimentConfig) -> list[str]:
+    """Why the runs of one method batch of ``config`` would not fit in
+    memory: every seed's datasets (rows times columns) and parameters
+    together may hold at most :data:`MAX_RUN_FLOATS` float64 values."""
+    partition = partition_from_matrix(config.matrix)
+    label_sets = [*partition.source_labels, partition.target_labels]
+    rows = config.synthetic.samples_per_class * sum(len(labels) for labels in label_sets)
+    hp = config.hyperparams
+    widths = (
+        [config.synthetic.feature_dim, *hp.feature_hidden, hp.feature_dim],
+        [hp.feature_dim, partition.n_source_classes],
+        [hp.feature_dim, *hp.disc_hidden, 1],
+    )
+    params = sum((fan_in + 1) * fan_out for net in widths for fan_in, fan_out in zip(net, net[1:]))
+    total = len(config.seeds) * (rows * config.synthetic.feature_dim + params)
+    if total <= MAX_RUN_FLOATS:
+        return []
+    return [
+        f"a method batch would hold {total:,} floats ({len(config.seeds)} seeds x ({rows:,} dataset rows"
+        f" x {config.synthetic.feature_dim} columns + {params:,} parameters)), above the limit of {MAX_RUN_FLOATS:,}"
+    ]
 
 
 def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:

@@ -33,6 +33,7 @@ from .labelspace import LabelPartition
 from .nn import (
     Mlp,
     NonFiniteGradientError,
+    Plan,
     backward_mlp,
     block_sums,
     forward_mlp,
@@ -40,6 +41,7 @@ from .nn import (
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
+    row_norms,
     sgd_update,
     softmax,
 )
@@ -135,20 +137,34 @@ class TargetMarginRegister:
     def values(self) -> np.ndarray:
         return self._sums / np.maximum(self._counts, 1)
 
-    def update(self, vector, present, gate=True):
-        """Add one margin vector per run; ``gate`` (one flag per run) picks
-        the runs that take theirs."""
+    def update(self, vector, present):
+        """Add one margin vector per run, checked to lie in [0, 1]. Training
+        adds the margins it computes itself, which lie there by
+        construction, through :meth:`add_steps` unchecked and gated: a
+        ``uman`` step one step at a time, the ablations a chunk of steps at
+        once."""
         vector = np.asarray(vector, dtype=np.float64)
         present = np.asarray(present, dtype=bool)
         if vector.shape != self._sums.shape or present.shape != self._sums.shape:
             raise ValueError(f"expected vectors of length {self.n_classes}")
         if np.minimum.reduce(vector, axis=None) < -1e-12 or np.maximum.reduce(vector, axis=None) > 1 + 1e-12:
             raise ValueError("margin contributions must lie in [0, 1]")
-        if gate is not True:
-            present = present & np.asarray(gate)[..., None]
-        np.add(self._sums, vector, out=self._sums, where=present)
-        self._counts += present
-        self.step += gate
+        self.add_steps(vector[None], present[None], np.ones((1, *vector.shape[:-1]), dtype=bool))
+
+    def add_steps(self, vectors, present, gates):
+        """:meth:`update` for several steps at once, in order down a leading
+        step axis, with no range check and one gate flag per step and run:
+        a run whose gate is closed takes nothing from that step. A closed
+        gate or an absent class adds +0.0, which leaves every sum as it is
+        (a sum starts at +0.0 and so is never -0.0), so one running sum down
+        the step axis equals the steps' masked adds one after the other."""
+        taken = present & gates[..., None]
+        steps = np.where(taken, vectors, 0.0)
+        steps[0] += self._sums
+        np.add.accumulate(steps, axis=0, out=steps)
+        self._sums[...] = steps[-1]
+        self._counts += np.add.reduce(taken, axis=0)
+        self.step += np.add.reduce(gates, axis=0).tolist()
 
     def take(self, runs):
         """Copy of the given runs: a list keeps the run axis, an integer
@@ -241,18 +257,27 @@ def classification_loss(logits: np.ndarray, labels, sizes):
         raise ValueError("need nonempty source blocks with one label per source row")
     if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= k:
         raise ValueError(f"labels outside [0, {k})")
+    value, grad = _classification_loss(logits, _label_base(tuple(lead), n, k) + labels, sizes)
+    return value if lead else float(value), grad
+
+
+def _classification_loss(logits, at_labels, sizes: tuple):
+    """:func:`classification_loss` without its checks, given the flat index
+    of every source row's label logit (:func:`_label_base` plus the labels)."""
     sizes_f, inv_size = _source_layout(sizes)
+    m = len(sizes)
     # logp and p below are fresh C-contiguous arrays, so reshape(-1) is a
     # view: one flat index reads, and writes, each row's label entry
-    at_labels = _label_base(tuple(lead), n, k) + labels
-    logp = log_softmax(logits[..., :n, :])
+    logp = log_softmax(logits[..., : at_labels.shape[-1], :])
     nll = -logp.reshape(-1)[at_labels]
     # each source's mean on its own, then summed term by term: the same
     # arithmetic as one cross-entropy term per source
     value = _sum_terms((1.0 / m) * (block_sums(nll, sizes) / sizes_f))
     p = np.exp(logp)
     p.reshape(-1)[at_labels] -= 1.0
-    return value if lead else float(value), (1.0 / m) * p * inv_size
+    p *= 1.0 / m
+    p *= inv_size
+    return value, p
 
 
 _CLIP = 1e-7
@@ -292,8 +317,15 @@ def domain_loss(out: np.ndarray, weights, sizes):
     lead = out.shape[:-2]
     if m < 1 or min(sizes) < 1 or out.shape[-2:] != (n, 1) or w.shape != (*lead, n):
         raise ValueError("need source and target blocks with one output and weight per row")
+    total, grad = _domain_loss(out, w, sizes)
+    return total if lead else float(total), grad
+
+
+def _domain_loss(out, w, sizes: tuple):
+    """:func:`domain_loss` without its checks."""
     sizes_f, counts = _domain_layout(sizes)
-    n_src = n - sizes[-1]
+    m = len(sizes) - 1
+    n_src = out.shape[-2] - sizes[-1]
     raw = out[..., 0]
     # np.clip's arithmetic without its Python-level wrapper
     d = np.minimum(np.maximum(raw, _CLIP), 1 - _CLIP)
@@ -301,9 +333,8 @@ def domain_loss(out: np.ndarray, weights, sizes):
     q = np.concatenate([d[..., :n_src], 1.0 - d[..., n_src:]], axis=-1)
     means = block_sums(-w * np.log(q), sizes) / sizes_f
     means[..., :-1] /= m
-    total = _sum_terms(means)
     inside = (raw > _CLIP) & (raw < 1 - _CLIP)
-    return total if lead else float(total), (inside * (w / (counts * q)))[..., None]
+    return _sum_terms(means), (inside * (w / (counts * q)))[..., None]
 
 
 def grl_lambda(step: int, total_steps: int, max_lambda: float = 1.0, gamma: float = 10.0) -> float:
@@ -472,7 +503,8 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     ended with, either carrying the step in ``step``. A run that diverges
     leaves the batch at that step, before any of its parameters move, and
     the other runs go on; a run whose loss is not finite leaves before the
-    step's backward pass, as it does alone.
+    step's backward pass, as it does alone. Batches are drawn, and trace
+    rows built, a :class:`_Chunk` of steps at a time.
     """
     hp = _check_runs(runs, partition, method)
     adversarial = method != "source_only"
@@ -484,7 +516,6 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
     nets = [
         Mlp.stack(role) for role in zip(*(_build_nets(run_hp, in_dim, n_classes) for _, run_hp in runs))
     ]
-    register = TargetMarginRegister(n_classes, runs=len(runs))
     common_mask = np.zeros(n_classes, dtype=bool)
     common_mask[list(partition.common_union)] = True
 
@@ -492,65 +523,90 @@ def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list
         int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0])
         for _, run_hp in runs
     ]
-    batches = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, batch_seeds)], hp.batch_size)
+    batches = run_batches(
+        [(datasets, seed) for (datasets, _), seed in zip(runs, batch_seeds)], hp.batch_size, steps=CHUNK
+    )
 
-    outcomes: list = [None] * len(runs)
-    ids = list(range(len(runs)))  # the entry of ``runs`` each row of the stacks trains
-    traces: list[list[LossReport]] = [[] for _ in runs]  # by entry of ``runs``
+    stack = _Stack(nets, TargetMarginRegister(n_classes, runs=len(runs)), len(runs))
     for step in range(hp.max_steps):
-        x, labels, sizes = next(batches)
-        if len(ids) < len(runs):  # runs that failed draw on, unused
-            x, labels = x[ids], labels[ids]
-        acts = _forward(nets, x, sizes, adversarial)
-        errors, gate, weights, means = _weigh(method, acts[1][-1], labels, sizes, register, common_mask, hp.epsilon)
-        eg, ed, g_logits, g_d = _losses(acts, labels, weights, sizes)
-        rows = _trace_rows(step, eg, ed, errors, gate, means)
+        if (j := step % CHUNK) == 0:
+            chunk = _Chunk(step, next(batches), stack.ids, method, common_mask, hp.epsilon)
+        stack.plans = stack.plans or _plans(stack.nets, chunk.sizes, adversarial, len(stack.ids))
+        acts = _forward(stack.nets, stack.plans, chunk.x[j], chunk.sizes, adversarial)
+        weights = _weigh(method, chunk, j, acts[1][-1], stack.register)
+        eg, ed, g_logits, g_d = _losses(acts, chunk.at_labels[j], weights, chunk.sizes)
+        chunk.file(j, eg, ed)
 
         # a run whose loss is not finite stops here, before its backward, as
-        # it would alone
-        failed = {
-            r: TrainingDiverged(step, traces[ids[r]][-1] if traces[ids[r]] else None)
-            for r, (c_loss, d_loss) in enumerate(zip(eg, ed))
-            if not (math.isfinite(c_loss) and math.isfinite(d_loss))
-        }
-        if failed:
-            if (left := _drop(failed, outcomes, ids, nets, register, rows, (acts, g_logits, g_d))) is None:
-                return outcomes
-            ids, nets, register, rows, (acts, g_logits, g_d) = left
+        # it would alone; its last trace row is the previous step's
+        if not all(map(math.isfinite, eg + ed)):
+            chunk.flush(stack, stop=j)
+            failed = {
+                r: TrainingDiverged(step, stack.last_row(r))
+                for r, (c_loss, d_loss) in enumerate(zip(eg, ed))
+                if not (math.isfinite(c_loss) and math.isfinite(d_loss))
+            }
+            if (keep := stack.drop(failed, chunk)) is None:
+                return stack.outcomes
+            acts, g_logits, g_d = _take((acts, g_logits, g_d), keep)
+            stack.plans = _plans(stack.nets, chunk.sizes, adversarial, len(keep), acts)
 
-        _backward(nets, acts, g_logits, g_d, sizes, step, hp)
+        _backward(stack.nets, stack.plans, acts, g_logits, g_d, chunk.sizes, step, hp)
 
         # one check of every gradient of every run before any parameter
         # moves; D is outside the graph in classification-only runs, and
         # stepping it there would still apply weight decay
-        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*nets[:n_stepped]).items()}
+        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*stack.nets[:n_stepped]).items()}
         if failed:
             for error in failed.values():
                 error.step = step
-            if (left := _drop(failed, outcomes, ids, nets, register, rows, ())) is None:
-                return outcomes
-            ids, nets, register, rows, _ = left
-        for net, lr in zip(nets[:n_stepped], lrs):
+            if stack.drop(failed, chunk) is None:
+                return stack.outcomes
+        for net, lr in zip(stack.nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
-        for i, row in zip(ids, rows):
-            traces[i].append(row)
-
-    for r, i in enumerate(ids):
-        outcomes[i] = TrainResult(*(net.take(r) for net in nets), register.take(r), traces[i])
-    return outcomes
+        if j == CHUNK - 1 or step == hp.max_steps - 1:
+            chunk.flush(stack)
+            chunk = None  # freed before the next chunk is drawn
+    return stack.results()
 
 
-def _drop(failed: dict, outcomes: list, ids: list, nets, register: TargetMarginRegister, rows: list, step_arrays):
-    """Record the errors of the runs at the ``failed`` positions of the
-    stacks in ``outcomes``; returns the ids, nets, register, trace rows and
-    step arrays (nested in tuples and lists) of the runs that stay, or None."""
-    for r, error in failed.items():
-        outcomes[ids[r]] = error
-    keep = [r for r in range(len(ids)) if r not in failed]
-    if not keep:
-        return None
-    nets, register = [net.take(keep) for net in nets], register.take(keep)
-    return [ids[r] for r in keep], nets, register, [rows[r] for r in keep], _take(step_arrays, keep)
+class _Stack:
+    """The runs of a batch that still train, stacked along the run axis:
+    the entry of ``runs`` each row trains (``ids``), their nets, their
+    register and the nets' plans (None until the next step builds them).
+    Traces and outcomes are kept by entry of ``runs``."""
+
+    def __init__(self, nets, register: TargetMarginRegister, n_runs: int):
+        self.ids, self.nets, self.register, self.plans = list(range(n_runs)), nets, register, None
+        self.outcomes: list = [None] * n_runs
+        self.traces: list[list[LossReport]] = [[] for _ in range(n_runs)]
+
+    def last_row(self, r: int) -> LossReport | None:
+        trace = self.traces[self.ids[r]]
+        return trace[-1] if trace else None
+
+    def drop(self, failed: dict, chunk: _Chunk) -> list | None:
+        """Record the errors of the runs at the ``failed`` positions and
+        keep the others, with their rows of the chunk's draws; returns the
+        positions kept, or None if no run is left. The chunk's pending
+        steps flush first, this one included: a failed run's trace is not
+        read again."""
+        chunk.flush(self)
+        for r, error in failed.items():
+            self.outcomes[self.ids[r]] = error
+        keep = [r for r in range(len(self.ids)) if r not in failed]
+        if not keep:
+            return None
+        chunk.take(keep)
+        self.ids, self.nets = [self.ids[r] for r in keep], [net.take(keep) for net in self.nets]
+        self.register, self.plans = self.register.take(keep), None
+        return keep
+
+    def results(self) -> list:
+        """Every run's outcome, the runs that trained to the end included."""
+        for r, i in enumerate(self.ids):
+            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.traces[i])
+        return self.outcomes
 
 
 def _take(arrays, keep):
@@ -559,92 +615,180 @@ def _take(arrays, keep):
     return None if arrays is None else arrays[keep]
 
 
-def _forward(nets, x, sizes, adversarial: bool):
-    """The activations of F, G and, when adversarial, D (else None). The
-    source sub-batches and, when D takes part, the target rows go through
-    each net as one stack of blocks; without D nothing reads the target's
-    features, and G's gradient covers only the source blocks either way."""
-    feature_net, classifier, discriminator = nets
+# steps per batch draw, and per pass of the trace work no update reads
+CHUNK = 16
+
+
+class _Chunk:
+    """Up to :data:`CHUNK` consecutive steps of a batch: their draws, the
+    arrays derived from the labels once for all of them, and what each step
+    files for its trace rows until :meth:`flush` builds them.
+
+    In ``source_only`` and ``unweighted_adv`` no parameter update reads the
+    source error rates, the margins, the gate or the register, so a step
+    files only G's outputs and its losses, and the flush derives the rest,
+    and adds the gated margins to the register, once for every pending
+    step. A ``uman`` step reads its register, so :func:`_weigh` files its
+    trace values step by step.
+    """
+
+    def __init__(self, first: int, draws, ids, method: str, common_mask, epsilon: float):
+        x, labels, self.sizes = draws
+        if len(ids) < x.shape[1]:  # runs that failed draw on, unused
+            x, labels = x[:, ids], labels[:, ids]
+        self.first, self.start, self.stop = first, 0, 0
+        self.method, self.common_mask, self.epsilon = method, common_mask, epsilon
+        self.losses, self.marks = [None] * CHUNK, [None] * CHUNK
+        self._hold(x, labels)
+
+    def _hold(self, x, labels):
+        """Keep the draws of the runs in the stack, with their label arrays
+        and the buffers of their layout."""
+        self.x, self.labels = x, labels
+        runs, n_src = labels.shape[1:]
+        self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + labels
+        self.in_common = self.common_mask[labels]
+        self.n_commons = np.add.reduce(self.in_common, axis=-1).tolist()
+        rows = x.shape[2] if self.method == "unweighted_adv" else n_src
+        self.logits = None if self.method == "uman" else np.empty((CHUNK, runs, rows, len(self.common_mask)))
+        self.ones = np.ones(x.shape[1:3]) if self.method == "unweighted_adv" else None
+
+    def take(self, keep):
+        """Keep the given runs of the stack; nothing may be pending."""
+        self._hold(self.x[:, keep], self.labels[:, keep])
+
+    def file(self, j: int, eg, ed):
+        self.losses[j], self.stop = (eg, ed), j + 1
+
+    def flush(self, stack: _Stack, stop=None):
+        """Append the rows of the pending steps before position ``stop``
+        (every filed step by default) to the traces of the stack's runs."""
+        lo, hi = self.start, self.stop if stop is None else stop
+        if lo == hi:
+            return
+        self.start = hi
+        marks = self.marks[lo:hi] if self.method == "uman" else self._marks(lo, hi, stack.register)
+        steps = range(self.first + lo, self.first + hi)
+        for step, (eg, ed), (errors, gate, means) in zip(steps, self.losses[lo:hi], marks):
+            for i, c_loss, d_loss, err, updated, weight_means in zip(stack.ids, eg, ed, errors, gate, means):
+                stack.traces[i].append(LossReport(step, c_loss, d_loss, tuple(err), *weight_means, tmr_updated=updated))
+
+    def _marks(self, lo: int, hi: int, register: TargetMarginRegister):
+        """The ablations' source error rates, gates and trace weights of
+        steps ``lo`` to ``hi`` - 1."""
+        errors, gate, _, _ = self.gate(lo, hi, self.logits[lo:hi], register)
+        if self.method == "source_only":
+            means = [[(0.0, 0.0, 0.0)] * errors.shape[1]] * (hi - lo)
+        else:
+            # a group of ones has a mean raw weight of exactly 1, or 0 if empty
+            n_src = self.labels.shape[-1]
+            means = [
+                [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in step]
+                for step in self.n_commons[lo:hi]
+            ]
+        return zip(errors.tolist(), gate.tolist(), means)
+
+    def gate(self, lo: int, hi: int, logits, register: TargetMarginRegister):
+        """Each run's source error rates in steps ``lo`` to ``hi`` - 1, from
+        G's outputs ``logits`` of those steps along a leading step axis; and,
+        when adversarial, its gates (whether its register takes the step's
+        margins: every error rate below epsilon) and its target rows'
+        pseudo-labels and margins (else no gate opens, and None). The
+        register takes the gated margin vectors in step order."""
+        labels, sizes = self.labels[lo:hi], self.sizes[:-1]
+        n_src = labels.shape[-1]
+        errors = block_sums(logits[..., :n_src, :].argmax(axis=-1) != labels, sizes) / sizes
+        if self.method == "source_only":
+            return errors, np.zeros(errors.shape[:-1], dtype=bool), None, None
+        # detached predictions drive margins, the gate, and all weights
+        pseudo, margins = batch_margins(softmax(logits[..., n_src:, :]))
+        gate = np.maximum.reduce(errors, axis=-1) < self.epsilon
+        if gate.any():
+            register.add_steps(*margin_vector(pseudo, margins, register.n_classes), gate)
+        return errors, gate, pseudo, margins
+
+
+def _plans(nets, sizes, adversarial: bool, runs: int, acts=(None, None, None)) -> list:
+    """The plans of F, G and, when adversarial, D (else None) for a step of
+    ``runs`` runs, over the activations in ``acts`` that :func:`_forward`
+    returned, or over new buffers."""
+    n = sum(sizes) if adversarial else sum(sizes[:-1])
+    blocks = (sizes if adversarial else sizes[:-1], sizes[:-1], sizes)
+    return [
+        Plan(net, net_acts or [np.empty((runs, n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
+        for k, (net, net_acts, net_blocks) in enumerate(zip(nets, acts, blocks))
+    ]
+
+
+def _forward(nets, plans, x, sizes, adversarial: bool):
+    """The activations of F, G and, when adversarial, D (else None), in
+    their plans' buffers, and the row norms of F's outputs. The source
+    sub-batches and, when D takes part, the target rows go through each net
+    as one stack of blocks; without D nothing reads the target's features,
+    and G's gradient covers only the source blocks either way."""
     n_src = sum(sizes[:-1])
-    f_acts = forward_mlp(feature_net, x if adversarial else x[:, :n_src], sizes if adversarial else sizes[:-1])
-    feats = l2_normalize(f_acts[-1])
-    g_acts = forward_mlp(classifier, feats, sizes[:-1])
-    d_acts = forward_mlp(discriminator, feats, sizes) if adversarial else None
-    return [f_acts, g_acts, d_acts]
+    f_in, f_blocks = (x, sizes) if adversarial else (x[:, :n_src], sizes[:-1])
+    f_acts = forward_mlp(nets[0], f_in, f_blocks, plan=plans[0])
+    norms = row_norms(f_acts[-1])
+    feats = l2_normalize(f_acts[-1], norms)
+    g_acts = forward_mlp(nets[1], feats, sizes[:-1], plan=plans[1])
+    d_acts = forward_mlp(nets[2], feats, sizes, plan=plans[2]) if adversarial else None
+    return [f_acts, g_acts, d_acts, norms]
 
 
-def _weigh(method: str, logits, labels, sizes, register: TargetMarginRegister, common_mask, epsilon: float):
-    """Each run's source error rates, its gate (whether its register takes
-    the step's margins), the domain-loss weights (None without D) and the
-    trace weights: the mean raw weight of its common-class and of its
-    private-class source rows (0 for an empty group) and of its target
-    rows. Every weight is 1 in unweighted_adv and 0 without D."""
-    n_src = labels.shape[-1]
-    wrong = logits[:, :n_src].argmax(axis=-1) != labels
-    errors = (block_sums(wrong, sizes[:-1]) / sizes[:-1]).tolist()
-    if method == "source_only":
-        return errors, [False] * len(errors), None, [(0.0, 0.0, 0.0)] * len(errors)
-
-    # detached predictions drive margins, the gate, and all weights
-    pseudo, margins = batch_margins(softmax(logits[:, n_src:]))
-    gate = [max(err) < epsilon for err in errors]
-    if any(gate):
-        register.update(*margin_vector(pseudo, margins, register.n_classes), True if all(gate) else gate)
-    in_common = common_mask[labels]
-    n_commons = np.add.reduce(in_common, axis=-1).tolist()
-    if method == "uman":
-        raw_ws, raw_wt = sample_weights(register, labels, pseudo, margins)
-        weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
-        means = [
-            (
-                float(_mean(ws[common])) if n_common else 0.0,
-                float(_mean(ws[~common])) if n_common < n_src else 0.0,
-                wt,
-            )
-            for ws, common, n_common, wt in zip(raw_ws, in_common, n_commons, _mean(raw_wt).tolist())
-        ]
-    else:
-        # a group of ones has a mean of exactly 1, so normalizing changes none
-        weights = np.ones((len(labels), n_src + sizes[-1]))
-        means = [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in n_commons]
-    return errors, gate, weights, means
+def _weigh(method: str, chunk: _Chunk, j: int, logits, register: TargetMarginRegister):
+    """The domain-loss weights of step ``j`` of the chunk (None without D;
+    every weight is 1 in unweighted_adv). The ablations file G's outputs
+    in the chunk; a uman step gates its margins here (:meth:`_Chunk.gate`)
+    and computes each run's weights and its trace weights: the mean raw
+    weight of its common-class and of its private-class source rows (0 for
+    an empty group) and of its target rows."""
+    if method != "uman":
+        chunk.logits[j] = logits
+        return chunk.ones
+    errors, gate, pseudo, margins = chunk.gate(j, j + 1, logits[None], register)
+    n_src = chunk.labels.shape[-1]
+    raw_ws, raw_wt = sample_weights(register, chunk.labels[j], pseudo[0], margins[0])
+    weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
+    means = [
+        (
+            float(_mean(ws[common])) if n_common else 0.0,
+            float(_mean(ws[~common])) if n_common < n_src else 0.0,
+            wt,
+        )
+        for ws, common, n_common, wt in zip(raw_ws, chunk.in_common[j], chunk.n_commons[j], _mean(raw_wt).tolist())
+    ]
+    chunk.marks[j] = (errors[0].tolist(), gate[0].tolist(), means)
+    return weights
 
 
-def _losses(acts, labels, weights, sizes):
+def _losses(acts, at_labels, weights, sizes):
     """Each run's classification and domain loss (0 without D), and their
     gradients of G's and of D's outputs (None without D)."""
-    g_acts, d_acts = acts[1:]
-    eg, g_logits = classification_loss(g_acts[-1], labels, sizes[:-1])
+    g_acts, d_acts = acts[1:3]
+    eg, g_logits = _classification_loss(g_acts[-1], at_labels, sizes[:-1])
     if d_acts is None:
         return eg.tolist(), [0.0] * len(eg), g_logits, None
-    ed, g_d = domain_loss(d_acts[-1], weights, sizes)
+    ed, g_d = _domain_loss(d_acts[-1], weights, sizes)
     return eg.tolist(), ed.tolist(), g_logits, g_d
 
 
-def _backward(nets, acts, g_logits, g_d, sizes, step: int, hp: Hyperparams):
+def _backward(nets, plans, acts, g_logits, g_d, sizes, step: int, hp: Hyperparams):
     """One backward pass realizes the min-max: D descends the domain loss,
     and the gradient-reversal layer hands the features D's input gradient
     times -lambda, to which G's input gradient is added; without D only the
     source rows have a gradient."""
     feature_net, classifier, discriminator = nets
-    f_acts, g_acts, d_acts = acts
-    g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True)
+    f_acts, g_acts, d_acts, norms = acts
+    g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True, plan=plans[1])
     if d_acts is None:
         g_feats, f_blocks = g_src, sizes[:-1]
     else:
         lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-        g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True)
+        g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True, plan=plans[2])
         g_feats[:, : sum(sizes[:-1])] += g_src
         f_blocks = sizes
-    backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats), f_blocks)
-
-
-def _trace_rows(step: int, eg, ed, errors, gate, means) -> list[LossReport]:
-    """One trace row per run from the step's per-run lists."""
-    return [
-        LossReport(step, c_loss, d_loss, tuple(err), *weight_means, tmr_updated=updated)
-        for c_loss, d_loss, err, updated, weight_means in zip(eg, ed, errors, gate, means)
-    ]
+    backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats, norms), f_blocks, plan=plans[0])
 
 
 def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:

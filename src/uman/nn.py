@@ -27,11 +27,13 @@ import numpy as np
 
 __all__ = [
     "Mlp",
+    "Plan",
     "NonFiniteGradientError",
     "forward_mlp",
     "backward_mlp",
     "l2_normalize",
     "l2_normalize_backward",
+    "row_norms",
     "softmax",
     "log_softmax",
     "block_sums",
@@ -201,7 +203,116 @@ def _checked_blocks(blocks, n):
     return blocks
 
 
-def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
+class Plan:
+    """One pass of a net forward and back over a fixed batch layout, laid
+    out once: the activation buffers (input first), the buffers of the
+    backward pass, and every view of them, of the net's parameters and of
+    its gradient buffers that the passes read or write.
+
+    ``acts`` holds the input buffer and, optionally, one output buffer per
+    layer, which are allocated here otherwise. ``blocks`` are as for
+    :func:`forward_mlp`. Each pass overwrites the buffers of the one
+    before. A net replaced by another, as a stack is when a run leaves it,
+    needs a plan of its own.
+    """
+
+    def __init__(self, net: Mlp, acts, blocks=None):
+        *lead, rows, _ = acts[0].shape
+        if len(acts) == 1:
+            acts = acts + [np.empty((*lead, rows, layer.w.shape[-1])) for layer in net.layers]
+        self.net, self.acts, self.lead = net, acts, tuple(lead)
+        self.blocks = _check_blocks(blocks, rows)
+        n = sum(self.blocks)
+        runs = _runs(self.blocks + (rows - n,) if n < rows else self.blocks)
+        self._forward = [
+            # one weight matrix per block of a run
+            (list(zip(self._groups(x, runs), self._groups(z, runs))), layer.w[..., None, :, :], layer.b[..., None, :], z)
+            for layer, x, z in zip(net.layers, acts[:-1], acts[1:])
+        ]
+        self._backward = None
+
+    def _groups(self, a, runs):
+        """Views of the rows of ``a``, one ``lead + (count, rows, width)``
+        view per run of equal-size blocks."""
+        return [a[..., start : start + count * rows, :].reshape(*self.lead, count, rows, -1) for start, count, rows in runs]
+
+    def forward(self) -> list[np.ndarray]:
+        """Run the input buffer through the net; returns the buffers."""
+        for (groups, w, b, z), layer in zip(self._forward, self.net.layers):
+            for x, out in groups:
+                np.matmul(x, w, out=out)
+            z += b
+            if layer.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif layer.activation == "sigmoid":
+                np.divide(1.0, np.add(1.0, np.exp(np.negative(z, out=z), out=z), out=z), out=z)
+        return self.acts
+
+    def _lay_backward(self):
+        """Per layer, last first: its outputs, its dz buffer (the input
+        gradient's buffer of the layer above, for a hidden linear layer),
+        its activation's scratch buffer (the ReLU mask, the sigmoid's
+        1 - out), its input gradient's buffer, its transposed
+        weights, its per-block gradient buffers in reverse block order, and
+        per run of equal-size blocks the views of its transposed inputs,
+        dz, the per-block gradients and its input gradient."""
+        n = sum(self.blocks)
+        runs = _runs(self.blocks)
+        firsts = np.cumsum([0] + [count for _, count, _ in runs]).tolist()
+        laid, grad = [], None
+        for i in reversed(range(len(self.net.layers))):
+            layer, inp, out = self.net.layers[i], self.acts[i][..., :n, :], self.acts[i + 1][..., :n, :]
+            dz = grad if layer.activation == "linear" and grad is not None else np.empty(out.shape)
+            scratch = None if layer.activation == "linear" else np.empty(out.shape, bool if layer.activation == "relu" else float)
+            grad = np.empty(inp.shape)
+            gw = np.empty((*self.lead, len(self.blocks), *layer.w.shape[-2:]))
+            gb = np.empty((*self.lead, len(self.blocks), layer.w.shape[-1]))
+            views = zip(self._groups(inp, runs), self._groups(dz, runs), self._groups(grad, runs), firsts, firsts[1:])
+            groups = [(x.swapaxes(-1, -2), d, gw[..., a:e, :, :], gb[..., a:e, :], g) for x, d, g, a, e in views]
+            # the transposed view, not a contiguous copy: BLAS rounds the
+            # two layouts differently
+            w_t = layer.w.swapaxes(-1, -2)
+            laid.append((layer, out, dz, scratch, grad, w_t, gw[..., ::-1, :, :], gb[..., ::-1, :], groups))
+        return laid
+
+    def backward(self, grad, input_grad: bool = False):
+        """:func:`backward_mlp` of the plan's last forward pass."""
+        if self._backward is None:
+            self._backward = self._lay_backward()
+        last = len(self._backward) - 1
+        for k, (layer, out, dz, scratch, into, w_t, gw, gb, groups) in enumerate(self._backward):
+            if layer.activation == "relu":
+                np.multiply(grad, np.greater(out, 0.0, out=scratch), out=dz)
+            elif layer.activation == "sigmoid":
+                np.multiply(np.multiply(grad, out, out=dz), np.subtract(1.0, out, out=scratch), out=dz)
+            elif dz is not grad:
+                np.copyto(dz, grad)
+            if k == last and not input_grad:
+                into = None
+            by_block = into is not None and w_t.shape[-2] > 1
+            if into is not None and not by_block:
+                # a 1-wide output's input gradient is an outer product: a k=1
+                # matrix product adds each entry's one product to a zero
+                # accumulator, and so does adding 0.0, which turns a -0.0
+                # product into +0.0 and leaves every other value as it is
+                np.add(np.multiply(dz, w_t, out=into), 0.0, out=into)
+            for x_t, d, gw_run, gb_run, into_run in groups:
+                np.matmul(x_t, d, out=gw_run)
+                np.add.reduce(d, axis=-2, out=gb_run)
+                if by_block:
+                    np.matmul(d, w_t[..., None, :, :], out=into_run)
+            # One sum over the blocks, last first, adds what one backward per
+            # block in reverse order would. It is exact only because the
+            # buffers are zero here: a net runs one backward per step, and
+            # sgd_update zeroes its buffers.
+            if groups:
+                layer.gw += _sum_in_order(gw, -3, gw.shape[-1] * gw.shape[-2])
+                layer.gb += _sum_in_order(gb, -2, gb.shape[-1])
+            grad = into
+        return grad
+
+
+def forward_mlp(net: Mlp, x, blocks=None, plan: Plan | None = None) -> list[np.ndarray]:
     """Run ``x`` through the net; returns the input and every layer's output.
 
     ``blocks`` lists row counts: the rows of ``x`` stack that many separate
@@ -212,34 +323,18 @@ def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
     of equal-size blocks, one BLAS call per block of the block's own shape.
     By default all rows form one block. With a leading run axis on ``x`` and
     the net, run r's rows go through run r's parameters, and every block of
-    every run is its own BLAS call as before.
+    every run is its own BLAS call as before. With ``plan``, a :class:`Plan`
+    of the net for these blocks, ``x`` is copied into the plan's input
+    buffer (unless it is that buffer) and the plan's buffers are returned.
     """
+    if plan is not None:
+        if x is not plan.acts[0]:
+            np.copyto(plan.acts[0], x)
+        return plan.forward()
     x = np.asarray(x, dtype=np.float64)
-    *lead, n, width = x.shape
-    if width != net.in_dim:
-        raise ValueError(f"input has {width} columns but the net expects {net.in_dim}")
-    blocks = _check_blocks(blocks, n)
-    in_blocks = sum(blocks)
-    runs = _runs(blocks + (n - in_blocks,) if in_blocks < n else blocks)
-    acts = [x]
-    for layer in net.layers:
-        z = np.empty((*lead, n, layer.w.shape[-1]))
-        w = layer.w[..., None, :, :]  # one weight matrix per block of a run
-        for start, count, rows in runs:
-            stop = start + count * rows
-            np.matmul(
-                acts[-1][..., start:stop, :].reshape(*lead, count, rows, -1),
-                w,
-                out=z[..., start:stop, :].reshape(*lead, count, rows, -1),
-            )
-        z += layer.b[..., None, :]
-        if layer.activation == "relu":
-            acts.append(np.maximum(z, 0.0))
-        elif layer.activation == "sigmoid":
-            acts.append(1.0 / (1.0 + np.exp(-z)))
-        else:
-            acts.append(z)
-    return acts
+    if x.shape[-1] != net.in_dim:
+        raise ValueError(f"input has {x.shape[-1]} columns but the net expects {net.in_dim}")
+    return Plan(net, [x], blocks).forward()
 
 
 def _sum_in_order(stack, axis, width):
@@ -257,7 +352,7 @@ def _sum_in_order(stack, axis, width):
     return np.add.accumulate(stack, axis=axis)[(..., -1) + (slice(None),) * (-1 - axis)]
 
 
-def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
+def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False, plan: Plan | None = None):
     """Add the parameter gradients of one forward pass to the net's buffers.
 
     ``acts`` is what :func:`forward_mlp` returned for the same ``blocks``,
@@ -268,73 +363,37 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
     in reverse order, would leave. With ``input_grad`` the gradient of the
     input rows of the blocks is returned; otherwise its products are
     skipped and None is returned. A leading run axis works as in
-    :func:`forward_mlp`.
+    :func:`forward_mlp`. With the ``plan`` whose buffers ``acts`` are, the
+    pass runs in the plan's buffers, and the returned gradient is one.
     """
-    *lead, n_rows, _ = acts[0].shape
-    blocks = _check_blocks(blocks, n_rows)
-    n = sum(blocks)
-    runs = _runs(blocks)
-    for i in reversed(range(len(net.layers))):
-        layer, inp, out = net.layers[i], acts[i][..., :n, :], acts[i + 1][..., :n, :]
-        if layer.activation == "relu":
-            dz = grad * (out > 0.0)
-        elif layer.activation == "sigmoid":
-            dz = grad * out * (1.0 - out)
-        else:
-            dz = grad
-        grad = np.empty_like(inp) if i or input_grad else None
-        # the transposed view, not a contiguous copy: BLAS rounds the two
-        # layouts differently
-        w_t = layer.w.swapaxes(-1, -2)
-        by_block = grad is not None and w_t.shape[-2] > 1
-        if grad is not None and not by_block:
-            # a 1-wide output's input gradient is an outer product: a k=1
-            # matrix product adds each entry's one product to a zero
-            # accumulator, and so does adding 0.0, which turns a -0.0
-            # product into +0.0 and leaves every other value as it is
-            np.add(np.multiply(dz, w_t, out=grad), 0.0, out=grad)
-        w_t = w_t[..., None, :, :]  # one weight matrix per block of a run
-        gw, gb = [], []
-        for start, count, rows in runs:
-            stop = start + count * rows
-            d = dz[..., start:stop, :].reshape(*lead, count, rows, -1)
-            x = inp[..., start:stop, :].reshape(*lead, count, rows, -1)
-            gw.append(np.matmul(x.swapaxes(-1, -2), d))
-            gb.append(np.add.reduce(d, axis=-2))
-            if by_block:
-                np.matmul(d, w_t, out=grad[..., start:stop, :].reshape(*lead, count, rows, -1))
-        # One sum over the blocks, last first, adds what one backward per
-        # block in reverse order would. It is exact only because the buffers
-        # are zero here: a net runs one backward per step, and sgd_update
-        # zeroes its buffers.
-        if runs:
-            gw = gw[0] if len(gw) == 1 else np.concatenate(gw, axis=-3)
-            gb = gb[0] if len(gb) == 1 else np.concatenate(gb, axis=-2)
-            layer.gw += _sum_in_order(gw[..., ::-1, :, :], -3, gw.shape[-1] * gw.shape[-2])
-            layer.gb += _sum_in_order(gb[..., ::-1, :], -2, gb.shape[-1])
-    return grad
+    if plan is None or plan.acts is not acts:
+        plan = Plan(net, list(acts), blocks)
+    return plan.backward(grad, input_grad)
 
 
-def _row_norms(x):
+def row_norms(x):
+    """Each row's Euclidean norm, and the denominator :func:`l2_normalize`
+    divides the row by; :func:`l2_normalize_backward` takes the pair back."""
     norm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     return norm, np.where(norm < _NORM_EPS, norm + _NORM_EPS, norm)
 
 
-def l2_normalize(x) -> np.ndarray:
+def l2_normalize(x, norms=None) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
     Rows with norm below 1e-12 get the epsilon added to the denominator
     instead of dividing by ~0; such rows stay near zero and their gradient
-    term through the norm is suppressed.
+    term through the norm is suppressed. ``norms`` are ``row_norms(x)``,
+    computed here if not given.
     """
     x = np.asarray(x, dtype=np.float64)
-    return x / _row_norms(x)[1]
+    return x / (norms or row_norms(x))[1]
 
 
-def l2_normalize_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def l2_normalize_backward(x: np.ndarray, grad: np.ndarray, norms=None) -> np.ndarray:
     """Gradient with respect to ``x`` of a loss whose gradient with respect
-    to ``l2_normalize(x)`` is ``grad``."""
-    norm, safe = _row_norms(x)
+    to ``l2_normalize(x)`` is ``grad``; ``norms`` as for :func:`l2_normalize`."""
+    norm, safe = norms or row_norms(x)
     dot = np.add.reduce(grad * x, axis=-1, keepdims=True)
     return grad / safe - x * (dot / (safe * safe * np.maximum(norm, _NORM_EPS)))
 
@@ -384,13 +443,12 @@ def sgd_update(net: Mlp, lr: float, weight_decay: float = 0.0):
     the whole net untouched. ``weight_decay`` adds an L2 pull toward zero
     on the weight matrices (biases are exempt), which bounds the logit
     scale a linear head can reach and keeps softmax confidence meaningful
-    off the training clusters. One update covers every weight of the net
-    and one every bias, entry by entry as a step per layer would."""
-    split = net._split
-    w, gw = net.params[:split], net.grads[:split]
+    off the training clusters. The step is computed in the gradient
+    buffer, which is zeroed next: the weights' gradients take their decay
+    term, then every gradient is scaled by ``lr`` and subtracted, entry by
+    entry as ``w -= lr * (gw + weight_decay * w)`` and ``b -= lr * gb``."""
     if weight_decay:
-        w -= lr * (gw + weight_decay * w)
-    else:
-        w -= lr * gw
-    net.params[split:] -= lr * net.grads[split:]
+        net.grads[: net._split] += weight_decay * net.params[: net._split]
+    net.grads *= lr
+    net.params -= net.grads
     net.zero_grads()

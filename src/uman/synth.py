@@ -124,7 +124,7 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
     return datasets
 
 
-def run_batches(runs, batch_size: int):
+def run_batches(runs, batch_size: int, steps: int | None = None):
     """Endless stream of the batches of several runs at once, stacked along
     a leading run axis.
 
@@ -139,9 +139,16 @@ def run_batches(runs, batch_size: int):
     ragged tail, so a sub-batch always has exactly
     ``min(batch_size, len(dataset))`` rows. A run's rows are what it draws
     alone, and one index takes all of them.
+
+    With ``steps``, each item holds that many consecutive steps along a
+    new leading axis of ``features`` and ``labels``: step s of item c is
+    step ``c * steps + s`` of the stream above, and one index takes all of
+    them. Training draws :data:`uman.core.CHUNK` steps per item.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     lengths = [len(ds) for ds in runs[0][0]]
     for datasets, _ in runs:
         if [len(ds) for ds in datasets] != lengths:
@@ -164,19 +171,26 @@ def run_batches(runs, batch_size: int):
     ])
     sizes = tuple(min(batch_size, n) for n in lengths)
     n_src = sum(sizes[:-1])
+    count = steps or 1
 
     def index_stream(ds, seed, offset, size):
+        # the epochs' permutations without their ragged tails, end to end,
+        # handed out ``count`` sub-batches at a time
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
         n = len(ds)
+        left = np.empty(0, dtype=np.int64)
         while True:
-            order = offset + rng.permutation(n)
-            for start in range(0, n - size + 1, size):
-                yield order[start : start + size]
+            while len(left) < count * size:
+                left = np.concatenate([left, offset + rng.permutation(n)[: n - n % size]])
+            yield left[: count * size].reshape(count, size)
+            left = left[count * size :]
 
     streams = []
     for r, (datasets, seed) in enumerate(runs):
         offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
         streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
     while True:
-        idx = np.concatenate([next(stream) for stream in streams]).reshape(len(runs), -1)
-        yield features[idx], labels[idx[:, :n_src]], sizes
+        idx = np.concatenate([next(stream) for stream in streams], axis=1).reshape(count, len(runs), -1)
+        if steps is None:
+            idx = idx[0]
+        yield features[idx], labels[idx[..., :n_src]], sizes

@@ -14,12 +14,14 @@ os.environ["PYTHONPATH"] = _src + os.pathsep + _old if _old else _src
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Repeat the acceptance battery verdict lines after the test summary."""
-    try:
-        from test_acceptance import RESULTS
-    except ImportError:
-        return
-    if RESULTS:
-        terminalreporter.section("acceptance battery")
-        for line in RESULTS:
-            terminalreporter.write_line(line)
+    """Repeat the acceptance battery verdict lines, and the training step's
+    calls per step, after the test summary."""
+    for module, title in (("test_acceptance", "acceptance battery"), ("test_budget", "calls per training step")):
+        try:
+            lines = __import__(module).RESULTS
+        except ImportError:
+            continue
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

@@ -137,6 +137,38 @@ def _normalize_jointly(parts):
     return out
 
 
+def per_step_batches(runs, batch_size):
+    """The batch stream drawn one step at a time, each (run, domain) index
+    stream advanced once per step: the reference the chunked draws of
+    ``uman.synth.run_batches`` must reproduce. Yields ``(features, labels,
+    sizes)`` per step, as ``run_batches`` does without ``steps``."""
+    lengths = [len(ds) for ds in runs[0][0]]
+    features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
+    labels = np.concatenate([
+        y
+        for datasets, _ in runs
+        for y in [ds.labels for ds in datasets[:-1]] + [np.zeros(lengths[-1], np.int64)]
+    ])
+    sizes = tuple(min(batch_size, n) for n in lengths)
+    n_src = sum(sizes[:-1])
+
+    def index_stream(ds, seed, offset, size):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
+        n = len(ds)
+        while True:
+            order = offset + rng.permutation(n)
+            for start in range(0, n - size + 1, size):
+                yield order[start : start + size]
+
+    streams = []
+    for r, (datasets, seed) in enumerate(runs):
+        offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
+        streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
+    while True:
+        idx = np.concatenate([next(stream) for stream in streams]).reshape(len(runs), -1)
+        yield features[idx], labels[idx[:, :n_src]], sizes
+
+
 def checked_sgd_update(net, lr, weight_decay=0.0):
     """Check a net's gradients as training does, raising the error of its
     first fault before any parameter moves, then step it."""

@@ -14,7 +14,7 @@ import pytest
 import uman.cli
 import uman.core
 from uman.cli import execute_sweep, main, seed_offset
-from uman.config import config_hash, load_config
+from uman.config import MAX_RUN_FLOATS, config_hash, load_config
 from uman.core import TrainingDiverged, train
 from uman.evaluate import evaluate
 from uman.labelspace import partition_from_matrix
@@ -225,6 +225,18 @@ class TestRun:
         assert tmr[0] == ["class_index", "value"]
         assert len(tmr) == 1 + 5  # one row per source class
 
+    def test_zero_step_trace_names_every_source(self, tmp_path):
+        """A run of no steps writes the header a run of some steps writes."""
+        headers = []
+        for steps in (0, 3):
+            path = tiny_config(tmp_path, hyperparams={"max_steps": steps, "batch_size": 8})
+            assert main(["run", str(path)]) == 0
+            rows = read_rows(tmp_path / "out" / "runs" / "uman_0" / "trace.csv")
+            assert len(rows) == 1 + steps
+            headers.append(rows[0])
+        assert headers[0] == headers[1]
+        assert headers[0][3:5] == ["err_source_1", "err_source_2"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         path = tiny_config(tmp_path)
         main(["run", str(path)])
@@ -286,8 +298,8 @@ class TestRun:
         backward, train_runs = uman.core.l2_normalize_backward, uman.cli.train_runs
         calls, outcomes = [], []
 
-        def planted(x, grad):
-            out = backward(x, grad)
+        def planted(x, grad, *norms):
+            out = backward(x, grad, *norms)
             calls.append(None)
             if len(calls) == 41:
                 out[1, 0, 0] = np.inf
@@ -330,6 +342,14 @@ class TestRun:
         path = tiny_config(tmp_path, umda_matrix=[[9, 9, 3], [1, 1, 1]])
         assert main(["run", str(path)]) == 2
         assert "invalid:" in capsys.readouterr().out
+
+    def test_config_over_the_cost_bound_exits_before_any_write(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, synthetic={"feature_dim": 4, "samples_per_class": 10**12})
+        assert main(["validate", str(path)]) == 1
+        assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
+        assert main(["run", str(path)]) == 2
+        assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_failed_run_band_keeps_going(self, tmp_path):
         # a NaN-producing setup cannot be injected via config, so force a
@@ -417,7 +437,7 @@ def one_run_at_a_time(config, out_dir):
                 result.feature_net, result.classifier, test, partition, hp.w0,
                 method=method, config_hash=chash, seed=seed,
             )
-            uman.cli._write_trace(run_dir / "trace.csv", result.trace)
+            uman.cli._write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
             uman.cli._write_register(run_dir / "tmr.csv", result.register)
             uman.cli._write_json(run_dir / "report.json", asdict(report))
             rows.append(uman.cli._summary_row(partition, chash, method, seed, report))
@@ -617,6 +637,17 @@ class TestSweep:
             methods=["uman", "source_only"],
             seeds=[0, 1],
         )
+
+    def test_cell_over_the_cost_bound_exits_before_any_write(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, synthetic={"feature_dim": 4, "samples_per_class": 10**5})
+        args = ["sweep", str(path), "--axis", "num_sources", "--values", "2,500"]
+        assert main(args) == 2
+        assert "invalid: num_sources 500: a method batch would hold" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+        config, _ = load_config(path)
+        with pytest.raises(ValueError, match="num_sources 500: "):
+            execute_sweep(config, "num_sources", [2, 500])
+        assert not (tmp_path / "out").exists()
 
     def test_axis_sweep_writes_aggregate(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)

@@ -2,16 +2,20 @@
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uman.config
 from uman.config import (
+    MAX_RUN_FLOATS,
     SWEEP_AXES,
     canonical_dict,
     config_hash,
+    cost_problems,
     derive_sweep_cell,
     load_config,
     parse_config,
@@ -19,6 +23,8 @@ from uman.config import (
 from uman.core import METHODS, Hyperparams
 from uman.labelspace import MAX_CLASSES, partition_from_matrix
 from uman.synth import SyntheticSpec
+
+STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
 
 
 def minimal(**kw):
@@ -240,6 +246,58 @@ class TestConfigHash:
         again, problems = parse_config(json.loads(blob))
         assert problems == []
         assert config_hash(again) == config_hash(config)
+
+
+class TestCostBound:
+    """One bound on what a method batch holds: every seed's dataset rows
+    times columns plus its parameters."""
+
+    def test_committed_and_battery_configs_pass(self):
+        config, problems = load_config(STANDARD)
+        assert problems == []
+        assert cost_problems(config) == []
+        # the battery's largest cell: the standard layout at 6 target-only classes
+        cell, problems = derive_sweep_cell(config, "target_private_size", 6)
+        assert problems == []
+        assert cost_problems(cell) == []
+
+    def test_count_is_rows_times_columns_plus_parameters(self, monkeypatch):
+        obj = minimal(
+            synthetic={"feature_dim": 3, "samples_per_class": 10},
+            hyperparams={"feature_hidden": [5], "feature_dim": 2, "disc_hidden": [4]},
+            seeds=[0, 1],
+        )
+        config, problems = parse_config(obj)
+        assert problems == []
+        rows = 10 * (2 * (4 + 3) + 6 + 3)  # each source's label set, then the target's
+        # F 3-5-2, G 2-12 (the source classes), D 2-4-1, each layer with biases
+        params = (3 + 1) * 5 + (5 + 1) * 2 + (2 + 1) * 12 + (2 + 1) * 4 + (4 + 1) * 1
+        want = 2 * (rows * 3 + params)
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want)
+        assert cost_problems(config) == []
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want - 1)
+        assert cost_problems(config) == [
+            f"a method batch would hold {want:,} floats (2 seeds x ({rows:,} dataset rows x 3 columns"
+            f" + {params:,} parameters)), above the limit of {want - 1:,}"
+        ]
+
+    def test_huge_dataset_is_a_problem_with_the_limit(self):
+        config, problems = parse_config(minimal(synthetic={"samples_per_class": 10**12}))
+        assert config is None
+        assert len(problems) == 1
+        assert f"above the limit of {MAX_RUN_FLOATS:,}" in problems[0]
+        assert "dataset rows" in problems[0]
+
+    def test_huge_width_is_a_problem(self):
+        config, problems = parse_config(minimal(hyperparams={"feature_hidden": [10**9]}))
+        assert config is None and "parameters" in problems[0]
+
+    def test_sweep_cell_is_costed_on_its_own(self):
+        config, problems = parse_config(minimal(synthetic={"samples_per_class": 10**5}))
+        assert problems == []
+        cell, problems = derive_sweep_cell(config, "num_sources", 50)
+        assert problems == []
+        assert "above the limit" in cost_problems(cell)[0]
 
 
 class TestSweepCells:

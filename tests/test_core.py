@@ -16,6 +16,7 @@ from helpers import (
 
 import uman.core
 from uman.core import (
+    CHUNK,
     METHODS,
     UNKNOWN,
     Hyperparams,
@@ -457,9 +458,9 @@ class TestSourceOnlyForward:
         calls = []
         forward = uman.core.forward_mlp
 
-        def recording(net, x, blocks=None):
+        def recording(net, x, blocks=None, plan=None):
             calls.append((net.in_dim, net.out_dim, x.shape[-2], tuple(blocks)))
-            return forward(net, x, blocks)
+            return forward(net, x, blocks, plan)
 
         monkeypatch.setattr(uman.core, "forward_mlp", recording)
         datasets, partition, hp = tiny_setup(max_steps=3)
@@ -581,9 +582,9 @@ class TestRunAxisMatchesTrainingAlone:
         runs_seen = []
         backward = uman.core.l2_normalize_backward
 
-        def recording(x, grad):
+        def recording(x, grad, *norms):
             runs_seen.append(len(x))
-            return backward(x, grad)
+            return backward(x, grad, *norms)
 
         monkeypatch.setattr(uman.core, "l2_normalize_backward", recording)
         with pytest.raises(TrainingDiverged) as alone:
@@ -604,8 +605,8 @@ class TestRunAxisMatchesTrainingAlone:
         def plant(run):
             calls = []
 
-            def planted(x, grad):
-                out = backward(x, grad)
+            def planted(x, grad, *norms):
+                out = backward(x, grad, *norms)
                 calls.append(None)
                 if len(calls) == 41:
                     out[run, 0, 0] = np.inf
@@ -630,46 +631,73 @@ class TestRunAxisMatchesTrainingAlone:
             datasets, _, hp = setups[i]
             assert_same_training(got[i], train(datasets, partition, hp, method="unweighted_adv"))
 
-    @pytest.mark.parametrize("same_step", [False, True], ids=["later_step", "same_step"])
-    def test_loss_and_gradient_failures_leave_by_one_path(self, monkeypatch, same_step):
-        """The middle run's loss diverges (the NaN row above); the last
-        run's feature gradient gets an infinity at step 40, or at the step
-        the middle run leaves, when it trains at stack position 1, no longer
-        2. Each failed run ends with the error it raises alone, and the
-        first run trains as alone."""
+    @pytest.mark.parametrize(
+        "loss_step, grad_step",
+        [(None, 40), (None, None), (CHUNK - 1, CHUNK), (CHUNK, CHUNK), (CHUNK + 1, CHUNK - 1)],
+        ids=["later_step", "same_step", "chunk_end_then_start", "chunk_start", "gradient_first"],
+    )
+    def test_loss_and_gradient_failures_leave_by_one_path(self, monkeypatch, loss_step, grad_step):
+        """The middle run's loss diverges, at the step it draws the NaN row
+        above or, planted, at ``loss_step``; the last run's feature gradient
+        gets an infinity at ``grad_step`` (the middle run's step by default),
+        at its stack position then: 1 once the middle run has left, else 2.
+        The planted steps sit on both sides of a chunk boundary. Each failed
+        run ends with the error it raises alone, the middle run with the
+        last trace row it has alone, and the first run trains as alone."""
         setups = self.setups()
         partition = setups[0][1]
-        setups[1][0][0].features[71] = np.nan
-        with pytest.raises(TrainingDiverged) as diverged:
-            train(setups[1][0], partition, setups[1][2])
-        step = diverged.value.step if same_step else 40
-        assert step > 0
-        backward = uman.core.l2_normalize_backward
+        if loss_step is None:
+            setups[1][0][0].features[71] = np.nan
 
-        def plant(position):
-            calls = []
+        def plant(name, step, poison):
+            """Let ``poison`` change the output of the core function
+            ``name`` at ``step``; it runs once per step."""
+            original, calls = getattr(uman.core, name), []
 
-            def planted(x, grad):
-                out = backward(x, grad)
+            def planted(*args):
+                out = original(*args)
                 calls.append(None)
                 if len(calls) == step + 1:
-                    out[position, 0, 0] = np.inf
+                    poison(out)
                 return out
 
-            monkeypatch.setattr(uman.core, "l2_normalize_backward", planted)
+            monkeypatch.setattr(uman.core, name, planted)
 
-        plant(0)
+        def plant_loss(position):
+            def poison(out):
+                out[0][position] = np.nan  # the run's classification loss
+
+            if loss_step is not None:
+                plant("_classification_loss", loss_step, poison)
+
+        def plant_gradient(step, position):
+            def poison(out):
+                out[position, 0, 0] = np.inf  # the run's feature gradient
+
+            plant("l2_normalize_backward", step, poison)
+
+        plant_loss(0)
+        with pytest.raises(TrainingDiverged) as diverged:
+            train(setups[1][0], partition, setups[1][2])
+        monkeypatch.undo()
+        loss_at = diverged.value.step
+        grad_at = loss_at if grad_step is None else grad_step
+        assert loss_at == (6 if loss_step is None else loss_step)
+        plant_gradient(grad_at, 0)
         with pytest.raises(NonFiniteGradientError) as infinite:
             train(setups[2][0], partition, setups[2][2])
-        plant(1)
+        monkeypatch.undo()
+        plant_loss(1)
+        plant_gradient(grad_at, 1 if loss_at <= grad_at else 2)
         got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
         monkeypatch.undo()
-        assert infinite.value.step == step
+        assert infinite.value.step == grad_at
         for error, alone in ((got[1], diverged.value), (got[2], infinite.value)):
             assert type(error) is type(alone)
             assert str(error) == str(alone)
             assert error.step == alone.step
         assert repr(got[1].last_report) == repr(diverged.value.last_report)
+        assert got[1].last_report.step == loss_at - 1
         assert_same_training(got[0], train(setups[0][0], partition, setups[0][2]))
 
     def test_runs_must_differ_only_in_the_seed(self):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import per_step_batches
 
+from uman.core import CHUNK
 from uman.labelspace import UmdaMatrix, partition_from_matrix
 from uman.synth import (
     DomainDataset,
@@ -224,6 +226,50 @@ class TestBatchIterator:
             next(run_batches([([empty], 0)], 4))
         with pytest.raises(ValueError, match="batch_size"):
             next(run_batches([([self._tagged_dataset(5)], 0)], 0))
+        with pytest.raises(ValueError, match="steps"):
+            next(run_batches([([self._tagged_dataset(5)], 0)], 4, steps=0))
         unlabeled = DomainDataset(0, np.zeros((5, 2)), None, None)
         with pytest.raises(ValueError, match="no labels"):
             next(run_batches([([unlabeled, self._tagged_dataset(5, domain_id=1)], 0)], 4))
+
+
+class TestChunkedDraws:
+    """``run_batches(..., steps=K)`` draws K steps per item: the per-step
+    stream, chunk by chunk."""
+
+    @staticmethod
+    def _domains(seed):
+        # unequal lengths, one shorter than the batch; column 1 holds the
+        # row's domain and column 0 its index there
+        out = []
+        for domain, n in enumerate((41, 6, 23, 30)):
+            features = np.stack([np.arange(n), np.full(n, domain), np.full(n, seed)], axis=1).astype(float)
+            labels = None if domain == 3 else np.arange(n) % 3
+            out.append(DomainDataset(domain, features, labels, None))
+        return out
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_chunks_follow_the_per_step_stream(self, n_runs):
+        runs = [(self._domains(seed), seed + 11) for seed in range(n_runs)]
+        # 3 epochs of the longest domain (5 batches of 8 each), and a step
+        # count no chunk length divides
+        steps = 3 * CHUNK + 5
+        assert steps > 3 * (41 // 8) and steps % CHUNK
+        reference = per_step_batches(runs, 8)
+        chunks = run_batches(runs, 8, steps=CHUNK)
+        for first in range(0, steps, CHUNK):
+            features, labels, sizes = next(chunks)
+            assert sizes == (8, 6, 8, 8)
+            assert features.shape == (CHUNK, n_runs, 30, 3) and labels.shape == (CHUNK, n_runs, 22)
+            for j in range(min(CHUNK, steps - first)):
+                want_features, want_labels, want_sizes = next(reference)
+                assert want_sizes == sizes
+                assert features[j].tobytes() == want_features.tobytes()
+                assert labels[j].tobytes() == want_labels.tobytes()
+
+    def test_one_step_items_are_the_per_step_stream(self):
+        runs = [(self._domains(seed), seed) for seed in range(2)]
+        reference, stream = per_step_batches(runs, 8), run_batches(runs, 8)
+        for _ in range(20):
+            for got, want in zip(next(stream)[:2], next(reference)[:2]):
+                assert got.tobytes() == want.tobytes()
