@@ -6,12 +6,20 @@ Three verbs operate on a JSON config file:
   layout and Jaccard table;
 * ``uman run <config>`` trains every configured (method, seed) pair, the
   seeds of one method as one batch and the method batches in parallel
-  worker processes (at most one per method and per CPU), and writes
+  worker processes (at most one per batch and per CPU), and writes
   per-run artifacts plus a summary CSV;
 * ``uman sweep <config> --axis <name> --values a,b,c [--jobs N]`` repeats
-  the run along one axis and aggregates the results. Every cell's method
-  batches go to one pool of at most N worker processes (and at most one
-  per batch and per CPU); a batch never starts a pool of its own.
+  the run along one axis and aggregates the results. A method batch holds
+  the runs of every cell that shares its training layout, up to
+  :data:`~uman.config.BATCH_RUNS` runs, and every batch goes to one pool of
+  at most N worker processes (and at most one per batch and per CPU); a
+  batch never starts a pool of its own.
+
+Either way the unit of training is a batch of at most ``BATCH_RUNS`` runs
+of one method, packed by :func:`_packed` and handed to the pool in the
+order of :func:`_tasks`. Each run trains, scores and writes exactly as it
+would alone, into its own cell's directory, and summaries and printed
+lines follow config order, not the order in which batches finish.
 
 The environment variable UMAN_SEED_OFFSET (integer, default 0) is added to
 every seed, which relocates an entire experiment to a fresh seed
@@ -31,15 +39,18 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     SWEEP_AXES,
     ExperimentConfig,
+    batch_runs,
     config_hash,
     cost_problems,
     derive_sweep_cell,
     load_config,
 )
-from .core import train_runs
+from .core import batch_layout, train_runs
 from .evaluate import evaluate
 from .labelspace import (
     jaccard_source_source,
@@ -114,13 +125,15 @@ def _summary_row(partition, chash, method, seed, report=None) -> list:
 def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     """Run every (method, seed) pair of a config; returns the summary rows.
 
-    The seeds of one method train as one batch (:func:`uman.core.train_runs`),
-    each run exactly as it would alone. The method batches run in worker
-    processes, at most one per method and per CPU; a single worker runs
-    them in this process. Each batch generates its own data, writes its own
-    artifacts and returns only its summary rows and the lines it reports;
-    rows come back and lines are printed in config order, so neither the
-    output nor any artifact depends on the number of workers.
+    A method's seeds train as one batch (:func:`uman.core.train_runs`), or
+    as the fewest near-equal batches of at most
+    :data:`~uman.config.BATCH_RUNS` runs, each run exactly as it would
+    alone. The batches run in worker processes, at most one per batch and
+    per CPU; a single worker runs them in this process. Each batch
+    generates its own data, writes its own artifacts and returns only its
+    summary rows and the lines it reports; rows come back and lines are
+    printed in config order, so neither the output nor any artifact
+    depends on the number of workers.
 
     Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
     training trace, the final margin-register values, and the evaluation
@@ -130,67 +143,147 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     """
     if problems := _seed_problems(config, offset):
         raise ValueError(problems[0])
-    tasks = [(config, method, offset) for method in config.methods]
+    tasks = _tasks(_packed({None: config}), config.methods, offset)
+    done = _train(tasks, len(tasks))
     rows = []
-    for batch_rows, lines in _map_in_pool(_run_method_batch, tasks, len(tasks)):
-        rows += batch_rows
-        if not quiet:
-            for line in lines:
+    for method in config.methods:
+        for seed in config.seeds:
+            row, line = done[None, method, seed]
+            rows.append(row)
+            if not quiet:
                 print(line)
     return rows
 
 
+# the order in which the pool is handed the method batches: a step of each
+# method does a superset of the next one's work, so the longest start first
+_HAND_OUT = ("uman", "unweighted_adv", "source_only")
+
+
+def _layout(cell: ExperimentConfig):
+    """The training layout (:func:`~uman.core.batch_layout`) of every run of
+    a config."""
+    partition = partition_from_matrix(cell.matrix)
+    label_sets = (*partition.source_labels, partition.target_labels)
+    lengths = [cell.synthetic.samples_per_class * len(labels) for labels in label_sets]
+    return batch_layout(partition, cell.hyperparams, lengths, cell.synthetic.feature_dim)
+
+
+def _packed(cells: dict) -> list:
+    """The runs of every config in ``cells`` (by key) as the runs of one
+    method's batches: ``(key, config, seed)`` lists, largest first. The
+    runs whose configs share a training layout, in (cell, seed) order, fill
+    the fewest near-equal batches of at most
+    :data:`~uman.config.BATCH_RUNS` runs (:func:`~uman.config.batch_runs`);
+    a batch never mixes layouts."""
+    groups: dict = {}
+    for key, cell in cells.items():
+        groups.setdefault(_layout(cell), []).extend((key, cell, seed) for seed in cell.seeds)
+    batches = []
+    for runs in groups.values():
+        for size in batch_runs(len(runs)):
+            batches.append(runs[:size])
+            runs = runs[size:]
+    return sorted(batches, key=len, reverse=True)
+
+
+def _tasks(batches: list, methods, offset: int) -> list:
+    """The pool tasks that train ``batches`` for every method, in hand-out
+    order: by method as :data:`_HAND_OUT` lists them, then largest first."""
+    return [(method, runs, offset) for method in sorted(methods, key=_HAND_OUT.index) for runs in batches]
+
+
+def _train(tasks: list, jobs: int) -> dict:
+    """Run the tasks of :func:`_tasks` in one pool of at most ``jobs``
+    workers; returns each run's summary row and report line by (key,
+    method, seed)."""
+    done = {}
+    for (method, runs, _), outcomes in zip(tasks, _map_in_pool(_run_method_batch, tasks, jobs)):
+        for (key, _, seed), outcome in zip(runs, outcomes):
+            done[key, method, seed] = outcome
+    return done
+
+
 def _run_method_batch(task):
-    """Train every seed of one method as one batch, then score and write
-    each run in seed order; returns the summary rows and the report lines.
-    Top-level so process pools can pickle it. The batch and its traces are
-    freed on return."""
-    config, method, offset = task
-    partition = partition_from_matrix(config.matrix)
-    chash = config_hash(config)
-    runs, tests = [], []
-    for seed in config.seeds:
-        spec = replace(config.synthetic, seed=config.synthetic.seed + offset + seed)
-        hp = replace(config.hyperparams, seed=config.hyperparams.seed + offset + seed)
-        runs.append((generate(spec, partition), hp))
-        tests.append(generate(spec, partition, draw=1)[-1])
-    rows, lines = [], []
-    outcomes = train_runs(runs, partition, method=method)
-    for seed, (_, hp), test_target, result in zip(config.seeds, runs, tests, outcomes):
-        run_dir = Path(config.output_dir) / "runs" / f"{method}_{seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if isinstance(result, Exception):
-            # a failed run's directory holds its report only, not the
-            # artifacts an earlier run into the same directory left
-            for stale in ("trace.csv", "tmr.csv"):
-                (run_dir / stale).unlink(missing_ok=True)
-            _write_json(run_dir / "report.json", {
-                "config_hash": chash,
-                "error": str(result),
-                "method": method,
-                "seed": seed,
-                "status": "failed",
-                "step": result.step,
-            })
-            rows.append(_summary_row(partition, chash, method, seed))
-            lines.append(f"{method} seed {seed}: FAILED ({result})")
-            continue
-        report = evaluate(
-            result.feature_net, result.classifier, test_target, partition, hp.w0,
-            method=method, config_hash=chash, seed=seed,
-        )
-        _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
-        _write_register(run_dir / "tmr.csv", result.register)
-        _write_json(run_dir / "report.json", asdict(report))
-        rows.append(_summary_row(partition, chash, method, seed, report))
-        lines.append(f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}")
-    return rows, lines
+    """Train one method batch, then score each run and write its artifacts
+    into its own config's directory, in batch order; returns each run's
+    summary row and report line. Top-level so process pools can pickle it.
+
+    The batch holds the source datasets that equal one of an earlier run
+    of the same data seed once, and no test target: each run generates its
+    own when it is scored. Its training data is freed before scoring, and
+    the rest on return."""
+    method, runs, offset = task
+    shared, trained, partitions = {}, [], []
+    for _, cell, seed in runs:
+        partitions.append(partition_from_matrix(cell.matrix))
+        spec, hp = _seeded(cell, offset, seed)
+        trained.append((_share(shared, spec, generate(spec, partitions[-1])), hp))
+    outcomes = train_runs(trained, partitions, method=method)
+    del trained, shared
+    return [
+        _score(method, cell, seed, offset, partition, result)
+        for (_, cell, seed), partition, result in zip(runs, partitions, outcomes)
+    ]
+
+
+def _seeded(cell: ExperimentConfig, offset: int, seed: int):
+    """The data spec and hyperparameters of one run of a config."""
+    return (
+        replace(cell.synthetic, seed=cell.synthetic.seed + offset + seed),
+        replace(cell.hyperparams, seed=cell.hyperparams.seed + offset + seed),
+    )
+
+
+def _share(shared: dict, spec, datasets: list) -> list:
+    """``datasets`` with each source that equals the one ``shared`` holds
+    for the same data spec and domain replaced by that one."""
+    for i, ds in enumerate(datasets[:-1]):
+        held = shared.setdefault((spec, i), ds)
+        if held is not ds and np.array_equal(held.features, ds.features) and np.array_equal(held.labels, ds.labels):
+            datasets[i] = held
+    return datasets
+
+
+def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, partition, result):
+    """Evaluate a trained run on a freshly generated held-out target and
+    write its artifacts to <output_dir>/runs/<method>_<seed>/; returns its
+    summary row and report line. A failed run's directory gets its failed
+    report only."""
+    chash = config_hash(cell)
+    run_dir = Path(cell.output_dir) / "runs" / f"{method}_{seed}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    if isinstance(result, Exception):
+        # a failed run's directory holds its report only, not the
+        # artifacts an earlier run into the same directory left
+        for stale in ("trace.csv", "tmr.csv"):
+            (run_dir / stale).unlink(missing_ok=True)
+        _write_json(run_dir / "report.json", {
+            "config_hash": chash,
+            "error": str(result),
+            "method": method,
+            "seed": seed,
+            "status": "failed",
+            "step": result.step,
+        })
+        return _summary_row(partition, chash, method, seed), f"{method} seed {seed}: FAILED ({result})"
+    spec, hp = _seeded(cell, offset, seed)
+    report = evaluate(
+        result.feature_net, result.classifier, generate(spec, partition, draw=1)[-1], partition, hp.w0,
+        method=method, config_hash=chash, seed=seed,
+    )
+    _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
+    _write_register(run_dir / "tmr.csv", result.register)
+    _write_json(run_dir / "report.json", asdict(report))
+    line = f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}"
+    return _summary_row(partition, chash, method, seed, report), line
 
 
 def _map_in_pool(fn, tasks, jobs):
     """Yield ``fn(task)`` for every task, in order, from at most ``jobs``
     worker processes and never more than there are tasks or CPUs. A single
-    worker maps in this process, so nothing is pickled.
+    worker maps in this process, so nothing is pickled. Tasks are handed
+    out in list order, so callers list the longest first (:func:`_tasks`).
 
     A worker gets the next task as soon as it finishes one, whatever the
     order in which results are due, so a long task at the head never
@@ -294,17 +387,24 @@ def _repeat(values):
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
-def _sweep_cells(config: ExperimentConfig, axis: str, values):
+def _sweep_plan(config: ExperimentConfig, axis: str, values, offset: int):
     """The config of every feasible cell of a sweep, by value, writing under
-    <output_dir>/sweep/<axis>_<value>/; and the problems of the cells whose
-    runs would not fit in memory (:func:`~uman.config.cost_problems`)."""
+    <output_dir>/sweep/<axis>_<value>/; the pool tasks that train their
+    runs; and the problems of the batches whose runs would not fit in
+    memory together (:func:`~uman.config.cost_problems`)."""
     base = Path(config.output_dir)
     cells = {}
     for value in values:
         cell, _ = derive_sweep_cell(config, axis, value)
         if cell is not None:
             cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
-    return cells, [f"{axis} {value}: {p}" for value, cell in cells.items() for p in cost_problems(cell)]
+    batches = _packed(cells)
+    problems = [
+        f"{axis} {','.join(str(v) for v in dict.fromkeys(value for value, _, _ in runs))}: {p}"
+        for runs in batches
+        for p in cost_problems(config, [cell for _, cell, _ in runs])
+    ]
+    return cells, _tasks(batches, config.methods, offset), problems
 
 
 def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
@@ -314,25 +414,33 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     and the aggregate (with per-seed accuracies, their mean, and the
     transfer gain over source_only where available) is returned for a
     single final write. Infeasible values become marked rows; a repeated
-    value, or a cell over the cost bound, is rejected before any work
-    starts. Every cell's method batches
-    go to one pool of at most ``jobs`` workers, and never more than there
-    are batches or CPUs; a cell's summary.csv is written here.
+    value, or a batch over the cost bound, is rejected before any work
+    starts.
+
+    A method's runs train in batches that may hold the runs of several
+    cells: the cells that share a training layout, as every cell of a
+    ``target_private_size`` sweep does, pack their runs in (cell, seed)
+    order into the fewest near-equal batches of at most
+    :data:`~uman.config.BATCH_RUNS` runs; a ``num_sources`` cell keeps its
+    own. Every batch goes to one pool of at most ``jobs`` workers, and
+    never more than there are batches or CPUs, ``uman`` first, then
+    ``unweighted_adv``, then ``source_only``, the larger batches of a
+    method first. Each run is trained, scored and written as it would be
+    alone; each cell's summary.csv is written here, in config order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (repeat := _repeat(values)) is not None:
         raise ValueError(f"sweep value {repeat} repeats")
-    cells, problems = _sweep_cells(config, axis, values)
+    cells, tasks, problems = _sweep_plan(config, axis, values, offset)
     if problems := _seed_problems(config, offset) or problems:
         raise ValueError(problems[0])
-    return _run_sweep(config, axis, values, cells, jobs, offset)
+    return _run_sweep(config, axis, values, cells, tasks, jobs)
 
 
-def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, jobs: int, offset: int):
-    """:func:`execute_sweep` over the checked cells of :func:`_sweep_cells`."""
-    tasks = [(cell, method, offset) for cell in cells.values() for method in cell.methods]
-    batches = _map_in_pool(_run_method_batch, tasks, jobs)
+def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, tasks: list, jobs: int):
+    """:func:`execute_sweep` over the checked plan of :func:`_sweep_plan`."""
+    done = _train(tasks, jobs)
     agg_rows = []
     for value in values:
         if value not in cells:
@@ -340,8 +448,8 @@ def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, jobs: i
             agg_rows += [[axis, value, method, "infeasible"] + blank for method in config.methods]
             continue
         cell_rows, per_seed, means = [], {}, {}
-        for method in cells[value].methods:
-            rows, _ = next(batches)
+        for method in config.methods:
+            rows = [done[value, method, seed][0] for seed in config.seeds]
             cell_rows += rows
             per_seed[method] = [row[4] if row[3] == "ok" else "" for row in rows]
             ok = [v for v in per_seed[method] if v != ""]
@@ -359,12 +467,12 @@ def cmd_sweep(path, axis, values, jobs) -> int:
     if (loaded := _runnable(path)) is None:
         return 2
     config, offset = loaded
-    cells, problems = _sweep_cells(config, axis, values)
+    cells, tasks, problems = _sweep_plan(config, axis, values, offset)
     for p in problems:
         print(f"invalid: {p}")
     if problems:
         return 2
-    rows = _run_sweep(config, axis, values, cells, jobs, offset)
+    rows = _run_sweep(config, axis, values, cells, tasks, jobs)
     seeds = [f"acc_seed_{s}" for s in config.seeds]
     header = ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"]
     out = Path(config.output_dir) / f"sweep_{axis}.csv"

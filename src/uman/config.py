@@ -29,14 +29,22 @@ __all__ = [
     "canonical_dict",
     "derive_sweep_cell",
     "cost_problems",
+    "batch_runs",
+    "run_floats",
     "MAX_RUN_FLOATS",
+    "BATCH_RUNS",
 ]
 
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
 
 # the most float64 values the runs of one method batch may hold in their
-# datasets and parameters: 800 MB
+# datasets, parameters and traces: 800 MB
 MAX_RUN_FLOATS = 10**8
+
+# the most runs one method batch trains together: past about 6 runs a run's
+# step costs no less, while each run adds its data and step buffers (about
+# 1.2 MB at the committed config's widths) to the batch's memory
+BATCH_RUNS = 6
 
 _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", "seeds", "output_dir"}
 
@@ -218,10 +226,18 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     return (None, problems) if problems else (config, [])
 
 
-def cost_problems(config: ExperimentConfig) -> list[str]:
-    """Why the runs of one method batch of ``config`` would not fit in
-    memory: every seed's datasets (rows times columns) and parameters
-    together may hold at most :data:`MAX_RUN_FLOATS` float64 values."""
+def batch_runs(n: int) -> list[int]:
+    """How many runs each of the fewest near-equal batches of at most
+    :data:`BATCH_RUNS` runs holds, for ``n`` runs, largest first."""
+    count = -(-n // BATCH_RUNS)
+    size, larger = divmod(n, count)
+    return [size + 1] * larger + [size] * (count - larger)
+
+
+def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int]:
+    """What one run of ``config`` holds, in float64 values: its dataset rows
+    and columns, its parameters, and its trace's rows and columns (one
+    row per step)."""
     partition = partition_from_matrix(config.matrix)
     label_sets = [*partition.source_labels, partition.target_labels]
     rows = config.synthetic.samples_per_class * sum(len(labels) for labels in label_sets)
@@ -232,13 +248,30 @@ def cost_problems(config: ExperimentConfig) -> list[str]:
         [hp.feature_dim, *hp.disc_hidden, 1],
     )
     params = sum((fan_in + 1) * fan_out for net in widths for fan_in, fan_out in zip(net, net[1:]))
-    total = len(config.seeds) * (rows * config.synthetic.feature_dim + params)
+    # step, both losses, one error rate per source, three weight means, the gate
+    return rows, params, hp.max_steps, 3 + partition.n_sources + 4
+
+
+def cost_problems(config: ExperimentConfig, runs=None) -> list[str]:
+    """Why a method batch would not fit in memory: its runs' datasets (rows
+    times columns), parameters and traces (steps times columns) together
+    may hold at most :data:`MAX_RUN_FLOATS` float64 values. ``runs`` lists
+    the config of each run of the batch, as a sweep packs them; by default
+    the batch is the largest one of ``config``'s own seeds."""
+    terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
+    for cell in runs or [config] * batch_runs(len(config.seeds))[0]:
+        rows, params, steps, columns = run_floats(cell)
+        dim = cell.synthetic.feature_dim
+        term = (
+            rows * dim + params + steps * columns,
+            f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {steps:,} trace rows x {columns} columns",
+        )
+        terms[term] = terms.get(term, 0) + 1
+    total = sum(floats * runs for (floats, _), runs in terms.items())
     if total <= MAX_RUN_FLOATS:
         return []
-    return [
-        f"a method batch would hold {total:,} floats ({len(config.seeds)} seeds x ({rows:,} dataset rows"
-        f" x {config.synthetic.feature_dim} columns + {params:,} parameters)), above the limit of {MAX_RUN_FLOATS:,}"
-    ]
+    parts = " + ".join(f"{runs} run{'s' if runs > 1 else ''} x ({text})" for (_, text), runs in terms.items())
+    return [f"a method batch would hold {total:,} floats ({parts}), above the limit of {MAX_RUN_FLOATS:,}"]
 
 
 def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,8 @@ __all__ = [
     "LossReport",
     "TrainResult",
     "TrainingDiverged",
+    "BatchLayout",
+    "batch_layout",
     "train",
     "train_runs",
     "extract_features",
@@ -432,19 +435,41 @@ def _build_nets(hp: Hyperparams, in_dim: int, n_classes: int):
     return feature_net, classifier, discriminator
 
 
-def _check_runs(runs, partition: LabelPartition, method: str) -> Hyperparams:
-    """Validate a batch of runs; returns the hyperparameters they share."""
+class BatchLayout(NamedTuple):
+    """What every run of one training batch shares. The runs' data, seeds
+    and target classes may differ."""
+
+    sub_batch_sizes: tuple[int, ...]
+    input_width: int
+    source_classes: int
+    common_classes: tuple[int, ...]
+    hyperparams: Hyperparams  # with seed 0
+
+
+def batch_layout(partition: LabelPartition, hp: Hyperparams, lengths, input_width: int) -> BatchLayout:
+    """The layout of a run of this label partition and these
+    hyperparameters whose domains hold ``lengths`` rows, in domain order,
+    of ``input_width`` columns each."""
+    sizes = tuple(min(hp.batch_size, n) for n in lengths)
+    return BatchLayout(sizes, input_width, partition.n_source_classes, partition.common_union, replace(hp, seed=0))
+
+
+def _check_runs(runs, partition, method: str):
+    """Validate a batch of runs, each against its own label partition (one
+    for all runs, or a list of one per run); returns the hyperparameters and
+    the layout the runs share."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not runs:
         raise ValueError("need at least one run")
-    hp = runs[0][1]
-    for datasets, run_hp in runs:
+    partitions = [partition] * len(runs) if isinstance(partition, LabelPartition) else list(partition)
+    if len(partitions) != len(runs):
+        raise ValueError(f"expected one label partition per run, got {len(partitions)} for {len(runs)} runs")
+    layouts = []
+    for (datasets, run_hp), partition in zip(runs, partitions):
         problems = run_hp.violations()
         if problems:
             raise ValueError("; ".join(problems))
-        if replace(run_hp, seed=hp.seed) != hp:
-            raise ValueError("the runs of one batch may differ only in the seed")
         if len(datasets) != partition.n_sources + 1:
             raise ValueError(
                 f"expected {partition.n_sources} source datasets plus one target, got {len(datasets)}"
@@ -464,7 +489,16 @@ def _check_runs(runs, partition: LabelPartition, method: str) -> Hyperparams:
             extra = set(np.unique(target.eval_labels)) - set(partition.target_labels)
             if extra:
                 raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
-    return hp
+        layouts.append(batch_layout(partition, run_hp, [len(ds) for ds in datasets], datasets[0].features.shape[1]))
+    for r, layout in enumerate(layouts):
+        if layout.hyperparams != layouts[0].hyperparams:
+            raise ValueError("the runs of one batch may differ only in the seed")
+        for name, mine, first in zip(BatchLayout._fields, layout, layouts[0]):
+            if mine != first:
+                raise ValueError(
+                    f"the runs of one batch need one layout: run {r} has {name.replace('_', ' ')} {mine}, run 0 {first}"
+                )
+    return runs[0][1], layouts[0]
 
 
 def train(
@@ -490,34 +524,37 @@ def train(
     return result
 
 
-def train_runs(runs, partition: LabelPartition, *, method: str = "uman") -> list:
+@np.errstate(all="ignore")
+def train_runs(runs, partition, *, method: str = "uman") -> list:
     """Train several runs of one method as one batch along a leading run axis.
 
-    ``runs`` lists ``(datasets, hp)`` pairs whose hyperparameters differ at
-    most in the seed and whose datasets have the same lengths. Each step
-    runs each net forward once, each loss once, one backward pass and one
-    SGD update per net for all runs together, and every run's result is
-    bit for bit the one :func:`train` gives it alone. Returns one entry per
-    run, in order: its :class:`TrainResult`, or the
+    ``runs`` lists ``(datasets, hp)`` pairs, and ``partition`` is their
+    label partition, or a list of one per run; each run is checked against
+    its own. The runs must share one :class:`BatchLayout`; their data and
+    target classes may differ. Each step runs each net forward once, each
+    loss once, one backward pass and one SGD update per net for all runs
+    together, and every run's result is bit for bit the one :func:`train`
+    gives it alone. Returns one entry per run, in order: its
+    :class:`TrainResult`, or the
     :class:`TrainingDiverged` or :class:`~uman.nn.NonFiniteGradientError` it
     ended with, either carrying the step in ``step``. A run that diverges
     leaves the batch at that step, before any of its parameters move, and
     the other runs go on; a run whose loss is not finite leaves before the
     step's backward pass, as it does alone. Batches are drawn, and trace
-    rows built, a :class:`_Chunk` of steps at a time.
+    rows built, a :class:`_Chunk` of steps at a time. The steps run with
+    numpy's floating-point warnings off: a run that overflows ends with
+    the error above, and nothing else reads its values.
     """
-    hp = _check_runs(runs, partition, method)
+    hp, layout = _check_runs(runs, partition, method)
     adversarial = method != "source_only"
     n_stepped = 3 if adversarial else 2  # F, G and, when adversarial, D
     lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
 
-    n_classes = partition.n_source_classes
-    in_dim = runs[0][0][0].features.shape[1]
-    nets = [
-        Mlp.stack(role) for role in zip(*(_build_nets(run_hp, in_dim, n_classes) for _, run_hp in runs))
-    ]
+    n_classes = layout.source_classes
+    built = (_build_nets(run_hp, layout.input_width, n_classes) for _, run_hp in runs)
+    nets = [Mlp.stack(role) for role in zip(*built)]
     common_mask = np.zeros(n_classes, dtype=bool)
-    common_mask[list(partition.common_union)] = True
+    common_mask[list(layout.common_classes)] = True
 
     batch_seeds = [
         int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0])
@@ -791,13 +828,19 @@ def _backward(nets, plans, acts, g_logits, g_d, sizes, step: int, hp: Hyperparam
     backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats, norms), f_blocks, plan=plans[0])
 
 
+@np.errstate(all="ignore")
 def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Unit-norm features as consumed by the classifier and discriminator."""
+    """Unit-norm features as consumed by the classifier and discriminator.
+    A net whose outputs overflow, as one trained at a huge learning rate
+    may without its losses leaving the finite range, gives the zero or NaN
+    rows numpy computes for them, without a warning."""
     return l2_normalize(forward_mlp(feature_net, x)[-1])
 
 
+@np.errstate(all="ignore")
 def predict_classes(feature_net: Mlp, classifier: Mlp, x: np.ndarray, w0: float) -> np.ndarray:
-    """Batch inference: argmax class where the margin clears w0, else UNKNOWN."""
+    """Batch inference: argmax class where the margin clears w0, else
+    UNKNOWN; quiet on overflow as :func:`extract_features` is."""
     probs = softmax(forward_mlp(classifier, extract_features(feature_net, x))[-1])
     pseudo, margins = batch_margins(probs)
     return np.where(margins >= w0, pseudo, UNKNOWN)

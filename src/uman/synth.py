@@ -128,9 +128,10 @@ def run_batches(runs, batch_size: int, steps: int | None = None):
     """Endless stream of the batches of several runs at once, stacked along
     a leading run axis.
 
-    ``runs`` lists ``(datasets, seed)`` pairs whose datasets have the same
-    lengths. Every step yields ``(features, labels, sizes)``: row r of
-    ``features`` stacks run r's sub-batches, one per dataset in dataset
+    ``runs`` lists ``(datasets, seed)`` pairs. Their datasets may differ in
+    length, but every run must draw sub-batches of the same sizes from its
+    domains in order. Every step yields ``(features, labels, sizes)``: row r
+    of ``features`` stacks run r's sub-batches, one per dataset in dataset
     order; row r of ``labels`` holds the labels of the rows of every
     dataset but the last (the sources; the last dataset is the unlabeled
     target); ``sizes`` holds the row count of each sub-batch. Each domain
@@ -138,21 +139,24 @@ def run_batches(runs, batch_size: int, steps: int | None = None):
     stream, seeded by the run's seed and the domain's id, and drops the
     ragged tail, so a sub-batch always has exactly
     ``min(batch_size, len(dataset))`` rows. A run's rows are what it draws
-    alone, and one index takes all of them.
+    alone. Rows are gathered from each dataset's own arrays, so the stream
+    holds no copy of the datasets, and runs may share a dataset object.
 
     With ``steps``, each item holds that many consecutive steps along a
     new leading axis of ``features`` and ``labels``: step s of item c is
-    step ``c * steps + s`` of the stream above, and one index takes all of
-    them. Training draws :data:`uman.core.CHUNK` steps per item.
+    step ``c * steps + s`` of the stream above, and one gather per dataset
+    takes all of them. Training draws :data:`uman.core.CHUNK` steps per item.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    lengths = [len(ds) for ds in runs[0][0]]
-    for datasets, _ in runs:
-        if [len(ds) for ds in datasets] != lengths:
-            raise ValueError("the runs of one batch need datasets of the same lengths")
+    sizes = tuple(min(batch_size, len(ds)) for ds in runs[0][0])
+    for r, (datasets, _) in enumerate(runs):
+        if (run_sizes := tuple(min(batch_size, len(ds)) for ds in datasets)) != sizes:
+            raise ValueError(
+                f"the runs of one batch need the same sub-batch sizes: run {r} draws {run_sizes}, run 0 {sizes}"
+            )
         for ds in datasets:
             if len(ds) == 0:
                 raise ValueError(f"domain {ds.domain_id} is empty")
@@ -160,20 +164,10 @@ def run_batches(runs, batch_size: int, steps: int | None = None):
             if ds.labels is None:
                 raise ValueError(f"domain {ds.domain_id} has no labels but is used as a source")
 
-    # every domain's rows of every run are stacked once, the target's rows
-    # with placeholder labels so both stacks share one row numbering; a step
-    # takes one index into them
-    features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
-    labels = np.concatenate([
-        y
-        for datasets, _ in runs
-        for y in [ds.labels for ds in datasets[:-1]] + [np.zeros(lengths[-1], np.int64)]
-    ])
-    sizes = tuple(min(batch_size, n) for n in lengths)
-    n_src = sum(sizes[:-1])
     count = steps or 1
+    bounds = np.cumsum([0, *sizes]).tolist()
 
-    def index_stream(ds, seed, offset, size):
+    def index_stream(ds, seed, size):
         # the epochs' permutations without their ragged tails, end to end,
         # handed out ``count`` sub-batches at a time
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
@@ -181,16 +175,21 @@ def run_batches(runs, batch_size: int, steps: int | None = None):
         left = np.empty(0, dtype=np.int64)
         while True:
             while len(left) < count * size:
-                left = np.concatenate([left, offset + rng.permutation(n)[: n - n % size]])
+                left = np.concatenate([left, rng.permutation(n)[: n - n % size]])
             yield left[: count * size].reshape(count, size)
             left = left[count * size :]
 
-    streams = []
-    for r, (datasets, seed) in enumerate(runs):
-        offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
-        streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
+    streams = [[(ds, index_stream(ds, seed, size)) for ds, size in zip(datasets, sizes)] for datasets, seed in runs]
+    first = runs[0][0][0].features
     while True:
-        idx = np.concatenate([next(stream) for stream in streams], axis=1).reshape(count, len(runs), -1)
+        features = np.empty((count, len(runs), bounds[-1], first.shape[1]), dtype=first.dtype)
+        labels = np.empty((count, len(runs), bounds[-2]), dtype=np.int64)
+        for r, run in enumerate(streams):
+            for k, (ds, stream) in enumerate(run):
+                idx = next(stream)
+                features[:, r, bounds[k] : bounds[k + 1]] = ds.features[idx]
+                if k < len(sizes) - 1:
+                    labels[:, r, bounds[k] : bounds[k + 1]] = ds.labels[idx]
         if steps is None:
-            idx = idx[0]
-        yield features[idx], labels[idx[..., :n_src]], sizes
+            features, labels = features[0], labels[0]
+        yield features, labels, sizes

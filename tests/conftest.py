@@ -15,8 +15,12 @@ os.environ["PYTHONPATH"] = _src + os.pathsep + _old if _old else _src
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Repeat the acceptance battery verdict lines, and the training step's
-    calls per step, after the test summary."""
-    for module, title in (("test_acceptance", "acceptance battery"), ("test_budget", "calls per training step")):
+    calls per step and a sweep batch's memory per run, after the test
+    summary."""
+    for module, title in (
+        ("test_acceptance", "acceptance battery"),
+        ("test_budget", "calls per training step, memory per run"),
+    ):
         try:
             lines = __import__(module).RESULTS
         except ImportError:

@@ -169,6 +169,42 @@ def per_step_batches(runs, batch_size):
         yield features[idx], labels[idx[:, :n_src]], sizes
 
 
+def stacked_run_batches(runs, batch_size, steps=None):
+    """The batch stream of runs whose datasets have the same lengths, from
+    one stacked copy of every run's rows: the reference ``run_batches``
+    must reproduce for each run alone."""
+    lengths = [len(ds) for ds in runs[0][0]]
+    features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
+    labels = np.concatenate([
+        y
+        for datasets, _ in runs
+        for y in [ds.labels for ds in datasets[:-1]] + [np.zeros(lengths[-1], np.int64)]
+    ])
+    sizes = tuple(min(batch_size, n) for n in lengths)
+    n_src = sum(sizes[:-1])
+    count = steps or 1
+
+    def index_stream(ds, seed, offset, size):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
+        n = len(ds)
+        left = np.empty(0, dtype=np.int64)
+        while True:
+            while len(left) < count * size:
+                left = np.concatenate([left, offset + rng.permutation(n)[: n - n % size]])
+            yield left[: count * size].reshape(count, size)
+            left = left[count * size :]
+
+    streams = []
+    for r, (datasets, seed) in enumerate(runs):
+        offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
+        streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
+    while True:
+        idx = np.concatenate([next(stream) for stream in streams], axis=1).reshape(count, len(runs), -1)
+        if steps is None:
+            idx = idx[0]
+        yield features[idx], labels[idx[..., :n_src]], sizes
+
+
 def checked_sgd_update(net, lr, weight_decay=0.0):
     """Check a net's gradients as training does, raising the error of its
     first fault before any parameter moves, then step it."""

@@ -12,17 +12,26 @@ length K, after one run that fills the caches, so the setup and the
 first chunk cancel out.
 Each count must stay within 3% of its budget; ``conftest.py`` prints the
 counts after the run summary.
+
+Beside the calls, the memory a sweep's batch holds: the ``tracemalloc`` peak
+of one method batch of :data:`~uman.config.BATCH_RUNS` runs of a
+``target_private_size`` sweep of the committed config (the cells 4 to 6 at
+seeds 0 and 1, 250 steps each, as the benchmark's short sweep trains them),
+from its data generation through its last artifact, per run. Each peak must
+stay within 10% of its budget.
 """
 
 import cProfile
 import pstats
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import uman
-from uman.config import derive_sweep_cell, load_config
+import uman.cli
+from uman.config import BATCH_RUNS, derive_sweep_cell, load_config
 from uman.core import CHUNK, METHODS, train_runs
 from uman.labelspace import partition_from_matrix
 from uman.synth import generate
@@ -40,6 +49,11 @@ BUDGET = {
     ("2 sources, R=3", "unweighted_adv"): 108.6,
 }
 SLACK = 1.03
+
+# tracemalloc peak per run, in KiB, when the budget was set; a peak may
+# exceed it by 10%
+MEMORY_BUDGET = {"uman": 1519, "source_only": 1194, "unweighted_adv": 1613}
+MEMORY_SLACK = 1.10
 
 RESULTS: list[str] = []
 
@@ -86,3 +100,32 @@ def test_calls_per_step_stay_in_budget(layout):
         if per_step > budget * SLACK:
             over.append(f"{method} {per_step:.1f} > {budget} + 3%")
     assert over == [], f"{layout}: {over}"
+
+
+def _sweep_batches(steps, out):
+    config = _layout("2 sources")
+    config = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=steps), output_dir=str(out))
+    _, tasks, problems = uman.cli._sweep_plan(config, "target_private_size", [4, 5, 6], 0)
+    assert problems == [] and [len(runs) for _, runs, _ in tasks] == [BATCH_RUNS] * len(METHODS)
+    return tasks
+
+
+def test_memory_per_run_stays_in_budget(tmp_path):
+    # one step of each batch first makes the allocations a process makes
+    # once, whatever ran in it before
+    for task in _sweep_batches(1, tmp_path / "first"):
+        uman.cli._run_method_batch(task)
+    over = []
+    for task in _sweep_batches(250, tmp_path / "measured"):
+        method = task[0]
+        tracemalloc.start()
+        try:
+            uman.cli._run_method_batch(task)
+            per_run = tracemalloc.get_traced_memory()[1] / 1024 / BATCH_RUNS
+        finally:
+            tracemalloc.stop()
+        budget = MEMORY_BUDGET[method]
+        RESULTS.append(f"{BATCH_RUNS}-run sweep batch {method}: {per_run:.0f} KiB per run (budget {budget:.0f} + 10%)")
+        if per_run > budget * MEMORY_SLACK:
+            over.append(f"{method} {per_run:.0f} KiB > {budget:.0f} + 10%")
+    assert over == []

@@ -7,6 +7,7 @@ import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,24 @@ import pytest
 import uman.cli
 import uman.core
 from uman.cli import execute_sweep, main, seed_offset
-from uman.config import MAX_RUN_FLOATS, config_hash, load_config
+from uman.config import (
+    BATCH_RUNS,
+    MAX_RUN_FLOATS,
+    batch_runs,
+    canonical_dict,
+    config_hash,
+    derive_sweep_cell,
+    load_config,
+    run_floats,
+)
 from uman.core import TrainingDiverged, train
 from uman.evaluate import evaluate
 from uman.labelspace import partition_from_matrix
 from uman.nn import NonFiniteGradientError
 from uman.synth import generate
+
+
+STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
 
 
 def tiny_config(tmp_path, **kw):
@@ -351,6 +364,20 @@ class TestRun:
         assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    def test_trace_over_the_cost_bound_exits_before_any_write(self, tmp_path, capsys):
+        """10^9 steps hold 10^9 trace rows per run: over the bound."""
+        obj = json.loads(STANDARD.read_text())
+        obj["hyperparams"]["max_steps"] = 10**9
+        obj["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 1
+        assert "1,000,000,000 trace rows x 9 columns" in capsys.readouterr().out
+        for argv in (["run", str(path)], ["sweep", str(path), "--axis", "target_private_size", "--values", "0"]):
+            assert main(argv) == 2
+            assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_band_keeps_going(self, tmp_path):
         # a NaN-producing setup cannot be injected via config, so force a
         # divergence through an absurd learning rate on a separable problem
@@ -470,8 +497,9 @@ class TestBatchedRunMatchesRunByRun:
             assert (batched / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_same_warnings(self, tmp_path, one_worker):
-        """A batch in which runs diverge prints the numpy warnings those
-        runs print alone: the same distinct warnings from the same lines."""
+        """A batch in which runs diverge prints no numpy warning, as those
+        runs alone print none: each failure is reported in its row and
+        report, and an overflow warning would only repeat it."""
         config, _ = load_config(three_by_three(tmp_path, 5e103))
 
         def warned(fn):
@@ -480,9 +508,10 @@ class TestBatchedRunMatchesRunByRun:
                 fn()
             return {(w.category, str(w.message), w.filename, w.lineno) for w in caught}
 
-        batched = warned(lambda: uman.cli.execute_run(config, quiet=True))
-        assert batched  # the diverging runs do overflow
-        assert batched == warned(lambda: one_run_at_a_time(config, tmp_path / "alone"))
+        rows = []
+        batched = warned(lambda: rows.extend(uman.cli.execute_run(config, quiet=True)))
+        assert "failed" in [row[3] for row in rows]  # the diverging runs do overflow
+        assert batched == warned(lambda: one_run_at_a_time(config, tmp_path / "alone")) == set()
 
 
 class TestMethodPool:
@@ -523,27 +552,30 @@ class TestMethodPool:
         assert pools == [2]
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys, pools):
-        # 300 steps: source_only, blocked at its first write, fails well
-        # before uman, which trains longer and then writes
-        path = three_by_three(tmp_path, 0.1, steps=300)
-        blocked = tmp_path / "out" / "runs" / "source_only_0"
+        path = three_by_three(tmp_path, 0.1)
 
-        def blocked_run(cpus):
-            # a plain file where source_only's first run directory belongs
+        def blocked_run(method, cpus):
+            # a plain file where the method's first run directory belongs
             shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            blocked = tmp_path / "out" / "runs" / f"{method}_0"
             blocked.parent.mkdir(parents=True)
             blocked.write_text("")
             monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
             with pytest.raises(FileExistsError) as info:
                 main(["run", str(path)])
+            assert str(blocked) in str(info.value)
             assert not (tmp_path / "out" / "summary.csv").exists()
-            return str(info.value), sorted(p.name for p in blocked.parent.iterdir())
+            return sorted(p.name for p in blocked.parent.iterdir())
 
-        serial = blocked_run(1)
-        assert str(blocked) in serial[0]
-        # no batch is handed out after one raises: unweighted_adv never runs
-        assert serial[1] == ["source_only_0", "uman_0", "uman_1", "uman_2"]
-        assert blocked_run(2) == serial
+        # batches go out as uman, unweighted_adv, source_only, and none
+        # after one raises: source_only never runs
+        runs = ["uman_0", "uman_1", "uman_2", "unweighted_adv_0"]
+        assert blocked_run("unweighted_adv", 1) == runs
+        assert pools == []
+        # the last batch fails in a worker; the two before it ran to the end
+        serial = blocked_run("source_only", 1)
+        assert serial == ["source_only_0"] + runs + ["unweighted_adv_1", "unweighted_adv_2"]
+        assert blocked_run("source_only", 2) == serial
         assert pools == [2]
 
     def test_free_worker_takes_the_next_task(self, tmp_path, monkeypatch):
@@ -649,6 +681,27 @@ class TestSweep:
             execute_sweep(config, "num_sources", [2, 500])
         assert not (tmp_path / "out").exists()
 
+    def test_batch_over_the_cost_bound_exits_before_any_write(self, tmp_path, monkeypatch, capsys):
+        """Each cell fits on its own, but the batch that trains the runs of
+        all three together does not."""
+        path = self.sweep_config(tmp_path)
+        config, _ = load_config(path)
+        cell, _ = derive_sweep_cell(config, "target_private_size", 2)
+        rows, params, steps, columns = run_floats(cell)
+        limit = 2 * (rows * 4 + params + steps * columns)
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", limit)
+        assert main(["validate", str(path)]) == 0
+        args = ["sweep", str(path), "--axis", "target_private_size", "--values"]
+        assert main(args + ["2"]) == 0  # one cell's two runs fit
+        capsys.readouterr()
+        shutil.rmtree(tmp_path / "out")
+        assert main(args + ["0,1,2"]) == 2
+        assert capsys.readouterr().out.startswith("invalid: target_private_size 0,1,2: a method batch would hold ")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="target_private_size 0,1,2: "):
+            execute_sweep(config, "target_private_size", [0, 1, 2])
+        assert not (tmp_path / "out").exists()
+
     def test_axis_sweep_writes_aggregate(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         rc = main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"])
@@ -706,6 +759,34 @@ class TestSweep:
         assert not any(name.startswith("sweep/common_overlap_5/") for name in names)
         assert sweep("2") == serial
 
+    @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
+    def test_cells_write_what_their_runs_write(self, tmp_path, monkeypatch, capsys, lr):
+        """The runs of a sweep's cells train in shared batches, and every
+        cell writes the bytes ``uman run`` of that cell alone writes into
+        the same paths."""
+        path = three_by_three(tmp_path, lr)
+        config, _ = load_config(path)
+        config = replace(config, seeds=(0, 1))
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        out_dir = tmp_path / "out"
+        path.write_text(json.dumps(canonical_dict(config)))
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2", "--jobs", "2"]) == 0
+        swept = files_under(out_dir / "sweep")
+        shutil.rmtree(out_dir)
+        capsys.readouterr()
+        printed = []
+        for value in (0, 1, 2):
+            cell, _ = derive_sweep_cell(config, "target_private_size", value)
+            cell = replace(cell, output_dir=str(out_dir / "sweep" / f"target_private_size_{value}"))
+            cell_path = tmp_path / f"cell_{value}.json"
+            cell_path.write_text(json.dumps(canonical_dict(cell)))
+            assert main(["run", str(cell_path)]) == 0
+            printed += capsys.readouterr().out.splitlines()[:-1]
+        assert len(swept) == 3 * (1 + 3 * 2 * 3) if lr < 1 else len(swept) > 3
+        assert files_under(out_dir / "sweep") == swept
+        statuses = {line.split(": ")[1].split()[0] for line in printed}
+        assert statuses == ({"mean"} if lr < 1 else {"mean", "FAILED"})
+
     def test_bad_values_rejected(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         assert main(["sweep", str(path), "--axis", "common_overlap", "--values", "a,b"]) == 2
@@ -729,16 +810,16 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_pool_size_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, fake_pools):
-        # one pool over every cell's method batches (cells x 2 methods),
-        # capped by --jobs and by the CPUs
+        # one pool over every cell's method batches (a num_sources cell
+        # keeps its own: cells x 2 methods), capped by --jobs and by the CPUs
         pools = fake_pools
         path = self.sweep_config(tmp_path)
-        argv = ["sweep", str(path), "--axis", "target_private_size"]
+        argv = ["sweep", str(path), "--axis", "num_sources"]
         for cpus, values, jobs, want in (
-            (3, "0,1,2,3", "64", 3),
-            (3, "0", "64", 2),
-            (64, "0,1,2,3", "5", 5),
-            (2, "0", "64", 2),
+            (3, "2,3,4,5", "64", 3),
+            (3, "2", "64", 2),
+            (64, "2,3,4,5", "5", 5),
+            (2, "2", "64", 2),
         ):
             monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
             pools.clear()
@@ -754,8 +835,51 @@ class TestSweep:
         pools.clear()
         for cpus in (1, None):
             monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
-            assert main(argv + ["--values", "0,1,2,3", "--jobs", "64"]) == 0
+            assert main(argv + ["--values", "2,3,4,5", "--jobs", "64"]) == 0
         assert pools == []
+
+    def test_batches_span_cells_of_one_layout(self, tmp_path, monkeypatch):
+        """A target_private_size sweep packs each method's runs, in (cell,
+        seed) order, into the fewest near-equal batches of at most
+        BATCH_RUNS runs, handed out uman first, then unweighted_adv, then
+        source_only, larger batches first; a num_sources sweep keeps one
+        batch per cell."""
+        handed = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                method, runs, _ = task
+                handed.append((method, [(value, seed) for value, _, seed in runs]))
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        path = tiny_config(
+            tmp_path, methods=["source_only", "uman", "unweighted_adv"], seeds=[0, 1, 2],
+            hyperparams={"max_steps": 2, "batch_size": 8, "feature_hidden": [8], "feature_dim": 4, "disc_hidden": [4]},
+        )
+        argv = ["sweep", str(path), "--jobs", "2", "--axis"]
+        assert main(argv + ["target_private_size", "--values", "4,0,1,2,3,5,6"]) == 0
+        runs = [(value, seed) for value in (4, 0, 1, 2, 3, 5, 6) for seed in (0, 1, 2)]
+        assert BATCH_RUNS == 6 and batch_runs(len(runs)) == [6, 5, 5, 5]
+        batches = [runs[:6], runs[6:11], runs[11:16], runs[16:]]
+        order = ("uman", "unweighted_adv", "source_only")
+        assert handed == [(method, batch) for method in order for batch in batches]
+        handed.clear()
+        assert main(argv + ["num_sources", "--values", "2,3"]) == 0
+        cells = [[(value, seed) for seed in (0, 1, 2)] for value in (2, 3)]
+        assert handed == [(method, cell) for method in order for cell in cells]
 
     def test_repeated_values_rejected(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import uman.config
 from uman.config import (
+    BATCH_RUNS,
     MAX_RUN_FLOATS,
     SWEEP_AXES,
+    batch_runs,
     canonical_dict,
     config_hash,
     cost_problems,
@@ -249,8 +251,8 @@ class TestConfigHash:
 
 
 class TestCostBound:
-    """One bound on what a method batch holds: every seed's dataset rows
-    times columns plus its parameters."""
+    """One bound on what a method batch holds: every run's dataset rows
+    times columns, its parameters and its trace's steps times columns."""
 
     def test_committed_and_battery_configs_pass(self):
         config, problems = load_config(STANDARD)
@@ -260,11 +262,13 @@ class TestCostBound:
         cell, problems = derive_sweep_cell(config, "target_private_size", 6)
         assert problems == []
         assert cost_problems(cell) == []
+        # the largest batch of a sweep of the standard config's cells
+        assert cost_problems(config, [cell] * BATCH_RUNS) == []
 
     def test_count_is_rows_times_columns_plus_parameters(self, monkeypatch):
         obj = minimal(
             synthetic={"feature_dim": 3, "samples_per_class": 10},
-            hyperparams={"feature_hidden": [5], "feature_dim": 2, "disc_hidden": [4]},
+            hyperparams={"feature_hidden": [5], "feature_dim": 2, "disc_hidden": [4], "max_steps": 7},
             seeds=[0, 1],
         )
         config, problems = parse_config(obj)
@@ -272,14 +276,45 @@ class TestCostBound:
         rows = 10 * (2 * (4 + 3) + 6 + 3)  # each source's label set, then the target's
         # F 3-5-2, G 2-12 (the source classes), D 2-4-1, each layer with biases
         params = (3 + 1) * 5 + (5 + 1) * 2 + (2 + 1) * 12 + (2 + 1) * 4 + (4 + 1) * 1
-        want = 2 * (rows * 3 + params)
+        # a trace row per step: step, 2 losses, 2 error rates, 3 weight means, the gate
+        want = 2 * (rows * 3 + params + 7 * 9)
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want)
         assert cost_problems(config) == []
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want - 1)
         assert cost_problems(config) == [
-            f"a method batch would hold {want:,} floats (2 seeds x ({rows:,} dataset rows x 3 columns"
-            f" + {params:,} parameters)), above the limit of {want - 1:,}"
+            f"a method batch would hold {want:,} floats (2 runs x ({rows:,} dataset rows x 3 columns"
+            f" + {params:,} parameters + 7 trace rows x 9 columns)), above the limit of {want - 1:,}"
         ]
+
+    def test_trace_counts(self):
+        """A run of 10^9 steps holds a trace row per step; without the
+        trace it would fit."""
+        config, problems = parse_config(minimal(hyperparams={"max_steps": 10**9}))
+        assert config is None and len(problems) == 1
+        assert "(1 run x (" in problems[0]
+        assert " + 1,000,000,000 trace rows x 9 columns)), above the limit of 100,000,000" in problems[0]
+
+    def test_a_batch_holds_at_most_batch_runs_seeds(self, monkeypatch):
+        """The seeds of a config train in the fewest near-equal batches of
+        at most BATCH_RUNS runs, and the largest one is costed."""
+        for n in range(1, 40):
+            sizes = batch_runs(n)
+            assert sum(sizes) == n and len(sizes) == -(-n // BATCH_RUNS)
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        assert batch_runs(14) == [5, 5, 4]  # a 7-cell sweep of 2 seeds
+        config, problems = parse_config(minimal(seeds=list(range(9))))
+        assert problems == []
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
+        [problem] = cost_problems(config)
+        assert problem.startswith("a method batch would hold ") and "(5 runs x (" in problem
+
+    def test_cells_of_one_batch_are_costed_together(self, monkeypatch):
+        config, problems = parse_config(minimal())
+        assert problems == []
+        cells = [derive_sweep_cell(config, "target_private_size", v)[0] for v in (0, 0, 2)]
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
+        [problem] = cost_problems(config, cells)
+        assert "(2 runs x (4,000 dataset rows" in problem and " + 1 run x (4,400 dataset rows" in problem
 
     def test_huge_dataset_is_a_problem_with_the_limit(self):
         config, problems = parse_config(minimal(synthetic={"samples_per_class": 10**12}))

@@ -1,6 +1,7 @@
 """Margin machinery, register gating, loss wiring, and the training loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -706,10 +707,75 @@ class TestRunAxisMatchesTrainingAlone:
         runs = [(datasets, hp) for datasets, _, hp in setups]
         with pytest.raises(ValueError, match="only in the seed"):
             train_runs(runs[:2] + [(runs[2][0], replace(runs[2][1], lr_features=0.2))], partition)
+        # a shorter source joins the batch while it still fills its
+        # sub-batch, and not once it draws fewer rows than the others
         short = list(runs[2][0])
         short[0] = DomainDataset(0, short[0].features[:50], short[0].labels[:50], None)
-        with pytest.raises(ValueError, match="same lengths"):
+        assert_same_training(train_runs(runs[:2] + [(short, runs[2][1])], partition)[2], train(short, partition, runs[2][1]))
+        short[0] = DomainDataset(0, short[0].features[:20], short[0].labels[:20], None)
+        with pytest.raises(ValueError, match=r"one layout: run 2 has sub batch sizes \(20, 32, 32\), run 0 \(32, 32, 32\)"):
             train_runs(runs[:2] + [(short, runs[2][1])], partition)
+
+    def test_runs_of_other_layouts_are_rejected(self):
+        """Runs that differ in the source classes, the common classes or the
+        input width cannot share a batch; each run is checked against its
+        own partition."""
+        [(datasets, partition, hp)] = self.setups()[:1]
+        for matrix, field in (
+            (UmdaMatrix((5, 5), (3, 4), 6, 3), "source classes 13, run 0 12"),
+            (UmdaMatrix((5, 5), (4, 3), 5, 3), "common classes (0, 1, 2, 3, 4), run 0 (0, 1, 2, 3, 4, 5)"),
+        ):
+            other, other_partition, other_hp = _oracle_setup(matrix)
+            with pytest.raises(ValueError, match=re.escape(f"run 1 has {field}")):
+                train_runs([(datasets, hp), (other, other_hp)], [partition, other_partition])
+        wide = generate(SyntheticSpec(feature_dim=17, samples_per_class=40, seed=3), partition)
+        with pytest.raises(ValueError, match="run 1 has input width 17, run 0 16"):
+            train_runs([(datasets, hp), (wide, hp)], partition)
+        with pytest.raises(ValueError, match="outside the target label set"):
+            train_runs([(datasets, hp)] * 2, [partition, partition_from_matrix(UmdaMatrix((5, 5), (3, 3), 6, 2))])
+        with pytest.raises(ValueError, match="one label partition per run, got 1 for 2 runs"):
+            train_runs([(datasets, hp)] * 2, [partition])
+
+
+def cross_cell_runs(lr):
+    """Seeds 0 and 1 of the target-private sizes 0 and 6 on a tiny spec, 24
+    steps at learning rate ``lr``: one layout, four datasets of three
+    target lengths. At 5e103 some runs diverge and the others converge."""
+    runs, partitions = [], []
+    for target_private in (0, 6):
+        partition = partition_from_matrix(UmdaMatrix((2, 2), (1, 1), 3, target_private))
+        for seed in (0, 1):
+            spec = SyntheticSpec(feature_dim=4, samples_per_class=8, seed=seed)
+            hp = Hyperparams(
+                max_steps=24, batch_size=8, feature_hidden=(8,), feature_dim=4, disc_hidden=(4,),
+                lr_features=lr, lr_classifier=lr, lr_discriminator=lr, seed=seed,
+            )
+            runs.append((generate(spec, partition), hp))
+            partitions.append(partition)
+    return runs, partitions
+
+
+class TestCrossCellBatch:
+    """Runs of cells whose target classes differ train in one batch as alone."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
+    def test_bit_identical(self, method, lr):
+        runs, partitions = cross_cell_runs(lr)
+        assert len({len(datasets[-1]) for datasets, _ in runs}) == 2
+        got = train_runs(runs, partitions, method=method)
+        failed = 0
+        for (datasets, hp), partition, result in zip(runs, partitions, got):
+            try:
+                want = train(datasets, partition, hp, method=method)
+            except (TrainingDiverged, NonFiniteGradientError) as alone:
+                failed += 1
+                assert type(result) is type(alone)
+                assert (str(result), result.step) == (str(alone), alone.step)
+                assert repr(getattr(result, "last_report", None)) == repr(getattr(alone, "last_report", None))
+                continue
+            assert_same_training(result, want)
+        assert 0 < failed < len(runs) if lr > 1 else failed == 0
 
 
 class TestMethodContainment:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import per_step_batches
+from helpers import per_step_batches, stacked_run_batches
 
 from uman.core import CHUNK
 from uman.labelspace import UmdaMatrix, partition_from_matrix
@@ -273,3 +273,50 @@ class TestChunkedDraws:
         for _ in range(20):
             for got, want in zip(next(stream)[:2], next(reference)[:2]):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestRunsOfUnequalLengths:
+    """Runs whose datasets differ in length, but not in their sub-batch
+    sizes, draw one stream: each run's rows are its stream alone."""
+
+    @staticmethod
+    def _domains(seed, lengths):
+        out = []
+        for domain, n in enumerate(lengths):
+            features = np.stack([np.arange(n), np.full(n, domain), np.full(n, seed)], axis=1).astype(float)
+            labels = None if domain == len(lengths) - 1 else np.arange(n) % 3
+            out.append(DomainDataset(domain, features, labels, None))
+        return out
+
+    @pytest.mark.parametrize("steps", [None, CHUNK])
+    def test_each_run_draws_its_own_stream(self, steps):
+        # the second domain is shorter than the batch in every run; the
+        # others differ in length from run to run
+        runs = [
+            (self._domains(0, (41, 6, 23, 30)), 11),
+            (self._domains(1, (17, 6, 40, 9)), 12),
+            (self._domains(2, (41, 6, 23, 30)), 13),
+        ]
+        stream = run_batches(runs, 8, steps=steps)
+        alone = [stacked_run_batches([run], 8, steps=steps) for run in runs]
+        for _ in range(3 * (41 // 8) + 1):
+            features, labels, sizes = next(stream)
+            assert sizes == (8, 6, 8, 8)
+            axis = 0 if steps is None else 1
+            for r, own in enumerate(alone):
+                want_features, want_labels, want_sizes = next(own)
+                assert want_sizes == sizes
+                assert np.take(features, [r], axis).tobytes() == want_features.tobytes()
+                assert np.take(labels, [r], axis).tobytes() == want_labels.tobytes()
+
+    def test_runs_may_share_a_dataset(self):
+        source = self._domains(0, (20, 9))[0]
+        runs = [([source, target], seed) for seed, target in enumerate(self._domains(0, (9, 12, 15))[1:])]
+        features, _, _ = next(run_batches(runs, 8))
+        for r, run in enumerate(runs):
+            assert features[r].tobytes() == next(stacked_run_batches([run], 8))[0][0].tobytes()
+
+    def test_other_sub_batch_sizes_are_rejected(self):
+        runs = [(self._domains(0, (41, 6, 30)), 0), (self._domains(1, (41, 7, 30)), 1)]
+        with pytest.raises(ValueError, match=r"same sub-batch sizes: run 1 draws \(8, 7, 8\), run 0 \(8, 6, 8\)"):
+            next(run_batches(runs, 8))
