@@ -35,7 +35,6 @@ from .core import (
     METHODS,
     UNKNOWN,
     Hyperparams,
-    LossReport,
     TargetMarginRegister,
     TrainResult,
     TrainingDiverged,
@@ -48,6 +47,7 @@ from .core import (
     normalize_weights,
     predict_classes,
     sample_weights,
+    trace_columns,
     train,
     train_runs,
 )

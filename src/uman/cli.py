@@ -50,7 +50,7 @@ from .config import (
     derive_sweep_cell,
     load_config,
 )
-from .core import batch_layout, train_runs
+from .core import batch_layout, trace_columns, train_runs
 from .evaluate import evaluate
 from .labelspace import (
     jaccard_source_source,
@@ -335,17 +335,10 @@ def _write_csv(path, header, rows):
 
 
 def _write_trace(path, trace, n_sources: int):
-    header = (
-        ["step", "class_loss", "domain_loss"]
-        + [f"err_source_{i + 1}" for i in range(n_sources)]
-        + ["mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated"]
-    )
-    _write_csv(path, header, (
-        [r.step, r.class_loss, r.domain_loss]
-        + list(r.source_errors)
-        + [r.mean_weight_common, r.mean_weight_private, r.mean_weight_target, int(r.tmr_updated)]
-        for r in trace
-    ))
+    # the first column, the step, and the last, the gate, are integers; one
+    # row at a time, so a run's trace is never all held as Python floats
+    rows = ([int(row[0]), *row[1:-1], int(row[-1])] for row in map(np.ndarray.tolist, trace))
+    _write_csv(path, trace_columns(n_sources), rows)
 
 
 def _write_register(path, register):

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .core import METHODS, Hyperparams
+from .core import METHODS, Hyperparams, trace_columns
 from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix
 from .synth import SyntheticSpec
 
@@ -248,8 +248,7 @@ def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int]:
         [hp.feature_dim, *hp.disc_hidden, 1],
     )
     params = sum((fan_in + 1) * fan_out for net in widths for fan_in, fan_out in zip(net, net[1:]))
-    # step, both losses, one error rate per source, three weight means, the gate
-    return rows, params, hp.max_steps, 3 + partition.n_sources + 4
+    return rows, params, hp.max_steps, len(trace_columns(partition.n_sources))
 
 
 def cost_problems(config: ExperimentConfig, runs=None) -> list[str]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,7 @@ __all__ = [
     "domain_loss",
     "grl_lambda",
     "Hyperparams",
-    "LossReport",
+    "trace_columns",
     "TrainResult",
     "TrainingDiverged",
     "BatchLayout",
@@ -390,34 +390,41 @@ class Hyperparams:
         return out
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Per-step trace row. Weight summaries are the raw (pre-normalization)
-    values; groups with no samples in the batch report 0."""
+def trace_columns(n_sources: int) -> tuple[str, ...]:
+    """The columns of a run's trace, one row per step, as ``trace.csv``
+    names them: the step, both losses, each source's batch error rate, the
+    mean raw (pre-normalization) domain-loss weight of the source rows of
+    common and of private classes and of the target rows (0 for a group
+    with no rows, and for every group without D), and the gate (1 when the
+    register took the step's margins, else 0)."""
+    return (
+        "step", "class_loss", "domain_loss", *(f"err_source_{i + 1}" for i in range(n_sources)),
+        "mean_weight_common", "mean_weight_private", "mean_weight_target", "tmr_updated",
+    )
 
-    step: int
-    class_loss: float
-    domain_loss: float
-    source_errors: tuple[float, ...]
-    mean_weight_common: float
-    mean_weight_private: float
-    mean_weight_target: float
-    tmr_updated: bool = False
+
+# where training writes each of :func:`trace_columns`
+_STEP, _CLASS_LOSS, _DOMAIN_LOSS, _ERRORS = 0, 1, 2, slice(3, -4)
+_COMMON, _PRIVATE, _TARGET, _GATE = -4, -3, -2, -1
 
 
 @dataclass
 class TrainResult:
+    """A trained run. ``trace`` is its ``(steps, columns)`` float64 view of
+    its batch's trace, with the columns of :func:`trace_columns`."""
+
     feature_net: Mlp
     classifier: Mlp
     discriminator: Mlp
     register: TargetMarginRegister
-    trace: list[LossReport] = field(default_factory=list)
+    trace: np.ndarray
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; carries the last finite trace row."""
+    """Training hit a non-finite loss; carries a copy of the run's last
+    finished trace row, or None if it diverged at step 0."""
 
-    def __init__(self, step: int, last_report: LossReport | None):
+    def __init__(self, step: int, last_report: np.ndarray | None):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
         self.last_report = last_report
@@ -535,15 +542,17 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     loss once, one backward pass and one SGD update per net for all runs
     together, and every run's result is bit for bit the one :func:`train`
     gives it alone. Returns one entry per run, in order: its
-    :class:`TrainResult`, or the
-    :class:`TrainingDiverged` or :class:`~uman.nn.NonFiniteGradientError` it
-    ended with, either carrying the step in ``step``. A run that diverges
-    leaves the batch at that step, before any of its parameters move, and
-    the other runs go on; a run whose loss is not finite leaves before the
-    step's backward pass, as it does alone. Batches are drawn, and trace
-    rows built, a :class:`_Chunk` of steps at a time. The steps run with
-    numpy's floating-point warnings off: a run that overflows ends with
-    the error above, and nothing else reads its values.
+    :class:`TrainResult`, or the :class:`TrainingDiverged` or
+    :class:`~uman.nn.NonFiniteGradientError` it ended with, either carrying
+    the step in ``step``. A run that diverges leaves the batch at that
+    step, before any of its parameters move, and the other runs go on; a
+    run whose loss is not finite leaves before the step's backward pass,
+    as it does alone. The batch's trace is one float64 array of ``(runs,
+    max_steps, columns)``, the columns of :func:`trace_columns`. Batches
+    are drawn, and the trace values no update reads written, a
+    :class:`_Chunk` of steps at a time. The steps run with numpy's
+    floating-point warnings off: a run that overflows ends with the error
+    above, and nothing else reads its values.
     """
     hp, layout = _check_runs(runs, partition, method)
     adversarial = method != "source_only"
@@ -556,34 +565,32 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     common_mask = np.zeros(n_classes, dtype=bool)
     common_mask[list(layout.common_classes)] = True
 
-    batch_seeds = [
-        int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0])
-        for _, run_hp in runs
-    ]
-    batches = run_batches(
-        [(datasets, seed) for (datasets, _), seed in zip(runs, batch_seeds)], hp.batch_size, steps=CHUNK
-    )
+    seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
+    batches = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
 
-    stack = _Stack(nets, TargetMarginRegister(n_classes, runs=len(runs)), len(runs))
+    trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(layout.sub_batch_sizes) - 1))))
+    trace[..., _STEP] = np.arange(hp.max_steps)
+    stack = _Stack(nets, TargetMarginRegister(n_classes, runs=len(runs)), trace)
     for step in range(hp.max_steps):
         if (j := step % CHUNK) == 0:
             chunk = _Chunk(step, next(batches), stack.ids, method, common_mask, hp.epsilon)
         stack.plans = stack.plans or _plans(stack.nets, chunk.sizes, adversarial, len(stack.ids))
         acts = _forward(stack.nets, stack.plans, chunk.x[j], chunk.sizes, adversarial)
-        weights = _weigh(method, chunk, j, acts[1][-1], stack.register)
+        weights = _weigh(method, chunk, j, acts[1][-1], stack)
         eg, ed, g_logits, g_d = _losses(acts, chunk.at_labels[j], weights, chunk.sizes)
-        chunk.file(j, eg, ed)
+        trace[stack.at, step, _CLASS_LOSS], trace[stack.at, step, _DOMAIN_LOSS] = eg, ed
 
         # a run whose loss is not finite stops here, before its backward, as
         # it would alone; its last trace row is the previous step's
-        if not all(map(math.isfinite, eg + ed)):
-            chunk.flush(stack, stop=j)
+        losses = trace[stack.at, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
+        if not np.isfinite(losses).all():
+            chunk.flush(stack, j + 1)  # the last rows of the failed runs
             failed = {
-                r: TrainingDiverged(step, stack.last_row(r))
-                for r, (c_loss, d_loss) in enumerate(zip(eg, ed))
+                r: TrainingDiverged(step, trace[i, step - 1].copy() if step else None)
+                for r, (i, (c_loss, d_loss)) in enumerate(zip(stack.ids, losses.tolist()))
                 if not (math.isfinite(c_loss) and math.isfinite(d_loss))
             }
-            if (keep := stack.drop(failed, chunk)) is None:
+            if (keep := stack.drop(failed, chunk, j + 1)) is None:
                 return stack.outcomes
             acts, g_logits, g_d = _take((acts, g_logits, g_d), keep)
             stack.plans = _plans(stack.nets, chunk.sizes, adversarial, len(keep), acts)
@@ -597,38 +604,36 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
         if failed:
             for error in failed.values():
                 error.step = step
-            if stack.drop(failed, chunk) is None:
+            if stack.drop(failed, chunk, j + 1) is None:
                 return stack.outcomes
         for net, lr in zip(stack.nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
         if j == CHUNK - 1 or step == hp.max_steps - 1:
-            chunk.flush(stack)
+            chunk.flush(stack, j + 1)
             chunk = None  # freed before the next chunk is drawn
     return stack.results()
 
 
 class _Stack:
     """The runs of a batch that still train, stacked along the run axis:
-    the entry of ``runs`` each row trains (``ids``), their nets, their
-    register and the nets' plans (None until the next step builds them).
-    Traces and outcomes are kept by entry of ``runs``."""
+    the entry of ``runs`` each row trains (``ids``), the index of their
+    rows of the batch's trace (``at``: all of them until a run leaves),
+    their nets, their register and the nets' plans (None until the next
+    step builds them). The trace and the outcomes are kept by entry of
+    ``runs``."""
 
-    def __init__(self, nets, register: TargetMarginRegister, n_runs: int):
-        self.ids, self.nets, self.register, self.plans = list(range(n_runs)), nets, register, None
-        self.outcomes: list = [None] * n_runs
-        self.traces: list[list[LossReport]] = [[] for _ in range(n_runs)]
+    def __init__(self, nets, register: TargetMarginRegister, trace: np.ndarray):
+        self.ids, self.at = list(range(len(trace))), slice(None)
+        self.nets, self.register, self.plans, self.trace = nets, register, None, trace
+        self.outcomes: list = [None] * len(trace)
 
-    def last_row(self, r: int) -> LossReport | None:
-        trace = self.traces[self.ids[r]]
-        return trace[-1] if trace else None
-
-    def drop(self, failed: dict, chunk: _Chunk) -> list | None:
+    def drop(self, failed: dict, chunk: _Chunk, stop: int) -> list | None:
         """Record the errors of the runs at the ``failed`` positions and
         keep the others, with their rows of the chunk's draws; returns the
-        positions kept, or None if no run is left. The chunk's pending
-        steps flush first, this one included: a failed run's trace is not
-        read again."""
-        chunk.flush(self)
+        positions kept, or None if no run is left. The chunk's steps before
+        position ``stop`` flush first: a failed run's trace is not written
+        again."""
+        chunk.flush(self, stop)
         for r, error in failed.items():
             self.outcomes[self.ids[r]] = error
         keep = [r for r in range(len(self.ids)) if r not in failed]
@@ -636,13 +641,13 @@ class _Stack:
             return None
         chunk.take(keep)
         self.ids, self.nets = [self.ids[r] for r in keep], [net.take(keep) for net in self.nets]
-        self.register, self.plans = self.register.take(keep), None
+        self.at, self.register, self.plans = np.array(self.ids), self.register.take(keep), None
         return keep
 
     def results(self) -> list:
         """Every run's outcome, the runs that trained to the end included."""
         for r, i in enumerate(self.ids):
-            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.traces[i])
+            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[i])
         return self.outcomes
 
 
@@ -657,25 +662,24 @@ CHUNK = 16
 
 
 class _Chunk:
-    """Up to :data:`CHUNK` consecutive steps of a batch: their draws, the
-    arrays derived from the labels once for all of them, and what each step
-    files for its trace rows until :meth:`flush` builds them.
+    """Up to :data:`CHUNK` consecutive steps of a batch: their draws and the
+    arrays derived from the labels once for all of them.
 
     In ``source_only`` and ``unweighted_adv`` no parameter update reads the
     source error rates, the margins, the gate or the register, so a step
-    files only G's outputs and its losses, and the flush derives the rest,
-    and adds the gated margins to the register, once for every pending
-    step. A ``uman`` step reads its register, so :func:`_weigh` files its
-    trace values step by step.
+    files only G's outputs, and :meth:`flush` derives the rest once for
+    every pending step: it writes the error rates, gates and weight means
+    into the trace and adds the gated margins to the register. A ``uman``
+    step reads its register, so :func:`_weigh` writes its trace row step
+    by step.
     """
 
     def __init__(self, first: int, draws, ids, method: str, common_mask, epsilon: float):
         x, labels, self.sizes = draws
         if len(ids) < x.shape[1]:  # runs that failed draw on, unused
             x, labels = x[:, ids], labels[:, ids]
-        self.first, self.start, self.stop = first, 0, 0
+        self.first, self.start = first, 0
         self.method, self.common_mask, self.epsilon = method, common_mask, epsilon
-        self.losses, self.marks = [None] * CHUNK, [None] * CHUNK
         self._hold(x, labels)
 
     def _hold(self, x, labels):
@@ -694,36 +698,23 @@ class _Chunk:
         """Keep the given runs of the stack; nothing may be pending."""
         self._hold(self.x[:, keep], self.labels[:, keep])
 
-    def file(self, j: int, eg, ed):
-        self.losses[j], self.stop = (eg, ed), j + 1
-
-    def flush(self, stack: _Stack, stop=None):
-        """Append the rows of the pending steps before position ``stop``
-        (every filed step by default) to the traces of the stack's runs."""
-        lo, hi = self.start, self.stop if stop is None else stop
-        if lo == hi:
+    def flush(self, stack: _Stack, stop: int):
+        """Write the ablations' trace values of the pending steps before
+        position ``stop`` into the rows of the stack's runs, and add those
+        steps' gated margins to their register."""
+        lo, self.start = self.start, stop
+        if self.method == "uman" or lo == stop:
             return
-        self.start = hi
-        marks = self.marks[lo:hi] if self.method == "uman" else self._marks(lo, hi, stack.register)
-        steps = range(self.first + lo, self.first + hi)
-        for step, (eg, ed), (errors, gate, means) in zip(steps, self.losses[lo:hi], marks):
-            for i, c_loss, d_loss, err, updated, weight_means in zip(stack.ids, eg, ed, errors, gate, means):
-                stack.traces[i].append(LossReport(step, c_loss, d_loss, tuple(err), *weight_means, tmr_updated=updated))
-
-    def _marks(self, lo: int, hi: int, register: TargetMarginRegister):
-        """The ablations' source error rates, gates and trace weights of
-        steps ``lo`` to ``hi`` - 1."""
-        errors, gate, _, _ = self.gate(lo, hi, self.logits[lo:hi], register)
-        if self.method == "source_only":
-            means = [[(0.0, 0.0, 0.0)] * errors.shape[1]] * (hi - lo)
-        else:
+        errors, gate, _, _ = self.gate(lo, stop, self.logits[lo:stop], stack.register)
+        at, steps = stack.at, slice(self.first + lo, self.first + stop)
+        stack.trace[at, steps, _ERRORS] = errors.swapaxes(0, 1)
+        if self.method == "unweighted_adv":
             # a group of ones has a mean raw weight of exactly 1, or 0 if empty
-            n_src = self.labels.shape[-1]
-            means = [
-                [(1.0 if n_common else 0.0, 1.0 if n_common < n_src else 0.0, 1.0) for n_common in step]
-                for step in self.n_commons[lo:hi]
-            ]
-        return zip(errors.tolist(), gate.tolist(), means)
+            in_common = self.in_common[lo:stop].swapaxes(0, 1)
+            stack.trace[at, steps, _COMMON] = in_common.any(axis=-1)
+            stack.trace[at, steps, _PRIVATE] = ~in_common.all(axis=-1)
+            stack.trace[at, steps, _TARGET] = 1.0
+            stack.trace[at, steps, _GATE] = gate.T
 
     def gate(self, lo: int, hi: int, logits, register: TargetMarginRegister):
         """Each run's source error rates in steps ``lo`` to ``hi`` - 1, from
@@ -773,29 +764,29 @@ def _forward(nets, plans, x, sizes, adversarial: bool):
     return [f_acts, g_acts, d_acts, norms]
 
 
-def _weigh(method: str, chunk: _Chunk, j: int, logits, register: TargetMarginRegister):
+def _weigh(method: str, chunk: _Chunk, j: int, logits, stack: _Stack):
     """The domain-loss weights of step ``j`` of the chunk (None without D;
     every weight is 1 in unweighted_adv). The ablations file G's outputs
-    in the chunk; a uman step gates its margins here (:meth:`_Chunk.gate`)
-    and computes each run's weights and its trace weights: the mean raw
-    weight of its common-class and of its private-class source rows (0 for
-    an empty group) and of its target rows."""
+    in the chunk; a uman step gates its margins here (:meth:`_Chunk.gate`),
+    computes each run's weights and writes its trace values: the error
+    rates, the gate, and the mean raw weight of its common-class and of
+    its private-class source rows (0 for an empty group) and of its target
+    rows."""
     if method != "uman":
         chunk.logits[j] = logits
         return chunk.ones
-    errors, gate, pseudo, margins = chunk.gate(j, j + 1, logits[None], register)
+    errors, gate, pseudo, margins = chunk.gate(j, j + 1, logits[None], stack.register)
     n_src = chunk.labels.shape[-1]
-    raw_ws, raw_wt = sample_weights(register, chunk.labels[j], pseudo[0], margins[0])
+    raw_ws, raw_wt = sample_weights(stack.register, chunk.labels[j], pseudo[0], margins[0])
     weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
-    means = [
-        (
-            float(_mean(ws[common])) if n_common else 0.0,
-            float(_mean(ws[~common])) if n_common < n_src else 0.0,
-            wt,
-        )
-        for ws, common, n_common, wt in zip(raw_ws, chunk.in_common[j], chunk.n_commons[j], _mean(raw_wt).tolist())
-    ]
-    chunk.marks[j] = (errors[0].tolist(), gate[0].tolist(), means)
+    trace, step = stack.trace, chunk.first + j
+    trace[stack.at, step, _ERRORS], trace[stack.at, step, _GATE] = errors[0], gate[0]
+    trace[stack.at, step, _TARGET] = _mean(raw_wt)
+    for i, ws, common, n_common in zip(stack.ids, raw_ws, chunk.in_common[j], chunk.n_commons[j]):
+        if n_common:
+            trace[i, step, _COMMON] = _mean(ws[common])
+        if n_common < n_src:
+            trace[i, step, _PRIVATE] = _mean(ws[~common])
     return weights
 
 
@@ -805,9 +796,9 @@ def _losses(acts, at_labels, weights, sizes):
     g_acts, d_acts = acts[1:3]
     eg, g_logits = _classification_loss(g_acts[-1], at_labels, sizes[:-1])
     if d_acts is None:
-        return eg.tolist(), [0.0] * len(eg), g_logits, None
+        return eg, 0.0, g_logits, None
     ed, g_d = _domain_loss(d_acts[-1], weights, sizes)
-    return eg.tolist(), ed.tolist(), g_logits, g_d
+    return eg, ed, g_logits, g_d
 
 
 def _backward(nets, plans, acts, g_logits, g_d, sizes, step: int, hp: Hyperparams):

@@ -217,11 +217,11 @@ def checked_sgd_update(net, lr, weight_decay=0.0):
 
 
 def per_source_train(datasets, partition, hp, method="uman"):
-    """Train exactly as the per-source step loop does; returns a TrainResult."""
+    """Train exactly as the per-source step loop does; returns a TrainResult
+    whose trace rows hold the values of one step each, by column name."""
     import math
 
     from uman.core import (
-        LossReport,
         TargetMarginRegister,
         TrainResult,
         TrainingDiverged,
@@ -230,6 +230,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
         grl_lambda,
         margin_vector,
         normalize_weights,
+        trace_columns,
     )
     from uman.nn import (
         backward_mlp,
@@ -251,6 +252,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
     batch_seed = int(np.random.SeedSequence(hp.seed, spawn_key=(200,)).generate_state(1)[0])
     batches = run_batches([(datasets, batch_seed)], hp.batch_size)
 
+    columns = trace_columns(len(datasets) - 1)
     trace = []
     for step in range(hp.max_steps):
         x, labels, sizes = next(batches)
@@ -299,7 +301,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
             ed_val = 0.0
 
         if not (math.isfinite(eg_val) and math.isfinite(ed_val)):
-            raise TrainingDiverged(step, trace[-1] if trace else None)
+            raise TrainingDiverged(step, np.array(trace[-1], dtype=np.float64) if trace else None)
 
         # backward, one pass per block in reverse order of the forward
         # passes: the target, then the sources last to first
@@ -321,17 +323,39 @@ def per_source_train(datasets, partition, hp, method="uman"):
 
         all_ws = np.concatenate(raw_ws)
         in_common = common_mask[labels]
-        trace.append(
-            LossReport(
-                step=step,
-                class_loss=eg_val,
-                domain_loss=ed_val,
-                source_errors=errors,
-                mean_weight_common=float(all_ws[in_common].mean()) if in_common.any() else 0.0,
-                mean_weight_private=float(all_ws[~in_common].mean()) if (~in_common).any() else 0.0,
-                mean_weight_target=float(np.asarray(raw_wt).mean()),
-                tmr_updated=updated,
-            )
-        )
+        row = {
+            "step": step,
+            "class_loss": eg_val,
+            "domain_loss": ed_val,
+            **{f"err_source_{i + 1}": err for i, err in enumerate(errors)},
+            "mean_weight_common": float(all_ws[in_common].mean()) if in_common.any() else 0.0,
+            "mean_weight_private": float(all_ws[~in_common].mean()) if (~in_common).any() else 0.0,
+            "mean_weight_target": float(np.asarray(raw_wt).mean()),
+            "tmr_updated": updated,
+        }
+        trace.append([row[name] for name in columns])
 
+    trace = np.array(trace, dtype=np.float64).reshape(hp.max_steps, len(columns))
     return TrainResult(feature_net, classifier, discriminator, register, trace)
+
+
+def trace_column(trace, name):
+    """The column ``name`` of :func:`uman.core.trace_columns` in a run's
+    ``(steps, columns)`` trace; ``"err_source"`` gives every source's error
+    rate, one column per source."""
+    from uman.core import trace_columns
+
+    names = trace_columns(trace.shape[-1] - len(trace_columns(0)))
+    if name == "err_source":
+        return trace[:, [k for k, column in enumerate(names) if column.startswith("err_source_")]]
+    return trace[:, names.index(name)]
+
+
+def assert_same_array(got, want):
+    """Two arrays, or two Nones, agree bit for bit: dtype, shape and bytes
+    (the sign of zero and every NaN payload included)."""
+    if want is None:
+        assert got is None
+        return
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()

@@ -10,20 +10,32 @@ Each test ends by printing a single PASS/FAIL line with its measured
 numbers; ``conftest.py`` repeats those lines after the run summary. The
 slower checks share one set of trained networks through module-scoped
 fixtures, and every number here is deterministic for a given platform.
+Beside the nine, one test holds the standard runs' trained values to the
+digests recorded in ``digests.json``.
 """
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import max_rel_err, numeric_gradient, random_simplex, standard_hp, standard_matrix, standard_spec
+from helpers import (
+    max_rel_err,
+    numeric_gradient,
+    random_simplex,
+    standard_hp,
+    standard_matrix,
+    standard_spec,
+    trace_column,
+)
 from uman import UmdaMatrix, generate, partition_from_matrix, train, train_runs
 from uman.core import (
     UNKNOWN,
@@ -130,6 +142,45 @@ def unknown_count_runs():
             ]
         out[k] = [u - so for u, so in zip(acc["uman"], acc["source_only"])]
     return out
+
+
+# sha256 of the trained values of every standard run, and the numpy and BLAS
+# build they were taken on
+DIGESTS = Path(__file__).with_name("digests.json")
+
+
+def _numeric_build():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_standard_runs_match_their_digests(standard_runs):
+    """Every standard run's parameter buffers, register values and trace
+    (float64, in ``trace.csv`` column order) hash to the recorded digests,
+    so a change that moves any value by one ulp fails here even when no
+    battery number moves. The digests hold for the build they name: on
+    another one this fails and names both. A deliberate change to the
+    numerics records new digests."""
+    recorded = json.loads(DIGESTS.read_text())
+    got = {}
+    for seed, run in standard_runs.runs.items():
+        for method, trained in run.methods.items():
+            result = trained.result
+            values = {
+                "feature_net": result.feature_net.params,
+                "classifier": result.classifier.params,
+                "discriminator": result.discriminator.params,
+                "register": result.register.values,
+                "trace": result.trace,
+            }
+            got[f"{method} seed {seed}"] = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in values.items()}
+    build, at = _numeric_build(), {key: recorded[key] for key in ("numpy", "blas")}
+    assert build == at, f"the digests were taken on {at}; this is {build}"
+    assert got.keys() == recorded["runs"].keys()
+    moved = [
+        f"{run} {name}" for run, digests in recorded["runs"].items() for name in digests if got[run][name] != digests[name]
+    ]
+    assert moved == [], f"digests moved (taken on {at}; this is {build}): {moved}"
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +496,16 @@ def _gate_setup(epsilon, max_steps=250):
 def test_margin_register_gate():
     closed = _gate_setup(epsilon=0.0)
     assert closed.register.step == 0
-    assert not any(r.tmr_updated for r in closed.trace)
+    assert not trace_column(closed.trace, "tmr_updated").any()
     assert (closed.register.values == 0).all()
 
     open_gate = _gate_setup(epsilon=1.0)
     assert open_gate.register.step == len(open_gate.trace)
-    assert all(r.tmr_updated for r in open_gate.trace)
+    assert trace_column(open_gate.trace, "tmr_updated").all()
 
     tenth = _gate_setup(epsilon=0.1)
-    updates = [r.tmr_updated for r in tenth.trace]
-    errors = [max(r.source_errors) for r in tenth.trace]
+    updates = [bool(upd) for upd in trace_column(tenth.trace, "tmr_updated").tolist()]
+    errors = [max(err) for err in trace_column(tenth.trace, "err_source").tolist()]
     assert any(updates), "training never reached the gate threshold"
     first = updates.index(True)
     assert first > 0, "the gate must start closed while source error is high"

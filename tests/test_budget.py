@@ -41,18 +41,18 @@ PACKAGE = str(Path(uman.__file__).parent)
 
 # calls per step when the budget was set; a count may exceed it by 3%
 BUDGET = {
-    ("5 sources, R=1", "uman"): 147.3,
-    ("5 sources, R=1", "source_only"): 72.1,
-    ("5 sources, R=1", "unweighted_adv"): 105.8,
-    ("2 sources, R=3", "uman"): 159.2,
-    ("2 sources, R=3", "source_only"): 74.9,
-    ("2 sources, R=3", "unweighted_adv"): 108.6,
+    ("5 sources, R=1", "uman"): 139.7,
+    ("5 sources, R=1", "source_only"): 68.4,
+    ("5 sources, R=1", "unweighted_adv"): 101.2,
+    ("2 sources, R=3", "uman"): 149.8,
+    ("2 sources, R=3", "source_only"): 69.3,
+    ("2 sources, R=3", "unweighted_adv"): 102.1,
 }
 SLACK = 1.03
 
 # tracemalloc peak per run, in KiB, when the budget was set; a peak may
 # exceed it by 10%
-MEMORY_BUDGET = {"uman": 1519, "source_only": 1194, "unweighted_adv": 1613}
+MEMORY_BUDGET = {"uman": 1455, "source_only": 1158, "unweighted_adv": 1575}
 MEMORY_SLACK = 1.10
 
 RESULTS: list[str] = []

@@ -1,6 +1,7 @@
 """Command-line interface: validate/run/sweep, artifacts, and determinism."""
 
 import csv
+import itertools
 import json
 import shutil
 import time
@@ -279,21 +280,21 @@ class TestRun:
         main(["run", str(path)])
         run_dir = tmp_path / "out" / "runs" / "uman_0"
         before = (run_dir / "trace.csv").read_bytes()
-        train_runs = uman.cli.train_runs
+        writer = csv.writer
 
-        class RowThenError(list):
-            def __iter__(self):
-                yield self[0]
-                raise OSError("disk full")
+        class RowThenError:
+            def __init__(self, fh):
+                self.fh, self.rows = fh, writer(fh)
 
-        def failing_traces(*args, **kwargs):
-            outcomes = train_runs(*args, **kwargs)
-            for result in outcomes:
-                result.trace = RowThenError(result.trace)
-            return outcomes
+            def writerows(self, rows):
+                rows = iter(rows)
+                self.rows.writerows(itertools.islice(rows, 2))  # the header and the first row
+                if self.fh.name.endswith("trace.csv.tmp"):
+                    raise OSError("disk full")
+                self.rows.writerows(rows)
 
         # the trace writer fails after its first row
-        monkeypatch.setattr(uman.cli, "train_runs", failing_traces)
+        monkeypatch.setattr(uman.cli.csv, "writer", RowThenError)
         with pytest.raises(OSError, match="disk full"):
             main(["run", str(path)])
         assert (run_dir / "trace.csv").read_bytes() == before

@@ -21,10 +21,11 @@ from uman.config import (
     derive_sweep_cell,
     load_config,
     parse_config,
+    run_floats,
 )
-from uman.core import METHODS, Hyperparams
+from uman.core import METHODS, Hyperparams, trace_columns, train
 from uman.labelspace import MAX_CLASSES, partition_from_matrix
-from uman.synth import SyntheticSpec
+from uman.synth import SyntheticSpec, generate
 
 STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
 
@@ -293,6 +294,27 @@ class TestCostBound:
         assert config is None and len(problems) == 1
         assert "(1 run x (" in problems[0]
         assert " + 1,000,000,000 trace rows x 9 columns)), above the limit of 100,000,000" in problems[0]
+
+    @pytest.mark.parametrize("n_sources", [2, 5])
+    def test_trace_columns_are_those_of_trace_csv(self, n_sources):
+        config, problems = parse_config(minimal())
+        assert problems == []
+        cell, problems = derive_sweep_cell(config, "num_sources", n_sources)
+        assert problems == []
+        assert run_floats(cell)[3] == len(trace_columns(n_sources))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trace_count_is_what_a_trained_run_holds(self, method):
+        config, problems = parse_config(minimal(
+            synthetic={"feature_dim": 3, "samples_per_class": 10},
+            hyperparams={"feature_hidden": [5], "feature_dim": 2, "disc_hidden": [4], "max_steps": 20, "batch_size": 8},
+        ))
+        assert problems == []
+        partition = partition_from_matrix(config.matrix)
+        result = train(generate(config.synthetic, partition), partition, config.hyperparams, method=method)
+        _, _, steps, columns = run_floats(config)
+        assert result.trace.dtype == np.float64
+        assert result.trace.nbytes == 8 * steps * columns
 
     def test_a_batch_holds_at_most_batch_runs_seeds(self, monkeypatch):
         """The seeds of a config train in the fewest near-equal batches of

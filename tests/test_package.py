@@ -1,5 +1,6 @@
-"""Package hygiene: no module-level function or class goes unused, and no
-function grows past a screenful."""
+"""Package hygiene: no module-level function or class goes unused, no
+function grows past a screenful, and the package does not grow past its
+recorded size."""
 
 import ast
 from collections import Counter
@@ -56,3 +57,13 @@ def test_no_function_exceeds_the_line_budget():
         and node.end_lineno - node.lineno > MAX_FUNCTION_LINES
     ]
     assert long == []
+
+
+# lines of src/uman when the budget was set; a change that grows the package
+# raises this figure and says why
+MAX_PACKAGE_LINES = 3034
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= MAX_PACKAGE_LINES, f"src/uman holds {lines} lines, over its budget of {MAX_PACKAGE_LINES}"
