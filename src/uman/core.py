@@ -35,7 +35,6 @@ from .nn import (
     Mlp,
     NonFiniteGradientError,
     Plan,
-    backward_mlp,
     block_sums,
     forward_mlp,
     gradient_faults,
@@ -379,7 +378,7 @@ class Hyperparams:
         for name in ("lr_features", "lr_classifier", "lr_discriminator"):
             if getattr(self, name) <= 0:
                 out.append(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("grl_max_lambda", "weight_decay", "seed"):
+        for name in ("grl_max_lambda", "grl_gamma", "weight_decay", "seed"):
             if getattr(self, name) < 0:
                 out.append(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.feature_dim < 1:
@@ -547,108 +546,57 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     the step in ``step``. A run that diverges leaves the batch at that
     step, before any of its parameters move, and the other runs go on; a
     run whose loss is not finite leaves before the step's backward pass,
-    as it does alone. The batch's trace is one float64 array of ``(runs,
-    max_steps, columns)``, the columns of :func:`trace_columns`. Batches
-    are drawn, and the trace values no update reads written, a
-    :class:`_Chunk` of steps at a time. The steps run with numpy's
-    floating-point warnings off: a run that overflows ends with the error
-    above, and nothing else reads its values.
+    as it does alone. A :class:`_Batch` holds the batch's state, its trace
+    one float64 array of ``(runs, max_steps, columns)``, the columns of
+    :func:`trace_columns`, and each net's :class:`~uman.nn.Plan`. The steps
+    run with numpy's floating-point warnings off: a run that overflows ends
+    with the error above, and nothing else reads its values.
     """
     hp, layout = _check_runs(runs, partition, method)
-    adversarial = method != "source_only"
-    n_stepped = 3 if adversarial else 2  # F, G and, when adversarial, D
+    n_stepped = 2 if method == "source_only" else 3  # F, G and, when adversarial, D
     lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
-
-    n_classes = layout.source_classes
-    built = (_build_nets(run_hp, layout.input_width, n_classes) for _, run_hp in runs)
-    nets = [Mlp.stack(role) for role in zip(*built)]
-    common_mask = np.zeros(n_classes, dtype=bool)
-    common_mask[list(layout.common_classes)] = True
-
-    seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
-    batches = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
-
-    trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(layout.sub_batch_sizes) - 1))))
-    trace[..., _STEP] = np.arange(hp.max_steps)
-    stack = _Stack(nets, TargetMarginRegister(n_classes, runs=len(runs)), trace)
+    batch = _Batch(runs, layout, method)
+    trace = batch.trace
     for step in range(hp.max_steps):
         if (j := step % CHUNK) == 0:
-            chunk = _Chunk(step, next(batches), stack.ids, method, common_mask, hp.epsilon)
-        stack.plans = stack.plans or _plans(stack.nets, chunk.sizes, adversarial, len(stack.ids))
-        acts = _forward(stack.nets, stack.plans, chunk.x[j], chunk.sizes, adversarial)
-        weights = _weigh(method, chunk, j, acts[1][-1], stack)
-        eg, ed, g_logits, g_d = _losses(acts, chunk.at_labels[j], weights, chunk.sizes)
-        trace[stack.at, step, _CLASS_LOSS], trace[stack.at, step, _DOMAIN_LOSS] = eg, ed
+            batch.draw(step)
+        batch.plans = batch.plans or _plans(batch)
+        acts = _forward(batch.plans, batch.x[j])
+        weights = _weigh(batch, j, acts[1][-1])
+        eg, ed, g_logits, g_d = _losses(acts, batch.at_labels[j], weights, batch.sizes)
+        trace[batch.at, step, _CLASS_LOSS], trace[batch.at, step, _DOMAIN_LOSS] = eg, ed
 
         # a run whose loss is not finite stops here, before its backward, as
         # it would alone; its last trace row is the previous step's
-        losses = trace[stack.at, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
+        losses = trace[batch.at, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
         if not np.isfinite(losses).all():
-            chunk.flush(stack, j + 1)  # the last rows of the failed runs
+            batch.flush(j + 1)  # the last rows of the failed runs
             failed = {
                 r: TrainingDiverged(step, trace[i, step - 1].copy() if step else None)
-                for r, (i, (c_loss, d_loss)) in enumerate(zip(stack.ids, losses.tolist()))
+                for r, (i, (c_loss, d_loss)) in enumerate(zip(batch.ids, losses.tolist()))
                 if not (math.isfinite(c_loss) and math.isfinite(d_loss))
             }
-            if (keep := stack.drop(failed, chunk, j + 1)) is None:
-                return stack.outcomes
+            if (keep := batch.drop(failed, j + 1)) is None:
+                return batch.outcomes
             acts, g_logits, g_d = _take((acts, g_logits, g_d), keep)
-            stack.plans = _plans(stack.nets, chunk.sizes, adversarial, len(keep), acts)
+            batch.plans = _plans(batch, acts)
 
-        _backward(stack.nets, stack.plans, acts, g_logits, g_d, chunk.sizes, step, hp)
+        _backward(batch.plans, acts[3], g_logits, g_d, step, hp)
 
         # one check of every gradient of every run before any parameter
         # moves; D is outside the graph in classification-only runs, and
         # stepping it there would still apply weight decay
-        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*stack.nets[:n_stepped]).items()}
+        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*batch.nets[:n_stepped]).items()}
         if failed:
             for error in failed.values():
                 error.step = step
-            if stack.drop(failed, chunk, j + 1) is None:
-                return stack.outcomes
-        for net, lr in zip(stack.nets[:n_stepped], lrs):
+            if batch.drop(failed, j + 1) is None:
+                return batch.outcomes
+        for net, lr in zip(batch.nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
         if j == CHUNK - 1 or step == hp.max_steps - 1:
-            chunk.flush(stack, j + 1)
-            chunk = None  # freed before the next chunk is drawn
-    return stack.results()
-
-
-class _Stack:
-    """The runs of a batch that still train, stacked along the run axis:
-    the entry of ``runs`` each row trains (``ids``), the index of their
-    rows of the batch's trace (``at``: all of them until a run leaves),
-    their nets, their register and the nets' plans (None until the next
-    step builds them). The trace and the outcomes are kept by entry of
-    ``runs``."""
-
-    def __init__(self, nets, register: TargetMarginRegister, trace: np.ndarray):
-        self.ids, self.at = list(range(len(trace))), slice(None)
-        self.nets, self.register, self.plans, self.trace = nets, register, None, trace
-        self.outcomes: list = [None] * len(trace)
-
-    def drop(self, failed: dict, chunk: _Chunk, stop: int) -> list | None:
-        """Record the errors of the runs at the ``failed`` positions and
-        keep the others, with their rows of the chunk's draws; returns the
-        positions kept, or None if no run is left. The chunk's steps before
-        position ``stop`` flush first: a failed run's trace is not written
-        again."""
-        chunk.flush(self, stop)
-        for r, error in failed.items():
-            self.outcomes[self.ids[r]] = error
-        keep = [r for r in range(len(self.ids)) if r not in failed]
-        if not keep:
-            return None
-        chunk.take(keep)
-        self.ids, self.nets = [self.ids[r] for r in keep], [net.take(keep) for net in self.nets]
-        self.at, self.register, self.plans = np.array(self.ids), self.register.take(keep), None
-        return keep
-
-    def results(self) -> list:
-        """Every run's outcome, the runs that trained to the end included."""
-        for r, i in enumerate(self.ids):
-            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[i])
-        return self.outcomes
+            batch.flush(j + 1)
+    return batch.results()
 
 
 def _take(arrays, keep):
@@ -661,9 +609,18 @@ def _take(arrays, keep):
 CHUNK = 16
 
 
-class _Chunk:
-    """Up to :data:`CHUNK` consecutive steps of a batch: their draws and the
-    arrays derived from the labels once for all of them.
+class _Batch:
+    """A method batch's training state, built once per :func:`train_runs`.
+
+    Its constants: the method, the sub-batch sizes of its layout
+    (``sizes``), the common-class mask and the gate's epsilon. The runs
+    that still train, stacked along the run axis: the entry of ``runs``
+    each row trains (``ids``), the index of their rows of the trace
+    (``at``: all of them until a run leaves), their nets, their register
+    and the nets' plans (None until the next step builds them). The trace
+    and the outcomes, kept by entry of ``runs``. And the current chunk of
+    up to :data:`CHUNK` consecutive steps from step ``first``: their draws
+    and the arrays derived from the labels once for all of them.
 
     In ``source_only`` and ``unweighted_adv`` no parameter update reads the
     source error rates, the margins, the gate or the register, so a step
@@ -674,17 +631,34 @@ class _Chunk:
     by step.
     """
 
-    def __init__(self, first: int, draws, ids, method: str, common_mask, epsilon: float):
-        x, labels, self.sizes = draws
-        if len(ids) < x.shape[1]:  # runs that failed draw on, unused
-            x, labels = x[:, ids], labels[:, ids]
+    def __init__(self, runs, layout: BatchLayout, method: str):
+        hp, n_classes = runs[0][1], layout.source_classes
+        self.method, self.sizes, self.epsilon = method, layout.sub_batch_sizes, hp.epsilon
+        self.common_mask = np.zeros(n_classes, dtype=bool)
+        self.common_mask[list(layout.common_classes)] = True
+        built = (_build_nets(run_hp, layout.input_width, n_classes) for _, run_hp in runs)
+        self.nets = [Mlp.stack(role) for role in zip(*built)]
+        self.register = TargetMarginRegister(n_classes, runs=len(runs))
+        self.ids, self.at, self.plans = list(range(len(runs))), slice(None), None
+        self.outcomes: list = [None] * len(runs)
+        self.trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(self.sizes) - 1))))
+        self.trace[..., _STEP] = np.arange(hp.max_steps)
+        seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
+        self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
+
+    def draw(self, first: int):
+        """Draw the chunk of steps from step ``first`` on. The previous
+        chunk's draws are freed first, so two are never held at once."""
+        self.x = self.labels = self.at_labels = self.in_common = self.logits = None
+        x, labels, _ = next(self._draws)
+        if len(self.ids) < x.shape[1]:  # runs that failed draw on, unused
+            x, labels = x[:, self.ids], labels[:, self.ids]
         self.first, self.start = first, 0
-        self.method, self.common_mask, self.epsilon = method, common_mask, epsilon
         self._hold(x, labels)
 
     def _hold(self, x, labels):
-        """Keep the draws of the runs in the stack, with their label arrays
-        and the buffers of their layout."""
+        """Keep the chunk's draws of the runs still training, with their
+        label arrays and the buffers of their layout."""
         self.x, self.labels = x, labels
         runs, n_src = labels.shape[1:]
         self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + labels
@@ -694,35 +668,31 @@ class _Chunk:
         self.logits = None if self.method == "uman" else np.empty((CHUNK, runs, rows, len(self.common_mask)))
         self.ones = np.ones(x.shape[1:3]) if self.method == "unweighted_adv" else None
 
-    def take(self, keep):
-        """Keep the given runs of the stack; nothing may be pending."""
-        self._hold(self.x[:, keep], self.labels[:, keep])
-
-    def flush(self, stack: _Stack, stop: int):
-        """Write the ablations' trace values of the pending steps before
-        position ``stop`` into the rows of the stack's runs, and add those
-        steps' gated margins to their register."""
+    def flush(self, stop: int):
+        """Write the ablations' trace values of the chunk's pending steps
+        before position ``stop`` into the rows of the runs still training,
+        and add those steps' gated margins to their register."""
         lo, self.start = self.start, stop
         if self.method == "uman" or lo == stop:
             return
-        errors, gate, _, _ = self.gate(lo, stop, self.logits[lo:stop], stack.register)
-        at, steps = stack.at, slice(self.first + lo, self.first + stop)
-        stack.trace[at, steps, _ERRORS] = errors.swapaxes(0, 1)
+        errors, gate, _, _ = self.gate(lo, stop, self.logits[lo:stop])
+        at, steps = self.at, slice(self.first + lo, self.first + stop)
+        self.trace[at, steps, _ERRORS] = errors.swapaxes(0, 1)
         if self.method == "unweighted_adv":
             # a group of ones has a mean raw weight of exactly 1, or 0 if empty
             in_common = self.in_common[lo:stop].swapaxes(0, 1)
-            stack.trace[at, steps, _COMMON] = in_common.any(axis=-1)
-            stack.trace[at, steps, _PRIVATE] = ~in_common.all(axis=-1)
-            stack.trace[at, steps, _TARGET] = 1.0
-            stack.trace[at, steps, _GATE] = gate.T
+            self.trace[at, steps, _COMMON] = in_common.any(axis=-1)
+            self.trace[at, steps, _PRIVATE] = ~in_common.all(axis=-1)
+            self.trace[at, steps, _TARGET] = 1.0
+            self.trace[at, steps, _GATE] = gate.T
 
-    def gate(self, lo: int, hi: int, logits, register: TargetMarginRegister):
-        """Each run's source error rates in steps ``lo`` to ``hi`` - 1, from
-        G's outputs ``logits`` of those steps along a leading step axis; and,
-        when adversarial, its gates (whether its register takes the step's
-        margins: every error rate below epsilon) and its target rows'
-        pseudo-labels and margins (else no gate opens, and None). The
-        register takes the gated margin vectors in step order."""
+    def gate(self, lo: int, hi: int, logits):
+        """Each run's source error rates in the chunk's steps ``lo`` to
+        ``hi`` - 1, from G's outputs ``logits`` of those steps along a leading
+        step axis; and, when adversarial, its gates (whether its register
+        takes the step's margins: every error rate below epsilon) and its
+        target rows' pseudo-labels and margins (else no gate opens, and
+        None). The register takes the gated margin vectors in step order."""
         labels, sizes = self.labels[lo:hi], self.sizes[:-1]
         n_src = labels.shape[-1]
         errors = block_sums(logits[..., :n_src, :].argmax(axis=-1) != labels, sizes) / sizes
@@ -732,57 +702,82 @@ class _Chunk:
         pseudo, margins = batch_margins(softmax(logits[..., n_src:, :]))
         gate = np.maximum.reduce(errors, axis=-1) < self.epsilon
         if gate.any():
-            register.add_steps(*margin_vector(pseudo, margins, register.n_classes), gate)
+            self.register.add_steps(*margin_vector(pseudo, margins, self.register.n_classes), gate)
         return errors, gate, pseudo, margins
 
+    def drop(self, failed: dict, stop: int) -> list | None:
+        """Record the errors of the runs at the ``failed`` positions and
+        keep the others, with their rows of the chunk's draws; returns the
+        positions kept, or None if no run is left. The chunk's steps before
+        position ``stop`` flush first: a failed run's trace is not written
+        again."""
+        self.flush(stop)
+        for r, error in failed.items():
+            self.outcomes[self.ids[r]] = error
+        keep = [r for r in range(len(self.ids)) if r not in failed]
+        if not keep:
+            return None
+        self._hold(self.x[:, keep], self.labels[:, keep])
+        self.ids, self.nets = [self.ids[r] for r in keep], [net.take(keep) for net in self.nets]
+        self.at, self.register, self.plans = np.array(self.ids), self.register.take(keep), None
+        return keep
 
-def _plans(nets, sizes, adversarial: bool, runs: int, acts=(None, None, None)) -> list:
-    """The plans of F, G and, when adversarial, D (else None) for a step of
-    ``runs`` runs, over the activations in ``acts`` that :func:`_forward`
-    returned, or over new buffers."""
+    def results(self) -> list:
+        """Every run's outcome, the runs that trained to the end included."""
+        for r, i in enumerate(self.ids):
+            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[i])
+        return self.outcomes
+
+
+def _plans(batch: _Batch, acts=(None, None, None)) -> list:
+    """The plans of the batch's F, G and, when adversarial, D (else None)
+    for its runs still training, over the activations in ``acts`` that
+    :func:`_forward` returned, or over new buffers. Their input buffers
+    decide which rows each net sees: the source sub-batches and, when D
+    takes part, the target rows go through each net as one stack of
+    blocks; without D nothing reads the target's features, and G's
+    gradient covers only the source blocks either way."""
+    sizes, adversarial = batch.sizes, batch.method != "source_only"
     n = sum(sizes) if adversarial else sum(sizes[:-1])
     blocks = (sizes if adversarial else sizes[:-1], sizes[:-1], sizes)
     return [
-        Plan(net, net_acts or [np.empty((runs, n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
-        for k, (net, net_acts, net_blocks) in enumerate(zip(nets, acts, blocks))
+        Plan(net, net_acts or [np.empty((len(batch.ids), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
+        for k, (net, net_acts, net_blocks) in enumerate(zip(batch.nets, acts, blocks))
     ]
 
 
-def _forward(nets, plans, x, sizes, adversarial: bool):
-    """The activations of F, G and, when adversarial, D (else None), in
-    their plans' buffers, and the row norms of F's outputs. The source
-    sub-batches and, when D takes part, the target rows go through each net
-    as one stack of blocks; without D nothing reads the target's features,
-    and G's gradient covers only the source blocks either way."""
-    n_src = sum(sizes[:-1])
-    f_in, f_blocks = (x, sizes) if adversarial else (x[:, :n_src], sizes[:-1])
-    f_acts = forward_mlp(nets[0], f_in, f_blocks, plan=plans[0])
+def _forward(plans, x):
+    """The activations of F, G and, with a D plan, D (else None), in their
+    plans' buffers, and the row norms of F's outputs. F takes the rows of
+    ``x`` its plan holds."""
+    f_plan, g_plan, d_plan = plans
+    f_acts = f_plan.forward(x[:, : f_plan.acts[0].shape[1]])
     norms = row_norms(f_acts[-1])
     feats = l2_normalize(f_acts[-1], norms)
-    g_acts = forward_mlp(nets[1], feats, sizes[:-1], plan=plans[1])
-    d_acts = forward_mlp(nets[2], feats, sizes, plan=plans[2]) if adversarial else None
+    g_acts = g_plan.forward(feats)
+    d_acts = None if d_plan is None else d_plan.forward(feats)
     return [f_acts, g_acts, d_acts, norms]
 
 
-def _weigh(method: str, chunk: _Chunk, j: int, logits, stack: _Stack):
-    """The domain-loss weights of step ``j`` of the chunk (None without D;
-    every weight is 1 in unweighted_adv). The ablations file G's outputs
-    in the chunk; a uman step gates its margins here (:meth:`_Chunk.gate`),
-    computes each run's weights and writes its trace values: the error
-    rates, the gate, and the mean raw weight of its common-class and of
-    its private-class source rows (0 for an empty group) and of its target
-    rows."""
-    if method != "uman":
-        chunk.logits[j] = logits
-        return chunk.ones
-    errors, gate, pseudo, margins = chunk.gate(j, j + 1, logits[None], stack.register)
-    n_src = chunk.labels.shape[-1]
-    raw_ws, raw_wt = sample_weights(stack.register, chunk.labels[j], pseudo[0], margins[0])
+def _weigh(batch: _Batch, j: int, logits):
+    """The domain-loss weights of step ``j`` of the batch's chunk (None
+    without D; every weight is 1 in unweighted_adv). The ablations file G's
+    outputs in the chunk; a uman step gates its margins here
+    (:meth:`_Batch.gate`), computes each run's weights and writes its trace
+    values: the error rates, the gate, and the mean raw weight of its
+    common-class and of its private-class source rows (0 for an empty
+    group) and of its target rows."""
+    if batch.method != "uman":
+        batch.logits[j] = logits
+        return batch.ones
+    errors, gate, pseudo, margins = batch.gate(j, j + 1, logits[None])
+    n_src = batch.labels.shape[-1]
+    raw_ws, raw_wt = sample_weights(batch.register, batch.labels[j], pseudo[0], margins[0])
     weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
-    trace, step = stack.trace, chunk.first + j
-    trace[stack.at, step, _ERRORS], trace[stack.at, step, _GATE] = errors[0], gate[0]
-    trace[stack.at, step, _TARGET] = _mean(raw_wt)
-    for i, ws, common, n_common in zip(stack.ids, raw_ws, chunk.in_common[j], chunk.n_commons[j]):
+    trace, at, step = batch.trace, batch.at, batch.first + j
+    trace[at, step, _ERRORS], trace[at, step, _GATE] = errors[0], gate[0]
+    trace[at, step, _TARGET] = _mean(raw_wt)
+    for i, ws, common, n_common in zip(batch.ids, raw_ws, batch.in_common[j], batch.n_commons[j]):
         if n_common:
             trace[i, step, _COMMON] = _mean(ws[common])
         if n_common < n_src:
@@ -801,22 +796,21 @@ def _losses(acts, at_labels, weights, sizes):
     return eg, ed, g_logits, g_d
 
 
-def _backward(nets, plans, acts, g_logits, g_d, sizes, step: int, hp: Hyperparams):
+def _backward(plans, norms, g_logits, g_d, step: int, hp: Hyperparams):
     """One backward pass realizes the min-max: D descends the domain loss,
     and the gradient-reversal layer hands the features D's input gradient
-    times -lambda, to which G's input gradient is added; without D only the
-    source rows have a gradient."""
-    feature_net, classifier, discriminator = nets
-    f_acts, g_acts, d_acts, norms = acts
-    g_src = backward_mlp(classifier, g_acts, g_logits, sizes[:-1], input_grad=True, plan=plans[1])
-    if d_acts is None:
-        g_feats, f_blocks = g_src, sizes[:-1]
+    times -lambda, to which G's input gradient is added; without a D plan
+    only the source rows have a gradient. ``norms`` are F's outputs' row
+    norms from :func:`_forward`."""
+    f_plan, g_plan, d_plan = plans
+    g_src = g_plan.backward(g_logits, input_grad=True)
+    if d_plan is None:
+        g_feats = g_src
     else:
         lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-        g_feats = -lam * backward_mlp(discriminator, d_acts, g_d, sizes, input_grad=True, plan=plans[2])
-        g_feats[:, : sum(sizes[:-1])] += g_src
-        f_blocks = sizes
-    backward_mlp(feature_net, f_acts, l2_normalize_backward(f_acts[-1], g_feats, norms), f_blocks, plan=plans[0])
+        g_feats = -lam * d_plan.backward(g_d, input_grad=True)
+        g_feats[:, : g_src.shape[1]] += g_src
+    f_plan.backward(l2_normalize_backward(f_plan.acts[-1], g_feats, norms))
 
 
 @np.errstate(all="ignore")

@@ -104,6 +104,11 @@ class UmdaMatrix:
             out.append(f"target_common is negative ({self.target_common})")
         if self.target_private < 0:
             out.append(f"target_private is negative ({self.target_private})")
+        for k, sizes in enumerate(zip(self.common_sizes, self.private_sizes)):
+            if sizes == (0, 0):
+                out.append(f"source {k + 1} has no classes")
+        if (self.target_common, self.target_private) == (0, 0):
+            out.append("the target has no classes")
         for k, v in enumerate(self.common_sizes):
             if v > self.target_common:
                 out.append(

@@ -213,7 +213,7 @@ class Plan:
     layer, which are allocated here otherwise. ``blocks`` are as for
     :func:`forward_mlp`. Each pass overwrites the buffers of the one
     before. A net replaced by another, as a stack is when a run leaves it,
-    needs a plan of its own.
+    needs a plan of its own. Training calls a plan's passes directly.
     """
 
     def __init__(self, net: Mlp, acts, blocks=None):
@@ -236,11 +236,14 @@ class Plan:
         view per run of equal-size blocks."""
         return [a[..., start : start + count * rows, :].reshape(*self.lead, count, rows, -1) for start, count, rows in runs]
 
-    def forward(self) -> list[np.ndarray]:
-        """Run the input buffer through the net; returns the buffers."""
+    def forward(self, x) -> list[np.ndarray]:
+        """Run ``x`` through the net, copied into the input buffer unless it
+        is that buffer; returns the buffers."""
+        if x is not self.acts[0]:
+            np.copyto(self.acts[0], x)
         for (groups, w, b, z), layer in zip(self._forward, self.net.layers):
-            for x, out in groups:
-                np.matmul(x, w, out=out)
+            for inp, out in groups:
+                np.matmul(inp, w, out=out)
             z += b
             if layer.activation == "relu":
                 np.maximum(z, 0.0, out=z)
@@ -312,7 +315,7 @@ class Plan:
         return grad
 
 
-def forward_mlp(net: Mlp, x, blocks=None, plan: Plan | None = None) -> list[np.ndarray]:
+def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
     """Run ``x`` through the net; returns the input and every layer's output.
 
     ``blocks`` lists row counts: the rows of ``x`` stack that many separate
@@ -323,18 +326,13 @@ def forward_mlp(net: Mlp, x, blocks=None, plan: Plan | None = None) -> list[np.n
     of equal-size blocks, one BLAS call per block of the block's own shape.
     By default all rows form one block. With a leading run axis on ``x`` and
     the net, run r's rows go through run r's parameters, and every block of
-    every run is its own BLAS call as before. With ``plan``, a :class:`Plan`
-    of the net for these blocks, ``x`` is copied into the plan's input
-    buffer (unless it is that buffer) and the plan's buffers are returned.
+    every run is its own BLAS call as before. The pass runs in a
+    :class:`Plan` of its own, over ``x`` as its input buffer.
     """
-    if plan is not None:
-        if x is not plan.acts[0]:
-            np.copyto(plan.acts[0], x)
-        return plan.forward()
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"input has {x.shape[-1]} columns but the net expects {net.in_dim}")
-    return Plan(net, [x], blocks).forward()
+    return Plan(net, [x], blocks).forward(x)
 
 
 def _sum_in_order(stack, axis, width):
@@ -352,7 +350,7 @@ def _sum_in_order(stack, axis, width):
     return np.add.accumulate(stack, axis=axis)[(..., -1) + (slice(None),) * (-1 - axis)]
 
 
-def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False, plan: Plan | None = None):
+def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
     """Add the parameter gradients of one forward pass to the net's buffers.
 
     ``acts`` is what :func:`forward_mlp` returned for the same ``blocks``,
@@ -363,12 +361,10 @@ def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False, plan: Plan
     in reverse order, would leave. With ``input_grad`` the gradient of the
     input rows of the blocks is returned; otherwise its products are
     skipped and None is returned. A leading run axis works as in
-    :func:`forward_mlp`. With the ``plan`` whose buffers ``acts`` are, the
-    pass runs in the plan's buffers, and the returned gradient is one.
+    :func:`forward_mlp`. The pass runs in a :class:`Plan` of its own over
+    ``acts``.
     """
-    if plan is None or plan.acts is not acts:
-        plan = Plan(net, list(acts), blocks)
-    return plan.backward(grad, input_grad)
+    return Plan(net, list(acts), blocks).backward(grad, input_grad)
 
 
 def row_norms(x):

@@ -11,7 +11,8 @@ numbers; ``conftest.py`` repeats those lines after the run summary. The
 slower checks share one set of trained networks through module-scoped
 fixtures, and every number here is deterministic for a given platform.
 Beside the nine, one test holds the standard runs' trained values to the
-digests recorded in ``digests.json``.
+digests recorded in ``digests.json``, as do the rerun-determinism config's
+runs and a batch in which some runs diverge.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,6 +39,7 @@ from helpers import (
     trace_column,
 )
 from uman import UmdaMatrix, generate, partition_from_matrix, train, train_runs
+from uman.config import load_config
 from uman.core import (
     UNKNOWN,
     TargetMarginRegister,
@@ -144,7 +147,7 @@ def unknown_count_runs():
     return out
 
 
-# sha256 of the trained values of every standard run, and the numpy and BLAS
+# sha256 of the trained values of the runs below, and the numpy and BLAS
 # build they were taken on
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -154,33 +157,117 @@ def _numeric_build():
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def test_standard_runs_match_their_digests(standard_runs):
-    """Every standard run's parameter buffers, register values and trace
-    (float64, in ``trace.csv`` column order) hash to the recorded digests,
-    so a change that moves any value by one ulp fails here even when no
-    battery number moves. The digests hold for the build they name: on
-    another one this fails and names both. A deliberate change to the
-    numerics records new digests."""
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _digests(outcome) -> dict:
+    """A trained run's parameter buffers, register values and trace
+    (float64, in ``trace.csv`` column order), hashed; or a failed run's
+    error type, message and step, and its last trace row, hashed."""
+    if isinstance(outcome, Exception):
+        last = getattr(outcome, "last_report", None)
+        return {
+            "error": type(outcome).__name__,
+            "message": str(outcome),
+            "step": outcome.step,
+            "last_report": None if last is None else _sha(last),
+        }
+    return {
+        "feature_net": _sha(outcome.feature_net.params),
+        "classifier": _sha(outcome.classifier.params),
+        "discriminator": _sha(outcome.discriminator.params),
+        "register": _sha(outcome.register.values),
+        "trace": _sha(outcome.trace),
+    }
+
+
+def _assert_digests(section: str, got: dict):
+    """``got`` (digests by run) equals the ``section`` of the recorded
+    digests. The digests hold for the build they name: on another one this
+    fails and names both. A deliberate change to the numerics records new
+    digests."""
     recorded = json.loads(DIGESTS.read_text())
-    got = {}
-    for seed, run in standard_runs.runs.items():
-        for method, trained in run.methods.items():
-            result = trained.result
-            values = {
-                "feature_net": result.feature_net.params,
-                "classifier": result.classifier.params,
-                "discriminator": result.discriminator.params,
-                "register": result.register.values,
-                "trace": result.trace,
-            }
-            got[f"{method} seed {seed}"] = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in values.items()}
     build, at = _numeric_build(), {key: recorded[key] for key in ("numpy", "blas")}
     assert build == at, f"the digests were taken on {at}; this is {build}"
-    assert got.keys() == recorded["runs"].keys()
+    assert got.keys() == recorded[section].keys()
     moved = [
-        f"{run} {name}" for run, digests in recorded["runs"].items() for name in digests if got[run][name] != digests[name]
+        f"{run} {name}" for run, digests in recorded[section].items() for name in digests if got[run][name] != digests[name]
     ]
     assert moved == [], f"digests moved (taken on {at}; this is {build}): {moved}"
+
+
+def _trained_in_process(obj: dict, tmp_path) -> dict:
+    """Every (method, seed) run of the config ``obj``, each method's seeds
+    as one batch, trained as ``uman run`` trains them at seed offset 0 but
+    in this process, which writes nothing under its output directory;
+    returns each outcome by run."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(obj, output_dir=str(tmp_path / "out"))))
+    config, problems = load_config(path)
+    assert problems == []
+    partition = partition_from_matrix(config.matrix)
+    runs = [
+        (
+            generate(replace(config.synthetic, seed=config.synthetic.seed + seed), partition),
+            replace(config.hyperparams, seed=config.hyperparams.seed + seed),
+        )
+        for seed in config.seeds
+    ]
+    return {
+        f"{method} seed {seed}": outcome
+        for method in config.methods
+        for seed, outcome in zip(config.seeds, train_runs(runs, partition, method=method))
+    }
+
+
+def test_standard_runs_match_their_digests(standard_runs):
+    """Every standard run's trained values hash to the recorded digests,
+    so a change that moves any value by one ulp fails here even when no
+    battery number moves."""
+    _assert_digests("runs", {
+        f"{method} seed {seed}": _digests(trained.result)
+        for seed, run in standard_runs.runs.items()
+        for method, trained in run.methods.items()
+    })
+
+
+def test_rerun_determinism_runs_match_their_digests(tmp_path):
+    """The six runs of the rerun-determinism config (property 9) hash to
+    the recorded digests."""
+    runs = _trained_in_process(RERUN_CONFIG, tmp_path)
+    _assert_digests("rerun_determinism", {run: _digests(outcome) for run, outcome in runs.items()})
+
+
+# three runs per method over 40 steps at a learning rate at which seed 0 of
+# each method trains to the end, while seeds 1 and 2 leave the batch at
+# step 1 with a non-finite gradient
+DIVERGING_CONFIG = {
+    "umda_matrix": [[2, 2, 3], [1, 1, 1]],
+    "synthetic": {"feature_dim": 4, "samples_per_class": 8},
+    "hyperparams": {
+        "max_steps": 40,
+        "batch_size": 8,
+        "feature_hidden": [8],
+        "feature_dim": 4,
+        "disc_hidden": [4],
+        "lr_features": 5e103,
+        "lr_classifier": 5e103,
+        "lr_discriminator": 5e103,
+    },
+    "methods": ["uman", "source_only", "unweighted_adv"],
+    "seeds": [0, 1, 2],
+}
+
+
+def test_partly_diverging_batch_matches_its_digests(tmp_path):
+    """A batch that loses runs on the way: the runs that train to the end
+    hash to the recorded digests, and each run that fails ends with the
+    recorded error, message, step and last trace row."""
+    runs = _trained_in_process(DIVERGING_CONFIG, tmp_path)
+    assert any(isinstance(outcome, Exception) for outcome in runs.values())
+    assert not all(isinstance(outcome, Exception) for outcome in runs.values())
+    _assert_digests("partly_diverging", {run: _digests(outcome) for run, outcome in runs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -675,28 +762,31 @@ def test_threshold_insensitivity(standard_runs):
 # 9. the experiment runner is byte-deterministic
 
 
+# the config of property 9, without its output directory
+RERUN_CONFIG = {
+    "umda_matrix": [[3, 3, 4], [2, 2, 2]],
+    "synthetic": {
+        "feature_dim": 8,
+        "samples_per_class": 30,
+        "noise_sigma": 0.4,
+        "seed": 0,
+    },
+    "hyperparams": {
+        "max_steps": 250,
+        "batch_size": 16,
+        "feature_hidden": [16],
+        "feature_dim": 8,
+        "disc_hidden": [8],
+        "grl_max_lambda": 0.2,
+        "seed": 0,
+    },
+    "methods": ["uman", "source_only", "unweighted_adv"],
+    "seeds": [0, 1],
+}
+
+
 def test_rerun_determinism(tmp_path):
-    config = {
-        "umda_matrix": [[3, 3, 4], [2, 2, 2]],
-        "synthetic": {
-            "feature_dim": 8,
-            "samples_per_class": 30,
-            "noise_sigma": 0.4,
-            "seed": 0,
-        },
-        "hyperparams": {
-            "max_steps": 250,
-            "batch_size": 16,
-            "feature_hidden": [16],
-            "feature_dim": 8,
-            "disc_hidden": [8],
-            "grl_max_lambda": 0.2,
-            "seed": 0,
-        },
-        "methods": ["uman", "source_only", "unweighted_adv"],
-        "seeds": [0, 1],
-        "output_dir": str(tmp_path / "out"),
-    }
+    config = dict(RERUN_CONFIG, output_dir=str(tmp_path / "out"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=2))
     env = dict(os.environ, UMAN_SEED_OFFSET="0")

@@ -365,6 +365,23 @@ class TestRun:
         assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "matrix, problems",
+        [
+            ([[2, 0, 2], [1, 0, 1]], ["source 2 has no classes"]),
+            ([[0, 0, 0], [2, 2, 0]], ["the target has no classes"]),
+            ([[0, 0], [0, 0]], ["source 1 has no classes", "the target has no classes"]),
+        ],
+    )
+    def test_domain_without_classes_exits_before_any_write(self, tmp_path, capsys, matrix, problems):
+        path = tiny_config(tmp_path, umda_matrix=matrix)
+        want = "".join(f"invalid: {p}\n" for p in problems)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == want
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().out == want
+        assert not (tmp_path / "out").exists()
+
     def test_trace_over_the_cost_bound_exits_before_any_write(self, tmp_path, capsys):
         """10^9 steps hold 10^9 trace rows per run: over the bound."""
         obj = json.loads(STANDARD.read_text())

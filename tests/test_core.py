@@ -39,7 +39,7 @@ from uman.core import (
     train_runs,
 )
 from uman.labelspace import LabelPartition, UmdaMatrix, partition_from_matrix
-from uman.nn import NonFiniteGradientError, forward_mlp, softmax
+from uman.nn import NonFiniteGradientError, Plan, forward_mlp, softmax
 from uman.synth import DomainDataset, SyntheticSpec, generate
 
 
@@ -336,8 +336,9 @@ class TestHyperparams:
         bad = Hyperparams(w0=1.5, epsilon=-0.1, batch_size=0, lr_features=0.0, feature_dim=0)
         assert len(bad.violations()) == 5
 
-    def test_negative_weight_decay_rejected(self):
-        assert any("weight_decay" in v for v in Hyperparams(weight_decay=-1e-3).violations())
+    @pytest.mark.parametrize("name", ["weight_decay", "grl_gamma"])
+    def test_negative_value_rejected(self, name):
+        assert Hyperparams(**{name: -1e-3}).violations() == [f"{name} must be >= 0, got -0.001"]
 
     def test_defaults_valid(self):
         assert Hyperparams().violations() == []
@@ -462,13 +463,13 @@ class TestSourceOnlyForward:
         """Without D nothing reads the target's features, so F and G run
         over the source rows only; the adversarial methods forward all."""
         calls = []
-        forward = uman.core.forward_mlp
+        forward = Plan.forward
 
-        def recording(net, x, blocks=None, plan=None):
-            calls.append((net.in_dim, net.out_dim, x.shape[-2], tuple(blocks)))
-            return forward(net, x, blocks, plan)
+        def recording(plan, x):
+            calls.append((plan.net.in_dim, plan.net.out_dim, x.shape[-2], plan.blocks))
+            return forward(plan, x)
 
-        monkeypatch.setattr(uman.core, "forward_mlp", recording)
+        monkeypatch.setattr(Plan, "forward", recording)
         datasets, partition, hp = tiny_setup(max_steps=3)
         sizes = (16,) * len(datasets)
         n_src, n_all = sum(sizes[:-1]), sum(sizes)

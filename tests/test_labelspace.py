@@ -47,6 +47,11 @@ class TestMatrixValidation:
             "cannot cover" in m for m in UmdaMatrix((2, 2), (1, 1), 6, 0).violations()
         )
 
+    def test_every_domain_needs_a_class(self):
+        assert "source 2 has no classes" in UmdaMatrix((2, 0), (1, 0), 2, 1).violations()
+        assert "the target has no classes" in UmdaMatrix((0, 0), (2, 2), 0, 0).violations()
+        assert UmdaMatrix((0,), (0,), 0, 0).violations() == ["source 1 has no classes", "the target has no classes"]
+
     def test_valid_matrix_has_no_violations(self):
         assert UmdaMatrix((4, 4), (3, 3), 6, 3).violations() == []
 
