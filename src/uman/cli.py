@@ -62,12 +62,20 @@ from .synth import generate
 __all__ = ["main", "execute_run", "execute_sweep", "seed_offset"]
 
 
-def seed_offset() -> int:
+def _read_seed_offset() -> tuple[int, list[str]]:
+    """UMAN_SEED_OFFSET (0 when unset or blank), and why it is invalid."""
     raw = os.environ.get("UMAN_SEED_OFFSET", "0").strip() or "0"
     try:
-        return int(raw)
+        return int(raw), []
     except ValueError:
-        raise SystemExit(f"UMAN_SEED_OFFSET must be an integer, got {raw!r}")
+        return 0, [f"UMAN_SEED_OFFSET must be an integer, got {raw!r}"]
+
+
+def seed_offset() -> int:
+    offset, problems = _read_seed_offset()
+    if problems:
+        raise SystemExit(problems[0])
+    return offset
 
 
 def _seed_problems(config: ExperimentConfig, offset: int) -> list[str]:
@@ -359,8 +367,8 @@ def _runnable(path):
     after printing every problem that keeps it from running."""
     config, problems = load_config(path)
     if not problems:
-        offset = seed_offset()
-        problems = _seed_problems(config, offset)
+        offset, problems = _read_seed_offset()
+        problems = problems or _seed_problems(config, offset)
     for p in problems:
         print(f"invalid: {p}")
     return None if problems else (config, offset)

@@ -140,16 +140,16 @@ class TargetMarginRegister:
         return self._sums / np.maximum(self._counts, 1)
 
     def update(self, vector, present):
-        """Add one margin vector per run, checked to lie in [0, 1]. Training
-        adds the margins it computes itself, which lie there by
-        construction, through :meth:`add_steps` unchecked and gated: a
-        ``uman`` step one step at a time, the ablations a chunk of steps at
-        once."""
+        """Add one margin vector per run, checked to lie in [0, 1], where no
+        NaN lies. Training adds the margins it computes itself, which lie
+        there by construction, through :meth:`add_steps` unchecked and
+        gated: a ``uman`` step one step at a time, the ablations a chunk of
+        steps at once."""
         vector = np.asarray(vector, dtype=np.float64)
         present = np.asarray(present, dtype=bool)
         if vector.shape != self._sums.shape or present.shape != self._sums.shape:
             raise ValueError(f"expected vectors of length {self.n_classes}")
-        if np.minimum.reduce(vector, axis=None) < -1e-12 or np.maximum.reduce(vector, axis=None) > 1 + 1e-12:
+        if not (np.minimum.reduce(vector, axis=None) >= -1e-12 and np.maximum.reduce(vector, axis=None) <= 1 + 1e-12):
             raise ValueError("margin contributions must lie in [0, 1]")
         self.add_steps(vector[None], present[None], np.ones((1, *vector.shape[:-1]), dtype=bool))
 
@@ -168,12 +168,10 @@ class TargetMarginRegister:
         self._counts += np.add.reduce(taken, axis=0)
         self.step += np.add.reduce(gates, axis=0).tolist()
 
-    def take(self, runs):
-        """Copy of the given runs: a list keeps the run axis, an integer
-        gives that run's own register."""
+    def take(self, run: int):
+        """A copy of run ``run``'s own register."""
         out = TargetMarginRegister(self.n_classes)
-        out._sums, out._counts = self._sums[runs].copy(), self._counts[runs].copy()
-        out.step = self.step[runs].copy() if isinstance(runs, list) else int(self.step[runs])
+        out._sums, out._counts, out.step = self._sums[run].copy(), self._counts[run].copy(), int(self.step[run])
         return out
 
 
@@ -543,66 +541,45 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     gives it alone. Returns one entry per run, in order: its
     :class:`TrainResult`, or the :class:`TrainingDiverged` or
     :class:`~uman.nn.NonFiniteGradientError` it ended with, either carrying
-    the step in ``step``. A run that diverges leaves the batch at that
-    step, before any of its parameters move, and the other runs go on; a
-    run whose loss is not finite leaves before the step's backward pass,
-    as it does alone. A :class:`_Batch` holds the batch's state, its trace
-    one float64 array of ``(runs, max_steps, columns)``, the columns of
-    :func:`trace_columns`, and each net's :class:`~uman.nn.Plan`. The steps
-    run with numpy's floating-point warnings off: a run that overflows ends
-    with the error above, and nothing else reads its values.
+    the step in ``step``: a check between each backward pass and SGD ends
+    each run whose loss, or else gradient, is not finite with the error it
+    raises alone, and the others go on. A run that ended keeps its row of
+    the run axis, which computes on unread to the end of the batch, as
+    every operation of a step is per run. A :class:`_Batch` holds the
+    batch's state, its trace one float64 array of ``(runs, max_steps,
+    columns)``, the columns of :func:`trace_columns`, and each net's
+    :class:`~uman.nn.Plan`. The steps run with numpy's floating-point
+    warnings off: nothing reads the values of a run that overflows.
     """
     hp, layout = _check_runs(runs, partition, method)
     n_stepped = 2 if method == "source_only" else 3  # F, G and, when adversarial, D
     lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
     batch = _Batch(runs, layout, method)
-    trace = batch.trace
     for step in range(hp.max_steps):
         if (j := step % CHUNK) == 0:
             batch.draw(step)
-        batch.plans = batch.plans or _plans(batch)
         acts = _forward(batch.plans, batch.x[j])
         weights = _weigh(batch, j, acts[1][-1])
         eg, ed, g_logits, g_d = _losses(acts, batch.at_labels[j], weights, batch.sizes)
-        trace[batch.at, step, _CLASS_LOSS], trace[batch.at, step, _DOMAIN_LOSS] = eg, ed
-
-        # a run whose loss is not finite stops here, before its backward, as
-        # it would alone; its last trace row is the previous step's
-        losses = trace[batch.at, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
-        if not np.isfinite(losses).all():
-            batch.flush(j + 1)  # the last rows of the failed runs
-            failed = {
-                r: TrainingDiverged(step, trace[i, step - 1].copy() if step else None)
-                for r, (i, (c_loss, d_loss)) in enumerate(zip(batch.ids, losses.tolist()))
-                if not (math.isfinite(c_loss) and math.isfinite(d_loss))
-            }
-            if (keep := batch.drop(failed, j + 1)) is None:
-                return batch.outcomes
-            acts, g_logits, g_d = _take((acts, g_logits, g_d), keep)
-            batch.plans = _plans(batch, acts)
-
+        batch.trace[:, step, _CLASS_LOSS], batch.trace[:, step, _DOMAIN_LOSS] = eg, ed
         _backward(batch.plans, acts[3], g_logits, g_d, step, hp)
 
-        # one check of every gradient of every run before any parameter
-        # moves; D is outside the graph in classification-only runs, and
-        # stepping it there would still apply weight decay
-        failed = {r: NonFiniteGradientError(m) for r, m in gradient_faults(*batch.nets[:n_stepped]).items()}
-        if failed:
-            for error in failed.values():
-                error.step = step
-            if batch.drop(failed, j + 1) is None:
-                return batch.outcomes
+        # one check of every run's losses and gradients before any parameter
+        # moves, of the runs not yet ended: a failed run maps to its gradient's
+        # fault, or to None when its loss is not finite. D is outside the graph
+        # in classification-only runs; stepping it would still apply weight decay
+        failed = gradient_faults(*batch.nets[:n_stepped])
+        losses = batch.trace[:, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
+        if not np.isfinite(losses).all():
+            failed.update((r, None) for r in np.flatnonzero(~np.isfinite(losses).all(axis=-1)).tolist())
+        failed = {r: fault for r, fault in failed.items() if batch.outcomes[r] is None}
+        if failed and batch.end(failed, step, j + 1):
+            return batch.outcomes
         for net, lr in zip(batch.nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
         if j == CHUNK - 1 or step == hp.max_steps - 1:
             batch.flush(j + 1)
     return batch.results()
-
-
-def _take(arrays, keep):
-    if isinstance(arrays, (list, tuple)):
-        return type(arrays)(_take(a, keep) for a in arrays)
-    return None if arrays is None else arrays[keep]
 
 
 # steps per batch draw, and per pass of the trace work no update reads
@@ -613,14 +590,13 @@ class _Batch:
     """A method batch's training state, built once per :func:`train_runs`.
 
     Its constants: the method, the sub-batch sizes of its layout
-    (``sizes``), the common-class mask and the gate's epsilon. The runs
-    that still train, stacked along the run axis: the entry of ``runs``
-    each row trains (``ids``), the index of their rows of the trace
-    (``at``: all of them until a run leaves), their nets, their register
-    and the nets' plans (None until the next step builds them). The trace
-    and the outcomes, kept by entry of ``runs``. And the current chunk of
-    up to :data:`CHUNK` consecutive steps from step ``first``: their draws
-    and the arrays derived from the labels once for all of them.
+    (``sizes``), the common-class mask and the gate's epsilon. Every run's
+    row of the run axis, kept from the first step to the last, a run's
+    row ``r`` being its entry of ``runs``: the stacked nets, their plans,
+    the register, the trace and the outcomes (None while a run trains).
+    And the current chunk of up to :data:`CHUNK` consecutive steps from
+    step ``first``: their draws, the arrays derived from the labels once
+    for all of them, and, in the ablations, G's outputs of its steps.
 
     In ``source_only`` and ``unweighted_adv`` no parameter update reads the
     source error rates, the margins, the gate or the register, so a step
@@ -639,52 +615,44 @@ class _Batch:
         built = (_build_nets(run_hp, layout.input_width, n_classes) for _, run_hp in runs)
         self.nets = [Mlp.stack(role) for role in zip(*built)]
         self.register = TargetMarginRegister(n_classes, runs=len(runs))
-        self.ids, self.at, self.plans = list(range(len(runs))), slice(None), None
         self.outcomes: list = [None] * len(runs)
+        self.plans = _plans(self)
         self.trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(self.sizes) - 1))))
         self.trace[..., _STEP] = np.arange(hp.max_steps)
         seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
         self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
+        self.ones = np.ones(self.plans[2].acts[-1].shape[:-1]) if method == "unweighted_adv" else None
 
     def draw(self, first: int):
-        """Draw the chunk of steps from step ``first`` on. The previous
-        chunk's draws are freed first, so two are never held at once."""
+        """Draw the chunk of steps from step ``first`` on, derive its label
+        arrays and, in the ablations, allocate the buffer of its G outputs.
+        The previous chunk's are freed first, so no two are held at once."""
         self.x = self.labels = self.at_labels = self.in_common = self.logits = None
-        x, labels, _ = next(self._draws)
-        if len(self.ids) < x.shape[1]:  # runs that failed draw on, unused
-            x, labels = x[:, self.ids], labels[:, self.ids]
+        self.x, self.labels, _ = next(self._draws)
+        self.logits = None if self.method == "uman" else np.empty((CHUNK, *self.plans[1].acts[-1].shape))
         self.first, self.start = first, 0
-        self._hold(x, labels)
-
-    def _hold(self, x, labels):
-        """Keep the chunk's draws of the runs still training, with their
-        label arrays and the buffers of their layout."""
-        self.x, self.labels = x, labels
-        runs, n_src = labels.shape[1:]
-        self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + labels
-        self.in_common = self.common_mask[labels]
+        runs, n_src = self.labels.shape[1:]
+        self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + self.labels
+        self.in_common = self.common_mask[self.labels]
         self.n_commons = np.add.reduce(self.in_common, axis=-1).tolist()
-        rows = x.shape[2] if self.method == "unweighted_adv" else n_src
-        self.logits = None if self.method == "uman" else np.empty((CHUNK, runs, rows, len(self.common_mask)))
-        self.ones = np.ones(x.shape[1:3]) if self.method == "unweighted_adv" else None
 
     def flush(self, stop: int):
         """Write the ablations' trace values of the chunk's pending steps
-        before position ``stop`` into the rows of the runs still training,
-        and add those steps' gated margins to their register."""
+        before position ``stop``, and add those steps' gated margins to the
+        register."""
         lo, self.start = self.start, stop
         if self.method == "uman" or lo == stop:
             return
         errors, gate, _, _ = self.gate(lo, stop, self.logits[lo:stop])
-        at, steps = self.at, slice(self.first + lo, self.first + stop)
-        self.trace[at, steps, _ERRORS] = errors.swapaxes(0, 1)
+        steps = slice(self.first + lo, self.first + stop)
+        self.trace[:, steps, _ERRORS] = errors.swapaxes(0, 1)
         if self.method == "unweighted_adv":
             # a group of ones has a mean raw weight of exactly 1, or 0 if empty
             in_common = self.in_common[lo:stop].swapaxes(0, 1)
-            self.trace[at, steps, _COMMON] = in_common.any(axis=-1)
-            self.trace[at, steps, _PRIVATE] = ~in_common.all(axis=-1)
-            self.trace[at, steps, _TARGET] = 1.0
-            self.trace[at, steps, _GATE] = gate.T
+            self.trace[:, steps, _COMMON] = in_common.any(axis=-1)
+            self.trace[:, steps, _PRIVATE] = ~in_common.all(axis=-1)
+            self.trace[:, steps, _TARGET] = 1.0
+            self.trace[:, steps, _GATE] = gate.T
 
     def gate(self, lo: int, hi: int, logits):
         """Each run's source error rates in the chunk's steps ``lo`` to
@@ -705,44 +673,41 @@ class _Batch:
             self.register.add_steps(*margin_vector(pseudo, margins, self.register.n_classes), gate)
         return errors, gate, pseudo, margins
 
-    def drop(self, failed: dict, stop: int) -> list | None:
-        """Record the errors of the runs at the ``failed`` positions and
-        keep the others, with their rows of the chunk's draws; returns the
-        positions kept, or None if no run is left. The chunk's steps before
-        position ``stop`` flush first: a failed run's trace is not written
-        again."""
+    def end(self, failed: dict, step: int, stop: int) -> bool:
+        """End each run in ``failed`` at ``step``: one mapped to None, whose
+        loss is not finite, with a :class:`TrainingDiverged` carrying its
+        last finished trace row, and one mapped to a gradient fault with
+        that :class:`~uman.nn.NonFiniteGradientError`. The chunk's steps
+        before position ``stop`` flush first. Returns whether every run has
+        ended."""
         self.flush(stop)
-        for r, error in failed.items():
-            self.outcomes[self.ids[r]] = error
-        keep = [r for r in range(len(self.ids)) if r not in failed]
-        if not keep:
-            return None
-        self._hold(self.x[:, keep], self.labels[:, keep])
-        self.ids, self.nets = [self.ids[r] for r in keep], [net.take(keep) for net in self.nets]
-        self.at, self.register, self.plans = np.array(self.ids), self.register.take(keep), None
-        return keep
+        for r, fault in failed.items():
+            last = self.trace[r, step - 1].copy() if step else None
+            self.outcomes[r] = error = TrainingDiverged(step, last) if fault is None else NonFiniteGradientError(fault)
+            error.step = step
+        return None not in self.outcomes
 
     def results(self) -> list:
         """Every run's outcome, the runs that trained to the end included."""
-        for r, i in enumerate(self.ids):
-            self.outcomes[i] = TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[i])
-        return self.outcomes
+        return [
+            TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[r]) if outcome is None else outcome
+            for r, outcome in enumerate(self.outcomes)
+        ]
 
 
-def _plans(batch: _Batch, acts=(None, None, None)) -> list:
-    """The plans of the batch's F, G and, when adversarial, D (else None)
-    for its runs still training, over the activations in ``acts`` that
-    :func:`_forward` returned, or over new buffers. Their input buffers
-    decide which rows each net sees: the source sub-batches and, when D
-    takes part, the target rows go through each net as one stack of
-    blocks; without D nothing reads the target's features, and G's
-    gradient covers only the source blocks either way."""
+def _plans(batch: _Batch) -> list:
+    """The plans of the batch's F, G and, when adversarial, D (else None),
+    over new buffers. Their input buffers decide which rows each net sees:
+    the source sub-batches and, when D takes part, the target rows go
+    through each net as one stack of blocks; without D nothing reads the
+    target's features, and G's gradient covers only the source blocks
+    either way."""
     sizes, adversarial = batch.sizes, batch.method != "source_only"
     n = sum(sizes) if adversarial else sum(sizes[:-1])
     blocks = (sizes if adversarial else sizes[:-1], sizes[:-1], sizes)
     return [
-        Plan(net, net_acts or [np.empty((len(batch.ids), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
-        for k, (net, net_acts, net_blocks) in enumerate(zip(batch.nets, acts, blocks))
+        Plan(net, [np.empty((len(batch.outcomes), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
+        for k, (net, net_blocks) in enumerate(zip(batch.nets, blocks))
     ]
 
 
@@ -774,14 +739,14 @@ def _weigh(batch: _Batch, j: int, logits):
     n_src = batch.labels.shape[-1]
     raw_ws, raw_wt = sample_weights(batch.register, batch.labels[j], pseudo[0], margins[0])
     weights = np.concatenate([normalize_weights(raw_ws), normalize_weights(raw_wt)], axis=-1)
-    trace, at, step = batch.trace, batch.at, batch.first + j
-    trace[at, step, _ERRORS], trace[at, step, _GATE] = errors[0], gate[0]
-    trace[at, step, _TARGET] = _mean(raw_wt)
-    for i, ws, common, n_common in zip(batch.ids, raw_ws, batch.in_common[j], batch.n_commons[j]):
+    trace, step = batch.trace, batch.first + j
+    trace[:, step, _ERRORS], trace[:, step, _GATE] = errors[0], gate[0]
+    trace[:, step, _TARGET] = _mean(raw_wt)
+    for r, (ws, common, n_common) in enumerate(zip(raw_ws, batch.in_common[j], batch.n_commons[j])):
         if n_common:
-            trace[i, step, _COMMON] = _mean(ws[common])
+            trace[r, step, _COMMON] = _mean(ws[common])
         if n_common < n_src:
-            trace[i, step, _PRIVATE] = _mean(ws[~common])
+            trace[r, step, _PRIVATE] = _mean(ws[~common])
     return weights
 
 

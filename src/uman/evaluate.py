@@ -168,6 +168,8 @@ def _probe_populations(feature_net, datasets, partition, kind, pair):
     sources, target = datasets[:-1], datasets[-1]
     if kind == "source-vs-source-shared":
         i, j = pair
+        if not (1 <= i <= len(sources) and 1 <= j <= len(sources)):
+            raise ValueError(f"probe pair {pair} names a source outside [1, {len(sources)}]")
         shared = set(partition.source_labels[i - 1]) & set(partition.source_labels[j - 1])
         if not shared:
             raise ValueError(f"sources {i} and {j} share no classes; the probe has nothing to compare")

@@ -212,8 +212,8 @@ class Plan:
     ``acts`` holds the input buffer and, optionally, one output buffer per
     layer, which are allocated here otherwise. ``blocks`` are as for
     :func:`forward_mlp`. Each pass overwrites the buffers of the one
-    before. A net replaced by another, as a stack is when a run leaves it,
-    needs a plan of its own. Training calls a plan's passes directly.
+    before. A plan holds views of its net's buffers and serves that net
+    alone; training builds one per net and batch and calls it directly.
     """
 
     def __init__(self, net: Mlp, acts, blocks=None):
@@ -411,7 +411,7 @@ def gradient_faults(*nets) -> dict[int, str]:
     Maps each such run (0 for a net without a run axis) to the message of
     :class:`NonFiniteGradientError` for its first faulty buffer: nets in
     the given order, then layers, then ``w`` before ``b``. One check covers
-    every run of every net, so a caller can drop the faulty runs before any
+    every run of every net, so a caller can end the faulty runs before any
     parameter moves; only a net that fails it is scanned layer by layer.
     """
     faults = {}

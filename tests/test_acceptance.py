@@ -12,7 +12,8 @@ slower checks share one set of trained networks through module-scoped
 fixtures, and every number here is deterministic for a given platform.
 Beside the nine, one test holds the standard runs' trained values to the
 digests recorded in ``digests.json``, as do the rerun-determinism config's
-runs and a batch in which some runs diverge.
+runs, a batch in which some runs diverge and one in which a run's loss
+turns non-finite.
 """
 
 import hashlib
@@ -240,7 +241,7 @@ def test_rerun_determinism_runs_match_their_digests(tmp_path):
 
 
 # three runs per method over 40 steps at a learning rate at which seed 0 of
-# each method trains to the end, while seeds 1 and 2 leave the batch at
+# each method trains to the end, while seeds 1 and 2 end at
 # step 1 with a non-finite gradient
 DIVERGING_CONFIG = {
     "umda_matrix": [[2, 2, 3], [1, 1, 1]],
@@ -268,6 +269,29 @@ def test_partly_diverging_batch_matches_its_digests(tmp_path):
     assert any(isinstance(outcome, Exception) for outcome in runs.values())
     assert not all(isinstance(outcome, Exception) for outcome in runs.values())
     _assert_digests("partly_diverging", {run: _digests(outcome) for run, outcome in runs.items()})
+
+
+def test_nan_loss_batch_matches_its_digests():
+    """A batch in which one run's loss turns non-finite: for each method,
+    seeds 3 to 5 of the standard matrix over 100 steps, where the middle
+    run's first source holds a NaN row that it first draws at step 44, in
+    the middle of a chunk and after its register has taken margins. The
+    other two runs hash to the recorded digests, and the middle run ends
+    with the recorded error, message, step and last trace row."""
+    partition = partition_from_matrix(standard_matrix())
+    seeds = (3, 4, 5)
+    runs = [
+        (generate(standard_spec(seed=seed), partition), standard_hp(seed=seed, max_steps=100, epsilon=0.6))
+        for seed in seeds
+    ]
+    runs[1][0][0].features[592] = np.nan
+    got = {}
+    for method in ("uman", "source_only", "unweighted_adv"):
+        outcomes = train_runs(runs, partition, method=method)
+        assert [type(outcome).__name__ for outcome in outcomes] == ["TrainResult", "TrainingDiverged", "TrainResult"]
+        assert outcomes[1].step == 44
+        got.update({f"{method} seed {seed}": _digests(outcome) for seed, outcome in zip(seeds, outcomes)})
+    _assert_digests("nan_loss", got)
 
 
 # ---------------------------------------------------------------------------

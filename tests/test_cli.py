@@ -645,6 +645,14 @@ class TestSeedOffset:
         with pytest.raises(SystemExit, match="UMAN_SEED_OFFSET"):
             seed_offset()
 
+    def test_garbage_is_invalid_input_before_any_write(self, tmp_path, monkeypatch, capsys):
+        path = tiny_config(tmp_path)
+        monkeypatch.setenv("UMAN_SEED_OFFSET", "abc")
+        for argv in (["run", str(path)], ["sweep", str(path), "--axis", "target_private_size", "--values", "0"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().out == "invalid: UMAN_SEED_OFFSET must be an integer, got 'abc'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_effective_seed_is_rejected_before_any_write(self, tmp_path, monkeypatch, capsys):
         # seeds 1 and 2 with offset -2 give the effective seeds -1 and 0
         path = tiny_config(tmp_path, seeds=[2, 1], synthetic={"seed": 0}, hyperparams={"seed": 3})

@@ -150,6 +150,13 @@ class TestRegister:
         with pytest.raises(ValueError):
             TargetMarginRegister(0)
 
+    def test_update_rejects_nan(self):
+        reg = TargetMarginRegister(2)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            reg.update([np.nan, 0.5], [True, True])
+        assert reg.step == 0
+        assert reg.values.tolist() == [0.0, 0.0]
+
 
 class TestWeights:
     def test_source_weight_reads_the_register(self):
@@ -577,10 +584,10 @@ class TestRunAxisMatchesTrainingAlone:
             datasets, _, hp = setups[i]
             assert_same_training(got[i], train(datasets, partition, hp))
 
-    def test_diverged_run_skips_its_backward(self, monkeypatch):
-        """A run whose loss is not finite leaves before that step's
-        backward, alone and in a batch, so none of its NaNs or overflows
-        reach a gradient."""
+    def test_diverged_run_keeps_its_row(self, monkeypatch):
+        """A run whose loss is not finite ends after that step's backward,
+        alone and in a batch. In a batch its row computes on to the end, so
+        every step's backward sees all three runs."""
         setups = self.setups()
         partition = setups[0][1]
         setups[1][0][0].features[71] = np.nan  # as in the test above
@@ -596,10 +603,10 @@ class TestRunAxisMatchesTrainingAlone:
         with pytest.raises(TrainingDiverged) as alone:
             train(datasets, partition, hp)
         step = alone.value.step
-        assert runs_seen == [1] * step
+        assert runs_seen == [1] * (step + 1)
         runs_seen.clear()
         train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
-        assert runs_seen == [3] * step + [2] * (hp.max_steps - step)
+        assert runs_seen == [3] * hp.max_steps
 
     def test_non_finite_gradient_leaves_the_batch(self, monkeypatch):
         """An infinity planted in one run's feature gradient at step 40 ends
@@ -646,10 +653,10 @@ class TestRunAxisMatchesTrainingAlone:
         """The middle run's loss diverges, at the step it draws the NaN row
         above or, planted, at ``loss_step``; the last run's feature gradient
         gets an infinity at ``grad_step`` (the middle run's step by default),
-        at its stack position then: 1 once the middle run has left, else 2.
-        The planted steps sit on both sides of a chunk boundary. Each failed
-        run ends with the error it raises alone, the middle run with the
-        last trace row it has alone, and the first run trains as alone."""
+        at its stack position 2, which it keeps. The planted steps sit on
+        both sides of a chunk boundary. Each failed run ends with the error
+        it raises alone, the middle run with the last trace row it has
+        alone, and the first run trains as alone."""
         setups = self.setups()
         partition = setups[0][1]
         if loss_step is None:
@@ -694,7 +701,7 @@ class TestRunAxisMatchesTrainingAlone:
             train(setups[2][0], partition, setups[2][2])
         monkeypatch.undo()
         plant_loss(1)
-        plant_gradient(grad_at, 1 if loss_at <= grad_at else 2)
+        plant_gradient(grad_at, 2)
         got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
         monkeypatch.undo()
         assert infinite.value.step == grad_at

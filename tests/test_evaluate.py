@@ -1,5 +1,6 @@
 """Evaluation protocol arithmetic, baselines, transfer gain, and probes."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -305,6 +306,13 @@ class TestAlignmentProbe:
             alignment_probe(
                 _fresh_feature_net(8), datasets, partition, "source-vs-source-shared"
             )
+
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 3)])
+    def test_source_outside_the_partition_rejected(self, partition, pair):
+        spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=8)
+        datasets = generate(spec, partition)
+        with pytest.raises(ValueError, match=re.escape(f"probe pair {pair} names a source outside [1, 2]")):
+            alignment_probe(_fresh_feature_net(8), datasets, partition, "source-vs-source-shared", pair=pair)
 
     def test_unknown_kind_rejected(self, partition):
         spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=8)
