@@ -19,7 +19,10 @@ Either way the unit of training is a batch of at most ``BATCH_RUNS`` runs
 of one method, packed by :func:`_packed` and handed to the pool in the
 order of :func:`_tasks`. Each run trains, scores and writes exactly as it
 would alone, into its own cell's directory, and summaries and printed
-lines follow config order, not the order in which batches finish.
+lines follow config order, not the order in which batches finish. A
+``source_only`` run reads no target, so the cells whose ``source_only``
+runs would train the same (every cell of a ``target_private_size`` sweep)
+train each seed's once and score it on each cell's own target.
 
 The environment variable UMAN_SEED_OFFSET (integer, default 0) is added to
 every seed, which relocates an entire experiment to a fresh seed
@@ -151,7 +154,7 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     """
     if problems := _seed_problems(config, offset):
         raise ValueError(problems[0])
-    tasks = _tasks(_packed({None: config}), config.methods, offset)
+    tasks = _tasks({None: config}, config.methods, offset)
     done = _train(tasks, len(tasks))
     rows = []
     for method in config.methods:
@@ -167,6 +170,9 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
 # method does a superset of the next one's work, so the longest start first
 _HAND_OUT = ("uman", "unweighted_adv", "source_only")
 
+# the methods whose training reads no target data (F and G see source rows only)
+_TARGET_FREE = ("source_only",)
+
 
 def _layout(cell: ExperimentConfig):
     """The training layout (:func:`~uman.core.batch_layout`) of every run of
@@ -177,28 +183,36 @@ def _layout(cell: ExperimentConfig):
     return batch_layout(partition, cell.hyperparams, lengths, cell.synthetic.feature_dim)
 
 
-def _packed(cells: dict) -> list:
-    """The runs of every config in ``cells`` (by key) as the runs of one
-    method's batches: ``(key, config, seed)`` lists, largest first. The
-    runs whose configs share a training layout, in (cell, seed) order, fill
-    the fewest near-equal batches of at most
-    :data:`~uman.config.BATCH_RUNS` runs (:func:`~uman.config.batch_runs`);
-    a batch never mixes layouts."""
+def _packed(cells: dict, method: str) -> list:
+    """The runs of ``method`` of every config in ``cells`` (by key) as its
+    batches, largest first, each a list of entries: the ``(key, config,
+    seed)`` runs one training serves. A :data:`_TARGET_FREE` run shares its
+    entry with every run of the same training layout, data spec,
+    hyperparameters, source label sets and seed; any other run has its own.
+    The entries of one training layout, in (cell, seed) order, fill the
+    fewest near-equal batches of at most :data:`~uman.config.BATCH_RUNS`
+    entries (:func:`~uman.config.batch_runs`)."""
     groups: dict = {}
     for key, cell in cells.items():
-        groups.setdefault(_layout(cell), []).extend((key, cell, seed) for seed in cell.seeds)
+        entries = groups.setdefault(_layout(cell), {})
+        sources = partition_from_matrix(cell.matrix).source_labels
+        for seed in cell.seeds:
+            reads = (cell.synthetic, cell.hyperparams, sources, seed) if method in _TARGET_FREE else (key, seed)
+            entries.setdefault(reads, []).append((key, cell, seed))
     batches = []
-    for runs in groups.values():
-        for size in batch_runs(len(runs)):
-            batches.append(runs[:size])
-            runs = runs[size:]
+    for entries in groups.values():
+        entries = list(entries.values())
+        for size in batch_runs(len(entries)):
+            batches.append(entries[:size])
+            entries = entries[size:]
     return sorted(batches, key=len, reverse=True)
 
 
-def _tasks(batches: list, methods, offset: int) -> list:
-    """The pool tasks that train ``batches`` for every method, in hand-out
-    order: by method as :data:`_HAND_OUT` lists them, then largest first."""
-    return [(method, runs, offset) for method in sorted(methods, key=_HAND_OUT.index) for runs in batches]
+def _tasks(cells: dict, methods, offset: int) -> list:
+    """The pool tasks that train every method's batches (:func:`_packed`)
+    in hand-out order: by method as :data:`_HAND_OUT` lists them, then
+    largest first."""
+    return [(method, runs, offset) for method in sorted(methods, key=_HAND_OUT.index) for runs in _packed(cells, method)]
 
 
 def _train(tasks: list, jobs: int) -> dict:
@@ -207,32 +221,62 @@ def _train(tasks: list, jobs: int) -> dict:
     method, seed)."""
     done = {}
     for (method, runs, _), outcomes in zip(tasks, _map_in_pool(_run_method_batch, tasks, jobs)):
-        for (key, _, seed), outcome in zip(runs, outcomes):
+        for (key, _, seed), outcome in zip(itertools.chain(*runs), outcomes):
             done[key, method, seed] = outcome
     return done
 
 
 def _run_method_batch(task):
-    """Train one method batch, then score each run and write its artifacts
-    into its own config's directory, in batch order; returns each run's
-    summary row and report line. Top-level so process pools can pickle it.
+    """Train one method batch of entries (:func:`_packed`), the first run
+    of each, then score each training for every run of its entry and
+    write its artifacts into that run's own config's directory, in batch
+    order; returns each run's summary row and report line. Top-level so
+    process pools can pickle it.
 
-    The batch holds the source datasets that equal one of an earlier run
-    of the same data seed once, and no test target: each run generates its
-    own when it is scored. Its training data is freed before scoring, and
-    the rest on return."""
-    method, runs, offset = task
+    Before training, :func:`_check_reuse` checks every further run of an
+    entry. The batch holds the source datasets that equal one of an
+    earlier run of the same data seed once, no target rows in a
+    :data:`_TARGET_FREE` method, and no test target: each run generates
+    its own when it is scored. Its training data is freed before scoring,
+    and the rest on return."""
+    method, entries, offset = task
     shared, trained, partitions = {}, [], []
-    for _, cell, seed in runs:
+    for first, *further in entries:
+        _, cell, seed = first
         partitions.append(partition_from_matrix(cell.matrix))
         spec, hp = _seeded(cell, offset, seed)
-        trained.append((_share(shared, spec, generate(spec, partitions[-1])), hp))
+        datasets = _share(shared, spec, generate(spec, partitions[-1]))
+        if method in _TARGET_FREE:
+            target = datasets[-1]  # of which training reads the length only
+            datasets[-1] = replace(target, features=np.broadcast_to(0.0, target.features.shape), eval_labels=None)
+        trained.append((datasets, hp))
+        for destination in further:
+            _check_reuse(trained[-1], first, destination, offset)
     outcomes = train_runs(trained, partitions, method=method)
     del trained, shared
     return [
-        _score(method, cell, seed, offset, partition, result)
-        for (_, cell, seed), partition, result in zip(runs, partitions, outcomes)
+        _score(method, cell, seed, offset, result)
+        for entry, result in zip(entries, outcomes)
+        for _, cell, seed in entry
     ]
+
+
+def _check_reuse(trained, first, destination, offset: int):
+    """Raise, naming both cells, unless the ``(key, config, seed)`` run
+    ``destination`` may reuse the training of ``first`` on ``trained``, its
+    ``(datasets, hyperparameters)``: :func:`_share` must share every source
+    it generates with ``trained``, and the seeded hyperparameters must be
+    equal."""
+    datasets, hp = trained
+    _, cell, seed = destination
+    spec, own_hp = _seeded(cell, offset, seed)
+    held = {(spec, i): ds for i, ds in enumerate(datasets[:-1])}
+    own = _share(held, spec, generate(spec, partition_from_matrix(cell.matrix)))
+    if own_hp != hp or len(own) != len(datasets) or any(a is not b for a, b in zip(own[:-1], datasets[:-1])):
+        raise RuntimeError(
+            f"seed {seed} of the cells {first[1].output_dir} and {cell.output_dir} would share one training, "
+            "but their sources or hyperparameters differ"
+        )
 
 
 def _seeded(cell: ExperimentConfig, offset: int, seed: int):
@@ -253,12 +297,12 @@ def _share(shared: dict, spec, datasets: list) -> list:
     return datasets
 
 
-def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, partition, result):
-    """Evaluate a trained run on a freshly generated held-out target and
-    write its artifacts to <output_dir>/runs/<method>_<seed>/; returns its
-    summary row and report line. A failed run's directory gets its failed
-    report only."""
-    chash = config_hash(cell)
+def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
+    """Evaluate a trained run on a freshly generated held-out target of
+    ``cell`` and write its artifacts to <output_dir>/runs/<method>_<seed>/;
+    returns its summary row and report line. A failed run's directory gets
+    its failed report only."""
+    chash, partition = config_hash(cell), partition_from_matrix(cell.matrix)
     run_dir = Path(cell.output_dir) / "runs" / f"{method}_{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, Exception):
@@ -399,13 +443,13 @@ def _sweep_plan(config: ExperimentConfig, axis: str, values, offset: int):
         cell, _ = derive_sweep_cell(config, axis, value)
         if cell is not None:
             cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
-    batches = _packed(cells)
+    tasks = _tasks(cells, config.methods, offset)
     problems = [
-        f"{axis} {','.join(str(v) for v in dict.fromkeys(value for value, _, _ in runs))}: {p}"
-        for runs in batches
-        for p in cost_problems(config, [cell for _, cell, _ in runs])
+        f"{axis} {','.join(str(v) for v in dict.fromkeys(value for (value, _, _), *_ in entries))}: {p}"
+        for _, entries, _ in tasks
+        for p in cost_problems(config, [cell for (_, cell, _), *_ in entries])
     ]
-    return cells, _tasks(batches, config.methods, offset), problems
+    return cells, tasks, list(dict.fromkeys(problems))
 
 
 def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
@@ -422,8 +466,12 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     cells: the cells that share a training layout, as every cell of a
     ``target_private_size`` sweep does, pack their runs in (cell, seed)
     order into the fewest near-equal batches of at most
-    :data:`~uman.config.BATCH_RUNS` runs; a ``num_sources`` cell keeps its
-    own. Every batch goes to one pool of at most ``jobs`` workers, and
+    :data:`~uman.config.BATCH_RUNS` trained runs; a ``num_sources`` cell
+    keeps its own. A ``source_only`` run reads no target, so one training
+    serves every cell with the same layout, data spec, hyperparameters,
+    source label sets and seed, and is scored on each cell's own target;
+    a cell whose sources would differ raises an error naming both cells
+    before that batch trains. Every batch goes to one pool of at most ``jobs`` workers, and
     never more than there are batches or CPUs, ``uman`` first, then
     ``unweighted_adv``, then ``source_only``, the larger batches of a
     method first. Each run is trained, scored and written as it would be

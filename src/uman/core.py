@@ -566,8 +566,13 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
 
         # one check of every run's losses and gradients before any parameter
         # moves, of the runs not yet ended: a failed run maps to its gradient's
-        # fault, or to None when its loss is not finite. D is outside the graph
-        # in classification-only runs; stepping it would still apply weight decay
+        # fault, or to None when its loss is not finite. An ended run's
+        # gradients are zeroed first, so each net's one whole-buffer check
+        # passes over its row. D is outside the graph in classification-only
+        # runs; stepping it would still apply weight decay
+        if batch.ended:
+            for layer in (layer for net in batch.nets[:n_stepped] for layer in net.layers):
+                layer.gw[batch.ended] = layer.gb[batch.ended] = 0.0
         failed = gradient_faults(*batch.nets[:n_stepped])
         losses = batch.trace[:, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
         if not np.isfinite(losses).all():
@@ -616,6 +621,7 @@ class _Batch:
         self.nets = [Mlp.stack(role) for role in zip(*built)]
         self.register = TargetMarginRegister(n_classes, runs=len(runs))
         self.outcomes: list = [None] * len(runs)
+        self.ended: list = []  # the rows of the runs whose outcome is set
         self.plans = _plans(self)
         self.trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(self.sizes) - 1))))
         self.trace[..., _STEP] = np.arange(hp.max_steps)
@@ -685,6 +691,7 @@ class _Batch:
             last = self.trace[r, step - 1].copy() if step else None
             self.outcomes[r] = error = TrainingDiverged(step, last) if fault is None else NonFiniteGradientError(fault)
             error.step = step
+        self.ended = [r for r, outcome in enumerate(self.outcomes) if outcome is not None]
         return None not in self.outcomes
 
     def results(self) -> list:

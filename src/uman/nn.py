@@ -123,14 +123,13 @@ class Mlp:
                 layer.w[r], layer.b[r] = one.layers[i].w, one.layers[i].b
         return net
 
-    def take(self, runs):
-        """Copy of the given runs of a stacked net, gradient buffers
-        included: a list keeps the run axis, an integer gives that run's own
-        net without it."""
-        net = Mlp._like(self, self.layers[0].b[runs].shape[:-1])
+    def take(self, run: int):
+        """Copy of one run of a stacked net as its own net, without the run
+        axis, gradient buffers included."""
+        net = Mlp._like(self, ())
         for new, old in zip(net.layers, self.layers):
             for name in ("w", "b", "gw", "gb"):
-                getattr(new, name)[...] = getattr(old, name)[runs]
+                getattr(new, name)[...] = getattr(old, name)[run]
         return net
 
     @property

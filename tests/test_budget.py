@@ -16,9 +16,10 @@ counts after the run summary.
 Beside the calls, the memory a sweep's batch holds: the ``tracemalloc`` peak
 of one method batch of :data:`~uman.config.BATCH_RUNS` runs of a
 ``target_private_size`` sweep of the committed config (the cells 4 to 6 at
-seeds 0 and 1, 250 steps each, as the benchmark's short sweep trains them),
-from its data generation through its last artifact, per run. Each peak must
-stay within 10% of its budget.
+seeds 0 and 1, 250 steps each, as the benchmark's short sweep trains them;
+at seeds 0 to 5 for ``source_only``, whose one training per seed serves
+every cell), from its data generation through its last artifact, per
+trained run. Each peak must stay within 10% of its budget.
 """
 
 import cProfile
@@ -104,9 +105,18 @@ def test_calls_per_step_stay_in_budget(layout):
 
 def _sweep_batches(steps, out):
     config = _layout("2 sources")
-    config = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=steps), output_dir=str(out))
-    _, tasks, problems = uman.cli._sweep_plan(config, "target_private_size", [4, 5, 6], 0)
-    assert problems == [] and [len(runs) for _, runs, _ in tasks] == [BATCH_RUNS] * len(METHODS)
+    config = replace(config, hyperparams=replace(config.hyperparams, max_steps=steps), output_dir=str(out))
+
+    def planned(seeds):
+        _, tasks, problems = uman.cli._sweep_plan(replace(config, seeds=seeds), "target_private_size", [4, 5, 6], 0)
+        assert problems == []
+        return tasks
+
+    # one source_only training serves every cell, so its batch takes its
+    # runs from as many seeds
+    tasks = [task for task in planned((0, 1)) if task[0] != "source_only"]
+    tasks += [task for task in planned(tuple(range(BATCH_RUNS))) if task[0] == "source_only"]
+    assert [len(entries) for _, entries, _ in tasks] == [BATCH_RUNS] * len(METHODS)
     return tasks
 
 

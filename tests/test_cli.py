@@ -867,9 +867,10 @@ class TestSweep:
     def test_batches_span_cells_of_one_layout(self, tmp_path, monkeypatch):
         """A target_private_size sweep packs each method's runs, in (cell,
         seed) order, into the fewest near-equal batches of at most
-        BATCH_RUNS runs, handed out uman first, then unweighted_adv, then
-        source_only, larger batches first; a num_sources sweep keeps one
-        batch per cell."""
+        BATCH_RUNS trained runs, handed out uman first, then unweighted_adv,
+        then source_only, larger batches first. source_only reads no
+        target, so one training per seed serves every cell. A num_sources
+        sweep keeps one batch per cell, source_only's too."""
         handed = []
 
         class Recording:
@@ -883,8 +884,8 @@ class TestSweep:
                 return False
 
             def submit(self, fn, task):
-                method, runs, _ = task
-                handed.append((method, [(value, seed) for value, _, seed in runs]))
+                method, entries, _ = task
+                handed.append((method, [[(value, seed) for value, _, seed in entry] for entry in entries]))
                 future = Future()
                 future.set_result(fn(task))
                 return future
@@ -900,12 +901,72 @@ class TestSweep:
         runs = [(value, seed) for value in (4, 0, 1, 2, 3, 5, 6) for seed in (0, 1, 2)]
         assert BATCH_RUNS == 6 and batch_runs(len(runs)) == [6, 5, 5, 5]
         batches = [runs[:6], runs[6:11], runs[11:16], runs[16:]]
-        order = ("uman", "unweighted_adv", "source_only")
-        assert handed == [(method, batch) for method in order for batch in batches]
+        baseline = [[(value, seed) for value in (4, 0, 1, 2, 3, 5, 6)] for seed in (0, 1, 2)]
+        assert handed == [
+            (method, [[run] for run in batch]) for method in ("uman", "unweighted_adv") for batch in batches
+        ] + [("source_only", baseline)]
         handed.clear()
         assert main(argv + ["num_sources", "--values", "2,3"]) == 0
         cells = [[(value, seed) for seed in (0, 1, 2)] for value in (2, 3)]
-        assert handed == [(method, cell) for method in order for cell in cells]
+        order = ("uman", "unweighted_adv", "source_only")
+        assert handed == [(method, [[run] for run in cell]) for method in order for cell in cells]
+
+    @pytest.fixture
+    def trained(self, monkeypatch, one_worker):
+        """The runs ``train_runs`` receives, counted by method."""
+        counts = {}
+
+        def counting(runs, partition, *, method):
+            counts[method] = counts.get(method, 0) + len(runs)
+            return uman.core.train_runs(runs, partition, method=method)
+
+        monkeypatch.setattr(uman.cli, "train_runs", counting)
+        return counts
+
+    def test_source_only_trains_once_per_seed_across_target_cells(self, tmp_path, trained):
+        """source_only reads no target, so a target_private_size sweep
+        trains it once per seed and scores that training on every cell's
+        own held-out target; the other methods train every cell's runs."""
+        path = tiny_config(tmp_path, methods=["uman", "source_only", "unweighted_adv"], seeds=[0, 1])
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2"]) == 0
+        assert trained == {"uman": 6, "unweighted_adv": 6, "source_only": 2}
+        cells = [tmp_path / "out" / "sweep" / f"target_private_size_{value}" for value in (0, 1, 2)]
+        for seed in (0, 1):
+            runs = [cell / "runs" / f"source_only_{seed}" for cell in cells]
+            assert len({(run / "trace.csv").read_bytes() for run in runs}) == 1
+            reports = [json.loads((run / "report.json").read_text()) for run in runs]
+            assert [r["config_hash"] for r in reports] == [read_rows(c / "summary.csv")[1][0] for c in cells]
+            assert len({json.dumps(r["n_evaluated"], sort_keys=True) for r in reports}) == 3
+
+    @pytest.mark.parametrize("axis, values", [("num_sources", "2,3,4"), ("common_overlap", "0,1,2")])
+    def test_source_side_sweeps_train_every_cells_baseline(self, tmp_path, trained, axis, values):
+        """An axis that changes the sources shares no source_only training."""
+        path = tiny_config(tmp_path, methods=["uman", "source_only", "unweighted_adv"], seeds=[0, 1])
+        assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 0
+        assert trained == {"uman": 6, "unweighted_adv": 6, "source_only": 6}
+
+    def test_reuse_of_a_different_training_is_refused(self, tmp_path, monkeypatch, one_worker):
+        """Two cells whose source_only runs share a training but whose
+        sources differ: the sweep raises an error naming both cells before
+        the batch trains, and writes no summary."""
+        generated = uman.cli.generate
+
+        def planted(spec, partition, draw=0):
+            datasets = generated(spec, partition, draw)
+            if len(partition.target_private) == 2:
+                datasets[0].features[0, 0] += 1.0
+            return datasets
+
+        monkeypatch.setattr(uman.cli, "generate", planted)
+        path = self.sweep_config(tmp_path)
+        config, _ = load_config(path)
+        match = r"seed 0 of the cells \S*target_private_size_0 and \S*target_private_size_2 would share one training"
+        with pytest.raises(RuntimeError, match=match):
+            execute_sweep(config, "target_private_size", [0, 1, 2])
+        with pytest.raises(RuntimeError, match=match):
+            main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2"])
+        assert not (tmp_path / "out" / "sweep_target_private_size.csv").exists()
+        assert list((tmp_path / "out").rglob("summary.csv")) == []
 
     def test_repeated_values_rejected(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
