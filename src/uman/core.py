@@ -541,15 +541,18 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     gives it alone. Returns one entry per run, in order: its
     :class:`TrainResult`, or the :class:`TrainingDiverged` or
     :class:`~uman.nn.NonFiniteGradientError` it ended with, either carrying
-    the step in ``step``: a check between each backward pass and SGD ends
-    each run whose loss, or else gradient, is not finite with the error it
-    raises alone, and the others go on. A run that ended keeps its row of
-    the run axis, which computes on unread to the end of the batch, as
-    every operation of a step is per run. A :class:`_Batch` holds the
-    batch's state, its trace one float64 array of ``(runs, max_steps,
-    columns)``, the columns of :func:`trace_columns`, and each net's
-    :class:`~uman.nn.Plan`. The steps run with numpy's floating-point
-    warnings off: nothing reads the values of a run that overflows.
+    the step in ``step``: a check between each backward pass and SGD
+    records each run whose loss, or else gradient, is not finite, and the
+    others go on. A run that ended keeps its row of the run axis, which
+    computes on unread to the end of the batch, as every operation of a
+    step is per run. Every outcome is built once, when the batch ends:
+    after the last chunk's flush, or after the current chunk's once every
+    run has ended, so a diverged run's last trace row is complete. A
+    :class:`_Batch` holds the batch's state, its trace one float64 array of
+    ``(runs, max_steps, columns)``, the columns of :func:`trace_columns`,
+    and each net's :class:`~uman.nn.Plan`. The steps run with numpy's
+    floating-point warnings off: nothing reads the values of a run that
+    overflows.
     """
     hp, layout = _check_runs(runs, partition, method)
     n_stepped = 2 if method == "source_only" else 3  # F, G and, when adversarial, D
@@ -565,21 +568,25 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
         _backward(batch.plans, acts[3], g_logits, g_d, step, hp)
 
         # one check of every run's losses and gradients before any parameter
-        # moves, of the runs not yet ended: a failed run maps to its gradient's
-        # fault, or to None when its loss is not finite. An ended run's
-        # gradients are zeroed first, so each net's one whole-buffer check
-        # passes over its row. D is outside the graph in classification-only
-        # runs; stepping it would still apply weight decay
+        # moves, of the runs not yet ended: a failed run is recorded with its
+        # gradient's fault, or None when its loss is not finite. An ended
+        # run's gradients are zeroed first, so each net's one whole-buffer
+        # check passes over its row. D is outside the graph in
+        # classification-only runs; stepping it would still apply weight decay
         if batch.ended:
+            rows = list(batch.ended)
             for layer in (layer for net in batch.nets[:n_stepped] for layer in net.layers):
-                layer.gw[batch.ended] = layer.gb[batch.ended] = 0.0
+                layer.gw[rows] = layer.gb[rows] = 0.0
         failed = gradient_faults(*batch.nets[:n_stepped])
         losses = batch.trace[:, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
         if not np.isfinite(losses).all():
             failed.update((r, None) for r in np.flatnonzero(~np.isfinite(losses).all(axis=-1)).tolist())
-        failed = {r: fault for r, fault in failed.items() if batch.outcomes[r] is None}
-        if failed and batch.end(failed, step, j + 1):
-            return batch.outcomes
+        if failed:
+            for r, fault in failed.items():
+                batch.ended.setdefault(r, (step, fault))
+            if len(batch.ended) == len(runs):
+                batch.flush(j + 1)
+                return batch.results()
         for net, lr in zip(batch.nets[:n_stepped], lrs):
             sgd_update(net, lr, hp.weight_decay)
         if j == CHUNK - 1 or step == hp.max_steps - 1:
@@ -598,18 +605,20 @@ class _Batch:
     (``sizes``), the common-class mask and the gate's epsilon. Every run's
     row of the run axis, kept from the first step to the last, a run's
     row ``r`` being its entry of ``runs``: the stacked nets, their plans,
-    the register, the trace and the outcomes (None while a run trains).
-    And the current chunk of up to :data:`CHUNK` consecutive steps from
-    step ``first``: their draws, the arrays derived from the labels once
-    for all of them, and, in the ablations, G's outputs of its steps.
+    the register and the trace. ``ended`` maps the row of each failed run
+    to its step and its gradient fault (None for a non-finite loss), from
+    which :meth:`results` builds its error. And the current chunk of up to
+    :data:`CHUNK` consecutive steps from step ``first``: their draws, the
+    arrays derived from the labels once for all of them, and, in the
+    ablations, G's outputs of its steps.
 
     In ``source_only`` and ``unweighted_adv`` no parameter update reads the
     source error rates, the margins, the gate or the register, so a step
     files only G's outputs, and :meth:`flush` derives the rest once for
-    every pending step: it writes the error rates, gates and weight means
-    into the trace and adds the gated margins to the register. A ``uman``
-    step reads its register, so :func:`_weigh` writes its trace row step
-    by step.
+    all the chunk's steps: it writes the error rates, gates and weight
+    means into the trace and adds the gated margins to the register. A
+    ``uman`` step reads its register, so :func:`_weigh` writes its trace
+    row step by step.
     """
 
     def __init__(self, runs, layout: BatchLayout, method: str):
@@ -620,11 +629,10 @@ class _Batch:
         built = (_build_nets(run_hp, layout.input_width, n_classes) for _, run_hp in runs)
         self.nets = [Mlp.stack(role) for role in zip(*built)]
         self.register = TargetMarginRegister(n_classes, runs=len(runs))
-        self.outcomes: list = [None] * len(runs)
-        self.ended: list = []  # the rows of the runs whose outcome is set
-        self.plans = _plans(self)
+        self.ended: dict = {}  # row -> (step, gradient fault or None) of each failed run
         self.trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(self.sizes) - 1))))
         self.trace[..., _STEP] = np.arange(hp.max_steps)
+        self.plans = _plans(self)
         seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
         self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
         self.ones = np.ones(self.plans[2].acts[-1].shape[:-1]) if method == "unweighted_adv" else None
@@ -636,25 +644,25 @@ class _Batch:
         self.x = self.labels = self.at_labels = self.in_common = self.logits = None
         self.x, self.labels, _ = next(self._draws)
         self.logits = None if self.method == "uman" else np.empty((CHUNK, *self.plans[1].acts[-1].shape))
-        self.first, self.start = first, 0
+        self.first = first
         runs, n_src = self.labels.shape[1:]
         self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + self.labels
         self.in_common = self.common_mask[self.labels]
         self.n_commons = np.add.reduce(self.in_common, axis=-1).tolist()
 
     def flush(self, stop: int):
-        """Write the ablations' trace values of the chunk's pending steps
-        before position ``stop``, and add those steps' gated margins to the
-        register."""
-        lo, self.start = self.start, stop
-        if self.method == "uman" or lo == stop:
+        """Write the ablations' trace values of the chunk's steps before
+        position ``stop``, and add those steps' gated margins to the
+        register. A chunk flushes once, when its last step or the batch
+        ends."""
+        if self.method == "uman":
             return
-        errors, gate, _, _ = self.gate(lo, stop, self.logits[lo:stop])
-        steps = slice(self.first + lo, self.first + stop)
+        errors, gate, _, _ = self.gate(0, stop, self.logits[:stop])
+        steps = slice(self.first, self.first + stop)
         self.trace[:, steps, _ERRORS] = errors.swapaxes(0, 1)
         if self.method == "unweighted_adv":
             # a group of ones has a mean raw weight of exactly 1, or 0 if empty
-            in_common = self.in_common[lo:stop].swapaxes(0, 1)
+            in_common = self.in_common[:stop].swapaxes(0, 1)
             self.trace[:, steps, _COMMON] = in_common.any(axis=-1)
             self.trace[:, steps, _PRIVATE] = ~in_common.all(axis=-1)
             self.trace[:, steps, _TARGET] = 1.0
@@ -679,27 +687,23 @@ class _Batch:
             self.register.add_steps(*margin_vector(pseudo, margins, self.register.n_classes), gate)
         return errors, gate, pseudo, margins
 
-    def end(self, failed: dict, step: int, stop: int) -> bool:
-        """End each run in ``failed`` at ``step``: one mapped to None, whose
-        loss is not finite, with a :class:`TrainingDiverged` carrying its
-        last finished trace row, and one mapped to a gradient fault with
-        that :class:`~uman.nn.NonFiniteGradientError`. The chunk's steps
-        before position ``stop`` flush first. Returns whether every run has
-        ended."""
-        self.flush(stop)
-        for r, fault in failed.items():
-            last = self.trace[r, step - 1].copy() if step else None
-            self.outcomes[r] = error = TrainingDiverged(step, last) if fault is None else NonFiniteGradientError(fault)
-            error.step = step
-        self.ended = [r for r, outcome in enumerate(self.outcomes) if outcome is not None]
-        return None not in self.outcomes
-
     def results(self) -> list:
-        """Every run's outcome, the runs that trained to the end included."""
-        return [
-            TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[r]) if outcome is None else outcome
-            for r, outcome in enumerate(self.outcomes)
-        ]
+        """Every run's outcome, built once the batch ends: a
+        :class:`TrainResult`, or for a run in ``ended`` the error it ended
+        with at its step, a :class:`TrainingDiverged` carrying a copy of its
+        last finished trace row when its loss was not finite, else a
+        :class:`~uman.nn.NonFiniteGradientError` with its gradient's fault."""
+        return [self._outcome(r) for r in range(len(self.trace))]
+
+    def _outcome(self, r: int):
+        if r not in self.ended:
+            return TrainResult(*(net.take(r) for net in self.nets), self.register.take(r), self.trace[r])
+        step, fault = self.ended[r]
+        if fault is None:
+            return TrainingDiverged(step, self.trace[r, step - 1].copy() if step else None)
+        error = NonFiniteGradientError(fault)
+        error.step = step
+        return error
 
 
 def _plans(batch: _Batch) -> list:
@@ -713,7 +717,7 @@ def _plans(batch: _Batch) -> list:
     n = sum(sizes) if adversarial else sum(sizes[:-1])
     blocks = (sizes if adversarial else sizes[:-1], sizes[:-1], sizes)
     return [
-        Plan(net, [np.empty((len(batch.outcomes), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
+        Plan(net, [np.empty((len(batch.trace), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
         for k, (net, net_blocks) in enumerate(zip(batch.nets, blocks))
     ]
 

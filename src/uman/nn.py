@@ -189,11 +189,6 @@ def block_sums(x: np.ndarray, sizes) -> np.ndarray:
 
 
 def _check_blocks(blocks, n):
-    return _checked_blocks(None if blocks is None else tuple(blocks), n)
-
-
-@functools.lru_cache(maxsize=256)
-def _checked_blocks(blocks, n):
     if blocks is None:
         return (n,) if n else ()
     blocks = tuple(int(b) for b in blocks)

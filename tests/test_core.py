@@ -644,19 +644,31 @@ class TestRunAxisMatchesTrainingAlone:
             datasets, _, hp = setups[i]
             assert_same_training(got[i], train(datasets, partition, hp, method="unweighted_adv"))
 
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
-        "loss_step, grad_step",
-        [(None, 40), (None, None), (CHUNK - 1, CHUNK), (CHUNK, CHUNK), (CHUNK + 1, CHUNK - 1)],
-        ids=["later_step", "same_step", "chunk_end_then_start", "chunk_start", "gradient_first"],
+        "loss_step, grad_step, first_loss_step",
+        [
+            (None, 40, None),
+            (None, None, None),
+            (CHUNK - 1, CHUNK, None),
+            (CHUNK, CHUNK, None),
+            (CHUNK + 1, CHUNK - 1, None),
+            (CHUNK + 2, CHUNK + 5, CHUNK + 8),
+        ],
+        ids=["later_step", "same_step", "chunk_end_then_start", "chunk_start", "gradient_first", "every_run_ends"],
     )
-    def test_loss_and_gradient_failures_leave_by_one_path(self, monkeypatch, loss_step, grad_step):
+    def test_loss_and_gradient_failures_leave_by_one_path(self, monkeypatch, loss_step, grad_step, first_loss_step, method):
         """The middle run's loss diverges, at the step it draws the NaN row
         above or, planted, at ``loss_step``; the last run's feature gradient
         gets an infinity at ``grad_step`` (the middle run's step by default),
         at its stack position 2, which it keeps. The planted steps sit on
-        both sides of a chunk boundary. Each failed run ends with the error
-        it raises alone, the middle run with the last trace row it has
-        alone, and the first run trains as alone."""
+        both sides of a chunk boundary. The first run trains as alone, or
+        its loss diverges at ``first_loss_step``, in the same chunk as the
+        others', so that the batch returns inside that chunk. Each failed
+        run ends with the error it raises alone, a diverged run with the
+        last trace row it has alone: in the ablations, the chunk's flush
+        writes that row after the run has ended. A planted loss's row is
+        also the one the run has unplanted."""
         setups = self.setups()
         partition = setups[0][1]
         if loss_step is None:
@@ -664,7 +676,8 @@ class TestRunAxisMatchesTrainingAlone:
 
         def plant(name, step, poison):
             """Let ``poison`` change the output of the core function
-            ``name`` at ``step``; it runs once per step."""
+            ``name`` at ``step``; it runs once per step. Returns the list
+            of its calls."""
             original, calls = getattr(uman.core, name), []
 
             def planted(*args):
@@ -675,43 +688,67 @@ class TestRunAxisMatchesTrainingAlone:
                 return out
 
             monkeypatch.setattr(uman.core, name, planted)
+            return calls
 
-        def plant_loss(position):
+        def plant_loss(step, position):
             def poison(out):
                 out[0][position] = np.nan  # the run's classification loss
 
-            if loss_step is not None:
-                plant("_classification_loss", loss_step, poison)
+            if step is not None:
+                plant("_classification_loss", step, poison)
 
         def plant_gradient(step, position):
             def poison(out):
                 out[position, 0, 0] = np.inf  # the run's feature gradient
 
-            plant("l2_normalize_backward", step, poison)
+            return plant("l2_normalize_backward", step, poison)
 
-        plant_loss(0)
-        with pytest.raises(TrainingDiverged) as diverged:
-            train(setups[1][0], partition, setups[1][2])
-        monkeypatch.undo()
-        loss_at = diverged.value.step
+        def alone(run, error):
+            datasets, _, hp = setups[run]
+            with pytest.raises(error) as raised:
+                train(datasets, partition, hp, method=method)
+            monkeypatch.undo()
+            return raised.value
+
+        plant_loss(loss_step, 0)
+        diverged = alone(1, TrainingDiverged)
+        loss_at = diverged.step
         grad_at = loss_at if grad_step is None else grad_step
         assert loss_at == (6 if loss_step is None else loss_step)
         plant_gradient(grad_at, 0)
-        with pytest.raises(NonFiniteGradientError) as infinite:
-            train(setups[2][0], partition, setups[2][2])
+        infinite = alone(2, NonFiniteGradientError)
+        want = [None, diverged, infinite]
+        if first_loss_step is not None:
+            plant_loss(first_loss_step, 0)
+            want[0] = alone(0, TrainingDiverged)
+        plant_loss(loss_step, 1)
+        plant_loss(first_loss_step, 0)
+        steps = plant_gradient(grad_at, 2)
+        got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition, method=method)
         monkeypatch.undo()
-        plant_loss(1)
-        plant_gradient(grad_at, 2)
-        got = train_runs([(datasets, hp) for datasets, _, hp in setups], partition)
-        monkeypatch.undo()
-        assert infinite.value.step == grad_at
-        for error, alone in ((got[1], diverged.value), (got[2], infinite.value)):
-            assert type(error) is type(alone)
-            assert str(error) == str(alone)
-            assert error.step == alone.step
-        assert_same_array(got[1].last_report, diverged.value.last_report)
-        assert got[1].last_report[trace_columns(partition.n_sources).index("step")] == loss_at - 1
-        assert_same_training(got[0], train(setups[0][0], partition, setups[0][2]))
+        assert infinite.step == grad_at
+        for error, expected in zip(got, want):
+            if expected is None:
+                continue
+            assert type(error) is type(expected)
+            assert str(error) == str(expected)
+            assert error.step == expected.step
+            if type(expected) is TrainingDiverged:
+                assert_same_array(error.last_report, expected.last_report)
+                assert error.last_report[trace_columns(partition.n_sources).index("step")] == error.step - 1
+        # a planted loss leaves the gradients as they are, so up to its step
+        # the run trains as it does unplanted
+        for run, step in ((1, loss_step), (0, first_loss_step)):
+            if step is not None:
+                datasets, _, hp = setups[run]
+                assert_same_array(got[run].last_report, train(datasets, partition, hp, method=method).trace[step - 1])
+        if first_loss_step is None:
+            assert len(steps) == setups[0][2].max_steps
+            assert_same_training(got[0], train(setups[0][0], partition, setups[0][2], method=method))
+        else:
+            # every run ended at first_loss_step, inside the chunk the others ended in
+            assert len(steps) == first_loss_step + 1
+            assert first_loss_step // CHUNK == loss_at // CHUNK == grad_at // CHUNK
 
     def test_runs_must_differ_only_in_the_seed(self):
         setups = self.setups()
