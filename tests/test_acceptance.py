@@ -130,21 +130,23 @@ def standard_runs():
 @pytest.fixture(scope="module")
 def unknown_count_runs():
     """uman and source_only trained with 0 and 6 target-only classes, the
-    seeds of each method as one batch."""
+    seeds of each method as one batch; by k, each method's outcomes in
+    seed order and each seed's gain of uman over source_only."""
     base = standard_matrix()
     out = {}
     for k in (0, 6):
         matrix = UmdaMatrix(base.common_sizes, base.private_sizes, base.target_common, k)
         partition = partition_from_matrix(matrix)
         runs = _seed_setups(partition)
-        acc = {}
+        outcomes, acc = {}, {}
         for method in ("uman", "source_only"):
-            results = train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method=method)
+            outcomes[method] = train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method=method)
             acc[method] = [
                 evaluate(r.feature_net, r.classifier, runs[s].test, partition, runs[s].hp.w0).mean_per_class_accuracy
-                for s, r in zip(SEEDS, results)
+                for s, r in zip(SEEDS, outcomes[method])
             ]
-        out[k] = [u - so for u, so in zip(acc["uman"], acc["source_only"])]
+        gains = [u - so for u, so in zip(acc["uman"], acc["source_only"])]
+        out[k] = SimpleNamespace(outcomes=outcomes, gains=gains)
     return out
 
 
@@ -230,6 +232,17 @@ def test_standard_runs_match_their_digests(standard_runs):
         f"{method} seed {seed}": _digests(trained.result)
         for seed, run in standard_runs.runs.items()
         for method, trained in run.methods.items()
+    })
+
+
+def test_unknown_count_runs_match_their_digests(unknown_count_runs):
+    """The unknown-count sweep's runs at 0 and 6 target-only classes hash
+    to the recorded digests."""
+    _assert_digests("unknown_count", {
+        f"{method} k={k} seed {seed}": _digests(outcome)
+        for k, run in unknown_count_runs.items()
+        for method, outcomes in run.outcomes.items()
+        for seed, outcome in zip(SEEDS, outcomes)
     })
 
 
@@ -733,7 +746,7 @@ def test_method_ordering(standard_runs):
 @pytest.mark.filterwarnings("ignore:no test samples")
 def test_unknown_count_sweep(standard_runs, unknown_count_runs):
     gains = {
-        0: float(np.mean(unknown_count_runs[0])),
+        0: float(np.mean(unknown_count_runs[0].gains)),
         3: float(
             np.mean(
                 [
@@ -743,7 +756,7 @@ def test_unknown_count_sweep(standard_runs, unknown_count_runs):
                 ]
             )
         ),
-        6: float(np.mean(unknown_count_runs[6])),
+        6: float(np.mean(unknown_count_runs[6].gains)),
     }
     record(
         "unknown-count sweep",
