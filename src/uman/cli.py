@@ -20,9 +20,8 @@ of one method, packed by :func:`_packed` and handed to the pool in the
 order of :func:`_tasks`. Each run trains, scores and writes exactly as it
 would alone, into its own cell's directory, and summaries and printed
 lines follow config order, not the order in which batches finish. A
-``source_only`` run reads no target, so the cells whose ``source_only``
-runs would train the same (every cell of a ``target_private_size`` sweep)
-train each seed's once and score it on each cell's own target.
+``source_only`` training serves every cell whose runs it would train the
+same, as :func:`_packed` lays out.
 
 The environment variable UMAN_SEED_OFFSET (integer, default 0) is added to
 every seed, which relocates an entire experiment to a fresh seed
@@ -52,8 +51,9 @@ from .config import (
     cost_problems,
     derive_sweep_cell,
     load_config,
+    run_layout,
 )
-from .core import batch_layout, trace_columns, train_runs
+from .core import ADVERSARIAL, trace_columns, train_runs
 from .evaluate import evaluate
 from .labelspace import (
     jaccard_source_source,
@@ -170,34 +170,23 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
 # method does a superset of the next one's work, so the longest start first
 _HAND_OUT = ("uman", "unweighted_adv", "source_only")
 
-# the methods whose training reads no target data (F and G see source rows only)
-_TARGET_FREE = ("source_only",)
-
-
-def _layout(cell: ExperimentConfig):
-    """The training layout (:func:`~uman.core.batch_layout`) of every run of
-    a config."""
-    partition = partition_from_matrix(cell.matrix)
-    label_sets = (*partition.source_labels, partition.target_labels)
-    lengths = [cell.synthetic.samples_per_class * len(labels) for labels in label_sets]
-    return batch_layout(partition, cell.hyperparams, lengths, cell.synthetic.feature_dim)
-
 
 def _packed(cells: dict, method: str) -> list:
     """The runs of ``method`` of every config in ``cells`` (by key) as its
     batches, largest first, each a list of entries: the ``(key, config,
-    seed)`` runs one training serves. A :data:`_TARGET_FREE` run shares its
-    entry with every run of the same training layout, data spec,
+    seed)`` runs one training serves. A run of a method outside
+    :data:`~uman.core.ADVERSARIAL` reads no target, and shares its entry
+    with every run of the same training layout, data spec,
     hyperparameters, source label sets and seed; any other run has its own.
     The entries of one training layout, in (cell, seed) order, fill the
     fewest near-equal batches of at most :data:`~uman.config.BATCH_RUNS`
     entries (:func:`~uman.config.batch_runs`)."""
     groups: dict = {}
     for key, cell in cells.items():
-        entries = groups.setdefault(_layout(cell), {})
+        entries = groups.setdefault(run_layout(cell), {})
         sources = partition_from_matrix(cell.matrix).source_labels
         for seed in cell.seeds:
-            reads = (cell.synthetic, cell.hyperparams, sources, seed) if method in _TARGET_FREE else (key, seed)
+            reads = (key, seed) if method in ADVERSARIAL else (cell.synthetic, cell.hyperparams, sources, seed)
             entries.setdefault(reads, []).append((key, cell, seed))
     batches = []
     for entries in groups.values():
@@ -235,10 +224,10 @@ def _run_method_batch(task):
 
     Before training, :func:`_check_reuse` checks every further run of an
     entry. The batch holds the source datasets that equal one of an
-    earlier run of the same data seed once, no target rows in a
-    :data:`_TARGET_FREE` method, and no test target: each run generates
-    its own when it is scored. Its training data is freed before scoring,
-    and the rest on return."""
+    earlier run of the same data seed once, no target rows in a method
+    outside :data:`~uman.core.ADVERSARIAL`, and no test target: each run
+    generates its own when it is scored. Its training data is freed
+    before scoring, and the rest on return."""
     method, entries, offset = task
     shared, trained, partitions = {}, [], []
     for first, *further in entries:
@@ -246,7 +235,7 @@ def _run_method_batch(task):
         partitions.append(partition_from_matrix(cell.matrix))
         spec, hp = _seeded(cell, offset, seed)
         datasets = _share(shared, spec, generate(spec, partitions[-1]))
-        if method in _TARGET_FREE:
+        if method not in ADVERSARIAL:
             target = datasets[-1]  # of which training reads the length only
             datasets[-1] = replace(target, features=np.broadcast_to(0.0, target.features.shape), eval_labels=None)
         trained.append((datasets, hp))
@@ -467,15 +456,14 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     ``target_private_size`` sweep does, pack their runs in (cell, seed)
     order into the fewest near-equal batches of at most
     :data:`~uman.config.BATCH_RUNS` trained runs; a ``num_sources`` cell
-    keeps its own. A ``source_only`` run reads no target, so one training
-    serves every cell with the same layout, data spec, hyperparameters,
-    source label sets and seed, and is scored on each cell's own target;
-    a cell whose sources would differ raises an error naming both cells
-    before that batch trains. Every batch goes to one pool of at most ``jobs`` workers, and
-    never more than there are batches or CPUs, ``uman`` first, then
-    ``unweighted_adv``, then ``source_only``, the larger batches of a
-    method first. Each run is trained, scored and written as it would be
-    alone; each cell's summary.csv is written here, in config order.
+    keeps its own; one ``source_only`` training serves several cells
+    (:func:`_packed`), and a cell whose sources would differ raises an
+    error naming both cells before that batch trains. Every batch goes to
+    one pool of at most ``jobs`` workers, and never more than there are
+    batches or CPUs, ``uman`` first, then ``unweighted_adv``, then
+    ``source_only``, the larger batches of a method first. Each run is
+    trained, scored and written as it would be alone; each cell's
+    summary.csv is written here, in config order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -507,7 +495,7 @@ def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, tasks: 
         baseline = means.get("source_only", "")
         for method, accs in per_seed.items():
             mean, status = means[method], "ok" if "" not in accs else "partial"
-            gain = mean - baseline if method != "source_only" and "" not in (mean, baseline) else ""
+            gain = mean - baseline if method in ADVERSARIAL and "" not in (mean, baseline) else ""
             agg_rows.append([axis, value, method, status] + accs + [mean, gain])
     return agg_rows
 

@@ -16,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .core import METHODS, Hyperparams, trace_columns
+from .core import METHODS, Hyperparams, batch_layout, net_shapes, step_floats, trace_columns
 from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix
-from .synth import SyntheticSpec
+from .synth import SyntheticSpec, domain_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -30,6 +30,7 @@ __all__ = [
     "derive_sweep_cell",
     "cost_problems",
     "batch_runs",
+    "run_layout",
     "run_floats",
     "MAX_RUN_FLOATS",
     "BATCH_RUNS",
@@ -38,7 +39,7 @@ __all__ = [
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
 
 # the most float64 values the runs of one method batch may hold in their
-# datasets, parameters and traces: 800 MB
+# datasets, parameters, step buffers and traces: 800 MB
 MAX_RUN_FLOATS = 10**8
 
 # the most runs one method batch trains together: past about 6 runs a run's
@@ -234,36 +235,40 @@ def batch_runs(n: int) -> list[int]:
     return [size + 1] * larger + [size] * (count - larger)
 
 
-def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int]:
-    """What one run of ``config`` holds, in float64 values: its dataset rows
-    and columns, its parameters, and its trace's rows and columns (one
-    row per step)."""
+def run_layout(config: ExperimentConfig):
+    """The training layout (:func:`~uman.core.batch_layout`) of a config's runs."""
     partition = partition_from_matrix(config.matrix)
-    label_sets = [*partition.source_labels, partition.target_labels]
-    rows = config.synthetic.samples_per_class * sum(len(labels) for labels in label_sets)
-    hp = config.hyperparams
-    widths = (
-        [config.synthetic.feature_dim, *hp.feature_hidden, hp.feature_dim],
-        [hp.feature_dim, partition.n_source_classes],
-        [hp.feature_dim, *hp.disc_hidden, 1],
-    )
-    params = sum((fan_in + 1) * fan_out for net in widths for fan_in, fan_out in zip(net, net[1:]))
-    return rows, params, hp.max_steps, len(trace_columns(partition.n_sources))
+    return batch_layout(partition, config.hyperparams, domain_rows(config.synthetic, partition), config.synthetic.feature_dim)
+
+
+def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int, int]:
+    """What one run of ``config`` holds, in float64 values: its dataset rows
+    and columns, the parameters of its nets, the step buffers of the
+    largest of its methods' batches (:func:`~uman.core.step_floats`), and
+    its trace's rows and columns (one row per step)."""
+    partition, layout = partition_from_matrix(config.matrix), run_layout(config)
+    shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
+    params = sum((fan_in + 1) * fan_out for widths, _ in shapes for fan_in, fan_out in zip(widths, widths[1:]))
+    buffers = max(step_floats(layout, method) for method in config.methods)
+    rows, steps = sum(domain_rows(config.synthetic, partition)), config.hyperparams.max_steps
+    return rows, params, buffers, steps, len(trace_columns(partition.n_sources))
 
 
 def cost_problems(config: ExperimentConfig, runs=None) -> list[str]:
     """Why a method batch would not fit in memory: its runs' datasets (rows
-    times columns), parameters and traces (steps times columns) together
-    may hold at most :data:`MAX_RUN_FLOATS` float64 values. ``runs`` lists
-    the config of each run of the batch, as a sweep packs them; by default
-    the batch is the largest one of ``config``'s own seeds."""
+    times columns), parameters, step buffers and traces (steps times
+    columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
+    values. ``runs`` lists the config of each run of the batch, as a sweep
+    packs them; by default the batch is the largest one of ``config``'s
+    own seeds."""
     terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
     for cell in runs or [config] * batch_runs(len(config.seeds))[0]:
-        rows, params, steps, columns = run_floats(cell)
+        rows, params, buffers, steps, columns = run_floats(cell)
         dim = cell.synthetic.feature_dim
         term = (
-            rows * dim + params + steps * columns,
-            f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {steps:,} trace rows x {columns} columns",
+            rows * dim + params + buffers + steps * columns,
+            f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {buffers:,} step buffer floats"
+            f" + {steps:,} trace rows x {columns} columns",
         )
         terms[term] = terms.get(term, 0) + 1
     total = sum(floats * runs for (floats, _), runs in terms.items())

@@ -41,6 +41,7 @@ from .nn import (
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
+    plan_nbytes,
     row_norms,
     sgd_update,
     softmax,
@@ -50,6 +51,7 @@ from .synth import run_batches
 __all__ = [
     "UNKNOWN",
     "METHODS",
+    "ADVERSARIAL",
     "batch_margins",
     "margin_vector",
     "TargetMarginRegister",
@@ -62,8 +64,10 @@ __all__ = [
     "trace_columns",
     "TrainResult",
     "TrainingDiverged",
+    "net_shapes",
     "BatchLayout",
     "batch_layout",
+    "step_floats",
     "train",
     "train_runs",
     "extract_features",
@@ -75,6 +79,7 @@ UNKNOWN = -1
 # the full method and its two ablations: classification only, and
 # adversarial alignment with every domain-loss weight forced to 1
 METHODS = ("uman", "source_only", "unweighted_adv")
+ADVERSARIAL = ("uman", "unweighted_adv")  # the methods that train D, and so read the target's rows
 
 
 def batch_margins(probs: np.ndarray):
@@ -427,16 +432,18 @@ class TrainingDiverged(RuntimeError):
         self.last_report = last_report
 
 
-def _build_nets(hp: Hyperparams, in_dim: int, n_classes: int):
-    def rng(tag):
-        return np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(100 + tag,)))
+def net_shapes(hp: Hyperparams, in_dim: int, n_classes: int):
+    """The layer widths, input first, and activations of F, G and D."""
+    return (
+        ([in_dim, *hp.feature_hidden, hp.feature_dim], ["relu"] * len(hp.feature_hidden) + ["linear"]),
+        ([hp.feature_dim, n_classes], ["linear"]),
+        ([hp.feature_dim, *hp.disc_hidden, 1], ["relu"] * len(hp.disc_hidden) + ["sigmoid"]),
+    )
 
-    f_sizes = [in_dim, *hp.feature_hidden, hp.feature_dim]
-    feature_net = Mlp(f_sizes, ["relu"] * len(hp.feature_hidden) + ["linear"], rng(0))
-    classifier = Mlp([hp.feature_dim, n_classes], ["linear"], rng(1))
-    d_sizes = [hp.feature_dim, *hp.disc_hidden, 1]
-    discriminator = Mlp(d_sizes, ["relu"] * len(hp.disc_hidden) + ["sigmoid"], rng(2))
-    return feature_net, classifier, discriminator
+
+def _build_nets(hp: Hyperparams, in_dim: int, n_classes: int):
+    rngs = (np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(100 + tag,))) for tag in range(3))
+    return tuple(Mlp(*shape, rng) for shape, rng in zip(net_shapes(hp, in_dim, n_classes), rngs))
 
 
 class BatchLayout(NamedTuple):
@@ -555,9 +562,11 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
     overflows.
     """
     hp, layout = _check_runs(runs, partition, method)
-    n_stepped = 2 if method == "source_only" else 3  # F, G and, when adversarial, D
     lrs = (hp.lr_features, hp.lr_classifier, hp.lr_discriminator)
     batch = _Batch(runs, layout, method)
+    # the nets with a plan: F, G and, when adversarial, D. Without the domain
+    # loss D is outside the graph; stepping it would still apply weight decay
+    stepped = [plan.net for plan in batch.plans if plan]
     for step in range(hp.max_steps):
         if (j := step % CHUNK) == 0:
             batch.draw(step)
@@ -571,13 +580,12 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
         # moves, of the runs not yet ended: a failed run is recorded with its
         # gradient's fault, or None when its loss is not finite. An ended
         # run's gradients are zeroed first, so each net's one whole-buffer
-        # check passes over its row. D is outside the graph in
-        # classification-only runs; stepping it would still apply weight decay
+        # check passes over its row
         if batch.ended:
             rows = list(batch.ended)
-            for layer in (layer for net in batch.nets[:n_stepped] for layer in net.layers):
+            for layer in (layer for net in stepped for layer in net.layers):
                 layer.gw[rows] = layer.gb[rows] = 0.0
-        failed = gradient_faults(*batch.nets[:n_stepped])
+        failed = gradient_faults(*stepped)
         losses = batch.trace[:, step, _CLASS_LOSS : _DOMAIN_LOSS + 1]
         if not np.isfinite(losses).all():
             failed.update((r, None) for r in np.flatnonzero(~np.isfinite(losses).all(axis=-1)).tolist())
@@ -587,7 +595,7 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
             if len(batch.ended) == len(runs):
                 batch.flush(j + 1)
                 return batch.results()
-        for net, lr in zip(batch.nets[:n_stepped], lrs):
+        for net, lr in zip(stepped, lrs):
             sgd_update(net, lr, hp.weight_decay)
         if j == CHUNK - 1 or step == hp.max_steps - 1:
             batch.flush(j + 1)
@@ -632,7 +640,10 @@ class _Batch:
         self.ended: dict = {}  # row -> (step, gradient fault or None) of each failed run
         self.trace = np.zeros((len(runs), hp.max_steps, len(trace_columns(len(self.sizes) - 1))))
         self.trace[..., _STEP] = np.arange(hp.max_steps)
-        self.plans = _plans(self)
+        rows, blocks = _plan_rows(self.sizes, method)
+        self.plans = [  # F's, G's and, when adversarial, D's (else None), over new buffers
+            None if b is None else Plan(net, [np.empty((len(runs), rows, net.in_dim))], b) for net, b in zip(self.nets, blocks)
+        ]
         seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
         self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
         self.ones = np.ones(self.plans[2].acts[-1].shape[:-1]) if method == "unweighted_adv" else None
@@ -678,7 +689,7 @@ class _Batch:
         labels, sizes = self.labels[lo:hi], self.sizes[:-1]
         n_src = labels.shape[-1]
         errors = block_sums(logits[..., :n_src, :].argmax(axis=-1) != labels, sizes) / sizes
-        if self.method == "source_only":
+        if self.method not in ADVERSARIAL:
             return errors, np.zeros(errors.shape[:-1], dtype=bool), None, None
         # detached predictions drive margins, the gate, and all weights
         pseudo, margins = batch_margins(softmax(logits[..., n_src:, :]))
@@ -706,20 +717,27 @@ class _Batch:
         return error
 
 
-def _plans(batch: _Batch) -> list:
-    """The plans of the batch's F, G and, when adversarial, D (else None),
-    over new buffers. Their input buffers decide which rows each net sees:
-    the source sub-batches and, when D takes part, the target rows go
-    through each net as one stack of blocks; without D nothing reads the
-    target's features, and G's gradient covers only the source blocks
-    either way."""
-    sizes, adversarial = batch.sizes, batch.method != "source_only"
-    n = sum(sizes) if adversarial else sum(sizes[:-1])
-    blocks = (sizes if adversarial else sizes[:-1], sizes[:-1], sizes)
-    return [
-        Plan(net, [np.empty((len(batch.trace), n, net.in_dim))], net_blocks) if adversarial or k < 2 else None
-        for k, (net, net_blocks) in enumerate(zip(batch.nets, blocks))
-    ]
+def _plan_rows(sizes: tuple, method: str):
+    """The rows of every net's plan, and the blocks of them that F, G and D
+    each pass back (None for D in a method that does not train it). The
+    source sub-batches and, when D takes part, the target rows go through
+    each net as one stack of blocks; without D nothing reads the target's
+    features, and G's gradient covers only the source blocks either way."""
+    if method in ADVERSARIAL:
+        return sum(sizes), (sizes, sizes[:-1], sizes)
+    return sum(sizes[:-1]), (sizes[:-1], sizes[:-1], None)
+
+
+def step_floats(layout: BatchLayout, method: str) -> int:
+    """The float64 values one run of a ``method`` batch of this layout
+    holds in its step buffers, as :class:`_Batch` allocates them: each
+    net's plan with its backward buffers (a bool counts one eighth), the
+    chunk of drawn rows and, in the ablations, the chunk of G's outputs."""
+    rows, blocks = _plan_rows(layout.sub_batch_sizes, method)
+    shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
+    plans = sum(plan_nbytes(*shape, rows, b) for shape, b in zip(shapes, blocks) if b is not None)
+    outputs = 0 if method == "uman" else rows * layout.source_classes
+    return -(-plans // 8) + CHUNK * (sum(layout.sub_batch_sizes) * layout.input_width + outputs)
 
 
 def _forward(plans, x):

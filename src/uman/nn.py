@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "Mlp",
     "Plan",
+    "plan_nbytes",
     "NonFiniteGradientError",
     "forward_mlp",
     "backward_mlp",
@@ -307,6 +308,20 @@ class Plan:
                 layer.gb += _sum_in_order(gb, -2, gb.shape[-1])
             grad = into
         return grad
+
+
+def plan_nbytes(widths, activations, rows: int, blocks) -> int:
+    """The bytes of a run's share of the buffers of a :class:`Plan` over
+    ``rows`` input rows, for a net of these layer widths (input first) and
+    activations, once it has passed back the rows of ``blocks``: its
+    activations and, per layer, what :meth:`Plan._lay_backward` allocates."""
+    n, count = sum(blocks), len(blocks)
+    nbytes = 8 * rows * sum(widths)
+    for k, (fan_in, fan_out, activation) in enumerate(reversed(list(zip(widths, widths[1:], activations)))):
+        dz = 0 if activation == "linear" and k else n * fan_out  # a hidden linear layer's is shared
+        scratch = {"linear": 0, "relu": 1, "sigmoid": 8}[activation] * n * fan_out
+        nbytes += 8 * (dz + n * fan_in + count * (fan_in + 1) * fan_out) + scratch
+    return nbytes
 
 
 def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:

@@ -28,6 +28,7 @@ from .labelspace import LabelPartition
 __all__ = [
     "SyntheticSpec",
     "DomainDataset",
+    "domain_rows",
     "generate",
     "run_batches",
 ]
@@ -86,6 +87,11 @@ def _rotation(spec: SyntheticSpec, domain: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     q *= np.sign(np.diag(r))  # fix the sign convention so q is well defined
     return q
+
+
+def domain_rows(spec: SyntheticSpec, partition: LabelPartition) -> list[int]:
+    """Each domain's row count, in the order :func:`generate` builds them."""
+    return [spec.samples_per_class * len(labels) for labels in (*partition.source_labels, partition.target_labels)]
 
 
 def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> list[DomainDataset]:

@@ -359,3 +359,24 @@ def assert_same_array(got, want):
         return
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def held_nbytes(*arrays):
+    """The bytes of the distinct buffers behind ``arrays``: a view counts
+    its base, each base once, and None counts nothing."""
+    bases = {}
+    for a in arrays:
+        while a is not None and a.base is not None:
+            a = a.base
+        if a is not None:
+            bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values())
+
+
+def plan_arrays(plan):
+    """A plan's activation buffers and its backward pass's: per layer its
+    dz, its activation's scratch, its input gradient and its per-block
+    weight and bias gradients, laid out here if no backward ran yet."""
+    if plan._backward is None:
+        plan._backward = plan._lay_backward()
+    return [*plan.acts, *(a for laid in plan._backward for a in (*laid[2:5], *laid[6:8]))]

@@ -11,9 +11,9 @@ numbers; ``conftest.py`` repeats those lines after the run summary. The
 slower checks share one set of trained networks through module-scoped
 fixtures, and every number here is deterministic for a given platform.
 Beside the nine, one test holds the standard runs' trained values to the
-digests recorded in ``digests.json``, as do the rerun-determinism config's
-runs, a batch in which some runs diverge and one in which a run's loss
-turns non-finite.
+digests recorded in ``digests.json``, as do the unknown-count sweep's
+runs, the rerun-determinism config's runs, a batch in which some runs
+diverge and one in which a run's loss turns non-finite.
 """
 
 import hashlib
@@ -128,23 +128,35 @@ def standard_runs():
 
 
 @pytest.fixture(scope="module")
-def unknown_count_runs():
-    """uman and source_only trained with 0 and 6 target-only classes, the
-    seeds of each method as one batch; by k, each method's outcomes in
-    seed order and each seed's gain of uman over source_only."""
+def unknown_count_runs(standard_runs):
+    """uman trained with 0 and 6 target-only classes, the seeds as one
+    batch, and the standard runs' source_only training scored on each k's
+    own test target: source_only reads no target, so it trains the same
+    at any k, which a guard checks on the sources and hyperparameters. By
+    k, each method's outcomes in seed order and each seed's gain of uman
+    over source_only."""
     base = standard_matrix()
     out = {}
     for k in (0, 6):
         matrix = UmdaMatrix(base.common_sizes, base.private_sizes, base.target_common, k)
         partition = partition_from_matrix(matrix)
         runs = _seed_setups(partition)
-        outcomes, acc = {}, {}
-        for method in ("uman", "source_only"):
-            outcomes[method] = train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method=method)
-            acc[method] = [
+        for seed, run in runs.items():
+            trained = standard_runs.runs[seed]
+            assert partition.source_labels == standard_runs.partition.source_labels and run.hp == trained.hp
+            for ours, theirs in zip(run.data[:-1], trained.data[:-1], strict=True):
+                assert np.array_equal(ours.features, theirs.features) and np.array_equal(ours.labels, theirs.labels)
+        outcomes = {
+            "uman": train_runs([(runs[s].data, runs[s].hp) for s in SEEDS], partition, method="uman"),
+            "source_only": [standard_runs.runs[s].methods["source_only"].result for s in SEEDS],
+        }
+        acc = {
+            method: [
                 evaluate(r.feature_net, r.classifier, runs[s].test, partition, runs[s].hp.w0).mean_per_class_accuracy
-                for s, r in zip(SEEDS, outcomes[method])
+                for s, r in zip(SEEDS, results)
             ]
+            for method, results in outcomes.items()
+        }
         gains = [u - so for u, so in zip(acc["uman"], acc["source_only"])]
         out[k] = SimpleNamespace(outcomes=outcomes, gains=gains)
     return out

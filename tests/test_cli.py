@@ -713,8 +713,8 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         config, _ = load_config(path)
         cell, _ = derive_sweep_cell(config, "target_private_size", 2)
-        rows, params, steps, columns = run_floats(cell)
-        limit = 2 * (rows * 4 + params + steps * columns)
+        rows, params, buffers, steps, columns = run_floats(cell)
+        limit = 2 * (rows * 4 + params + buffers + steps * columns)
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", limit)
         assert main(["validate", str(path)]) == 0
         args = ["sweep", str(path), "--axis", "target_private_size", "--values"]

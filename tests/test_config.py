@@ -1,14 +1,16 @@
 """Config parsing, canonical hashing, and sweep-cell derivation."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import held_nbytes, plan_arrays
 
+import uman.cli
 import uman.config
 from uman.config import (
     BATCH_RUNS,
@@ -22,8 +24,9 @@ from uman.config import (
     load_config,
     parse_config,
     run_floats,
+    run_layout,
 )
-from uman.core import METHODS, Hyperparams, trace_columns, train
+from uman.core import METHODS, Hyperparams, _Batch, _build_nets, net_shapes, step_floats, trace_columns, train
 from uman.labelspace import MAX_CLASSES, partition_from_matrix
 from uman.synth import SyntheticSpec, generate
 
@@ -253,7 +256,8 @@ class TestConfigHash:
 
 class TestCostBound:
     """One bound on what a method batch holds: every run's dataset rows
-    times columns, its parameters and its trace's steps times columns."""
+    times columns, its parameters, its step buffers and its trace's steps
+    times columns."""
 
     def test_committed_and_battery_configs_pass(self):
         config, problems = load_config(STANDARD)
@@ -265,6 +269,11 @@ class TestCostBound:
         assert cost_problems(cell) == []
         # the largest batch of a sweep of the standard config's cells
         assert cost_problems(config, [cell] * BATCH_RUNS) == []
+        # the benchmark's 5-source cell, and its short sweep's batches
+        cell, problems = derive_sweep_cell(config, "num_sources", 5)
+        assert problems == [] and cost_problems(replace(cell, seeds=(0,))) == []
+        short = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=250))
+        assert uman.cli._sweep_plan(short, "target_private_size", range(7), 0)[2] == []
 
     def test_count_is_rows_times_columns_plus_parameters(self, monkeypatch):
         obj = minimal(
@@ -277,15 +286,69 @@ class TestCostBound:
         rows = 10 * (2 * (4 + 3) + 6 + 3)  # each source's label set, then the target's
         # F 3-5-2, G 2-12 (the source classes), D 2-4-1, each layer with biases
         params = (3 + 1) * 5 + (5 + 1) * 2 + (2 + 1) * 12 + (2 + 1) * 4 + (4 + 1) * 1
+        # the step buffers of uman: 16 steps' draws of 96 rows (3 sub-batches
+        # of 32) x 3 columns, and each net's plan over the 96 rows: its
+        # activations, then per layer, last first, its dz (but for a hidden
+        # linear layer), a ReLU's bool mask (1/8 float each) or a sigmoid's
+        # scratch, its input gradient, and a weight and bias gradient per
+        # block it passes back (G passes back only the 2 source blocks)
+        draws = 16 * 96 * 3
+        f = 96 * (3 + 5 + 2) + (96 * 2 + 96 * 5 + 3 * 6 * 2) + (96 * 5 + 96 * 5 // 8 + 96 * 3 + 3 * 4 * 5)
+        g = 96 * (2 + 12) + (64 * 12 + 64 * 2 + 2 * 3 * 12)
+        d = 96 * (2 + 4 + 1) + (96 + 96 + 96 * 4 + 3 * 5 * 1) + (96 * 4 + 96 * 4 // 8 + 96 * 2 + 3 * 3 * 4)
+        buffers = draws + f + g + d
         # a trace row per step: step, 2 losses, 2 error rates, 3 weight means, the gate
-        want = 2 * (rows * 3 + params + 7 * 9)
+        want = 2 * (rows * 3 + params + buffers + 7 * 9)
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want)
         assert cost_problems(config) == []
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want - 1)
         assert cost_problems(config) == [
             f"a method batch would hold {want:,} floats (2 runs x ({rows:,} dataset rows x 3 columns"
-            f" + {params:,} parameters + 7 trace rows x 9 columns)), above the limit of {want - 1:,}"
+            f" + {params:,} parameters + {buffers:,} step buffer floats + 7 trace rows x 9 columns)),"
+            f" above the limit of {want - 1:,}"
         ]
+        # the ablations also hold a chunk of G's outputs: 16 steps x 96 rows
+        # x 12 classes in unweighted_adv, which holds D's plan too
+        assert run_floats(replace(config, methods=("uman", "unweighted_adv")))[2] == buffers + 16 * 96 * 12
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("hidden", [[5], [], [6, 3]])
+    def test_step_buffers_are_what_a_batch_allocates(self, method, hidden):
+        """The step buffers counted per run equal the buffers a batch of
+        two runs holds once it has drawn its first chunk and passed back:
+        its plans' activations and backward buffers, its draws and, in the
+        ablations, its chunk of G outputs."""
+        config, problems = parse_config(minimal(
+            synthetic={"feature_dim": 3, "samples_per_class": 10},
+            hyperparams={"feature_hidden": hidden, "feature_dim": 2, "disc_hidden": hidden, "batch_size": 8},
+            methods=[method],
+        ))
+        assert problems == []
+        partition = partition_from_matrix(config.matrix)
+        runs = [(generate(config.synthetic, partition), replace(config.hyperparams, seed=seed)) for seed in (0, 1)]
+        batch = _Batch(runs, run_layout(config), method)
+        batch.draw(0)
+        plans = [a for plan in batch.plans if plan for a in plan_arrays(plan)]
+        nbytes = held_nbytes(*plans, batch.x, batch.logits)
+        assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
+        assert run_floats(config)[2] == step_floats(run_layout(config), method)
+
+    def test_wide_hidden_layer_is_over_the_bound(self):
+        """A feature net 200,000 wide on the committed config: the three
+        runs' datasets, parameters and traces fit, but not with F's hidden
+        activations and their gradient buffers (3 x 96 x 200,000 floats
+        each)."""
+        obj = json.loads(STANDARD.read_text())
+        obj["hyperparams"]["feature_hidden"] = [200000]
+        config, problems = parse_config(obj)
+        assert config is None and len(problems) == 1
+        assert problems[0].startswith("a method batch would hold ") and "(3 runs x (" in problems[0]
+        standard, _ = load_config(STANDARD)
+        wide = replace(standard, hyperparams=replace(standard.hyperparams, feature_hidden=(200000,)))
+        rows, params, buffers, steps, columns = run_floats(wide)
+        assert 3 * (rows * 16 + params + steps * columns) <= MAX_RUN_FLOATS
+        assert buffers > 3 * 96 * 200000
+        assert f" + {buffers:,} step buffer floats + " in problems[0]
 
     def test_trace_counts(self):
         """A run of 10^9 steps holds a trace row per step; without the
@@ -301,7 +364,7 @@ class TestCostBound:
         assert problems == []
         cell, problems = derive_sweep_cell(config, "num_sources", n_sources)
         assert problems == []
-        assert run_floats(cell)[3] == len(trace_columns(n_sources))
+        assert run_floats(cell)[-1] == len(trace_columns(n_sources))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_trace_count_is_what_a_trained_run_holds(self, method):
@@ -312,7 +375,7 @@ class TestCostBound:
         assert problems == []
         partition = partition_from_matrix(config.matrix)
         result = train(generate(config.synthetic, partition), partition, config.hyperparams, method=method)
-        _, _, steps, columns = run_floats(config)
+        *_, steps, columns = run_floats(config)
         assert result.trace.dtype == np.float64
         assert result.trace.nbytes == 8 * steps * columns
 
@@ -355,6 +418,32 @@ class TestCostBound:
         cell, problems = derive_sweep_cell(config, "num_sources", 50)
         assert problems == []
         assert "above the limit" in cost_problems(cell)[0]
+
+
+class TestScalability:
+    """The paper keeps one F, G and D at any number of sources."""
+
+    def test_f_and_d_do_not_grow_with_the_sources(self):
+        """At 2, 5 and 10 sources of the committed config, F and D hold the
+        same parameters, and G (feature_dim + 1) per source class: counted
+        from the nets' shapes and in the nets training builds, and the
+        cost bound counts the same."""
+        config, problems = load_config(STANDARD)
+        assert problems == []
+        hp, in_dim = config.hyperparams, config.synthetic.feature_dim
+        f_and_d, classes = set(), set()
+        for n_sources in (2, 5, 10):
+            cell, problems = derive_sweep_cell(config, "num_sources", n_sources)
+            assert problems == []
+            n_classes = partition_from_matrix(cell.matrix).n_source_classes
+            shaped = [sum((i + 1) * o for i, o in zip(w, w[1:])) for w, _ in net_shapes(hp, in_dim, n_classes)]
+            built = [net.params.size for net in _build_nets(hp, in_dim, n_classes)]
+            assert built == shaped
+            assert shaped[1] == (hp.feature_dim + 1) * n_classes
+            assert run_floats(cell)[1] == sum(built)
+            f_and_d.add((shaped[0], shaped[2]))
+            classes.add(n_classes)
+        assert len(f_and_d) == 1 and len(classes) == 3
 
 
 class TestSweepCells:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import checked_sgd_update, max_rel_err, numeric_gradient
+from helpers import checked_sgd_update, held_nbytes, max_rel_err, numeric_gradient, plan_arrays
 
 from uman.core import classification_loss
 from uman.nn import (
@@ -18,6 +18,8 @@ from uman.nn import (
     l2_normalize,
     l2_normalize_backward,
     log_softmax,
+    plan_nbytes,
+    Plan,
     sgd_update,
     softmax,
 )
@@ -424,6 +426,30 @@ class TestStackedBlocks:
             bounds = np.cumsum([0, *sizes])
             want = np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
             assert got.tobytes() == want.tobytes()
+
+
+class TestPlanBytes:
+    @pytest.mark.parametrize(
+        "shape, blocks",
+        [
+            (([16, 64, 16], ["relu", "linear"]), (32, 32, 32)),
+            (([16, 8], ["linear"]), (32, 32)),
+            (([16, 64, 7, 1], ["relu", "linear", "sigmoid"]), (20, 20, 10)),
+            (([4, 5, 6, 3], ["linear", "linear", "relu"]), (4, 5)),
+        ],
+        ids=["feature_net", "classifier", "hidden_linear_and_sigmoid", "hidden_linear_first"],
+    )
+    def test_plan_nbytes_is_what_a_plan_holds(self, shape, blocks):
+        """Per run, the bytes of a plan's buffers once it has passed back:
+        its activations over every row, rows past the blocks included, and
+        its backward buffers over the blocks' rows."""
+        runs, rows = 2, sum(blocks) + 3
+        rng = np.random.default_rng(0)
+        net = Mlp.stack([Mlp(*shape, rng) for _ in range(runs)])
+        plan = Plan(net, [np.empty((runs, rows, shape[0][0]))], blocks)
+        plan.forward(rng.standard_normal((runs, rows, shape[0][0])))
+        plan.backward(rng.standard_normal((runs, sum(blocks), shape[0][-1])), input_grad=True)
+        assert held_nbytes(*plan_arrays(plan)) == runs * plan_nbytes(*shape, rows, blocks)
 
 
 def _stacked(n_runs, shape=([5, 7, 3], ["relu", "linear"])):
