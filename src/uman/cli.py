@@ -15,10 +15,14 @@ Three verbs operate on a JSON config file:
   at most N worker processes (and at most one per batch and per CPU); a
   batch never starts a pool of its own.
 
-Either way the unit of training is a batch of at most ``BATCH_RUNS`` runs
-of one method, packed by :func:`_packed` and handed to the pool in the
-order of :func:`_tasks`. Each run trains, scores and writes exactly as it
-would alone, into its own cell's directory, and summaries and printed
+A run is a sweep of one cell, keyed None: both go through one planner,
+:func:`_plan`, which finds every problem before anything is written, and
+one executor, :func:`_execute`, which trains and then writes every summary
+file. :func:`execute_run` and :func:`execute_sweep` write the files the
+verbs write. The unit of training is a batch of at most ``BATCH_RUNS``
+runs of one method, packed by :func:`_packed` and handed to the pool in
+the order of :func:`_tasks`. Each run trains, scores and writes exactly as
+it would alone, into its own cell's directory, and summaries and printed
 lines follow config order, not the order in which batches finish. A
 ``source_only`` training serves every cell whose runs it would train the
 same, as :func:`_packed` lays out.
@@ -62,7 +66,7 @@ from .labelspace import (
 )
 from .synth import generate
 
-__all__ = ["main", "execute_run", "execute_sweep", "seed_offset"]
+__all__ = ["main", "execute_run", "execute_sweep"]
 
 
 def _read_seed_offset() -> tuple[int, list[str]]:
@@ -72,20 +76,6 @@ def _read_seed_offset() -> tuple[int, list[str]]:
         return int(raw), []
     except ValueError:
         return 0, [f"UMAN_SEED_OFFSET must be an integer, got {raw!r}"]
-
-
-def seed_offset() -> int:
-    offset, problems = _read_seed_offset()
-    if problems:
-        raise SystemExit(problems[0])
-    return offset
-
-
-def _seed_problems(config: ExperimentConfig, offset: int) -> list[str]:
-    """Why a config cannot run at ``offset``, if its lowest effective seed
-    (a config seed plus the offset) is negative."""
-    low = min(config.synthetic.seed, config.hyperparams.seed) + min(config.seeds) + offset
-    return [f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0"] if low < 0 else []
 
 
 def _fmt_set(values) -> str:
@@ -134,7 +124,8 @@ def _summary_row(partition, chash, method, seed, report=None) -> list:
 
 
 def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
-    """Run every (method, seed) pair of a config; returns the summary rows.
+    """Run every (method, seed) pair of a config, as ``uman run`` does, and
+    write its summary.csv; returns the summary rows.
 
     A method's seeds train as one batch (:func:`uman.core.train_runs`), or
     as the fewest near-equal batches of at most
@@ -150,20 +141,103 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     training trace, the final margin-register values, and the evaluation
     report. A run that diverges is recorded as a failed row, its directory
     gets only a report.json with status "failed", the error and the step,
-    and the remaining runs still execute.
+    and the remaining runs still execute. A negative effective seed, or a
+    batch over the cost bound, raises ValueError before anything is
+    written (:func:`_plan`).
     """
-    if problems := _seed_problems(config, offset):
+    cells, tasks, problems = _plan(config, offset)
+    if problems:
         raise ValueError(problems[0])
-    tasks = _tasks({None: config}, config.methods, offset)
-    done = _train(tasks, len(tasks))
-    rows = []
-    for method in config.methods:
-        for seed in config.seeds:
-            row, line = done[None, method, seed]
-            rows.append(row)
+    return _execute(config, None, (None,), cells, tasks, quiet=quiet)[0]
+
+
+def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
+    """Run the config once per axis value, as ``uman sweep`` does, and
+    write every cell's summary.csv and the aggregate
+    <output_dir>/sweep_<axis>.csv; returns the aggregate rows.
+
+    Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/.
+    The aggregate holds per-seed accuracies, their mean, and the transfer
+    gain over source_only where available. Infeasible values become
+    marked rows; a repeated value, a negative effective seed or a batch
+    over the cost bound raises ValueError before any work starts.
+
+    A method's runs train in batches that may hold the runs of several
+    cells, and one ``source_only`` training may serve several cells
+    (:func:`_packed`); a cell whose sources would differ raises an error
+    naming both cells before that batch trains. Every batch goes to one
+    pool of at most ``jobs`` workers, and never more than there are
+    batches or CPUs, in the order of :func:`_tasks`. Each run is trained,
+    scored and written as it would be alone.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if (repeat := _repeat(values)) is not None:
+        raise ValueError(f"sweep value {repeat} repeats")
+    cells, tasks, problems = _plan(config, offset, axis, values)
+    if problems:
+        raise ValueError(problems[0])
+    return _execute(config, axis, values, cells, tasks, jobs)[0]
+
+
+def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,)):
+    """The cells of an experiment by key, the pool tasks that train their
+    runs (:func:`_tasks`), and every problem that keeps it from running. A
+    run is the one cell keyed None; a sweep has one per feasible axis
+    value, writing under <output_dir>/sweep/<axis>_<value>/. The problems
+    are a negative effective seed (a config seed plus the offset) and each
+    batch whose runs would not fit in memory together
+    (:func:`~uman.config.cost_problems`), a sweep's named by its values."""
+    cells = {None: config}
+    if axis is not None:
+        derived = {value: derive_sweep_cell(config, axis, value)[0] for value in values}
+        base = Path(config.output_dir) / "sweep"
+        cells = {v: replace(cell, output_dir=str(base / f"{axis}_{v}")) for v, cell in derived.items() if cell is not None}
+    tasks = _tasks(cells, config.methods, offset)
+    low = min(config.synthetic.seed, config.hyperparams.seed) + min(config.seeds) + offset
+    problems = [f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0"] if low < 0 else []
+    for _, entries, _ in tasks:
+        keys = ",".join(str(key) for key in dict.fromkeys(key for (key, _, _), *_ in entries))
+        batch = cost_problems(config, [cell for (_, cell, _), *_ in entries])
+        problems += [p if axis is None else f"{axis} {keys}: {p}" for p in batch]
+    return cells, tasks, list(dict.fromkeys(problems))
+
+
+def _execute(config: ExperimentConfig, axis, values, cells: dict, tasks: list, jobs=None, quiet=True):
+    """Train the tasks of a plan (:func:`_plan`) in one pool of at most
+    ``jobs`` workers (by default one per task), then write every summary
+    file of the experiment in config order: each cell's summary.csv, then a
+    sweep's <output_dir>/sweep_<axis>.csv. Prints each run's line unless
+    ``quiet``; returns the rows of the experiment's own summary file (a
+    run's summary.csv, a sweep's aggregate) and its path."""
+    done = _train(tasks, jobs or len(tasks))
+    agg_rows = []
+    for value in values:
+        if value not in cells:
+            blank = [""] * (len(config.seeds) + 2)
+            agg_rows += [[axis, value, method, "infeasible"] + blank for method in config.methods]
+            continue
+        cell_rows, per_seed, means = [], {}, {}
+        for method in config.methods:
+            rows, lines = zip(*(done[value, method, seed] for seed in config.seeds))
+            cell_rows += rows
             if not quiet:
-                print(line)
-    return rows
+                print(*lines, sep="\n")
+            per_seed[method] = [row[4] if row[3] == "ok" else "" for row in rows]
+            ok = [v for v in per_seed[method] if v != ""]
+            means[method] = sum(ok) / len(ok) if ok else ""
+        out = _write_summary(cells[value], cell_rows)
+        baseline = means.get("source_only", "")
+        for method, accs in per_seed.items():
+            mean, status = means[method], "ok" if "" not in accs else "partial"
+            gain = mean - baseline if method in ADVERSARIAL and "" not in (mean, baseline) else ""
+            agg_rows.append([axis, value, method, status] + accs + [mean, gain])
+    if axis is None:
+        return cell_rows, out
+    seeds = [f"acc_seed_{s}" for s in config.seeds]
+    out = Path(config.output_dir) / f"sweep_{axis}.csv"
+    _write_csv(out, ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"], agg_rows)
+    return agg_rows, out
 
 
 # the order in which the pool is handed the method batches: a step of each
@@ -395,127 +469,35 @@ def _write_summary(config: ExperimentConfig, rows) -> Path:
     return out
 
 
-def _runnable(path):
-    """The config at ``path`` and the seed offset to run it with, or None
-    after printing every problem that keeps it from running."""
+def _runnable(path, axis=None, values=(None,)):
+    """The config at ``path`` and its cells and tasks (:func:`_plan`) at
+    the seed offset, or None after printing every problem that keeps it
+    from running."""
     config, problems = load_config(path)
     if not problems:
         offset, problems = _read_seed_offset()
-        problems = problems or _seed_problems(config, offset)
+    if not problems:
+        cells, tasks, problems = _plan(config, offset, axis, values)
     for p in problems:
         print(f"invalid: {p}")
-    return None if problems else (config, offset)
+    return None if problems else (config, cells, tasks)
 
 
-def cmd_run(path) -> int:
-    if (loaded := _runnable(path)) is None:
+def cmd_experiment(path, axis=None, values=(None,), jobs=None) -> int:
+    """``uman run`` of the config at ``path``, or ``uman sweep`` along
+    ``axis``: train it and print the path of its summary file, or exit 2
+    after printing every problem. A sweep prints no per-run lines."""
+    if (loaded := _runnable(path, axis, values)) is None:
         return 2
-    config, offset = loaded
-    rows = execute_run(config, offset)
-    print(f"wrote {_write_summary(config, rows)}")
+    config, cells, tasks = loaded
+    _, out = _execute(config, axis, values, cells, tasks, jobs, quiet=axis is not None)
+    print(f"wrote {out}")
     return 0
 
 
 def _repeat(values):
     """The first value that occurs twice in ``values``, or None."""
     return next((v for i, v in enumerate(values) if v in values[:i]), None)
-
-
-def _sweep_plan(config: ExperimentConfig, axis: str, values, offset: int):
-    """The config of every feasible cell of a sweep, by value, writing under
-    <output_dir>/sweep/<axis>_<value>/; the pool tasks that train their
-    runs; and the problems of the batches whose runs would not fit in
-    memory together (:func:`~uman.config.cost_problems`)."""
-    base = Path(config.output_dir)
-    cells = {}
-    for value in values:
-        cell, _ = derive_sweep_cell(config, axis, value)
-        if cell is not None:
-            cells[value] = replace(cell, output_dir=str(base / "sweep" / f"{axis}_{value}"))
-    tasks = _tasks(cells, config.methods, offset)
-    problems = [
-        f"{axis} {','.join(str(v) for v in dict.fromkeys(value for (value, _, _), *_ in entries))}: {p}"
-        for _, entries, _ in tasks
-        for p in cost_problems(config, [cell for (_, cell, _), *_ in entries])
-    ]
-    return cells, tasks, list(dict.fromkeys(problems))
-
-
-def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, offset: int = 0):
-    """Run the config once per axis value; returns the aggregated rows.
-
-    Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/
-    and the aggregate (with per-seed accuracies, their mean, and the
-    transfer gain over source_only where available) is returned for a
-    single final write. Infeasible values become marked rows; a repeated
-    value, or a batch over the cost bound, is rejected before any work
-    starts.
-
-    A method's runs train in batches that may hold the runs of several
-    cells: the cells that share a training layout, as every cell of a
-    ``target_private_size`` sweep does, pack their runs in (cell, seed)
-    order into the fewest near-equal batches of at most
-    :data:`~uman.config.BATCH_RUNS` trained runs; a ``num_sources`` cell
-    keeps its own; one ``source_only`` training serves several cells
-    (:func:`_packed`), and a cell whose sources would differ raises an
-    error naming both cells before that batch trains. Every batch goes to
-    one pool of at most ``jobs`` workers, and never more than there are
-    batches or CPUs, ``uman`` first, then ``unweighted_adv``, then
-    ``source_only``, the larger batches of a method first. Each run is
-    trained, scored and written as it would be alone; each cell's
-    summary.csv is written here, in config order.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if (repeat := _repeat(values)) is not None:
-        raise ValueError(f"sweep value {repeat} repeats")
-    cells, tasks, problems = _sweep_plan(config, axis, values, offset)
-    if problems := _seed_problems(config, offset) or problems:
-        raise ValueError(problems[0])
-    return _run_sweep(config, axis, values, cells, tasks, jobs)
-
-
-def _run_sweep(config: ExperimentConfig, axis: str, values, cells: dict, tasks: list, jobs: int):
-    """:func:`execute_sweep` over the checked plan of :func:`_sweep_plan`."""
-    done = _train(tasks, jobs)
-    agg_rows = []
-    for value in values:
-        if value not in cells:
-            blank = [""] * (len(config.seeds) + 2)
-            agg_rows += [[axis, value, method, "infeasible"] + blank for method in config.methods]
-            continue
-        cell_rows, per_seed, means = [], {}, {}
-        for method in config.methods:
-            rows = [done[value, method, seed][0] for seed in config.seeds]
-            cell_rows += rows
-            per_seed[method] = [row[4] if row[3] == "ok" else "" for row in rows]
-            ok = [v for v in per_seed[method] if v != ""]
-            means[method] = sum(ok) / len(ok) if ok else ""
-        _write_summary(cells[value], cell_rows)
-        baseline = means.get("source_only", "")
-        for method, accs in per_seed.items():
-            mean, status = means[method], "ok" if "" not in accs else "partial"
-            gain = mean - baseline if method in ADVERSARIAL and "" not in (mean, baseline) else ""
-            agg_rows.append([axis, value, method, status] + accs + [mean, gain])
-    return agg_rows
-
-
-def cmd_sweep(path, axis, values, jobs) -> int:
-    if (loaded := _runnable(path)) is None:
-        return 2
-    config, offset = loaded
-    cells, tasks, problems = _sweep_plan(config, axis, values, offset)
-    for p in problems:
-        print(f"invalid: {p}")
-    if problems:
-        return 2
-    rows = _run_sweep(config, axis, values, cells, tasks, jobs)
-    seeds = [f"acc_seed_{s}" for s in config.seeds]
-    header = ["axis", "value", "method", "status"] + seeds + ["acc_mean", "transfer_gain"]
-    out = Path(config.output_dir) / f"sweep_{axis}.csv"
-    _write_csv(out, header, rows)
-    print(f"wrote {out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -541,7 +523,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(args.config)
     if args.command == "run":
-        return cmd_run(args.config)
+        return cmd_experiment(args.config)
     try:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
@@ -556,7 +538,7 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print(f"invalid: --jobs must be >= 1, got {args.jobs}")
         return 2
-    return cmd_sweep(args.config, args.axis, values, args.jobs)
+    return cmd_experiment(args.config, args.axis, values, args.jobs)
 
 
 if __name__ == "__main__":

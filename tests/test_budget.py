@@ -115,7 +115,7 @@ def _sweep_batches(steps, out):
     config = replace(config, hyperparams=replace(config.hyperparams, max_steps=steps), output_dir=str(out))
 
     def planned(seeds):
-        _, tasks, problems = uman.cli._sweep_plan(replace(config, seeds=seeds), "target_private_size", [4, 5, 6], 0)
+        _, tasks, problems = uman.cli._plan(replace(config, seeds=seeds), 0, "target_private_size", [4, 5, 6])
         assert problems == []
         return tasks
 

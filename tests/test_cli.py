@@ -15,7 +15,7 @@ import pytest
 
 import uman.cli
 import uman.core
-from uman.cli import execute_sweep, main, seed_offset
+from uman.cli import execute_run, execute_sweep, main
 from uman.config import (
     BATCH_RUNS,
     MAX_RUN_FLOATS,
@@ -98,6 +98,25 @@ def sleep_then_log(task):
         raise ValueError(name)
     (log_dir / name).write_text(f"{start} {time.time()}")
     return name
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make the CSV writer raise "disk full" after the header and first
+    row of every file written to ``name`` (its temporary file)."""
+    writer = csv.writer
+
+    class RowThenError:
+        def __init__(self, fh):
+            self.fh, self.rows = fh, writer(fh)
+
+        def writerows(self, rows):
+            rows = iter(rows)
+            self.rows.writerows(itertools.islice(rows, 2))  # the header and the first row
+            if Path(self.fh.name).name == f"{name}.tmp":
+                raise OSError("disk full")
+            self.rows.writerows(rows)
+
+    monkeypatch.setattr(uman.cli.csv, "writer", RowThenError)
 
 
 @pytest.fixture
@@ -259,17 +278,11 @@ class TestRun:
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
 
     def test_failed_summary_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tiny_config(tmp_path)
+        path = tiny_config(tmp_path, seeds=[0, 1])
         main(["run", str(path)])
         out_dir = tmp_path / "out"
         before = (out_dir / "summary.csv").read_bytes()
-
-        def rows_then_error(*args, **kwargs):
-            yield ["partial"]
-            raise OSError("disk full")
-
-        # the summary writer fails after its first row
-        monkeypatch.setattr(uman.cli, "execute_run", rows_then_error)
+        fail_writes_to(monkeypatch, "summary.csv")
         with pytest.raises(OSError, match="disk full"):
             main(["run", str(path)])
         assert (out_dir / "summary.csv").read_bytes() == before
@@ -280,21 +293,7 @@ class TestRun:
         main(["run", str(path)])
         run_dir = tmp_path / "out" / "runs" / "uman_0"
         before = (run_dir / "trace.csv").read_bytes()
-        writer = csv.writer
-
-        class RowThenError:
-            def __init__(self, fh):
-                self.fh, self.rows = fh, writer(fh)
-
-            def writerows(self, rows):
-                rows = iter(rows)
-                self.rows.writerows(itertools.islice(rows, 2))  # the header and the first row
-                if self.fh.name.endswith("trace.csv.tmp"):
-                    raise OSError("disk full")
-                self.rows.writerows(rows)
-
-        # the trace writer fails after its first row
-        monkeypatch.setattr(uman.cli.csv, "writer", RowThenError)
+        fail_writes_to(monkeypatch, "trace.csv")
         with pytest.raises(OSError, match="disk full"):
             main(["run", str(path)])
         assert (run_dir / "trace.csv").read_bytes() == before
@@ -363,6 +362,16 @@ class TestRun:
         assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
         assert main(["run", str(path)]) == 2
         assert f"above the limit of {MAX_RUN_FLOATS:,}" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_api_run_over_the_cost_bound_raises_before_any_write(self, tmp_path, monkeypatch):
+        """A config built in Python reaches ``execute_run`` without
+        ``load_config``'s check; its batches are checked there, as a
+        sweep's are."""
+        config, _ = load_config(tiny_config(tmp_path, seeds=[0, 1]))
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 1000)
+        with pytest.raises(ValueError, match="^a method batch would hold .* above the limit of 1,000$"):
+            execute_run(config, quiet=True)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -628,23 +637,6 @@ class TestMethodPool:
 
 
 class TestSeedOffset:
-    def test_default_zero(self, monkeypatch):
-        monkeypatch.delenv("UMAN_SEED_OFFSET", raising=False)
-        assert seed_offset() == 0
-        monkeypatch.setenv("UMAN_SEED_OFFSET", "  ")
-        assert seed_offset() == 0
-
-    def test_reads_integer(self, monkeypatch):
-        monkeypatch.setenv("UMAN_SEED_OFFSET", "17")
-        assert seed_offset() == 17
-        monkeypatch.setenv("UMAN_SEED_OFFSET", "-4")
-        assert seed_offset() == -4
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("UMAN_SEED_OFFSET", "seven")
-        with pytest.raises(SystemExit, match="UMAN_SEED_OFFSET"):
-            seed_offset()
-
     def test_garbage_is_invalid_input_before_any_write(self, tmp_path, monkeypatch, capsys):
         path = tiny_config(tmp_path)
         monkeypatch.setenv("UMAN_SEED_OFFSET", "abc")
@@ -727,6 +719,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="target_private_size 0,1,2: "):
             execute_sweep(config, "target_private_size", [0, 1, 2])
         assert not (tmp_path / "out").exists()
+
+    def test_failed_aggregate_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = self.sweep_config(tmp_path)
+        argv = ["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"]
+        assert main(argv) == 0
+        out_dir = tmp_path / "out"
+        before = (out_dir / "sweep_target_private_size.csv").read_bytes()
+        fail_writes_to(monkeypatch, "sweep_target_private_size.csv")
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert (out_dir / "sweep_target_private_size.csv").read_bytes() == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep", "sweep_target_private_size.csv"]
+        assert not list(out_dir.rglob("*.tmp"))
 
     def test_axis_sweep_writes_aggregate(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
@@ -988,6 +993,54 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["sweep", str(path), "--axis", "bogus", "--values", "1"])
+
+
+class TestApiWritesWhatTheCliWrites:
+    """``execute_run`` and ``execute_sweep`` write every file ``uman run``
+    and ``uman sweep`` write, summaries included. The config's output
+    directory is relative, so one config writes into two directories."""
+
+    def written(self, directory, monkeypatch, fn):
+        """The return value of ``fn()`` run from ``directory``, and every
+        file it wrote there."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        return fn(), files_under(directory / "out")
+
+    @pytest.mark.parametrize(
+        "raw, offset", [(None, 0), ("  ", 0), ("17", 17), ("-4", -4)], ids=["unset", "blank", "17", "-4"]
+    )
+    def test_run(self, tmp_path, monkeypatch, capsys, raw, offset):
+        """``uman run`` at UMAN_SEED_OFFSET ``raw`` (unset or blank is 0)
+        writes and prints what ``execute_run`` at ``offset`` does."""
+        path = tiny_config(tmp_path, methods=["uman", "source_only"], seeds=[4, 5], output_dir="out")
+        config, _ = load_config(path)
+        if raw is not None:
+            monkeypatch.setenv("UMAN_SEED_OFFSET", raw)
+        rc, cli = self.written(tmp_path / "cli", monkeypatch, lambda: main(["run", str(path)]))
+        printed = capsys.readouterr().out
+        rows, api = self.written(tmp_path / "api", monkeypatch, lambda: execute_run(config, offset))
+        assert rc == 0 and printed == capsys.readouterr().out + "wrote out/summary.csv\n"
+        assert len(cli) == 1 + 4 * 3 and cli == api
+        assert read_rows(tmp_path / "api" / "out" / "summary.csv")[1:] == [[str(v) for v in row] for row in rows]
+        report = json.loads(api[Path("runs/uman_4/report.json")])
+        assert report["config_hash"] == config_hash(config) and report["seed"] == 4
+
+    def test_sweep(self, tmp_path, monkeypatch, capsys):
+        """An infeasible value (5) included."""
+        path = tiny_config(tmp_path, methods=["uman", "source_only"], seeds=[0, 1], output_dir="out")
+        config, _ = load_config(path)
+        argv = ["sweep", str(path), "--axis", "common_overlap", "--values", "5,1,0", "--jobs", "2"]
+        rc, cli = self.written(tmp_path / "cli", monkeypatch, lambda: main(argv))
+        assert rc == 0 and capsys.readouterr().out == "wrote out/sweep_common_overlap.csv\n"
+        rows, api = self.written(
+            tmp_path / "api", monkeypatch, lambda: execute_sweep(config, "common_overlap", [5, 1, 0], jobs=2)
+        )
+        assert capsys.readouterr().out == ""
+        assert len(cli) == 1 + 2 * (1 + 2 * 2 * 3) and cli == api
+        aggregate = read_rows(tmp_path / "api" / "out" / "sweep_common_overlap.csv")[1:]
+        assert aggregate == [[str(v) for v in row] for row in rows]
+        assert [row[3] for row in rows[:2]] == ["infeasible"] * 2
 
 
 class TestEntryPoint:

@@ -273,7 +273,7 @@ class TestCostBound:
         cell, problems = derive_sweep_cell(config, "num_sources", 5)
         assert problems == [] and cost_problems(replace(cell, seeds=(0,))) == []
         short = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=250))
-        assert uman.cli._sweep_plan(short, "target_private_size", range(7), 0)[2] == []
+        assert uman.cli._plan(short, 0, "target_private_size", range(7))[2] == []
 
     def test_count_is_rows_times_columns_plus_parameters(self, monkeypatch):
         obj = minimal(
