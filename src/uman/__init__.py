@@ -8,9 +8,10 @@ contain classes no source has. Submodules:
   layouts, Jaccard similarities;
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
   controllable domain gaps, and the training batches of several runs;
-* :mod:`uman.nn` -- dense MLP numerics: forward passes over stacked
-  blocks, their explicit backward pass, row normalization, gradient checks
-  and SGD, each with an optional leading run axis;
+* :mod:`uman.nn` -- dense MLP numerics: a net's forward and explicit
+  backward pass laid out once per batch as a ``Plan``, over rows that
+  stack blocks each computed as a pass of its own, row normalization,
+  gradient checks and SGD, each with an optional leading run axis;
 * :mod:`uman.core` -- prediction margins, the running per-class margin
   register, sample weights, adversarial training under one of three
   methods (several seeds of one method as one batch), rejecting inference;

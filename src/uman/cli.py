@@ -139,11 +139,13 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
 
     Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
     training trace, the final margin-register values, and the evaluation
-    report. A run that diverges is recorded as a failed row, its directory
-    gets only a report.json with status "failed", the error and the step,
-    and the remaining runs still execute. A negative effective seed, or a
-    batch over the cost bound, raises ValueError before anything is
-    written (:func:`_plan`).
+    report, which also names the seed offset and the run's effective data
+    and training seeds (each a section seed plus the offset plus the run's
+    seed). A run that diverges is recorded as a failed row, its directory
+    gets only a report.json with status "failed", the error, the step and
+    the seeds, and the remaining runs still execute. A negative effective
+    seed, or a batch over the cost bound, raises ValueError before
+    anything is written (:func:`_plan`).
     """
     cells, tasks, problems = _plan(config, offset)
     if problems:
@@ -159,8 +161,9 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/.
     The aggregate holds per-seed accuracies, their mean, and the transfer
     gain over source_only where available. Infeasible values become
-    marked rows; a repeated value, a negative effective seed or a batch
-    over the cost bound raises ValueError before any work starts.
+    marked rows. An unknown axis, no values, a repeated value, ``jobs``
+    below 1, a negative effective seed or a batch over the cost bound
+    raises ValueError before any work starts (:func:`_plan`).
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells
@@ -170,32 +173,38 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     batches or CPUs, in the order of :func:`_tasks`. Each run is trained,
     scored and written as it would be alone.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if (repeat := _repeat(values)) is not None:
-        raise ValueError(f"sweep value {repeat} repeats")
-    cells, tasks, problems = _plan(config, offset, axis, values)
+    cells, tasks, problems = _plan(config, offset, axis, values, jobs)
     if problems:
         raise ValueError(problems[0])
     return _execute(config, axis, values, cells, tasks, jobs)[0]
 
 
-def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,)):
+def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs=1):
     """The cells of an experiment by key, the pool tasks that train their
     runs (:func:`_tasks`), and every problem that keeps it from running. A
     run is the one cell keyed None; a sweep has one per feasible axis
     value, writing under <output_dir>/sweep/<axis>_<value>/. The problems
-    are a negative effective seed (a config seed plus the offset) and each
-    batch whose runs would not fit in memory together
+    are a sweep's unknown axis, missing values, first repeated value and
+    ``jobs`` below 1, a negative effective seed (a config seed plus the
+    offset) and each batch whose runs would not fit in memory together
     (:func:`~uman.config.cost_problems`), a sweep's named by its values."""
-    cells = {None: config}
+    cells, problems = {None: config}, []
     if axis is not None:
+        if axis not in SWEEP_AXES:
+            problems.append(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        if not values:
+            problems.append("a sweep needs at least one value")
+        if (repeat := next((v for i, v in enumerate(values) if v in values[:i]), None)) is not None:
+            problems.append(f"sweep value {repeat} repeats")
+        if jobs < 1:
+            problems.append(f"jobs must be >= 1, got {jobs}")
         derived = {value: derive_sweep_cell(config, axis, value)[0] for value in values}
         base = Path(config.output_dir) / "sweep"
         cells = {v: replace(cell, output_dir=str(base / f"{axis}_{v}")) for v, cell in derived.items() if cell is not None}
     tasks = _tasks(cells, config.methods, offset)
     low = min(config.synthetic.seed, config.hyperparams.seed) + min(config.seeds) + offset
-    problems = [f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0"] if low < 0 else []
+    if low < 0:
+        problems.append(f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0")
     for _, entries, _ in tasks:
         keys = ",".join(str(key) for key in dict.fromkeys(key for (key, _, _), *_ in entries))
         batch = cost_problems(config, [cell for (_, cell, _), *_ in entries])
@@ -364,8 +373,11 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
     """Evaluate a trained run on a freshly generated held-out target of
     ``cell`` and write its artifacts to <output_dir>/runs/<method>_<seed>/;
     returns its summary row and report line. A failed run's directory gets
-    its failed report only."""
+    its failed report only. Every report names the seed offset and the
+    run's effective data and training seeds."""
     chash, partition = config_hash(cell), partition_from_matrix(cell.matrix)
+    spec, hp = _seeded(cell, offset, seed)
+    seeds = {"data_seed": spec.seed, "seed_offset": offset, "training_seed": hp.seed}
     run_dir = Path(cell.output_dir) / "runs" / f"{method}_{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, Exception):
@@ -380,16 +392,16 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
             "seed": seed,
             "status": "failed",
             "step": result.step,
+            **seeds,
         })
         return _summary_row(partition, chash, method, seed), f"{method} seed {seed}: FAILED ({result})"
-    spec, hp = _seeded(cell, offset, seed)
     report = evaluate(
         result.feature_net, result.classifier, generate(spec, partition, draw=1)[-1], partition, hp.w0,
         method=method, config_hash=chash, seed=seed,
     )
     _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
     _write_register(run_dir / "tmr.csv", result.register)
-    _write_json(run_dir / "report.json", asdict(report))
+    _write_json(run_dir / "report.json", {**asdict(report), **seeds})
     line = f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}"
     return _summary_row(partition, chash, method, seed, report), line
 
@@ -469,7 +481,7 @@ def _write_summary(config: ExperimentConfig, rows) -> Path:
     return out
 
 
-def _runnable(path, axis=None, values=(None,)):
+def _runnable(path, axis, values, jobs):
     """The config at ``path`` and its cells and tasks (:func:`_plan`) at
     the seed offset, or None after printing every problem that keeps it
     from running."""
@@ -477,7 +489,7 @@ def _runnable(path, axis=None, values=(None,)):
     if not problems:
         offset, problems = _read_seed_offset()
     if not problems:
-        cells, tasks, problems = _plan(config, offset, axis, values)
+        cells, tasks, problems = _plan(config, offset, axis, values, jobs)
     for p in problems:
         print(f"invalid: {p}")
     return None if problems else (config, cells, tasks)
@@ -487,17 +499,12 @@ def cmd_experiment(path, axis=None, values=(None,), jobs=None) -> int:
     """``uman run`` of the config at ``path``, or ``uman sweep`` along
     ``axis``: train it and print the path of its summary file, or exit 2
     after printing every problem. A sweep prints no per-run lines."""
-    if (loaded := _runnable(path, axis, values)) is None:
+    if (loaded := _runnable(path, axis, values, jobs)) is None:
         return 2
     config, cells, tasks = loaded
     _, out = _execute(config, axis, values, cells, tasks, jobs, quiet=axis is not None)
     print(f"wrote {out}")
     return 0
-
-
-def _repeat(values):
-    """The first value that occurs twice in ``values``, or None."""
-    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def main(argv=None) -> int:
@@ -528,15 +535,6 @@ def main(argv=None) -> int:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         print(f"invalid: --values must be comma-separated integers, got {args.values!r}")
-        return 2
-    if not values:
-        print("invalid: --values is empty")
-        return 2
-    if (repeat := _repeat(values)) is not None:
-        print(f"invalid: --values repeats {repeat}")
-        return 2
-    if args.jobs < 1:
-        print(f"invalid: --jobs must be >= 1, got {args.jobs}")
         return 2
     return cmd_experiment(args.config, args.axis, values, args.jobs)
 

@@ -642,7 +642,7 @@ class _Batch:
         self.trace[..., _STEP] = np.arange(hp.max_steps)
         rows, blocks = _plan_rows(self.sizes, method)
         self.plans = [  # F's, G's and, when adversarial, D's (else None), over new buffers
-            None if b is None else Plan(net, [np.empty((len(runs), rows, net.in_dim))], b) for net, b in zip(self.nets, blocks)
+            None if b is None else Plan(net, np.empty((len(runs), rows, net.in_dim)), b) for net, b in zip(self.nets, blocks)
         ]
         seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
         self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import UNKNOWN, classification_loss, extract_features, predict_classes
 from .labelspace import LabelPartition
-from .nn import Mlp, NonFiniteGradientError, backward_mlp, forward_mlp, gradient_faults, sgd_update
+from .nn import Mlp, NonFiniteGradientError, Plan, forward_mlp, gradient_faults, sgd_update
 from .synth import DomainDataset
 
 __all__ = [
@@ -234,10 +234,10 @@ def alignment_probe(
     sizes = [len(a_train), len(b_train)]
 
     probe = Mlp([x.shape[1], 2], ["linear"], rng)
+    plan = Plan(probe, x)
     for _ in range(300):
-        acts = forward_mlp(probe, x)
-        _, grad = classification_loss(acts[-1], y, sizes)
-        backward_mlp(probe, acts, grad)
+        _, grad = classification_loss(plan.forward(x)[-1], y, sizes)
+        plan.backward(grad)
         faults = gradient_faults(probe)
         if faults:
             raise NonFiniteGradientError(faults[0])

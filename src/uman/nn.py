@@ -7,13 +7,14 @@ function here then computes each run exactly as it would alone. A net's
 parameters, and its gradients, live in one flat buffer each, of which
 every layer's arrays are views, so zeroing, checking and stepping a
 net's gradients take one numpy call per buffer region, not one per
-layer. :func:`forward_mlp` returns the activations of every layer, and
-:func:`backward_mlp` takes them back with the loss gradient of the output,
-adding exact gradients into the parameter buffers of the :class:`Mlp` and
-returning the gradient of the input when the caller reads it. The package
-differentiates only two fixed graphs, the training step and the alignment
-probe, and each spells out its own chain of these calls;
-:func:`l2_normalize_backward` is the one other link either needs. Each
+layer. A :class:`Plan` keeps the activations of a forward pass over
+stacked blocks of rows, and its backward pass takes them back with the
+loss gradient of the output, adding exact gradients into the parameter
+buffers of the :class:`Mlp` and returning the gradient of the input when
+the caller reads it. The package differentiates only two fixed graphs,
+the training step and the alignment probe, and each lays out one plan per
+net and batch; :func:`l2_normalize_backward` is the one other link either
+needs, and :func:`forward_mlp` is the one-pass inference call. Each
 checks its gradients with :func:`gradient_faults` before
 :func:`sgd_update` moves a parameter.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "plan_nbytes",
     "NonFiniteGradientError",
     "forward_mlp",
-    "backward_mlp",
     "l2_normalize",
     "l2_normalize_backward",
     "row_norms",
@@ -137,24 +137,8 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layers[0].w.shape[-2]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[-1]
-
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
     def zero_grads(self):
         self.grads[...] = 0.0
-
-    def param_arrays(self):
-        """Flat list of (param, grad) pairs, in a fixed order."""
-        out = []
-        for l in self.layers:
-            out.append((l.w, l.gw))
-            out.append((l.b, l.gb))
-        return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -204,25 +188,31 @@ class Plan:
     backward pass, and every view of them, of the net's parameters and of
     its gradient buffers that the passes read or write.
 
-    ``acts`` holds the input buffer and, optionally, one output buffer per
-    layer, which are allocated here otherwise. ``blocks`` are as for
-    :func:`forward_mlp`. Each pass overwrites the buffers of the one
-    before. A plan holds views of its net's buffers and serves that net
-    alone; training builds one per net and batch and calls it directly.
+    ``x`` is the input buffer, and the plan allocates one output buffer
+    per layer. ``blocks`` lists row counts: the rows of ``x`` stack that
+    many separate passes, in that order. Rows past the last block form one
+    more pass, which :meth:`backward` leaves out. By default all rows form
+    one block. Every output is bit-identical to running the passes one by
+    one, because BLAS rounds a row differently depending on where it sits
+    in a call: each product is a batched matmul over runs of equal-size
+    blocks, one BLAS call per block of the block's own shape. With a
+    leading run axis on ``x`` and the net, run r's rows go through run r's
+    parameters, and every block of every run is its own BLAS call as
+    before. Each pass overwrites the buffers of the one before. A plan
+    holds views of its net's buffers and serves that net alone.
     """
 
-    def __init__(self, net: Mlp, acts, blocks=None):
-        *lead, rows, _ = acts[0].shape
-        if len(acts) == 1:
-            acts = acts + [np.empty((*lead, rows, layer.w.shape[-1])) for layer in net.layers]
+    def __init__(self, net: Mlp, x: np.ndarray, blocks=None):
+        *lead, rows, _ = x.shape
+        acts = [x] + [np.empty((*lead, rows, layer.w.shape[-1])) for layer in net.layers]
         self.net, self.acts, self.lead = net, acts, tuple(lead)
         self.blocks = _check_blocks(blocks, rows)
         n = sum(self.blocks)
         runs = _runs(self.blocks + (rows - n,) if n < rows else self.blocks)
         self._forward = [
             # one weight matrix per block of a run
-            (list(zip(self._groups(x, runs), self._groups(z, runs))), layer.w[..., None, :, :], layer.b[..., None, :], z)
-            for layer, x, z in zip(net.layers, acts[:-1], acts[1:])
+            (list(zip(self._groups(inp, runs), self._groups(z, runs))), layer.w[..., None, :, :], layer.b[..., None, :], z)
+            for layer, inp, z in zip(net.layers, acts[:-1], acts[1:])
         ]
         self._backward = None
 
@@ -274,7 +264,16 @@ class Plan:
         return laid
 
     def backward(self, grad, input_grad: bool = False):
-        """:func:`backward_mlp` of the plan's last forward pass."""
+        """Add the parameter gradients of the plan's last forward pass to
+        the net's buffers.
+
+        ``grad`` is the loss gradient of the output rows of the blocks,
+        ``sum(blocks)`` of them. The blocks' gradients are summed one after
+        the other, last block first, and the sum is added to the buffers,
+        which must be zero: they then hold exactly what one backward pass
+        per block, in reverse order, would leave. With ``input_grad`` the
+        gradient of the input rows of the blocks is returned; otherwise its
+        products are skipped and None is returned."""
         if self._backward is None:
             self._backward = self._lay_backward()
         last = len(self._backward) - 1
@@ -324,24 +323,14 @@ def plan_nbytes(widths, activations, rows: int, blocks) -> int:
     return nbytes
 
 
-def forward_mlp(net: Mlp, x, blocks=None) -> list[np.ndarray]:
-    """Run ``x`` through the net; returns the input and every layer's output.
-
-    ``blocks`` lists row counts: the rows of ``x`` stack that many separate
-    passes, in that order. Rows past the last block form one more pass, which
-    :func:`backward_mlp` leaves out. Every output is bit-identical to running
-    the passes one by one, because BLAS rounds a row differently depending
-    on where it sits in a call: each product is a batched matmul over runs
-    of equal-size blocks, one BLAS call per block of the block's own shape.
-    By default all rows form one block. With a leading run axis on ``x`` and
-    the net, run r's rows go through run r's parameters, and every block of
-    every run is its own BLAS call as before. The pass runs in a
-    :class:`Plan` of its own, over ``x`` as its input buffer.
-    """
+def forward_mlp(net: Mlp, x) -> list[np.ndarray]:
+    """Run ``x`` through the net in one pass; returns the input and every
+    layer's output. The pass runs in a :class:`Plan` of its own, over ``x``
+    as its input buffer."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"input has {x.shape[-1]} columns but the net expects {net.in_dim}")
-    return Plan(net, [x], blocks).forward(x)
+    return Plan(net, x).forward(x)
 
 
 def _sum_in_order(stack, axis, width):
@@ -357,23 +346,6 @@ def _sum_in_order(stack, axis, width):
     if width > 1 or stack.shape[axis] < 8:
         return np.add.reduce(stack, axis=axis)
     return np.add.accumulate(stack, axis=axis)[(..., -1) + (slice(None),) * (-1 - axis)]
-
-
-def backward_mlp(net: Mlp, acts, grad, blocks=None, input_grad=False):
-    """Add the parameter gradients of one forward pass to the net's buffers.
-
-    ``acts`` is what :func:`forward_mlp` returned for the same ``blocks``,
-    and ``grad`` is the loss gradient of the output rows of the blocks,
-    ``sum(blocks)`` of them. The blocks' gradients are summed one after the
-    other, last block first, and the sum is added to the buffers, which
-    must be zero: they then hold exactly what one backward pass per block,
-    in reverse order, would leave. With ``input_grad`` the gradient of the
-    input rows of the blocks is returned; otherwise its products are
-    skipped and None is returned. A leading run axis works as in
-    :func:`forward_mlp`. The pass runs in a :class:`Plan` of its own over
-    ``acts``.
-    """
-    return Plan(net, list(acts), blocks).backward(grad, input_grad)
 
 
 def row_norms(x):

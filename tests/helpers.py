@@ -4,6 +4,7 @@ synthetic configuration used by the slower end-to-end tests."""
 import numpy as np
 
 from uman import Hyperparams, SyntheticSpec, UmdaMatrix
+from uman.nn import Plan
 
 
 def numeric_gradient(f, arr, h=1e-4):
@@ -232,13 +233,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
         normalize_weights,
         trace_columns,
     )
-    from uman.nn import (
-        backward_mlp,
-        forward_mlp,
-        l2_normalize,
-        l2_normalize_backward,
-        softmax,
-    )
+    from uman.nn import forward_mlp, l2_normalize, l2_normalize_backward, softmax
     from uman.synth import run_batches
 
     adversarial = method != "source_only"
@@ -261,11 +256,12 @@ def per_source_train(datasets, partition, hp, method="uman"):
         xs = [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         ys = [labels[a:b] for a, b in zip(bounds[:-2], bounds[1:-1])]
 
-        # one forward pass per domain through F and the row normalization,
-        # one per source through G
-        f_acts = [forward_mlp(feature_net, xb) for xb in xs]
-        feats = [l2_normalize(acts[-1]) for acts in f_acts]
-        g_acts = [forward_mlp(classifier, f) for f in feats[:-1]]
+        # one plan and forward pass per domain through F and the row
+        # normalization, one per source through G
+        f_plans = [passed(feature_net, xb) for xb in xs]
+        feats = [l2_normalize(plan.acts[-1]) for plan in f_plans]
+        g_plans = [passed(classifier, f) for f in feats[:-1]]
+        g_acts = [plan.acts for plan in g_plans]
 
         probs_t = softmax(forward_mlp(classifier, feats[-1])[-1])
         pseudo, margins = batch_margins(probs_t)
@@ -291,7 +287,8 @@ def per_source_train(datasets, partition, hp, method="uman"):
             ws = _normalize_jointly(raw_ws)
             wt = normalize_weights(raw_wt)
             lam = grl_lambda(step, hp.max_steps, hp.grl_max_lambda, hp.grl_gamma)
-            d_acts = [forward_mlp(discriminator, f) for f in feats]
+            d_plans = [passed(discriminator, f) for f in feats]
+            d_acts = [plan.acts for plan in d_plans]
             ed_val, g_src, g_tgt = _per_source_domain_loss(
                 [acts[-1] for acts in d_acts[:-1]], ws, d_acts[-1][-1], wt
             )
@@ -307,15 +304,15 @@ def per_source_train(datasets, partition, hp, method="uman"):
         # passes: the target, then the sources last to first
         if adversarial:
             g_feats = [
-                -lam * backward_mlp(discriminator, acts, g, input_grad=True)
-                for acts, g in zip(d_acts[::-1], [g_tgt] + g_src[::-1])
+                -lam * plan.backward(g, input_grad=True)
+                for plan, g in zip(d_plans[::-1], [g_tgt] + g_src[::-1])
             ][::-1]
         else:
             g_feats = [np.zeros_like(f) for f in feats]
-        for i in reversed(range(len(g_acts))):
-            g_feats[i] += backward_mlp(classifier, g_acts[i], g_logits[i], input_grad=True)
-        for acts, g in zip(f_acts[::-1], g_feats[::-1]):
-            backward_mlp(feature_net, acts, l2_normalize_backward(acts[-1], g))
+        for i in reversed(range(len(g_plans))):
+            g_feats[i] += g_plans[i].backward(g_logits[i], input_grad=True)
+        for plan, g in zip(f_plans[::-1], g_feats[::-1]):
+            plan.backward(l2_normalize_backward(plan.acts[-1], g))
         checked_sgd_update(feature_net, hp.lr_features, hp.weight_decay)
         checked_sgd_update(classifier, hp.lr_classifier, hp.weight_decay)
         if adversarial:
@@ -337,6 +334,20 @@ def per_source_train(datasets, partition, hp, method="uman"):
 
     trace = np.array(trace, dtype=np.float64).reshape(hp.max_steps, len(columns))
     return TrainResult(feature_net, classifier, discriminator, register, trace)
+
+
+def passed(net, x, blocks=None):
+    """A :class:`uman.nn.Plan` of ``net`` over ``x`` as its input buffer,
+    after one forward pass."""
+    plan = Plan(net, x, blocks)
+    plan.forward(x)
+    return plan
+
+
+def param_pairs(net):
+    """Each layer's ``(w, gw)`` pair, then its ``(b, gb)`` pair, layer by
+    layer."""
+    return [pair for layer in net.layers for pair in ((layer.w, layer.gw), (layer.b, layer.gb))]
 
 
 def trace_column(trace, name):

@@ -33,6 +33,8 @@ import pytest
 from helpers import (
     max_rel_err,
     numeric_gradient,
+    param_pairs,
+    passed,
     random_simplex,
     standard_hp,
     standard_matrix,
@@ -61,8 +63,6 @@ from uman.labelspace import (
 )
 from uman.nn import (
     Mlp,
-    backward_mlp,
-    forward_mlp,
     l2_normalize,
     l2_normalize_backward,
     softmax,
@@ -333,7 +333,7 @@ def _fd_max_err(loss, nets):
     loss(True)
     worst = 0.0
     for net, scale in nets.items():
-        for param, grad in net.param_arrays():
+        for param, grad in param_pairs(net):
             numeric = numeric_gradient(lambda: loss(False), param)
             worst = max(worst, max_rel_err(grad, scale * numeric))
     return worst
@@ -345,7 +345,7 @@ def test_gradient_checks():
     fnet = Mlp([3, 4, 2], ["relu", "linear"], rng)      # 26 parameters
     clf = Mlp([2, 4], ["linear"], rng)                  # 12 parameters
     disc = Mlp([2, 3, 1], ["relu", "sigmoid"], rng)     # 13 parameters
-    assert max(fnet.n_params, clf.n_params, disc.n_params) <= 64
+    assert max(fnet.params.size, clf.params.size, disc.params.size) <= 64
     xs = [rng.normal(size=(5, 3)), rng.normal(size=(4, 3))]
     ys = [rng.integers(0, 4, size=5), rng.integers(0, 4, size=4)]
     xt = rng.normal(size=(6, 3))
@@ -363,10 +363,10 @@ def test_gradient_checks():
         net = Mlp([3, 3], [act], rng)
 
         def op_loss(backward, net=net):
-            layers = forward_mlp(net, x1, b1)
-            value, grad = classification_loss(layers[-1], y1, b1)
+            plan = passed(net, x1, b1)
+            value, grad = classification_loss(plan.acts[-1], y1, b1)
             if backward:
-                backward_mlp(net, layers, grad, b1)
+                plan.backward(grad)
             return value
 
         worst = max(worst, _fd_max_err(op_loss, {net: 1.0}))
@@ -375,10 +375,10 @@ def test_gradient_checks():
     net = Mlp([3, 3], ["linear"], rng)
 
     def norm_loss(backward):
-        layers = forward_mlp(net, x1, b1)
-        value, grad = classification_loss(l2_normalize(layers[-1]), y1, b1)
+        plan = passed(net, x1, b1)
+        value, grad = classification_loss(l2_normalize(plan.acts[-1]), y1, b1)
         if backward:
-            backward_mlp(net, layers, l2_normalize_backward(layers[-1], grad), b1)
+            plan.backward(l2_normalize_backward(plan.acts[-1], grad))
         return value
 
     worst = max(worst, _fd_max_err(norm_loss, {net: 1.0}))
@@ -388,12 +388,12 @@ def test_gradient_checks():
     sizes = [len(x) for x in xs]
 
     def eg(backward):
-        f_layers = forward_mlp(fnet, np.vstack(xs), sizes)
-        g_layers = forward_mlp(clf, l2_normalize(f_layers[-1]), sizes)
-        value, grad = classification_loss(g_layers[-1], np.concatenate(ys), sizes)
+        f_plan = passed(fnet, np.vstack(xs), sizes)
+        g_plan = passed(clf, l2_normalize(f_plan.acts[-1]), sizes)
+        value, grad = classification_loss(g_plan.acts[-1], np.concatenate(ys), sizes)
         if backward:
-            g_feats = backward_mlp(clf, g_layers, grad, sizes, input_grad=True)
-            backward_mlp(fnet, f_layers, l2_normalize_backward(f_layers[-1], g_feats), sizes)
+            g_feats = g_plan.backward(grad, input_grad=True)
+            f_plan.backward(l2_normalize_backward(f_plan.acts[-1], g_feats))
         return value
 
     worst = max(worst, _fd_max_err(eg, {fnet: 1.0, clf: 1.0}))
@@ -404,12 +404,12 @@ def test_gradient_checks():
     blocks = sizes + [len(xt)]
 
     def ed(backward):
-        f_layers = forward_mlp(fnet, np.vstack(xs + [xt]), blocks)
-        d_layers = forward_mlp(disc, l2_normalize(f_layers[-1]), blocks)
-        value, grad = domain_loss(d_layers[-1], np.concatenate(ws + [wt]), blocks)
+        f_plan = passed(fnet, np.vstack(xs + [xt]), blocks)
+        d_plan = passed(disc, l2_normalize(f_plan.acts[-1]), blocks)
+        value, grad = domain_loss(d_plan.acts[-1], np.concatenate(ws + [wt]), blocks)
         if backward:
-            g_feats = -lam * backward_mlp(disc, d_layers, grad, blocks, input_grad=True)
-            backward_mlp(fnet, f_layers, l2_normalize_backward(f_layers[-1], g_feats), blocks)
+            g_feats = -lam * d_plan.backward(grad, input_grad=True)
+            f_plan.backward(l2_normalize_backward(f_plan.acts[-1], g_feats))
         return value
 
     worst = max(worst, _fd_max_err(ed, {disc: 1.0, fnet: -lam}))

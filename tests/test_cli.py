@@ -474,6 +474,7 @@ def one_run_at_a_time(config, out_dir):
             test = generate(spec, partition, draw=1)[-1]
             run_dir = out_dir / "runs" / f"{method}_{seed}"
             run_dir.mkdir(parents=True)
+            seeds = {"data_seed": spec.seed, "seed_offset": 0, "training_seed": hp.seed}
             try:
                 result = train(train_sets, partition, hp, method=method)
             except (TrainingDiverged, NonFiniteGradientError) as exc:
@@ -484,6 +485,7 @@ def one_run_at_a_time(config, out_dir):
                     "seed": seed,
                     "status": "failed",
                     "step": exc.step,
+                    **seeds,
                 })
                 rows.append(uman.cli._summary_row(partition, chash, method, seed))
                 continue
@@ -493,7 +495,7 @@ def one_run_at_a_time(config, out_dir):
             )
             uman.cli._write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
             uman.cli._write_register(run_dir / "tmr.csv", result.register)
-            uman.cli._write_json(run_dir / "report.json", asdict(report))
+            uman.cli._write_json(run_dir / "report.json", {**asdict(report), **seeds})
             rows.append(uman.cli._summary_row(partition, chash, method, seed, report))
     return rows
 
@@ -663,6 +665,28 @@ class TestSeedOffset:
         monkeypatch.setenv("UMAN_SEED_OFFSET", "-1")
         assert main(["run", str(path)]) == 0
 
+    def test_reports_name_their_seeds(self, tmp_path, monkeypatch):
+        """Every report.json, a failed run's too, names the seed offset and
+        the run's effective data and training seeds: each a section seed
+        plus the offset plus the run's seed."""
+        path = three_by_three(tmp_path, 5e103)
+        config, _ = load_config(path)
+        config = replace(
+            config, synthetic=replace(config.synthetic, seed=3), hyperparams=replace(config.hyperparams, seed=5)
+        )
+        path.write_text(json.dumps(canonical_dict(config)))
+        monkeypatch.setenv("UMAN_SEED_OFFSET", "7")
+        assert main(["run", str(path)]) == 0
+        statuses = set()
+        for method in config.methods:
+            for seed in config.seeds:
+                report = json.loads((tmp_path / "out" / "runs" / f"{method}_{seed}" / "report.json").read_text())
+                statuses.add(report.get("status", "ok"))
+                assert (report["seed_offset"], report["data_seed"], report["training_seed"]) == (
+                    7, 3 + 7 + seed, 5 + 7 + seed
+                )
+        assert statuses == {"ok", "failed"}
+
     def test_offset_relocates_results(self, tmp_path, monkeypatch):
         # the trace is the sensitive artifact: a shifted seed changes the
         # training data, so losses differ from the first step
@@ -828,7 +852,7 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         argv = ["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"]
         assert main(argv + ["--jobs", "0"]) == 2
-        assert "invalid: --jobs" in capsys.readouterr().out
+        assert capsys.readouterr().out == "invalid: jobs must be >= 1, got 0\n"
         assert main(argv + ["--jobs", "-3"]) == 2
         assert not (tmp_path / "out").exists()
 
@@ -977,9 +1001,9 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         argv = ["sweep", str(path), "--axis", "target_private_size", "--jobs", "2"]
         assert main(argv + ["--values", "2,2"]) == 2
-        assert capsys.readouterr().out == "invalid: --values repeats 2\n"
+        assert capsys.readouterr().out == "invalid: sweep value 2 repeats\n"
         assert main(argv + ["--values", "0,3,1,3,0"]) == 2
-        assert capsys.readouterr().out == "invalid: --values repeats 3\n"
+        assert capsys.readouterr().out == "invalid: sweep value 3 repeats\n"
         assert not (tmp_path / "out").exists()
 
     def test_execute_sweep_rejects_repeated_values(self, tmp_path):
@@ -993,6 +1017,27 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["sweep", str(path), "--axis", "bogus", "--values", "1"])
+
+    def test_execute_sweep_rejects_an_unknown_axis(self, tmp_path):
+        config, _ = load_config(self.sweep_config(tmp_path))
+        with pytest.raises(ValueError, match="unknown sweep axis 'bogus'"):
+            execute_sweep(config, "bogus", [1, 2])
+        assert not (tmp_path / "out").exists()
+
+    def test_no_values_rejected(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path)
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", ","]) == 2
+        assert capsys.readouterr().out == "invalid: a sweep needs at least one value\n"
+        config, _ = load_config(path)
+        with pytest.raises(ValueError, match="a sweep needs at least one value"):
+            execute_sweep(config, "target_private_size", [])
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_config_with_bad_values_prints_the_configs_problems(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, seeds=[])
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "2,2", "--jobs", "0"]) == 2
+        assert capsys.readouterr().out == "invalid: seeds must be a nonempty list of distinct integers\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestApiWritesWhatTheCliWrites:

@@ -10,6 +10,7 @@ from helpers import (
     assert_same_array,
     max_rel_err,
     numeric_gradient,
+    param_pairs,
     per_source_train,
     random_simplex,
     standard_hp,
@@ -403,10 +404,7 @@ class TestTrainerMechanics:
         assert result.register.step == 0
         assert (trace_column(result.trace, "domain_loss") == 0.0).all()
         fresh = train(datasets, partition, replace(hp, max_steps=0))
-        for (p, _), (q, _) in zip(
-            result.discriminator.param_arrays(), fresh.discriminator.param_arrays()
-        ):
-            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(result.discriminator.params, fresh.discriminator.params)
 
     def test_classification_loss_decreases(self):
         datasets, partition, hp = tiny_setup(
@@ -426,8 +424,7 @@ class TestTrainerMechanics:
             (a.classifier, b.classifier),
             (a.discriminator, b.discriminator),
         ):
-            for (p, _), (q, _) in zip(net_a.param_arrays(), net_b.param_arrays()):
-                np.testing.assert_array_equal(p, q)
+            np.testing.assert_array_equal(net_a.params, net_b.params)
 
     def test_different_seed_differs(self):
         a = train(*tiny_setup(seed=0))
@@ -473,7 +470,7 @@ class TestSourceOnlyForward:
         forward = Plan.forward
 
         def recording(plan, x):
-            calls.append((plan.net.in_dim, plan.net.out_dim, x.shape[-2], plan.blocks))
+            calls.append((plan.net.in_dim, plan.acts[-1].shape[-1], x.shape[-2], plan.blocks))
             return forward(plan, x)
 
         monkeypatch.setattr(Plan, "forward", recording)
@@ -523,7 +520,7 @@ def assert_same_training(got, want):
         (got.classifier, want.classifier),
         (got.discriminator, want.discriminator),
     ):
-        for (p, _), (q, _) in zip(net_got.param_arrays(), net_want.param_arrays()):
+        for (p, _), (q, _) in zip(param_pairs(net_got), param_pairs(net_want)):
             assert p.shape == q.shape
             assert p.tobytes() == q.tobytes()
     assert got.register.values.tobytes() == want.register.values.tobytes()

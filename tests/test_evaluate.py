@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import standard_hp
 
+import uman.nn
 from uman.core import METHODS, UNKNOWN, train
 from uman.evaluate import (
     PROBE_KINDS,
@@ -296,6 +297,22 @@ class TestAlignmentProbe:
         assert report.n_a == want_a
         assert report.n_b == want_b
         assert report.kind == "source-vs-target-common"
+
+    def test_one_plan_trains_the_probe(self, partition, monkeypatch):
+        """The probe lays out one plan for its 300 training steps, beside
+        one each for the two populations' features and the two held-out
+        scorings."""
+        laid = []
+        init = uman.nn.Plan.__init__
+
+        def counting(plan, *args):
+            laid.append(args)
+            init(plan, *args)
+
+        monkeypatch.setattr(uman.nn.Plan, "__init__", counting)
+        spec = SyntheticSpec(feature_dim=8, samples_per_class=30, seed=6)
+        alignment_probe(_fresh_feature_net(8), generate(spec, partition), partition, "source-vs-target-common")
+        assert len(laid) == 5
 
     def test_empty_population_is_named(self):
         matrix = UmdaMatrix((3, 3), (2, 2), 6, 2)  # disjoint shared blocks

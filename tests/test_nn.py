@@ -5,13 +5,20 @@ import math
 
 import numpy as np
 import pytest
-from helpers import checked_sgd_update, held_nbytes, max_rel_err, numeric_gradient, plan_arrays
+from helpers import (
+    checked_sgd_update,
+    held_nbytes,
+    max_rel_err,
+    numeric_gradient,
+    param_pairs,
+    passed,
+    plan_arrays,
+)
 
 from uman.core import classification_loss
 from uman.nn import (
     Mlp,
     NonFiniteGradientError,
-    backward_mlp,
     block_sums,
     forward_mlp,
     gradient_faults,
@@ -38,14 +45,13 @@ class TestMlpInit:
     def test_same_seed_same_params(self):
         a = Mlp([3, 5, 2], ["relu", "linear"], np.random.default_rng(7))
         b = Mlp([3, 5, 2], ["relu", "linear"], np.random.default_rng(7))
-        for (pa, _), (pb, _) in zip(a.param_arrays(), b.param_arrays()):
+        for (pa, _), (pb, _) in zip(param_pairs(a), param_pairs(b)):
             np.testing.assert_array_equal(pa, pb)
 
     def test_param_count(self):
         net = Mlp([3, 5, 2], ["relu", "linear"], np.random.default_rng(0))
-        assert net.n_params == (3 * 5 + 5) + (5 * 2 + 2)
+        assert net.params.size == net.grads.size == (3 * 5 + 5) + (5 * 2 + 2)
         assert net.in_dim == 3
-        assert net.out_dim == 2
 
     def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(0)
@@ -273,7 +279,7 @@ def _net_grad_check(net, f):
     net.zero_grads()
     f(True)
     worst = 0.0
-    for p, g in net.param_arrays():
+    for p, g in param_pairs(net):
         fd = numeric_gradient(lambda: f(False), p)
         worst = max(worst, max_rel_err(g, fd))
     net.zero_grads()
@@ -286,16 +292,16 @@ class TestMlpGradients:
         rng = np.random.default_rng(17)
         sizes = [3] + [4] * (len(acts) - 1) + [2]
         net = Mlp(sizes, acts, rng)
-        assert net.n_params <= 64
+        assert net.params.size <= 64
         x = rng.standard_normal((6, 3))
         labels = rng.integers(0, 2, size=6)
         blocks = [2, 4]  # rows of the two blocks weigh 1/4 and 1/8
 
         def f(backward):
-            layers = forward_mlp(net, x, blocks)
-            loss, grad = classification_loss(layers[-1], labels, blocks)
+            plan = passed(net, x, blocks)
+            loss, grad = classification_loss(plan.acts[-1], labels, blocks)
             if backward:
-                backward_mlp(net, layers, grad, blocks)
+                plan.backward(grad)
             return loss
 
         assert _net_grad_check(net, f) < GRAD_TOL
@@ -309,13 +315,13 @@ class TestMlpGradients:
         def f():
             return classification_loss(forward_mlp(net, x)[-1], labels, [5])[0]
 
-        layers = forward_mlp(net, x)
-        grad = backward_mlp(net, layers, classification_loss(layers[-1], labels, [5])[1], input_grad=True)
+        plan = passed(net, x)
+        grad = plan.backward(classification_loss(plan.acts[-1], labels, [5])[1], input_grad=True)
         assert max_rel_err(grad, numeric_gradient(f, x)) < GRAD_TOL
 
 
 def _params(net):
-    return [p.tobytes() for p, _ in net.param_arrays()] + [g.tobytes() for _, g in net.param_arrays()]
+    return [p.tobytes() for p, _ in param_pairs(net)] + [g.tobytes() for _, g in param_pairs(net)]
 
 
 class TestStackedBlocks:
@@ -330,17 +336,17 @@ class TestStackedBlocks:
         separate = Mlp([16, 64, 16, 1], ["relu", "relu", "sigmoid"], np.random.default_rng(32))
         g_out = rng.standard_normal((sum(sizes), 1))
 
-        layers = forward_mlp(stacked, x, sizes)
-        grad = backward_mlp(stacked, layers, g_out, sizes, input_grad=True)
+        plan = passed(stacked, x, sizes)
+        grad = plan.backward(g_out, input_grad=True)
 
         bounds = np.cumsum([0, *sizes, tail])
-        parts = [forward_mlp(separate, x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        parts = [passed(separate, x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
         want_grad = [
-            backward_mlp(separate, parts[i], g_out[bounds[i] : bounds[i + 1]], input_grad=True)
+            parts[i].backward(g_out[bounds[i] : bounds[i + 1]], input_grad=True)
             for i in reversed(range(len(sizes)))
         ][::-1]
 
-        assert layers[-1].tobytes() == np.concatenate([p[-1] for p in parts]).tobytes()
+        assert plan.acts[-1].tobytes() == np.concatenate([p.acts[-1] for p in parts]).tobytes()
         assert _params(stacked) == _params(separate)
         assert grad.tobytes() == np.concatenate(want_grad).tobytes()
 
@@ -362,44 +368,41 @@ class TestStackedBlocks:
             net, x, g_out = Mlp.stack([Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs)]), np.stack(xs), np.stack(g_outs)
         else:
             net, x, g_out = Mlp(*shape, np.random.default_rng(40)), xs[0], g_outs[0]
-        layers = forward_mlp(net, x, sizes)
-        grad = backward_mlp(net, layers, g_out, sizes, input_grad=True)
+        plan = passed(net, x, sizes)
+        grad = plan.backward(g_out, input_grad=True)
 
         bounds = np.cumsum([0, *sizes])
         for r, (one, x_r, g_r) in enumerate(zip(alone, xs, g_outs)):
-            parts = [forward_mlp(one, x_r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            parts = [passed(one, x_r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
             want_grad = [
-                backward_mlp(one, parts[i], g_r[bounds[i] : bounds[i + 1]], input_grad=True)
+                parts[i].backward(g_r[bounds[i] : bounds[i + 1]], input_grad=True)
                 for i in reversed(range(len(sizes)))
             ][::-1]
             got = net.take(r) if runs else net
             assert _params(got) == _params(one)
-            got_out, got_grad = (layers[-1][r], grad[r]) if runs else (layers[-1], grad)
-            assert got_out.tobytes() == np.concatenate([p[-1] for p in parts]).tobytes()
+            got_out, got_grad = (plan.acts[-1][r], grad[r]) if runs else (plan.acts[-1], grad)
+            assert got_out.tobytes() == np.concatenate([p.acts[-1] for p in parts]).tobytes()
             assert got_grad.tobytes() == np.concatenate(want_grad).tobytes()
 
     def test_blocks_must_fit(self):
         net = Mlp([2, 3], ["linear"], np.random.default_rng(0))
         x = np.zeros((4, 2))
-        layers = forward_mlp(net, x)
         for blocks in ([3, 2], [0, 4]):
             with pytest.raises(ValueError, match="do not fit"):
-                forward_mlp(net, x, blocks)
-            with pytest.raises(ValueError, match="do not fit"):
-                backward_mlp(net, layers, np.zeros((5, 3)), blocks)
+                Plan(net, x, blocks)
 
     def test_empty_input_gives_empty_output(self):
         net = Mlp([3, 4, 2], ["relu", "linear"], np.random.default_rng(0))
-        layers = forward_mlp(net, np.zeros((0, 3)))
-        assert layers[-1].shape == (0, 2)
-        backward_mlp(net, layers, np.zeros((0, 2)))
-        assert all((g == 0.0).all() for _, g in net.param_arrays())
+        assert forward_mlp(net, np.zeros((0, 3)))[-1].shape == (0, 2)
+        plan = passed(net, np.zeros((0, 3)))
+        plan.backward(np.zeros((0, 2)))
+        assert (net.grads == 0.0).all()
 
     def test_raw_input_skips_its_gradient_product(self, monkeypatch):
         rng = np.random.default_rng(33)
         net = Mlp([3, 4], ["linear"], rng)
         x = rng.standard_normal((5, 3))
-        layers = forward_mlp(net, x)
+        plan = passed(net, x)
         calls = []
         matmul = np.matmul
 
@@ -410,7 +413,7 @@ class TestStackedBlocks:
         monkeypatch.setattr(np, "matmul", counting)
         for input_grad in (False, True):
             calls.clear()
-            grad = backward_mlp(net, layers, np.ones((5, 4)), input_grad=input_grad)
+            grad = plan.backward(np.ones((5, 4)), input_grad=input_grad)
             # the weight gradient always; the input gradient only on request,
             # which the feature net's raw input never makes
             assert len(calls) == (2 if input_grad else 1)
@@ -446,7 +449,7 @@ class TestPlanBytes:
         runs, rows = 2, sum(blocks) + 3
         rng = np.random.default_rng(0)
         net = Mlp.stack([Mlp(*shape, rng) for _ in range(runs)])
-        plan = Plan(net, [np.empty((runs, rows, shape[0][0]))], blocks)
+        plan = Plan(net, np.empty((runs, rows, shape[0][0])), blocks)
         plan.forward(rng.standard_normal((runs, rows, shape[0][0])))
         plan.backward(rng.standard_normal((runs, sum(blocks), shape[0][-1])), input_grad=True)
         assert held_nbytes(*plan_arrays(plan)) == runs * plan_nbytes(*shape, rows, blocks)
@@ -471,13 +474,13 @@ class TestFlatBuffers:
                 assert view.base is buf
                 assert np.shares_memory(view, buf[at : at + view.size])
             at += param.size
-        assert at == net.params.size == net.grads.size == net.n_params
+        assert at == net.params.size == net.grads.size
         # a write through the flat buffers shows in every layer
         net.params[...] = 2.0
         net.grads[...] = -1.0
-        assert all((p == 2.0).all() and (g == -1.0).all() for p, g in net.param_arrays())
+        assert all((p == 2.0).all() and (g == -1.0).all() for p, g in views)
         net.zero_grads()
-        assert all((g == 0.0).all() for _, g in net.param_arrays())
+        assert all((g == 0.0).all() for _, g in views)
 
     def test_stack_and_take_round_trip(self):
         nets = _stacked(3)
@@ -537,10 +540,10 @@ class TestWidthOneBackward:
         x = rng.standard_normal((*lead, sum(sizes), 16))
         g_out = rng.standard_normal((*lead, sum(sizes), 1))
         g_out[..., :4, 0] = [0.0, -0.0, 1e-300, -1e-300]
-        acts = forward_mlp(net, x, sizes)
-        grad = backward_mlp(net, acts, g_out, sizes, input_grad=True)
+        plan = passed(net, x, sizes)
+        grad = plan.backward(g_out, input_grad=True)
 
-        out = acts[-1]
+        out = plan.acts[-1]
         dz = g_out * out * (1.0 - out)
         w_t = net.layers[0].w.swapaxes(-1, -2)
         bounds = np.cumsum([0, *sizes])
