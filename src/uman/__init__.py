@@ -57,7 +57,6 @@ from .evaluate import (
     EvalReport,
     ProbeReport,
     alignment_probe,
-    evaluate,
     score_predictions,
     transfer_gain,
 )

@@ -1,12 +1,12 @@
 """Experiment configuration: JSON parsing, validation, canonical hashing.
 
 A config file describes one experiment: the label-set size matrix (two
-rows, last column = target), optional pairwise overlap overrides, the
-synthetic data spec, training hyperparameters, the methods to run, the
-seeds, and the output directory. Validation is collect-everything: a bad
-file reports all of its problems at once. The canonical hash is computed
-over a normalized dict with sorted keys, so formatting, key order, and
-spelled-out defaults do not change it.
+rows, last column = target), optional pinned overlaps of sources 1 and 2
+(``overrides``), the synthetic data spec, training hyperparameters, the
+methods to run, the seeds, and the output directory. Validation is
+collect-everything: a bad file reports all of its problems at once. The
+canonical hash is computed over a normalized dict with sorted keys, so
+formatting, key order, and spelled-out defaults do not change it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,41 @@ class ExperimentConfig:
 
 
 def _parse_matrix(obj, problems):
+    # the overrides are read first: the matrix's violations check the pins
+    # against the rows, and a pin's own problems show beside bad rows
+    def overlap(section, label):
+        block = overrides.get(section)
+        if block is None:
+            return None
+        if not isinstance(block, dict):
+            problems.append(f"overrides.{section} must be an object of 'i-j' keys, got {block!r}")
+            return None
+        pairs = []
+        for key, v in block.items():
+            try:
+                i, j = sorted(int(p) for p in str(key).split("-"))
+            except ValueError:
+                problems.append(f"overrides.{section} key {key!r} must look like 'i-j'")
+                return None
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                problems.append(f"overrides.{section}[{key}] must be a nonnegative integer, got {v!r}")
+                return None
+            pairs.append((i, j))
+        if set(pairs) - {(1, 2)}:
+            problems.append(f"{label} overrides are only supported for the pair (1, 2) of a 2-source setup")
+        elif len(pairs) > 1:
+            problems.append(f"overrides.{section} names the pair 1-2 more than once: {list(block)}")
+        elif pairs:
+            return next(iter(block.values()))
+        return None
+
+    overrides, pins = obj.get("overrides", {}), None
+    if not isinstance(overrides, dict) or set(overrides) - {"common", "source_private"}:
+        problems.append("overrides must be an object with keys from {common, source_private}")
+    else:
+        sections = (("common", "common_overlap"), ("source_private", "private_overlap"))
+        pins = {label: overlap(section, label) for section, label in sections}
+
     raw = obj.get("umda_matrix")
     if raw is None:
         problems.append("umda_matrix is required")
@@ -81,38 +116,14 @@ def _parse_matrix(obj, problems):
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 problems.append(f"umda_matrix[{r}][{c}] must be a nonnegative integer, got {v!r}")
                 return None
-
-    def overlap(section):
-        block = obj.get("overrides", {}).get(section)
-        if block is None:
-            return None
-        if not isinstance(block, dict):
-            problems.append(f"overrides.{section} must be an object of 'i-j' keys, got {block!r}")
-            return None
-        out = {}
-        for key, v in block.items():
-            try:
-                i, j = (int(p) for p in str(key).split("-"))
-            except ValueError:
-                problems.append(f"overrides.{section} key {key!r} must look like 'i-j'")
-                return None
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                problems.append(f"overrides.{section}[{key}] must be a nonnegative integer, got {v!r}")
-                return None
-            out[(i, j)] = v
-        return out or None
-
-    overrides = obj.get("overrides", {})
-    if not isinstance(overrides, dict) or set(overrides) - {"common", "source_private"}:
-        problems.append("overrides must be an object with keys from {common, source_private}")
+    if pins is None:
         return None
     matrix = UmdaMatrix(
         common_sizes=tuple(raw[0][:-1]),
         private_sizes=tuple(raw[1][:-1]),
         target_common=raw[0][-1],
         target_private=raw[1][-1],
-        common_overlap=overlap("common"),
-        private_overlap=overlap("source_private"),
+        **pins,
     )
     violations = matrix.violations()
     problems.extend(violations)
@@ -293,17 +304,14 @@ def canonical_dict(config: ExperimentConfig) -> dict:
     """Fully normalized plain-dict form; the hash input."""
     m = config.matrix
 
-    def overlaps(d):
-        return {f"{i}-{j}": v for (i, j), v in sorted((d or {}).items())}
-
     return {
         "umda_matrix": [
             list(m.common_sizes) + [m.target_common],
             list(m.private_sizes) + [m.target_private],
         ],
         "overrides": {
-            "common": overlaps(m.common_overlap),
-            "source_private": overlaps(m.private_overlap),
+            section: {} if pin is None else {"1-2": pin}
+            for section, pin in (("common", m.common_overlap), ("source_private", m.private_overlap))
         },
         "synthetic": {
             f.name: getattr(config.synthetic, f.name) for f in fields(SyntheticSpec)
@@ -363,18 +371,17 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
         matrix = replace(
             m,
             common_sizes=(n1, m.target_common + value - n1),
-            common_overlap={(1, 2): value},
+            common_overlap=value,
         )
     else:  # source_private_overlap
         if m.n_sources != 2:
             return None, ["source_private_overlap sweeps need a 2-source base config"]
-        existing = (m.private_overlap or {}).get((1, 2), 0)
-        union = sum(m.private_sizes) - existing
+        union = sum(m.private_sizes) - (m.private_overlap or 0)
         p1 = (union + value) // 2
         matrix = replace(
             m,
             private_sizes=(p1, union + value - p1),
-            private_overlap={(1, 2): value},
+            private_overlap=value,
         )
 
     problems.extend(matrix.violations())

@@ -38,19 +38,6 @@ class LabelConfigError(ValueError):
     """A label-set configuration that cannot be realized."""
 
 
-def _as_pair_dict(d):
-    """Normalize an override mapping to {(i, j): size} with i < j, 1-based."""
-    if d is None:
-        return {}
-    out = {}
-    for key, size in d.items():
-        i, j = key
-        if i > j:
-            i, j = j, i
-        out[(int(i), int(j))] = int(size)
-    return out
-
-
 @dataclass(frozen=True)
 class UmdaMatrix:
     """Block sizes of a multi-source label configuration.
@@ -60,18 +47,18 @@ class UmdaMatrix:
     ``target_common`` is the size of the union of all shared blocks and
     ``target_private`` the number of target-only classes.
 
-    ``common_overlap`` / ``private_overlap`` optionally pin the intersection
-    size of a pair of sources' shared (private) blocks, keyed by 1-based
-    source pairs, e.g. ``{(1, 2): 4}``. Without an override the layout rule
-    below decides the overlaps.
+    ``common_overlap`` / ``private_overlap`` optionally pin the size of the
+    intersection of source 1's and source 2's shared (private) blocks, in a
+    2-source setup only. Without a pin the layout rule below decides the
+    overlaps.
     """
 
     common_sizes: tuple[int, ...]
     private_sizes: tuple[int, ...]
     target_common: int
     target_private: int
-    common_overlap: dict | None = None
-    private_overlap: dict | None = None
+    common_overlap: int | None = None
+    private_overlap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "common_sizes", tuple(int(s) for s in self.common_sizes))
@@ -119,14 +106,12 @@ class UmdaMatrix:
                 f"common blocks sum to {sum(self.common_sizes)} and cannot cover "
                 f"target_common={self.target_common}"
             )
-        for label, overrides in (("common_overlap", self.common_overlap), ("private_overlap", self.private_overlap)):
-            if not overrides:
+        for label, o in (("common_overlap", self.common_overlap), ("private_overlap", self.private_overlap)):
+            if o is None:
                 continue
-            pairs = _as_pair_dict(overrides)
-            if m != 2 or set(pairs) != {(1, 2)}:
+            if m != 2:
                 out.append(f"{label} overrides are only supported for the pair (1, 2) of a 2-source setup")
                 continue
-            o = pairs[(1, 2)]
             sizes = self.common_sizes if label == "common_overlap" else self.private_sizes
             if not 0 <= o <= min(sizes):
                 out.append(f"{label}[(1, 2)]={o} is outside [0, {min(sizes)}]")
@@ -261,27 +246,24 @@ def partition_from_matrix(matrix: UmdaMatrix) -> LabelPartition:
 
     Shared blocks are placed inside [0, target_common) by the layout rule of
     :func:`_layout_blocks`; private blocks are placed after them, disjoint by
-    default; target-only classes take the final indices. Pair overrides pin
-    the intersection of the two blocks instead of the default rule.
+    default; target-only classes take the final indices. A pinned overlap
+    sets the intersection of the two blocks instead of the default rule.
     """
     problems = matrix.violations()
     if problems:
         raise LabelConfigError("; ".join(problems))
 
     n_common = matrix.target_common
-    common_over = _as_pair_dict(matrix.common_overlap)
-    if common_over:
-        common_blocks = _layout_pair(matrix.common_sizes[0], matrix.common_sizes[1], common_over[(1, 2)])
-    else:
+    if matrix.common_overlap is None:
         common_blocks = _layout_blocks(matrix.common_sizes, n_common, "common blocks")
-
-    private_over = _as_pair_dict(matrix.private_overlap)
-    if private_over:
-        window = sum(matrix.private_sizes) - private_over[(1, 2)]
-        private_blocks = _layout_pair(matrix.private_sizes[0], matrix.private_sizes[1], private_over[(1, 2)])
     else:
-        window = sum(matrix.private_sizes)
+        common_blocks = _layout_pair(*matrix.common_sizes, matrix.common_overlap)
+
+    window = sum(matrix.private_sizes) - (matrix.private_overlap or 0)
+    if matrix.private_overlap is None:
         private_blocks = _layout_blocks(matrix.private_sizes, window, "private blocks")
+    else:
+        private_blocks = _layout_pair(*matrix.private_sizes, matrix.private_overlap)
 
     total = n_common + window + matrix.target_private
     source_labels = [

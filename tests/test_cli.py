@@ -176,6 +176,12 @@ class TestValidate:
         assert out.count("invalid:") >= 3
         assert "invalid: overrides.common must be an object" in out
 
+    def test_pair_named_twice_exits_one(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, overrides={"common": {"1-2": 1, "2-1": 1}})
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == "invalid: overrides.common names the pair 1-2 more than once: ['1-2', '2-1']\n"
+
     def test_non_finite_values_exit_one(self, tmp_path, capsys):
         path = tiny_config(
             tmp_path,

@@ -134,6 +134,53 @@ class TestParseConfig:
         _, problems = parse_config(minimal(overrides={"bogus": {}}))
         assert any("overrides" in p for p in problems)
 
+    def test_override_problems_show_beside_malformed_rows(self):
+        for rows, row_problem in (
+            ([[5, 5, 6]], "umda_matrix must be two equal-length integer rows of M+1 entries "
+                          "(per-source sizes, then the target column)"),
+            ([[5, -1, 6], [3, 3, 3]], "umda_matrix[0][1] must be a nonnegative integer, got -1"),
+        ):
+            overrides = {"common": {"one:two": 2}, "source_private": 7}
+            _, problems = parse_config(minimal(umda_matrix=rows, overrides=overrides, seeds=[-1]))
+            assert problems == [
+                "overrides.common key 'one:two' must look like 'i-j'",
+                "overrides.source_private must be an object of 'i-j' keys, got 7",
+                row_problem,
+                "seeds must be >= 0, got [-1]",
+            ]
+
+    def test_pair_in_either_order_is_one_pin(self):
+        (one, problems), (two, again) = (
+            parse_config(minimal(overrides={"source_private": {key: 2}})) for key in ("1-2", "2-1")
+        )
+        assert problems == again == []
+        assert config_hash(two) == config_hash(one)
+        assert canonical_dict(two)["overrides"] == {"common": {}, "source_private": {"1-2": 2}}
+        cells = [derive_sweep_cell(config, "source_private_overlap", 1)[0] for config in (one, two)]
+        assert cells[1] == cells[0]
+        assert cells[0].matrix.private_sizes == (2, 3)
+        base_union = partition_from_matrix(one.matrix).source_private_union
+        assert partition_from_matrix(cells[1].matrix).source_private_union == base_union
+        assert len(base_union) == 4
+        assert two.matrix == one.matrix and one.matrix.private_overlap == 2
+
+    @pytest.mark.parametrize("section", ["common", "source_private"])
+    def test_pair_named_twice_is_a_problem(self, section):
+        _, problems = parse_config(minimal(overrides={section: {"1-2": 1, "2-1": 2}}))
+        assert problems == [f"overrides.{section} names the pair 1-2 more than once: ['1-2', '2-1']"]
+
+    @pytest.mark.parametrize("section, label", [("common", "common_overlap"), ("source_private", "private_overlap")])
+    def test_other_pair_is_a_problem_of_the_parser(self, section, label):
+        wrong_pair = f"{label} overrides are only supported for the pair (1, 2) of a 2-source setup"
+        for key in ("1-3", "3-1", "1-1"):
+            _, problems = parse_config(minimal(overrides={section: {key: 1}}))
+            assert problems == [wrong_pair], key
+        # the key is read with the overrides, before and beside the rows
+        _, problems = parse_config(minimal(umda_matrix=[[9, 4, 6], [3, 3, 3]], overrides={section: {"1-3": 1}}))
+        assert problems == [wrong_pair, "common_sizes[0]=9 exceeds target_common=6"]
+        _, problems = parse_config(minimal(umda_matrix=[[4, 4, 6]], overrides={section: {"1-2": 1, "1-3": 1}}))
+        assert problems[0] == wrong_pair and problems[1].startswith("umda_matrix must be")
+
     def test_non_object_overrides_are_problems(self):
         for section in ("common", "source_private"):
             for bad in (5, [1, 2], "1-2"):

@@ -56,15 +56,14 @@ class TestMatrixValidation:
         assert UmdaMatrix((4, 4), (3, 3), 6, 3).violations() == []
 
     def test_override_pair_restrictions(self):
-        three = UmdaMatrix((2, 2, 2), (1, 1, 1), 3, 0, common_overlap={(1, 2): 1})
+        three = UmdaMatrix((2, 2, 2), (1, 1, 1), 3, 0, common_overlap=1)
         assert any("2-source" in m for m in three.violations())
-        wrong_pair = UmdaMatrix((2, 2), (1, 1), 3, 0, common_overlap={(1, 3): 1})
-        assert any("2-source" in m for m in wrong_pair.violations())
 
     def test_common_override_must_match_union_size(self):
-        bad = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap={(1, 2): 1})
-        assert any("inconsistent" in m for m in bad.violations())
-        good = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap={(1, 2): 2})
+        for o in (0, 1):  # a pin of 0 is a pin
+            bad = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=o)
+            assert any("inconsistent" in m for m in bad.violations()), o
+        good = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=2)
         assert good.violations() == []
 
 
@@ -113,14 +112,14 @@ class TestLayouts:
         assert c1 == {0, 1, 2} and c2 == {3, 4, 5}
 
     def test_pinned_common_overlap(self):
-        p = partition_from_matrix(UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap={(1, 2): 2}))
+        p = partition_from_matrix(UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=2))
         c1, c2 = (set(c) for c in p.common_per_source)
         assert len(c1 & c2) == 2
         assert c1 | c2 == set(range(6))
 
     def test_pinned_private_overlap(self):
         p = partition_from_matrix(
-            UmdaMatrix((3, 3), (3, 3), 6, 0, private_overlap={(1, 2): 2})
+            UmdaMatrix((3, 3), (3, 3), 6, 0, private_overlap=2)
         )
         p1, p2 = (set(q) for q in p.private_per_source)
         assert len(p1 & p2) == 2

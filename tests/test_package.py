@@ -3,8 +3,11 @@ function grows past a screenful, and the package does not grow past its
 recorded size."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+
+import uman
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uman"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -44,6 +47,13 @@ def test_every_definition_is_named_elsewhere_or_exported():
     assert unused == []
 
 
+def test_each_public_module_is_the_package_attribute_of_its_name():
+    # a name the package re-exports from a submodule must not shadow a submodule
+    public = [name for name in MODULES if not name.startswith("_")]
+    modules = {name: importlib.import_module(f"uman.{name}") for name in public}
+    assert [name for name in public if getattr(uman, name) is not modules[name]] == []
+
+
 # a function longer than this is split into named steps
 MAX_FUNCTION_LINES = 80
 
@@ -61,7 +71,7 @@ def test_no_function_exceeds_the_line_budget():
 
 # lines of src/uman when the budget was set; a change that grows the package
 # raises this figure and says why
-MAX_PACKAGE_LINES = 3042
+MAX_PACKAGE_LINES = 3030
 
 
 def test_package_stays_within_its_line_budget():
