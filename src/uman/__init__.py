@@ -7,7 +7,7 @@ contain classes no source has. Submodules:
 * :mod:`uman.labelspace` -- label-set size matrices, concrete class
   layouts, Jaccard similarities;
 * :mod:`uman.synth` -- seeded synthetic multi-domain Gaussian data with
-  controllable domain gaps, and the training batches of several runs;
+  controllable domain gaps; training draws its batches in :mod:`uman.core`;
 * :mod:`uman.nn` -- dense MLP numerics: a net's forward and explicit
   backward pass laid out once per batch as a ``Plan``, over rows that
   stack blocks each computed as a pass of its own, row normalization,
@@ -30,7 +30,7 @@ from .labelspace import (
     jaccard_source_target,
     partition_from_matrix,
 )
-from .synth import DomainDataset, SyntheticSpec, generate, run_batches
+from .synth import DomainDataset, SyntheticSpec, generate
 from .nn import Mlp, NonFiniteGradientError
 from .core import (
     METHODS,

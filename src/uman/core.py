@@ -46,7 +46,6 @@ from .nn import (
     sgd_update,
     softmax,
 )
-from .synth import run_batches
 
 __all__ = [
     "UNKNOWN",
@@ -478,26 +477,27 @@ def _check_runs(runs, partition, method: str):
         raise ValueError(f"expected one label partition per run, got {len(partitions)} for {len(runs)} runs")
     layouts = []
     for (datasets, run_hp), partition in zip(runs, partitions):
-        problems = run_hp.violations()
-        if problems:
+        if problems := run_hp.violations():
             raise ValueError("; ".join(problems))
         if len(datasets) != partition.n_sources + 1:
             raise ValueError(
                 f"expected {partition.n_sources} source datasets plus one target, got {len(datasets)}"
             )
+        if empty := [k for k, ds in enumerate(datasets) if len(ds) == 0]:
+            raise ValueError(f"dataset {empty[0]} is empty")
         if partition.source_union != tuple(range(partition.n_source_classes)):
             raise ValueError("source classes must form a contiguous range starting at 0")
         for i, ds in enumerate(datasets[:-1]):
             if ds.labels is None:
                 raise ValueError(f"dataset {i} has no labels but is used as a source")
-            extra = set(np.unique(ds.labels)) - set(partition.source_labels[i])
+            extra = set(np.unique(ds.labels).tolist()) - set(partition.source_labels[i])
             if extra:
                 raise ValueError(f"source {i + 1} carries labels {sorted(extra)} outside its label set")
         target = datasets[-1]
         if target.labels is not None:
             raise ValueError("the last dataset must be the unlabeled target")
         if target.eval_labels is not None:
-            extra = set(np.unique(target.eval_labels)) - set(partition.target_labels)
+            extra = set(np.unique(target.eval_labels).tolist()) - set(partition.target_labels)
             if extra:
                 raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
         layouts.append(batch_layout(partition, run_hp, [len(ds) for ds in datasets], datasets[0].features.shape[1]))
@@ -606,6 +606,41 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
 CHUNK = 16
 
 
+def _chunk_stream(runs, sizes: tuple):
+    """The rows ``runs``, a list of ``(datasets, seed)`` pairs, draw,
+    :data:`CHUNK` steps per item ``(x, labels)``: ``x[s, r]`` stacks run r's
+    sub-batches of step s, ``sizes[k]`` rows of its dataset k in dataset
+    order, and ``labels[s, r]`` the labels of its sources' rows (the last
+    dataset is the unlabeled target). Each (run, domain) pair shuffles one
+    permutation per epoch from its own stream, seeded by the run's seed and
+    the domain's id, and drops the ragged tail. One gather per pair per
+    chunk reads the dataset's own arrays, so runs may share a dataset."""
+    bounds = np.cumsum([0, *sizes]).tolist()
+
+    def index_stream(ds, seed, size):
+        # the epochs' permutations without their ragged tails, end to end,
+        # handed out a chunk of sub-batches at a time
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
+        left, n = np.empty(0, dtype=np.int64), len(ds)
+        while True:
+            while len(left) < CHUNK * size:
+                left = np.concatenate([left, rng.permutation(n)[: n - n % size]])
+            yield left[: CHUNK * size].reshape(CHUNK, size)
+            left = left[CHUNK * size :]
+
+    streams = [[(ds, index_stream(ds, seed, size)) for ds, size in zip(datasets, sizes)] for datasets, seed in runs]
+    while True:
+        x = np.empty((CHUNK, len(runs), bounds[-1], runs[0][0][0].features.shape[1]))
+        labels = np.empty((CHUNK, len(runs), bounds[-2]), dtype=np.int64)
+        for r, run in enumerate(streams):
+            for k, (ds, stream) in enumerate(run):
+                idx = next(stream)
+                x[:, r, bounds[k] : bounds[k + 1]] = ds.features[idx]
+                if k < len(sizes) - 1:
+                    labels[:, r, bounds[k] : bounds[k + 1]] = ds.labels[idx]
+        yield x, labels
+
+
 class _Batch:
     """A method batch's training state, built once per :func:`train_runs`.
 
@@ -645,7 +680,7 @@ class _Batch:
             None if b is None else Plan(net, np.empty((len(runs), rows, net.in_dim)), b) for net, b in zip(self.nets, blocks)
         ]
         seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
-        self._draws = run_batches([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], hp.batch_size, steps=CHUNK)
+        self._draws = _chunk_stream([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], self.sizes)
         self.ones = np.ones(self.plans[2].acts[-1].shape[:-1]) if method == "unweighted_adv" else None
 
     def draw(self, first: int):
@@ -653,7 +688,7 @@ class _Batch:
         arrays and, in the ablations, allocate the buffer of its G outputs.
         The previous chunk's are freed first, so no two are held at once."""
         self.x = self.labels = self.at_labels = self.in_common = self.logits = None
-        self.x, self.labels, _ = next(self._draws)
+        self.x, self.labels = next(self._draws)
         self.logits = None if self.method == "uman" else np.empty((CHUNK, *self.plans[1].acts[-1].shape))
         self.first = first
         runs, n_src = self.labels.shape[1:]

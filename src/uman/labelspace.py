@@ -16,7 +16,8 @@ relies on when sizing the classifier head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 __all__ = [
@@ -61,10 +62,16 @@ class UmdaMatrix:
     private_overlap: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "common_sizes", tuple(int(s) for s in self.common_sizes))
-        object.__setattr__(self, "private_sizes", tuple(int(s) for s in self.private_sizes))
-        object.__setattr__(self, "target_common", int(self.target_common))
-        object.__setattr__(self, "target_private", int(self.target_private))
+        # Python and numpy integers become ints; anything else names its field
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            try:
+                if name.endswith("sizes"):
+                    value = tuple(int(operator.index(v)) for v in value)
+                elif value is not None or not name.endswith("overlap"):
+                    value = int(operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be integral, got {value!r}") from None
+            object.__setattr__(self, name, value)
 
     @property
     def n_sources(self) -> int:

@@ -1,4 +1,5 @@
-"""Synthetic multi-domain Gaussian data with controllable domain gaps.
+"""Synthetic multi-domain Gaussian data with controllable domain gaps: the
+data generator and nothing else (training draws its batches in ``core``).
 
 Every class c gets a global center mu_c ~ N(0, class_center_scale^2 I).
 Domain k draws samples N(mu_c, noise_sigma^2 I) for each class in its label
@@ -30,7 +31,6 @@ __all__ = [
     "DomainDataset",
     "domain_rows",
     "generate",
-    "run_batches",
 ]
 
 # spawn_key purpose tags for the per-stream seed derivation
@@ -100,8 +100,7 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
     Domain ids are 0..M-1 for the sources and M for the target. ``draw``
     selects an independent sample draw over the same domain structure.
     """
-    problems = spec.violations()
-    if problems:
+    if problems := spec.violations():
         raise ValueError("; ".join(problems))
     d = spec.feature_dim
     centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal(
@@ -123,79 +122,5 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
             ys.append(np.full(spec.samples_per_class, c, dtype=np.int64))
         features = np.concatenate(xs) @ rot.T + shift
         labels = np.concatenate(ys)
-        if domain == len(label_sets) - 1:
-            datasets.append(DomainDataset(domain, features, None, labels))
-        else:
-            datasets.append(DomainDataset(domain, features, labels, labels))
+        datasets.append(DomainDataset(domain, features, None if domain == len(label_sets) - 1 else labels, labels))
     return datasets
-
-
-def run_batches(runs, batch_size: int, steps: int | None = None):
-    """Endless stream of the batches of several runs at once, stacked along
-    a leading run axis.
-
-    ``runs`` lists ``(datasets, seed)`` pairs. Their datasets may differ in
-    length, but every run must draw sub-batches of the same sizes from its
-    domains in order. Every step yields ``(features, labels, sizes)``: row r
-    of ``features`` stacks run r's sub-batches, one per dataset in dataset
-    order; row r of ``labels`` holds the labels of the rows of every
-    dataset but the last (the sources; the last dataset is the unlabeled
-    target); ``sizes`` holds the row count of each sub-batch. Each domain
-    of each run shuffles its own index permutation per epoch from its own
-    stream, seeded by the run's seed and the domain's id, and drops the
-    ragged tail, so a sub-batch always has exactly
-    ``min(batch_size, len(dataset))`` rows. A run's rows are what it draws
-    alone. Rows are gathered from each dataset's own arrays, so the stream
-    holds no copy of the datasets, and runs may share a dataset object.
-
-    With ``steps``, each item holds that many consecutive steps along a
-    new leading axis of ``features`` and ``labels``: step s of item c is
-    step ``c * steps + s`` of the stream above, and one gather per dataset
-    takes all of them. Training draws :data:`uman.core.CHUNK` steps per item.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    sizes = tuple(min(batch_size, len(ds)) for ds in runs[0][0])
-    for r, (datasets, _) in enumerate(runs):
-        if (run_sizes := tuple(min(batch_size, len(ds)) for ds in datasets)) != sizes:
-            raise ValueError(
-                f"the runs of one batch need the same sub-batch sizes: run {r} draws {run_sizes}, run 0 {sizes}"
-            )
-        for ds in datasets:
-            if len(ds) == 0:
-                raise ValueError(f"domain {ds.domain_id} is empty")
-        for ds in datasets[:-1]:
-            if ds.labels is None:
-                raise ValueError(f"domain {ds.domain_id} has no labels but is used as a source")
-
-    count = steps or 1
-    bounds = np.cumsum([0, *sizes]).tolist()
-
-    def index_stream(ds, seed, size):
-        # the epochs' permutations without their ragged tails, end to end,
-        # handed out ``count`` sub-batches at a time
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
-        n = len(ds)
-        left = np.empty(0, dtype=np.int64)
-        while True:
-            while len(left) < count * size:
-                left = np.concatenate([left, rng.permutation(n)[: n - n % size]])
-            yield left[: count * size].reshape(count, size)
-            left = left[count * size :]
-
-    streams = [[(ds, index_stream(ds, seed, size)) for ds, size in zip(datasets, sizes)] for datasets, seed in runs]
-    first = runs[0][0][0].features
-    while True:
-        features = np.empty((count, len(runs), bounds[-1], first.shape[1]), dtype=first.dtype)
-        labels = np.empty((count, len(runs), bounds[-2]), dtype=np.int64)
-        for r, run in enumerate(streams):
-            for k, (ds, stream) in enumerate(run):
-                idx = next(stream)
-                features[:, r, bounds[k] : bounds[k + 1]] = ds.features[idx]
-                if k < len(sizes) - 1:
-                    labels[:, r, bounds[k] : bounds[k + 1]] = ds.labels[idx]
-        if steps is None:
-            features, labels = features[0], labels[0]
-        yield features, labels, sizes

@@ -139,10 +139,12 @@ def _normalize_jointly(parts):
 
 
 def per_step_batches(runs, batch_size):
-    """The batch stream drawn one step at a time, each (run, domain) index
-    stream advanced once per step: the reference the chunked draws of
-    ``uman.synth.run_batches`` must reproduce. Yields ``(features, labels,
-    sizes)`` per step, as ``run_batches`` does without ``steps``."""
+    """The batch stream of runs whose datasets have the same lengths, drawn
+    one step at a time from one stacked copy of every run's rows, each
+    (run, domain) index stream advanced once per step: the reference the
+    chunks of ``uman.core._chunk_stream`` must reproduce. Yields
+    ``(features, labels, sizes)`` per step, with a leading run axis on
+    ``features`` and ``labels``."""
     lengths = [len(ds) for ds in runs[0][0]]
     features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
     labels = np.concatenate([
@@ -168,42 +170,6 @@ def per_step_batches(runs, batch_size):
     while True:
         idx = np.concatenate([next(stream) for stream in streams]).reshape(len(runs), -1)
         yield features[idx], labels[idx[:, :n_src]], sizes
-
-
-def stacked_run_batches(runs, batch_size, steps=None):
-    """The batch stream of runs whose datasets have the same lengths, from
-    one stacked copy of every run's rows: the reference ``run_batches``
-    must reproduce for each run alone."""
-    lengths = [len(ds) for ds in runs[0][0]]
-    features = np.concatenate([ds.features for datasets, _ in runs for ds in datasets])
-    labels = np.concatenate([
-        y
-        for datasets, _ in runs
-        for y in [ds.labels for ds in datasets[:-1]] + [np.zeros(lengths[-1], np.int64)]
-    ])
-    sizes = tuple(min(batch_size, n) for n in lengths)
-    n_src = sum(sizes[:-1])
-    count = steps or 1
-
-    def index_stream(ds, seed, offset, size):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
-        n = len(ds)
-        left = np.empty(0, dtype=np.int64)
-        while True:
-            while len(left) < count * size:
-                left = np.concatenate([left, offset + rng.permutation(n)[: n - n % size]])
-            yield left[: count * size].reshape(count, size)
-            left = left[count * size :]
-
-    streams = []
-    for r, (datasets, seed) in enumerate(runs):
-        offsets = r * sum(lengths) + np.cumsum([0] + lengths[:-1])
-        streams += [index_stream(*args) for args in zip(datasets, [seed] * len(sizes), offsets, sizes)]
-    while True:
-        idx = np.concatenate([next(stream) for stream in streams], axis=1).reshape(count, len(runs), -1)
-        if steps is None:
-            idx = idx[0]
-        yield features[idx], labels[idx[..., :n_src]], sizes
 
 
 def checked_sgd_update(net, lr, weight_decay=0.0):
@@ -234,7 +200,6 @@ def per_source_train(datasets, partition, hp, method="uman"):
         trace_columns,
     )
     from uman.nn import forward_mlp, l2_normalize, l2_normalize_backward, softmax
-    from uman.synth import run_batches
 
     adversarial = method != "source_only"
     n_classes = partition.n_source_classes
@@ -245,7 +210,7 @@ def per_source_train(datasets, partition, hp, method="uman"):
     common_mask[list(partition.common_union)] = True
 
     batch_seed = int(np.random.SeedSequence(hp.seed, spawn_key=(200,)).generate_state(1)[0])
-    batches = run_batches([(datasets, batch_seed)], hp.batch_size)
+    batches = per_step_batches([(datasets, batch_seed)], hp.batch_size)
 
     columns = trace_columns(len(datasets) - 1)
     trace = []

@@ -12,10 +12,12 @@ control flow moves; the array work is the rest.
 cProfile counts the calls of the package's own functions and the calls
 they make (numpy's entry points among them), but not the calls numpy makes
 inside its own functions, which a numpy release may change. It counts
-them for each method at the two layouts the benchmark trains, the 5-source cell of the committed config at one seed
-and the committed config itself (2 sources, 3 seeds). A step's count is
-that of a 2K-step run less that of a K-step run, over K, for the chunk
-length K, after one run that fills the caches, so the setup and the
+them for each method at the two layouts the benchmark trains, the
+5-source cell of the committed config at one seed and the committed
+config itself (2 sources, 3 seeds), and at the 10-source cell at 3 seeds,
+which pins how a step's calls grow with the number of sources. A step's
+count is that of a 2K-step run less that of a K-step run, over K, for the
+chunk length K, after one run that fills the caches, so the setup and the
 first chunk cancel out.
 Each count must stay within 3% of its budget; ``conftest.py`` prints the
 counts after the run summary.
@@ -31,6 +33,7 @@ trained run. Each peak must stay within 10% of its budget.
 
 import cProfile
 import pstats
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +58,9 @@ BUDGET = {
     ("2 sources, R=3", "uman"): 141.8,
     ("2 sources, R=3", "source_only"): 64.3,
     ("2 sources, R=3", "unweighted_adv"): 94.1,
+    ("10 sources, R=3", "uman"): 146.0,
+    ("10 sources, R=3", "source_only"): 69.6,
+    ("10 sources, R=3", "unweighted_adv"): 99.4,
 }
 SLACK = 1.03
 
@@ -67,13 +73,15 @@ RESULTS: list[str] = []
 
 
 def _layout(name):
+    """The committed config at the layout ``name`` gives: its cell of that
+    many sources, at its first R seeds."""
     config, problems = load_config(STANDARD)
     assert problems == []
-    if name.startswith("5"):
-        config, problems = derive_sweep_cell(config, "num_sources", 5)
+    sources, runs = map(int, re.findall(r"\d+", name))
+    if sources != config.matrix.n_sources:
+        config, problems = derive_sweep_cell(config, "num_sources", sources)
         assert problems == []
-        config = replace(config, seeds=(0,))
-    return config
+    return replace(config, seeds=config.seeds[:runs])
 
 
 def _calls(config, method, steps):
@@ -111,7 +119,7 @@ def test_calls_per_step_stay_in_budget(layout):
 
 
 def _sweep_batches(steps, out):
-    config = _layout("2 sources")
+    config = _layout("2 sources, R=3")
     config = replace(config, hyperparams=replace(config.hyperparams, max_steps=steps), output_dir=str(out))
 
     def planned(seeds):

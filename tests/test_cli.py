@@ -182,6 +182,11 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out == "invalid: overrides.common names the pair 1-2 more than once: ['1-2', '2-1']\n"
 
+    def test_matrix_with_no_layout_exits_one(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, umda_matrix=[[4, 3, 1, 5], [0, 0, 1, 0]])
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == "invalid: common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5\n"
+
     def test_non_finite_values_exit_one(self, tmp_path, capsys):
         path = tiny_config(
             tmp_path,

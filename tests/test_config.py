@@ -27,7 +27,7 @@ from uman.config import (
     run_layout,
 )
 from uman.core import METHODS, Hyperparams, _Batch, _build_nets, net_shapes, step_floats, trace_columns, train
-from uman.labelspace import MAX_CLASSES, partition_from_matrix
+from uman.labelspace import MAX_CLASSES, UmdaMatrix, partition_from_matrix
 from uman.synth import SyntheticSpec, generate
 
 STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
@@ -190,6 +190,18 @@ class TestParseConfig:
     def test_infeasible_layout_is_a_problem(self):
         _, problems = parse_config(minimal(umda_matrix=[[2, 2, 6], [0, 0, 0]]))
         assert any("cover" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            (dict(overrides={"common": {"1-2": 2.5}}), "overrides.common[1-2] must be a nonnegative integer, got 2.5"),
+            (dict(umda_matrix=[[4, 3, 1, 5], [0, 0, 1, 0]]), "common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5"),
+        ],
+        ids=["fractional pin", "no layout"],
+    )
+    def test_problem_text(self, changes, problem):
+        _, problems = parse_config(minimal(**changes))
+        assert problems == [problem]
 
     def test_matrix_violations_are_reported_once(self):
         _, problems = parse_config(minimal(umda_matrix=[[9, 4, 6], [3, 3, 3]]))
@@ -537,6 +549,12 @@ class TestSweepCells:
         assert problems
         _, problems = derive_sweep_cell(self.base(), "target_private_size", -1)
         assert problems
+
+    def test_cell_with_no_layout_is_a_problem(self):
+        # a base the parser would refuse, built in Python: its cells keep
+        # the common blocks no layout realizes
+        config = replace(self.base(), matrix=UmdaMatrix((4, 3, 1), (0, 0, 1), 5, 0))
+        assert derive_sweep_cell(config, "target_private_size", 2) == (None, ["common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5"])
 
     def test_unknown_axis_rejected(self):
         _, problems = derive_sweep_cell(self.base(), "learning_rate", 1)

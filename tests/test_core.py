@@ -12,6 +12,7 @@ from helpers import (
     numeric_gradient,
     param_pairs,
     per_source_train,
+    per_step_batches,
     random_simplex,
     standard_hp,
     standard_matrix,
@@ -26,6 +27,8 @@ from uman.core import (
     Hyperparams,
     TargetMarginRegister,
     TrainingDiverged,
+    _chunk_stream,
+    batch_layout,
     batch_margins,
     classification_loss,
     domain_loss,
@@ -197,6 +200,10 @@ class TestWeights:
     def test_normalize_all_zero_stays_zero(self):
         np.testing.assert_array_equal(normalize_weights(np.zeros(5)), np.zeros(5))
 
+    def test_normalize_empty_group_stays_empty(self):
+        # a group with no rows has no mean, and divides by nothing
+        assert_same_array(normalize_weights(np.zeros((3, 0))), np.zeros((3, 0)))
+
     def test_normalize_rejects_negatives(self):
         with pytest.raises(ValueError):
             normalize_weights(np.array([0.5, -0.1]))
@@ -351,8 +358,26 @@ class TestHyperparams:
     def test_defaults_valid(self):
         assert Hyperparams().violations() == []
 
+    def test_hidden_widths_must_be_positive(self):
+        assert Hyperparams(feature_hidden=(0,)).violations() == ["feature_hidden widths must be >= 1, got (0,)"]
+
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
+
+
+def _label_outside_its_source(datasets):
+    datasets[0].labels[0] = 11  # a private class of source 2
+    return [datasets]
+
+
+def _labeled_target(datasets):
+    target = datasets[-1]
+    return [[*datasets[:-1], DomainDataset(target.domain_id, target.features, target.eval_labels, target.eval_labels)]]
+
+
+def _label_outside_the_target(datasets):
+    datasets[-1].eval_labels[0] = 6  # a private class of source 1
+    return [datasets]
 
 
 def tiny_setup(seed=0, **hp_kw):
@@ -460,6 +485,138 @@ class TestTrainerMechanics:
         _, _, hp = tiny_setup()
         with pytest.raises(ValueError, match="contiguous"):
             train(datasets, partition, hp)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda datasets: [], "need at least one run"),
+            (_label_outside_its_source, "source 1 carries labels [11] outside its label set"),
+            (_labeled_target, "the last dataset must be the unlabeled target"),
+            (_label_outside_the_target, "target evaluation labels [6] outside the target label set"),
+        ],
+        ids=["no run", "source label", "labeled target", "target label"],
+    )
+    def test_rejected_runs_are_named(self, spoil, message):
+        datasets, partition, hp = tiny_setup()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_runs([(spoiled, hp) for spoiled in spoil(datasets)], partition)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("k", [0, 2], ids=["source", "target"])
+    def test_empty_domain_is_rejected_before_any_batch(self, monkeypatch, k, steps, method):
+        datasets, partition, hp = tiny_setup(max_steps=steps)
+        ds = datasets[k]
+        datasets[k] = DomainDataset(k, ds.features[:0], None if ds.labels is None else ds.labels[:0], ds.eval_labels[:0])
+
+        def unbuilt(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(uman.core, "_Batch", unbuilt)
+        with pytest.raises(ValueError, match=rf"^dataset {k} is empty$"):
+            train(datasets, partition, hp, method=method)
+        with pytest.raises(ValueError, match=rf"^dataset {k} is empty$"):
+            train_runs([(tiny_setup()[0], hp), (datasets, hp)], partition, method=method)
+
+
+class TestChunkStream:
+    """:func:`uman.core._chunk_stream`, the rows training draws,
+    :data:`CHUNK` steps per item."""
+
+    @staticmethod
+    def _tagged(n, domain_id=0):
+        # column 0 holds the row's label, so batch alignment is visible, and
+        # column 1 its index
+        labels = np.arange(n) % 3
+        return DomainDataset(domain_id, np.stack([labels, np.arange(n)], axis=1).astype(float), labels, None)
+
+    @staticmethod
+    def _domains(seed, lengths=(41, 6, 23, 30)):
+        # column 0 holds the row's index, column 1 its domain and column 2
+        # the run's seed; the last domain is the unlabeled target
+        out = []
+        for domain, n in enumerate(lengths):
+            features = np.stack([np.arange(n), np.full(n, domain), np.full(n, seed)], axis=1).astype(float)
+            labels = None if domain == len(lengths) - 1 else np.arange(n) % 3
+            out.append(DomainDataset(domain, features, labels, None))
+        return out
+
+    @staticmethod
+    def _drawn_alone(stream):
+        """The next :data:`CHUNK` steps of a :func:`per_step_batches` stream
+        of one run, as that run's row of a chunk."""
+        steps = [next(stream) for _ in range(CHUNK)]
+        return tuple(np.concatenate([step[i] for step in steps]) for i in (0, 1))
+
+    def test_batches_keep_feature_label_alignment(self):
+        runs = [([self._tagged(30), self._tagged(20, domain_id=1)], 0)]
+        x, labels = next(_chunk_stream(runs, (7, 7)))
+        assert x.shape == (CHUNK, 1, 14, 2) and labels.shape == (CHUNK, 1, 7)
+        np.testing.assert_array_equal(x[:, :, :7, 0], labels)
+
+    def test_epoch_has_no_repeats_and_drops_tail(self):
+        x, _ = next(_chunk_stream([([self._tagged(10)], 3)], (4,)))
+        # two sub-batches of 4 from each epoch of 10 rows
+        for epoch in x[:, 0, :, 1].reshape(CHUNK // 2, 8):
+            assert len(set(epoch.tolist())) == 8
+
+    def test_small_domain_caps_its_sub_batch(self):
+        small, large = self._tagged(5), self._tagged(50, domain_id=1)
+        sizes = batch_layout(partition_from_matrix(MATRIX), Hyperparams(batch_size=32), [5, 50], 2).sub_batch_sizes
+        assert sizes == (5, 32)
+        x, labels = next(_chunk_stream([([small, large], 0)], sizes))
+        assert labels.shape == (CHUNK, 1, 5)
+        # each domain draws from its own seeded stream, stacked or not
+        np.testing.assert_array_equal(x[:, :, 5:], next(_chunk_stream([([large], 0)], (32,)))[0])
+
+    def test_deterministic_per_seed(self):
+        ds = self._tagged(20)
+        a, b, c = (next(_chunk_stream([([ds], seed)], (8,)))[0] for seed in (5, 5, 6))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_target_rows_stay_unlabeled(self):
+        datasets = generate(SyntheticSpec(feature_dim=8, samples_per_class=40), partition_from_matrix(MATRIX))
+        x, labels = next(_chunk_stream([(datasets, 0)], (16, 16, 16)))
+        assert x.shape == (CHUNK, 1, 48, 8)
+        assert labels.shape == (CHUNK, 1, 32)  # the source rows only
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_chunks_follow_the_per_step_stream(self, n_runs):
+        runs = [(self._domains(seed), seed + 11) for seed in range(n_runs)]
+        # 3 epochs of the longest domain (5 batches of 8 each), and a step
+        # count no chunk length divides
+        steps = 3 * CHUNK + 5
+        assert steps > 3 * (41 // 8) and steps % CHUNK
+        reference, chunks = per_step_batches(runs, 8), _chunk_stream(runs, (8, 6, 8, 8))
+        for first in range(0, steps, CHUNK):
+            x, labels = next(chunks)
+            assert x.shape == (CHUNK, n_runs, 30, 3) and labels.shape == (CHUNK, n_runs, 22)
+            for j in range(min(CHUNK, steps - first)):
+                want_x, want_labels, want_sizes = next(reference)
+                assert want_sizes == (8, 6, 8, 8)
+                assert x[j].tobytes() == want_x.tobytes()
+                assert labels[j].tobytes() == want_labels.tobytes()
+
+    def test_runs_of_unequal_lengths_each_draw_their_own_stream(self):
+        # the second domain is shorter than the batch in every run; the
+        # others differ in length from run to run, not in their sub-batch
+        runs = [(self._domains(0), 11), (self._domains(1, (17, 6, 40, 9)), 12), (self._domains(2), 13)]
+        chunks = _chunk_stream(runs, (8, 6, 8, 8))
+        alone = [per_step_batches([run], 8) for run in runs]
+        for _ in range(3):
+            x, labels = next(chunks)
+            for r, own in enumerate(alone):
+                want_x, want_labels = self._drawn_alone(own)
+                assert x[:, r].tobytes() == want_x.tobytes()
+                assert labels[:, r].tobytes() == want_labels.tobytes()
+
+    def test_runs_may_share_a_dataset(self):
+        source = self._domains(0, (20, 9))[0]
+        runs = [([source, target], seed) for seed, target in enumerate(self._domains(0, (9, 12, 15))[1:])]
+        x, _ = next(_chunk_stream(runs, (8, 8)))
+        for r, run in enumerate(runs):
+            assert x[:, r].tobytes() == self._drawn_alone(per_step_batches([run], 8))[0].tobytes()
 
 
 class TestSourceOnlyForward:

@@ -324,6 +324,12 @@ class TestAlignmentProbe:
                 _fresh_feature_net(8), datasets, partition, "source-vs-source-shared"
             )
 
+    def test_population_of_fewer_than_five_rows_is_named(self, partition):
+        # one sample per class leaves the 3 target-private classes 3 rows
+        datasets = generate(SyntheticSpec(feature_dim=8, samples_per_class=1, seed=8), partition)
+        with pytest.raises(ValueError, match=r"^population of target samples has only 3 samples; need at least 5$"):
+            alignment_probe(_fresh_feature_net(8), datasets, partition, "source-vs-target-private")
+
     @pytest.mark.parametrize("pair", [(0, 2), (1, 3)])
     def test_source_outside_the_partition_rejected(self, partition, pair):
         spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=8)

@@ -1,6 +1,7 @@
 """Label-set algebra: frozen layouts, set-algebra oracles, round trips."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ class TestMatrixValidation:
         assert "source 2 has no classes" in UmdaMatrix((2, 0), (1, 0), 2, 1).violations()
         assert "the target has no classes" in UmdaMatrix((0, 0), (2, 2), 0, 0).violations()
         assert UmdaMatrix((0,), (0,), 0, 0).violations() == ["source 1 has no classes", "the target has no classes"]
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (UmdaMatrix((), (), 1, 0), "at least one source domain is required"),
+            (UmdaMatrix((2,), (1,), -1, 1), "target_common is negative (-1)"),
+        ],
+        ids=["no source", "negative target_common"],
+    )
+    def test_violation_text(self, matrix, message):
+        assert message in matrix.violations()
+
+    @pytest.mark.parametrize(
+        "args, kw, message",
+        [
+            (((4.7, 4), (0, 0), 6, 0), {}, "common_sizes must be integral, got (4.7, 4)"),
+            (((4, 4), (0, 0), 6, 0), {"common_overlap": 2.0}, "common_overlap must be integral, got 2.0"),
+            (((4, 4), (0, 0), "6", 0), {}, "target_common must be integral, got '6'"),
+        ],
+        ids=["fractional size", "fractional pin", "string"],
+    )
+    def test_non_integers_are_refused_by_field(self, args, kw, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            UmdaMatrix(*args, **kw)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        matrix = UmdaMatrix(np.array([4, 4]), (0, 0), np.int64(6), 0, common_overlap=np.int32(2))
+        assert matrix == UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=2)
+        assert all(type(v) is int for v in (*matrix.common_sizes, matrix.target_common, matrix.common_overlap))
+        assert partition_from_matrix(matrix) == partition_from_matrix(UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=2))
 
     def test_valid_matrix_has_no_violations(self):
         assert UmdaMatrix((4, 4), (3, 3), 6, 3).violations() == []
@@ -154,6 +185,21 @@ class TestPartition:
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(LabelConfigError, match="outside"):
             LabelPartition.from_primaries([(0, 9)], (0,), total_classes=3)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: LabelPartition.from_primaries([(0, 1)], (0, 5), total_classes=3), "target labels outside [0, 3)"),
+            (
+                lambda: jaccard_source_target(LabelPartition.from_primaries([()], (), total_classes=1), 1),
+                "jaccard of two empty sets is undefined (source 1 vs target)",
+            ),
+        ],
+        ids=["target label", "empty jaccard"],
+    )
+    def test_rejection_text(self, call, message):
+        with pytest.raises(LabelConfigError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_matrix_round_trip_on_frozen_examples(self):
         for matrix in (

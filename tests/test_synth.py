@@ -2,16 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import per_step_batches, stacked_run_batches
 
-from uman.core import CHUNK
 from uman.labelspace import UmdaMatrix, partition_from_matrix
-from uman.synth import (
-    DomainDataset,
-    SyntheticSpec,
-    generate,
-    run_batches,
-)
+from uman.synth import SyntheticSpec, generate
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
 
@@ -163,160 +156,3 @@ class TestDomainGapStatistics:
             s1.features[s1.labels == c], tgt.features[tgt.eval_labels == c]
         )
         assert p < 0.01
-
-
-class TestBatchIterator:
-    """:func:`run_batches` for one run, the stream a run draws alone."""
-
-    def _tagged_dataset(self, n, domain_id=0):
-        # feature column 0 encodes the row's label so batch alignment is visible
-        labels = np.arange(n) % 3
-        features = np.zeros((n, 2))
-        features[:, 0] = labels
-        features[:, 1] = np.arange(n)
-        return DomainDataset(domain_id, features, labels.astype(np.int64), None)
-
-    def test_batches_keep_feature_label_alignment(self):
-        source = self._tagged_dataset(30, domain_id=0)
-        target = self._tagged_dataset(20, domain_id=1)
-        it = run_batches([([source, target], 0)], 7)
-        for _ in range(10):
-            features, labels, sizes = next(it)
-            assert sizes == (7, 7)
-            assert features.shape == (1, 14, 2)
-            np.testing.assert_array_equal(features[0, :7, 0], labels[0])
-
-    def test_epoch_has_no_repeats_and_drops_tail(self):
-        ds = self._tagged_dataset(10)
-        it = run_batches([([ds], 3)], 4)
-        seen = np.concatenate([next(it)[0][0, :, 1] for _ in range(2)])
-        assert len(set(seen.tolist())) == 8  # 2 batches of 4 from one epoch of 10
-
-    def test_small_domain_caps_batch_size(self):
-        small = self._tagged_dataset(5, domain_id=0)
-        large = self._tagged_dataset(50, domain_id=1)
-        it = run_batches([([small, large], 0)], 32)
-        alone = run_batches([([large], 0)], 32)
-        for _ in range(3):
-            features, labels, sizes = next(it)
-            assert sizes == (5, 32)
-            assert labels.shape == (1, 5)
-            # each domain draws from its own seeded stream, stacked or not
-            np.testing.assert_array_equal(features[:, 5:], next(alone)[0])
-
-    def test_deterministic_per_seed(self):
-        ds = self._tagged_dataset(20)
-        a = next(run_batches([([ds], 5)], 8))[0]
-        b = next(run_batches([([ds], 5)], 8))[0]
-        np.testing.assert_array_equal(a, b)
-        c = next(run_batches([([ds], 6)], 8))[0]
-        assert not np.array_equal(a, c)
-
-    def test_target_batches_stay_unlabeled(self, partition):
-        datasets = generate(spec(), partition)
-        features, labels, sizes = next(run_batches([(datasets, 0)], 16))
-        assert sizes == (16, 16, 16)
-        assert features.shape == (1, 48, 8)
-        # labels cover the source rows only
-        assert labels.shape == (1, 32)
-
-    def test_rejects_empty_domains_and_bad_sizes(self):
-        empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), None)
-        with pytest.raises(ValueError, match="empty"):
-            next(run_batches([([empty], 0)], 4))
-        with pytest.raises(ValueError, match="batch_size"):
-            next(run_batches([([self._tagged_dataset(5)], 0)], 0))
-        with pytest.raises(ValueError, match="steps"):
-            next(run_batches([([self._tagged_dataset(5)], 0)], 4, steps=0))
-        unlabeled = DomainDataset(0, np.zeros((5, 2)), None, None)
-        with pytest.raises(ValueError, match="no labels"):
-            next(run_batches([([unlabeled, self._tagged_dataset(5, domain_id=1)], 0)], 4))
-
-
-class TestChunkedDraws:
-    """``run_batches(..., steps=K)`` draws K steps per item: the per-step
-    stream, chunk by chunk."""
-
-    @staticmethod
-    def _domains(seed):
-        # unequal lengths, one shorter than the batch; column 1 holds the
-        # row's domain and column 0 its index there
-        out = []
-        for domain, n in enumerate((41, 6, 23, 30)):
-            features = np.stack([np.arange(n), np.full(n, domain), np.full(n, seed)], axis=1).astype(float)
-            labels = None if domain == 3 else np.arange(n) % 3
-            out.append(DomainDataset(domain, features, labels, None))
-        return out
-
-    @pytest.mark.parametrize("n_runs", [1, 3])
-    def test_chunks_follow_the_per_step_stream(self, n_runs):
-        runs = [(self._domains(seed), seed + 11) for seed in range(n_runs)]
-        # 3 epochs of the longest domain (5 batches of 8 each), and a step
-        # count no chunk length divides
-        steps = 3 * CHUNK + 5
-        assert steps > 3 * (41 // 8) and steps % CHUNK
-        reference = per_step_batches(runs, 8)
-        chunks = run_batches(runs, 8, steps=CHUNK)
-        for first in range(0, steps, CHUNK):
-            features, labels, sizes = next(chunks)
-            assert sizes == (8, 6, 8, 8)
-            assert features.shape == (CHUNK, n_runs, 30, 3) and labels.shape == (CHUNK, n_runs, 22)
-            for j in range(min(CHUNK, steps - first)):
-                want_features, want_labels, want_sizes = next(reference)
-                assert want_sizes == sizes
-                assert features[j].tobytes() == want_features.tobytes()
-                assert labels[j].tobytes() == want_labels.tobytes()
-
-    def test_one_step_items_are_the_per_step_stream(self):
-        runs = [(self._domains(seed), seed) for seed in range(2)]
-        reference, stream = per_step_batches(runs, 8), run_batches(runs, 8)
-        for _ in range(20):
-            for got, want in zip(next(stream)[:2], next(reference)[:2]):
-                assert got.tobytes() == want.tobytes()
-
-
-class TestRunsOfUnequalLengths:
-    """Runs whose datasets differ in length, but not in their sub-batch
-    sizes, draw one stream: each run's rows are its stream alone."""
-
-    @staticmethod
-    def _domains(seed, lengths):
-        out = []
-        for domain, n in enumerate(lengths):
-            features = np.stack([np.arange(n), np.full(n, domain), np.full(n, seed)], axis=1).astype(float)
-            labels = None if domain == len(lengths) - 1 else np.arange(n) % 3
-            out.append(DomainDataset(domain, features, labels, None))
-        return out
-
-    @pytest.mark.parametrize("steps", [None, CHUNK])
-    def test_each_run_draws_its_own_stream(self, steps):
-        # the second domain is shorter than the batch in every run; the
-        # others differ in length from run to run
-        runs = [
-            (self._domains(0, (41, 6, 23, 30)), 11),
-            (self._domains(1, (17, 6, 40, 9)), 12),
-            (self._domains(2, (41, 6, 23, 30)), 13),
-        ]
-        stream = run_batches(runs, 8, steps=steps)
-        alone = [stacked_run_batches([run], 8, steps=steps) for run in runs]
-        for _ in range(3 * (41 // 8) + 1):
-            features, labels, sizes = next(stream)
-            assert sizes == (8, 6, 8, 8)
-            axis = 0 if steps is None else 1
-            for r, own in enumerate(alone):
-                want_features, want_labels, want_sizes = next(own)
-                assert want_sizes == sizes
-                assert np.take(features, [r], axis).tobytes() == want_features.tobytes()
-                assert np.take(labels, [r], axis).tobytes() == want_labels.tobytes()
-
-    def test_runs_may_share_a_dataset(self):
-        source = self._domains(0, (20, 9))[0]
-        runs = [([source, target], seed) for seed, target in enumerate(self._domains(0, (9, 12, 15))[1:])]
-        features, _, _ = next(run_batches(runs, 8))
-        for r, run in enumerate(runs):
-            assert features[r].tobytes() == next(stacked_run_batches([run], 8))[0][0].tobytes()
-
-    def test_other_sub_batch_sizes_are_rejected(self):
-        runs = [(self._domains(0, (41, 6, 30)), 0), (self._domains(1, (41, 7, 30)), 1)]
-        with pytest.raises(ValueError, match=r"same sub-batch sizes: run 1 draws \(8, 7, 8\), run 0 \(8, 6, 8\)"):
-            next(run_batches(runs, 8))
