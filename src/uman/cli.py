@@ -63,6 +63,7 @@ from .labelspace import (
     jaccard_source_source,
     jaccard_source_target,
     partition_from_matrix,
+    typed_value,
 )
 from .synth import generate
 
@@ -144,8 +145,8 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     seed). A run that diverges is recorded as a failed row, its directory
     gets only a report.json with status "failed", the error, the step and
     the seeds, and the remaining runs still execute. A negative effective
-    seed, or a batch over the cost bound, raises ValueError before
-    anything is written (:func:`_plan`).
+    seed or a batch over the cost bound raises ValueError, and a
+    non-integer offset TypeError, before anything is written (:func:`_plan`).
     """
     cells, tasks, problems = _plan(config, offset)
     if problems:
@@ -163,7 +164,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     gain over source_only where available. Infeasible values become
     marked rows. An unknown axis, no values, a repeated value, ``jobs``
     below 1, a negative effective seed or a batch over the cost bound
-    raises ValueError before any work starts (:func:`_plan`).
+    raises ValueError, and a non-integer offset TypeError, before any
+    work starts (:func:`_plan`).
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells
@@ -188,6 +190,7 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
     ``jobs`` below 1, a negative effective seed (a config seed plus the
     offset) and each batch whose runs would not fit in memory together
     (:func:`~uman.config.cost_problems`), a sweep's named by its values."""
+    offset = typed_value("offset", "int", offset)
     cells, problems = {None: config}, []
     if axis is not None:
         if axis not in SWEEP_AXES:

@@ -4,20 +4,21 @@ A config file describes one experiment: the label-set size matrix (two
 rows, last column = target), optional pinned overlaps of sources 1 and 2
 (``overrides``), the synthetic data spec, training hyperparameters, the
 methods to run, the seeds, and the output directory. Validation is
-collect-everything: a bad file reports all of its problems at once. The
-canonical hash is computed over a normalized dict with sorted keys, so
-formatting, key order, and spelled-out defaults do not change it.
+collect-everything: a bad file reports all of its problems at once.
+Field types follow the rule that building ``Hyperparams``,
+``SyntheticSpec`` or ``UmdaMatrix`` in Python applies at construction.
+The canonical hash is computed over a normalized dict with sorted keys,
+so formatting, key order, and spelled-out defaults do not change it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .core import METHODS, Hyperparams, batch_layout, net_shapes, step_floats, trace_columns
-from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix
+from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix, typed_value
 from .synth import SyntheticSpec, domain_rows
 
 __all__ = [
@@ -145,30 +146,12 @@ def _parse_section(obj, key, cls, problems):
     for name, v in raw.items():
         if name not in known:
             continue
-        want = known[name].type
-        if want in ("int", int):
-            ok = isinstance(v, int) and not isinstance(v, bool)
-        elif want in ("float", float):
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-            try:
-                v = float(v) if ok else v
-            except OverflowError:  # an integer beyond every float
-                v = math.inf if v > 0 else -math.inf
-        elif want in ("bool", bool):
-            ok = isinstance(v, bool)
-        else:  # integer tuples (layer widths)
-            ok = isinstance(v, list) and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in v
-            )
-            v = tuple(v) if ok else v
-        if not ok:
-            problems.append(f"{key}.{name} has the wrong type: {raw[name]!r}")
-            continue
-        # json reads NaN and Infinity, which pass every range check
-        if isinstance(v, float) and not math.isfinite(v):
-            problems.append(f"{key}.{name} must be a finite number, got {v!r}")
-            continue
-        kwargs[name] = v
+        try:
+            kwargs[name] = typed_value(name, known[name].type, v)
+        except TypeError:
+            problems.append(f"{key}.{name} has the wrong type: {v!r}")
+        except ValueError as exc:  # not finite
+            problems.append(f"{key}.{exc}")
     section = cls(**kwargs)
     problems.extend(f"{key}: {p}" for p in section.violations())
     return section
@@ -313,13 +296,8 @@ def canonical_dict(config: ExperimentConfig) -> dict:
             section: {} if pin is None else {"1-2": pin}
             for section, pin in (("common", m.common_overlap), ("source_private", m.private_overlap))
         },
-        "synthetic": {
-            f.name: getattr(config.synthetic, f.name) for f in fields(SyntheticSpec)
-        },
-        "hyperparams": {
-            f.name: list(v) if isinstance(v := getattr(config.hyperparams, f.name), tuple) else v
-            for f in fields(Hyperparams)
-        },
+        "synthetic": asdict(config.synthetic),
+        "hyperparams": {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(config.hyperparams).items()},
         "methods": list(config.methods),
         "seeds": list(config.seeds),
         "output_dir": config.output_dir,

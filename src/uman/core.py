@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .labelspace import LabelPartition
+from .labelspace import LabelPartition, typed_fields
 from .nn import (
     Mlp,
     NonFiniteGradientError,
@@ -366,6 +366,8 @@ class Hyperparams:
     feature_dim: int = 32
     disc_hidden: tuple[int, ...] = (32,)
     seed: int = 0
+
+    __post_init__ = typed_fields
 
     def violations(self) -> list[str]:
         out = []

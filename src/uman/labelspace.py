@@ -16,9 +16,10 @@ relies on when sizing the classifier head.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 __all__ = [
     "LabelConfigError",
@@ -37,6 +38,40 @@ MAX_CLASSES = 10_000
 
 class LabelConfigError(ValueError):
     """A label-set configuration that cannot be realized."""
+
+
+def typed_value(name: str, annotation: str, value):
+    """``value`` as a config field annotated ``annotation`` holds it: an
+    integer (Python or numpy, not a bool) as an int, a sequence of them as
+    a tuple of ints, a finite real (not a bool) as a float, a bool, or None
+    where the annotation allows it; else TypeError or ValueError naming ``name``."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation or kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "float" and isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond every float
+            number = math.inf if value > 0 else -math.inf
+        # NaN and the infinities pass every range check
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be a finite number, got {number!r}")
+        return number
+    # sizes and widths come as a list, a tuple or a 1-d (numpy) array, never a string or a mapping
+    many = kind.startswith("tuple") and (isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1)
+    entries = value if many else (value,)
+    if (many or kind == "int") and all(isinstance(v, Integral) and not isinstance(v, bool) for v in entries):
+        return tuple([int(v) for v in entries]) if many else int(value)
+    want = {"float": "a real number", "bool": "a bool"}.get(kind, "integral")
+    raise TypeError(f"{name} must be {want}, got {value!r}")
+
+
+def typed_fields(config) -> None:
+    """A frozen config dataclass's ``__post_init__``: :func:`typed_value` for
+    each field. Neither builds a tuple of unknown length, as ``fields()`` does:
+    the interpreter's free lists keep such a tuple, and a run's traced memory counts it."""
+    for f in config.__dataclass_fields__.values():
+        object.__setattr__(config, f.name, typed_value(f.name, f.type, getattr(config, f.name)))
 
 
 @dataclass(frozen=True)
@@ -61,17 +96,7 @@ class UmdaMatrix:
     common_overlap: int | None = None
     private_overlap: int | None = None
 
-    def __post_init__(self):
-        # Python and numpy integers become ints; anything else names its field
-        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
-            try:
-                if name.endswith("sizes"):
-                    value = tuple(int(operator.index(v)) for v in value)
-                elif value is not None or not name.endswith("overlap"):
-                    value = int(operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be integral, got {value!r}") from None
-            object.__setattr__(self, name, value)
+    __post_init__ = typed_fields
 
     @property
     def n_sources(self) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelspace import LabelPartition
+from .labelspace import LabelPartition, typed_fields
 
 __all__ = [
     "SyntheticSpec",
@@ -48,6 +48,8 @@ class SyntheticSpec:
     domain_shift_scale: float = 1.0
     domain_rotation: bool = False
     seed: int = 0
+
+    __post_init__ = typed_fields
 
     def violations(self) -> list[str]:
         out = []

@@ -1,10 +1,17 @@
-"""Shared test utilities: finite-difference gradients and the reference
-synthetic configuration used by the slower end-to-end tests."""
+"""Shared test utilities: finite-difference gradients, the reference
+synthetic configuration used by the slower end-to-end tests, and the
+settings of the property tests."""
 
 import numpy as np
+from hypothesis import settings
 
 from uman import Hyperparams, SyntheticSpec, UmdaMatrix
 from uman.nn import Plan
+
+# the settings of every property test: each run draws the same examples,
+# as the hypothesis release pinned in CI draws them, and writes no example
+# database; a test that needs more examples derives its own from these
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def numeric_gradient(f, arr, h=1e-4):

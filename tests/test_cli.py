@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import re
 import shutil
 import time
 import warnings
@@ -675,6 +676,22 @@ class TestSeedOffset:
         # the lowest effective seed at 0 runs
         monkeypatch.setenv("UMAN_SEED_OFFSET", "-1")
         assert main(["run", str(path)]) == 0
+
+    @pytest.mark.parametrize("offset", [1.5, True, "1", None], ids=repr)
+    def test_non_integer_offset_is_refused_by_name_before_any_write(self, tmp_path, offset):
+        config, _ = load_config(tiny_config(tmp_path))
+        want = f"^offset must be integral, got {re.escape(repr(offset))}$"
+        with pytest.raises(TypeError, match=want):
+            execute_run(config, offset=offset)
+        with pytest.raises(TypeError, match=want):
+            execute_sweep(config, "target_private_size", [0], offset=offset)
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integer_offset_is_an_int_offset(self, tmp_path):
+        config, _ = load_config(tiny_config(tmp_path))
+        execute_run(config, offset=np.int64(3), quiet=True)
+        report = json.loads((tmp_path / "out" / "runs" / "uman_0" / "report.json").read_text())
+        assert (report["seed_offset"], report["data_seed"], report["training_seed"]) == (3, 3, 3)
 
     def test_reports_name_their_seeds(self, tmp_path, monkeypatch):
         """Every report.json, a failed run's too, names the seed offset and

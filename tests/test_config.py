@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers import held_nbytes, plan_arrays
+from helpers import PROPERTY, held_nbytes, plan_arrays
 
 import uman.cli
 import uman.config
@@ -111,6 +111,25 @@ class TestParseConfig:
         assert any("domain_rotation" in p for p in problems)
         _, problems = parse_config(minimal(synthetic=[1, 2]))
         assert any("must be an object" in p for p in problems)
+
+    @pytest.mark.parametrize("value", [{}, "", [64.0], [True], [[64]], 64, None], ids=repr)
+    @pytest.mark.parametrize("name", ["feature_hidden", "disc_hidden"])
+    def test_widths_must_be_a_list_of_integers(self, name, value):
+        _, problems = parse_config(minimal(hyperparams={name: value}))
+        assert problems == [f"hyperparams.{name} has the wrong type: {value!r}"]
+
+    def test_section_problems_come_in_key_order_then_ranges(self):
+        # json.loads reads the NaN literal into this float
+        obj = json.loads(json.dumps(minimal(hyperparams={
+            "w0": 2.0, "batch_size": 8.5, "lr_features": float("nan"), "feature_hidden": {},
+        })))
+        _, problems = parse_config(obj)
+        assert problems == [
+            "hyperparams.batch_size has the wrong type: 8.5",
+            "hyperparams.lr_features must be a finite number, got nan",
+            "hyperparams.feature_hidden has the wrong type: {}",
+            "hyperparams: w0 must lie in [0, 1], got 2.0",
+        ]
 
     def test_rejects_unknown_section_fields(self):
         _, problems = parse_config(minimal(hyperparams={"momentum": 0.9}))
@@ -628,9 +647,6 @@ def _configs(junk):
     return configs | _JUNK if junk else configs
 
 
-_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def _parsed(obj):
     config, problems = parse_config(obj)
     assert (config is None) == bool(problems)
@@ -647,7 +663,7 @@ class TestParserProperties:
     """Seeded: every run draws the same examples."""
 
     @given(_configs(junk=True))
-    @_PROPERTY
+    @PROPERTY
     def test_parse_config_returns_config_or_problems(self, obj):
         _parsed(obj)
 
@@ -658,13 +674,13 @@ class TestParserProperties:
         ),
         _HUGE | _JUNK,
     )
-    @_PROPERTY
+    @PROPERTY
     def test_any_field_value_gives_config_or_problems(self, field, value):
         section, name = field
         _parsed(minimal(**{section: {name: value}}))
 
     @given(_configs(junk=False), st.sampled_from(["seeds", "synthetic", "hyperparams"]), st.integers(-3, 3))
-    @_PROPERTY
+    @PROPERTY
     def test_any_seed_gives_config_or_problems(self, obj, where, seed):
         if where == "seeds":
             obj = dict(obj, seeds=[seed])
@@ -673,7 +689,7 @@ class TestParserProperties:
         _parsed(obj)
 
     @given(_configs(junk=False))
-    @_PROPERTY
+    @PROPERTY
     def test_valid_config_round_trips_with_its_hash(self, obj):
         config = _parsed(obj)
         assume(config is not None)
@@ -683,7 +699,7 @@ class TestParserProperties:
         assert config_hash(again) == config_hash(config)
 
     @given(_configs(junk=False), st.sampled_from(SWEEP_AXES), st.integers(-2, 12) | _HUGE)
-    @_PROPERTY
+    @PROPERTY
     def test_sweep_cell_is_valid_or_rejected(self, obj, axis, value):
         config = _parsed(obj)
         assume(config is not None)

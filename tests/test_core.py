@@ -2,11 +2,14 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from helpers import (
+    PROPERTY,
     assert_same_array,
     max_rel_err,
     numeric_gradient,
@@ -360,6 +363,128 @@ class TestHyperparams:
 
     def test_hidden_widths_must_be_positive(self):
         assert Hyperparams(feature_hidden=(0,)).violations() == ["feature_hidden widths must be >= 1, got (0,)"]
+
+
+# values of the right type and in range for each field of the tiny setup
+# below; out-of-range and wrongly typed values are drawn on top of these
+_VALID = {
+    "w0": st.floats(0, 1),
+    "epsilon": st.floats(0, 1),
+    "max_steps": st.integers(0, 3),
+    "batch_size": st.integers(1, 8),
+    "lr_features": st.floats(1e-3, 0.5),
+    "lr_classifier": st.floats(1e-3, 0.5),
+    "lr_discriminator": st.floats(1e-3, 0.5),
+    "grl_max_lambda": st.floats(0, 2),
+    "grl_gamma": st.floats(0, 20),
+    "weight_decay": st.floats(0, 0.01),
+    "feature_hidden": st.lists(st.integers(1, 6), max_size=2),
+    "feature_dim": st.integers(1, 6),
+    "disc_hidden": st.lists(st.integers(1, 6), max_size=2),
+    "seed": st.integers(0, 2**64 - 1),
+    "samples_per_class": st.integers(1, 6),
+    "class_center_scale": st.floats(0, 3),
+    "noise_sigma": st.floats(0, 3),
+    "domain_shift_scale": st.floats(0, 3),
+    "domain_rotation": st.booleans(),
+}
+_WRONG = ["1", "", None, b"1", {}, [1.5], [True], (4.0,), 8.5, 4.0, 1, 0, -1, -0.5, True, False, 1j]
+
+
+def _as_numpy(value, narrow):
+    """``value`` as a numpy array (of a list) or scalar: of numpy's default
+    type for it, or with ``narrow`` of a 32-bit type where one holds it."""
+    if isinstance(value, list):
+        return np.array(value, dtype=np.int32 if narrow else np.int64)
+    if narrow and type(value) in (int, float) and abs(value) < 2**31:
+        return (np.int32 if isinstance(value, int) else np.float32)(value)
+    return np.array(value)[()]
+
+
+def _field_values(name):
+    """Any value a caller may pass for the field ``name``: a valid one, the
+    same as numpy holds it, NaN or an infinity, a bool, or one of the wrong
+    type or out of range."""
+    valid = _VALID[name]
+    return st.one_of(
+        valid,
+        st.builds(_as_numpy, valid, st.booleans()),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.booleans(),
+        st.sampled_from(_WRONG),
+    )
+
+
+def _field_cases(cls):
+    return st.sampled_from([f.name for f in fields(cls)]).flatmap(lambda name: st.tuples(st.just(name), _field_values(name)))
+
+
+_TINY_PARTITION = partition_from_matrix(UmdaMatrix((2, 2), (1, 1), 3, 1))
+_TINY_SPEC = SyntheticSpec(feature_dim=3, samples_per_class=4)
+_TINY_HP = Hyperparams(max_steps=2, batch_size=4, feature_hidden=(4,), feature_dim=3, disc_hidden=(4,))
+
+
+class TestApiFieldTypes:
+    """The Python API applies the config file's type rule: building
+    ``Hyperparams`` or ``SyntheticSpec`` from any value either gives a
+    config that trains or generates finite numbers, or raises TypeError or
+    ValueError naming the field, before any net or buffer exists."""
+
+    @given(_field_cases(Hyperparams))
+    @example(("batch_size", 8.5))
+    @example(("max_steps", 3.5))
+    @example(("feature_dim", 4.0))
+    @example(("lr_features", math.nan))
+    @example(("grl_gamma", math.inf))
+    @example(("weight_decay", True))
+    @example(("lr_features", 2**1100))
+    @PROPERTY
+    def test_train_returns_or_names_the_field(self, case):
+        name, value = case
+        datasets = generate(_TINY_SPEC, _TINY_PARTITION)
+        try:
+            result = train(datasets, _TINY_PARTITION, replace(_TINY_HP, **{name: value}))
+        except (TypeError, ValueError) as exc:
+            assert name in str(exc)
+            return
+        assert np.isfinite(result.trace).all()
+
+    @given(_field_cases(SyntheticSpec))
+    @example(("noise_sigma", math.nan))
+    @example(("feature_dim", 4.0))
+    @example(("samples_per_class", 3.5))
+    @example(("domain_rotation", 1))
+    @example(("noise_sigma", -(2**1100)))
+    @PROPERTY
+    def test_generate_returns_or_names_the_field(self, case):
+        name, value = case
+        try:
+            datasets = generate(replace(_TINY_SPEC, **{name: value}), _TINY_PARTITION)
+        except (TypeError, ValueError) as exc:
+            assert name in str(exc)
+            return
+        assert all(np.isfinite(ds.features).all() for ds in datasets)
+
+    @pytest.mark.parametrize(
+        "cls, name, value, error, message",
+        [
+            (Hyperparams, "batch_size", 8.5, TypeError, "batch_size must be integral, got 8.5"),
+            (Hyperparams, "lr_features", math.nan, ValueError, "lr_features must be a finite number, got nan"),
+            (Hyperparams, "weight_decay", True, TypeError, "weight_decay must be a real number, got True"),
+            (Hyperparams, "feature_hidden", (64.0,), TypeError, "feature_hidden must be integral, got (64.0,)"),
+            (SyntheticSpec, "noise_sigma", math.nan, ValueError, "noise_sigma must be a finite number, got nan"),
+            (SyntheticSpec, "domain_rotation", 1, TypeError, "domain_rotation must be a bool, got 1"),
+        ],
+    )
+    def test_construction_refuses_by_name(self, cls, name, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(**{name: value})
+
+    def test_numpy_values_become_python_values(self):
+        hp = Hyperparams(w0=np.float32(0.25), max_steps=np.int64(3), feature_hidden=np.array([4, 5]), seed=np.uint16(7))
+        assert hp == Hyperparams(w0=0.25, max_steps=3, feature_hidden=(4, 5), seed=7)
+        assert [type(v) for v in (hp.w0, hp.max_steps, *hp.feature_hidden, hp.seed)] == [float, int, int, int, int]
+        assert SyntheticSpec(noise_sigma=7, seed=np.int32(2)) == SyntheticSpec(noise_sigma=7.0, seed=2)
 
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)

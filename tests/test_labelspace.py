@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import PROPERTY
 
 from uman.labelspace import (
     LabelConfigError,
@@ -70,8 +71,11 @@ class TestMatrixValidation:
             (((4.7, 4), (0, 0), 6, 0), {}, "common_sizes must be integral, got (4.7, 4)"),
             (((4, 4), (0, 0), 6, 0), {"common_overlap": 2.0}, "common_overlap must be integral, got 2.0"),
             (((4, 4), (0, 0), "6", 0), {}, "target_common must be integral, got '6'"),
+            (((True, 4), (0, 0), 6, 0), {}, "common_sizes must be integral, got (True, 4)"),
+            (((4, 4), (0, 0), 6, False), {}, "target_private must be integral, got False"),
+            ((np.array([[4, 4]]), (0, 0), 6, 0), {}, "common_sizes must be integral, got array([[4, 4]])"),
         ],
-        ids=["fractional size", "fractional pin", "string"],
+        ids=["fractional size", "fractional pin", "string", "bool entry", "bool", "2-d array"],
     )
     def test_non_integers_are_refused_by_field(self, args, kw, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -225,7 +229,7 @@ def feasible_matrices(draw):
 
 class TestMatrixProperties:
     @given(feasible_matrices())
-    @settings(max_examples=120, deadline=None)
+    @settings(PROPERTY, max_examples=120)
     def test_round_trip_or_explicit_rejection(self, matrix):
         if matrix.violations():
             with pytest.raises(LabelConfigError):
