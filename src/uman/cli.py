@@ -59,12 +59,7 @@ from .config import (
 )
 from .core import ADVERSARIAL, trace_columns, train_runs
 from .evaluate import evaluate
-from .labelspace import (
-    jaccard_source_source,
-    jaccard_source_target,
-    partition_from_matrix,
-    typed_value,
-)
+from .labelspace import partition_from_matrix, typed_value
 from .synth import generate
 
 __all__ = ["main", "execute_run", "execute_sweep"]
@@ -101,18 +96,12 @@ def cmd_validate(path) -> int:
         f"target: shared {_fmt_set(partition.common_union)} "
         f"private {_fmt_set(partition.target_private)}"
     )
-    for i in range(1, partition.n_sources + 1):
-        a = set(partition.source_labels[i - 1])
-        b = set(partition.target_labels)
-        print(f"xi_{i} = {len(a & b)}/{len(a | b)} = {jaccard_source_target(partition, i):.4f}")
-    for i in range(1, partition.n_sources + 1):
-        for j in range(i + 1, partition.n_sources + 1):
-            a = set(partition.source_labels[i - 1])
-            b = set(partition.source_labels[j - 1])
-            print(
-                f"xi_{i}{j} = {len(a & b)}/{len(a | b)} = "
-                f"{jaccard_source_source(partition, i, j):.4f}"
-            )
+    # the Jaccard similarity of each source with the target, then of each pair of sources
+    sources = [set(labels) for labels in partition.source_labels]
+    pairs = [(i + 1, a, set(partition.target_labels)) for i, a in enumerate(sources)]
+    pairs += [(f"{i + 1}{j + 1}", sources[i], sources[j]) for i, j in itertools.combinations(range(len(sources)), 2)]
+    for name, a, b in pairs:
+        print(f"xi_{name} = {len(a & b)}/{len(a | b)} = {len(a & b) / len(a | b):.4f}")
     return 0
 
 
@@ -147,6 +136,8 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     the seeds, and the remaining runs still execute. A negative effective
     seed or a batch over the cost bound raises ValueError, and a
     non-integer offset TypeError, before anything is written (:func:`_plan`).
+    A config whose methods, seeds or output directory the file would refuse
+    cannot be built, so it never reaches a run.
     """
     cells, tasks, problems = _plan(config, offset)
     if problems:
@@ -164,8 +155,9 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     gain over source_only where available. Infeasible values become
     marked rows. An unknown axis, no values, a repeated value, ``jobs``
     below 1, a negative effective seed or a batch over the cost bound
-    raises ValueError, and a non-integer offset TypeError, before any
-    work starts (:func:`_plan`).
+    raises ValueError, and a non-integer offset or value TypeError, before
+    any work starts (:func:`_plan`). A config whose methods, seeds or output
+    directory the file would refuse cannot be built.
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells

@@ -5,8 +5,8 @@ rows, last column = target), optional pinned overlaps of sources 1 and 2
 (``overrides``), the synthetic data spec, training hyperparameters, the
 methods to run, the seeds, and the output directory. Validation is
 collect-everything: a bad file reports all of its problems at once.
-Field types follow the rule that building ``Hyperparams``,
-``SyntheticSpec`` or ``UmdaMatrix`` in Python applies at construction.
+Building ``Hyperparams``, ``SyntheticSpec``, ``UmdaMatrix`` or
+``ExperimentConfig`` in Python applies the file's rules at construction.
 The canonical hash is computed over a normalized dict with sorted keys,
 so formatting, key order, and spelled-out defaults do not change it.
 """
@@ -53,12 +53,48 @@ _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every (method, seed) run of one setup. Building it applies the config
+    file's rule (:func:`_experiment_problems`) to the last three fields."""
+
     matrix: UmdaMatrix
     synthetic: SyntheticSpec
     hyperparams: Hyperparams
     methods: tuple[str, ...]
     seeds: tuple[int, ...]
     output_dir: str
+
+    def __post_init__(self):
+        if problems := _experiment_problems(self.methods, self.seeds, self.output_dir):
+            raise ValueError("; ".join(problems))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "seeds", typed_value("seeds", "tuple[int, ...]", self.seeds))
+
+
+def _experiment_problems(methods, seeds, output_dir) -> list[str]:
+    """Why these make no experiment: ``methods`` must be a nonempty list or tuple of
+    distinct :data:`~uman.core.METHODS`, ``seeds`` nonempty and distinct integers >= 0 as
+    :func:`~uman.labelspace.typed_value` reads a tuple, ``output_dir`` a nonempty string."""
+    problems = []
+    # every entry is a known name before set() hashes any of them
+    if (
+        not isinstance(methods, (list, tuple))
+        or not methods
+        or any(not isinstance(m, str) or m not in METHODS for m in methods)
+        or len(set(methods)) != len(methods)
+    ):
+        problems.append(f"methods must be a nonempty list of distinct names from {METHODS}")
+    try:
+        seeds = typed_value("seeds", "tuple[int, ...]", seeds)
+    except TypeError:
+        seeds = ()
+    if not seeds or len(set(seeds)) != len(seeds):
+        problems.append("seeds must be a nonempty list of distinct integers")
+    elif min(seeds) < 0:
+        # a seed starts numpy's SeedSequence, which takes no negative integer
+        problems.append(f"seeds must be >= 0, got {[s for s in seeds if s < 0]}")
+    if not isinstance(output_dir, str) or not output_dir:
+        problems.append("output_dir is required and must be a nonempty string")
+    return problems
 
 
 def _parse_matrix(obj, problems):
@@ -119,13 +155,8 @@ def _parse_matrix(obj, problems):
                 return None
     if pins is None:
         return None
-    matrix = UmdaMatrix(
-        common_sizes=tuple(raw[0][:-1]),
-        private_sizes=tuple(raw[1][:-1]),
-        target_common=raw[0][-1],
-        target_private=raw[1][-1],
-        **pins,
-    )
+    (*common, target_common), (*private, target_private) = raw
+    matrix = UmdaMatrix(common, private, target_common, target_private, **pins)
     violations = matrix.violations()
     problems.extend(violations)
     # a matrix with violations is not laid out: the layout would only
@@ -174,32 +205,8 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     synthetic = _parse_section(obj, "synthetic", SyntheticSpec, problems)
     hyperparams = _parse_section(obj, "hyperparams", Hyperparams, problems)
 
-    methods = obj.get("methods", ["uman"])
-    if (
-        not isinstance(methods, list)
-        or not methods
-        or any(m not in METHODS for m in methods)
-        or len(set(methods)) != len(methods)
-    ):
-        problems.append(f"methods must be a nonempty list of distinct names from {METHODS}")
-        methods = []
-
-    seeds = obj.get("seeds", [0])
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds)
-        or len(set(seeds)) != len(seeds)
-    ):
-        problems.append("seeds must be a nonempty list of distinct integers")
-        seeds = []
-    elif min(seeds) < 0:
-        # a seed starts numpy's SeedSequence, which takes no negative integer
-        problems.append(f"seeds must be >= 0, got {[s for s in seeds if s < 0]}")
-
-    output_dir = obj.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("output_dir is required and must be a nonempty string")
+    methods, seeds, output_dir = obj.get("methods", ["uman"]), obj.get("seeds", [0]), obj.get("output_dir")
+    problems += _experiment_problems(methods, seeds, output_dir)
 
     if matrix is not None:
         try:
@@ -209,14 +216,7 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
 
     if problems:
         return None, problems
-    config = ExperimentConfig(
-        matrix=matrix,
-        synthetic=synthetic,
-        hyperparams=hyperparams,
-        methods=tuple(methods),
-        seeds=tuple(seeds),
-        output_dir=output_dir,
-    )
+    config = ExperimentConfig(matrix, synthetic, hyperparams, methods, seeds, output_dir)
     problems = cost_problems(config)
     return (None, problems) if problems else (config, [])
 
@@ -317,12 +317,14 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
     shared blocks (per-source shared sizes grow to keep the union fixed),
     the number of target-private classes, and the intersection size of the
     two private blocks (per-source private sizes grow to keep their union
-    fixed).
+    fixed). A value that is not an integer (Python or numpy) raises
+    TypeError naming it, before any bound.
     """
     m = config.matrix
     problems: list[str] = []
     if axis not in SWEEP_AXES:
         return None, [f"unknown axis {axis!r}; expected one of {SWEEP_AXES}"]
+    value = typed_value(f"{axis} value", "int", value)
     if value < 0:
         return None, [f"{axis} value must be >= 0, got {value}"]
     if value > MAX_CLASSES:

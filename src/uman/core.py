@@ -485,8 +485,14 @@ def _check_runs(runs, partition, method: str):
             raise ValueError(
                 f"expected {partition.n_sources} source datasets plus one target, got {len(datasets)}"
             )
-        if empty := [k for k, ds in enumerate(datasets) if len(ds) == 0]:
-            raise ValueError(f"dataset {empty[0]} is empty")
+        for k, ds in enumerate(datasets):
+            if ds.features.ndim != 2 or ds.features.shape[1:] != datasets[0].features.shape[1:]:
+                raise ValueError(f"dataset {k} has features of shape {ds.features.shape}, not 2-d as wide as dataset 0's")
+            if len(ds) == 0:
+                raise ValueError(f"dataset {k} is empty")
+            for name in ("labels", "eval_labels"):
+                if (labels := getattr(ds, name)) is not None and np.shape(labels) != (len(ds),):
+                    raise ValueError(f"dataset {k} has {name} of shape {np.shape(labels)}, not one per row ({len(ds)},)")
         if partition.source_union != tuple(range(partition.n_source_classes)):
             raise ValueError("source classes must form a contiguous range starting at 0")
         for i, ds in enumerate(datasets[:-1]):

@@ -1116,6 +1116,72 @@ class TestApiWritesWhatTheCliWrites:
         assert [row[3] for row in rows[:2]] == ["infeasible"] * 2
 
 
+_METHODS_PROBLEM = "methods must be a nonempty list of distinct names from ('uman', 'source_only', 'unweighted_adv')"
+_SEEDS_PROBLEM = "seeds must be a nonempty list of distinct integers"
+_OUTPUT_PROBLEM = "output_dir is required and must be a nonempty string"
+
+
+class TestApiRefusesWhatTheFileRefuses:
+    """A config built in Python follows the file's rule for its methods,
+    seeds and output directory, so one the file would refuse never reaches
+    a run: building it raises the parser's message, in a directory that
+    stays empty."""
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"methods": ("uman", "dann")}, _METHODS_PROBLEM),
+            ({"methods": ()}, _METHODS_PROBLEM),
+            ({"seeds": ()}, _SEEDS_PROBLEM),
+            ({"seeds": (0, 0)}, _SEEDS_PROBLEM),
+            ({"seeds": ("0",)}, _SEEDS_PROBLEM),
+            ({"seeds": (2, -1)}, "seeds must be >= 0, got [-1]"),
+            ({"output_dir": ""}, _OUTPUT_PROBLEM),
+            ({"output_dir": Path("out")}, _OUTPUT_PROBLEM),
+            ({"methods": [], "seeds": [0.0], "output_dir": None}, f"{_METHODS_PROBLEM}; {_SEEDS_PROBLEM}; {_OUTPUT_PROBLEM}"),
+        ],
+        ids=["unknown method", "no method", "no seed", "repeated seed", "string seed", "negative seed",
+             "empty output_dir", "Path output_dir", "every problem"],
+    )
+    def test_config_the_file_refuses_is_not_built(self, tmp_path, monkeypatch, change, problem):
+        config, _ = load_config(tiny_config(tmp_path, output_dir="out"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            execute_run(replace(config, **change), quiet=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            execute_sweep(replace(config, **change), "target_private_size", [0])
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_numpy_seeds_run_as_int_seeds(self, tmp_path, monkeypatch):
+        path = tiny_config(tmp_path, methods=["uman", "source_only"], seeds=[0, 1], output_dir="out")
+        config, _ = load_config(path)
+        for name, seeds in (("int", (0, 1)), ("numpy", (np.int64(0), np.uint8(1))), ("array", np.arange(2))):
+            built = replace(config, seeds=seeds)
+            assert built == config and [type(s) for s in built.seeds] == [int, int]
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            execute_run(built, quiet=True)
+        assert files_under(tmp_path / "int" / "out") == files_under(tmp_path / "numpy" / "out")
+        assert files_under(tmp_path / "int" / "out") == files_under(tmp_path / "array" / "out")
+
+    @pytest.mark.parametrize("value", ["3", 1.5, True, None], ids=repr)
+    def test_non_integer_sweep_value_is_named_before_any_write(self, tmp_path, value):
+        config, _ = load_config(tiny_config(tmp_path))
+        want = f"^target_private_size value must be integral, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=want):
+            execute_sweep(config, "target_private_size", [0, value])
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_sweep_values_are_int_values(self, tmp_path, monkeypatch):
+        path = tiny_config(tmp_path, methods=["uman", "source_only"], seeds=[0, 1], output_dir="out")
+        config, _ = load_config(path)
+        for name, values in (("int", [0, 2, 9]), ("numpy", [np.int64(0), np.int32(2), np.uint16(9)])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            execute_sweep(config, "common_overlap", values, jobs=2)
+        assert files_under(tmp_path / "int" / "out") == files_under(tmp_path / "numpy" / "out")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess

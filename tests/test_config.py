@@ -1,6 +1,7 @@
 """Config parsing, canonical hashing, and sweep-cell derivation."""
 
 import json
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from uman.config import (
     BATCH_RUNS,
     MAX_RUN_FLOATS,
     SWEEP_AXES,
+    ExperimentConfig,
     batch_runs,
     canonical_dict,
     config_hash,
@@ -586,6 +588,17 @@ class TestSweepCells:
         _, problems = derive_sweep_cell(three, "common_overlap", 1)
         assert any("2-source" in p for p in problems)
 
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_non_integer_value_is_named_before_any_bound(self, axis):
+        for value in ("3", 1.5, True, None, [2]):
+            with pytest.raises(TypeError, match=f"^{axis} value must be integral, got {re.escape(repr(value))}$"):
+                derive_sweep_cell(self.base(), axis, value)
+        # a numpy integer is the int it holds, and a bound still makes a problem
+        assert derive_sweep_cell(self.base(), axis, np.int64(2)) == derive_sweep_cell(self.base(), axis, 2)
+        for value in (np.int64(-1), 2**70):
+            cell, problems = derive_sweep_cell(self.base(), axis, value)
+            assert cell is None and problems == [f"{axis} value must be {'>= 0' if value < 0 else f'<= {MAX_CLASSES}'}, got {value}"]
+
 
 # ---- property tests: values the schema does not expect never break the parser
 
@@ -709,3 +722,66 @@ class TestParserProperties:
             again, problems = parse_config(json.loads(json.dumps(canonical_dict(cell), allow_nan=False)))
             assert problems == []
             assert config_hash(again) == config_hash(cell)
+
+
+# ---- one rule for methods, seeds and output_dir: the parser's and the constructor's
+
+# entries a methods or seeds list may hold: valid ones, wrong types, bools,
+# floats, numpy integers, an integer beyond int64, and unhashable entries
+_RULE_ENTRY = (
+    st.sampled_from(METHODS)
+    | st.integers(-2, 4)
+    | st.integers(0, 4).map(np.int64)
+    | st.sampled_from([True, False, 0.0, 1.5, float("nan"), 2**70, "0", "", None, [0], ["uman"], {}])
+)
+# empty, repeated and negative lists among them; a tuple as Python may pass it
+_RULE_ANY = st.lists(_RULE_ENTRY, max_size=4) | st.lists(_RULE_ENTRY, max_size=4).map(tuple) | _RULE_ENTRY
+_RULE_METHODS = st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True) | _RULE_ANY
+_RULE_SEEDS = (
+    st.lists(st.integers(0, 5) | st.integers(0, 5).map(np.int64), min_size=1, max_size=4, unique_by=int)
+    | st.lists(st.integers(-1, 5), min_size=1, max_size=4)
+    | _RULE_ANY
+)
+_RULE_OUTPUT_DIRS = st.sampled_from(["out", "runs/a"]) | st.sampled_from(["", None, 0, True, Path("out"), b"out", ["out"]])
+
+
+class TestExperimentRule:
+    def test_parser_messages_in_order(self):
+        _, problems = parse_config(minimal(methods=["uman", "uman"], seeds=[3, -1, -2], output_dir=""))
+        assert problems == [
+            f"methods must be a nonempty list of distinct names from {METHODS}",
+            "seeds must be >= 0, got [-1, -2]",
+            "output_dir is required and must be a nonempty string",
+        ]
+        _, problems = parse_config({"umda_matrix": [[4, 4, 6], [3, 3, 3]], "seeds": [1, True]})
+        assert problems == [
+            "seeds must be a nonempty list of distinct integers",
+            "output_dir is required and must be a nonempty string",
+        ]
+
+    def test_built_config_holds_tuples_of_ints(self):
+        config, _ = load_config(STANDARD)
+        built = ExperimentConfig(
+            config.matrix, config.synthetic, config.hyperparams, ["uman"], [np.int64(4), np.uint8(2)], "out"
+        )
+        assert built.methods == ("uman",) and built.seeds == (4, 2)
+        assert [type(s) for s in built.seeds] == [int, int]
+        assert config_hash(built) == config_hash(replace(built, seeds=(4, 2)))
+
+    @given(_RULE_METHODS, _RULE_SEEDS, _RULE_OUTPUT_DIRS)
+    @PROPERTY
+    def test_parser_and_constructor_agree(self, methods, seeds, output_dir):
+        """The committed file with these values gives exactly the problems
+        building the config with them raises, or both accept and give one
+        config."""
+        obj = json.loads(STANDARD.read_text())
+        base, problems = parse_config(obj)
+        assert problems == []
+        config, problems = parse_config(dict(obj, methods=methods, seeds=seeds, output_dir=output_dir))
+        try:
+            built = ExperimentConfig(base.matrix, base.synthetic, base.hyperparams, methods, seeds, output_dir)
+        except ValueError as exc:
+            assert config is None and str(exc) == "; ".join(problems)
+        else:
+            assert problems == [] and built == config
+            assert config_hash(built) == config_hash(config)

@@ -643,6 +643,36 @@ class TestTrainerMechanics:
         with pytest.raises(ValueError, match=rf"^dataset {k} is empty$"):
             train_runs([(tiny_setup()[0], hp), (datasets, hp)], partition, method=method)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "k, spoil, message",
+        [
+            (2, lambda ds: replace(ds, features=ds.features[:, :4]),
+             "dataset 2 has features of shape (180, 4), not 2-d as wide as dataset 0's"),
+            (1, lambda ds: replace(ds, labels=ds.labels[:-9]),
+             "dataset 1 has labels of shape (131,), not one per row (140,)"),
+            (2, lambda ds: replace(ds, eval_labels=ds.eval_labels[:, None]),
+             "dataset 2 has eval_labels of shape (180, 1), not one per row (180,)"),
+            (1, lambda ds: replace(ds, features=ds.features[:, 0]),
+             "dataset 1 has features of shape (140,), not 2-d as wide as dataset 0's"),
+            (0, lambda ds: replace(ds, features=ds.features[:, 0]),
+             "dataset 0 has features of shape (140,), not 2-d as wide as dataset 0's"),
+        ],
+        ids=["narrow target", "short source labels", "2-d target labels", "1-d source", "1-d first source"],
+    )
+    def test_malformed_dataset_is_named_before_any_batch(self, monkeypatch, k, spoil, message, method):
+        datasets, partition, hp = tiny_setup()
+        datasets[k] = spoil(datasets[k])
+
+        def unbuilt(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(uman.core, "_Batch", unbuilt)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(datasets, partition, hp, method=method)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_runs([(tiny_setup()[0], hp), (datasets, hp)], partition, method=method)
+
 
 class TestChunkStream:
     """:func:`uman.core._chunk_stream`, the rows training draws,
