@@ -2,8 +2,9 @@
 
 Three verbs operate on a JSON config file:
 
-* ``uman validate <config>`` checks the file and prints the realized class
-  layout and Jaccard table;
+* ``uman validate <config>`` checks the file as ``uman run`` does, seed
+  offset and cost bound included, and prints the realized class layout and
+  Jaccard table;
 * ``uman run <config>`` trains every configured (method, seed) pair, the
   seeds of one method as one batch and the method batches in parallel
   worker processes (at most one per batch and per CPU), and writes
@@ -79,11 +80,9 @@ def _fmt_set(values) -> str:
 
 
 def cmd_validate(path) -> int:
-    config, problems = load_config(path)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}")
+    if (loaded := _runnable(path)) is None:
         return 1
+    config = loaded[0]
     partition = partition_from_matrix(config.matrix)
     print(f"config {config_hash(config)} is valid")
     print(f"{partition.n_sources} sources, {partition.total_classes} classes total")
@@ -155,9 +154,9 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     gain over source_only where available. Infeasible values become
     marked rows. An unknown axis, no values, a repeated value, ``jobs``
     below 1, a negative effective seed or a batch over the cost bound
-    raises ValueError, and a non-integer offset or value TypeError, before
-    any work starts (:func:`_plan`). A config whose methods, seeds or output
-    directory the file would refuse cannot be built.
+    raises ValueError, and a non-integer offset, value or ``jobs``
+    TypeError, before any work starts (:func:`_plan`). A config whose
+    methods, seeds or output directory the file would refuse cannot be built.
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells
@@ -181,10 +180,12 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
     are a sweep's unknown axis, missing values, first repeated value and
     ``jobs`` below 1, a negative effective seed (a config seed plus the
     offset) and each batch whose runs would not fit in memory together
-    (:func:`~uman.config.cost_problems`), a sweep's named by its values."""
+    (:func:`~uman.config.cost_problems`), a sweep's named by its values. A
+    non-integer offset, or a sweep's non-integer ``jobs``, raises TypeError."""
     offset = typed_value("offset", "int", offset)
     cells, problems = {None: config}, []
     if axis is not None:
+        jobs = typed_value("jobs", "int", jobs)
         if axis not in SWEEP_AXES:
             problems.append(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
         if not values:
@@ -368,11 +369,15 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
     """Evaluate a trained run on a freshly generated held-out target of
     ``cell`` and write its artifacts to <output_dir>/runs/<method>_<seed>/;
     returns its summary row and report line. A failed run's directory gets
-    its failed report only. Every report names the seed offset and the
-    run's effective data and training seeds."""
+    its failed report only. Every report starts from the run's identity:
+    its config hash, method and seed, the seed offset and the run's
+    effective data and training seeds."""
     chash, partition = config_hash(cell), partition_from_matrix(cell.matrix)
     spec, hp = _seeded(cell, offset, seed)
-    seeds = {"data_seed": spec.seed, "seed_offset": offset, "training_seed": hp.seed}
+    identity = {
+        "config_hash": chash, "method": method, "seed": seed,
+        "data_seed": spec.seed, "seed_offset": offset, "training_seed": hp.seed,
+    }
     run_dir = Path(cell.output_dir) / "runs" / f"{method}_{seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, Exception):
@@ -380,23 +385,12 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
         # artifacts an earlier run into the same directory left
         for stale in ("trace.csv", "tmr.csv"):
             (run_dir / stale).unlink(missing_ok=True)
-        _write_json(run_dir / "report.json", {
-            "config_hash": chash,
-            "error": str(result),
-            "method": method,
-            "seed": seed,
-            "status": "failed",
-            "step": result.step,
-            **seeds,
-        })
+        _write_json(run_dir / "report.json", {**identity, "error": str(result), "status": "failed", "step": result.step})
         return _summary_row(partition, chash, method, seed), f"{method} seed {seed}: FAILED ({result})"
-    report = evaluate(
-        result.feature_net, result.classifier, generate(spec, partition, draw=1)[-1], partition, hp.w0,
-        method=method, config_hash=chash, seed=seed,
-    )
+    report = evaluate(result.feature_net, result.classifier, generate(spec, partition, draw=1)[-1], partition, hp.w0)
     _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
     _write_register(run_dir / "tmr.csv", result.register)
-    _write_json(run_dir / "report.json", {**asdict(report), **seeds})
+    _write_json(run_dir / "report.json", {**asdict(report), **identity})
     line = f"{method} seed {seed}: mean accuracy {report.mean_per_class_accuracy:.4f}"
     return _summary_row(partition, chash, method, seed, report), line
 
@@ -476,10 +470,11 @@ def _write_summary(config: ExperimentConfig, rows) -> Path:
     return out
 
 
-def _runnable(path, axis, values, jobs):
+def _runnable(path, axis=None, values=(None,), jobs=None):
     """The config at ``path`` and its cells and tasks (:func:`_plan`) at
     the seed offset, or None after printing every problem that keeps it
-    from running."""
+    from running: the one gate of ``uman validate``, ``uman run`` and
+    ``uman sweep``."""
     config, problems = load_config(path)
     if not problems:
         offset, problems = _read_seed_offset()

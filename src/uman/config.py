@@ -53,8 +53,9 @@ _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every (method, seed) run of one setup. Building it applies the config
-    file's rule (:func:`_experiment_problems`) to the last three fields."""
+    """Every (method, seed) run of one setup. Building it checks that each
+    section is of its class, and applies the config file's rule
+    (:func:`_experiment_problems`) to the last three fields."""
 
     matrix: UmdaMatrix
     synthetic: SyntheticSpec
@@ -64,6 +65,9 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
+        for name, cls in (("matrix", UmdaMatrix), ("synthetic", SyntheticSpec), ("hyperparams", Hyperparams)):
+            if not isinstance(section := getattr(self, name), cls):
+                raise TypeError(f"{name} must be a {cls.__name__}, got {type(section).__name__}")
         if problems := _experiment_problems(self.methods, self.seeds, self.output_dir):
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "methods", tuple(self.methods))

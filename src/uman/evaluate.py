@@ -83,19 +83,15 @@ def score_predictions(
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     per_class, n_eval, excluded = {}, {}, []
-    for c in partition.common_union:
-        mask = labels == c
-        n_eval[str(c)] = int(mask.sum())
+    # each entry's name, its samples and the prediction that scores one of them right
+    entries = [(str(c), labels == c, c) for c in partition.common_union]
+    entries.append(("unknown", np.isin(labels, np.asarray(partition.target_private, dtype=labels.dtype)), UNKNOWN))
+    for name, mask, wanted in entries:
+        n_eval[name] = int(mask.sum())
         if not mask.any():
-            excluded.append(str(c))
+            excluded.append(name)
             continue
-        per_class[str(c)] = float((preds[mask] == c).mean())
-    unknown_mask = np.isin(labels, np.asarray(partition.target_private, dtype=labels.dtype))
-    n_eval["unknown"] = int(unknown_mask.sum())
-    if unknown_mask.any():
-        per_class["unknown"] = float((preds[unknown_mask] == UNKNOWN).mean())
-    else:
-        excluded.append("unknown")
+        per_class[name] = float((preds[mask] == wanted).mean())
     for name in excluded:
         warnings.warn(f"no test samples for entry {name!r}; excluded from the mean")
     if not per_class:

@@ -58,6 +58,11 @@ def tiny_config(tmp_path, **kw):
     return path
 
 
+# a target_private_size 0 cell has no target-only class, so scoring its runs
+# warns that the unknown entry has no test sample
+empty_unknown = pytest.mark.filterwarnings("ignore:no test samples for entry 'unknown'")
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -731,6 +736,46 @@ class TestSeedOffset:
         assert trace.read_bytes() == moved
 
 
+class TestOneGate:
+    """``uman validate`` refuses exactly what ``uman run`` refuses before
+    writing, with the same lines: the file's problems, then the seed
+    offset's, then the cost bound's."""
+
+    @pytest.mark.parametrize(
+        "offset, change, cap, refused",
+        [
+            (None, {}, False, False),
+            ("", {}, False, False),
+            (" 3 ", {}, False, False),
+            ("-1", {}, False, True),
+            ("-100", {}, False, True),
+            ("abc", {}, False, True),
+            ("1.5", {}, False, True),
+            (None, {"seeds": [-1]}, False, True),
+            (None, {"synthetic": {"feature_dim": 4, "samples_per_class": 8, "seed": -2}}, False, True),
+            (None, {}, True, True),
+        ],
+        ids=["unset", "blank", "padded", "minus_1", "minus_100", "abc", "1.5", "negative_seed",
+             "negative_section_seed", "over_the_cost_bound"],
+    )
+    def test_validate_refuses_what_run_refuses(self, tmp_path, monkeypatch, capsys, offset, change, cap, refused):
+        hyperparams = {"max_steps": 3, "batch_size": 8, "feature_hidden": [8], "feature_dim": 4, "disc_hidden": [4]}
+        path = tiny_config(tmp_path, hyperparams=hyperparams, **change)
+        if offset is None:
+            monkeypatch.delenv("UMAN_SEED_OFFSET", raising=False)
+        else:
+            monkeypatch.setenv("UMAN_SEED_OFFSET", offset)
+        if cap:
+            monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 1000)
+        validated = main(["validate", str(path)]), capsys.readouterr().out.splitlines()
+        assert not (tmp_path / "out").exists()
+        ran = main(["run", str(path)]), capsys.readouterr().out.splitlines()
+        assert (validated[0], ran[0], (tmp_path / "out").exists()) == ((1, 2, False) if refused else (0, 0, True))
+        invalid = [line for line in ran[1] if line.startswith("invalid: ")]
+        assert [line for line in validated[1] if line.startswith("invalid: ")] == invalid
+        assert (validated[1] == ran[1] == invalid != []) if refused else invalid == []
+
+
 class TestSweep:
     def sweep_config(self, tmp_path):
         return tiny_config(
@@ -772,6 +817,7 @@ class TestSweep:
             execute_sweep(config, "target_private_size", [0, 1, 2])
         assert not (tmp_path / "out").exists()
 
+    @empty_unknown
     def test_failed_aggregate_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = self.sweep_config(tmp_path)
         argv = ["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"]
@@ -785,6 +831,7 @@ class TestSweep:
         assert sorted(p.name for p in out_dir.iterdir()) == ["sweep", "sweep_target_private_size.csv"]
         assert not list(out_dir.rglob("*.tmp"))
 
+    @empty_unknown
     def test_axis_sweep_writes_aggregate(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         rc = main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"])
@@ -842,6 +889,7 @@ class TestSweep:
         assert not any(name.startswith("sweep/common_overlap_5/") for name in names)
         assert sweep("2") == serial
 
+    @empty_unknown
     @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
     def test_cells_write_what_their_runs_write(self, tmp_path, monkeypatch, capsys, lr):
         """The runs of a sweep's cells train in shared batches, and every
@@ -921,6 +969,7 @@ class TestSweep:
             assert main(argv + ["--values", "2,3,4,5", "--jobs", "64"]) == 0
         assert pools == []
 
+    @empty_unknown
     def test_batches_span_cells_of_one_layout(self, tmp_path, monkeypatch):
         """A target_private_size sweep packs each method's runs, in (cell,
         seed) order, into the fewest near-equal batches of at most
@@ -980,6 +1029,7 @@ class TestSweep:
         monkeypatch.setattr(uman.cli, "train_runs", counting)
         return counts
 
+    @empty_unknown
     def test_source_only_trains_once_per_seed_across_target_cells(self, tmp_path, trained):
         """source_only reads no target, so a target_private_size sweep
         trains it once per seed and scores that training on every cell's
@@ -1002,6 +1052,7 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 0
         assert trained == {"uman": 6, "unweighted_adv": 6, "source_only": 6}
 
+    @empty_unknown
     def test_reuse_of_a_different_training_is_refused(self, tmp_path, monkeypatch, one_worker):
         """Two cells whose source_only runs share a training but whose
         sources differ: the sweep raises an error naming both cells before
@@ -1125,7 +1176,9 @@ class TestApiRefusesWhatTheFileRefuses:
     """A config built in Python follows the file's rule for its methods,
     seeds and output directory, so one the file would refuse never reaches
     a run: building it raises the parser's message, in a directory that
-    stays empty."""
+    stays empty. A section of the wrong class, a non-integer sweep value
+    and a non-integer ``jobs`` raise a TypeError naming them, before any
+    write."""
 
     @pytest.mark.parametrize(
         "change, problem",
@@ -1170,6 +1223,28 @@ class TestApiRefusesWhatTheFileRefuses:
         want = f"^target_private_size value must be integral, got {re.escape(repr(value))}$"
         with pytest.raises(TypeError, match=want):
             execute_sweep(config, "target_private_size", [0, value])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["2", None, 2.5, True], ids=repr)
+    def test_non_integer_jobs_is_named_before_any_write(self, tmp_path, jobs):
+        config, _ = load_config(tiny_config(tmp_path))
+        with pytest.raises(TypeError, match=f"^jobs must be integral, got {re.escape(repr(jobs))}$"):
+            execute_sweep(config, "target_private_size", [2], jobs=jobs)
+        assert not (tmp_path / "out").exists()
+        execute_sweep(config, "target_private_size", [2], jobs=np.int64(2))
+        assert (tmp_path / "out" / "sweep_target_private_size.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, wrong",
+        [("matrix", None), ("synthetic", "hyperparams"), ("hyperparams", {}), ("matrix", "synthetic")],
+        ids=["no matrix", "swapped synthetic", "dict hyperparams", "swapped matrix"],
+    )
+    def test_section_of_the_wrong_class_is_named(self, tmp_path, name, wrong):
+        config, _ = load_config(tiny_config(tmp_path))
+        wrong = getattr(config, wrong) if isinstance(wrong, str) else wrong
+        cls = type(getattr(config, name)).__name__
+        with pytest.raises(TypeError, match=f"^{name} must be a {cls}, got "):
+            execute_run(replace(config, **{name: wrong}), quiet=True)
         assert not (tmp_path / "out").exists()
 
     def test_numpy_sweep_values_are_int_values(self, tmp_path, monkeypatch):

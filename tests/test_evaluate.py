@@ -95,7 +95,7 @@ class TestScorePredictions:
         kept = [c for c in partition.common_union if c != dropped]
         labels = np.asarray(kept)
         preds = labels.copy()
-        with pytest.warns(UserWarning, match=f"'{dropped}'"):
+        with pytest.warns(UserWarning, match="entry 'unknown'"), pytest.warns(UserWarning, match=f"entry '{dropped}'"):
             report = score_predictions(preds, labels, partition, 0.5)
         assert str(dropped) in report.excluded
         assert "unknown" in report.excluded
