@@ -12,9 +12,9 @@ Three verbs operate on a JSON config file:
 * ``uman sweep <config> --axis <name> --values a,b,c [--jobs N]`` repeats
   the run along one axis and aggregates the results. A method batch holds
   the runs of every cell that shares its training layout, up to
-  :data:`~uman.config.BATCH_RUNS` runs, and every batch goes to one pool of
-  at most N worker processes (and at most one per batch and per CPU); a
-  batch never starts a pool of its own.
+  :data:`BATCH_RUNS` runs, and every batch goes to one pool of at most N
+  worker processes (and at most one per batch and per CPU); a batch never
+  starts a pool of its own.
 
 A run is a sweep of one cell, keyed None: both go through one planner,
 :func:`_plan`, which finds every problem before anything is written, and
@@ -51,7 +51,6 @@ import numpy as np
 from .config import (
     SWEEP_AXES,
     ExperimentConfig,
-    batch_runs,
     config_hash,
     cost_problems,
     derive_sweep_cell,
@@ -64,6 +63,11 @@ from .labelspace import partition_from_matrix, typed_value
 from .synth import generate
 
 __all__ = ["main", "execute_run", "execute_sweep"]
+
+# the most runs one method batch trains together: past about 6 runs a run's
+# step costs no less, while each run adds its data and step buffers (about
+# 1.2 MB at the committed config's widths) to the batch's memory
+BATCH_RUNS = 6
 
 
 def _read_seed_offset() -> tuple[int, list[str]]:
@@ -117,14 +121,13 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     write its summary.csv; returns the summary rows.
 
     A method's seeds train as one batch (:func:`uman.core.train_runs`), or
-    as the fewest near-equal batches of at most
-    :data:`~uman.config.BATCH_RUNS` runs, each run exactly as it would
-    alone. The batches run in worker processes, at most one per batch and
-    per CPU; a single worker runs them in this process. Each batch
-    generates its own data, writes its own artifacts and returns only its
-    summary rows and the lines it reports; rows come back and lines are
-    printed in config order, so neither the output nor any artifact
-    depends on the number of workers.
+    as the fewest near-equal batches of at most :data:`BATCH_RUNS` runs,
+    each run exactly as it would alone. The batches run in worker processes,
+    at most one per batch and per CPU; a single worker runs them in this
+    process. Each batch generates its own data, writes its own artifacts and
+    returns only its summary rows and the lines it reports; rows come back
+    and lines are printed in config order, so neither the output nor any
+    artifact depends on the number of workers.
 
     Per-run artifacts land in <output_dir>/runs/<method>_<seed>/: the
     training trace, the final margin-register values, and the evaluation
@@ -152,7 +155,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     Every cell writes its own artifacts under <output_dir>/sweep/<axis>_<value>/.
     The aggregate holds per-seed accuracies, their mean, and the transfer
     gain over source_only where available. Infeasible values become
-    marked rows. An unknown axis, no values, a repeated value, ``jobs``
+    marked rows. ``values`` is read once into a list, so an array runs as
+    its list. An unknown axis, no values, a repeated value, ``jobs``
     below 1, a negative effective seed or a batch over the cost bound
     raises ValueError, and a non-integer offset, value or ``jobs``
     TypeError, before any work starts (:func:`_plan`). A config whose
@@ -166,6 +170,7 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     batches or CPUs, in the order of :func:`_tasks`. Each run is trained,
     scored and written as it would be alone.
     """
+    values = list(values)
     cells, tasks, problems = _plan(config, offset, axis, values, jobs)
     if problems:
         raise ValueError(problems[0])
@@ -180,8 +185,9 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
     are a sweep's unknown axis, missing values, first repeated value and
     ``jobs`` below 1, a negative effective seed (a config seed plus the
     offset) and each batch whose runs would not fit in memory together
-    (:func:`~uman.config.cost_problems`), a sweep's named by its values. A
-    non-integer offset, or a sweep's non-integer ``jobs``, raises TypeError."""
+    (:func:`~uman.config.cost_problems`, checked here only), a sweep's
+    named by its values. A non-integer offset, or a sweep's non-integer
+    ``jobs``, raises TypeError."""
     offset = typed_value("offset", "int", offset)
     cells, problems = {None: config}, []
     if axis is not None:
@@ -203,7 +209,7 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
         problems.append(f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0")
     for _, entries, _ in tasks:
         keys = ",".join(str(key) for key in dict.fromkeys(key for (key, _, _), *_ in entries))
-        batch = cost_problems(config, [cell for (_, cell, _), *_ in entries])
+        batch = cost_problems([cell for (_, cell, _), *_ in entries])
         problems += [p if axis is None else f"{axis} {keys}: {p}" for p in batch]
     return cells, tasks, list(dict.fromkeys(problems))
 
@@ -255,11 +261,10 @@ def _packed(cells: dict, method: str) -> list:
     batches, largest first, each a list of entries: the ``(key, config,
     seed)`` runs one training serves. A run of a method outside
     :data:`~uman.core.ADVERSARIAL` reads no target, and shares its entry
-    with every run of the same training layout, data spec,
-    hyperparameters, source label sets and seed; any other run has its own.
-    The entries of one training layout, in (cell, seed) order, fill the
-    fewest near-equal batches of at most :data:`~uman.config.BATCH_RUNS`
-    entries (:func:`~uman.config.batch_runs`)."""
+    with every run of the same training layout, data spec, hyperparameters,
+    source label sets and seed; any other run has its own. The entries of
+    one training layout, in (cell, seed) order, fill the fewest near-equal
+    batches of at most :data:`BATCH_RUNS` entries (:func:`batch_runs`)."""
     groups: dict = {}
     for key, cell in cells.items():
         entries = groups.setdefault(run_layout(cell), {})
@@ -274,6 +279,14 @@ def _packed(cells: dict, method: str) -> list:
             batches.append(entries[:size])
             entries = entries[size:]
     return sorted(batches, key=len, reverse=True)
+
+
+def batch_runs(n: int) -> list[int]:
+    """How many runs each of the fewest near-equal batches of at most
+    :data:`BATCH_RUNS` runs holds, for ``n`` runs, largest first."""
+    count = -(-n // BATCH_RUNS)
+    size, larger = divmod(n, count)
+    return [size + 1] * larger + [size] * (count - larger)
 
 
 def _tasks(cells: dict, methods, offset: int) -> list:
@@ -472,14 +485,14 @@ def _write_summary(config: ExperimentConfig, rows) -> Path:
 
 def _runnable(path, axis=None, values=(None,), jobs=None):
     """The config at ``path`` and its cells and tasks (:func:`_plan`) at
-    the seed offset, or None after printing every problem that keeps it
-    from running: the one gate of ``uman validate``, ``uman run`` and
-    ``uman sweep``."""
+    the seed offset (0 if bad), or None after printing every problem that
+    keeps it from running: the one gate of ``uman validate``, ``uman run``
+    and ``uman sweep``."""
     config, problems = load_config(path)
     if not problems:
         offset, problems = _read_seed_offset()
-    if not problems:
-        cells, tasks, problems = _plan(config, offset, axis, values, jobs)
+        cells, tasks, planned = _plan(config, offset, axis, values, jobs)
+        problems += planned
     for p in problems:
         print(f"invalid: {p}")
     return None if problems else (config, cells, tasks)

@@ -30,11 +30,9 @@ __all__ = [
     "canonical_dict",
     "derive_sweep_cell",
     "cost_problems",
-    "batch_runs",
     "run_layout",
     "run_floats",
     "MAX_RUN_FLOATS",
-    "BATCH_RUNS",
 ]
 
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
@@ -42,11 +40,6 @@ SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_pr
 # the most float64 values the runs of one method batch may hold in their
 # datasets, parameters, step buffers and traces: 800 MB
 MAX_RUN_FLOATS = 10**8
-
-# the most runs one method batch trains together: past about 6 runs a run's
-# step costs no less, while each run adds its data and step buffers (about
-# 1.2 MB at the committed config's widths) to the batch's memory
-BATCH_RUNS = 6
 
 _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", "seeds", "output_dir"}
 
@@ -196,7 +189,8 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     """Validate a parsed JSON object; returns (config, problems).
 
     The config is None whenever problems is nonempty, and problems lists
-    every violation found, not just the first.
+    every violation found, not just the first. The memory bound is checked
+    on the batches :func:`uman.cli._plan` packs.
     """
     problems: list[str] = []
     if not isinstance(obj, dict):
@@ -220,17 +214,7 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
 
     if problems:
         return None, problems
-    config = ExperimentConfig(matrix, synthetic, hyperparams, methods, seeds, output_dir)
-    problems = cost_problems(config)
-    return (None, problems) if problems else (config, [])
-
-
-def batch_runs(n: int) -> list[int]:
-    """How many runs each of the fewest near-equal batches of at most
-    :data:`BATCH_RUNS` runs holds, for ``n`` runs, largest first."""
-    count = -(-n // BATCH_RUNS)
-    size, larger = divmod(n, count)
-    return [size + 1] * larger + [size] * (count - larger)
+    return ExperimentConfig(matrix, synthetic, hyperparams, methods, seeds, output_dir), []
 
 
 def run_layout(config: ExperimentConfig):
@@ -252,15 +236,14 @@ def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int, int]:
     return rows, params, buffers, steps, len(trace_columns(partition.n_sources))
 
 
-def cost_problems(config: ExperimentConfig, runs=None) -> list[str]:
+def cost_problems(runs) -> list[str]:
     """Why a method batch would not fit in memory: its runs' datasets (rows
     times columns), parameters, step buffers and traces (steps times
     columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
-    values. ``runs`` lists the config of each run of the batch, as a sweep
-    packs them; by default the batch is the largest one of ``config``'s
-    own seeds."""
+    values. ``runs`` lists the config of each run of one batch, as
+    :func:`uman.cli._plan` packs them."""
     terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
-    for cell in runs or [config] * batch_runs(len(config.seeds))[0]:
+    for cell in runs:
         rows, params, buffers, steps, columns = run_floats(cell)
         dim = cell.synthetic.feature_dim
         term = (
@@ -277,6 +260,7 @@ def cost_problems(config: ExperimentConfig, runs=None) -> list[str]:
 
 
 def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:
+    """The config in the JSON file at ``path`` and its problems (:func:`parse_config`)."""
     try:
         with open(path) as fh:
             obj = json.load(fh)

@@ -23,7 +23,7 @@ Each count must stay within 3% of its budget; ``conftest.py`` prints the
 counts after the run summary.
 
 Beside the calls, the memory a sweep's batch holds: the ``tracemalloc`` peak
-of one method batch of :data:`~uman.config.BATCH_RUNS` runs of a
+of one method batch of :data:`~uman.cli.BATCH_RUNS` runs of a
 ``target_private_size`` sweep of the committed config (the cells 4 to 6 at
 seeds 0 and 1, 250 steps each, as the benchmark's short sweep trains them;
 at seeds 0 to 5 for ``source_only``, whose one training per seed serves
@@ -42,7 +42,8 @@ import pytest
 
 import uman
 import uman.cli
-from uman.config import BATCH_RUNS, derive_sweep_cell, load_config
+from uman.cli import BATCH_RUNS
+from uman.config import derive_sweep_cell, load_config
 from uman.core import CHUNK, METHODS, train_runs
 from uman.labelspace import partition_from_matrix
 from uman.synth import generate

@@ -16,11 +16,9 @@ import pytest
 
 import uman.cli
 import uman.core
-from uman.cli import execute_run, execute_sweep, main
+from uman.cli import BATCH_RUNS, batch_runs, execute_run, execute_sweep, main
 from uman.config import (
-    BATCH_RUNS,
     MAX_RUN_FLOATS,
-    batch_runs,
     canonical_dict,
     config_hash,
     derive_sweep_cell,
@@ -382,9 +380,8 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_api_run_over_the_cost_bound_raises_before_any_write(self, tmp_path, monkeypatch):
-        """A config built in Python reaches ``execute_run`` without
-        ``load_config``'s check; its batches are checked there, as a
-        sweep's are."""
+        """``execute_run`` checks the batches it would train, as ``uman
+        run`` does."""
         config, _ = load_config(tiny_config(tmp_path, seeds=[0, 1]))
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 1000)
         with pytest.raises(ValueError, match="^a method batch would hold .* above the limit of 1,000$"):
@@ -816,6 +813,40 @@ class TestSweep:
         with pytest.raises(ValueError, match="target_private_size 0,1,2: "):
             execute_sweep(config, "target_private_size", [0, 1, 2])
         assert not (tmp_path / "out").exists()
+
+    @empty_unknown
+    def test_base_batch_over_the_bound_sweeps_a_cell_that_fits(self, tmp_path, monkeypatch, capsys):
+        """The bound is checked on the batches a verb trains: the base
+        config's own batch is over it, so ``validate`` and ``run`` refuse
+        it, also beside a bad seed offset, while a sweep of one smaller
+        cell runs."""
+        monkeypatch.delenv("UMAN_SEED_OFFSET", raising=False)
+        path = self.sweep_config(tmp_path)
+        config, _ = load_config(path)
+        cell, _ = derive_sweep_cell(config, "target_private_size", 0)
+        rows, params, buffers, steps, columns = run_floats(cell)
+        limit = 2 * (rows * 4 + params + buffers + steps * columns)
+        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", limit)
+        assert load_config(path) == (config, [])
+        rows, params, buffers, steps, columns = run_floats(config)
+        problem = (
+            f"a method batch would hold {2 * (rows * 4 + params + buffers + steps * columns):,} floats"
+            f" (2 runs x ({rows:,} dataset rows x 4 columns + {params:,} parameters"
+            f" + {buffers:,} step buffer floats + {steps:,} trace rows x {columns} columns)),"
+            f" above the limit of {limit:,}"
+        )
+        for verb, code in (("validate", 1), ("run", 2)):
+            assert main([verb, str(path)]) == code
+            assert capsys.readouterr().out == f"invalid: {problem}\n"
+        monkeypatch.setenv("UMAN_SEED_OFFSET", "abc")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"invalid: UMAN_SEED_OFFSET must be an integer, got 'abc'\ninvalid: {problem}\n"
+        monkeypatch.delenv("UMAN_SEED_OFFSET")
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            execute_run(config, quiet=True)
+        assert not (tmp_path / "out").exists()
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0"]) == 0
+        assert (tmp_path / "out" / "sweep_target_private_size.csv").exists()
 
     @empty_unknown
     def test_failed_aggregate_write_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -1255,6 +1286,15 @@ class TestApiRefusesWhatTheFileRefuses:
             monkeypatch.chdir(tmp_path / name)
             execute_sweep(config, "common_overlap", values, jobs=2)
         assert files_under(tmp_path / "int" / "out") == files_under(tmp_path / "numpy" / "out")
+
+    @pytest.mark.parametrize("values", [[0], [0, 2]])
+    def test_numpy_array_of_values_runs_as_its_list(self, tmp_path, monkeypatch, values):
+        config, _ = load_config(tiny_config(tmp_path, output_dir="out"))
+        for name, given in (("list", values), ("array", np.array(values))):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            execute_sweep(config, "common_overlap", given)
+        assert files_under(tmp_path / "list" / "out") == files_under(tmp_path / "array" / "out")
 
 
 class TestEntryPoint:

@@ -13,12 +13,11 @@ from helpers import PROPERTY, held_nbytes, plan_arrays
 
 import uman.cli
 import uman.config
+from uman.cli import BATCH_RUNS, batch_runs
 from uman.config import (
-    BATCH_RUNS,
     MAX_RUN_FLOATS,
     SWEEP_AXES,
     ExperimentConfig,
-    batch_runs,
     canonical_dict,
     config_hash,
     cost_problems,
@@ -334,24 +333,37 @@ class TestConfigHash:
         assert config_hash(again) == config_hash(config)
 
 
+def refused(tmp_path, capsys, obj) -> list[str]:
+    """The problems ``uman validate`` prints for the config ``obj``, which
+    the parser accepts and the planner refuses, with nothing written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**obj, "output_dir": str(tmp_path / "out")}))
+    assert load_config(path)[1] == []
+    assert uman.cli.main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("invalid: ") for line in lines)
+    assert not (tmp_path / "out").exists()
+    return [line.removeprefix("invalid: ") for line in lines]
+
+
 class TestCostBound:
     """One bound on what a method batch holds: every run's dataset rows
     times columns, its parameters, its step buffers and its trace's steps
-    times columns."""
+    times columns, checked on the batches the planner packs."""
 
     def test_committed_and_battery_configs_pass(self):
         config, problems = load_config(STANDARD)
         assert problems == []
-        assert cost_problems(config) == []
+        assert cost_problems([config] * 3) == [] and uman.cli._plan(config, 0)[2] == []
         # the battery's largest cell: the standard layout at 6 target-only classes
         cell, problems = derive_sweep_cell(config, "target_private_size", 6)
         assert problems == []
-        assert cost_problems(cell) == []
+        assert cost_problems([cell] * 3) == []
         # the largest batch of a sweep of the standard config's cells
-        assert cost_problems(config, [cell] * BATCH_RUNS) == []
+        assert cost_problems([cell] * BATCH_RUNS) == []
         # the benchmark's 5-source cell, and its short sweep's batches
         cell, problems = derive_sweep_cell(config, "num_sources", 5)
-        assert problems == [] and cost_problems(replace(cell, seeds=(0,))) == []
+        assert problems == [] and cost_problems([cell]) == []
         short = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=250))
         assert uman.cli._plan(short, 0, "target_private_size", range(7))[2] == []
 
@@ -380,9 +392,9 @@ class TestCostBound:
         # a trace row per step: step, 2 losses, 2 error rates, 3 weight means, the gate
         want = 2 * (rows * 3 + params + buffers + 7 * 9)
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want)
-        assert cost_problems(config) == []
+        assert cost_problems([config] * 2) == []
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want - 1)
-        assert cost_problems(config) == [
+        assert cost_problems([config] * 2) == [
             f"a method batch would hold {want:,} floats (2 runs x ({rows:,} dataset rows x 3 columns"
             f" + {params:,} parameters + {buffers:,} step buffer floats + 7 trace rows x 9 columns)),"
             f" above the limit of {want - 1:,}"
@@ -413,15 +425,15 @@ class TestCostBound:
         assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
         assert run_floats(config)[2] == step_floats(run_layout(config), method)
 
-    def test_wide_hidden_layer_is_over_the_bound(self):
+    def test_wide_hidden_layer_is_over_the_bound(self, tmp_path, capsys):
         """A feature net 200,000 wide on the committed config: the three
         runs' datasets, parameters and traces fit, but not with F's hidden
         activations and their gradient buffers (3 x 96 x 200,000 floats
         each)."""
         obj = json.loads(STANDARD.read_text())
         obj["hyperparams"]["feature_hidden"] = [200000]
-        config, problems = parse_config(obj)
-        assert config is None and len(problems) == 1
+        problems = refused(tmp_path, capsys, obj)
+        assert len(problems) == 1
         assert problems[0].startswith("a method batch would hold ") and "(3 runs x (" in problems[0]
         standard, _ = load_config(STANDARD)
         wide = replace(standard, hyperparams=replace(standard.hyperparams, feature_hidden=(200000,)))
@@ -430,11 +442,11 @@ class TestCostBound:
         assert buffers > 3 * 96 * 200000
         assert f" + {buffers:,} step buffer floats + " in problems[0]
 
-    def test_trace_counts(self):
+    def test_trace_counts(self, tmp_path, capsys):
         """A run of 10^9 steps holds a trace row per step; without the
         trace it would fit."""
-        config, problems = parse_config(minimal(hyperparams={"max_steps": 10**9}))
-        assert config is None and len(problems) == 1
+        problems = refused(tmp_path, capsys, minimal(hyperparams={"max_steps": 10**9}))
+        assert len(problems) == 1
         assert "(1 run x (" in problems[0]
         assert " + 1,000,000,000 trace rows x 9 columns)), above the limit of 100,000,000" in problems[0]
 
@@ -461,7 +473,7 @@ class TestCostBound:
 
     def test_a_batch_holds_at_most_batch_runs_seeds(self, monkeypatch):
         """The seeds of a config train in the fewest near-equal batches of
-        at most BATCH_RUNS runs, and the largest one is costed."""
+        at most BATCH_RUNS runs, and each one is costed."""
         for n in range(1, 40):
             sizes = batch_runs(n)
             assert sum(sizes) == n and len(sizes) == -(-n // BATCH_RUNS)
@@ -470,34 +482,33 @@ class TestCostBound:
         config, problems = parse_config(minimal(seeds=list(range(9))))
         assert problems == []
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
-        [problem] = cost_problems(config)
-        assert problem.startswith("a method batch would hold ") and "(5 runs x (" in problem
+        problems = uman.cli._plan(config, 0)[2]
+        assert [p.startswith("a method batch would hold ") for p in problems] == [True, True]
+        assert "(5 runs x (" in problems[0] and "(4 runs x (" in problems[1]
 
     def test_cells_of_one_batch_are_costed_together(self, monkeypatch):
         config, problems = parse_config(minimal())
         assert problems == []
         cells = [derive_sweep_cell(config, "target_private_size", v)[0] for v in (0, 0, 2)]
         monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
-        [problem] = cost_problems(config, cells)
+        [problem] = cost_problems(cells)
         assert "(2 runs x (4,000 dataset rows" in problem and " + 1 run x (4,400 dataset rows" in problem
 
-    def test_huge_dataset_is_a_problem_with_the_limit(self):
-        config, problems = parse_config(minimal(synthetic={"samples_per_class": 10**12}))
-        assert config is None
+    def test_huge_dataset_is_a_problem_with_the_limit(self, tmp_path, capsys):
+        problems = refused(tmp_path, capsys, minimal(synthetic={"samples_per_class": 10**12}))
         assert len(problems) == 1
         assert f"above the limit of {MAX_RUN_FLOATS:,}" in problems[0]
         assert "dataset rows" in problems[0]
 
-    def test_huge_width_is_a_problem(self):
-        config, problems = parse_config(minimal(hyperparams={"feature_hidden": [10**9]}))
-        assert config is None and "parameters" in problems[0]
+    def test_huge_width_is_a_problem(self, tmp_path, capsys):
+        assert "parameters" in refused(tmp_path, capsys, minimal(hyperparams={"feature_hidden": [10**9]}))[0]
 
     def test_sweep_cell_is_costed_on_its_own(self):
         config, problems = parse_config(minimal(synthetic={"samples_per_class": 10**5}))
         assert problems == []
         cell, problems = derive_sweep_cell(config, "num_sources", 50)
         assert problems == []
-        assert "above the limit" in cost_problems(cell)[0]
+        assert "above the limit" in cost_problems([cell])[0]
 
 
 class TestScalability:
