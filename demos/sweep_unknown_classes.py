@@ -24,8 +24,8 @@ hp = Hyperparams(max_steps=1500, batch_size=32, feature_hidden=(48,), feature_di
                  lr_discriminator=0.7, weight_decay=0.003, seed=0)
 
 
-def score(method, result, test, partition):
-    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0, method=method)
+def score(result, test, partition):
+    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
 
 
 # The source-only baseline never reads the target, and adding target-only
@@ -44,8 +44,8 @@ for k in (0, 3, 6):
         np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
         for a, b in zip(sources, data[:-1], strict=True)
     ), f"the sources at k={k} differ from those the baseline trained on"
-    base = score("source_only", baseline, test, partition)
-    full = score("uman", train(data, partition, hp, method="uman"), test, partition)
+    base = score(baseline, test, partition)
+    full = score(train(data, partition, hp, method="uman"), test, partition)
     print(
         f"{k:>19} | {base.mean_per_class_accuracy:>11.3f} "
         f"| {full.mean_per_class_accuracy:.3f} | {transfer_gain(full, base):+.3f}"

@@ -33,8 +33,7 @@ results, reports = {}, {}
 print("method          mean per-class accuracy")
 for method in config.methods:
     results[method] = result = train(data, partition, config.hyperparams, method=method)
-    reports[method] = evaluate(result.feature_net, result.classifier, test, partition,
-                               config.hyperparams.w0, method=method)
+    reports[method] = evaluate(result.feature_net, result.classifier, test, partition, config.hyperparams.w0)
     print(f"{method:<15} {reports[method].mean_per_class_accuracy:.3f}")
 print()
 

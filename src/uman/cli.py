@@ -382,9 +382,9 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
     """Evaluate a trained run on a freshly generated held-out target of
     ``cell`` and write its artifacts to <output_dir>/runs/<method>_<seed>/;
     returns its summary row and report line. A failed run's directory gets
-    its failed report only. Every report starts from the run's identity:
-    its config hash, method and seed, the seed offset and the run's
-    effective data and training seeds."""
+    its failed report only. Every report starts from the run's identity,
+    which no evaluation report holds: its config hash, method and seed, the
+    seed offset and the run's effective data and training seeds."""
     chash, partition = config_hash(cell), partition_from_matrix(cell.matrix)
     spec, hp = _seeded(cell, offset, seed)
     identity = {

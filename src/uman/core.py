@@ -67,6 +67,7 @@ __all__ = [
     "BatchLayout",
     "batch_layout",
     "step_floats",
+    "check_labels",
     "train",
     "train_runs",
     "extract_features",
@@ -466,6 +467,19 @@ def batch_layout(partition: LabelPartition, hp: Hyperparams, lengths, input_widt
     return BatchLayout(sizes, input_width, partition.n_source_classes, partition.common_union, replace(hp, seed=0))
 
 
+def check_labels(k: int, ds, partition: LabelPartition | None = None) -> None:
+    """Refuse dataset ``k`` of a run when a label array it carries is not
+    one label per row or, given the run's ``partition``, when its
+    evaluation labels name a class outside the target label set."""
+    for name in ("labels", "eval_labels"):
+        if (labels := getattr(ds, name)) is not None and np.shape(labels) != (len(ds),):
+            raise ValueError(f"dataset {k} has {name} of shape {np.shape(labels)}, not one per row ({len(ds)},)")
+    if partition is not None and ds.eval_labels is not None:
+        extra = set(np.unique(ds.eval_labels).tolist()) - set(partition.target_labels)
+        if extra:
+            raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
+
+
 def _check_runs(runs, partition, method: str):
     """Validate a batch of runs, each against its own label partition (one
     for all runs, or a list of one per run); returns the hyperparameters and
@@ -490,9 +504,7 @@ def _check_runs(runs, partition, method: str):
                 raise ValueError(f"dataset {k} has features of shape {ds.features.shape}, not 2-d as wide as dataset 0's")
             if len(ds) == 0:
                 raise ValueError(f"dataset {k} is empty")
-            for name in ("labels", "eval_labels"):
-                if (labels := getattr(ds, name)) is not None and np.shape(labels) != (len(ds),):
-                    raise ValueError(f"dataset {k} has {name} of shape {np.shape(labels)}, not one per row ({len(ds)},)")
+            check_labels(k, ds)
         if partition.source_union != tuple(range(partition.n_source_classes)):
             raise ValueError("source classes must form a contiguous range starting at 0")
         for i, ds in enumerate(datasets[:-1]):
@@ -504,10 +516,7 @@ def _check_runs(runs, partition, method: str):
         target = datasets[-1]
         if target.labels is not None:
             raise ValueError("the last dataset must be the unlabeled target")
-        if target.eval_labels is not None:
-            extra = set(np.unique(target.eval_labels).tolist()) - set(partition.target_labels)
-            if extra:
-                raise ValueError(f"target evaluation labels {sorted(extra)} outside the target label set")
+        check_labels(len(datasets) - 1, target, partition)
         layouts.append(batch_layout(partition, run_hp, [len(ds) for ds in datasets], datasets[0].features.shape[1]))
     for r, layout in enumerate(layouts):
         if layout.hyperparams != layouts[0].hyperparams:

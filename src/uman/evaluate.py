@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNKNOWN, classification_loss, extract_features, predict_classes
+from .core import UNKNOWN, Hyperparams, check_labels, classification_loss, extract_features, predict_classes
 from .labelspace import LabelPartition
 from .nn import Mlp, NonFiniteGradientError, Plan, forward_mlp, gradient_faults, sgd_update
 from .synth import DomainDataset
@@ -51,37 +51,40 @@ PROBE_KINDS = (
 @dataclass(frozen=True)
 class EvalReport:
     """Per-class accuracies over the shared classes plus the pooled unknown
-    entry. Keys are class indices as strings, plus "unknown". Entries with
-    zero test samples are listed in ``excluded`` and left out of the mean."""
+    entry at the rejection threshold ``w0``. Keys are class indices as
+    strings, plus "unknown". Entries with zero test samples are listed in
+    ``excluded`` and left out of the mean. A report holds what was measured
+    only; a run's config hash, method and seed are its caller's to record,
+    as ``uman run`` does beside it in report.json."""
 
-    method: str
     w0: float
     per_class_accuracy: dict
     mean_per_class_accuracy: float
     n_evaluated: dict
     excluded: tuple = ()
-    config_hash: str = ""
-    seed: int | None = None
 
 
-def score_predictions(
-    preds,
-    labels,
-    partition: LabelPartition,
-    w0: float,
-    method: str = "",
-    config_hash: str = "",
-    seed: int | None = None,
-) -> EvalReport:
+def _threshold(w0) -> float:
+    """``w0`` as :class:`~uman.core.Hyperparams` holds it, else refused as there."""
+    if problems := (hp := Hyperparams(w0=w0)).violations():
+        raise ValueError("; ".join(problems))
+    return hp.w0
+
+
+def score_predictions(preds, labels, partition: LabelPartition, w0: float) -> EvalReport:
     """Protocol arithmetic on raw predictions.
 
     A sample with a shared-class label counts as correct only when predicted
     as exactly that class; one with a target-private label only when
     predicted UNKNOWN. The mean runs over the per-class entries plus the
     pooled unknown entry, skipping (with a warning) entries with no samples.
+    Predictions and labels must have one shape, and ``w0`` is the threshold
+    they were made at, which Hyperparams would accept.
     """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    if preds.shape != labels.shape:
+        raise ValueError(f"predictions of shape {preds.shape} do not match labels of shape {labels.shape}")
+    w0 = _threshold(w0)
     per_class, n_eval, excluded = {}, {}, []
     # each entry's name, its samples and the prediction that scores one of them right
     entries = [(str(c), labels == c, c) for c in partition.common_union]
@@ -96,57 +99,40 @@ def score_predictions(
         warnings.warn(f"no test samples for entry {name!r}; excluded from the mean")
     if not per_class:
         raise ValueError("every accuracy entry is empty; nothing to score")
-
-    return EvalReport(
-        method=method,
-        w0=w0,
-        per_class_accuracy=per_class,
-        mean_per_class_accuracy=float(np.mean(list(per_class.values()))),
-        n_evaluated=n_eval,
-        excluded=tuple(excluded),
-        config_hash=config_hash,
-        seed=seed,
-    )
+    mean = float(np.mean(list(per_class.values())))
+    return EvalReport(w0, per_class, mean, n_eval, tuple(excluded))
 
 
-def evaluate(
-    feature_net: Mlp,
-    classifier: Mlp,
-    test: DomainDataset,
-    partition: LabelPartition,
-    w0: float,
-    method: str = "",
-    config_hash: str = "",
-    seed: int | None = None,
-) -> EvalReport:
-    """Score a labeled target test set under the rejection threshold w0."""
+def evaluate(feature_net: Mlp, classifier: Mlp, test: DomainDataset, partition: LabelPartition, w0: float) -> EvalReport:
+    """Score a labeled target test set under the rejection threshold w0.
+
+    The test set is the target of a run of ``partition``: it is refused, as
+    training refuses its target, when its evaluation labels are not one per
+    row or name a class outside the target label set, and ``w0`` is refused
+    as Hyperparams refuses it.
+    """
     if test.eval_labels is None:
         raise ValueError("the test set carries no evaluation labels")
     if len(test) == 0:
         raise ValueError("empty test set")
+    check_labels(partition.n_sources, test, partition)
+    w0 = _threshold(w0)
     preds = predict_classes(feature_net, classifier, test.features, w0)
-    return score_predictions(
-        preds, test.eval_labels, partition, w0,
-        method=method, config_hash=config_hash, seed=seed,
-    )
+    return score_predictions(preds, test.eval_labels, partition, w0)
 
 
 def transfer_gain(report: EvalReport, source_only_report: EvalReport) -> float:
-    """Mean-accuracy edge of a method over the source-only baseline."""
-    if source_only_report.method and source_only_report.method != "source_only":
-        raise ValueError(f"baseline report comes from {source_only_report.method!r}, not source_only")
-    comparable = (
-        set(report.per_class_accuracy) == set(source_only_report.per_class_accuracy)
-        and report.n_evaluated == source_only_report.n_evaluated
-        and report.w0 == source_only_report.w0
-        and (
-            not report.config_hash
-            or not source_only_report.config_hash
-            or report.config_hash == source_only_report.config_hash
-        )
-    )
-    if not comparable:
-        raise ValueError("reports were produced under different configurations")
+    """Mean-accuracy edge of a method over the source-only baseline.
+
+    The two reports must count the same test samples per entry (the same
+    ``n_evaluated``, which fixes the entries) at the same ``w0``. A report
+    records neither its method nor its config, so that the second one is
+    the source-only run of the first one's config is the caller's to know.
+    """
+    for name in ("n_evaluated", "w0"):
+        mine, theirs = getattr(report, name), getattr(source_only_report, name)
+        if mine != theirs:
+            raise ValueError(f"reports were produced under different configurations: {name} {mine} against {theirs}")
     return report.mean_per_class_accuracy - source_only_report.mean_per_class_accuracy
 
 
@@ -154,7 +140,6 @@ def transfer_gain(report: EvalReport, source_only_report: EvalReport) -> float:
 class ProbeReport:
     """Held-out balanced accuracy of a fresh two-population classifier."""
 
-    kind: str
     balanced_accuracy: float
     n_a: int
     n_b: int
@@ -166,6 +151,8 @@ def _probe_populations(feature_net, datasets, partition, kind, pair):
         i, j = pair
         if not (1 <= i <= len(sources) and 1 <= j <= len(sources)):
             raise ValueError(f"probe pair {pair} names a source outside [1, {len(sources)}]")
+        if i == j:
+            raise ValueError(f"probe pair {pair} names source {i} twice; the probe compares two sources")
         shared = set(partition.source_labels[i - 1]) & set(partition.source_labels[j - 1])
         if not shared:
             raise ValueError(f"sources {i} and {j} share no classes; the probe has nothing to compare")
@@ -242,7 +229,6 @@ def alignment_probe(
     recall_a = float((forward_mlp(probe, a_test)[-1].argmax(axis=1) == 0).mean())
     recall_b = float((forward_mlp(probe, b_test)[-1].argmax(axis=1) == 1).mean())
     return ProbeReport(
-        kind=kind,
         balanced_accuracy=(recall_a + recall_b) / 2.0,
         n_a=fa.shape[0],
         n_b=fb.shape[0],

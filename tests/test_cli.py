@@ -488,28 +488,23 @@ def one_run_at_a_time(config, out_dir):
             test = generate(spec, partition, draw=1)[-1]
             run_dir = out_dir / "runs" / f"{method}_{seed}"
             run_dir.mkdir(parents=True)
-            seeds = {"data_seed": spec.seed, "seed_offset": 0, "training_seed": hp.seed}
+            # the run's identity, which its evaluation report does not hold
+            identity = {
+                "config_hash": chash, "method": method, "seed": seed,
+                "data_seed": spec.seed, "seed_offset": 0, "training_seed": hp.seed,
+            }
             try:
                 result = train(train_sets, partition, hp, method=method)
             except (TrainingDiverged, NonFiniteGradientError) as exc:
                 uman.cli._write_json(run_dir / "report.json", {
-                    "config_hash": chash,
-                    "error": str(exc),
-                    "method": method,
-                    "seed": seed,
-                    "status": "failed",
-                    "step": exc.step,
-                    **seeds,
+                    **identity, "error": str(exc), "status": "failed", "step": exc.step,
                 })
                 rows.append(uman.cli._summary_row(partition, chash, method, seed))
                 continue
-            report = evaluate(
-                result.feature_net, result.classifier, test, partition, hp.w0,
-                method=method, config_hash=chash, seed=seed,
-            )
+            report = evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
             uman.cli._write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
             uman.cli._write_register(run_dir / "tmr.csv", result.register)
-            uman.cli._write_json(run_dir / "report.json", {**asdict(report), **seeds})
+            uman.cli._write_json(run_dir / "report.json", {**asdict(report), **identity})
             rows.append(uman.cli._summary_row(partition, chash, method, seed, report))
     return rows
 

@@ -2,7 +2,8 @@
 
 import re
 import warnings
-from dataclasses import replace
+import json
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from uman.core import METHODS, UNKNOWN, train
 from uman.evaluate import (
     PROBE_KINDS,
     EvalReport,
+    ProbeReport,
     alignment_probe,
     evaluate,
     score_predictions,
@@ -103,6 +105,13 @@ class TestScorePredictions:
         assert report.n_evaluated[str(dropped)] == 0
         assert report.mean_per_class_accuracy == 1.0
 
+    def test_predictions_and_labels_of_two_shapes_are_named(self, partition):
+        labels = np.asarray(partition.target_labels)
+        with pytest.raises(ValueError, match=re.escape(
+            f"predictions of shape ({len(labels) - 1},) do not match labels of shape ({len(labels)},)"
+        )):
+            score_predictions(labels[1:], labels, partition, 0.5)
+
     def test_nothing_to_score_is_an_error(self, partition):
         stray = partition.source_private_union[0]
         with warnings.catch_warnings():
@@ -150,10 +159,45 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(result.feature_net, result.classifier, empty, partition, 0.5)
 
+    def test_labels_training_would_refuse_are_refused(self, partition):
+        # the target check of training, with its messages: a row relabelled
+        # to a source-private class, labels of no set, one label short
+        datasets, test, _, hp = small_setup()
+        result = train(datasets, partition, replace(hp, max_steps=0))
+        private = partition.source_private_union[0]
+        for labels, message in [
+            (np.concatenate([test.eval_labels[:-3], [private] * 3]), f"target evaluation labels [{private}] outside"),
+            (np.full(len(test), 99), "target evaluation labels [99] outside the target label set"),
+            (test.eval_labels[1:], f"dataset 2 has eval_labels of shape ({len(test) - 1},), not one per row ({len(test)},)"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(result.feature_net, result.classifier, replace(test, eval_labels=labels), partition, 0.5)
 
-def train_and_score(method, datasets, test, partition, hp, **meta):
+    @pytest.mark.parametrize("w0, error, message", [
+        (float("nan"), ValueError, "w0 must be a finite number, got nan"),
+        (1.5, ValueError, "w0 must lie in [0, 1], got 1.5"),
+        (-0.1, ValueError, "w0 must lie in [0, 1], got -0.1"),
+        ("0.5", TypeError, "w0 must be a real number, got '0.5'"),
+    ])
+    def test_threshold_hyperparams_would_refuse_is_refused(self, partition, w0, error, message):
+        datasets, test, _, hp = small_setup()
+        result = train(datasets, partition, replace(hp, max_steps=0))
+        with pytest.raises(error, match=re.escape(message)):
+            evaluate(result.feature_net, result.classifier, test, partition, w0)
+        with pytest.raises(error, match=re.escape(message)):
+            score_predictions(test.eval_labels, test.eval_labels, partition, w0)
+
+    def test_report_is_json_with_a_float_threshold(self, partition):
+        datasets, test, _, hp = small_setup()
+        result = train(datasets, partition, replace(hp, max_steps=0))
+        report = evaluate(result.feature_net, result.classifier, test, partition, 1)
+        assert type(report.w0) is float
+        json.dumps(asdict(report), allow_nan=False)
+
+
+def train_and_score(method, datasets, test, partition, hp):
     result = train(datasets, partition, hp, method=method)
-    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0, method=method, **meta)
+    return evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
 
 
 class TestRunMethodAndBaselines:
@@ -162,15 +206,15 @@ class TestRunMethodAndBaselines:
         with pytest.raises(ValueError, match="unknown method"):
             train_and_score("dann", datasets, test, partition, hp)
 
-    def test_method_tag_and_metadata_propagate(self):
+    def test_report_holds_what_was_measured(self):
+        # a run's config hash, method and seed are its caller's to record
         datasets, test, partition, hp = small_setup()
-        report = train_and_score(
-            "uman", datasets, test, partition, hp, config_hash="abc123", seed=7
-        )
-        assert report.method == "uman"
-        assert report.config_hash == "abc123"
-        assert report.seed == 7
+        report = train_and_score("uman", datasets, test, partition, hp)
         assert report.w0 == hp.w0
+        assert [f.name for f in fields(EvalReport)] == [
+            "w0", "per_class_accuracy", "mean_per_class_accuracy", "n_evaluated", "excluded"
+        ]
+        assert [f.name for f in fields(ProbeReport)] == ["balanced_accuracy", "n_a", "n_b"]
 
     def test_same_seed_same_report(self):
         datasets, test, partition, hp = small_setup()
@@ -183,36 +227,27 @@ class TestRunMethodAndBaselines:
 
 
 class TestTransferGain:
-    def _report(self, mean, method="uman", **kw):
+    def _report(self, mean, **kw):
         base = dict(
-            method=method,
             w0=0.5,
             per_class_accuracy={"0": mean, "unknown": mean},
             mean_per_class_accuracy=mean,
             n_evaluated={"0": 10, "unknown": 10},
-            config_hash="cafe",
-            seed=0,
         )
         base.update(kw)
         return EvalReport(**base)
 
     def test_difference_of_means(self):
-        gain = transfer_gain(self._report(0.8), self._report(0.7, method="source_only"))
+        gain = transfer_gain(self._report(0.8), self._report(0.7))
         assert gain == pytest.approx(0.1)
-        same = self._report(0.6, method="source_only")
-        assert transfer_gain(replace(same, method="uman"), same) == 0.0
-
-    def test_baseline_must_be_source_only(self):
-        with pytest.raises(ValueError, match="not source_only"):
-            transfer_gain(self._report(0.8), self._report(0.7, method="unweighted_adv"))
+        same = self._report(0.6)
+        assert transfer_gain(same, same) == 0.0
 
     def test_mismatched_setups_rejected(self):
-        baseline = self._report(0.7, method="source_only")
-        with pytest.raises(ValueError, match="different configurations"):
+        baseline = self._report(0.7)
+        with pytest.raises(ValueError, match=re.escape("different configurations: w0 0.3 against 0.5")):
             transfer_gain(self._report(0.8, w0=0.3), baseline)
-        with pytest.raises(ValueError, match="different configurations"):
-            transfer_gain(self._report(0.8, config_hash="beef"), baseline)
-        with pytest.raises(ValueError, match="different configurations"):
+        with pytest.raises(ValueError, match="different configurations: n_evaluated"):
             transfer_gain(
                 self._report(0.8, n_evaluated={"0": 9, "unknown": 10}), baseline
             )
@@ -296,7 +331,6 @@ class TestAlignmentProbe:
         want_b = int(np.isin(datasets[-1].eval_labels, partition.common_union).sum())
         assert report.n_a == want_a
         assert report.n_b == want_b
-        assert report.kind == "source-vs-target-common"
 
     def test_one_plan_trains_the_probe(self, partition, monkeypatch):
         """The probe lays out one plan for its 300 training steps, beside
@@ -335,6 +369,12 @@ class TestAlignmentProbe:
         spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=8)
         datasets = generate(spec, partition)
         with pytest.raises(ValueError, match=re.escape(f"probe pair {pair} names a source outside [1, 2]")):
+            alignment_probe(_fresh_feature_net(8), datasets, partition, "source-vs-source-shared", pair=pair)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 2)])
+    def test_source_probed_against_itself_rejected(self, partition, pair):
+        datasets = generate(SyntheticSpec(feature_dim=8, samples_per_class=10, seed=8), partition)
+        with pytest.raises(ValueError, match=re.escape(f"probe pair {pair} names source {pair[0]} twice")):
             alignment_probe(_fresh_feature_net(8), datasets, partition, "source-vs-source-shared", pair=pair)
 
     def test_unknown_kind_rejected(self, partition):
