@@ -43,6 +43,7 @@ from helpers import (
     trace_column,
 )
 from uman import UmdaMatrix, generate, partition_from_matrix, train, train_runs
+from uman.cli import main
 from uman.config import load_config
 from uman.core import (
     UNKNOWN,
@@ -209,6 +210,7 @@ def _assert_digests(section: str, got: dict):
     build, at = _numeric_build(), {key: recorded[key] for key in ("numpy", "blas")}
     assert build == at, f"the digests were taken on {at}; this is {build}"
     assert got.keys() == recorded[section].keys()
+    assert {run: d.keys() for run, d in got.items()} == {run: d.keys() for run, d in recorded[section].items()}
     moved = [
         f"{run} {name}" for run, digests in recorded[section].items() for name in digests if got[run][name] != digests[name]
     ]
@@ -320,6 +322,39 @@ def test_nan_loss_batch_matches_its_digests():
         assert outcomes[1].step == 44
         got.update({f"{method} seed {seed}": _digests(outcome) for seed, outcome in zip(seeds, outcomes)})
     _assert_digests("nan_loss", got)
+
+
+# one uman run of 6 steps on 8 samples per class
+TINY_CONFIG = {
+    "umda_matrix": [[2, 2, 3], [1, 1, 1]],
+    "synthetic": {"feature_dim": 4, "samples_per_class": 8},
+    "hyperparams": {"max_steps": 6, "batch_size": 8, "feature_hidden": [8], "feature_dim": 4, "disc_hidden": [4]},
+    "methods": ["uman"],
+    "seeds": [0],
+}
+
+
+@pytest.mark.filterwarnings("ignore:no test samples for entry 'unknown'")
+def test_cli_artifacts_match_their_digests(tmp_path, monkeypatch):
+    """Every file three CLI experiments write hashes to the recorded
+    digests: a tiny run, a tiny target_private_size sweep over 0 and 1 in a
+    pool of two workers, and the partly diverging config as a run. Each
+    runs in a directory of its own into the relative output directory
+    "out", so no path enters a config hash."""
+    experiments = {
+        "run": (TINY_CONFIG, ["run", "config.json"]),
+        "sweep": (TINY_CONFIG, ["sweep", "config.json", "--axis", "target_private_size", "--values", "0,1", "--jobs", "2"]),
+        "diverging": (DIVERGING_CONFIG, ["run", "config.json"]),
+    }
+    got = {}
+    for name, (obj, argv) in experiments.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("config.json").write_text(json.dumps(dict(obj, output_dir="out")))
+        assert main(argv) == 0
+        files = sorted(p for p in Path("out").rglob("*") if p.is_file())
+        got[name] = {p.relative_to("out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    _assert_digests("cli_artifacts", got)
 
 
 # ---------------------------------------------------------------------------
