@@ -9,7 +9,7 @@ block sizes, inspects the realized index sets, and reads off the overlap
 coefficients that summarize how related the domains are.
 """
 
-from uman import UmdaMatrix, jaccard_source_source, jaccard_source_target, partition_from_matrix
+from uman import LabelConfigError, UmdaMatrix, jaccard_source_source, jaccard_source_target, partition_from_matrix
 
 # A configuration is four numbers per layout (plus one pair of sizes per
 # source): how many classes each source shares with the target, how many
@@ -51,8 +51,11 @@ print("partial:      sources", partial.source_labels, "target", partial.target_l
 print("open set:     sources", open_set.source_labels, "target", open_set.target_labels)
 print()
 
-# Infeasible size combinations are reported all at once rather than one
-# error at a time.
-bad = UmdaMatrix((2, 2), (1, 1), 6, 0)
-for problem in bad.violations():
-    print("violation:", problem)
+# Infeasible size combinations are refused when the matrix is built, all
+# at once rather than one error at a time: the error holds one problem per
+# argument.
+try:
+    UmdaMatrix((2, 2), (1, 1), 6, 0)
+except LabelConfigError as error:
+    for problem in error.args:
+        print("violation:", problem)

@@ -138,8 +138,8 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     the seeds, and the remaining runs still execute. A negative effective
     seed or a batch over the cost bound raises ValueError, and a
     non-integer offset TypeError, before anything is written (:func:`_plan`).
-    A config whose methods, seeds or output directory the file would refuse
-    cannot be built, so it never reaches a run.
+    A config or section whose fields the file would refuse cannot be
+    built, so it never reaches a run.
     """
     cells, tasks, problems = _plan(config, offset)
     if problems:
@@ -159,8 +159,8 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
     its list. An unknown axis, no values, a repeated value, ``jobs``
     below 1, a negative effective seed or a batch over the cost bound
     raises ValueError, and a non-integer offset, value or ``jobs``
-    TypeError, before any work starts (:func:`_plan`). A config whose
-    methods, seeds or output directory the file would refuse cannot be built.
+    TypeError, before any work starts (:func:`_plan`). A config or section
+    whose fields the file would refuse cannot be built.
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells

@@ -6,7 +6,8 @@ rows, last column = target), optional pinned overlaps of sources 1 and 2
 methods to run, the seeds, and the output directory. Validation is
 collect-everything: a bad file reports all of its problems at once.
 Building ``Hyperparams``, ``SyntheticSpec``, ``UmdaMatrix`` or
-``ExperimentConfig`` in Python applies the file's rules at construction.
+``ExperimentConfig`` in Python applies the file's rules at construction,
+both the type of each field and its range.
 The canonical hash is computed over a normalized dict with sorted keys,
 so formatting, key order, and spelled-out defaults do not change it.
 """
@@ -18,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 from .core import METHODS, Hyperparams, batch_layout, net_shapes, step_floats, trace_columns
-from .labelspace import MAX_CLASSES, LabelConfigError, UmdaMatrix, partition_from_matrix, typed_value
+from .labelspace import MAX_CLASSES, ConfigError, LabelConfigError, UmdaMatrix, partition_from_matrix, typed_value
 from .synth import SyntheticSpec, domain_rows
 
 __all__ = [
@@ -47,7 +48,8 @@ _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every (method, seed) run of one setup. Building it checks that each
-    section is of its class, and applies the config file's rule
+    section is of its class, which was built only if its fields are of their
+    types and in range, and applies the config file's rule
     (:func:`_experiment_problems`) to the last three fields."""
 
     matrix: UmdaMatrix
@@ -95,7 +97,7 @@ def _experiment_problems(methods, seeds, output_dir) -> list[str]:
 
 
 def _parse_matrix(obj, problems):
-    # the overrides are read first: the matrix's violations check the pins
+    # the overrides are read first: building the matrix checks the pins
     # against the rows, and a pin's own problems show beside bad rows
     def overlap(section, label):
         block = overrides.get(section)
@@ -153,19 +155,20 @@ def _parse_matrix(obj, problems):
     if pins is None:
         return None
     (*common, target_common), (*private, target_private) = raw
-    matrix = UmdaMatrix(common, private, target_common, target_private, **pins)
-    violations = matrix.violations()
-    problems.extend(violations)
-    # a matrix with violations is not laid out: the layout would only
-    # report the same violations again
-    return None if violations else matrix
+    try:
+        return UmdaMatrix(common, private, target_common, target_private, **pins)
+    except LabelConfigError as exc:
+        # a refused matrix is not laid out: the layout would only report
+        # the same problems again
+        problems.extend(exc.args)
+        return None
 
 
 def _parse_section(obj, key, cls, problems):
     raw = obj.get(key, {})
     if not isinstance(raw, dict):
         problems.append(f"{key} must be an object")
-        return cls()
+        return None
     known = {f.name: f for f in fields(cls)}
     unknown = set(raw) - set(known)
     if unknown:
@@ -180,9 +183,11 @@ def _parse_section(obj, key, cls, problems):
             problems.append(f"{key}.{name} has the wrong type: {v!r}")
         except ValueError as exc:  # not finite
             problems.append(f"{key}.{exc}")
-    section = cls(**kwargs)
-    problems.extend(f"{key}: {p}" for p in section.violations())
-    return section
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        problems.extend(f"{key}: {p}" for p in exc.args)
+        return None
 
 
 def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
@@ -309,7 +314,6 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
     TypeError naming it, before any bound.
     """
     m = config.matrix
-    problems: list[str] = []
     if axis not in SWEEP_AXES:
         return None, [f"unknown axis {axis!r}; expected one of {SWEEP_AXES}"]
     value = typed_value(f"{axis} value", "int", value)
@@ -323,41 +327,29 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
     if axis == "num_sources":
         if value < 1:
             return None, ["num_sources must be >= 1"]
-        matrix = replace(
-            m,
+        changes = dict(
             common_sizes=(m.common_sizes[0],) * value,
             private_sizes=(m.private_sizes[0],) * value,
             common_overlap=None,
             private_overlap=None,
         )
     elif axis == "target_private_size":
-        matrix = replace(m, target_private=value)
+        changes = dict(target_private=value)
     elif axis == "common_overlap":
         if m.n_sources != 2:
             return None, ["common_overlap sweeps need a 2-source base config"]
         n1 = (m.target_common + value) // 2
-        matrix = replace(
-            m,
-            common_sizes=(n1, m.target_common + value - n1),
-            common_overlap=value,
-        )
+        changes = dict(common_sizes=(n1, m.target_common + value - n1), common_overlap=value)
     else:  # source_private_overlap
         if m.n_sources != 2:
             return None, ["source_private_overlap sweeps need a 2-source base config"]
         union = sum(m.private_sizes) - (m.private_overlap or 0)
         p1 = (union + value) // 2
-        matrix = replace(
-            m,
-            private_sizes=(p1, union + value - p1),
-            private_overlap=value,
-        )
+        changes = dict(private_sizes=(p1, union + value - p1), private_overlap=value)
 
-    problems.extend(matrix.violations())
-    if not problems:
-        try:
-            partition_from_matrix(matrix)
-        except LabelConfigError as exc:
-            problems.append(str(exc))
-    if problems:
-        return None, problems
+    try:
+        matrix = replace(m, **changes)
+        partition_from_matrix(matrix)
+    except LabelConfigError as exc:
+        return None, list(exc.args)
     return replace(config, matrix=matrix), []

@@ -21,7 +21,6 @@ separated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,27 +63,21 @@ class EvalReport:
     excluded: tuple = ()
 
 
-def _threshold(w0) -> float:
-    """``w0`` as :class:`~uman.core.Hyperparams` holds it, else refused as there."""
-    if problems := (hp := Hyperparams(w0=w0)).violations():
-        raise ValueError("; ".join(problems))
-    return hp.w0
-
-
 def score_predictions(preds, labels, partition: LabelPartition, w0: float) -> EvalReport:
     """Protocol arithmetic on raw predictions.
 
     A sample with a shared-class label counts as correct only when predicted
     as exactly that class; one with a target-private label only when
     predicted UNKNOWN. The mean runs over the per-class entries plus the
-    pooled unknown entry, skipping (with a warning) entries with no samples.
+    pooled unknown entry, skipping the entries with no samples, which the
+    report lists in ``excluded``.
     Predictions and labels must have one shape, and ``w0`` is the threshold
     they were made at, which Hyperparams would accept.
     """
     preds, labels = np.asarray(preds), np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError(f"predictions of shape {preds.shape} do not match labels of shape {labels.shape}")
-    w0 = _threshold(w0)
+    w0 = Hyperparams(w0=w0).w0
     per_class, n_eval, excluded = {}, {}, []
     # each entry's name, its samples and the prediction that scores one of them right
     entries = [(str(c), labels == c, c) for c in partition.common_union]
@@ -95,8 +88,6 @@ def score_predictions(preds, labels, partition: LabelPartition, w0: float) -> Ev
             excluded.append(name)
             continue
         per_class[name] = float((preds[mask] == wanted).mean())
-    for name in excluded:
-        warnings.warn(f"no test samples for entry {name!r}; excluded from the mean")
     if not per_class:
         raise ValueError("every accuracy entry is empty; nothing to score")
     mean = float(np.mean(list(per_class.values())))
@@ -116,7 +107,7 @@ def evaluate(feature_net: Mlp, classifier: Mlp, test: DomainDataset, partition: 
     if len(test) == 0:
         raise ValueError("empty test set")
     check_labels(partition.n_sources, test, partition)
-    w0 = _threshold(w0)
+    w0 = Hyperparams(w0=w0).w0
     preds = predict_classes(feature_net, classifier, test.features, w0)
     return score_predictions(preds, test.eval_labels, partition, w0)
 

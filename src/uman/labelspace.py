@@ -22,6 +22,7 @@ from functools import cached_property
 from numbers import Integral, Real
 
 __all__ = [
+    "ConfigError",
     "LabelConfigError",
     "UmdaMatrix",
     "LabelPartition",
@@ -36,7 +37,15 @@ __all__ = [
 MAX_CLASSES = 10_000
 
 
-class LabelConfigError(ValueError):
+class ConfigError(ValueError):
+    """Config values that make no experiment, one problem per argument;
+    ``str()`` joins them with "; "."""
+
+    def __str__(self):
+        return "; ".join(self.args)
+
+
+class LabelConfigError(ConfigError):
     """A label-set configuration that cannot be realized."""
 
 
@@ -67,11 +76,16 @@ def typed_value(name: str, annotation: str, value):
 
 
 def typed_fields(config) -> None:
-    """A frozen config dataclass's ``__post_init__``: :func:`typed_value` for
-    each field. Neither builds a tuple of unknown length, as ``fields()`` does:
-    the interpreter's free lists keep such a tuple, and a run's traced memory counts it."""
+    """A frozen config section's ``__post_init__``: :func:`typed_value` for
+    each field, then its range rule: the problems its ``violations()``
+    lists raise a :class:`ConfigError` (a :class:`LabelConfigError` for an
+    :class:`UmdaMatrix`). Neither step builds a tuple of unknown length, as
+    ``fields()`` does: the interpreter's free lists keep such a tuple, and a
+    run's traced memory counts it."""
     for f in config.__dataclass_fields__.values():
         object.__setattr__(config, f.name, typed_value(f.name, f.type, getattr(config, f.name)))
+    if problems := config.violations():
+        raise (LabelConfigError if isinstance(config, UmdaMatrix) else ConfigError)(*problems)
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,7 @@ class UmdaMatrix:
     ``common_overlap`` / ``private_overlap`` optionally pin the size of the
     intersection of source 1's and source 2's shared (private) blocks, in a
     2-source setup only. Without a pin the layout rule below decides the
-    overlaps.
+    overlaps. A matrix is built only when :meth:`violations` finds nothing.
     """
 
     common_sizes: tuple[int, ...]
@@ -163,8 +177,8 @@ def _layout_blocks(sizes, window, what):
     that rule leave part of the window uncovered, fall back to a sequential
     layout that distributes the total required overlap evenly between
     neighbours. Raises when no rule can realize the sizes. Every block fits
-    the window and together they can cover it, as
-    :meth:`UmdaMatrix.violations` checks first; so a single block fills it.
+    the window and together they can cover it, as a built
+    :class:`UmdaMatrix` holds; so a single block fills it.
     """
     m = len(sizes)
     if window == 0:
@@ -199,9 +213,9 @@ def _layout_blocks(sizes, window, what):
 
 
 def _layout_pair(n1, n2, overlap):
-    """Two blocks of n1 and n2 classes from 0 up that share ``overlap``;
-    :meth:`UmdaMatrix.violations` checks first that the overlap fits both
-    blocks and, for shared blocks, that they span target_common."""
+    """Two blocks of n1 and n2 classes from 0 up that share ``overlap``; a
+    built :class:`UmdaMatrix` holds that the overlap fits both blocks and,
+    for shared blocks, that they span target_common."""
     a = frozenset(range(n1))
     b = frozenset(range(n1 - overlap, n1 - overlap + n2))
     return [a, b]
@@ -281,10 +295,6 @@ def partition_from_matrix(matrix: UmdaMatrix) -> LabelPartition:
     default; target-only classes take the final indices. A pinned overlap
     sets the intersection of the two blocks instead of the default rule.
     """
-    problems = matrix.violations()
-    if problems:
-        raise LabelConfigError("; ".join(problems))
-
     n_common = matrix.target_common
     if matrix.common_overlap is None:
         common_blocks = _layout_blocks(matrix.common_sizes, n_common, "common blocks")

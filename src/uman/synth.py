@@ -102,8 +102,6 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
     Domain ids are 0..M-1 for the sources and M for the target. ``draw``
     selects an independent sample draw over the same domain structure.
     """
-    if problems := spec.violations():
-        raise ValueError("; ".join(problems))
     d = spec.feature_dim
     centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal(
         (partition.total_classes, d)

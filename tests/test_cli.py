@@ -5,6 +5,8 @@ import itertools
 import json
 import re
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -27,7 +29,7 @@ from uman.config import (
 )
 from uman.core import TrainingDiverged, train
 from uman.evaluate import evaluate
-from uman.labelspace import partition_from_matrix
+from uman.labelspace import LabelConfigError, UmdaMatrix, partition_from_matrix
 from uman.nn import NonFiniteGradientError
 from uman.synth import generate
 
@@ -54,11 +56,6 @@ def tiny_config(tmp_path, **kw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return path
-
-
-# a target_private_size 0 cell has no target-only class, so scoring its runs
-# warns that the unknown entry has no test sample
-empty_unknown = pytest.mark.filterwarnings("ignore:no test samples for entry 'unknown'")
 
 
 def read_rows(path):
@@ -809,7 +806,6 @@ class TestSweep:
             execute_sweep(config, "target_private_size", [0, 1, 2])
         assert not (tmp_path / "out").exists()
 
-    @empty_unknown
     def test_base_batch_over_the_bound_sweeps_a_cell_that_fits(self, tmp_path, monkeypatch, capsys):
         """The bound is checked on the batches a verb trains: the base
         config's own batch is over it, so ``validate`` and ``run`` refuse
@@ -843,7 +839,6 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0"]) == 0
         assert (tmp_path / "out" / "sweep_target_private_size.csv").exists()
 
-    @empty_unknown
     def test_failed_aggregate_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = self.sweep_config(tmp_path)
         argv = ["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"]
@@ -857,7 +852,6 @@ class TestSweep:
         assert sorted(p.name for p in out_dir.iterdir()) == ["sweep", "sweep_target_private_size.csv"]
         assert not list(out_dir.rglob("*.tmp"))
 
-    @empty_unknown
     def test_axis_sweep_writes_aggregate(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)
         rc = main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,2"])
@@ -872,6 +866,20 @@ class TestSweep:
         for value in (0, 2):
             cell = tmp_path / "out" / "sweep" / f"target_private_size_{value}"
             assert (cell / "summary.csv").exists()
+
+    def test_pool_sweep_prints_the_same_each_time(self, tmp_path):
+        """A sweep in a pool of two workers prints the same stdout on every
+        run and nothing on stderr, whichever worker scores the cell that
+        has no target-only class."""
+        path = tiny_config(tmp_path, output_dir="out")
+        argv = ["-m", "uman", "sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2", "--jobs", "2"]
+        streams = []
+        for attempt in range(3):
+            (tmp_path / str(attempt)).mkdir()
+            proc = subprocess.run([sys.executable, *argv], cwd=tmp_path / str(attempt), capture_output=True, text=True)
+            assert proc.returncode == 0
+            streams.append((proc.stdout, proc.stderr))
+        assert streams == [("wrote out/sweep_target_private_size.csv\n", "")] * 3
 
     def test_gain_recomputable_from_file(self, tmp_path):
         path = self.sweep_config(tmp_path)
@@ -915,7 +923,6 @@ class TestSweep:
         assert not any(name.startswith("sweep/common_overlap_5/") for name in names)
         assert sweep("2") == serial
 
-    @empty_unknown
     @pytest.mark.parametrize("lr", [0.1, 5e103], ids=["converging", "partly_diverging"])
     def test_cells_write_what_their_runs_write(self, tmp_path, monkeypatch, capsys, lr):
         """The runs of a sweep's cells train in shared batches, and every
@@ -995,7 +1002,6 @@ class TestSweep:
             assert main(argv + ["--values", "2,3,4,5", "--jobs", "64"]) == 0
         assert pools == []
 
-    @empty_unknown
     def test_batches_span_cells_of_one_layout(self, tmp_path, monkeypatch):
         """A target_private_size sweep packs each method's runs, in (cell,
         seed) order, into the fewest near-equal batches of at most
@@ -1055,7 +1061,6 @@ class TestSweep:
         monkeypatch.setattr(uman.cli, "train_runs", counting)
         return counts
 
-    @empty_unknown
     def test_source_only_trains_once_per_seed_across_target_cells(self, tmp_path, trained):
         """source_only reads no target, so a target_private_size sweep
         trains it once per seed and scores that training on every cell's
@@ -1070,6 +1075,8 @@ class TestSweep:
             reports = [json.loads((run / "report.json").read_text()) for run in runs]
             assert [r["config_hash"] for r in reports] == [read_rows(c / "summary.csv")[1][0] for c in cells]
             assert len({json.dumps(r["n_evaluated"], sort_keys=True) for r in reports}) == 3
+            # the cell without a target-only class has no unknown entry to score
+            assert [r["excluded"] for r in reports] == [["unknown"], [], []]
 
     @pytest.mark.parametrize("axis, values", [("num_sources", "2,3,4"), ("common_overlap", "0,1,2")])
     def test_source_side_sweeps_train_every_cells_baseline(self, tmp_path, trained, axis, values):
@@ -1078,7 +1085,6 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 0
         assert trained == {"uman": 6, "unweighted_adv": 6, "source_only": 6}
 
-    @empty_unknown
     def test_reuse_of_a_different_training_is_refused(self, tmp_path, monkeypatch, one_worker):
         """Two cells whose source_only runs share a training but whose
         sources differ: the sweep raises an error naming both cells before
@@ -1200,11 +1206,40 @@ _OUTPUT_PROBLEM = "output_dir is required and must be a nonempty string"
 
 class TestApiRefusesWhatTheFileRefuses:
     """A config built in Python follows the file's rule for its methods,
-    seeds and output directory, so one the file would refuse never reaches
-    a run: building it raises the parser's message, in a directory that
-    stays empty. A section of the wrong class, a non-integer sweep value
-    and a non-integer ``jobs`` raise a TypeError naming them, before any
-    write."""
+    seeds and output directory, and each section the file's rule for its
+    fields, so one the file would refuse never reaches a run: building it
+    raises the parser's message, in a directory that stays empty. A section
+    of the wrong class, a non-integer sweep value and a non-integer
+    ``jobs`` raise a TypeError naming them, before any write."""
+
+    @pytest.mark.parametrize(
+        "build, change, error, section, problem",
+        [
+            (
+                lambda config: replace(config.hyperparams, w0=2.0), {"hyperparams": {"w0": 2.0}},
+                ValueError, "hyperparams: ", "w0 must lie in [0, 1], got 2.0",
+            ),
+            (
+                lambda config: replace(config.synthetic, noise_sigma=-1.0), {"synthetic": {"noise_sigma": -1.0}},
+                ValueError, "synthetic: ", "noise_sigma must be >= 0, got -1.0",
+            ),
+            (
+                lambda config: UmdaMatrix((2, 2), (1, 1), 6, 0), {"umda_matrix": [[2, 2, 6], [1, 1, 0]]},
+                LabelConfigError, "", "common blocks sum to 4 and cannot cover target_common=6",
+            ),
+        ],
+        ids=["w0 above 1", "negative noise_sigma", "uncovered target_common"],
+    )
+    def test_section_the_file_refuses_is_not_built(self, tmp_path, monkeypatch, build, change, error, section, problem):
+        """The parser puts the name of its section before a data or
+        training problem; the section's own error holds the problem only."""
+        config, _ = load_config(tiny_config(tmp_path, output_dir="out"))
+        assert load_config(tiny_config(tmp_path, output_dir="out", **change)) == (None, [section + problem])
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(error, match=f"^{re.escape(problem)}$") as refused:
+            build(config)
+        assert refused.value.args == (problem,)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "change, problem",
@@ -1294,9 +1329,6 @@ class TestApiRefusesWhatTheFileRefuses:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         path = tiny_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "uman", "validate", str(path)],

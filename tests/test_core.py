@@ -350,19 +350,27 @@ class TestGrlRamp:
 
 
 class TestHyperparams:
+    """Hyperparams out of range are refused at construction, each problem
+    one argument of the error."""
+
     def test_collects_violations(self):
-        bad = Hyperparams(w0=1.5, epsilon=-0.1, batch_size=0, lr_features=0.0, feature_dim=0)
-        assert len(bad.violations()) == 5
+        with pytest.raises(ValueError) as refused:
+            Hyperparams(w0=1.5, epsilon=-0.1, batch_size=0, lr_features=0.0, feature_dim=0)
+        assert len(refused.value.args) == 5
+        assert str(refused.value) == "; ".join(refused.value.args)
 
     @pytest.mark.parametrize("name", ["weight_decay", "grl_gamma"])
     def test_negative_value_rejected(self, name):
-        assert Hyperparams(**{name: -1e-3}).violations() == [f"{name} must be >= 0, got -0.001"]
+        with pytest.raises(ValueError) as refused:
+            Hyperparams(**{name: -1e-3})
+        assert refused.value.args == (f"{name} must be >= 0, got -0.001",)
 
     def test_defaults_valid(self):
         assert Hyperparams().violations() == []
 
     def test_hidden_widths_must_be_positive(self):
-        assert Hyperparams(feature_hidden=(0,)).violations() == ["feature_hidden widths must be >= 1, got (0,)"]
+        with pytest.raises(ValueError, match=r"^feature_hidden widths must be >= 1, got \(0,\)$"):
+            Hyperparams(feature_hidden=(0,))
 
 
 # values of the right type and in range for each field of the tiny setup

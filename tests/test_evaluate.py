@@ -85,22 +85,20 @@ class TestScorePredictions:
         stray = partition.source_private_union[0]
         labels = np.array([c, c, stray])
         preds = np.array([c, c, stray])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = score_predictions(preds, labels, partition, 0.5)
+        report = score_predictions(preds, labels, partition, 0.5)
         assert report.per_class_accuracy[str(c)] == 1.0
         assert report.n_evaluated["unknown"] == 0
         assert "unknown" in report.excluded
 
-    def test_zero_sample_entries_warn_and_are_excluded(self, partition):
+    def test_zero_sample_entries_are_excluded_without_a_warning(self, partition):
         dropped = partition.common_union[0]
         kept = [c for c in partition.common_union if c != dropped]
         labels = np.asarray(kept)
         preds = labels.copy()
-        with pytest.warns(UserWarning, match="entry 'unknown'"), pytest.warns(UserWarning, match=f"entry '{dropped}'"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = score_predictions(preds, labels, partition, 0.5)
-        assert str(dropped) in report.excluded
-        assert "unknown" in report.excluded
+        assert report.excluded == (str(dropped), "unknown")
         assert str(dropped) not in report.per_class_accuracy
         assert report.n_evaluated[str(dropped)] == 0
         assert report.mean_per_class_accuracy == 1.0
@@ -114,10 +112,8 @@ class TestScorePredictions:
 
     def test_nothing_to_score_is_an_error(self, partition):
         stray = partition.source_private_union[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="empty"):
-                score_predictions(np.array([stray]), np.array([stray]), partition, 0.5)
+        with pytest.raises(ValueError, match="empty"):
+            score_predictions(np.array([stray]), np.array([stray]), partition, 0.5)
 
 
 def small_setup(seed=0, **kw):

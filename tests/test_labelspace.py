@@ -35,35 +35,41 @@ def matrix_sizes(m):
     return m.common_sizes, m.private_sizes, m.target_common, m.target_private
 
 
+def refusal(*args, **kw) -> tuple[str, ...]:
+    """The problems ``UmdaMatrix(*args, **kw)`` is refused with at
+    construction, one per argument of the error."""
+    with pytest.raises(LabelConfigError) as refused:
+        UmdaMatrix(*args, **kw)
+    assert str(refused.value) == "; ".join(refused.value.args)
+    return refused.value.args
+
+
 class TestMatrixValidation:
     def test_collects_every_violation(self):
-        bad = UmdaMatrix((-1, 9), (2,), 4, -2)
-        msgs = bad.violations()
+        msgs = refusal((-1, 9), (2,), 4, -2)
         assert len(msgs) >= 4
         assert any("negative" in m for m in msgs)
         assert any("common_sizes has 2 entries" in m for m in msgs)
         assert any("exceeds target_common" in m for m in msgs)
 
     def test_common_blocks_must_cover_target_common(self):
-        assert any(
-            "cannot cover" in m for m in UmdaMatrix((2, 2), (1, 1), 6, 0).violations()
-        )
+        assert any("cannot cover" in m for m in refusal((2, 2), (1, 1), 6, 0))
 
     def test_every_domain_needs_a_class(self):
-        assert "source 2 has no classes" in UmdaMatrix((2, 0), (1, 0), 2, 1).violations()
-        assert "the target has no classes" in UmdaMatrix((0, 0), (2, 2), 0, 0).violations()
-        assert UmdaMatrix((0,), (0,), 0, 0).violations() == ["source 1 has no classes", "the target has no classes"]
+        assert "source 2 has no classes" in refusal((2, 0), (1, 0), 2, 1)
+        assert "the target has no classes" in refusal((0, 0), (2, 2), 0, 0)
+        assert refusal((0,), (0,), 0, 0) == ("source 1 has no classes", "the target has no classes")
 
     @pytest.mark.parametrize(
-        "matrix, message",
+        "args, message",
         [
-            (UmdaMatrix((), (), 1, 0), "at least one source domain is required"),
-            (UmdaMatrix((2,), (1,), -1, 1), "target_common is negative (-1)"),
+            (((), (), 1, 0), "at least one source domain is required"),
+            (((2,), (1,), -1, 1), "target_common is negative (-1)"),
         ],
         ids=["no source", "negative target_common"],
     )
-    def test_violation_text(self, matrix, message):
-        assert message in matrix.violations()
+    def test_violation_text(self, args, message):
+        assert message in refusal(*args)
 
     @pytest.mark.parametrize(
         "args, kw, message",
@@ -91,13 +97,11 @@ class TestMatrixValidation:
         assert UmdaMatrix((4, 4), (3, 3), 6, 3).violations() == []
 
     def test_override_pair_restrictions(self):
-        three = UmdaMatrix((2, 2, 2), (1, 1, 1), 3, 0, common_overlap=1)
-        assert any("2-source" in m for m in three.violations())
+        assert any("2-source" in m for m in refusal((2, 2, 2), (1, 1, 1), 3, 0, common_overlap=1))
 
     def test_common_override_must_match_union_size(self):
         for o in (0, 1):  # a pin of 0 is a pin
-            bad = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=o)
-            assert any("inconsistent" in m for m in bad.violations()), o
+            assert any("inconsistent" in m for m in refusal((4, 4), (0, 0), 6, 0, common_overlap=o)), o
         good = UmdaMatrix((4, 4), (0, 0), 6, 0, common_overlap=2)
         assert good.violations() == []
 
@@ -216,7 +220,8 @@ class TestPartition:
 
 
 @st.composite
-def feasible_matrices(draw):
+def matrix_args(draw):
+    """The block sizes of a matrix, in or out of range."""
     m = draw(st.integers(1, 4))
     window = draw(st.integers(0, 8))
     if window == 0:
@@ -224,17 +229,17 @@ def feasible_matrices(draw):
     else:
         commons = tuple(draw(st.integers(1, window)) for _ in range(m))
     privates = tuple(draw(st.integers(0, 4)) for _ in range(m))
-    return UmdaMatrix(commons, privates, window, draw(st.integers(0, 4)))
+    return commons, privates, window, draw(st.integers(0, 4))
 
 
 class TestMatrixProperties:
-    @given(feasible_matrices())
+    @given(matrix_args())
     @settings(PROPERTY, max_examples=120)
-    def test_round_trip_or_explicit_rejection(self, matrix):
-        if matrix.violations():
-            with pytest.raises(LabelConfigError):
-                partition_from_matrix(matrix)
-            return
+    def test_round_trip_or_explicit_rejection(self, args):
+        try:
+            matrix = UmdaMatrix(*args)
+        except LabelConfigError:
+            return  # sizes out of range are refused when built
         try:
             p = partition_from_matrix(matrix)
         except LabelConfigError:

@@ -22,14 +22,18 @@ def spec(**kw):
 
 class TestSpecValidation:
     def test_collects_violations(self):
-        bad = SyntheticSpec(feature_dim=0, samples_per_class=0, noise_sigma=-1.0)
-        msgs = bad.violations()
-        assert len(msgs) == 3
+        with pytest.raises(ValueError) as refused:
+            SyntheticSpec(feature_dim=0, samples_per_class=0, noise_sigma=-1.0)
+        assert refused.value.args == (
+            "feature_dim must be >= 1, got 0",
+            "samples_per_class must be >= 1, got 0",
+            "noise_sigma must be >= 0, got -1.0",
+        )
 
     def test_defaults_are_valid(self):
         assert SyntheticSpec().violations() == []
-        with pytest.raises(ValueError):
-            generate(SyntheticSpec(feature_dim=0), partition_from_matrix(MATRIX))
+        with pytest.raises(ValueError, match="^feature_dim must be >= 1, got 0$"):
+            SyntheticSpec(feature_dim=0)
 
 
 class TestGenerate:
