@@ -13,7 +13,8 @@ fixtures, and every number here is deterministic for a given platform.
 Beside the nine, one test holds the standard runs' trained values to the
 digests recorded in ``digests.json``, as do the unknown-count sweep's
 runs, the rerun-determinism config's runs, a batch in which some runs
-diverge and one in which a run's loss turns non-finite.
+diverge and one in which a run's loss turns non-finite; and one holds
+every file three small CLI experiments write to its digest.
 """
 
 import hashlib
