@@ -59,7 +59,7 @@ from .config import (
 )
 from .core import ADVERSARIAL, trace_columns, train_runs
 from .evaluate import evaluate
-from .labelspace import partition_from_matrix, typed_value
+from .labelspace import typed_value
 from .synth import generate
 
 __all__ = ["main", "execute_run", "execute_sweep"]
@@ -87,7 +87,7 @@ def cmd_validate(path) -> int:
     if (loaded := _runnable(path)) is None:
         return 1
     config = loaded[0]
-    partition = partition_from_matrix(config.matrix)
+    partition = config.matrix.partition
     print(f"config {config_hash(config)} is valid")
     print(f"{partition.n_sources} sources, {partition.total_classes} classes total")
     for i in range(1, partition.n_sources + 1):
@@ -268,7 +268,7 @@ def _packed(cells: dict, method: str) -> list:
     groups: dict = {}
     for key, cell in cells.items():
         entries = groups.setdefault(run_layout(cell), {})
-        sources = partition_from_matrix(cell.matrix).source_labels
+        sources = cell.matrix.partition.source_labels
         for seed in cell.seeds:
             reads = (key, seed) if method in ADVERSARIAL else (cell.synthetic, cell.hyperparams, sources, seed)
             entries.setdefault(reads, []).append((key, cell, seed))
@@ -324,7 +324,7 @@ def _run_method_batch(task):
     shared, trained, partitions = {}, [], []
     for first, *further in entries:
         _, cell, seed = first
-        partitions.append(partition_from_matrix(cell.matrix))
+        partitions.append(cell.matrix.partition)
         spec, hp = _seeded(cell, offset, seed)
         datasets = _share(shared, spec, generate(spec, partitions[-1]))
         if method not in ADVERSARIAL:
@@ -352,7 +352,7 @@ def _check_reuse(trained, first, destination, offset: int):
     _, cell, seed = destination
     spec, own_hp = _seeded(cell, offset, seed)
     held = {(spec, i): ds for i, ds in enumerate(datasets[:-1])}
-    own = _share(held, spec, generate(spec, partition_from_matrix(cell.matrix)))
+    own = _share(held, spec, generate(spec, cell.matrix.partition))
     if own_hp != hp or len(own) != len(datasets) or any(a is not b for a, b in zip(own[:-1], datasets[:-1])):
         raise RuntimeError(
             f"seed {seed} of the cells {first[1].output_dir} and {cell.output_dir} would share one training, "
@@ -385,7 +385,7 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
     its failed report only. Every report starts from the run's identity,
     which no evaluation report holds: its config hash, method and seed, the
     seed offset and the run's effective data and training seeds."""
-    chash, partition = config_hash(cell), partition_from_matrix(cell.matrix)
+    chash, partition = config_hash(cell), cell.matrix.partition
     spec, hp = _seeded(cell, offset, seed)
     identity = {
         "config_hash": chash, "method": method, "seed": seed,
@@ -476,7 +476,7 @@ def _write_register(path, register):
 
 def _write_summary(config: ExperimentConfig, rows) -> Path:
     """Write a run's summary rows to <output_dir>/summary.csv; returns the path."""
-    common = partition_from_matrix(config.matrix).common_union
+    common = config.matrix.partition.common_union
     header = ["config_hash", "method", "seed", "status", "mean_per_class_accuracy"]
     out = Path(config.output_dir) / "summary.csv"
     _write_csv(out, header + [f"acc_{c}" for c in common] + ["acc_unknown"], rows)

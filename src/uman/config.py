@@ -7,7 +7,8 @@ methods to run, the seeds, and the output directory. Validation is
 collect-everything: a bad file reports all of its problems at once.
 Building ``Hyperparams``, ``SyntheticSpec``, ``UmdaMatrix`` or
 ``ExperimentConfig`` in Python applies the file's rules at construction,
-both the type of each field and its range.
+both the type of each field and its range; a matrix is also laid out
+there, once, and every later stage reads ``matrix.partition``.
 The canonical hash is computed over a normalized dict with sorted keys,
 so formatting, key order, and spelled-out defaults do not change it.
 """
@@ -19,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 from .core import METHODS, Hyperparams, batch_layout, net_shapes, step_floats, trace_columns
-from .labelspace import MAX_CLASSES, ConfigError, LabelConfigError, UmdaMatrix, partition_from_matrix, typed_value
+from .labelspace import MAX_CLASSES, ConfigError, LabelConfigError, UmdaMatrix, typed_value
 from .synth import SyntheticSpec, domain_rows
 
 __all__ = [
@@ -157,9 +158,7 @@ def _parse_matrix(obj, problems):
     (*common, target_common), (*private, target_private) = raw
     try:
         return UmdaMatrix(common, private, target_common, target_private, **pins)
-    except LabelConfigError as exc:
-        # a refused matrix is not laid out: the layout would only report
-        # the same problems again
+    except LabelConfigError as exc:  # out of range, or no layout realizes it
         problems.extend(exc.args)
         return None
 
@@ -211,12 +210,6 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
     methods, seeds, output_dir = obj.get("methods", ["uman"]), obj.get("seeds", [0]), obj.get("output_dir")
     problems += _experiment_problems(methods, seeds, output_dir)
 
-    if matrix is not None:
-        try:
-            partition_from_matrix(matrix)
-        except LabelConfigError as exc:
-            problems.append(str(exc))
-
     if problems:
         return None, problems
     return ExperimentConfig(matrix, synthetic, hyperparams, methods, seeds, output_dir), []
@@ -224,7 +217,7 @@ def parse_config(obj) -> tuple[ExperimentConfig | None, list[str]]:
 
 def run_layout(config: ExperimentConfig):
     """The training layout (:func:`~uman.core.batch_layout`) of a config's runs."""
-    partition = partition_from_matrix(config.matrix)
+    partition = config.matrix.partition
     return batch_layout(partition, config.hyperparams, domain_rows(config.synthetic, partition), config.synthetic.feature_dim)
 
 
@@ -233,7 +226,7 @@ def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int, int]:
     and columns, the parameters of its nets, the step buffers of the
     largest of its methods' batches (:func:`~uman.core.step_floats`), and
     its trace's rows and columns (one row per step)."""
-    partition, layout = partition_from_matrix(config.matrix), run_layout(config)
+    partition, layout = config.matrix.partition, run_layout(config)
     shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
     params = sum((fan_in + 1) * fan_out for widths, _ in shapes for fan_in, fan_out in zip(widths, widths[1:]))
     buffers = max(step_floats(layout, method) for method in config.methods)
@@ -349,7 +342,6 @@ def derive_sweep_cell(config: ExperimentConfig, axis: str, value: int) -> tuple[
 
     try:
         matrix = replace(m, **changes)
-        partition_from_matrix(matrix)
     except LabelConfigError as exc:
         return None, list(exc.args)
     return replace(config, matrix=matrix), []

@@ -4,8 +4,9 @@ A setup with M source domains and one target is described by integer block
 sizes: for each source, how many of its classes are shared with the target
 and how many are private to it, plus the size of the overall shared set and
 the number of target-only classes. This module turns such a size matrix
-into concrete class index sets and computes the derived quantities used
-elsewhere (set unions, Jaccard similarities).
+into concrete class index sets, which a built :class:`UmdaMatrix` keeps as
+its ``partition``, and computes the derived quantities used elsewhere (set
+unions, Jaccard similarities).
 
 Index layout convention: classes shared with the target occupy the range
 [0, n_common), source-private classes the next range, and target-private
@@ -100,7 +101,9 @@ class UmdaMatrix:
     ``common_overlap`` / ``private_overlap`` optionally pin the size of the
     intersection of source 1's and source 2's shared (private) blocks, in a
     2-source setup only. Without a pin the layout rule below decides the
-    overlaps. A matrix is built only when :meth:`violations` finds nothing.
+    overlaps. A matrix is built only when :meth:`violations` finds nothing
+    and a layout realizes it; ``partition`` holds that layout, outside the
+    fields that equality, hash and ``repr`` compare.
     """
 
     common_sizes: tuple[int, ...]
@@ -110,7 +113,9 @@ class UmdaMatrix:
     common_overlap: int | None = None
     private_overlap: int | None = None
 
-    __post_init__ = typed_fields
+    def __post_init__(self):
+        typed_fields(self)
+        object.__setattr__(self, "partition", partition_from_matrix(self))
 
     @property
     def n_sources(self) -> int:

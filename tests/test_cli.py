@@ -18,6 +18,7 @@ import pytest
 
 import uman.cli
 import uman.core
+import uman.labelspace
 from uman.cli import BATCH_RUNS, batch_runs, execute_run, execute_sweep, main
 from uman.config import (
     MAX_RUN_FLOATS,
@@ -1049,6 +1050,24 @@ class TestSweep:
         order = ("uman", "unweighted_adv", "source_only")
         assert handed == [(method, [[run] for run in cell]) for method in order for cell in cells]
 
+    def test_sweep_lays_out_each_cell_once(self, tmp_path, monkeypatch):
+        """A serial target_private_size sweep of the committed config over 0
+        to 6, 42 runs, lays out each cell's matrix once, when the cell is
+        built; every later stage reads the matrix's partition. A layout
+        places the shared blocks, then the private ones."""
+        config, _ = load_config(STANDARD)
+        hp = replace(config.hyperparams, max_steps=2)
+        config = replace(config, seeds=(0, 1), hyperparams=hp, output_dir=str(tmp_path / "out"))
+        placed, place = [], uman.labelspace._layout_blocks
+
+        def counting(sizes, window, what):
+            placed.append(what)
+            return place(sizes, window, what)
+
+        monkeypatch.setattr(uman.labelspace, "_layout_blocks", counting)
+        execute_sweep(config, "target_private_size", range(7))
+        assert placed == ["common blocks", "private blocks"] * 7
+
     @pytest.fixture
     def trained(self, monkeypatch, one_worker):
         """The runs ``train_runs`` receives, counted by method."""
@@ -1227,8 +1246,12 @@ class TestApiRefusesWhatTheFileRefuses:
                 lambda config: UmdaMatrix((2, 2), (1, 1), 6, 0), {"umda_matrix": [[2, 2, 6], [1, 1, 0]]},
                 LabelConfigError, "", "common blocks sum to 4 and cannot cover target_common=6",
             ),
+            (
+                lambda config: UmdaMatrix((4, 3, 1), (0, 0, 1), 5, 0), {"umda_matrix": [[4, 3, 1, 5], [0, 0, 1, 0]]},
+                LabelConfigError, "", "common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5",
+            ),
         ],
-        ids=["w0 above 1", "negative noise_sigma", "uncovered target_common"],
+        ids=["w0 above 1", "negative noise_sigma", "uncovered target_common", "no layout"],
     )
     def test_section_the_file_refuses_is_not_built(self, tmp_path, monkeypatch, build, change, error, section, problem):
         """The parser puts the name of its section before a data or

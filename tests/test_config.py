@@ -28,7 +28,7 @@ from uman.config import (
     run_layout,
 )
 from uman.core import METHODS, Hyperparams, _Batch, _build_nets, net_shapes, step_floats, trace_columns, train
-from uman.labelspace import MAX_CLASSES, UmdaMatrix, partition_from_matrix
+from uman.labelspace import MAX_CLASSES, LabelConfigError, partition_from_matrix
 from uman.synth import SyntheticSpec, generate
 
 STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
@@ -582,11 +582,11 @@ class TestSweepCells:
         _, problems = derive_sweep_cell(self.base(), "target_private_size", -1)
         assert problems
 
-    def test_cell_with_no_layout_is_a_problem(self):
-        # a base the parser would refuse, built in Python: its cells keep
-        # the common blocks no layout realizes
-        config = replace(self.base(), matrix=UmdaMatrix((4, 3, 1), (0, 0, 1), 5, 0))
-        assert derive_sweep_cell(config, "target_private_size", 2) == (None, ["common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5"])
+    def test_base_with_no_layout_is_not_built(self):
+        # the parser's refusal, raised when the matrix is built: no config,
+        # and so no sweep cell, can hold common blocks no layout realizes
+        with pytest.raises(LabelConfigError, match=r"^common blocks: sizes \(4, 3, 1\) admit no deterministic layout over window 5$"):
+            replace(self.base().matrix, common_sizes=(4, 3, 1), private_sizes=(0, 0, 1), target_common=5)
 
     def test_unknown_axis_rejected(self):
         _, problems = derive_sweep_cell(self.base(), "learning_rate", 1)

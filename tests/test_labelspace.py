@@ -2,6 +2,7 @@
 
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,9 +166,9 @@ class TestLayouts:
         assert len(p1 | p2) == 4
         assert p.total_classes == 6 + 4
 
-    def test_infeasible_layout_raises(self):
-        with pytest.raises(LabelConfigError):
-            partition_from_matrix(UmdaMatrix((2, 2), (0, 0), 6, 0))
+    def test_matrix_no_layout_realizes_is_not_built(self):
+        # in range, but the common blocks leave part of their window uncovered
+        assert refusal((4, 3, 1), (0, 0, 1), 5, 0) == ("common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5",)
 
 
 class TestPartition:
@@ -189,6 +190,18 @@ class TestPartition:
         assert used == fresh and hash(used) == hash(fresh)
         back = pickle.loads(pickle.dumps(used))
         assert back == fresh and back.common_union == used.common_union
+
+    def test_matrix_keeps_its_layout_outside_its_fields(self):
+        matrix = UmdaMatrix((4, 4), (3, 3), 6, 3)
+        assert matrix.partition == partition_from_matrix(matrix)
+        other = UmdaMatrix((4, 4), (3, 3), 6, 3)
+        object.__setattr__(other, "partition", None)
+        assert other == matrix and hash(other) == hash(matrix) and repr(other) == repr(matrix)
+        assert "partition" not in repr(matrix)
+        back = pickle.loads(pickle.dumps(matrix))
+        assert back == matrix and back.partition == matrix.partition
+        # replace() builds, and so lays out, the new matrix
+        assert replace(matrix, target_private=5).partition.target_private == (12, 13, 14, 15, 16)
 
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(LabelConfigError, match="outside"):
@@ -239,11 +252,11 @@ class TestMatrixProperties:
         try:
             matrix = UmdaMatrix(*args)
         except LabelConfigError:
-            return  # sizes out of range are refused when built
-        try:
-            p = partition_from_matrix(matrix)
-        except LabelConfigError:
-            return  # sizes that no deterministic layout realizes are rejected, not mangled
+            # sizes out of range, or that no deterministic layout realizes,
+            # are refused when built, not mangled
+            return
+        p = matrix.partition
+        assert p == partition_from_matrix(matrix)
         assert measured_sizes(p) == matrix_sizes(matrix)
         # every class index is used exactly once across the three ranges
         used = set(p.common_union) | set(p.source_private_union) | set(p.target_private)
