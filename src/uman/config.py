@@ -10,7 +10,7 @@ Building ``Hyperparams``, ``SyntheticSpec``, ``UmdaMatrix`` or
 both the type of each field and its range; a matrix is also laid out
 there, once, and every later stage reads ``matrix.partition``.
 The canonical hash is computed over a normalized dict with sorted keys,
-so formatting, key order, and spelled-out defaults do not change it.
+so formatting, key order, spelled-out defaults and output_dir leave it.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:
 
 
 def canonical_dict(config: ExperimentConfig) -> dict:
-    """Fully normalized plain-dict form; the hash input."""
+    """Fully normalized plain-dict form, as a config file holds it."""
     m = config.matrix
 
     return {
@@ -291,7 +291,9 @@ def canonical_dict(config: ExperimentConfig) -> dict:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    blob = json.dumps(canonical_dict(config), sort_keys=True, separators=(",", ":"))
+    """A run's identity: :func:`canonical_dict` hashed without ``output_dir``."""
+    identity = {key: v for key, v in canonical_dict(config).items() if key != "output_dir"}
+    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

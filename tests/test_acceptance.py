@@ -337,7 +337,7 @@ def test_cli_artifacts_match_their_digests(tmp_path, monkeypatch):
     digests: a tiny run, a tiny target_private_size sweep over 0 and 1 in a
     pool of two workers, and the partly diverging config as a run. Each
     runs in a directory of its own into the relative output directory
-    "out", so no path enters a config hash."""
+    "out"."""
     experiments = {
         "run": (TINY_CONFIG, ["run", "config.json"]),
         "sweep": (TINY_CONFIG, ["sweep", "config.json", "--axis", "target_private_size", "--values", "0,1", "--jobs", "2"]),

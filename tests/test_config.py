@@ -319,11 +319,15 @@ class TestConfigHash:
             minimal(umda_matrix=[[4, 4, 6], [3, 3, 4]]),
             minimal(synthetic={"noise_sigma": 0.51}),
             minimal(hyperparams={"w0": 0.4}),
-            minimal(output_dir="elsewhere"),
         ):
             other, problems = parse_config(change)
             assert problems == []
             assert config_hash(other) != config_hash(base)
+        # a run's identity leaves out where it writes; the file form keeps it
+        elsewhere, problems = parse_config(minimal(output_dir="elsewhere"))
+        assert problems == []
+        assert config_hash(elsewhere) == config_hash(base)
+        assert canonical_dict(elsewhere)["output_dir"] == "elsewhere"
 
     def test_canonical_dict_is_json_stable(self):
         config, _ = parse_config(minimal(overrides={"common": {"2-1": 2}}))
