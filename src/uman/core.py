@@ -868,8 +868,9 @@ def extract_features(feature_net: Mlp, x: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def predict_classes(feature_net: Mlp, classifier: Mlp, x: np.ndarray, w0: float) -> np.ndarray:
-    """Batch inference: argmax class where the margin clears w0, else
-    UNKNOWN; quiet on overflow as :func:`extract_features` is."""
+    """Batch inference: argmax class where the margin clears ``w0`` (as
+    :class:`Hyperparams` takes it), else UNKNOWN; quiet on overflow as :func:`extract_features` is."""
+    w0 = Hyperparams(w0=w0).w0
     probs = softmax(forward_mlp(classifier, extract_features(feature_net, x))[-1])
     pseudo, margins = batch_margins(probs)
     return np.where(margins >= w0, pseudo, UNKNOWN)

@@ -107,7 +107,6 @@ def evaluate(feature_net: Mlp, classifier: Mlp, test: DomainDataset, partition: 
     if len(test) == 0:
         raise ValueError("empty test set")
     check_labels(partition.n_sources, test, partition)
-    w0 = Hyperparams(w0=w0).w0
     preds = predict_classes(feature_net, classifier, test.features, w0)
     return score_predictions(preds, test.eval_labels, partition, w0)
 
@@ -156,10 +155,8 @@ def _probe_populations(feature_net, datasets, partition, kind, pair):
             raise ValueError("the target dataset carries no evaluation labels")
         if kind == "source-vs-target-common":
             src_sel, tgt_sel = partition.common_union, partition.common_union
-        elif kind == "source-vs-target-private":
+        else:  # source-vs-target-private
             src_sel, tgt_sel = partition.source_private_union, partition.target_private
-        else:
-            raise ValueError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
         # concatenating the sources realizes their even mixture: a label
         # carried by k sources contributes k blocks, exactly the mass it has
         # in the center of the source distributions
@@ -190,6 +187,8 @@ def alignment_probe(
     populations' mean cross entropies and reports balanced accuracy (mean
     per-population recall) on the held-out fifths.
     """
+    if kind not in PROBE_KINDS:
+        raise ValueError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
     fa, fb = _probe_populations(feature_net, datasets, partition, kind, pair)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
 

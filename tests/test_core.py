@@ -1181,6 +1181,19 @@ class TestInference:
         assert at == pseudo[0]
         assert above == UNKNOWN
 
+    @pytest.mark.parametrize("w0, error, message", [
+        (float("nan"), ValueError, "w0 must be a finite number, got nan"),
+        (1.5, ValueError, "w0 must lie in [0, 1], got 1.5"),
+        (-0.2, ValueError, "w0 must lie in [0, 1], got -0.2"),
+        ("0.5", TypeError, "w0 must be a real number, got '0.5'"),
+    ])
+    def test_threshold_hyperparams_would_refuse_is_refused(self, w0, error, message):
+        # unchecked, NaN and 1.5 reject every row, -0.2 accepts every row
+        # and a string fails inside numpy
+        result, x, _ = self._trained_pair()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            predict_classes(result.feature_net, result.classifier, x, w0)
+
     def test_w0_zero_never_rejects_and_w0_one_rarely_accepts(self):
         result, x, _ = self._trained_pair()
         always = predict_classes(result.feature_net, result.classifier, x, 0.0)

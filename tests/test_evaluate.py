@@ -380,6 +380,12 @@ class TestAlignmentProbe:
             alignment_probe(_fresh_feature_net(8), datasets, partition, "bogus")
         assert len(PROBE_KINDS) == 3
 
+    def test_unknown_kind_is_named_before_the_target_is_read(self, partition):
+        datasets = generate(SyntheticSpec(feature_dim=8, samples_per_class=10, seed=9), partition)
+        datasets[-1] = DomainDataset(2, datasets[-1].features, None, None)
+        with pytest.raises(ValueError, match=f"^unknown probe kind 'bogus'; expected one of {re.escape(str(PROBE_KINDS))}$"):
+            alignment_probe(_fresh_feature_net(8), datasets, partition, "bogus")
+
     def test_target_labels_required(self, partition):
         spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=9)
         datasets = generate(spec, partition)
