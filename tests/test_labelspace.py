@@ -166,7 +166,7 @@ class TestLayouts:
         assert len(p1 | p2) == 4
         assert p.total_classes == 6 + 4
 
-    def test_matrix_no_layout_realizes_is_not_built(self):
+    def test_infeasible_layout_raises(self):
         # in range, but the common blocks leave part of their window uncovered
         assert refusal((4, 3, 1), (0, 0, 1), 5, 0) == ("common blocks: sizes (4, 3, 1) admit no deterministic layout over window 5",)
 
