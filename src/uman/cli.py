@@ -52,15 +52,14 @@ from .config import (
     SWEEP_AXES,
     ExperimentConfig,
     config_hash,
-    cost_problems,
     derive_sweep_cell,
     load_config,
     run_layout,
 )
-from .core import ADVERSARIAL, trace_columns, train_runs
+from .core import ADVERSARIAL, cost_problems, trace_columns, train_runs
 from .evaluate import evaluate
 from .labelspace import typed_value
-from .synth import generate
+from .synth import domain_rows, generate
 
 __all__ = ["main", "execute_run", "execute_sweep"]
 
@@ -185,7 +184,7 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
     are a sweep's unknown axis, missing values, first repeated value and
     ``jobs`` below 1, a negative effective seed (a config seed plus the
     offset) and each batch whose runs would not fit in memory together
-    (:func:`~uman.config.cost_problems`, checked here only), a sweep's
+    (:func:`~uman.core.cost_problems`, at the config's methods), a sweep's
     named by its values. A non-integer offset, or a sweep's non-integer
     ``jobs``, raises TypeError."""
     offset = typed_value("offset", "int", offset)
@@ -209,8 +208,8 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
         problems.append(f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0")
     for _, entries, _ in tasks:
         keys = ",".join(str(key) for key in dict.fromkeys(key for (key, _, _), *_ in entries))
-        batch = cost_problems([cell for (_, cell, _), *_ in entries])
-        problems += [p if axis is None else f"{axis} {keys}: {p}" for p in batch]
+        costs = [(run_layout(c), sum(domain_rows(c.synthetic, c.matrix.partition)), c.methods) for (_, c, _), *_ in entries]
+        problems += [p if axis is None else f"{axis} {keys}: {p}" for p in cost_problems(costs)]
     return cells, tasks, list(dict.fromkeys(problems))
 
 

@@ -8,7 +8,8 @@ collect-everything: a bad file reports all of its problems at once.
 Building ``Hyperparams``, ``SyntheticSpec``, ``UmdaMatrix`` or
 ``ExperimentConfig`` in Python applies the file's rules at construction,
 both the type of each field and its range; a matrix is also laid out
-there, once, and every later stage reads ``matrix.partition``.
+there, once, and every later stage reads ``matrix.partition``. The
+planner costs a config's runs (``run_layout``) by ``core.cost_problems``.
 The canonical hash is computed over a normalized dict with sorted keys,
 so formatting, key order, spelled-out defaults and output_dir leave it.
 """
@@ -19,7 +20,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
-from .core import METHODS, Hyperparams, batch_layout, net_shapes, step_floats, trace_columns
+from .core import METHODS, Hyperparams, batch_layout
 from .labelspace import MAX_CLASSES, ConfigError, LabelConfigError, UmdaMatrix, typed_value
 from .synth import SyntheticSpec, domain_rows
 
@@ -31,17 +32,10 @@ __all__ = [
     "config_hash",
     "canonical_dict",
     "derive_sweep_cell",
-    "cost_problems",
     "run_layout",
-    "run_floats",
-    "MAX_RUN_FLOATS",
 ]
 
 SWEEP_AXES = ("num_sources", "common_overlap", "target_private_size", "source_private_overlap")
-
-# the most float64 values the runs of one method batch may hold in their
-# datasets, parameters, step buffers and traces: 800 MB
-MAX_RUN_FLOATS = 10**8
 
 _TOP_KEYS = {"umda_matrix", "overrides", "synthetic", "hyperparams", "methods", "seeds", "output_dir"}
 
@@ -219,42 +213,6 @@ def run_layout(config: ExperimentConfig):
     """The training layout (:func:`~uman.core.batch_layout`) of a config's runs."""
     partition = config.matrix.partition
     return batch_layout(partition, config.hyperparams, domain_rows(config.synthetic, partition), config.synthetic.feature_dim)
-
-
-def run_floats(config: ExperimentConfig) -> tuple[int, int, int, int, int]:
-    """What one run of ``config`` holds, in float64 values: its dataset rows
-    and columns, the parameters of its nets, the step buffers of the
-    largest of its methods' batches (:func:`~uman.core.step_floats`), and
-    its trace's rows and columns (one row per step)."""
-    partition, layout = config.matrix.partition, run_layout(config)
-    shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
-    params = sum((fan_in + 1) * fan_out for widths, _ in shapes for fan_in, fan_out in zip(widths, widths[1:]))
-    buffers = max(step_floats(layout, method) for method in config.methods)
-    rows, steps = sum(domain_rows(config.synthetic, partition)), config.hyperparams.max_steps
-    return rows, params, buffers, steps, len(trace_columns(partition.n_sources))
-
-
-def cost_problems(runs) -> list[str]:
-    """Why a method batch would not fit in memory: its runs' datasets (rows
-    times columns), parameters, step buffers and traces (steps times
-    columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
-    values. ``runs`` lists the config of each run of one batch, as
-    :func:`uman.cli._plan` packs them."""
-    terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
-    for cell in runs:
-        rows, params, buffers, steps, columns = run_floats(cell)
-        dim = cell.synthetic.feature_dim
-        term = (
-            rows * dim + params + buffers + steps * columns,
-            f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {buffers:,} step buffer floats"
-            f" + {steps:,} trace rows x {columns} columns",
-        )
-        terms[term] = terms.get(term, 0) + 1
-    total = sum(floats * runs for (floats, _), runs in terms.items())
-    if total <= MAX_RUN_FLOATS:
-        return []
-    parts = " + ".join(f"{runs} run{'s' if runs > 1 else ''} x ({text})" for (_, text), runs in terms.items())
-    return [f"a method batch would hold {total:,} floats ({parts}), above the limit of {MAX_RUN_FLOATS:,}"]
 
 
 def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:

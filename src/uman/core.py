@@ -67,6 +67,9 @@ __all__ = [
     "BatchLayout",
     "batch_layout",
     "step_floats",
+    "MAX_RUN_FLOATS",
+    "run_floats",
+    "cost_problems",
     "check_labels",
     "train",
     "train_runs",
@@ -482,8 +485,8 @@ def check_labels(k: int, ds, partition: LabelPartition | None = None) -> None:
 
 def _check_runs(runs, partition, method: str):
     """Validate a batch of runs, each against its own label partition (one
-    for all runs, or a list of one per run); returns the hyperparameters and
-    the layout the runs share."""
+    for all runs, or a list of one per run), and hold them to the memory
+    bound (:func:`cost_problems`); returns their hyperparameters and layout."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not runs:
@@ -524,6 +527,8 @@ def _check_runs(runs, partition, method: str):
                 raise ValueError(
                     f"the runs of one batch need one layout: run {r} has {name.replace('_', ' ')} {mine}, run 0 {first}"
                 )
+    for problem in cost_problems([(layout, sum(map(len, datasets)), (method,)) for layout, (datasets, _) in zip(layouts, runs)]):
+        raise ValueError(problem)
     return runs[0][1], layouts[0]
 
 
@@ -788,6 +793,46 @@ def step_floats(layout: BatchLayout, method: str) -> int:
     plans = sum(plan_nbytes(*shape, rows, b) for shape, b in zip(shapes, blocks) if b is not None)
     outputs = 0 if method == "uman" else rows * layout.source_classes
     return -(-plans // 8) + CHUNK * (sum(layout.sub_batch_sizes) * layout.input_width + outputs)
+
+
+# the most float64 values the runs of one method batch may hold in their
+# datasets, parameters, step buffers and traces: 800 MB
+MAX_RUN_FLOATS = 10**8
+
+
+def run_floats(layout: BatchLayout, rows: int, methods) -> tuple[int, int, int, int, int]:
+    """What one run of this layout holds, in float64 values: its ``rows``
+    dataset rows and their columns, the parameters of its nets, the step
+    buffers of the largest of its ``methods``' batches (:func:`step_floats`),
+    and its trace's rows and columns (one row per step)."""
+    shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
+    params = sum((fan_in + 1) * fan_out for widths, _ in shapes for fan_in, fan_out in zip(widths, widths[1:]))
+    buffers = max(step_floats(layout, method) for method in methods)
+    return rows, params, buffers, layout.hyperparams.max_steps, len(trace_columns(len(layout.sub_batch_sizes) - 1))
+
+
+def cost_problems(runs) -> list[str]:
+    """Why a method batch would not fit in memory: its runs' datasets (rows
+    times columns), parameters, step buffers and traces (steps times
+    columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
+    values. ``runs`` lists each run's ``(layout, rows, methods)`` of
+    :func:`run_floats`: :func:`uman.cli._plan` costs the batches it packs,
+    and :func:`train_runs` its own runs before it allocates anything."""
+    terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
+    for layout, rows, methods in runs:
+        rows, params, buffers, steps, columns = run_floats(layout, rows, methods)
+        dim = layout.input_width
+        term = (
+            rows * dim + params + buffers + steps * columns,
+            f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {buffers:,} step buffer floats"
+            f" + {steps:,} trace rows x {columns} columns",
+        )
+        terms[term] = terms.get(term, 0) + 1
+    total = sum(floats * runs for (floats, _), runs in terms.items())
+    if total <= MAX_RUN_FLOATS:
+        return []
+    parts = " + ".join(f"{runs} run{'s' if runs > 1 else ''} x ({text})" for (_, text), runs in terms.items())
+    return [f"a method batch would hold {total:,} floats ({parts}), above the limit of {MAX_RUN_FLOATS:,}"]
 
 
 def _forward(plans, x):

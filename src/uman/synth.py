@@ -4,8 +4,8 @@ data generator and nothing else (training draws its batches in ``core``).
 Every class c gets a global center mu_c ~ N(0, class_center_scale^2 I).
 Domain k draws samples N(mu_c, noise_sigma^2 I) for each class in its label
 set and then applies its own affine map x -> R_k x + b_k, where R_k is a
-seeded random rotation (identity when domain_rotation is off) and
-b_k ~ N(0, domain_shift_scale^2 I). Raising domain_shift_scale therefore
+seeded random rotation (the identity, never built, when domain_rotation is
+off) and b_k ~ N(0, domain_shift_scale^2 I). Raising domain_shift_scale therefore
 widens the gap between domains while leaving within-domain class structure
 intact.
 
@@ -15,7 +15,8 @@ consequences worth relying on: the same seed reproduces the same data
 bit for bit, and changing one scale knob changes only what that knob
 controls. ``draw`` indexes independent sample draws on top of a fixed
 domain structure (fresh noise, same centers/rotations/shifts), which is how
-held-out target test sets are produced.
+held-out target test sets are produced. Data of more values than the
+memory bound of a training batch (``core.MAX_RUN_FLOATS``) is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .labelspace import LabelPartition, typed_fields
 
 __all__ = [
@@ -83,8 +85,6 @@ def _rng(spec: SyntheticSpec, *key) -> np.random.Generator:
 
 def _rotation(spec: SyntheticSpec, domain: int) -> np.ndarray:
     d = spec.feature_dim
-    if not spec.domain_rotation:
-        return np.eye(d)
     g = _rng(spec, _ROTATION, domain).standard_normal((d, d))
     q, r = np.linalg.qr(g)
     q *= np.sign(np.diag(r))  # fix the sign convention so q is well defined
@@ -101,26 +101,24 @@ def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> l
 
     Domain ids are 0..M-1 for the sources and M for the target. ``draw``
     selects an independent sample draw over the same domain structure.
+    Datasets past :data:`~uman.core.MAX_RUN_FLOATS` values are refused first.
     """
-    d = spec.feature_dim
-    centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal(
-        (partition.total_classes, d)
-    )
+    d, rows = spec.feature_dim, sum(domain_rows(spec, partition))
+    if rows * d > core.MAX_RUN_FLOATS:
+        raise ValueError(f"the datasets would hold {rows:,} rows x {d} columns, above the limit of {core.MAX_RUN_FLOATS:,}")
+    centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal((partition.total_classes, d))
 
     datasets = []
     label_sets = [set(s) for s in partition.source_labels] + [set(partition.target_labels)]
     for domain, classes in enumerate(label_sets):
-        rot = _rotation(spec, domain)
         shift = spec.domain_shift_scale * _rng(spec, _SHIFT, domain).standard_normal(d)
         noise_rng = _rng(spec, _NOISE, domain, draw)
         xs, ys = [], []
         for c in sorted(classes):
-            x = centers[c] + spec.noise_sigma * noise_rng.standard_normal(
-                (spec.samples_per_class, d)
-            )
-            xs.append(x)
+            xs.append(centers[c] + spec.noise_sigma * noise_rng.standard_normal((spec.samples_per_class, d)))
             ys.append(np.full(spec.samples_per_class, c, dtype=np.int64))
-        features = np.concatenate(xs) @ rot.T + shift
+        x = np.concatenate(xs)
+        features = (x @ _rotation(spec, domain).T if spec.domain_rotation else x) + shift
         labels = np.concatenate(ys)
         datasets.append(DomainDataset(domain, features, None if domain == len(label_sets) - 1 else labels, labels))
     return datasets

@@ -6,7 +6,9 @@ import numpy as np
 from hypothesis import settings
 
 from uman import Hyperparams, SyntheticSpec, UmdaMatrix
+from uman.config import run_layout
 from uman.nn import Plan
+from uman.synth import domain_rows
 
 # the settings of every property test: each run draws the same examples,
 # as the hypothesis release pinned in CI draws them, and writes no example
@@ -363,3 +365,9 @@ def plan_arrays(plan):
     if plan._backward is None:
         plan._backward = plan._lay_backward()
     return [*plan.acts, *(a for laid in plan._backward for a in (*laid[2:5], *laid[6:8]))]
+
+
+def run_cost(config):
+    """One run of ``config`` as :func:`uman.core.cost_problems` costs it:
+    its layout, its dataset rows and its config's methods."""
+    return run_layout(config), sum(domain_rows(config.synthetic, config.matrix.partition)), config.methods

@@ -15,20 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import run_cost
 
 import uman.cli
 import uman.core
 import uman.labelspace
 from uman.cli import BATCH_RUNS, batch_runs, execute_run, execute_sweep, main
-from uman.config import (
-    MAX_RUN_FLOATS,
-    canonical_dict,
-    config_hash,
-    derive_sweep_cell,
-    load_config,
-    run_floats,
-)
-from uman.core import TrainingDiverged, train
+from uman.config import canonical_dict, config_hash, derive_sweep_cell, load_config
+from uman.core import MAX_RUN_FLOATS, TrainingDiverged, run_floats, train
 from uman.evaluate import evaluate
 from uman.labelspace import LabelConfigError, UmdaMatrix, partition_from_matrix
 from uman.nn import NonFiniteGradientError
@@ -381,7 +375,7 @@ class TestRun:
         """``execute_run`` checks the batches it would train, as ``uman
         run`` does."""
         config, _ = load_config(tiny_config(tmp_path, seeds=[0, 1]))
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 1000)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", 1000)
         with pytest.raises(ValueError, match="^a method batch would hold .* above the limit of 1,000$"):
             execute_run(config, quiet=True)
         assert not (tmp_path / "out").exists()
@@ -756,7 +750,7 @@ class TestOneGate:
         else:
             monkeypatch.setenv("UMAN_SEED_OFFSET", offset)
         if cap:
-            monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 1000)
+            monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", 1000)
         validated = main(["validate", str(path)]), capsys.readouterr().out.splitlines()
         assert not (tmp_path / "out").exists()
         ran = main(["run", str(path)]), capsys.readouterr().out.splitlines()
@@ -792,9 +786,9 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         config, _ = load_config(path)
         cell, _ = derive_sweep_cell(config, "target_private_size", 2)
-        rows, params, buffers, steps, columns = run_floats(cell)
+        rows, params, buffers, steps, columns = run_floats(*run_cost(cell))
         limit = 2 * (rows * 4 + params + buffers + steps * columns)
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", limit)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", limit)
         assert main(["validate", str(path)]) == 0
         args = ["sweep", str(path), "--axis", "target_private_size", "--values"]
         assert main(args + ["2"]) == 0  # one cell's two runs fit
@@ -816,11 +810,11 @@ class TestSweep:
         path = self.sweep_config(tmp_path)
         config, _ = load_config(path)
         cell, _ = derive_sweep_cell(config, "target_private_size", 0)
-        rows, params, buffers, steps, columns = run_floats(cell)
+        rows, params, buffers, steps, columns = run_floats(*run_cost(cell))
         limit = 2 * (rows * 4 + params + buffers + steps * columns)
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", limit)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", limit)
         assert load_config(path) == (config, [])
-        rows, params, buffers, steps, columns = run_floats(config)
+        rows, params, buffers, steps, columns = run_floats(*run_cost(config))
         problem = (
             f"a method batch would hold {2 * (rows * 4 + params + buffers + steps * columns):,} floats"
             f" (2 runs x ({rows:,} dataset rows x 4 columns + {params:,} parameters"

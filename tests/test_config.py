@@ -9,25 +9,34 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers import PROPERTY, held_nbytes, plan_arrays
+from helpers import PROPERTY, held_nbytes, plan_arrays, run_cost
 
 import uman.cli
-import uman.config
+import uman.core
 from uman.cli import BATCH_RUNS, batch_runs
 from uman.config import (
-    MAX_RUN_FLOATS,
     SWEEP_AXES,
     ExperimentConfig,
     canonical_dict,
     config_hash,
-    cost_problems,
     derive_sweep_cell,
     load_config,
     parse_config,
-    run_floats,
     run_layout,
 )
-from uman.core import METHODS, Hyperparams, _Batch, _build_nets, net_shapes, step_floats, trace_columns, train
+from uman.core import (
+    MAX_RUN_FLOATS,
+    METHODS,
+    Hyperparams,
+    _Batch,
+    _build_nets,
+    cost_problems,
+    net_shapes,
+    run_floats,
+    step_floats,
+    trace_columns,
+    train,
+)
 from uman.labelspace import MAX_CLASSES, LabelConfigError, partition_from_matrix
 from uman.synth import SyntheticSpec, generate
 
@@ -358,16 +367,16 @@ class TestCostBound:
     def test_committed_and_battery_configs_pass(self):
         config, problems = load_config(STANDARD)
         assert problems == []
-        assert cost_problems([config] * 3) == [] and uman.cli._plan(config, 0)[2] == []
+        assert cost_problems([run_cost(config)] * 3) == [] and uman.cli._plan(config, 0)[2] == []
         # the battery's largest cell: the standard layout at 6 target-only classes
         cell, problems = derive_sweep_cell(config, "target_private_size", 6)
         assert problems == []
-        assert cost_problems([cell] * 3) == []
+        assert cost_problems([run_cost(cell)] * 3) == []
         # the largest batch of a sweep of the standard config's cells
-        assert cost_problems([cell] * BATCH_RUNS) == []
+        assert cost_problems([run_cost(cell)] * BATCH_RUNS) == []
         # the benchmark's 5-source cell, and its short sweep's batches
         cell, problems = derive_sweep_cell(config, "num_sources", 5)
-        assert problems == [] and cost_problems([cell]) == []
+        assert problems == [] and cost_problems([run_cost(cell)]) == []
         short = replace(config, seeds=(0, 1), hyperparams=replace(config.hyperparams, max_steps=250))
         assert uman.cli._plan(short, 0, "target_private_size", range(7))[2] == []
 
@@ -395,17 +404,17 @@ class TestCostBound:
         buffers = draws + f + g + d
         # a trace row per step: step, 2 losses, 2 error rates, 3 weight means, the gate
         want = 2 * (rows * 3 + params + buffers + 7 * 9)
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want)
-        assert cost_problems([config] * 2) == []
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", want - 1)
-        assert cost_problems([config] * 2) == [
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", want)
+        assert cost_problems([run_cost(config)] * 2) == []
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", want - 1)
+        assert cost_problems([run_cost(config)] * 2) == [
             f"a method batch would hold {want:,} floats (2 runs x ({rows:,} dataset rows x 3 columns"
             f" + {params:,} parameters + {buffers:,} step buffer floats + 7 trace rows x 9 columns)),"
             f" above the limit of {want - 1:,}"
         ]
         # the ablations also hold a chunk of G's outputs: 16 steps x 96 rows
         # x 12 classes in unweighted_adv, which holds D's plan too
-        assert run_floats(replace(config, methods=("uman", "unweighted_adv")))[2] == buffers + 16 * 96 * 12
+        assert run_floats(*run_cost(replace(config, methods=("uman", "unweighted_adv"))))[2] == buffers + 16 * 96 * 12
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("hidden", [[5], [], [6, 3]])
@@ -427,7 +436,7 @@ class TestCostBound:
         plans = [a for plan in batch.plans if plan for a in plan_arrays(plan)]
         nbytes = held_nbytes(*plans, batch.x, batch.logits)
         assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
-        assert run_floats(config)[2] == step_floats(run_layout(config), method)
+        assert run_floats(*run_cost(config))[2] == step_floats(run_layout(config), method)
 
     def test_wide_hidden_layer_is_over_the_bound(self, tmp_path, capsys):
         """A feature net 200,000 wide on the committed config: the three
@@ -441,7 +450,7 @@ class TestCostBound:
         assert problems[0].startswith("a method batch would hold ") and "(3 runs x (" in problems[0]
         standard, _ = load_config(STANDARD)
         wide = replace(standard, hyperparams=replace(standard.hyperparams, feature_hidden=(200000,)))
-        rows, params, buffers, steps, columns = run_floats(wide)
+        rows, params, buffers, steps, columns = run_floats(*run_cost(wide))
         assert 3 * (rows * 16 + params + steps * columns) <= MAX_RUN_FLOATS
         assert buffers > 3 * 96 * 200000
         assert f" + {buffers:,} step buffer floats + " in problems[0]
@@ -460,7 +469,7 @@ class TestCostBound:
         assert problems == []
         cell, problems = derive_sweep_cell(config, "num_sources", n_sources)
         assert problems == []
-        assert run_floats(cell)[-1] == len(trace_columns(n_sources))
+        assert run_floats(*run_cost(cell))[-1] == len(trace_columns(n_sources))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_trace_count_is_what_a_trained_run_holds(self, method):
@@ -471,7 +480,7 @@ class TestCostBound:
         assert problems == []
         partition = partition_from_matrix(config.matrix)
         result = train(generate(config.synthetic, partition), partition, config.hyperparams, method=method)
-        *_, steps, columns = run_floats(config)
+        *_, steps, columns = run_floats(*run_cost(config))
         assert result.trace.dtype == np.float64
         assert result.trace.nbytes == 8 * steps * columns
 
@@ -485,7 +494,7 @@ class TestCostBound:
         assert batch_runs(14) == [5, 5, 4]  # a 7-cell sweep of 2 seeds
         config, problems = parse_config(minimal(seeds=list(range(9))))
         assert problems == []
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", 0)
         problems = uman.cli._plan(config, 0)[2]
         assert [p.startswith("a method batch would hold ") for p in problems] == [True, True]
         assert "(5 runs x (" in problems[0] and "(4 runs x (" in problems[1]
@@ -494,8 +503,8 @@ class TestCostBound:
         config, problems = parse_config(minimal())
         assert problems == []
         cells = [derive_sweep_cell(config, "target_private_size", v)[0] for v in (0, 0, 2)]
-        monkeypatch.setattr(uman.config, "MAX_RUN_FLOATS", 0)
-        [problem] = cost_problems(cells)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", 0)
+        [problem] = cost_problems(map(run_cost, cells))
         assert "(2 runs x (4,000 dataset rows" in problem and " + 1 run x (4,400 dataset rows" in problem
 
     def test_huge_dataset_is_a_problem_with_the_limit(self, tmp_path, capsys):
@@ -512,7 +521,7 @@ class TestCostBound:
         assert problems == []
         cell, problems = derive_sweep_cell(config, "num_sources", 50)
         assert problems == []
-        assert "above the limit" in cost_problems([cell])[0]
+        assert "above the limit" in cost_problems([run_cost(cell)])[0]
 
 
 class TestScalability:
@@ -535,7 +544,7 @@ class TestScalability:
             built = [net.params.size for net in _build_nets(hp, in_dim, n_classes)]
             assert built == shaped
             assert shaped[1] == (hp.feature_dim + 1) * n_classes
-            assert run_floats(cell)[1] == sum(built)
+            assert run_floats(*run_cost(cell))[1] == sum(built)
             f_and_d.add((shaped[0], shaped[2]))
             classes.add(n_classes)
         assert len(f_and_d) == 1 and len(classes) == 3

@@ -17,12 +17,15 @@ from helpers import (
     per_source_train,
     per_step_batches,
     random_simplex,
+    run_cost,
     standard_hp,
     standard_matrix,
     trace_column,
 )
 
+import uman.cli
 import uman.core
+from uman.config import parse_config
 from uman.core import (
     CHUNK,
     METHODS,
@@ -30,6 +33,7 @@ from uman.core import (
     Hyperparams,
     TargetMarginRegister,
     TrainingDiverged,
+    TrainResult,
     _chunk_stream,
     batch_layout,
     batch_margins,
@@ -40,6 +44,7 @@ from uman.core import (
     margin_vector,
     normalize_weights,
     predict_classes,
+    run_floats,
     sample_weights,
     trace_columns,
     train,
@@ -409,22 +414,25 @@ def _as_numpy(value, narrow):
     return np.array(value)[()]
 
 
-def _field_values(name):
-    """Any value a caller may pass for the field ``name``: a valid one, the
-    same as numpy holds it, NaN or an infinity, a bool, or one of the wrong
-    type or out of range."""
+def _field_values(name, kind):
+    """Any value a caller may pass for the field ``name``, annotated
+    ``kind``: a valid one, the same as numpy holds it, NaN or an infinity, a
+    bool, one of the wrong type or out of range, or for an integer field
+    one past any memory."""
     valid = _VALID[name]
+    huge = {"int": [2**1100, 2**62], "tuple[int, ...]": [[2**1100], [2**62]]}.get(kind, [])
     return st.one_of(
         valid,
         st.builds(_as_numpy, valid, st.booleans()),
         st.sampled_from([math.nan, math.inf, -math.inf]),
         st.booleans(),
-        st.sampled_from(_WRONG),
+        st.sampled_from(_WRONG + huge),
     )
 
 
 def _field_cases(cls):
-    return st.sampled_from([f.name for f in fields(cls)]).flatmap(lambda name: st.tuples(st.just(name), _field_values(name)))
+    kinds = {f.name: f.type for f in fields(cls)}
+    return st.sampled_from(list(kinds)).flatmap(lambda name: st.tuples(st.just(name), _field_values(name, kinds[name])))
 
 
 _TINY_PARTITION = partition_from_matrix(UmdaMatrix((2, 2), (1, 1), 3, 1))
@@ -433,10 +441,11 @@ _TINY_HP = Hyperparams(max_steps=2, batch_size=4, feature_hidden=(4,), feature_d
 
 
 class TestApiFieldTypes:
-    """The Python API applies the config file's type rule: building
-    ``Hyperparams`` or ``SyntheticSpec`` from any value either gives a
-    config that trains or generates finite numbers, or raises TypeError or
-    ValueError naming the field, before any net or buffer exists."""
+    """The Python API applies the config file's type rule and the
+    planner's memory bound: building ``Hyperparams`` or ``SyntheticSpec``
+    from any value either gives a config that trains or generates finite
+    numbers, or raises TypeError or ValueError naming the field or the
+    memory limit, before any net or buffer exists."""
 
     @given(_field_cases(Hyperparams))
     @example(("batch_size", 8.5))
@@ -446,6 +455,9 @@ class TestApiFieldTypes:
     @example(("grl_gamma", math.inf))
     @example(("weight_decay", True))
     @example(("lr_features", 2**1100))
+    @example(("max_steps", 2**62))
+    @example(("feature_hidden", [2**1100]))
+    @example(("seed", 2**1100))
     @PROPERTY
     def test_train_returns_or_names_the_field(self, case):
         name, value = case
@@ -453,7 +465,7 @@ class TestApiFieldTypes:
         try:
             result = train(datasets, _TINY_PARTITION, replace(_TINY_HP, **{name: value}))
         except (TypeError, ValueError) as exc:
-            assert name in str(exc)
+            assert name in str(exc) or "above the limit of 100,000,000" in str(exc)
             return
         assert np.isfinite(result.trace).all()
 
@@ -463,13 +475,15 @@ class TestApiFieldTypes:
     @example(("samples_per_class", 3.5))
     @example(("domain_rotation", 1))
     @example(("noise_sigma", -(2**1100)))
+    @example(("samples_per_class", 2**62))
+    @example(("seed", 2**1100))
     @PROPERTY
     def test_generate_returns_or_names_the_field(self, case):
         name, value = case
         try:
             datasets = generate(replace(_TINY_SPEC, **{name: value}), _TINY_PARTITION)
         except (TypeError, ValueError) as exc:
-            assert name in str(exc)
+            assert name in str(exc) or "above the limit of 100,000,000" in str(exc)
             return
         assert all(np.isfinite(ds.features).all() for ds in datasets)
 
@@ -496,6 +510,57 @@ class TestApiFieldTypes:
 
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
+
+
+class TestMemoryBound:
+    """``train_runs`` holds its own runs to the planner's memory bound,
+    :func:`~uman.core.cost_problems` at the batch's one method, before it
+    builds a net or a buffer."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("feature_dim", 2**1100),
+            ("max_steps", 2**62),
+            ("max_steps", 10**9),
+            ("feature_hidden", (2**1100,)),
+            ("feature_hidden", (2**40,)),
+            ("disc_hidden", (2**1100,)),
+            ("disc_hidden", (2**40,)),
+        ],
+    )
+    def test_run_past_the_bound_is_refused(self, name, value):
+        datasets = generate(_TINY_SPEC, _TINY_PARTITION)
+        with pytest.raises(ValueError, match="^a method batch would hold .*, above the limit of 100,000,000$"):
+            train(datasets, _TINY_PARTITION, replace(_TINY_HP, **{name: value}))
+
+    def test_planner_and_train_runs_refuse_the_same_batch(self, monkeypatch):
+        """A batch of two runs that holds exactly the bound is planned and
+        trains; with the bound one float lower, the planner and
+        ``train_runs`` refuse it with one message."""
+        config, problems = parse_config({
+            "umda_matrix": [[2, 2, 3], [1, 1, 1]],
+            "synthetic": {"feature_dim": 3, "samples_per_class": 4},
+            "hyperparams": {"max_steps": 20, "batch_size": 4, "feature_hidden": [4], "feature_dim": 3, "disc_hidden": [4]},
+            "methods": ["uman"],
+            "seeds": [0, 1],
+            "output_dir": "out",
+        })
+        assert problems == []
+        partition = config.matrix.partition
+        runs = [(generate(config.synthetic, partition), replace(config.hyperparams, seed=seed)) for seed in config.seeds]
+        rows, params, buffers, steps, columns = run_floats(*run_cost(config))
+        limit = 2 * (rows * 3 + params + buffers + steps * columns)
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", limit)
+        assert uman.cli._plan(config, 0)[2] == []
+        assert [type(result) for result in train_runs(runs, partition)] == [TrainResult, TrainResult]
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", limit - 1)
+        [problem] = uman.cli._plan(config, 0)[2]
+        assert problem.startswith(f"a method batch would hold {limit:,} floats (2 runs x (")
+        assert problem.endswith(f"above the limit of {limit - 1:,}")
+        with pytest.raises(ValueError) as refused:
+            train_runs(runs, partition)
+        assert str(refused.value) == problem
 
 
 def _label_outside_its_source(datasets):

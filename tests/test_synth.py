@@ -1,10 +1,13 @@
 """Synthetic data generator: determinism, knob isolation, domain-gap control."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import uman.core
 from uman.labelspace import UmdaMatrix, partition_from_matrix
-from uman.synth import SyntheticSpec, generate
+from uman.synth import SyntheticSpec, domain_rows, generate
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
 
@@ -128,6 +131,38 @@ class TestGenerate:
         rowb = rotated[-1].features[rotated[-1].eval_labels == c][0]
         assert np.linalg.norm(rowa) == pytest.approx(np.linalg.norm(rowp), abs=1e-9)
         assert not np.allclose(rowa, rowb)
+
+
+class TestMemoryBound:
+    """``generate`` holds the data it would draw to the bound of a training
+    batch, :data:`uman.core.MAX_RUN_FLOATS`, before it draws."""
+
+    @pytest.mark.parametrize(
+        "name, value", [("feature_dim", 2**1100), ("samples_per_class", 2**1100), ("samples_per_class", 2**40)]
+    )
+    def test_data_past_the_bound_is_refused(self, partition, name, value):
+        with pytest.raises(ValueError, match="^the datasets would hold .* columns, above the limit of 100,000,000$"):
+            generate(spec(**{name: value}), partition)
+
+    def test_bound_is_the_one_core_costs_batches_by(self, partition, monkeypatch):
+        rows = sum(domain_rows(spec(), partition))
+        assert rows == 40 * (7 + 7 + 9)  # each source's 4 + 3 classes, the target's 6 + 3
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", rows * 8)
+        assert sum(len(ds) for ds in generate(spec(), partition)) == rows
+        monkeypatch.setattr(uman.core, "MAX_RUN_FLOATS", rows * 8 - 1)
+        with pytest.raises(ValueError, match="^the datasets would hold 920 rows x 8 columns, above the limit of 7,359$"):
+            generate(spec(), partition)
+
+    def test_no_rotation_builds_no_square_matrix(self, partition):
+        """Without rotation no d x d matrix is built: at 2,000 columns and
+        23 rows the peak stays under an eighth of one."""
+        tracemalloc.start()
+        try:
+            generate(spec(feature_dim=2000, samples_per_class=1), partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000
 
 
 def _permutation_pvalue(xa, xb, n_perm=300, seed=0):
