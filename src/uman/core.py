@@ -108,9 +108,11 @@ def margin_vector(pseudo, margins, n_classes: int):
     Takes the pseudo-labels and margins of :func:`batch_margins`. Returns
     ``(values, present)`` where ``present[c]`` says whether any sample was
     pseudo-labeled c; absent classes get value 0. With a leading run axis
-    every run is grouped on its own.
+    every run is grouped on its own. A label outside [0, n_classes) raises.
     """
     pseudo = np.asarray(pseudo)
+    if ((pseudo < 0) | (pseudo >= n_classes)).any():
+        raise ValueError(f"pseudo-labels outside [0, {n_classes})")
     lead = pseudo.shape[:-1]
     runs = math.prod(lead)
     # one bincount for every run: run r counts into bins r*C .. r*C + C-1,
@@ -250,7 +252,7 @@ def classification_loss(logits: np.ndarray, labels, sizes):
     """Average of the per-source mean cross entropies and its gradient.
 
     ``logits`` stacks the sources' rows, ``sizes[i]`` of them for source i,
-    and ``labels`` has one entry per source row. Rows past the sources (the
+    and ``labels`` holds one integer per source row. Rows past the sources (the
     target's, in a training step) are not classified. A row of source i
     weighs 1/(M * sizes[i]) for M sources. Returns ``(value, grad)``, where
     ``grad`` is the gradient of the value with respect to the source rows.
@@ -258,14 +260,16 @@ def classification_loss(logits: np.ndarray, labels, sizes):
     one loss per run.
     """
     sizes = tuple(int(n) for n in sizes)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     *lead, n_rows, k = logits.shape
     n, m = sum(sizes), len(sizes)
     if m == 0 or min(sizes) < 1 or labels.shape != (*lead, n) or n_rows < n:
         raise ValueError("need nonempty source blocks with one label per source row")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
     if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= k:
         raise ValueError(f"labels outside [0, {k})")
-    value, grad = _classification_loss(logits, _label_base(tuple(lead), n, k) + labels, sizes)
+    value, grad = _classification_loss(logits, _label_base(tuple(lead), n, k) + labels.astype(np.int64, copy=False), sizes)
     return value if lead else float(value), grad
 
 

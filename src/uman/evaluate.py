@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UNKNOWN, Hyperparams, check_labels, classification_loss, extract_features, predict_classes
-from .labelspace import LabelPartition
+from .labelspace import LabelPartition, typed_value
 from .nn import Mlp, NonFiniteGradientError, Plan, forward_mlp, gradient_faults, sgd_update
 from .synth import DomainDataset
 
@@ -182,13 +182,15 @@ def alignment_probe(
     """Train a fresh linear classifier to tell two feature populations apart.
 
     The probe is softmax regression, the usual two-sample statistic for
-    distribution alignment. Each population gets a seeded 80/20 split; the
-    probe takes 300 full-batch steps at rate 0.5 on the mean of the two
-    populations' mean cross entropies and reports balanced accuracy (mean
-    per-population recall) on the held-out fifths.
+    distribution alignment. Each population gets an 80/20 split seeded by
+    ``seed`` (>= 0); the probe takes 300 full-batch steps at rate 0.5 on
+    the mean of the two populations' mean cross entropies and reports
+    balanced accuracy (mean per-population recall) on the held-out fifths.
     """
     if kind not in PROBE_KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; expected one of {PROBE_KINDS}")
+    if (seed := typed_value("seed", "int", seed)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     fa, fb = _probe_populations(feature_net, datasets, partition, kind, pair)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,)))
 

@@ -5,9 +5,9 @@ Every class c gets a global center mu_c ~ N(0, class_center_scale^2 I).
 Domain k draws samples N(mu_c, noise_sigma^2 I) for each class in its label
 set and then applies its own affine map x -> R_k x + b_k, where R_k is a
 seeded random rotation (the identity, never built, when domain_rotation is
-off) and b_k ~ N(0, domain_shift_scale^2 I). Raising domain_shift_scale therefore
-widens the gap between domains while leaving within-domain class structure
-intact.
+off) and b_k ~ N(0, domain_shift_scale^2 I). Raising domain_shift_scale
+therefore widens the gap between domains while leaving within-domain class
+structure intact.
 
 All randomness is drawn unit-scaled and multiplied by the configured scale
 afterwards, from independent seeded streams per (purpose, domain). Two
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .labelspace import LabelPartition, typed_fields
+from .labelspace import LabelPartition, typed_fields, typed_value
 
 __all__ = [
     "SyntheticSpec",
@@ -99,10 +99,12 @@ def domain_rows(spec: SyntheticSpec, partition: LabelPartition) -> list[int]:
 def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> list[DomainDataset]:
     """Build one dataset per source domain plus the target, in domain order.
 
-    Domain ids are 0..M-1 for the sources and M for the target. ``draw``
-    selects an independent sample draw over the same domain structure.
+    Domain ids are 0..M-1 for the sources and M for the target. ``draw``,
+    an integer >= 0, selects an independent draw over the same domains.
     Datasets past :data:`~uman.core.MAX_RUN_FLOATS` values are refused first.
     """
+    if (draw := typed_value("draw", "int", draw)) < 0:
+        raise ValueError(f"draw must be >= 0, got {draw}")
     d, rows = spec.feature_dim, sum(domain_rows(spec, partition))
     if rows * d > core.MAX_RUN_FLOATS:
         raise ValueError(f"the datasets would hold {rows:,} rows x {d} columns, above the limit of {core.MAX_RUN_FLOATS:,}")

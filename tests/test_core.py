@@ -110,6 +110,12 @@ class TestMarginVector:
         assert not present[1] and not present[2]
         assert values[1] == 0.0 and values[2] == 0.0
 
+    @pytest.mark.parametrize("pseudo", [[[0, 4], [1, 1]], [[0, 3], [1, 1]], [[0, -1], [1, 1]]])
+    def test_label_outside_the_classes_is_refused(self, pseudo):
+        """Run 0's label 4 (or 3) would be filed under run 1's class 1 (or 0)."""
+        with pytest.raises(ValueError, match=r"^pseudo-labels outside \[0, 3\)$"):
+            margin_vector(pseudo, [[0.5, 0.5], [0.2, 0.2]], 3)
+
 
 class TestRegister:
     def test_matches_stored_history_oracle(self):
@@ -251,6 +257,11 @@ class TestClassificationLoss:
             classification_loss(np.zeros((1, 2)), [0, 1], [1])
         with pytest.raises(ValueError):
             classification_loss(np.zeros((2, 2)), [0, 1, 0], [3])
+
+    @pytest.mark.parametrize("labels, dtype", [([0.7, 1.9], "float64"), ([True, False], "bool")])
+    def test_labels_that_are_not_integers_are_refused(self, labels, dtype):
+        with pytest.raises(ValueError, match=f"^labels must be integers, got {dtype}$"):
+            classification_loss(np.zeros((2, 2)), labels, [2])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -528,6 +539,8 @@ class TestMemoryBound:
             ("disc_hidden", (2**1100,)),
             ("disc_hidden", (2**40,)),
         ],
+        ids=["feature_dim=2**1100", "max_steps=2**62", "max_steps=10**9", "feature_hidden=(2**1100,)",
+             "feature_hidden=(2**40,)", "disc_hidden=(2**1100,)", "disc_hidden=(2**40,)"],
     )
     def test_run_past_the_bound_is_refused(self, name, value):
         datasets = generate(_TINY_SPEC, _TINY_PARTITION)

@@ -386,6 +386,20 @@ class TestAlignmentProbe:
         with pytest.raises(ValueError, match=f"^unknown probe kind 'bogus'; expected one of {re.escape(str(PROBE_KINDS))}$"):
             alignment_probe(_fresh_feature_net(8), datasets, partition, "bogus")
 
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [
+            (-1, ValueError, "seed must be >= 0, got -1"),
+            (1.5, TypeError, "seed must be integral, got 1.5"),
+            ("1", TypeError, "seed must be integral, got '1'"),
+            (True, TypeError, "seed must be integral, got True"),
+        ],
+    )
+    def test_seed_is_refused_by_name(self, partition, seed, error, message):
+        datasets = generate(SyntheticSpec(feature_dim=8, samples_per_class=10, seed=9), partition)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            alignment_probe(_fresh_feature_net(8), datasets, partition, "source-vs-target-common", seed=seed)
+
     def test_target_labels_required(self, partition):
         spec = SyntheticSpec(feature_dim=8, samples_per_class=10, seed=9)
         datasets = generate(spec, partition)

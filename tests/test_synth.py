@@ -1,5 +1,6 @@
 """Synthetic data generator: determinism, knob isolation, domain-gap control."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,19 @@ class TestGenerate:
             gaps.append(gap)
         assert gaps[0] < gaps[1] < gaps[2]
 
+    @pytest.mark.parametrize(
+        "draw, error, message",
+        [
+            (-1, ValueError, "draw must be >= 0, got -1"),
+            (1.5, TypeError, "draw must be integral, got 1.5"),
+            ("1", TypeError, "draw must be integral, got '1'"),
+            (True, TypeError, "draw must be integral, got True"),
+        ],
+    )
+    def test_draw_is_refused_by_name(self, partition, draw, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            generate(spec(), partition, draw=draw)
+
     def test_rotation_is_orthogonal_and_off_by_default(self, partition):
         plain = generate(spec(noise_sigma=0.0, domain_shift_scale=0.0), partition)
         c = partition.common_per_source[0][0]
@@ -138,7 +152,9 @@ class TestMemoryBound:
     batch, :data:`uman.core.MAX_RUN_FLOATS`, before it draws."""
 
     @pytest.mark.parametrize(
-        "name, value", [("feature_dim", 2**1100), ("samples_per_class", 2**1100), ("samples_per_class", 2**40)]
+        "name, value",
+        [("feature_dim", 2**1100), ("samples_per_class", 2**1100), ("samples_per_class", 2**40)],
+        ids=["feature_dim=2**1100", "samples_per_class=2**1100", "samples_per_class=2**40"],
     )
     def test_data_past_the_bound_is_refused(self, partition, name, value):
         with pytest.raises(ValueError, match="^the datasets would hold .* columns, above the limit of 100,000,000$"):
