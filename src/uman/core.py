@@ -630,20 +630,23 @@ def train_runs(runs, partition, *, method: str = "uman") -> list:
 CHUNK = 16
 
 
-def _chunk_stream(runs, sizes: tuple):
+def _chunk_stream(runs, sizes: tuple, labelled: int = -1):
     """The rows ``runs``, a list of ``(datasets, seed)`` pairs, draw,
-    :data:`CHUNK` steps per item ``(x, labels)``: ``x[s, r]`` stacks run r's
-    sub-batches of step s, ``sizes[k]`` rows of its dataset k in dataset
-    order, and ``labels[s, r]`` the labels of its sources' rows (the last
-    dataset is the unlabeled target). Each (run, domain) pair shuffles one
-    permutation per epoch from its own stream, seeded by the run's seed and
-    the domain's id, and drops the ragged tail. One gather per pair per
-    chunk reads the dataset's own arrays, so runs may share a dataset."""
-    bounds = np.cumsum([0, *sizes]).tolist()
+    :data:`CHUNK` steps per item ``(x, labels)``, two buffers allocated once
+    and refilled in place: ``x[s, r]`` stacks run r's sub-batches of step s,
+    ``sizes[k]`` rows of its dataset k in dataset order, and ``labels[s, r]``
+    the labels of the rows of its datasets before the slice bound
+    ``labelled`` (by default all but the last, the unlabeled target). Each
+    (run, domain) pair shuffles one permutation per epoch from its own
+    stream, seeded by the run's seed and the domain's id, and drops the
+    ragged tail. One gather per pair per chunk reads the dataset's own
+    arrays, so runs may share a dataset."""
+    bounds, labelled = np.cumsum([0, *sizes]).tolist(), len(sizes[:labelled])
+    x = np.empty((CHUNK, len(runs), bounds[-1], runs[0][0][0].features.shape[1]))
+    labels = np.empty((CHUNK, len(runs), bounds[labelled]), dtype=np.int64)
 
     def index_stream(ds, seed, size):
-        # the epochs' permutations without their ragged tails, end to end,
-        # handed out a chunk of sub-batches at a time
+        # the epochs' tail-less permutations end to end, a chunk of sub-batches at a time
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ds.domain_id,)))
         left, n = np.empty(0, dtype=np.int64), len(ds)
         while True:
@@ -652,17 +655,17 @@ def _chunk_stream(runs, sizes: tuple):
             yield left[: CHUNK * size].reshape(CHUNK, size)
             left = left[CHUNK * size :]
 
-    streams = [[(ds, index_stream(ds, seed, size)) for ds, size in zip(datasets, sizes)] for datasets, seed in runs]
-    while True:
-        x = np.empty((CHUNK, len(runs), bounds[-1], runs[0][0][0].features.shape[1]))
-        labels = np.empty((CHUNK, len(runs), bounds[-2]), dtype=np.int64)
-        for r, run in enumerate(streams):
-            for k, (ds, stream) in enumerate(run):
-                idx = next(stream)
-                x[:, r, bounds[k] : bounds[k + 1]] = ds.features[idx]
-                if k < len(sizes) - 1:
-                    labels[:, r, bounds[k] : bounds[k + 1]] = ds.labels[idx]
-        yield x, labels
+    def refills(streams):
+        while True:
+            for r, run in enumerate(streams):
+                for k, (ds, stream) in enumerate(run):
+                    idx = next(stream)
+                    x[:, r, bounds[k] : bounds[k + 1]] = ds.features[idx]
+                    if k < labelled:
+                        labels[:, r, bounds[k] : bounds[k + 1]] = ds.labels[idx]
+            yield x, labels
+
+    return refills([[(ds, index_stream(ds, seed, size)) for ds, size in zip(datasets, sizes)] for datasets, seed in runs])
 
 
 class _Batch:
@@ -675,9 +678,9 @@ class _Batch:
     the register and the trace. ``ended`` maps the row of each failed run
     to its step and its gradient fault (None for a non-finite loss), from
     which :meth:`results` builds its error. And the current chunk of up to
-    :data:`CHUNK` consecutive steps from step ``first``: their draws, the
-    arrays derived from the labels once for all of them, and, in the
-    ablations, G's outputs of its steps.
+    :data:`CHUNK` steps from step ``first``, in buffers allocated once that
+    each draw refills: the plans' rows drawn, their labels and, in the
+    ablations, G's outputs; and the arrays derived from the labels.
 
     In ``source_only`` and ``unweighted_adv`` no parameter update reads the
     source error rates, the margins, the gate or the register, so a step
@@ -703,18 +706,15 @@ class _Batch:
         self.plans = [  # F's, G's and, when adversarial, D's (else None), over new buffers
             None if b is None else Plan(net, np.empty((len(runs), rows, net.in_dim)), b) for net, b in zip(self.nets, blocks)
         ]
-        seeds = [int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs]
-        self._draws = _chunk_stream([(datasets, seed) for (datasets, _), seed in zip(runs, seeds)], self.sizes)
+        fed = len(blocks[0])  # the domains the nets read: without D, the sources alone
+        seeds = (int(np.random.SeedSequence(run_hp.seed, spawn_key=(200,)).generate_state(1)[0]) for _, run_hp in runs)
+        self._draws = _chunk_stream([(ds[:fed], s) for (ds, _), s in zip(runs, seeds)], self.sizes[:fed], len(self.sizes) - 1)
+        self.logits = None if method == "uman" else np.empty((CHUNK, *self.plans[1].acts[-1].shape))
         self.ones = np.ones(self.plans[2].acts[-1].shape[:-1]) if method == "unweighted_adv" else None
 
     def draw(self, first: int):
-        """Draw the chunk of steps from step ``first`` on, derive its label
-        arrays and, in the ablations, allocate the buffer of its G outputs.
-        The previous chunk's are freed first, so no two are held at once."""
-        self.x = self.labels = self.at_labels = self.in_common = self.logits = None
-        self.x, self.labels = next(self._draws)
-        self.logits = None if self.method == "uman" else np.empty((CHUNK, *self.plans[1].acts[-1].shape))
-        self.first = first
+        """Refill the chunk's buffers from step ``first`` on; derive its label arrays."""
+        (self.x, self.labels), self.first = next(self._draws), first
         runs, n_src = self.labels.shape[1:]
         self.at_labels = _label_base((runs,), n_src, len(self.common_mask)) + self.labels
         self.in_common = self.common_mask[self.labels]
@@ -789,14 +789,14 @@ def _plan_rows(sizes: tuple, method: str):
 
 def step_floats(layout: BatchLayout, method: str) -> int:
     """The float64 values one run of a ``method`` batch of this layout
-    holds in its step buffers, as :class:`_Batch` allocates them: each
-    net's plan with its backward buffers (a bool counts one eighth), the
-    chunk of drawn rows and, in the ablations, the chunk of G's outputs."""
+    holds in its step buffers, as :class:`_Batch` allocates them, once: each
+    net's plan with its backward buffers (a bool counts one eighth), and a
+    chunk of the plans' rows, drawn and, in the ablations, G's outputs."""
     rows, blocks = _plan_rows(layout.sub_batch_sizes, method)
     shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
     plans = sum(plan_nbytes(*shape, rows, b) for shape, b in zip(shapes, blocks) if b is not None)
-    outputs = 0 if method == "uman" else rows * layout.source_classes
-    return -(-plans // 8) + CHUNK * (sum(layout.sub_batch_sizes) * layout.input_width + outputs)
+    outputs = 0 if method == "uman" else layout.source_classes
+    return -(-plans // 8) + CHUNK * rows * (layout.input_width + outputs)
 
 
 # the most float64 values the runs of one method batch may hold in their
@@ -841,10 +841,9 @@ def cost_problems(runs) -> list[str]:
 
 def _forward(plans, x):
     """The activations of F, G and, with a D plan, D (else None), in their
-    plans' buffers, and the row norms of F's outputs. F takes the rows of
-    ``x`` its plan holds."""
+    plans' buffers, and the row norms of F's outputs."""
     f_plan, g_plan, d_plan = plans
-    f_acts = f_plan.forward(x[:, : f_plan.acts[0].shape[1]])
+    f_acts = f_plan.forward(x)
     norms = row_norms(f_acts[-1])
     feats = l2_normalize(f_acts[-1], norms)
     g_acts = g_plan.forward(feats)

@@ -53,21 +53,21 @@ PACKAGE = str(Path(uman.__file__).parent)
 
 # calls per step when the budget was set; a count may exceed it by 3%
 BUDGET = {
-    ("5 sources, R=1", "uman"): 131.7,
-    ("5 sources, R=1", "source_only"): 63.4,
-    ("5 sources, R=1", "unweighted_adv"): 93.2,
-    ("2 sources, R=3", "uman"): 141.8,
-    ("2 sources, R=3", "source_only"): 64.3,
-    ("2 sources, R=3", "unweighted_adv"): 94.1,
-    ("10 sources, R=3", "uman"): 146.0,
-    ("10 sources, R=3", "source_only"): 69.6,
-    ("10 sources, R=3", "unweighted_adv"): 99.4,
+    ("5 sources, R=1", "uman"): 128.9,
+    ("5 sources, R=1", "source_only"): 60.2,
+    ("5 sources, R=1", "unweighted_adv"): 90.2,
+    ("2 sources, R=3", "uman"): 138.9,
+    ("2 sources, R=3", "source_only"): 60.5,
+    ("2 sources, R=3", "unweighted_adv"): 91.0,
+    ("10 sources, R=3", "uman"): 143.7,
+    ("10 sources, R=3", "source_only"): 66.5,
+    ("10 sources, R=3", "unweighted_adv"): 97.0,
 }
 SLACK = 1.03
 
 # tracemalloc peak per run, in KiB, when the budget was set; a peak may
 # exceed it by 10%
-MEMORY_BUDGET = {"uman": 1455, "source_only": 1158, "unweighted_adv": 1575}
+MEMORY_BUDGET = {"uman": 1331, "source_only": 1083, "unweighted_adv": 1575}
 MEMORY_SLACK = 1.10
 
 RESULTS: list[str] = []

@@ -420,9 +420,9 @@ class TestCostBound:
     @pytest.mark.parametrize("hidden", [[5], [], [6, 3]])
     def test_step_buffers_are_what_a_batch_allocates(self, method, hidden):
         """The step buffers counted per run equal the buffers a batch of
-        two runs holds once it has drawn its first chunk and passed back:
-        its plans' activations and backward buffers, its draws and, in the
-        ablations, its chunk of G outputs."""
+        two runs holds once it has drawn a chunk and passed back, its first
+        or any later one: its plans' activations and backward buffers, its
+        draws and, in the ablations, its chunk of G outputs."""
         config, problems = parse_config(minimal(
             synthetic={"feature_dim": 3, "samples_per_class": 10},
             hyperparams={"feature_hidden": hidden, "feature_dim": 2, "disc_hidden": hidden, "batch_size": 8},
@@ -432,10 +432,11 @@ class TestCostBound:
         partition = partition_from_matrix(config.matrix)
         runs = [(generate(config.synthetic, partition), replace(config.hyperparams, seed=seed)) for seed in (0, 1)]
         batch = _Batch(runs, run_layout(config), method)
-        batch.draw(0)
         plans = [a for plan in batch.plans if plan for a in plan_arrays(plan)]
-        nbytes = held_nbytes(*plans, batch.x, batch.logits)
-        assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
+        for first in (0, 16):
+            batch.draw(first)
+            nbytes = held_nbytes(*plans, batch.x, batch.logits)
+            assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
         assert run_floats(*run_cost(config))[2] == step_floats(run_layout(config), method)
 
     def test_wide_hidden_layer_is_over_the_bound(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ from uman.core import (
     TargetMarginRegister,
     TrainingDiverged,
     TrainResult,
+    _Batch,
+    _check_runs,
     _chunk_stream,
     batch_layout,
     batch_margins,
@@ -858,6 +861,64 @@ class TestChunkStream:
         x, _ = next(_chunk_stream(runs, (8, 8)))
         for r, run in enumerate(runs):
             assert x[:, r].tobytes() == self._drawn_alone(per_step_batches([run], 8))[0].tobytes()
+
+    def test_sources_alone_draw_the_rows_they_draw_beside_the_target(self):
+        """Told that every dataset it is given carries labels, the stream of
+        the sources alone draws, chunk by chunk, the source rows and labels
+        of the stream with the target: each (run, domain) stream is its own."""
+        runs = [(self._domains(seed), seed + 11) for seed in range(2)]
+        alone = _chunk_stream([(datasets[:-1], seed) for datasets, seed in runs], (8, 6, 8), 3)
+        beside = _chunk_stream(runs, (8, 6, 8, 8))
+        for _ in range(3):
+            (x, labels), (want_x, want_labels) = next(alone), next(beside)
+            assert x.shape == (CHUNK, 2, 22, 3) and labels.shape == (CHUNK, 2, 22)
+            assert x.tobytes() == want_x[:, :, :22].tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+
+    def test_every_item_refills_the_same_buffers(self):
+        chunks = _chunk_stream([(self._domains(0), 11)], (8, 6, 8, 8))
+        x, labels = next(chunks)
+        first = x.copy()
+        assert all(a is x and b is labels for a, b in (next(chunks) for _ in range(3)))
+        assert not np.array_equal(x, first)
+
+
+class TestChunkBuffers:
+    """A batch allocates its chunk's buffers once, and every later draw
+    refills them; the nets read every row of a chunk, so a ``source_only``
+    chunk holds the source rows alone."""
+
+    @staticmethod
+    def _batch(method):
+        datasets, partition, hp = tiny_setup()
+        runs = [(datasets, hp), (datasets, replace(hp, seed=1))]
+        return _Batch(runs, _check_runs(runs, partition, method)[1], method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_later_draws_allocate_no_chunk(self, method):
+        batch = self._batch(method)
+        batch.draw(0)
+        held = (batch.x, batch.labels, batch.logits)
+        assert (held[2] is None) == (method == "uman")
+        for first in (CHUNK, 2 * CHUNK):
+            tracemalloc.start()
+            try:
+                batch.draw(first)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(a is b for a, b in zip((batch.x, batch.labels, batch.logits), held))
+            assert peak < batch.x.nbytes  # the gathers and label arrays, not a chunk
+
+    def test_source_only_chunk_holds_the_source_rows_alone(self):
+        source_only, uman = self._batch("source_only"), self._batch("uman")
+        n_src = sum(source_only.sizes[:-1])
+        for first in (0, CHUNK):
+            source_only.draw(first)
+            uman.draw(first)
+            assert source_only.x.shape == (CHUNK, 2, n_src, 8)
+            assert source_only.x.tobytes() == uman.x[:, :, :n_src].tobytes()
+            assert source_only.labels.tobytes() == uman.labels.tobytes()
 
 
 class TestSourceOnlyForward:
