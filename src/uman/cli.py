@@ -59,7 +59,7 @@ from .config import (
 from .core import ADVERSARIAL, cost_problems, trace_columns, train_runs
 from .evaluate import evaluate
 from .labelspace import typed_value
-from .synth import domain_rows, generate
+from .synth import domain_rows, generate, rotation_floats
 
 __all__ = ["main", "execute_run", "execute_sweep"]
 
@@ -208,7 +208,8 @@ def _plan(config: ExperimentConfig, offset: int, axis=None, values=(None,), jobs
         problems.append(f"seed offset {offset} makes the effective seed {low}; every seed must be >= 0")
     for _, entries, _ in tasks:
         keys = ",".join(str(key) for key in dict.fromkeys(key for (key, _, _), *_ in entries))
-        costs = [(run_layout(c), sum(domain_rows(c.synthetic, c.matrix.partition)), c.methods) for (_, c, _), *_ in entries]
+        costs = [(run_layout(c), sum(domain_rows(c.synthetic, c.matrix.partition)), c.methods, rotation_floats(c.synthetic))
+                 for (_, c, _), *_ in entries]
         problems += [p if axis is None else f"{axis} {keys}: {p}" for p in cost_problems(costs)]
     return cells, tasks, list(dict.fromkeys(problems))
 

@@ -820,16 +820,17 @@ def cost_problems(runs) -> list[str]:
     times columns), parameters, step buffers and traces (steps times
     columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
     values. ``runs`` lists each run's ``(layout, rows, methods)`` of
-    :func:`run_floats`: :func:`uman.cli._plan` costs the batches it packs,
-    and :func:`train_runs` its own runs before it allocates anything."""
+    :func:`run_floats`, and the :func:`~uman.synth.rotation_floats` of its
+    data when generated here: :func:`uman.cli._plan` costs the batches it
+    packs, and :func:`train_runs` its own runs before it allocates anything."""
     terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
-    for layout, rows, methods in runs:
+    for layout, rows, methods, *rotation in runs:
         rows, params, buffers, steps, columns = run_floats(layout, rows, methods)
-        dim = layout.input_width
+        dim, rotation = layout.input_width, sum(rotation)
         term = (
-            rows * dim + params + buffers + steps * columns,
+            rows * dim + params + buffers + steps * columns + rotation,
             f"{rows:,} dataset rows x {dim} columns + {params:,} parameters + {buffers:,} step buffer floats"
-            f" + {steps:,} trace rows x {columns} columns",
+            f" + {steps:,} trace rows x {columns} columns" + (f" + {rotation:,} rotation floats" if rotation else ""),
         )
         terms[term] = terms.get(term, 0) + 1
     total = sum(floats * runs for (floats, _), runs in terms.items())

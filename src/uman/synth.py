@@ -32,6 +32,7 @@ __all__ = [
     "SyntheticSpec",
     "DomainDataset",
     "domain_rows",
+    "rotation_floats",
     "generate",
 ]
 
@@ -96,18 +97,26 @@ def domain_rows(spec: SyntheticSpec, partition: LabelPartition) -> list[int]:
     return [spec.samples_per_class * len(labels) for labels in (*partition.source_labels, partition.target_labels)]
 
 
+def rotation_floats(spec: SyntheticSpec) -> int:
+    """The float64 values :func:`generate` holds besides its rows to rotate a
+    domain of d columns: 4.25 d**2 (numpy's QR of a d x d draw peaks at 4.14
+    to 4.25 d**2 for d = 250 to 2,000), or 0 without ``domain_rotation``."""
+    return -(-17 * spec.feature_dim**2 // 4) if spec.domain_rotation else 0
+
+
 def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> list[DomainDataset]:
     """Build one dataset per source domain plus the target, in domain order.
 
     Domain ids are 0..M-1 for the sources and M for the target. ``draw``,
     an integer >= 0, selects an independent draw over the same domains.
-    Datasets past :data:`~uman.core.MAX_RUN_FLOATS` values are refused first.
+    Data past :data:`~uman.core.MAX_RUN_FLOATS` values (:func:`rotation_floats` too) is refused first.
     """
     if (draw := typed_value("draw", "int", draw)) < 0:
         raise ValueError(f"draw must be >= 0, got {draw}")
-    d, rows = spec.feature_dim, sum(domain_rows(spec, partition))
-    if rows * d > core.MAX_RUN_FLOATS:
-        raise ValueError(f"the datasets would hold {rows:,} rows x {d} columns, above the limit of {core.MAX_RUN_FLOATS:,}")
+    d, rows, rotation = spec.feature_dim, sum(domain_rows(spec, partition)), rotation_floats(spec)
+    if rows * d + rotation > core.MAX_RUN_FLOATS:
+        held = f"{rows:,} rows x {d} columns" + (f" + {rotation:,} rotation floats" if rotation else "")
+        raise ValueError(f"the datasets would hold {held}, above the limit of {core.MAX_RUN_FLOATS:,}")
     centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal((partition.total_classes, d))
 
     datasets = []

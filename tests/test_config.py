@@ -439,6 +439,28 @@ class TestCostBound:
             assert step_floats(run_layout(config), method) == -(-nbytes // 2 // 8)
         assert run_floats(*run_cost(config))[2] == step_floats(run_layout(config), method)
 
+    def test_rotation_counts(self, tmp_path, capsys):
+        """Generating a rotated domain holds numpy's QR of a d x d draw,
+        4.25 d**2 floats: the committed config at 5,000 columns and one
+        sample per class is over the bound with rotation, and fits without.
+        ``generate`` refuses its data before it draws."""
+        obj = json.loads(STANDARD.read_text())
+        obj["synthetic"].update(feature_dim=5000, samples_per_class=1, domain_rotation=True)
+        assert refused(tmp_path, capsys, obj) == [
+            "a method batch would hold 329,898,039 floats (3 runs x (25 dataset rows x 5000 columns + 322,461 parameters"
+            " + 3,234,802 step buffer floats + 3,750 trace rows x 9 columns + 106,250,000 rotation floats)),"
+            " above the limit of 100,000,000"
+        ]
+        config, problems = parse_config({**obj, "output_dir": str(tmp_path / "out")})
+        assert problems == []
+        with pytest.raises(ValueError) as refusal:
+            generate(config.synthetic, config.matrix.partition)
+        assert str(refusal.value) == (
+            "the datasets would hold 25 rows x 5000 columns + 106,250,000 rotation floats, above the limit of 100,000,000"
+        )
+        unrotated = replace(config, synthetic=replace(config.synthetic, domain_rotation=False))
+        assert uman.cli._plan(unrotated, 0)[2] == []
+
     def test_wide_hidden_layer_is_over_the_bound(self, tmp_path, capsys):
         """A feature net 200,000 wide on the committed config: the three
         runs' datasets, parameters and traces fit, but not with F's hidden

@@ -71,7 +71,7 @@ def test_no_function_exceeds_the_line_budget():
 
 # lines of src/uman when the budget was set; a change that grows the package
 # raises this figure and says why
-MAX_PACKAGE_LINES = 2990
+MAX_PACKAGE_LINES = 3000
 
 
 def test_package_stays_within_its_line_budget():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import uman.core
+import uman.synth
 from uman.labelspace import UmdaMatrix, partition_from_matrix
 from uman.synth import SyntheticSpec, domain_rows, generate
 
@@ -179,6 +180,27 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak < 2000 * 2000
+
+    def test_rotation_holds_at_most_what_the_rule_counts(self, partition):
+        """At 500 columns and 23 rows, the peak of a rotated draw lies
+        between its rows and 4 d**2 floats and its rows and the
+        :func:`~uman.synth.rotation_floats` the memory rule counts."""
+        rotated = spec(feature_dim=500, samples_per_class=1, domain_rotation=True)
+        generate(rotated, partition)  # the allocations a first call makes once
+        tracemalloc.start()
+        try:
+            generate(rotated, partition)
+            peak = tracemalloc.get_traced_memory()[1] / 8
+        finally:
+            tracemalloc.stop()
+        assert uman.synth.rotation_floats(rotated) == 1_062_500
+        assert 23 * 500 + 4 * 500**2 < peak <= 23 * 500 + uman.synth.rotation_floats(rotated)
+
+    def test_rotation_past_the_bound_is_refused(self, partition):
+        message = "the datasets would hold 23 rows x 5000 columns + 106,250,000 rotation floats, above the limit of 100,000,000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(spec(feature_dim=5000, samples_per_class=1, domain_rotation=True), partition)
+        assert uman.synth.rotation_floats(spec(feature_dim=5000, samples_per_class=1)) == 0
 
 
 def _permutation_pvalue(xa, xb, n_perm=300, seed=0):
