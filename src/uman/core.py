@@ -820,8 +820,8 @@ def cost_problems(runs) -> list[str]:
     times columns), parameters, step buffers and traces (steps times
     columns) together may hold at most :data:`MAX_RUN_FLOATS` float64
     values. ``runs`` lists each run's ``(layout, rows, methods)`` of
-    :func:`run_floats`, and the :func:`~uman.synth.rotation_floats` of its
-    data when generated here: :func:`uman.cli._plan` costs the batches it
+    :func:`run_floats`, then its data's :func:`~uman.synth.rotation_floats`
+    if yet to be generated: :func:`uman.cli._plan` costs the batches it
     packs, and :func:`train_runs` its own runs before it allocates anything."""
     terms: dict[tuple, int] = {}  # (floats, breakdown) of one run: runs
     for layout, rows, methods, *rotation in runs:
