@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -59,7 +60,7 @@ from .config import (
 from .core import ADVERSARIAL, cost_problems, trace_columns, train_runs
 from .evaluate import evaluate
 from .labelspace import typed_value
-from .synth import domain_rows, generate, rotation_floats
+from .synth import DomainDataset, domain_rows, draw_domain, rotation_floats
 
 __all__ = ["main", "execute_run", "execute_sweep"]
 
@@ -123,7 +124,7 @@ def execute_run(config: ExperimentConfig, offset: int = 0, quiet: bool = False):
     as the fewest near-equal batches of at most :data:`BATCH_RUNS` runs,
     each run exactly as it would alone. The batches run in worker processes,
     at most one per batch and per CPU; a single worker runs them in this
-    process. Each batch generates its own data, writes its own artifacts and
+    process. Each batch draws its own data, writes its own artifacts and
     returns only its summary rows and the lines it reports; rows come back
     and lines are printed in config order, so neither the output nor any
     artifact depends on the number of workers.
@@ -163,11 +164,10 @@ def execute_sweep(config: ExperimentConfig, axis: str, values, jobs: int = 1, of
 
     A method's runs train in batches that may hold the runs of several
     cells, and one ``source_only`` training may serve several cells
-    (:func:`_packed`); a cell whose sources would differ raises an error
-    naming both cells before that batch trains. Every batch goes to one
-    pool of at most ``jobs`` workers, and never more than there are
-    batches or CPUs, in the order of :func:`_tasks`. Each run is trained,
-    scored and written as it would be alone.
+    (:func:`_packed`). Every batch goes to one pool of at most ``jobs``
+    workers, and never more than there are batches or CPUs, in the order
+    of :func:`_tasks`. Each run is trained, scored and written as it would
+    be alone.
     """
     values = list(values)
     cells, tasks, problems = _plan(config, offset, axis, values, jobs)
@@ -262,9 +262,10 @@ def _packed(cells: dict, method: str) -> list:
     seed)`` runs one training serves. A run of a method outside
     :data:`~uman.core.ADVERSARIAL` reads no target, and shares its entry
     with every run of the same training layout, data spec, hyperparameters,
-    source label sets and seed; any other run has its own. The entries of
-    one training layout, in (cell, seed) order, fill the fewest near-equal
-    batches of at most :data:`BATCH_RUNS` entries (:func:`batch_runs`)."""
+    source label sets and seed, all that its training and its sources'
+    draws (:func:`~uman.synth.draw_domain`) read; any other run has its
+    own. The entries of one training layout, in (cell, seed) order, fill the
+    fewest near-equal batches of at most :data:`BATCH_RUNS` entries (:func:`batch_runs`)."""
     groups: dict = {}
     for key, cell in cells.items():
         entries = groups.setdefault(run_layout(cell), {})
@@ -314,50 +315,31 @@ def _run_method_batch(task):
     order; returns each run's summary row and report line. Top-level so
     process pools can pickle it.
 
-    Before training, :func:`_check_reuse` checks every further run of an
-    entry. The batch holds the source datasets that equal one of an
-    earlier run of the same data seed once, no target rows in a method
-    outside :data:`~uman.core.ADVERSARIAL`, and no test target: each run
-    generates its own when it is scored. Its training data is freed
-    before scoring, and the rest on return."""
+    The batch draws each domain once, by :func:`~uman.synth.draw_domain`,
+    keyed by that draw's arguments, so every run that reads a domain
+    shares it. A run of a method outside :data:`~uman.core.ADVERSARIAL`
+    draws no target: training reads its length only. The training data is
+    freed before scoring, which draws each run's held-out target alone."""
     method, entries, offset = task
-    shared, trained, partitions = {}, [], []
-    for first, *further in entries:
-        _, cell, seed = first
-        partitions.append(cell.matrix.partition)
+    domain = functools.cache(draw_domain)
+    trained, partitions = [], [cell.matrix.partition for (_, cell, _), *_ in entries]
+    for (_, cell, seed), *_ in entries:
+        partition = cell.matrix.partition
         spec, hp = _seeded(cell, offset, seed)
-        datasets = _share(shared, spec, generate(spec, partitions[-1]))
-        if method not in ADVERSARIAL:
-            target = datasets[-1]  # of which training reads the length only
-            datasets[-1] = replace(target, features=np.broadcast_to(0.0, target.features.shape), eval_labels=None)
+        datasets = [domain(spec, k, labels, 0, False) for k, labels in enumerate(partition.source_labels)]
+        if method in ADVERSARIAL:
+            datasets.append(domain(spec, len(datasets), partition.target_labels, 0, True))
+        else:
+            stand_in = np.broadcast_to(0.0, (domain_rows(spec, partition)[-1], spec.feature_dim))
+            datasets.append(DomainDataset(len(datasets), stand_in, None, None))
         trained.append((datasets, hp))
-        for destination in further:
-            _check_reuse(trained[-1], first, destination, offset)
     outcomes = train_runs(trained, partitions, method=method)
-    del trained, shared
+    del trained, domain
     return [
         _score(method, cell, seed, offset, result)
         for entry, result in zip(entries, outcomes)
         for _, cell, seed in entry
     ]
-
-
-def _check_reuse(trained, first, destination, offset: int):
-    """Raise, naming both cells, unless the ``(key, config, seed)`` run
-    ``destination`` may reuse the training of ``first`` on ``trained``, its
-    ``(datasets, hyperparameters)``: :func:`_share` must share every source
-    it generates with ``trained``, and the seeded hyperparameters must be
-    equal."""
-    datasets, hp = trained
-    _, cell, seed = destination
-    spec, own_hp = _seeded(cell, offset, seed)
-    held = {(spec, i): ds for i, ds in enumerate(datasets[:-1])}
-    own = _share(held, spec, generate(spec, cell.matrix.partition))
-    if own_hp != hp or len(own) != len(datasets) or any(a is not b for a, b in zip(own[:-1], datasets[:-1])):
-        raise RuntimeError(
-            f"seed {seed} of the cells {first[1].output_dir} and {cell.output_dir} would share one training, "
-            "but their sources or hyperparameters differ"
-        )
 
 
 def _seeded(cell: ExperimentConfig, offset: int, seed: int):
@@ -368,23 +350,13 @@ def _seeded(cell: ExperimentConfig, offset: int, seed: int):
     )
 
 
-def _share(shared: dict, spec, datasets: list) -> list:
-    """``datasets`` with each source that equals the one ``shared`` holds
-    for the same data spec and domain replaced by that one."""
-    for i, ds in enumerate(datasets[:-1]):
-        held = shared.setdefault((spec, i), ds)
-        if held is not ds and np.array_equal(held.features, ds.features) and np.array_equal(held.labels, ds.labels):
-            datasets[i] = held
-    return datasets
-
-
 def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
-    """Evaluate a trained run on a freshly generated held-out target of
-    ``cell`` and write its artifacts to <output_dir>/runs/<method>_<seed>/;
-    returns its summary row and report line. A failed run's directory gets
-    its failed report only. Every report starts from the run's identity,
-    which no evaluation report holds: its config hash, method and seed, the
-    seed offset and the run's effective data and training seeds."""
+    """Evaluate a trained run on a freshly drawn held-out target of
+    ``cell``, the one domain it draws, and write its artifacts to
+    <output_dir>/runs/<method>_<seed>/; returns its summary row and report
+    line. A failed run's directory gets its failed report only. Every report
+    starts from the run's identity, which no evaluation report holds: its config
+    hash, method and seed, the seed offset and the effective data and training seeds."""
     chash, partition = config_hash(cell), cell.matrix.partition
     spec, hp = _seeded(cell, offset, seed)
     identity = {
@@ -400,7 +372,8 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
             (run_dir / stale).unlink(missing_ok=True)
         _write_json(run_dir / "report.json", {**identity, "error": str(result), "status": "failed", "step": result.step})
         return _summary_row(partition, chash, method, seed), f"{method} seed {seed}: FAILED ({result})"
-    report = evaluate(result.feature_net, result.classifier, generate(spec, partition, draw=1)[-1], partition, hp.w0)
+    test = draw_domain(spec, partition.n_sources, partition.target_labels, 1, True)
+    report = evaluate(result.feature_net, result.classifier, test, partition, hp.w0)
     _write_trace(run_dir / "trace.csv", result.trace, partition.n_sources)
     _write_register(run_dir / "tmr.csv", result.register)
     _write_json(run_dir / "report.json", {**asdict(report), **identity})

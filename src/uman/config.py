@@ -216,13 +216,15 @@ def run_layout(config: ExperimentConfig):
 
 
 def load_config(path) -> tuple[ExperimentConfig | None, list[str]]:
-    """The config in the JSON file at ``path`` and its problems (:func:`parse_config`)."""
+    """The config in the UTF-8 JSON file at ``path`` and its problems
+    (:func:`parse_config`), or why the file cannot be read or decoded."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         return None, [f"cannot read {path}: {exc}"]
-    except json.JSONDecodeError as exc:
+    # a UnicodeDecodeError is a ValueError, and so is a JSONDecodeError; too deep a nesting is a RecursionError
+    except (ValueError, RecursionError) as exc:
         return None, [f"{path} is not valid JSON: {exc}"]
     return parse_config(obj)
 

@@ -790,13 +790,13 @@ def _plan_rows(sizes: tuple, method: str):
 def step_floats(layout: BatchLayout, method: str) -> int:
     """The float64 values one run of a ``method`` batch of this layout
     holds in its step buffers, as :class:`_Batch` allocates them, once: each
-    net's plan with its backward buffers (a bool counts one eighth), and a
-    chunk of the plans' rows, drawn and, in the ablations, G's outputs."""
+    net's plan with its backward buffers, and a chunk of the plans' rows,
+    drawn and, in the ablations, G's outputs."""
     rows, blocks = _plan_rows(layout.sub_batch_sizes, method)
     shapes = net_shapes(layout.hyperparams, layout.input_width, layout.source_classes)
     plans = sum(plan_nbytes(*shape, rows, b) for shape, b in zip(shapes, blocks) if b is not None)
     outputs = 0 if method == "uman" else layout.source_classes
-    return -(-plans // 8) + CHUNK * rows * (layout.input_width + outputs)
+    return plans // 8 + CHUNK * rows * (layout.input_width + outputs)
 
 
 # the most float64 values the runs of one method batch may hold in their

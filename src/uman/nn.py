@@ -237,13 +237,11 @@ class Plan:
         return self.acts
 
     def _lay_backward(self):
-        """Per layer, last first: its outputs, its dz buffer (the input
-        gradient's buffer of the layer above, for a hidden linear layer),
-        its activation's scratch buffer (the ReLU mask, the sigmoid's
-        1 - out), its input gradient's buffer, its transposed
-        weights, its per-block gradient buffers in reverse block order, and
-        per run of equal-size blocks the views of its transposed inputs,
-        dz, the per-block gradients and its input gradient."""
+        """Per layer, last first: its outputs, its dz buffer (the input gradient's
+        buffer of the layer above, for a hidden linear layer), a sigmoid's scratch
+        for 1 - out, its input gradient's buffer, its transposed weights, its per-block
+        gradient buffers in reverse block order, and per run of equal-size blocks the
+        views of its transposed inputs, dz, the per-block gradients and its input gradient."""
         n = sum(self.blocks)
         runs = _runs(self.blocks)
         firsts = np.cumsum([0] + [count for _, count, _ in runs]).tolist()
@@ -251,7 +249,7 @@ class Plan:
         for i in reversed(range(len(self.net.layers))):
             layer, inp, out = self.net.layers[i], self.acts[i][..., :n, :], self.acts[i + 1][..., :n, :]
             dz = grad if layer.activation == "linear" and grad is not None else np.empty(out.shape)
-            scratch = None if layer.activation == "linear" else np.empty(out.shape, bool if layer.activation == "relu" else float)
+            scratch = np.empty(out.shape) if layer.activation == "sigmoid" else None
             grad = np.empty(inp.shape)
             gw = np.empty((*self.lead, len(self.blocks), *layer.w.shape[-2:]))
             gb = np.empty((*self.lead, len(self.blocks), layer.w.shape[-1]))
@@ -279,7 +277,8 @@ class Plan:
         last = len(self._backward) - 1
         for k, (layer, out, dz, scratch, into, w_t, gw, gb, groups) in enumerate(self._backward):
             if layer.activation == "relu":
-                np.multiply(grad, np.greater(out, 0.0, out=scratch), out=dz)
+                # a ReLU output is 0 or positive, so its sign is the mask
+                np.multiply(np.sign(out, out=dz), grad, out=dz)
             elif layer.activation == "sigmoid":
                 np.multiply(np.multiply(grad, out, out=dz), np.subtract(1.0, out, out=scratch), out=dz)
             elif dz is not grad:
@@ -318,8 +317,8 @@ def plan_nbytes(widths, activations, rows: int, blocks) -> int:
     nbytes = 8 * rows * sum(widths)
     for k, (fan_in, fan_out, activation) in enumerate(reversed(list(zip(widths, widths[1:], activations)))):
         dz = 0 if activation == "linear" and k else n * fan_out  # a hidden linear layer's is shared
-        scratch = {"linear": 0, "relu": 1, "sigmoid": 8}[activation] * n * fan_out
-        nbytes += 8 * (dz + n * fan_in + count * (fan_in + 1) * fan_out) + scratch
+        scratch = n * fan_out if activation == "sigmoid" else 0
+        nbytes += 8 * (dz + scratch + n * fan_in + count * (fan_in + 1) * fan_out)
     return nbytes
 
 

@@ -15,8 +15,10 @@ consequences worth relying on: the same seed reproduces the same data
 bit for bit, and changing one scale knob changes only what that knob
 controls. ``draw`` indexes independent sample draws on top of a fixed
 domain structure (fresh noise, same centers/rotations/shifts), which is how
-held-out target test sets are produced. Data of more values than the
-memory bound of a training batch (``core.MAX_RUN_FLOATS``) is refused.
+held-out target test sets are produced. A domain's draw reads the spec, its
+id, its label set, ``draw`` and whether it is the target, nothing else: a
+domain holds the same data in every partition that gives it that label set.
+Data of more values than a training batch's memory bound is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "DomainDataset",
     "domain_rows",
     "rotation_floats",
+    "draw_domain",
     "generate",
 ]
 
@@ -104,32 +107,45 @@ def rotation_floats(spec: SyntheticSpec) -> int:
     return -(-17 * spec.feature_dim**2 // 4) if spec.domain_rotation else 0
 
 
+def _check_bound(spec: SyntheticSpec, rows: int) -> None:
+    d, rotation = spec.feature_dim, rotation_floats(spec)
+    if rows * d + rotation > core.MAX_RUN_FLOATS:
+        held = f"{rows:,} rows x {d} columns" + (f" + {rotation:,} rotation floats" if rotation else "")
+        raise ValueError(f"the datasets would hold {held}, above the limit of {core.MAX_RUN_FLOATS:,}")
+
+
+def draw_domain(spec: SyntheticSpec, domain: int, labels, draw: int, target: bool) -> DomainDataset:
+    """Domain ``domain``'s ``draw``: ``spec.samples_per_class`` rows of each
+    class of ``labels``, in class order, through the domain's map. A
+    ``target`` keeps its labels in ``eval_labels`` only. The id and ``draw``
+    are integers >= 0, the labels a non-empty set of classes >= 0; data past
+    :data:`~uman.core.MAX_RUN_FLOATS` values is refused first."""
+    domain, draw = typed_value("domain", "int", domain), typed_value("draw", "int", draw)
+    for name, value in (("domain", domain), ("draw", draw)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    classes = sorted(set(typed_value("labels", "tuple[int, ...]", labels)))
+    if not classes or classes[0] < 0:
+        raise ValueError(f"labels must be a non-empty set of classes >= 0, got {labels!r}")
+    d, n = spec.feature_dim, spec.samples_per_class
+    _check_bound(spec, n * len(classes))
+    # the rows up to the largest class: the generator fills them in order, so each is the same for any number
+    centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal((classes[-1] + 1, d))
+    shift = spec.domain_shift_scale * _rng(spec, _SHIFT, domain).standard_normal(d)
+    noise_rng = _rng(spec, _NOISE, domain, draw)
+    x = np.concatenate([centers[c] + spec.noise_sigma * noise_rng.standard_normal((n, d)) for c in classes])
+    features = (x @ _rotation(spec, domain).T if spec.domain_rotation else x) + shift
+    labels = np.repeat(np.array(classes, dtype=np.int64), n)
+    return DomainDataset(domain, features, None if target else labels, labels)
+
+
 def generate(spec: SyntheticSpec, partition: LabelPartition, draw: int = 0) -> list[DomainDataset]:
-    """Build one dataset per source domain plus the target, in domain order.
+    """One :func:`draw_domain` per source domain plus the target, in domain order.
 
     Domain ids are 0..M-1 for the sources and M for the target. ``draw``,
     an integer >= 0, selects an independent draw over the same domains.
     Data past :data:`~uman.core.MAX_RUN_FLOATS` values (:func:`rotation_floats` too) is refused first.
     """
-    if (draw := typed_value("draw", "int", draw)) < 0:
-        raise ValueError(f"draw must be >= 0, got {draw}")
-    d, rows, rotation = spec.feature_dim, sum(domain_rows(spec, partition)), rotation_floats(spec)
-    if rows * d + rotation > core.MAX_RUN_FLOATS:
-        held = f"{rows:,} rows x {d} columns" + (f" + {rotation:,} rotation floats" if rotation else "")
-        raise ValueError(f"the datasets would hold {held}, above the limit of {core.MAX_RUN_FLOATS:,}")
-    centers = spec.class_center_scale * _rng(spec, _CENTERS).standard_normal((partition.total_classes, d))
-
-    datasets = []
-    label_sets = [set(s) for s in partition.source_labels] + [set(partition.target_labels)]
-    for domain, classes in enumerate(label_sets):
-        shift = spec.domain_shift_scale * _rng(spec, _SHIFT, domain).standard_normal(d)
-        noise_rng = _rng(spec, _NOISE, domain, draw)
-        xs, ys = [], []
-        for c in sorted(classes):
-            xs.append(centers[c] + spec.noise_sigma * noise_rng.standard_normal((spec.samples_per_class, d)))
-            ys.append(np.full(spec.samples_per_class, c, dtype=np.int64))
-        x = np.concatenate(xs)
-        features = (x @ _rotation(spec, domain).T if spec.domain_rotation else x) + shift
-        labels = np.concatenate(ys)
-        datasets.append(DomainDataset(domain, features, None if domain == len(label_sets) - 1 else labels, labels))
-    return datasets
+    _check_bound(spec, sum(domain_rows(spec, partition)))
+    label_sets = (*partition.source_labels, partition.target_labels)
+    return [draw_domain(spec, k, labels, draw, k == partition.n_sources) for k, labels in enumerate(label_sets)]

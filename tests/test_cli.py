@@ -208,6 +208,13 @@ class TestValidate:
         assert "invalid: synthetic: seed must be >= 0, got -2" in out
         assert "invalid: hyperparams: seed must be >= 0, got -3" in out
 
+    def test_undecodable_file_is_a_problem_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        line = f"invalid: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        assert (main(["validate", str(path)]), capsys.readouterr().out) == (1, line)
+        assert (main(["run", str(path)]), capsys.readouterr().out) == (2, line)
+
     def test_jaccard_values_are_fractions(self, tmp_path, capsys):
         main(["validate", str(tiny_config(tmp_path))])
         out = capsys.readouterr().out
@@ -1098,28 +1105,37 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 0
         assert trained == {"uman": 6, "unweighted_adv": 6, "source_only": 6}
 
-    def test_reuse_of_a_different_training_is_refused(self, tmp_path, monkeypatch, one_worker):
-        """Two cells whose source_only runs share a training but whose
-        sources differ: the sweep raises an error naming both cells before
-        the batch trains, and writes no summary."""
-        generated = uman.cli.generate
+    def test_each_batch_draws_a_domain_once_and_scoring_the_target_alone(self, tmp_path, monkeypatch, one_worker):
+        """The draws of each batch, recorded by their (spec, domain, labels,
+        draw, target) arguments: no key is drawn twice, a source_only batch
+        draws its two seeds' sources once for all three cells and no target,
+        and scoring draws each run's held-out target (draw 1) and nothing
+        else."""
+        batches, run_batch, draw_domain = [], uman.cli._run_method_batch, uman.cli.draw_domain
 
-        def planted(spec, partition, draw=0):
-            datasets = generated(spec, partition, draw)
-            if len(partition.target_private) == 2:
-                datasets[0].features[0, 0] += 1.0
-            return datasets
+        def recording_batch(task):
+            batches.append((task[0], []))
+            return run_batch(task)
 
-        monkeypatch.setattr(uman.cli, "generate", planted)
-        path = self.sweep_config(tmp_path)
-        config, _ = load_config(path)
-        match = r"seed 0 of the cells \S*target_private_size_0 and \S*target_private_size_2 would share one training"
-        with pytest.raises(RuntimeError, match=match):
-            execute_sweep(config, "target_private_size", [0, 1, 2])
-        with pytest.raises(RuntimeError, match=match):
-            main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2"])
-        assert not (tmp_path / "out" / "sweep_target_private_size.csv").exists()
-        assert list((tmp_path / "out").rglob("summary.csv")) == []
+        def recording_draw(*key):
+            batches[-1][1].append(key)
+            return draw_domain(*key)
+
+        monkeypatch.setattr(uman.cli, "_run_method_batch", recording_batch)
+        monkeypatch.setattr(uman.cli, "draw_domain", recording_draw)
+        path = tiny_config(tmp_path, methods=["uman", "source_only", "unweighted_adv"], seeds=[0, 1])
+        assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2"]) == 0
+        scored = 0
+        for method, keys in batches:
+            assert len(set(keys)) == len(keys)
+            training = [(domain, target) for _, domain, _, draw, target in keys if draw == 0]
+            assert all(target == (domain == 2) for domain, target in training)
+            if method == "source_only":
+                assert training == [(0, False), (1, False)] * 2
+            tests = [(domain, target) for _, domain, _, draw, target in keys if draw == 1]
+            assert set(tests) <= {(2, True)} and len(tests) + len(training) == len(keys)
+            scored += len(tests)
+        assert scored == 3 * 3 * 2
 
     def test_repeated_values_rejected(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path)

@@ -1,7 +1,10 @@
 """Config parsing, canonical hashing, and sweep-cell derivation."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -301,6 +304,29 @@ class TestLoadConfig:
         _, problems = load_config(path)
         assert any("not valid JSON" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"[" * 200_000, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        ],
+        ids=["not_utf8", "nested_past_the_recursion_limit"],
+    )
+    def test_undecodable_file_is_a_problem(self, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert load_config(path) == (None, [f"{path} is not valid JSON: {reason}"])
+
+    def test_file_is_read_as_utf8_in_any_locale(self, tmp_path):
+        """Under the C locale without UTF-8 mode the locale's encoding is
+        ASCII; the config is still read as UTF-8."""
+        path = tmp_path / "accented.json"
+        path.write_bytes(json.dumps(minimal(output_dir="rés"), ensure_ascii=False).encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(Path(uman.cli.__file__).parents[1])}
+        script = "import sys; from uman.config import load_config; c, p = load_config(sys.argv[1]); print(ascii((c.output_dir, p)))"
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "('r\\xe9s', [])\n"), proc.stderr
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(minimal()))
@@ -394,13 +420,13 @@ class TestCostBound:
         # the step buffers of uman: 16 steps' draws of 96 rows (3 sub-batches
         # of 32) x 3 columns, and each net's plan over the 96 rows: its
         # activations, then per layer, last first, its dz (but for a hidden
-        # linear layer), a ReLU's bool mask (1/8 float each) or a sigmoid's
-        # scratch, its input gradient, and a weight and bias gradient per
-        # block it passes back (G passes back only the 2 source blocks)
+        # linear layer), a sigmoid's scratch, its input gradient, and a
+        # weight and bias gradient per block it passes back (G passes back
+        # only the 2 source blocks)
         draws = 16 * 96 * 3
-        f = 96 * (3 + 5 + 2) + (96 * 2 + 96 * 5 + 3 * 6 * 2) + (96 * 5 + 96 * 5 // 8 + 96 * 3 + 3 * 4 * 5)
+        f = 96 * (3 + 5 + 2) + (96 * 2 + 96 * 5 + 3 * 6 * 2) + (96 * 5 + 96 * 3 + 3 * 4 * 5)
         g = 96 * (2 + 12) + (64 * 12 + 64 * 2 + 2 * 3 * 12)
-        d = 96 * (2 + 4 + 1) + (96 + 96 + 96 * 4 + 3 * 5 * 1) + (96 * 4 + 96 * 4 // 8 + 96 * 2 + 3 * 3 * 4)
+        d = 96 * (2 + 4 + 1) + (96 + 96 + 96 * 4 + 3 * 5 * 1) + (96 * 4 + 96 * 2 + 3 * 3 * 4)
         buffers = draws + f + g + d
         # a trace row per step: step, 2 losses, 2 error rates, 3 weight means, the gate
         want = 2 * (rows * 3 + params + buffers + 7 * 9)
@@ -447,8 +473,8 @@ class TestCostBound:
         obj = json.loads(STANDARD.read_text())
         obj["synthetic"].update(feature_dim=5000, samples_per_class=1, domain_rotation=True)
         assert refused(tmp_path, capsys, obj) == [
-            "a method batch would hold 329,898,039 floats (3 runs x (25 dataset rows x 5000 columns + 322,461 parameters"
-            " + 3,234,802 step buffer floats + 3,750 trace rows x 9 columns + 106,250,000 rotation floats)),"
+            "a method batch would hold 329,896,839 floats (3 runs x (25 dataset rows x 5000 columns + 322,461 parameters"
+            " + 3,234,402 step buffer floats + 3,750 trace rows x 9 columns + 106,250,000 rotation floats)),"
             " above the limit of 100,000,000"
         ]
         config, problems = parse_config({**obj, "output_dir": str(tmp_path / "out")})

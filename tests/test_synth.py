@@ -1,17 +1,22 @@
 """Synthetic data generator: determinism, knob isolation, domain-gap control."""
 
+import itertools
 import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uman.core
 import uman.synth
+from uman.config import derive_sweep_cell, load_config
 from uman.labelspace import UmdaMatrix, partition_from_matrix
-from uman.synth import SyntheticSpec, domain_rows, generate
+from uman.synth import SyntheticSpec, domain_rows, draw_domain, generate
 
 MATRIX = UmdaMatrix((4, 4), (3, 3), 6, 3)
+STANDARD = Path(__file__).resolve().parents[1] / "demos" / "configs" / "standard.json"
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +136,62 @@ class TestGenerate:
     def test_draw_is_refused_by_name(self, partition, draw, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             generate(spec(), partition, draw=draw)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((-1, (0, 1), 0), ValueError, "domain must be >= 0, got -1"),
+            ((1.5, (0, 1), 0), TypeError, "domain must be integral, got 1.5"),
+            (("1", (0, 1), 0), TypeError, "domain must be integral, got '1'"),
+            ((True, (0, 1), 0), TypeError, "domain must be integral, got True"),
+            ((0, (0, 1), -1), ValueError, "draw must be >= 0, got -1"),
+            ((0, (0, 1), 0.5), TypeError, "draw must be integral, got 0.5"),
+            ((0, (), 0), ValueError, "labels must be a non-empty set of classes >= 0, got ()"),
+            ((0, (2, -1), 0), ValueError, "labels must be a non-empty set of classes >= 0, got (2, -1)"),
+            ((0, "01", 0), TypeError, "labels must be integral, got '01'"),
+        ],
+    )
+    def test_domain_draw_is_refused_by_name(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            draw_domain(spec(), *args, False)
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_each_domain_draw_is_that_domain_of_generate(self, partition, draw, rotation):
+        data = spec(domain_rotation=rotation)
+        label_sets = (*partition.source_labels, partition.target_labels)
+        for k, (whole, labels) in enumerate(zip(generate(data, partition, draw), label_sets, strict=True)):
+            one = draw_domain(data, k, labels, draw, k == partition.n_sources)
+            assert (one.domain_id, one.features.tobytes(), one.eval_labels.tobytes()) == (
+                whole.domain_id, whole.features.tobytes(), whole.eval_labels.tobytes()
+            )
+            assert (one.labels is None) == (whole.labels is None) == (k == partition.n_sources)
+            assert one.labels is None or one.labels.tobytes() == whole.labels.tobytes()
+
+    def test_a_domain_of_one_label_set_draws_the_same_bytes_in_every_sweep_cell(self):
+        """Across the cells of each sweep axis of the committed config, a
+        domain of one id and label set draws the same bytes, also where the
+        cells count different classes in all: what lets a method batch draw
+        it once for every run that reads it."""
+        config, problems = load_config(STANDARD)
+        assert problems == []
+        data = replace(config.synthetic, samples_per_class=3, domain_rotation=True)
+        values = {"num_sources": range(2, 6), "common_overlap": range(4),
+                  "target_private_size": range(7), "source_private_overlap": range(3)}
+        shared_across_totals = 0
+        for axis, axis_values in values.items():
+            cells = [derive_sweep_cell(config, axis, value)[0].matrix.partition for value in axis_values]
+            drawn = [
+                {(k, labels): ds for k, (labels, ds) in
+                 enumerate(zip((*cell.source_labels, cell.target_labels), generate(data, cell)))}
+                for cell in cells
+            ]
+            for (a, one), (b, other) in itertools.combinations(zip(cells, drawn), 2):
+                for key in one.keys() & other.keys():
+                    assert one[key].features.tobytes() == other[key].features.tobytes(), (axis, key)
+                    assert one[key].eval_labels.tobytes() == other[key].eval_labels.tobytes()
+                    shared_across_totals += a.total_classes != b.total_classes
+        assert shared_across_totals > 0
 
     def test_rotation_is_orthogonal_and_off_by_default(self, partition):
         plain = generate(spec(noise_sigma=0.0, domain_shift_scale=0.0), partition)
