@@ -333,15 +333,22 @@ TINY_CONFIG = {
 
 
 def test_cli_artifacts_match_their_digests(tmp_path, monkeypatch):
-    """Every file three CLI experiments write hashes to the recorded
-    digests: a tiny run, a tiny target_private_size sweep over 0 and 1 in a
-    pool of two workers, and the partly diverging config as a run. Each
-    runs in a directory of its own into the relative output directory
-    "out"."""
+    """Every file six CLI experiments write hashes to the recorded digests:
+    a tiny run, a tiny target_private_size sweep over 0 and 1 in a pool of
+    two workers, the partly diverging config as a run, and a tiny sweep of
+    all three methods over two values of each other axis, num_sources in a
+    pool of two workers. Each runs in a directory of its own into the
+    relative output directory "out"."""
+    three = dict(TINY_CONFIG, methods=["uman", "source_only", "unweighted_adv"])
     experiments = {
         "run": (TINY_CONFIG, ["run", "config.json"]),
         "sweep": (TINY_CONFIG, ["sweep", "config.json", "--axis", "target_private_size", "--values", "0,1", "--jobs", "2"]),
         "diverging": (DIVERGING_CONFIG, ["run", "config.json"]),
+        "sweep_common_overlap": (three, ["sweep", "config.json", "--axis", "common_overlap", "--values", "0,1"]),
+        "sweep_source_private_overlap": (
+            three, ["sweep", "config.json", "--axis", "source_private_overlap", "--values", "0,1"]
+        ),
+        "sweep_num_sources": (three, ["sweep", "config.json", "--axis", "num_sources", "--values", "2,3", "--jobs", "2"]),
     }
     got = {}
     for name, (obj, argv) in experiments.items():
