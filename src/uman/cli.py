@@ -383,7 +383,8 @@ def _score(method: str, cell: ExperimentConfig, seed: int, offset: int, result):
 
 def _map_in_pool(fn, tasks, jobs):
     """Yield ``fn(task)`` for every task, in order, from at most ``jobs``
-    worker processes and never more than there are tasks or CPUs. A single
+    worker processes and never more than there are tasks or CPUs this
+    process may run on (its affinity mask, where the OS has one). A single
     worker maps in this process, so nothing is pickled. Tasks are handed
     out in list order, so callers list the longest first (:func:`_tasks`).
 
@@ -393,7 +394,8 @@ def _map_in_pool(fn, tasks, jobs):
     handed out, as none would be in this process; its error reaches the
     caller when its result is due, once the tasks still running finish.
     """
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     if workers < 2:
         yield from map(fn, tasks)
         return

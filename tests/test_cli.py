@@ -144,12 +144,23 @@ def fake_pools(monkeypatch):
     return sizes
 
 
+def usable_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs as the pool's worker cap reads
+    them: its affinity mask, or with None an OS that has no mask and reports
+    no CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(uman.cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(uman.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.fixture
 def one_worker(monkeypatch):
     """Run the method batches in this process. A test that patches code
     reached by training needs it: a worker process started by ``forkserver``
     or ``spawn`` imports the package afresh, without the patch."""
-    monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 1)
+    usable_cpus(monkeypatch, 1)
 
 
 class TestValidate:
@@ -574,7 +585,7 @@ class TestMethodPool:
         returns the exit code, every file written and the printed text."""
         out_dir = path.parent / "out"
         shutil.rmtree(out_dir, ignore_errors=True)
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+        usable_cpus(monkeypatch, cpus)
         rc = main(["run", str(path)])
         return rc, files_under(out_dir), capsys.readouterr().out
 
@@ -597,7 +608,7 @@ class TestMethodPool:
             blocked = tmp_path / "out" / "runs" / f"{method}_0"
             blocked.parent.mkdir(parents=True)
             blocked.write_text("")
-            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            usable_cpus(monkeypatch, cpus)
             with pytest.raises(FileExistsError) as info:
                 main(["run", str(path)])
             assert str(blocked) in str(info.value)
@@ -617,14 +628,14 @@ class TestMethodPool:
 
     def test_free_worker_takes_the_next_task(self, tmp_path, monkeypatch):
         """The third task starts while the first, due earlier, still runs."""
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         tasks = [("slow", 0.6, tmp_path), ("fast", 0.0, tmp_path), ("next", 0.0, tmp_path)]
         assert list(uman.cli._map_in_pool(sleep_then_log, tasks, 2)) == ["slow", "fast", "next"]
         times = {t.name: [float(v) for v in t.read_text().split()] for t in tmp_path.iterdir()}
         assert times["next"][0] < times["slow"][1]
 
     def test_no_task_after_one_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         tasks = [("slow", 0.6, tmp_path), ("fail", 0.0, tmp_path), ("after", 0.0, tmp_path)]
         results = uman.cli._map_in_pool(sleep_then_log, tasks, 2)
         assert next(results) == "slow"
@@ -636,14 +647,23 @@ class TestMethodPool:
         sizes = fake_pools
         three, _ = load_config(three_by_three(tmp_path, 0.1))
         for cpus, want in ((64, [3]), (2, [2]), (1, []), (None, [])):
-            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            usable_cpus(monkeypatch, cpus)
             sizes.clear()
             uman.cli.execute_run(three, quiet=True)
             assert sizes == want, cpus
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 64)
+        usable_cpus(monkeypatch, 64)
         sizes.clear()
         uman.cli.execute_run(replace(three, methods=("uman",)), quiet=True)
         assert sizes == []  # one method runs in this process
+
+    def test_pool_size_capped_by_the_affinity_mask(self, tmp_path, monkeypatch, fake_pools):
+        """Under ``taskset -c 0`` on a machine of 2 CPUs the process may run
+        on one, and every batch trains in this process."""
+        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 1)
+        three, _ = load_config(three_by_three(tmp_path, 0.1))
+        uman.cli.execute_run(three, quiet=True)
+        assert fake_pools == []
 
 
 class TestSeedOffset:
@@ -910,7 +930,7 @@ class TestSweep:
         out_dir = tmp_path / "out"
         # 5 is infeasible: its rows come first, and it gets no cell directory
         argv = ["sweep", str(path), "--axis", "common_overlap", "--values", "5,1,0"]
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
 
         def sweep(jobs):
             shutil.rmtree(out_dir, ignore_errors=True)
@@ -933,7 +953,7 @@ class TestSweep:
         path = three_by_three(tmp_path, lr)
         config, _ = load_config(path)
         config = replace(config, seeds=(0, 1))
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         out_dir = tmp_path / "out"
         path.write_text(json.dumps(canonical_dict(config)))
         assert main(["sweep", str(path), "--axis", "target_private_size", "--values", "0,1,2", "--jobs", "2"]) == 0
@@ -987,12 +1007,12 @@ class TestSweep:
             (64, "2,3,4,5", "5", 5),
             (2, "2", "64", 2),
         ):
-            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            usable_cpus(monkeypatch, cpus)
             pools.clear()
             assert main(argv + ["--values", values, "--jobs", jobs]) == 0
             assert pools == [want], (cpus, values, jobs)
         # an infeasible cell has no batches: 5 is, 1 is not
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 64)
+        usable_cpus(monkeypatch, 64)
         pools.clear()
         assert main(["sweep", str(path), "--axis", "common_overlap", "--values", "1,5",
                      "--jobs", "64"]) == 0
@@ -1000,7 +1020,7 @@ class TestSweep:
         # one usable CPU, or none reported, runs every batch in this process
         pools.clear()
         for cpus in (1, None):
-            monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: cpus)
+            usable_cpus(monkeypatch, cpus)
             assert main(argv + ["--values", "2,3,4,5", "--jobs", "64"]) == 0
         assert pools == []
 
@@ -1031,7 +1051,7 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(uman.cli, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(uman.cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         path = tiny_config(
             tmp_path, methods=["source_only", "uman", "unweighted_adv"], seeds=[0, 1, 2],
             hyperparams={"max_steps": 2, "batch_size": 8, "feature_hidden": [8], "feature_dim": 4, "disc_hidden": [4]},
