@@ -11,12 +11,15 @@ layer. A :class:`Plan` keeps the activations of a forward pass over
 stacked blocks of rows, and its backward pass takes them back with the
 loss gradient of the output, adding exact gradients into the parameter
 buffers of the :class:`Mlp` and returning the gradient of the input when
-the caller reads it. The package differentiates only two fixed graphs,
-the training step and the alignment probe, and each lays out one plan per
-net and batch; :func:`l2_normalize_backward` is the one other link either
-needs, and :func:`forward_mlp` is the one-pass inference call. Each
-checks its gradients with :func:`gradient_faults` before
-:func:`sgd_update` moves a parameter.
+the caller reads it. Every layer passes back by one rule: into a dz
+buffer of its own, then per run of equal-size blocks one batched product
+each for its weight gradient and its input gradient. The package
+differentiates only two fixed graphs, the training step and the alignment
+probe, and each lays out one plan per net and batch;
+:func:`l2_normalize_backward` is the one other link either needs, and
+:func:`forward_mlp` is the one-pass inference call. Each checks its
+gradients with :func:`gradient_faults` before :func:`sgd_update` moves a
+parameter.
 """
 
 from __future__ import annotations
@@ -237,18 +240,18 @@ class Plan:
         return self.acts
 
     def _lay_backward(self):
-        """Per layer, last first: its outputs, its dz buffer (the input gradient's
-        buffer of the layer above, for a hidden linear layer), a sigmoid's scratch
-        for 1 - out, its input gradient's buffer, its transposed weights, its per-block
-        gradient buffers in reverse block order, and per run of equal-size blocks the
-        views of its transposed inputs, dz, the per-block gradients and its input gradient."""
+        """Per layer, last first: its outputs, its own dz buffer, a sigmoid's scratch
+        for 1 - out, its input gradient's buffer, its transposed weights with one
+        matrix per block, its per-block gradient buffers in reverse block order, and
+        per run of equal-size blocks the views of its transposed inputs, dz, the
+        per-block gradients and its input gradient."""
         n = sum(self.blocks)
         runs = _runs(self.blocks)
         firsts = np.cumsum([0] + [count for _, count, _ in runs]).tolist()
-        laid, grad = [], None
+        laid = []
         for i in reversed(range(len(self.net.layers))):
             layer, inp, out = self.net.layers[i], self.acts[i][..., :n, :], self.acts[i + 1][..., :n, :]
-            dz = grad if layer.activation == "linear" and grad is not None else np.empty(out.shape)
+            dz = np.empty(out.shape)
             scratch = np.empty(out.shape) if layer.activation == "sigmoid" else None
             grad = np.empty(inp.shape)
             gw = np.empty((*self.lead, len(self.blocks), *layer.w.shape[-2:]))
@@ -257,7 +260,7 @@ class Plan:
             groups = [(x.swapaxes(-1, -2), d, gw[..., a:e, :, :], gb[..., a:e, :], g) for x, d, g, a, e in views]
             # the transposed view, not a contiguous copy: BLAS rounds the
             # two layouts differently
-            w_t = layer.w.swapaxes(-1, -2)
+            w_t = layer.w.swapaxes(-1, -2)[..., None, :, :]
             laid.append((layer, out, dz, scratch, grad, w_t, gw[..., ::-1, :, :], gb[..., ::-1, :], groups))
         return laid
 
@@ -281,22 +284,15 @@ class Plan:
                 np.multiply(np.sign(out, out=dz), grad, out=dz)
             elif layer.activation == "sigmoid":
                 np.multiply(np.multiply(grad, out, out=dz), np.subtract(1.0, out, out=scratch), out=dz)
-            elif dz is not grad:
+            else:
                 np.copyto(dz, grad)
             if k == last and not input_grad:
                 into = None
-            by_block = into is not None and w_t.shape[-2] > 1
-            if into is not None and not by_block:
-                # a 1-wide output's input gradient is an outer product: a k=1
-                # matrix product adds each entry's one product to a zero
-                # accumulator, and so does adding 0.0, which turns a -0.0
-                # product into +0.0 and leaves every other value as it is
-                np.add(np.multiply(dz, w_t, out=into), 0.0, out=into)
             for x_t, d, gw_run, gb_run, into_run in groups:
                 np.matmul(x_t, d, out=gw_run)
                 np.add.reduce(d, axis=-2, out=gb_run)
-                if by_block:
-                    np.matmul(d, w_t[..., None, :, :], out=into_run)
+                if into is not None:
+                    np.matmul(d, w_t, out=into_run)
             # One sum over the blocks, last first, adds what one backward per
             # block in reverse order would. It is exact only because the
             # buffers are zero here: a net runs one backward per step, and
@@ -312,13 +308,14 @@ def plan_nbytes(widths, activations, rows: int, blocks) -> int:
     """The bytes of a run's share of the buffers of a :class:`Plan` over
     ``rows`` input rows, for a net of these layer widths (input first) and
     activations, once it has passed back the rows of ``blocks``: its
-    activations and, per layer, what :meth:`Plan._lay_backward` allocates."""
+    activations and, per layer, what :meth:`Plan._lay_backward` allocates,
+    its dz and input gradient, a sigmoid's scratch and the per-block
+    gradients."""
     n, count = sum(blocks), len(blocks)
     nbytes = 8 * rows * sum(widths)
-    for k, (fan_in, fan_out, activation) in enumerate(reversed(list(zip(widths, widths[1:], activations)))):
-        dz = 0 if activation == "linear" and k else n * fan_out  # a hidden linear layer's is shared
+    for fan_in, fan_out, activation in zip(widths, widths[1:], activations):
         scratch = n * fan_out if activation == "sigmoid" else 0
-        nbytes += 8 * (dz + scratch + n * fan_in + count * (fan_in + 1) * fan_out)
+        nbytes += 8 * (n * fan_out + scratch + n * fan_in + count * (fan_in + 1) * fan_out)
     return nbytes
 
 

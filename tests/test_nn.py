@@ -287,7 +287,9 @@ def _net_grad_check(net, f):
 
 
 class TestMlpGradients:
-    @pytest.mark.parametrize("acts", [["linear"], ["relu", "linear"], ["relu", "sigmoid"]])
+    @pytest.mark.parametrize(
+        "acts", [["linear"], ["relu", "linear"], ["relu", "sigmoid"], ["linear", "relu"], ["relu", "linear", "sigmoid"]]
+    )
     def test_cross_entropy_head_gradients(self, acts):
         rng = np.random.default_rng(17)
         sizes = [3] + [4] * (len(acts) - 1) + [2]
@@ -303,6 +305,25 @@ class TestMlpGradients:
             if backward:
                 plan.backward(grad)
             return loss
+
+        assert _net_grad_check(net, f) < GRAD_TOL
+
+    @pytest.mark.parametrize("acts", [["linear", "relu"], ["relu", "linear", "sigmoid"], ["linear", "linear", "relu"]])
+    def test_hidden_linear_gradients_per_run(self, acts):
+        """With a run axis, a hidden linear layer passes back each run's own
+        gradient: the loss sums the runs' losses."""
+        rng = np.random.default_rng(19)
+        sizes = [3] + [4] * (len(acts) - 1) + [2]
+        net = Mlp.stack([Mlp(sizes, acts, rng) for _ in range(2)])
+        x = rng.standard_normal((2, 6, 3))
+        labels = rng.integers(0, 2, size=(2, 6))
+
+        def f(backward):
+            plan = passed(net, x, [2, 4])
+            loss, grad = classification_loss(plan.acts[-1], labels, [2, 4])
+            if backward:
+                plan.backward(grad)
+            return float(loss.sum())
 
         assert _net_grad_check(net, f) < GRAD_TOL
 
@@ -322,6 +343,36 @@ class TestMlpGradients:
 
 def _params(net):
     return [p.tobytes() for p, _ in param_pairs(net)] + [g.tobytes() for _, g in param_pairs(net)]
+
+
+def _check_block_by_block(shape, sizes, runs):
+    """A plan of a net of ``shape`` over blocks of ``sizes`` rows, with
+    ``runs`` runs or no run axis, leaves every run's parameters, gradients,
+    outputs and input gradients with the bits of one backward per block,
+    last first, of that run's net alone."""
+    rng = np.random.default_rng(35)
+    alone = [Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs or 1)]
+    xs = [rng.standard_normal((sum(sizes), 16)) for _ in alone]
+    g_outs = [rng.standard_normal((sum(sizes), shape[0][-1])) for _ in alone]
+    if runs:
+        net, x, g_out = Mlp.stack([Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs)]), np.stack(xs), np.stack(g_outs)
+    else:
+        net, x, g_out = Mlp(*shape, np.random.default_rng(40)), xs[0], g_outs[0]
+    plan = passed(net, x, sizes)
+    grad = plan.backward(g_out, input_grad=True)
+
+    bounds = np.cumsum([0, *sizes])
+    for r, (one, x_r, g_r) in enumerate(zip(alone, xs, g_outs)):
+        parts = [passed(one, x_r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        want_grad = [
+            parts[i].backward(g_r[bounds[i] : bounds[i + 1]], input_grad=True)
+            for i in reversed(range(len(sizes)))
+        ][::-1]
+        got = net.take(r) if runs else net
+        assert _params(got) == _params(one)
+        got_out, got_grad = (plan.acts[-1][r], grad[r]) if runs else (plan.acts[-1], grad)
+        assert got_out.tobytes() == np.concatenate([p.acts[-1] for p in parts]).tobytes()
+        assert got_grad.tobytes() == np.concatenate(want_grad).tobytes()
 
 
 class TestStackedBlocks:
@@ -359,30 +410,19 @@ class TestStackedBlocks:
         adding one block after the other, last first, does; the 1-wide
         output's bias sums 11 blocks, where a pairwise sum would differ.
         With a run axis, every run also computes what it computes alone."""
-        rng = np.random.default_rng(35)
-        shape = ([16, 64, 16, 1], ["relu", "relu", "sigmoid"])
-        alone = [Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs or 1)]
-        xs = [rng.standard_normal((sum(sizes), 16)) for _ in alone]
-        g_outs = [rng.standard_normal((sum(sizes), 1)) for _ in alone]
-        if runs:
-            net, x, g_out = Mlp.stack([Mlp(*shape, np.random.default_rng(40 + r)) for r in range(runs)]), np.stack(xs), np.stack(g_outs)
-        else:
-            net, x, g_out = Mlp(*shape, np.random.default_rng(40)), xs[0], g_outs[0]
-        plan = passed(net, x, sizes)
-        grad = plan.backward(g_out, input_grad=True)
+        _check_block_by_block(([16, 64, 16, 1], ["relu", "relu", "sigmoid"]), sizes, runs)
 
-        bounds = np.cumsum([0, *sizes])
-        for r, (one, x_r, g_r) in enumerate(zip(alone, xs, g_outs)):
-            parts = [passed(one, x_r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-            want_grad = [
-                parts[i].backward(g_r[bounds[i] : bounds[i + 1]], input_grad=True)
-                for i in reversed(range(len(sizes)))
-            ][::-1]
-            got = net.take(r) if runs else net
-            assert _params(got) == _params(one)
-            got_out, got_grad = (plan.acts[-1][r], grad[r]) if runs else (plan.acts[-1], grad)
-            assert got_out.tobytes() == np.concatenate([p.acts[-1] for p in parts]).tobytes()
-            assert got_grad.tobytes() == np.concatenate(want_grad).tobytes()
+    @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
+    @pytest.mark.parametrize(
+        "shape",
+        [([16, 8, 3], ["linear", "relu"]), ([16, 64, 7, 1], ["relu", "linear", "sigmoid"]),
+         ([16, 8, 6, 3], ["linear", "linear", "relu"])],
+        ids=["linear_first", "linear_between", "two_linear"],
+    )
+    def test_hidden_linear_layer_equals_block_by_block(self, shape, runs):
+        """A hidden linear layer takes its gradient into a dz of its own, and
+        its blocks sum as every other layer's do."""
+        _check_block_by_block(shape, [19, 32, 32], runs)
 
     def test_blocks_must_fit(self):
         net = Mlp([2, 3], ["linear"], np.random.default_rng(0))
@@ -524,8 +564,10 @@ class TestFlatBuffers:
 
 
 class TestWidthOneBackward:
-    """A 1-wide output layer's input gradient is one broadcast multiply;
-    it must give the bits of the per-block matrix product it replaces."""
+    """A 1-wide output layer takes its input gradient by the rule of every
+    layer, one matrix product per block. Each entry of a k=1 product is its
+    one product added to a zero accumulator, so a -0.0 product comes out
+    +0.0: these pin that sign of zero, which a bare multiply does not give."""
 
     @pytest.mark.parametrize("runs", [None, 3], ids=["no_run_axis", "three_runs"])
     @pytest.mark.parametrize("sizes", [[32, 32, 32], [19, 32, 5]], ids=["equal", "ragged"])
@@ -551,6 +593,7 @@ class TestWidthOneBackward:
             [np.matmul(dz[..., a:b, :], w_t) for a, b in zip(bounds[:-1], bounds[1:])], axis=-2
         )
         assert grad.tobytes() == want.tobytes()
+        assert grad.tobytes() == (dz * w_t + 0.0).tobytes()
         # the fixture does hold products whose sign of zero the matrix
         # product and a bare multiply disagree on
         assert (np.signbit(dz * w_t) != np.signbit(want)).any()
